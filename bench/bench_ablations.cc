@@ -372,7 +372,6 @@ double FileIntensiveRpcsPerOp(bool cached) {
     const uint64_t ops = 2 * kChunks + kStats + 2;  // reads+writes+stats+open+close
     rpcs_per_op = static_cast<double>(kernel.rpc_calls() - rpc0) / ops;
     server.Stop();
-    (void)fs.Sync(env);  // unblock the serve loop
   });
   kernel.Run();
   return rpcs_per_op;
@@ -460,7 +459,6 @@ MappedReadResult MappedVsReadPass(bool mapped) {
     }
     WPOS_CHECK(fs.Close(env, *h) == base::Status::kOk);
     server.Stop();
-    (void)fs.Sync(env);  // unblock the serve loop
   });
   kernel.Run();
   return out;

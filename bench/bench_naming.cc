@@ -84,8 +84,6 @@ Numbers MeasureAll(const std::string& trace_path = std::string()) {
     out.full_list = measure([&](int) { WPOS_CHECK(nc.List(env, "/svc/group3").ok()); });
     full.Stop();
     lite.Stop();
-    (void)nc.Resolve(env, "/x");
-    (void)lc.Resolve(env, "/x");
   });
   kernel.Run();
   bench::ExportTrace(kernel, trace_path);

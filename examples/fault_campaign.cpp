@@ -36,6 +36,11 @@ namespace {
 constexpr uint32_t kEchoOp = 1;
 constexpr char kEchoName[] = "/svc/echo";
 
+struct EchoRequest {
+  uint32_t op = kEchoOp;
+  uint32_t value = 0;
+};
+
 struct Fleet {
   mk::Kernel& kernel;
   mk::Task* mgr_task;
@@ -51,18 +56,27 @@ struct Fleet {
     const int gen = static_cast<int>(tasks.size());
     mk::Task* task = kernel.CreateTask("echo-g" + std::to_string(gen));
     auto recv = kernel.PortAllocate(*task);
-    auto loop = std::make_shared<mk::ServerLoop>(*recv, "echo", 64);
-    loop->Register(kEchoOp, [](mk::Env& env, const mk::RpcRequest& request, const uint8_t* req,
-                               const uint8_t*, uint32_t) {
-      env.RpcReply(request.token, req, request.req_len);
-    });
+    // The echo server's own loop and stub images, charged as every server does.
+    const hw::CodeRegion stub = hw::DefineKernelCode("stub.echo", mk::Costs::kRpcServerStub);
+    const hw::CodeRegion loop_code = hw::DefineKernelCode("loop.echo", mk::Costs::kRpcServerLoop);
+    auto loop = std::make_shared<mk::ServerLoop>(*recv, "echo");
     if (manager != nullptr && beat_ns != 0) {
       auto health = manager->HealthRightFor(*task);
       if (health.ok()) {
         loop->EnableHeartbeat(*health, 1, beat_ns);
       }
     }
-    kernel.CreateThread(task, "echo", [loop](mk::Env& env) { loop->Run(env); });
+    kernel.CreateThread(task, "echo", [loop, stub, loop_code](mk::Env& env) {
+      loop->Run<EchoRequest>(env, [l = loop.get(), stub, loop_code](
+                                      mk::Env& env, const mk::RpcRequest& rpc,
+                                      const EchoRequest& req, const uint8_t*, uint32_t) {
+        env.kernel().cpu().Execute(loop_code);
+        env.kernel().cpu().Execute(stub);
+        if (l->EnterHandler(env, rpc)) {
+          env.RpcReply(rpc.token, &req, rpc.req_len);
+        }
+      });
+    });
     tasks.push_back(task);
     recvs.push_back(*recv);
     loops.push_back(loop);
@@ -179,7 +193,6 @@ int main(int argc, char** argv) {
     fleet.loops.back()->Stop();
     manager.Stop();
     names.Stop();
-    (void)nc.Resolve(env, "/x");  // unblock the name server loop
   });
   kernel.Run();
 

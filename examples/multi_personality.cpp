@@ -127,8 +127,6 @@ int main() {
     }
     fs.Stop();
     os2_server.Stop();
-    (void)viewer.Sync(env);
-    kernel.TerminateTask(os2_task);
   });
 
   const size_t blocked = kernel.Run();

@@ -105,9 +105,6 @@ int main() {
     names.Stop();
     lite.Stop();
     pager.Stop();
-    (void)nc.Resolve(env, "/x");
-    (void)lc.Resolve(env, "/x");
-    kernel.TerminateTask(pager.task());
   });
 
   kernel.Run();

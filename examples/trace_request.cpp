@@ -72,8 +72,6 @@ int main(int argc, char** argv) {
     WPOS_CHECK(proc->Close(env, *fd) == base::Status::kOk);
     // Orderly shutdown so kernel.Run() returns.
     fs.Stop();
-    svc::FsClient unblock(fs.GrantTo(*proc->task()));
-    (void)unblock.Sync(env);
     driver.Stop();
     kernel.TerminateTask(driver_task);
   });

@@ -44,6 +44,8 @@ DiskDriver::DiskDriver(mk::Kernel& kernel, mk::Task* task, hw::Disk* disk, Resou
                                                      hw::kPageSize);
   WPOS_CHECK(dma.ok()) << "no contiguous memory for disk DMA buffer";
   dma_buffer_ = *dma;
+  loop_ = std::make_unique<mk::ServerLoop>(service_port_, "disk",
+                                           kMaxSectors * hw::Disk::kSectorSize);
   kernel_.CreateThread(task_, "disk-driver", [this](mk::Env& env) { Serve(env); },
                        mk::Thread::kDefaultPriority + 4);
 }
@@ -67,7 +69,8 @@ void DiskDriver::AwaitCompletion(mk::Env& env) {
   kernel_.IoWrite(disk_, hw::Disk::kRegStatus, 0);  // ack done/error bits
 }
 
-base::Status DiskDriver::DoIo(mk::Env& env, const DiskRequest& req, uint8_t* data) {
+base::Status DiskDriver::DoIo(mk::Env& env, const DiskRequest& req, const uint8_t* in,
+                              uint8_t* out) {
   if (req.count == 0 || req.count > kMaxSectors ||
       req.lba + req.count > disk_->num_sectors()) {
     return base::Status::kInvalidArgument;
@@ -76,7 +79,7 @@ base::Status DiskDriver::DoIo(mk::Env& env, const DiskRequest& req, uint8_t* dat
   const uint64_t bytes = static_cast<uint64_t>(req.count) * hw::Disk::kSectorSize;
   if (req.op == DiskOp::kWrite) {
     // Stage data into the DMA buffer.
-    kernel_.machine().mem().Write(dma_buffer_, data, bytes);
+    kernel_.machine().mem().Write(dma_buffer_, in, bytes);
     kernel_.ChargeCopy(kernel_.current()->msg_window(), dma_buffer_, bytes);
   }
   kernel_.IoWrite(disk_, hw::Disk::kRegLba, static_cast<uint32_t>(req.lba));
@@ -86,66 +89,45 @@ base::Status DiskDriver::DoIo(mk::Env& env, const DiskRequest& req, uint8_t* dat
                   req.op == DiskOp::kRead ? hw::Disk::kCmdRead : hw::Disk::kCmdWrite);
   AwaitCompletion(env);
   if (req.op == DiskOp::kRead) {
-    kernel_.machine().mem().Read(dma_buffer_, data, bytes);
+    kernel_.machine().mem().Read(dma_buffer_, out, bytes);
     kernel_.ChargeCopy(dma_buffer_, kernel_.current()->msg_window(), bytes);
   }
   return base::Status::kOk;
 }
 
 void DiskDriver::Serve(mk::Env& env) {
-  DiskRequest req;
   std::vector<uint8_t> data(kMaxSectors * hw::Disk::kSectorSize);
-  while (true) {
-    mk::RpcRef ref;
-    ref.recv_buf = data.data();
-    ref.recv_cap = static_cast<uint32_t>(data.size());
-    auto r = env.RpcReceive(service_port_, &req, sizeof(req), &ref);
-    if (!r.ok()) {
-      return;
-    }
+  loop_->Run<DiskRequest>(env, [&](mk::Env& env, const mk::RpcRequest& rpc,
+                                   const DiskRequest& req, const uint8_t* ref_data,
+                                   uint32_t ref_len) {
     ++requests_served_;
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(req.op));
-    op_span.set_end_payload(static_cast<uint64_t>(req.op));
-    tracer.LabelSpan(op_span.id(), "disk");
-    ++tracer.metrics().Counter("server.disk.ops");
     DiskReply reply;
     switch (req.op) {
       case DiskOp::kInfo:
         reply.sectors = disk_->num_sectors();
-        env.RpcReply(r->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
         break;
       case DiskOp::kRead: {
-        reply.status = static_cast<int32_t>(DoIo(env, req, data.data()));
+        reply.status = static_cast<int32_t>(DoIo(env, req, nullptr, data.data()));
         const uint32_t bytes =
             reply.status == 0 ? req.count * hw::Disk::kSectorSize : 0;
-        env.RpcReply(r->token, &reply, sizeof(reply), data.data(), bytes);
+        env.RpcReply(rpc.token, &reply, sizeof(reply), data.data(), bytes);
         break;
       }
       case DiskOp::kWrite: {
-        if (ref.recv_len != req.count * hw::Disk::kSectorSize) {
+        if (ref_len != req.count * hw::Disk::kSectorSize) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
         } else {
-          reply.status = static_cast<int32_t>(DoIo(env, req, data.data()));
+          reply.status = static_cast<int32_t>(DoIo(env, req, ref_data, nullptr));
         }
-        env.RpcReply(r->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
         break;
       }
       default:
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        env.RpcReply(r->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
     }
-  
-    if (!running_) {
-      // Server shutdown: kill the service port so queued and future
-      // callers fail with kPortDead instead of blocking forever.
-      (void)kernel_.PortDestroy(*task_, service_port_);
-      return;
-    }
-  }
+  });
 }
 
 base::Status RpcBlockStore::Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) {

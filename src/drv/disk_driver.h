@@ -38,14 +38,16 @@ class DiskDriver {
   mk::Task* task() const { return task_; }
   mk::PortName service_port() const { return service_port_; }
   mk::PortName GrantTo(mk::Task& client);
-  void Stop() { running_ = false; }
+  // mk::ServerLoop::Stop semantics: the service port dies at once.
+  void Stop() { loop_->Stop(); }
 
   uint64_t requests_served() const { return requests_served_; }
   uint64_t interrupts_taken() const { return interrupts_taken_; }
 
  private:
   void Serve(mk::Env& env);
-  base::Status DoIo(mk::Env& env, const DiskRequest& req, uint8_t* data);
+  // Writes stage `in` into the DMA buffer; reads land in `out`.
+  base::Status DoIo(mk::Env& env, const DiskRequest& req, const uint8_t* in, uint8_t* out);
   void AwaitCompletion(mk::Env& env);
 
   mk::Kernel& kernel_;
@@ -53,11 +55,11 @@ class DiskDriver {
   hw::Disk* disk_;
   DriverId driver_id_ = 0;
   mk::PortName service_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop> loop_;
   mk::PortName irq_port_ = mk::kNullPort;
   hw::PhysAddr dma_buffer_ = 0;
   uint64_t requests_served_ = 0;
   uint64_t interrupts_taken_ = 0;
-  bool running_ = true;
 };
 
 // Client-side block access over the driver's RPC service; plugs into the

@@ -44,6 +44,7 @@ NicDriver::NicDriver(mk::Kernel& kernel, mk::Task* task, hw::Nic* nic, ResourceM
   // Post the receive buffer.
   kernel_.IoWrite(nic_, hw::Nic::kRegRxAddr, static_cast<uint32_t>(rx_buffer_));
   kernel_.IoWrite(nic_, hw::Nic::kRegRxCap, hw::kPageSize);
+  loop_ = std::make_unique<mk::ServerLoop>(service_port_, "nic", hw::Nic::kMaxFrame);
   kernel_.CreateThread(task_, "nic-isr", [this](mk::Env& env) { IsrLoop(env); },
                        mk::Thread::kDefaultPriority + 5);
   kernel_.CreateThread(task_, "nic-driver", [this](mk::Env& env) { Serve(env); },
@@ -57,7 +58,7 @@ mk::PortName NicDriver::GrantTo(mk::Task& client) {
 }
 
 void NicDriver::IsrLoop(mk::Env& env) {
-  while (running_) {
+  while (true) {
     mk::MachMessage msg;
     if (kernel_.MachMsgReceive(irq_port_, &msg) != base::Status::kOk) {
       return;
@@ -87,62 +88,39 @@ void NicDriver::IsrLoop(mk::Env& env) {
 }
 
 void NicDriver::Serve(mk::Env& env) {
-  NicRequest req;
-  std::vector<uint8_t> data(hw::Nic::kMaxFrame);
-  while (true) {
-    mk::RpcRef ref;
-    ref.recv_buf = data.data();
-    ref.recv_cap = static_cast<uint32_t>(data.size());
-    auto r = env.RpcReceive(service_port_, &req, sizeof(req), &ref);
-    if (!r.ok()) {
-      return;
-    }
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(req.op));
-    op_span.set_end_payload(static_cast<uint64_t>(req.op));
-    tracer.LabelSpan(op_span.id(), "nic");
-    ++tracer.metrics().Counter("server.nic.ops");
+  loop_->Run<NicRequest>(env, [&](mk::Env& env, const mk::RpcRequest& rpc, const NicRequest& req,
+                                  const uint8_t* frame, uint32_t frame_len) {
     NicReply reply;
     if (req.op == NicOp::kSend) {
-      if (ref.recv_len == 0 || ref.recv_len > hw::Nic::kMaxFrame) {
+      if (frame_len == 0 || frame_len > hw::Nic::kMaxFrame) {
         reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-        env.RpcReply(r->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
       } else {
         kernel_.cpu().Execute(TxRegion());
-        kernel_.machine().mem().Write(tx_buffer_, data.data(), ref.recv_len);
-        kernel_.ChargeCopy(kernel_.current()->msg_window(), tx_buffer_, ref.recv_len);
+        kernel_.machine().mem().Write(tx_buffer_, frame, frame_len);
+        kernel_.ChargeCopy(kernel_.current()->msg_window(), tx_buffer_, frame_len);
         kernel_.IoWrite(nic_, hw::Nic::kRegTxAddr, static_cast<uint32_t>(tx_buffer_));
-        kernel_.IoWrite(nic_, hw::Nic::kRegTxLen, ref.recv_len);
+        kernel_.IoWrite(nic_, hw::Nic::kRegTxLen, frame_len);
         kernel_.IoWrite(nic_, hw::Nic::kRegCommand, hw::Nic::kCmdSend);
         ++frames_tx_;
-        env.RpcReply(r->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
       }
     } else if (req.op == NicOp::kRecv) {
       if (!rx_queue_.empty()) {
-        std::vector<uint8_t> frame = std::move(rx_queue_.front());
+        std::vector<uint8_t> out = std::move(rx_queue_.front());
         rx_queue_.pop_front();
-        reply.len = static_cast<uint32_t>(frame.size());
-        env.RpcReply(r->token, &reply, sizeof(reply), frame.data(), reply.len);
+        reply.len = static_cast<uint32_t>(out.size());
+        env.RpcReply(rpc.token, &reply, sizeof(reply), out.data(), reply.len);
       } else {
         // No frame yet: defer; the ISR thread replies when one arrives, and
         // the serve loop stays available for sends.
-        pending_recvs_.push_back(r->token);
+        pending_recvs_.push_back(rpc.token);
       }
     } else {
       reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-      env.RpcReply(r->token, &reply, sizeof(reply));
+      env.RpcReply(rpc.token, &reply, sizeof(reply));
     }
-  
-    if (!running_) {
-      // Server shutdown: kill the service port so queued and future
-      // callers fail with kPortDead instead of blocking forever.
-      (void)kernel_.PortDestroy(*task_, service_port_);
-      return;
-    }
-  }
+  });
 }
 
 base::Status NicClient::Send(mk::Env& env, const void* frame, uint32_t len) {

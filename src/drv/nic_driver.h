@@ -5,6 +5,7 @@
 #define SRC_DRV_NIC_DRIVER_H_
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "src/drv/resource_manager.h"
@@ -32,7 +33,9 @@ class NicDriver {
 
   mk::PortName service_port() const { return service_port_; }
   mk::PortName GrantTo(mk::Task& client);
-  void Stop() { running_ = false; }
+  // mk::ServerLoop::Stop semantics: the service port dies at once. The
+  // interrupt thread runs on until the driver task dies.
+  void Stop() { loop_->Stop(); }
 
   uint64_t frames_tx() const { return frames_tx_; }
   uint64_t frames_rx() const { return frames_rx_; }
@@ -45,6 +48,7 @@ class NicDriver {
   mk::Task* task_;
   hw::Nic* nic_;
   mk::PortName service_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop> loop_;
   mk::PortName irq_port_ = mk::kNullPort;
   hw::PhysAddr tx_buffer_ = 0;
   hw::PhysAddr rx_buffer_ = 0;
@@ -52,7 +56,6 @@ class NicDriver {
   std::deque<uint64_t> pending_recvs_;  // tokens of queued kRecv requests
   uint64_t frames_tx_ = 0;
   uint64_t frames_rx_ = 0;
-  bool running_ = true;
 };
 
 // Client-side frame interface for the networking service.

@@ -16,13 +16,15 @@ namespace fault {
 // Where a fault can fire. Each point documents which modes make sense there;
 // Injector::Fire returns the armed mode and the call site implements it.
 enum class FaultPoint : uint8_t {
-  // ServerLoop::Run, after the op code is parsed and before the handler is
-  // dispatched. Supports every mode: kCrashTask (terminate the serving
-  // task), kDropReply (swallow the request; the client needs a deadline),
-  // kKillPort (destroy the service port), kTransientError (reply kBusy),
-  // kStallTask (park the serving thread forever — a wedged-but-alive server
-  // only a watchdog can recover), kDelayReply (sleep a seeded simulated
-  // delay before handling — an overloaded-but-correct server).
+  // ServerLoop::EnterHandler, called first in a server's dispatch before any
+  // handler state changes. Only the servers a campaign survives losing
+  // call it: the file, net and registry servers, and the echo loops in
+  // tests and examples. Supports every mode: kCrashTask (terminate the
+  // serving task), kDropReply (swallow the request; the client needs a
+  // deadline), kKillPort (destroy the service port), kTransientError (reply
+  // kBusy), kStallTask (park the serving thread forever — a wedged-but-alive
+  // server only a watchdog can recover), kDelayReply (sleep a seeded
+  // simulated delay before handling — an overloaded-but-correct server).
   kServerHandlerEntry = 0,
   // Kernel::RpcReply / RpcReplyAndReceive, after the in-flight waiter is
   // found. Supports kCrashTask, kDropReply (waiter erased, client never

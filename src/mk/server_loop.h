@@ -1,14 +1,32 @@
-// Server-loop helper shared by every RPC server in the system: receives
-// requests on a port, demultiplexes on a 32-bit operation code at the start
-// of the request, and charges the modelled server-stub and loop costs.
-// Requests are POD structs whose first field is the op code.
+// The server runtime: the one RPC receive loop every server in the system
+// runs on. A server supplies its request type and a single dispatch function
+// and keeps its own `switch` on the op code inside it:
+//
+//   loop_->Run<FsRequest>(env, [&](Env& env, const RpcRequest& rpc,
+//                                  const FsRequest& req, const uint8_t* ref_data,
+//                                  uint32_t ref_len) { ... });
+//
+// For every request the loop
+//   - receives into a fresh, zero-filled Req: sizeof(Req) bounds the inline
+//     request, and the bytes past a short request read as zero;
+//   - keeps serving after kTooLarge: the kernel already failed the oversized
+//     queued request back to its caller, and the loop itself is healthy;
+//   - sends watchdog heartbeats once EnableHeartbeat armed them;
+//   - opens a kServerOp span labelled with the loop's name and counts
+//     `server.<name>.ops`;
+//   - calls the dispatch function, which must reply by token (now or later).
+//
+// The loop charges no simulated cycles of its own. Each server's dispatch
+// charges the code regions its server defines (its loop and stub regions
+// among them), so moving a server onto the runtime changes neither its cost
+// profile nor where hw::CodeLayout places its code.
 #ifndef SRC_MK_SERVER_LOOP_H_
 #define SRC_MK_SERVER_LOOP_H_
 
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "src/mk/kernel.h"
@@ -17,23 +35,12 @@ namespace mk {
 
 class ServerLoop {
  public:
-  // A handler receives the raw request and must end with env.RpcReply(token,
-  // ...). `ref_data`/`ref_len` is by-reference bulk data the client attached.
-  using Handler = std::function<void(Env& env, const RpcRequest& request, const uint8_t* req,
-                                     const uint8_t* ref_data, uint32_t ref_len)>;
-
-  // `interface` names the server's stub image for the I-cache model (each
-  // server's stubs are distinct linked code, as they were in WPOS).
-  ServerLoop(PortName receive_port, const std::string& interface, uint32_t max_request = 512,
-             uint32_t max_ref = 64 * 1024)
-      : port_(receive_port),
-        interface_(interface),
-        stub_region_(hw::DefineKernelCode("stub." + interface, Costs::kRpcServerStub)),
-        loop_region_(hw::DefineKernelCode("loop." + interface, Costs::kRpcServerLoop)),
-        request_buf_(max_request),
+  // `name` labels the loop's spans and metrics. `max_ref` bounds the
+  // by-reference payload a request may carry; a larger one (or any payload
+  // when `max_ref` is 0) fails its caller with kTooLarge.
+  ServerLoop(PortName receive_port, const std::string& name, uint32_t max_ref = 64 * 1024)
+      : port_(receive_port), name_(name), ops_counter_("server." + name + ".ops"),
         ref_buf_(max_ref) {}
-
-  void Register(uint32_t op, Handler handler) { handlers_[op] = std::move(handler); }
 
   // Arms watchdog heartbeats: the loop sends a HeartbeatPing to
   // `health_right` (a send right in the serving task's space, minted by
@@ -51,9 +58,10 @@ class ServerLoop {
   // Shuts the loop down deterministically: the receive port is destroyed
   // immediately, so a server parked between receives wakes with kPortDead
   // and exits, and every caller — queued or future — observes kPortDead
-  // rather than a request that may or may not still be served. Callable from
-  // any thread (including a handler) once Run() has started; calling it
-  // before Run() makes Run() destroy the port and return at once.
+  // rather than a request that may or may not still be served. A request
+  // already in dispatch still completes by token. Callable from any thread
+  // (including a handler) once Run() has started; calling it before Run()
+  // makes Run() destroy the port and return at once.
   void Stop() {
     stop_requested_ = true;
     running_ = false;
@@ -62,9 +70,16 @@ class ServerLoop {
     }
   }
   bool running() const { return running_; }
+  PortName port() const { return port_; }
 
-  // Runs until Stop() or the port dies. Unknown ops get an empty error reply.
-  void Run(Env& env) {
+  // Serves requests until Stop() or the port dies. `dispatch(env, rpc, req,
+  // ref_data, ref_len)` gets the typed request (a POD struct whose `op`
+  // field is a 32-bit op code) and the by-reference payload the client
+  // attached.
+  template <typename Req, typename Dispatch>
+  void Run(Env& env, Dispatch&& dispatch) {
+    static_assert(std::is_trivially_copyable_v<Req> && sizeof(Req{}.op) == sizeof(uint32_t),
+                  "requests are POD structs with a 32-bit op code");
     env_ = &env;
     if (stop_requested_) {
       DestroyReceivePort(env);
@@ -76,6 +91,8 @@ class ServerLoop {
       SendHeartbeat(env);  // first beat arms the watchdog deadline
     }
     while (running_) {
+      Req req;
+      std::memset(static_cast<void*>(&req), 0, sizeof(req));
       RpcRef ref;
       ref.recv_buf = ref_buf_.data();
       ref.recv_cap = static_cast<uint32_t>(ref_buf_.size());
@@ -83,14 +100,12 @@ class ServerLoop {
       // wakes to beat; without them this is the plain blocking receive.
       const uint64_t receive_timeout =
           health_right_ != kNullPort && heartbeat_every_ns_ != 0 ? heartbeat_every_ns_ : kForever;
-      auto request = env.RpcReceive(port_, request_buf_.data(),
-                                    static_cast<uint32_t>(request_buf_.size()), &ref,
-                                    receive_timeout);
+      auto request = env.RpcReceive(port_, &req, sizeof(req), &ref, receive_timeout);
       if (!request.ok()) {
         if (request.status() == base::Status::kTooLarge) {
           // An oversized queued request was already failed back to its
           // client; the loop itself is healthy — keep serving. Breaking here
-          // would tear down the port under every other queued caller.
+          // would leave the port alive with nobody receiving on it.
           continue;
         }
         if (request.status() == base::Status::kTimedOut) {
@@ -98,85 +113,85 @@ class ServerLoop {
           SendHeartbeat(env);
           continue;
         }
-        break;  // port destroyed or task aborted
+        // The port is dead (Stop, task teardown) or the task is: there is
+        // nothing left to destroy.
+        port_destroyed_ = true;
+        break;
       }
       if (health_right_ != kNullPort) {
-        // Beat on arrival (before the handler runs) so a request that wedges
-        // the handler starts the watchdog clock at its own dispatch.
+        // Beat on arrival (before dispatch) so a request that wedges the
+        // handler starts the watchdog clock at its own dispatch.
         ++requests_since_beat_;
         if (requests_since_beat_ >= heartbeat_every_requests_ ||
             (heartbeat_every_ns_ != 0 && env.NowNs() - last_beat_ns_ >= heartbeat_every_ns_)) {
           SendHeartbeat(env);
         }
       }
-      env.kernel().cpu().Execute(loop_region_);
-      env.kernel().cpu().Execute(stub_region_);
-      uint32_t op = 0;
-      if (request->req_len >= sizeof(uint32_t)) {
-        std::memcpy(&op, request_buf_.data(), sizeof(uint32_t));
-      }
-      // Fault point: the handler entry, after demultiplexing and before any
-      // handler state changes — the injected failure is indistinguishable
-      // from the server crashing at the top of the operation.
-      switch (env.kernel().faults().Fire(fault::FaultPoint::kServerHandlerEntry)) {
-        case fault::FaultMode::kNone:
-          break;
-        case fault::FaultMode::kCrashTask:
-          // The task teardown destroys the receive port and fails this
-          // request's client (and every queued one) with kPortDead.
-          port_destroyed_ = true;
-          running_ = false;
-          env_ = nullptr;
-          env.kernel().TerminateTask(&env.task());
-          return;
-        case fault::FaultMode::kDropReply:
-          continue;  // swallow: the client waits out its deadline
-        case fault::FaultMode::kKillPort:
-          DestroyReceivePort(env);
-          running_ = false;
-          env_ = nullptr;
-          return;
-        case fault::FaultMode::kTransientError:
-          env.RpcReply(request->token, nullptr, 0, nullptr, 0, kNullPort, base::Status::kBusy);
-          continue;
-        case fault::FaultMode::kStallTask: {
-          // Wedged, not dead: the thread parks forever mid-request and stops
-          // heartbeating. Only a watchdog TerminateTask recovers it — the
-          // teardown fails this client and every queued one with kPortDead.
-          running_ = false;
-          env_ = nullptr;
-          (void)env.kernel().StallForever();
-          // Only reached once the stall is aborted by task teardown.
-          port_destroyed_ = true;
-          return;
-        }
-        case fault::FaultMode::kDelayReply:
-          // Overloaded, not broken: sleep a seeded simulated delay, then
-          // serve the request normally. Queued callers see the added wait.
-          (void)env.SleepNs(
-              env.kernel().faults().DrawDelayNs(fault::FaultPoint::kServerHandlerEntry));
-          break;
-        case fault::FaultMode::kCount:
-          break;
-      }
+      const auto op = static_cast<uint64_t>(req.op);
       trace::Tracer& tracer = env.kernel().tracer();
       trace::ScopedSpan op_span(tracer, trace::SpanKind::kServerOp,
                                 trace::EventType::kServerDispatch, trace::EventType::kServerDone,
                                 op);
       op_span.set_end_payload(op);
-      tracer.LabelSpan(op_span.id(), interface_);
-      ++tracer.metrics().Counter("server." + interface_ + ".ops");
-      auto it = handlers_.find(op);
-      if (it == handlers_.end()) {
-        env.RpcReply(request->token, nullptr, 0, nullptr, 0, kNullPort,
-                     base::Status::kNotSupported);
-      } else {
-        it->second(env, *request, request_buf_.data(), ref_buf_.data(), ref.recv_len);
-      }
+      tracer.LabelSpan(op_span.id(), name_);
+      ++tracer.metrics().Counter(ops_counter_);
+      dispatch(env, *request, req, ref_buf_.data(), ref.recv_len);
     }
-    DestroyReceivePort(env);
     running_ = false;
     env_ = nullptr;
+  }
+
+  // The kServerHandlerEntry fault point. A server that hosts it calls this
+  // first in dispatch, before any handler state changes, and serves the
+  // request only when it returns true — so an injected failure is
+  // indistinguishable from the server failing at the top of the operation.
+  // False means the fault consumed the request and dispatch must return
+  // without replying: it was swallowed (kDropReply; the client needs a
+  // deadline), failed with kBusy (kTransientError), or the server went down
+  // with it (kCrashTask, kKillPort, kStallTask), which also ends Run().
+  // kDelayReply sleeps a seeded delay and returns true. Campaigns arm the
+  // point globally, so only servers whose loss a campaign survives call it.
+  bool EnterHandler(Env& env, const RpcRequest& request) {
+    switch (env.kernel().faults().Fire(fault::FaultPoint::kServerHandlerEntry)) {
+      case fault::FaultMode::kNone:
+      case fault::FaultMode::kCount:
+        return true;
+      case fault::FaultMode::kCrashTask:
+        // The task teardown destroys the receive port and fails this
+        // request's client (and every queued one) with kPortDead.
+        port_destroyed_ = true;
+        running_ = false;
+        env_ = nullptr;
+        env.kernel().TerminateTask(&env.task());
+        return false;
+      case fault::FaultMode::kDropReply:
+        return false;
+      case fault::FaultMode::kKillPort:
+        DestroyReceivePort(env);
+        running_ = false;
+        env_ = nullptr;
+        return false;
+      case fault::FaultMode::kTransientError:
+        env.RpcReply(request.token, nullptr, 0, nullptr, 0, kNullPort, base::Status::kBusy);
+        return false;
+      case fault::FaultMode::kStallTask:
+        // Wedged, not dead: the thread parks forever mid-request and stops
+        // heartbeating. Only a watchdog TerminateTask recovers it — the
+        // teardown fails this client and every queued one with kPortDead.
+        running_ = false;
+        env_ = nullptr;
+        (void)env.kernel().StallForever();
+        // Only reached once the stall is aborted by task teardown.
+        port_destroyed_ = true;
+        return false;
+      case fault::FaultMode::kDelayReply:
+        // Overloaded, not broken: sleep a seeded simulated delay, then
+        // serve the request normally. Queued callers see the added wait.
+        (void)env.SleepNs(
+            env.kernel().faults().DrawDelayNs(fault::FaultPoint::kServerHandlerEntry));
+        return true;
+    }
+    return true;
   }
 
  private:
@@ -202,12 +217,9 @@ class ServerLoop {
   }
 
   PortName port_;
-  std::string interface_;
-  hw::CodeRegion stub_region_;
-  hw::CodeRegion loop_region_;
-  std::vector<uint8_t> request_buf_;
+  std::string name_;
+  std::string ops_counter_;
   std::vector<uint8_t> ref_buf_;
-  std::unordered_map<uint32_t, Handler> handlers_;
   Env* env_ = nullptr;  // set while Run() is active; lets Stop() act at once
   bool running_ = false;
   bool stop_requested_ = false;

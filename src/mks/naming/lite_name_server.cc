@@ -20,6 +20,8 @@ LiteNameServer::LiteNameServer(mk::Kernel& kernel, mk::Task* task)
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
   table_sim_addr_ = kernel_.heap().Allocate(4096);
+  // Register/resolve carry no by-reference data.
+  loop_ = std::make_unique<mk::ServerLoop>(receive_port_, "naming_lite", /*max_ref=*/0);
   kernel_.CreateThread(task_, "lite-name-server", [this](mk::Env& env) { Serve(env); },
                        mk::Thread::kDefaultPriority + 2);
 }
@@ -33,53 +35,35 @@ mk::PortName LiteNameServer::GrantTo(mk::Task& client) {
 void LiteNameServer::Serve(mk::Env& env) {
   static const hw::CodeRegion kLoop =
       hw::DefineCode("loop.naming_lite", mk::Costs::kRpcServerLoop);
-  LiteNameRequest r;
-  while (true) {
-    auto req = env.RpcReceive(receive_port_, &r, sizeof(r));
-    if (!req.ok()) {
-      return;
-    }
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(r.op));
-    op_span.set_end_payload(static_cast<uint64_t>(r.op));
-    tracer.LabelSpan(op_span.id(), "naming_lite");
-    ++tracer.metrics().Counter("server.naming_lite.ops");
+  loop_->Run<LiteNameRequest>(env, [&](mk::Env& env, const mk::RpcRequest& req,
+                                       const LiteNameRequest& r, const uint8_t* /*ref_data*/,
+                                       uint32_t /*ref_len*/) {
     kernel_.cpu().Execute(kLoop);
     kernel_.cpu().Execute(LookupRegion());
     const uint64_t bucket = std::hash<std::string_view>{}(r.name) % 64;
     kernel_.cpu().AccessData(table_sim_addr_ + bucket * 64, 32, /*write=*/false);
     LiteNameReply reply;
     if (r.op == LiteNameOp::kRegister) {
-      if (req->rights.empty()) {
+      if (req.rights.empty()) {
         reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-      } else if (!entries_.emplace(r.name, req->rights.front()).second) {
+      } else if (!entries_.emplace(r.name, req.rights.front()).second) {
         reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
       }
-      env.RpcReply(req->token, &reply, sizeof(reply));
+      env.RpcReply(req.token, &reply, sizeof(reply));
     } else if (r.op == LiteNameOp::kResolve) {
       ++resolves_;
       auto it = entries_.find(r.name);
       if (it == entries_.end()) {
         reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        env.RpcReply(req->token, &reply, sizeof(reply));
+        env.RpcReply(req.token, &reply, sizeof(reply));
       } else {
-        env.RpcReply(req->token, &reply, sizeof(reply), nullptr, 0, /*grant=*/it->second);
+        env.RpcReply(req.token, &reply, sizeof(reply), nullptr, 0, /*grant=*/it->second);
       }
     } else {
       reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-      env.RpcReply(req->token, &reply, sizeof(reply));
+      env.RpcReply(req.token, &reply, sizeof(reply));
     }
-  
-    if (!running_) {
-      // Server shutdown: kill the service port so queued and future
-      // callers fail with kPortDead instead of blocking forever.
-      (void)kernel_.PortDestroy(*task_, receive_port_);
-      return;
-    }
-  }
+  });
 }
 
 base::Status LiteNameClient::Register(mk::Env& env, const std::string& name, mk::PortName right) {

@@ -4,6 +4,7 @@
 #ifndef SRC_MKS_NAMING_LITE_NAME_SERVER_H_
 #define SRC_MKS_NAMING_LITE_NAME_SERVER_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -19,7 +20,8 @@ class LiteNameServer {
 
   mk::PortName receive_port() const { return receive_port_; }
   mk::PortName GrantTo(mk::Task& client);
-  void Stop() { running_ = false; }
+  // mk::ServerLoop::Stop semantics: the service port dies at once.
+  void Stop() { loop_->Stop(); }
 
   uint64_t resolves() const { return resolves_; }
 
@@ -29,10 +31,10 @@ class LiteNameServer {
   mk::Kernel& kernel_;
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop> loop_;
   std::unordered_map<std::string, mk::PortName> entries_;
   hw::PhysAddr table_sim_addr_ = 0;
   uint64_t resolves_ = 0;
-  bool running_ = true;
 };
 
 class LiteNameClient {

@@ -48,6 +48,8 @@ NameServer::NameServer(mk::Kernel& kernel, mk::Task* task) : kernel_(kernel), ta
   auto port = kernel_.PortAllocate(*task_);
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
+  loop_ = std::make_unique<mk::ServerLoop>(receive_port_, "naming",
+                                           sizeof(Attribute) * kMaxAttrsPerEntry);
   kernel_.CreateThread(task_, "name-server", [this](mk::Env& env) { Serve(env); },
                        mk::Thread::kDefaultPriority + 2);
 }
@@ -58,7 +60,7 @@ mk::PortName NameServer::GrantTo(mk::Task& client) {
   return *name;
 }
 
-void NameServer::Stop() { running_ = false; }
+void NameServer::Stop() { loop_->Stop(); }
 
 void NameServer::ChargeNameWalk(const std::string& name) {
   kernel_.cpu().Execute(ParseRegion());
@@ -78,69 +80,44 @@ void NameServer::ChargeNameWalk(const std::string& name) {
 }
 
 void NameServer::Serve(mk::Env& env) {
-  std::vector<uint8_t> buf(sizeof(NameRequest));
-  std::vector<uint8_t> ref(sizeof(Attribute) * kMaxAttrsPerEntry);
   static const hw::CodeRegion kLoop = hw::DefineCode("loop.naming", mk::Costs::kRpcServerLoop);
   static const hw::CodeRegion kStub = hw::DefineCode("stub.naming", mk::Costs::kRpcServerStub);
-  while (true) {
-    mk::RpcRef rref;
-    rref.recv_buf = ref.data();
-    rref.recv_cap = static_cast<uint32_t>(ref.size());
-    auto req = env.RpcReceive(receive_port_, buf.data(), static_cast<uint32_t>(buf.size()), &rref);
-    if (!req.ok()) {
-      return;
-    }
+  loop_->Run<NameRequest>(env, [&](mk::Env& env, const mk::RpcRequest& req, const NameRequest& r,
+                                   const uint8_t* ref, uint32_t ref_len) {
     kernel_.cpu().Execute(kLoop);
     kernel_.cpu().Execute(kStub);
-    NameRequest r;
-    std::memcpy(&r, buf.data(), std::min<size_t>(req->req_len, sizeof(r)));
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(r.op));
-    op_span.set_end_payload(static_cast<uint64_t>(r.op));
-    tracer.LabelSpan(op_span.id(), "naming");
-    ++tracer.metrics().Counter("server.naming.ops");
     switch (r.op) {
       case NameOp::kRegister:
-        HandleRegister(env, *req, r, ref.data(), rref.recv_len);
+        HandleRegister(env, req, r, ref, ref_len);
         break;
       case NameOp::kResolve:
-        HandleResolve(env, *req, r);
+        HandleResolve(env, req, r);
         break;
       case NameOp::kUnregister:
-        HandleUnregister(env, *req, r);
+        HandleUnregister(env, req, r);
         break;
       case NameOp::kList:
-        HandleList(env, *req, r);
+        HandleList(env, req, r);
         break;
       case NameOp::kSearch:
-        HandleSearch(env, *req, r);
+        HandleSearch(env, req, r);
         break;
       case NameOp::kSetAttr:
-        HandleSetAttr(env, *req, r);
+        HandleSetAttr(env, req, r);
         break;
       case NameOp::kGetAttr:
-        HandleGetAttr(env, *req, r);
+        HandleGetAttr(env, req, r);
         break;
       case NameOp::kWatch:
-        HandleWatch(env, *req, r);
+        HandleWatch(env, req, r);
         break;
       default: {
         NameReply reply;
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        env.RpcReply(req->token, &reply, sizeof(reply));
+        env.RpcReply(req.token, &reply, sizeof(reply));
       }
     }
-  
-    if (!running_) {
-      // Server shutdown: kill the service port so queued and future
-      // callers fail with kPortDead instead of blocking forever.
-      (void)kernel_.PortDestroy(*task_, receive_port_);
-      return;
-    }
-  }
+  });
 }
 
 void NameServer::HandleRegister(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r,

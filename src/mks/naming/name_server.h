@@ -10,6 +10,7 @@
 #define SRC_MKS_NAMING_NAME_SERVER_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@ class NameServer {
   mk::PortName receive_port() const { return receive_port_; }
   // Gives `client` a send right to the service.
   mk::PortName GrantTo(mk::Task& client);
+  // mk::ServerLoop::Stop semantics: the service port dies at once.
   void Stop();
 
   uint64_t resolves() const { return resolves_; }
@@ -64,11 +66,11 @@ class NameServer {
   mk::Kernel& kernel_;
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop> loop_;
   std::map<std::string, Node> entries_;
   std::vector<Watcher> watchers_;
   uint64_t resolves_ = 0;
   uint64_t registrations_ = 0;
-  bool running_ = true;
 };
 
 // Client-side library.

@@ -21,6 +21,8 @@ DefaultPager::DefaultPager(mk::Kernel& kernel, mk::Task* task, std::unique_ptr<B
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
   port_raw_ = *kernel_.ResolvePort(*task_, receive_port_);
+  // In: one page (a kDataWrite's payload).
+  loop_ = std::make_unique<mk::ServerLoop>(receive_port_, "pager", hw::kPageSize);
   kernel_.CreateThread(task_, "default-pager", [this](mk::Env& env) { Serve(env); },
                        mk::Thread::kDefaultPriority + 3);
 }
@@ -57,37 +59,21 @@ base::Status DefaultPager::Preload(uint64_t object_id, uint64_t page_index, cons
 }
 
 void DefaultPager::Serve(mk::Env& env) {
-  struct Buffers {
-    mk::PagerRequest req;
-    std::vector<uint8_t> page = std::vector<uint8_t>(hw::kPageSize);
-  } b;
-  while (true) {
-    mk::RpcRef ref;
-    ref.recv_buf = b.page.data();
-    ref.recv_cap = static_cast<uint32_t>(b.page.size());
-    auto req = env.RpcReceive(receive_port_, &b.req, sizeof(b.req), &ref);
-    if (!req.ok()) {
-      return;
-    }
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(b.req.op));
-    op_span.set_end_payload(static_cast<uint64_t>(b.req.op));
-    tracer.LabelSpan(op_span.id(), "pager");
-    ++tracer.metrics().Counter("server.pager.ops");
+  loop_->Run<mk::PagerRequest>(env, [&](mk::Env& env, const mk::RpcRequest& rpc,
+                                        const mk::PagerRequest& req, const uint8_t* page,
+                                        uint32_t page_len) {
+    mk::trace::MetricRegistry& metrics = kernel_.tracer().metrics();
     kernel_.cpu().Execute(ServeRegion());
     mk::PagerReply reply{};
-    if (b.req.op == mk::PagerOp::kDataRequest) {
+    if (req.op == mk::PagerOp::kDataRequest) {
       ++pageins_served_;
-      ++tracer.metrics().Counter("server.pager.pageins");
-      const auto key = std::make_pair(b.req.object_id, b.req.page_index);
+      ++metrics.Counter("server.pager.pageins");
+      const auto key = std::make_pair(req.object_id, req.page_index);
       std::vector<uint8_t> out(hw::kPageSize, 0);
       if (auto pre = preloaded_.find(key); pre != preloaded_.end()) {
         out = pre->second;
       } else {
-        const uint64_t lba = LbaFor(b.req.object_id, b.req.page_index, /*allocate=*/false);
+        const uint64_t lba = LbaFor(req.object_id, req.page_index, /*allocate=*/false);
         if (lba != ~0ull) {
           const base::Status st = store_->Read(env, lba, kSectorsPerPage, out.data());
           if (st != base::Status::kOk) {
@@ -96,40 +82,33 @@ void DefaultPager::Serve(mk::Env& env) {
         }
         // Never-written pages page in as zeros.
       }
-      env.RpcReply(req->token, &reply, sizeof(reply), out.data(),
+      env.RpcReply(rpc.token, &reply, sizeof(reply), out.data(),
                    static_cast<uint32_t>(out.size()));
-    } else if (b.req.op == mk::PagerOp::kDataWrite) {
+    } else if (req.op == mk::PagerOp::kDataWrite) {
       ++pageouts_served_;
-      ++tracer.metrics().Counter("server.pager.pageouts");
-      if (ref.recv_len != hw::kPageSize) {
+      ++metrics.Counter("server.pager.pageouts");
+      if (page_len != hw::kPageSize) {
         reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
       } else {
-        const uint64_t lba = LbaFor(b.req.object_id, b.req.page_index, /*allocate=*/true);
-        const base::Status st = store_->Write(env, lba, kSectorsPerPage, b.page.data());
+        const uint64_t lba = LbaFor(req.object_id, req.page_index, /*allocate=*/true);
+        const base::Status st = store_->Write(env, lba, kSectorsPerPage, page);
         reply.status = static_cast<int32_t>(st);
-        preloaded_.erase(std::make_pair(b.req.object_id, b.req.page_index));
+        preloaded_.erase(std::make_pair(req.object_id, req.page_index));
       }
-      env.RpcReply(req->token, &reply, sizeof(reply));
-    } else if (b.req.op == mk::PagerOp::kObjectSetup) {
+      env.RpcReply(rpc.token, &reply, sizeof(reply));
+    } else if (req.op == mk::PagerOp::kObjectSetup) {
       // Backing store allocates lazily; the init handshake is just an ack.
-      env.RpcReply(req->token, &reply, sizeof(reply));
-    } else if (b.req.op == mk::PagerOp::kObjectTerminate) {
-      const uint64_t gone = b.req.object_id;
+      env.RpcReply(rpc.token, &reply, sizeof(reply));
+    } else if (req.op == mk::PagerOp::kObjectTerminate) {
+      const uint64_t gone = req.object_id;
       std::erase_if(allocation_, [gone](const auto& kv) { return kv.first.first == gone; });
       std::erase_if(preloaded_, [gone](const auto& kv) { return kv.first.first == gone; });
-      env.RpcReply(req->token, &reply, sizeof(reply));
+      env.RpcReply(rpc.token, &reply, sizeof(reply));
     } else {
       reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-      env.RpcReply(req->token, &reply, sizeof(reply));
+      env.RpcReply(rpc.token, &reply, sizeof(reply));
     }
-  
-    if (!running_) {
-      // Server shutdown: kill the service port so queued and future
-      // callers fail with kPortDead instead of blocking forever.
-      (void)kernel_.PortDestroy(*task_, receive_port_);
-      return;
-    }
-  }
+  });
 }
 
 }  // namespace mks

@@ -14,6 +14,7 @@
 #include "src/hw/disk.h"
 #include "src/mk/kernel.h"
 #include "src/mk/pager_protocol.h"
+#include "src/mk/server_loop.h"
 
 namespace mks {
 
@@ -34,8 +35,10 @@ class DefaultPager {
   DefaultPager(mk::Kernel& kernel, mk::Task* task, std::unique_ptr<BlockStore> store);
 
   mk::Task* task() const { return task_; }
+  mk::PortName receive_port() const { return receive_port_; }
   mk::Port* port_raw() const { return port_raw_; }
-  void Stop() { running_ = false; }
+  // mk::ServerLoop::Stop semantics: the pager port dies at once.
+  void Stop() { loop_->Stop(); }
 
   // Creates a pager-backed object of `size` bytes registered with the kernel.
   std::shared_ptr<mk::VmObject> CreateBackedObject(uint64_t size);
@@ -56,13 +59,13 @@ class DefaultPager {
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
   mk::Port* port_raw_ = nullptr;
+  std::unique_ptr<mk::ServerLoop> loop_;
   std::unique_ptr<BlockStore> store_;
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> allocation_;  // (obj,page) -> lba
   std::map<std::pair<uint64_t, uint64_t>, std::vector<uint8_t>> preloaded_;
   uint64_t next_lba_ = 0;
   uint64_t pageins_served_ = 0;
   uint64_t pageouts_served_ = 0;
-  bool running_ = true;
 };
 
 // BlockStore over the disk's host backdoor, with the device latency modelled

@@ -20,6 +20,8 @@ Os2Server::Os2Server(mk::Kernel& kernel, mk::Task* task) : kernel_(kernel), task
   auto port = kernel_.PortAllocate(*task_);
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
+  // OS/2 server requests carry no by-reference data.
+  loop_ = std::make_unique<mk::ServerLoop>(receive_port_, "os2", /*max_ref=*/0);
   kernel_.CreateThread(task_, "os2-server", [this](mk::Env& env) { Serve(env); },
                        mk::Thread::kDefaultPriority + 2);
 }
@@ -40,12 +42,8 @@ void Os2Server::UnregisterProcess(uint32_t pid) { processes_.erase(pid); }
 
 void Os2Server::Serve(mk::Env& env) {
   static const hw::CodeRegion kLoop = hw::DefineCode("loop.os2", mk::Costs::kRpcServerLoop);
-  Os2Request r;
-  while (true) {
-    auto rpc = env.RpcReceive(receive_port_, &r, sizeof(r));
-    if (!rpc.ok()) {
-      return;
-    }
+  loop_->Run<Os2Request>(env, [&](mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r,
+                                  const uint8_t* /*ref_data*/, uint32_t /*ref_len*/) {
     kernel_.cpu().Execute(kLoop);
     Os2Reply reply;
     switch (r.op) {
@@ -88,8 +86,8 @@ void Os2Server::Serve(mk::Env& env) {
         } else {
           // Owner holds it: defer the reply; the release completes it. The
           // server thread stays free to serve other processes meanwhile.
-          it->second.waiters.push_back(rpc->token);
-          continue;
+          it->second.waiters.push_back(rpc.token);
+          return;
         }
         break;
       }
@@ -110,12 +108,8 @@ void Os2Server::Serve(mk::Env& env) {
       default:
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
     }
-    env.RpcReply(rpc->token, &reply, sizeof(reply));
-    if (!running_) {
-      (void)kernel_.PortDestroy(*task_, receive_port_);
-      return;
-    }
-  }
+    env.RpcReply(rpc.token, &reply, sizeof(reply));
+  });
 }
 
 Os2Process::Os2Process(mk::Kernel& kernel, Os2Server& server, svc::FileServer& fs,

@@ -47,8 +47,10 @@ class Os2Server {
  public:
   Os2Server(mk::Kernel& kernel, mk::Task* task);
 
+  mk::PortName receive_port() const { return receive_port_; }
   mk::PortName GrantTo(mk::Task& client);
-  void Stop() { running_ = false; }
+  // mk::ServerLoop::Stop semantics: the service port dies at once.
+  void Stop() { loop_->Stop(); }
 
   uint32_t RegisterProcess(const std::string& name);
   void UnregisterProcess(uint32_t pid);
@@ -60,6 +62,7 @@ class Os2Server {
   mk::Kernel& kernel_;
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop> loop_;
   struct Process {
     std::string name;
     int32_t exit_code = -1;
@@ -74,7 +77,6 @@ class Os2Server {
   std::map<uint32_t, SystemSem> system_sems_;
   uint32_t next_sem_ = 1;
   uint32_t next_pid_ = 2;  // pid 1 is the server itself, OS/2 style
-  bool running_ = true;
 };
 
 // One OS/2 process: a microkernel task plus the client-side libraries.

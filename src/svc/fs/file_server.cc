@@ -38,8 +38,18 @@ FileServer::FileServer(mk::Kernel& kernel, mk::Task* task, uint64_t handle_base)
   auto port = kernel_.PortAllocate(*task_);
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
+  // kWriteV carries its extent table in front of the payload bytes.
+  loop_ = std::make_unique<mk::ServerLoop>(receive_port_, "fs",
+                                           kFsMaxIo + kFsMaxExtents * sizeof(FsExtent));
   kernel_.CreateThread(task_, "file-server", [this](mk::Env& env) { Serve(env); },
                        mk::Thread::kDefaultPriority + 2);
+}
+
+void FileServer::Stop() {
+  loop_->Stop();
+  if (pager_loop_ != nullptr) {
+    pager_loop_->Stop();
+  }
 }
 
 base::Status FileServer::AddMount(const std::string& prefix, Pfs* pfs) {
@@ -72,27 +82,16 @@ mk::PortName FileServer::GrantTo(mk::Task& client) {
 }
 
 void FileServer::EnableMapping() {
-  if (pager_receive_port_ != mk::kNullPort) {
+  if (pager_loop_ != nullptr) {
     return;
   }
   auto port = kernel_.PortAllocate(*task_);
   WPOS_CHECK(port.ok());
-  pager_receive_port_ = *port;
-  pager_port_raw_ = *kernel_.ResolvePort(*task_, pager_receive_port_);
+  pager_port_raw_ = *kernel_.ResolvePort(*task_, *port);
+  // In: one page (a kDataWrite's payload).
+  pager_loop_ = std::make_unique<mk::ServerLoop>(*port, "fs_pager", hw::kPageSize);
   kernel_.CreateThread(task_, "fs-pager", [this](mk::Env& env) { ServePager(env); },
                        mk::Thread::kDefaultPriority + 3);
-}
-
-void FileServer::TeardownPagerPort() {
-  // Every main-loop exit must kill the pager port too, or the fs-pager
-  // thread would park in RpcReceive forever and the system never halts
-  // cleanly. (Crash teardown needs no help: TerminateTask destroys every
-  // port of the task, which aborts the pager thread's receive the same way.)
-  if (pager_receive_port_ != mk::kNullPort) {
-    (void)kernel_.PortDestroy(*task_, pager_receive_port_);
-    pager_receive_port_ = mk::kNullPort;
-    pager_port_raw_ = nullptr;
-  }
 }
 
 void FileServer::InvalidateMappedRange(Mount* mount, NodeId node, uint64_t offset, uint64_t len) {
@@ -613,26 +612,11 @@ void FileServer::HandleMapRelease(mk::Env& env, const mk::RpcRequest& rpc, const
 
 void FileServer::ServePager(mk::Env& env) {
   static const hw::CodeRegion kPagerLoop = hw::DefineCode("svc.fs.pager", 230);
-  mk::PagerRequest req;
-  // Out: a full readahead batch. In: one page (a kDataWrite's payload).
+  // Out: a full readahead batch.
   std::vector<uint8_t> io(static_cast<size_t>(mk::Costs::kMmapReadaheadPages) * hw::kPageSize);
-  std::vector<uint8_t> page(hw::kPageSize);
-  while (true) {
-    mk::RpcRef ref;
-    ref.recv_buf = page.data();
-    ref.recv_cap = static_cast<uint32_t>(page.size());
-    auto rpc = env.RpcReceive(pager_receive_port_, &req, sizeof(req), &ref);
-    if (!rpc.ok()) {
-      return;  // port torn down with the server
-    }
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(req.op));
-    op_span.set_end_payload(static_cast<uint64_t>(req.op));
-    tracer.LabelSpan(op_span.id(), "fs_pager");
-    ++tracer.metrics().Counter("server.fs.pager_ops");
+  pager_loop_->Run<mk::PagerRequest>(env, [&](mk::Env& env, const mk::RpcRequest& rpc,
+                                              const mk::PagerRequest& req, const uint8_t* page,
+                                              uint32_t page_len) {
     kernel_.cpu().Execute(kPagerLoop);
     mk::PagerReply reply{};
     auto it = map_objects_.find(req.object_id);
@@ -640,7 +624,7 @@ void FileServer::ServePager(mk::Env& env) {
       case mk::PagerOp::kDataRequest: {
         if (it == map_objects_.end()) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          env.RpcReply(rpc->token, &reply, sizeof(reply));
+          env.RpcReply(rpc.token, &reply, sizeof(reply));
           break;
         }
         MapObjectState& st = it->second;
@@ -656,13 +640,13 @@ void FileServer::ServePager(mk::Env& env) {
         (void)st.mount->pfs->Read(env, st.node, req.page_index << hw::kPageShift, io.data(),
                                   bytes);
         ++pageins_;
-        env.RpcReply(rpc->token, &reply, sizeof(reply), io.data(), bytes);
+        env.RpcReply(rpc.token, &reply, sizeof(reply), io.data(), bytes);
         break;
       }
       case mk::PagerOp::kDataWrite: {
-        if (it == map_objects_.end() || ref.recv_len != hw::kPageSize) {
+        if (it == map_objects_.end() || page_len != hw::kPageSize) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          env.RpcReply(rpc->token, &reply, sizeof(reply));
+          env.RpcReply(rpc.token, &reply, sizeof(reply));
           break;
         }
         MapObjectState& st = it->second;
@@ -675,20 +659,20 @@ void FileServer::ServePager(mk::Env& env) {
           // that also grows the file is the personality's business).
           const uint32_t n =
               static_cast<uint32_t>(std::min<uint64_t>(hw::kPageSize, limit - offset));
-          auto wrote = st.mount->pfs->Write(env, st.node, offset, page.data(), n);
+          auto wrote = st.mount->pfs->Write(env, st.node, offset, page, n);
           if (!wrote.ok()) {
             reply.status = static_cast<int32_t>(wrote.status());
           }
         }
         ++pageouts_;
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
         break;
       }
       case mk::PagerOp::kObjectSetup: {
         if (it == map_objects_.end()) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
         }
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
         break;
       }
       case mk::PagerOp::kObjectTerminate: {
@@ -696,14 +680,14 @@ void FileServer::ServePager(mk::Env& env) {
           node_map_.erase(NodeKey(it->second.mount, it->second.node));
           map_objects_.erase(it);
         }
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
         break;
       }
       default:
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
     }
-  }
+  });
 }
 
 void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
@@ -887,140 +871,55 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
 void FileServer::Serve(mk::Env& env) {
   static const hw::CodeRegion kLoop = hw::DefineCode("loop.fs", mk::Costs::kRpcServerLoop);
   static const hw::CodeRegion kStub = hw::DefineCode("stub.fs", mk::Costs::kRpcServerStub);
-  FsRequest r;
-  // kWriteV carries its extent table in front of the payload bytes.
-  std::vector<uint8_t> ref_buf(kFsMaxIo + kFsMaxExtents * sizeof(FsExtent));
-  if (health_right_ != mk::kNullPort) {
-    SendHeartbeat(env);  // first beat arms the watchdog deadline
-  }
-  while (true) {
-    mk::RpcRef ref;
-    ref.recv_buf = ref_buf.data();
-    ref.recv_cap = static_cast<uint32_t>(ref_buf.size());
-    const uint64_t receive_timeout = health_right_ != mk::kNullPort && heartbeat_every_ns_ != 0
-                                         ? heartbeat_every_ns_
-                                         : mk::kForever;
-    auto rpc = env.RpcReceive(receive_port_, &r, sizeof(r), &ref, receive_timeout);
-    if (!rpc.ok()) {
-      if (rpc.status() == base::Status::kTimedOut) {
-        if (!running_) {
-          // Stopped while idle: the timed receive doubles as the shutdown
-          // poll. Same teardown as the post-handler exit below.
-          (void)kernel_.PortDestroy(*task_, receive_port_);
-          TeardownPagerPort();
-          return;
-        }
-        SendHeartbeat(env);  // idle tick: nothing arrived within the interval
-        continue;
-      }
-      TeardownPagerPort();
+  loop_->Run<FsRequest>(env, [&](mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r,
+                                 const uint8_t* ref_data, uint32_t ref_len) {
+    if (!loop_->EnterHandler(env, rpc)) {
       return;
     }
-    if (health_right_ != mk::kNullPort) {
-      ++requests_since_beat_;
-      if (requests_since_beat_ >= heartbeat_every_requests_ ||
-          (heartbeat_every_ns_ != 0 && env.NowNs() - last_beat_ns_ >= heartbeat_every_ns_)) {
-        SendHeartbeat(env);
-      }
-    }
-    // Fault point: handler entry, matching mk::ServerLoop's placement.
-    switch (kernel_.faults().Fire(mk::fault::FaultPoint::kServerHandlerEntry)) {
-      case mk::fault::FaultMode::kNone:
-        break;
-      case mk::fault::FaultMode::kCrashTask:
-        // Teardown destroys the receive port; queued and in-flight callers
-        // observe kPortDead and the restart manager (if any) takes over.
-        kernel_.TerminateTask(task_);
-        return;
-      case mk::fault::FaultMode::kDropReply:
-        continue;  // the client waits out its deadline
-      case mk::fault::FaultMode::kKillPort:
-        (void)kernel_.PortDestroy(*task_, receive_port_);
-        TeardownPagerPort();
-        return;
-      case mk::fault::FaultMode::kTransientError:
-        env.RpcReply(rpc->token, nullptr, 0, nullptr, 0, mk::kNullPort, base::Status::kBusy);
-        continue;
-      case mk::fault::FaultMode::kStallTask:
-        // Wedged mid-request: stop heartbeating and park forever. Only the
-        // watchdog's TerminateTask recovers this — the teardown fails this
-        // client and every queued caller with kPortDead.
-        (void)kernel_.StallForever();
-        return;  // reached only once task teardown aborts the stall
-      case mk::fault::FaultMode::kDelayReply:
-        (void)env.SleepNs(
-            kernel_.faults().DrawDelayNs(mk::fault::FaultPoint::kServerHandlerEntry));
-        break;
-      case mk::fault::FaultMode::kCount:
-        break;
-    }
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(r.op));
-    op_span.set_end_payload(static_cast<uint64_t>(r.op));
-    tracer.LabelSpan(op_span.id(), "fs");
-    ++tracer.metrics().Counter("server.fs.ops");
     kernel_.cpu().Execute(kLoop);
     kernel_.cpu().Execute(kStub);
     switch (r.op) {
       case FsOp::kOpen:
-        HandleOpen(env, *rpc, r);
+        HandleOpen(env, rpc, r);
         break;
       case FsOp::kClose:
-        HandleClose(env, *rpc, r);
+        HandleClose(env, rpc, r);
         break;
       case FsOp::kRead:
-        HandleRead(env, *rpc, r);
+        HandleRead(env, rpc, r);
         break;
       case FsOp::kWrite:
-        HandleWrite(env, *rpc, r, ref_buf.data(), ref.recv_len);
+        HandleWrite(env, rpc, r, ref_data, ref_len);
         break;
       case FsOp::kReadV:
-        HandleReadV(env, *rpc, r, ref_buf.data(), ref.recv_len);
+        HandleReadV(env, rpc, r, ref_data, ref_len);
         break;
       case FsOp::kWriteV:
-        HandleWriteV(env, *rpc, r, ref_buf.data(), ref.recv_len);
+        HandleWriteV(env, rpc, r, ref_data, ref_len);
         break;
       case FsOp::kLock:
       case FsOp::kUnlock:
-        HandleLock(env, *rpc, r);
+        HandleLock(env, rpc, r);
         break;
       case FsOp::kFsStat:
-        HandleStat(env, *rpc, r);
+        HandleStat(env, rpc, r);
         break;
       case FsOp::kMapObject:
-        HandleMapObject(env, *rpc, r);
+        HandleMapObject(env, rpc, r);
         break;
       case FsOp::kMapRelease:
-        HandleMapRelease(env, *rpc, r);
+        HandleMapRelease(env, rpc, r);
         break;
       default:
-        HandlePathOp(env, *rpc, r);
+        HandlePathOp(env, rpc, r);
     }
-
-    if (!running_) {
-      // Server shutdown: kill the service port so queued and future
-      // callers fail with kPortDead instead of blocking forever.
-      (void)kernel_.PortDestroy(*task_, receive_port_);
-      TeardownPagerPort();
-      return;
-    }
+  });
+  // The service loop is gone (Stop, or an injected kKillPort): the fs-pager
+  // port goes with it. A dead task needs no help — its teardown destroyed
+  // every port it held.
+  if (pager_loop_ != nullptr && !task_->terminated()) {
+    pager_loop_->Stop();
   }
-}
-
-void FileServer::SendHeartbeat(mk::Env& env) {
-  mk::HeartbeatPing ping{env.task().id()};
-  mk::MachMessage msg;
-  msg.msg_id = mk::kHeartbeatMsgId;
-  msg.dest = health_right_;
-  msg.inline_data.assign(reinterpret_cast<const uint8_t*>(&ping),
-                         reinterpret_cast<const uint8_t*>(&ping) + sizeof(ping));
-  // Zero timeout: a full or dead health port must never block the server.
-  (void)kernel_.MachMsgSend(std::move(msg), /*timeout_ns=*/0);
-  last_beat_ns_ = env.NowNs();
-  requests_since_beat_ = 0;
 }
 
 // --- Client ------------------------------------------------------------------------------

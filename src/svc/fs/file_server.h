@@ -41,7 +41,9 @@ class FileServer {
   mk::Task* task() const { return task_; }
   mk::PortName receive_port() const { return receive_port_; }
   mk::PortName GrantTo(mk::Task& client);
-  void Stop() { running_ = false; }
+  // mk::ServerLoop::Stop semantics: the service port dies at once (and the
+  // fs-pager port with it); queued and later callers get kPortDead.
+  void Stop();
 
   // Turns the server into a pager: allocates a second service port, spawns a
   // "fs-pager" thread serving PagerOp requests against the mounted files, and
@@ -49,16 +51,16 @@ class FileServer {
   // without this call kMapObject answers kNotSupported and no extra thread
   // exists, so existing workloads are bit-identical. Call before Run.
   void EnableMapping();
-  bool mapping_enabled() const { return pager_receive_port_ != mk::kNullPort; }
+  bool mapping_enabled() const { return pager_loop_ != nullptr; }
+  // The fs-pager service port (kNullPort without EnableMapping).
+  mk::PortName pager_port() const {
+    return pager_loop_ != nullptr ? pager_loop_->port() : mk::kNullPort;
+  }
 
-  // Arms watchdog heartbeats, same protocol as mk::ServerLoop: a ping to
-  // `health_right` (send right in this server's task) on request arrival
-  // (every `every_requests`) and from idle via a timed receive every
-  // `every_ns`. Call before the server thread starts serving.
+  // Arms watchdog heartbeats on the service loop (mk::ServerLoop's). Call
+  // before the server thread starts serving.
   void EnableHeartbeat(mk::PortName health_right, uint64_t every_requests, uint64_t every_ns) {
-    health_right_ = health_right;
-    heartbeat_every_requests_ = every_requests == 0 ? 1 : every_requests;
-    heartbeat_every_ns_ = every_ns;
+    loop_->EnableHeartbeat(health_right, every_requests, every_ns);
   }
 
   uint64_t opens() const { return opens_; }
@@ -116,12 +118,10 @@ class FileServer {
 
   void Serve(mk::Env& env);
   void ServePager(mk::Env& env);
-  void TeardownPagerPort();
   // Drops clean resident pages of the node's mapped object overlapping
   // [offset, offset+len) so mapped readers refault and observe a write made
   // through the file API. No-op when the node isn't mapped.
   void InvalidateMappedRange(Mount* mount, NodeId node, uint64_t offset, uint64_t len);
-  void SendHeartbeat(mk::Env& env);
   Mount* MountFor(const std::string& path, std::string* rest);
   // Walks `rest` within `mount`; returns the final node and (optionally) its
   // parent + leaf name. Honours kFsCaseInsensitive over case-sensitive PFSes
@@ -157,6 +157,7 @@ class FileServer {
   mk::Kernel& kernel_;
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop> loop_;
   std::vector<std::unique_ptr<Mount>> mounts_;  // longest prefix wins
   std::map<uint64_t, OpenFile> open_files_;
   std::map<std::pair<uint64_t, uint64_t>, NodeState> node_states_;
@@ -164,14 +165,8 @@ class FileServer {
   uint64_t opens_ = 0;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
-  bool running_ = true;
-  mk::PortName health_right_ = mk::kNullPort;  // kNullPort = heartbeats off
-  uint64_t heartbeat_every_requests_ = 1;
-  uint64_t heartbeat_every_ns_ = 0;
-  uint64_t requests_since_beat_ = 0;
-  uint64_t last_beat_ns_ = 0;
   // --- Mapping/pager state (EnableMapping) ---
-  mk::PortName pager_receive_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop> pager_loop_;
   mk::Port* pager_port_raw_ = nullptr;
   std::map<uint64_t, MapObjectState> map_objects_;              // by object id
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> node_map_;  // NodeKey -> object id

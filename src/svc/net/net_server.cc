@@ -16,6 +16,9 @@ NetServer::NetServer(mk::Kernel& kernel, mk::Task* task, mk::PortName nic_servic
   auto port = kernel_.PortAllocate(*task_);
   WPOS_CHECK(port.ok());
   service_port_ = *port;
+  // Sized for a full kSendToV batch: headers up front, then every payload.
+  loop_ = std::make_unique<mk::ServerLoop>(service_port_, "net",
+                                           kNetMaxBatch * (sizeof(NetDgram) + hw::Nic::kMaxFrame));
   kernel_.CreateThread(task_, "net-rx-pump", [this](mk::Env& env) { RxPump(env); },
                        mk::Thread::kDefaultPriority + 3);
   kernel_.CreateThread(task_, "net-server", [this](mk::Env& env) { Serve(env); },
@@ -59,7 +62,7 @@ base::Status NetServer::DriverSend(mk::Env& env, const std::vector<uint8_t>& fra
 
 void NetServer::RxPump(mk::Env& env) {
   std::vector<uint8_t> frame(hw::Nic::kMaxFrame);
-  while (running_) {
+  while (true) {
     auto len = nic_->Receive(env, frame.data(), static_cast<uint32_t>(frame.size()));
     if (!len.ok()) {
       return;
@@ -92,51 +95,11 @@ void NetServer::RxPump(mk::Env& env) {
 
 void NetServer::Serve(mk::Env& env) {
   static const hw::CodeRegion kLoop = hw::DefineCode("loop.net", mk::Costs::kRpcServerLoop);
-  NetRequest req;
-  // Sized for a full kSendToV batch: headers up front, then every payload.
-  std::vector<uint8_t> payload(kNetMaxBatch * (sizeof(NetDgram) + hw::Nic::kMaxFrame));
-  while (true) {
-    mk::RpcRef ref;
-    ref.recv_buf = payload.data();
-    ref.recv_cap = static_cast<uint32_t>(payload.size());
-    auto rpc = env.RpcReceive(service_port_, &req, sizeof(req), &ref);
-    if (!rpc.ok()) {
+  loop_->Run<NetRequest>(env, [&](mk::Env& env, const mk::RpcRequest& rpc, const NetRequest& req,
+                                  const uint8_t* payload, uint32_t payload_len) {
+    if (!loop_->EnterHandler(env, rpc)) {
       return;
     }
-    // Fault point: handler entry, matching mk::ServerLoop's placement.
-    switch (kernel_.faults().Fire(mk::fault::FaultPoint::kServerHandlerEntry)) {
-      case mk::fault::FaultMode::kNone:
-        break;
-      case mk::fault::FaultMode::kCrashTask:
-        kernel_.TerminateTask(task_);
-        return;
-      case mk::fault::FaultMode::kDropReply:
-        continue;  // the client waits out its deadline
-      case mk::fault::FaultMode::kKillPort:
-        (void)kernel_.PortDestroy(*task_, service_port_);
-        return;
-      case mk::fault::FaultMode::kTransientError:
-        env.RpcReply(rpc->token, nullptr, 0, nullptr, 0, mk::kNullPort, base::Status::kBusy);
-        continue;
-      case mk::fault::FaultMode::kStallTask:
-        // Wedged mid-request; only a watchdog TerminateTask recovers it.
-        (void)kernel_.StallForever();
-        return;  // reached only once task teardown aborts the stall
-      case mk::fault::FaultMode::kDelayReply:
-        (void)env.SleepNs(
-            kernel_.faults().DrawDelayNs(mk::fault::FaultPoint::kServerHandlerEntry));
-        break;
-      case mk::fault::FaultMode::kCount:
-        break;
-    }
-    mk::trace::Tracer& tracer = kernel_.tracer();
-    mk::trace::ScopedSpan op_span(tracer, mk::trace::SpanKind::kServerOp,
-                                  mk::trace::EventType::kServerDispatch,
-                                  mk::trace::EventType::kServerDone,
-                                  static_cast<uint64_t>(req.op));
-    op_span.set_end_payload(static_cast<uint64_t>(req.op));
-    tracer.LabelSpan(op_span.id(), "net");
-    ++tracer.metrics().Counter("server.net.ops");
     kernel_.cpu().Execute(kLoop);
     NetReply reply;
     switch (req.op) {
@@ -144,7 +107,7 @@ void NetServer::Serve(mk::Env& env) {
         if (!sockets_.try_emplace(req.port).second) {
           reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
         }
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
         break;
       }
       case NetOp::kSendTo: {
@@ -153,26 +116,26 @@ void NetServer::Serve(mk::Env& env) {
         dgram.dst_port = req.port;
         dgram.src_port = req.src_port;
         dgram.src_addr = 0x7f000001;
-        dgram.payload.assign(payload.data(), payload.data() + ref.recv_len);
+        dgram.payload.assign(payload, payload + payload_len);
         const std::vector<uint8_t> frame = engine_->Encapsulate(env, dgram);
         reply.status = static_cast<int32_t>(DriverSend(env, frame));
         if (reply.status == 0) {
           ++sent_;
         }
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
         break;
       }
       case NetOp::kSendToV: {
         // Ref payload layout: [NetDgram x count][payload bytes back to back].
         const uint32_t count = req.len;
         const uint32_t table_bytes = count * static_cast<uint32_t>(sizeof(NetDgram));
-        if (count == 0 || count > kNetMaxBatch || ref.recv_len < table_bytes) {
+        if (count == 0 || count > kNetMaxBatch || payload_len < table_bytes) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          env.RpcReply(rpc->token, &reply, sizeof(reply));
+          env.RpcReply(rpc.token, &reply, sizeof(reply));
           break;
         }
         NetDgram headers[kNetMaxBatch];
-        std::memcpy(headers, payload.data(), table_bytes);
+        std::memcpy(headers, payload, table_bytes);
         uint64_t total = 0;
         bool valid = true;
         for (uint32_t i = 0; i < count; ++i) {
@@ -182,9 +145,9 @@ void NetServer::Serve(mk::Env& env) {
           }
           total += headers[i].len;
         }
-        if (!valid || table_bytes + total != ref.recv_len) {
+        if (!valid || table_bytes + total != payload_len) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          env.RpcReply(rpc->token, &reply, sizeof(reply));
+          env.RpcReply(rpc.token, &reply, sizeof(reply));
           break;
         }
         uint32_t consumed = table_bytes;
@@ -195,8 +158,7 @@ void NetServer::Serve(mk::Env& env) {
           dgram.dst_port = headers[i].port;
           dgram.src_port = headers[i].src_port;
           dgram.src_addr = 0x7f000001;
-          dgram.payload.assign(payload.data() + consumed,
-                               payload.data() + consumed + headers[i].len);
+          dgram.payload.assign(payload + consumed, payload + consumed + headers[i].len);
           consumed += headers[i].len;
           const std::vector<uint8_t> frame = engine_->Encapsulate(env, dgram);
           const base::Status st = DriverSend(env, frame);
@@ -208,18 +170,18 @@ void NetServer::Serve(mk::Env& env) {
           ++dispatched;
         }
         reply.len = dispatched;
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
         break;
       }
       case NetOp::kRecvFrom: {
         auto it = sockets_.find(req.port);
         if (it == sockets_.end()) {
           reply.status = static_cast<int32_t>(base::Status::kNotFound);
-          env.RpcReply(rpc->token, &reply, sizeof(reply));
+          env.RpcReply(rpc.token, &reply, sizeof(reply));
           break;
         }
         if (it->second.queue.empty()) {
-          it->second.pending.push_back(rpc->token);  // deferred reply
+          it->second.pending.push_back(rpc.token);  // deferred reply
           break;
         }
         Datagram dgram = std::move(it->second.queue.front());
@@ -227,22 +189,18 @@ void NetServer::Serve(mk::Env& env) {
         reply.len = static_cast<uint32_t>(dgram.payload.size());
         reply.from_addr = dgram.src_addr;
         reply.from_port = dgram.src_port;
-        env.RpcReply(rpc->token, &reply, sizeof(reply), dgram.payload.data(), reply.len);
+        env.RpcReply(rpc.token, &reply, sizeof(reply), dgram.payload.data(), reply.len);
         break;
       }
       default:
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        env.RpcReply(rpc->token, &reply, sizeof(reply));
+        env.RpcReply(rpc.token, &reply, sizeof(reply));
     }
-  
-    if (!running_) {
-      // Server shutdown: complete deferred receives with a clean error,
-      // then kill the service port so queued and future callers fail with
-      // kPortDead instead of blocking forever.
-      ResetConnections();
-      (void)kernel_.PortDestroy(*task_, service_port_);
-      return;
-    }
+  });
+  if (!task_->terminated()) {
+    // Shut down (or lost the port to an injected kKillPort): complete
+    // deferred receives with a clean error instead of leaving them parked.
+    ResetConnections();
   }
 }
 

@@ -67,7 +67,9 @@ class NetServer {
 
   mk::PortName service_port() const { return service_port_; }
   mk::PortName GrantTo(mk::Task& client);
-  void Stop() { running_ = false; }
+  // mk::ServerLoop::Stop semantics: the service port dies at once; the serve
+  // thread then completes deferred receives with kUnavailable.
+  void Stop() { loop_->Stop(); }
 
   // Resets every socket with clean errors: receivers blocked in a deferred
   // RecvFrom complete with kUnavailable and queued datagrams are dropped.
@@ -91,6 +93,7 @@ class NetServer {
   std::unique_ptr<drv::TPortSenderWrapper> wrapper_;  // non-null if use_wrappers
   mk::PortName nic_service_;
   mk::PortName service_port_ = mk::kNullPort;
+  std::unique_ptr<mk::ServerLoop> loop_;
 
   struct Socket {
     std::deque<Datagram> queue;
@@ -99,7 +102,6 @@ class NetServer {
   std::map<uint16_t, Socket> sockets_;
   uint64_t sent_ = 0;
   uint64_t delivered_ = 0;
-  bool running_ = true;
 };
 
 class NetClient {

@@ -11,14 +11,6 @@ const hw::CodeRegion& RegRegion() {
   static const hw::CodeRegion r = hw::DefineCode("svc.registry.op", 130);
   return r;
 }
-
-RegRequest ParseRequest(const uint8_t* req, uint32_t req_len) {
-  RegRequest r;
-  std::memcpy(&r, req, req_len < sizeof(r) ? req_len : sizeof(r));
-  r.key[sizeof(r.key) - 1] = '\0';
-  r.value[sizeof(r.value) - 1] = '\0';
-  return r;
-}
 }  // namespace
 
 RegistryServer::RegistryServer(mk::Kernel& kernel, mk::Task* task)
@@ -26,22 +18,47 @@ RegistryServer::RegistryServer(mk::Kernel& kernel, mk::Task* task)
   auto port = kernel_.PortAllocate(*task_);
   WPOS_CHECK(port.ok());
   receive_port_ = *port;
-  loop_ = std::make_unique<mk::ServerLoop>(receive_port_, "svc.registry",
-                                           sizeof(RegRequest));
-  const auto with = [this](void (RegistryServer::*handler)(mk::Env&, const mk::RpcRequest&,
-                                                           const RegRequest&)) {
-    return [this, handler](mk::Env& env, const mk::RpcRequest& rpc, const uint8_t* req,
-                           const uint8_t* /*ref_data*/, uint32_t /*ref_len*/) {
-      kernel_.cpu().Execute(RegRegion());
-      (this->*handler)(env, rpc, ParseRequest(req, rpc.req_len));
-    };
-  };
-  loop_->Register(static_cast<uint32_t>(RegOp::kSet), with(&RegistryServer::HandleSet));
-  loop_->Register(static_cast<uint32_t>(RegOp::kGet), with(&RegistryServer::HandleGet));
-  loop_->Register(static_cast<uint32_t>(RegOp::kDelete), with(&RegistryServer::HandleDelete));
-  loop_->Register(static_cast<uint32_t>(RegOp::kList), with(&RegistryServer::HandleList));
-  kernel_.CreateThread(task_, "registry", [this](mk::Env& env) { loop_->Run(env); },
+  // The registry's stub and loop images, defined (and so laid out) here.
+  stub_region_ = hw::DefineKernelCode("stub.svc.registry", mk::Costs::kRpcServerStub);
+  loop_region_ = hw::DefineKernelCode("loop.svc.registry", mk::Costs::kRpcServerLoop);
+  loop_ = std::make_unique<mk::ServerLoop>(receive_port_, "svc.registry");
+  kernel_.CreateThread(task_, "registry", [this](mk::Env& env) { Serve(env); },
                        mk::Thread::kDefaultPriority + 1);
+}
+
+void RegistryServer::Serve(mk::Env& env) {
+  loop_->Run<RegRequest>(env, [this](mk::Env& env, const mk::RpcRequest& rpc,
+                                     const RegRequest& req, const uint8_t* /*ref_data*/,
+                                     uint32_t /*ref_len*/) {
+    kernel_.cpu().Execute(loop_region_);
+    kernel_.cpu().Execute(stub_region_);
+    if (!loop_->EnterHandler(env, rpc)) {
+      return;
+    }
+    RegRequest r = req;
+    r.key[sizeof(r.key) - 1] = '\0';
+    r.value[sizeof(r.value) - 1] = '\0';
+    if (r.op < RegOp::kSet || r.op > RegOp::kList) {
+      env.RpcReply(rpc.token, nullptr, 0, nullptr, 0, mk::kNullPort,
+                   base::Status::kNotSupported);
+      return;
+    }
+    kernel_.cpu().Execute(RegRegion());
+    switch (r.op) {
+      case RegOp::kSet:
+        HandleSet(env, rpc, r);
+        break;
+      case RegOp::kGet:
+        HandleGet(env, rpc, r);
+        break;
+      case RegOp::kDelete:
+        HandleDelete(env, rpc, r);
+        break;
+      case RegOp::kList:
+        HandleList(env, rpc, r);
+        break;
+    }
+  });
 }
 
 mk::PortName RegistryServer::GrantTo(mk::Task& client) {

@@ -46,6 +46,7 @@ class RegistryServer {
   size_t size() const { return entries_.size(); }
 
  private:
+  void Serve(mk::Env& env);
   void HandleSet(mk::Env& env, const mk::RpcRequest& rpc, const RegRequest& r);
   void HandleGet(mk::Env& env, const mk::RpcRequest& rpc, const RegRequest& r);
   void HandleDelete(mk::Env& env, const mk::RpcRequest& rpc, const RegRequest& r);
@@ -54,6 +55,8 @@ class RegistryServer {
   mk::Kernel& kernel_;
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
+  hw::CodeRegion stub_region_;
+  hw::CodeRegion loop_region_;
   std::unique_ptr<mk::ServerLoop> loop_;
   std::map<std::string, std::string> entries_;
 };

@@ -23,6 +23,31 @@ namespace {
 constexpr uint32_t kEchoOp = 1;
 constexpr uint64_t kDeadlineNs = 5'000'000;  // 5 simulated ms per call
 
+struct EchoRequest {
+  uint32_t op = kEchoOp;
+  uint32_t value = 0;
+};
+
+// An echo server on `recv` that hosts the kServerHandlerEntry fault point and
+// charges its own loop and stub images, as every server does.
+std::shared_ptr<ServerLoop> StartEcho(Kernel& kernel, Task* task, PortName recv) {
+  const hw::CodeRegion stub = hw::DefineKernelCode("stub.echo", Costs::kRpcServerStub);
+  const hw::CodeRegion loop_code = hw::DefineKernelCode("loop.echo", Costs::kRpcServerLoop);
+  auto loop = std::make_shared<ServerLoop>(recv, "echo");
+  kernel.CreateThread(task, "echo", [loop, stub, loop_code](Env& env) {
+    loop->Run<EchoRequest>(env, [l = loop.get(), stub, loop_code](
+                                    Env& env, const RpcRequest& rpc, const EchoRequest& req,
+                                    const uint8_t*, uint32_t) {
+      env.kernel().cpu().Execute(loop_code);
+      env.kernel().cpu().Execute(stub);
+      if (l->EnterHandler(env, rpc)) {
+        env.RpcReply(rpc.token, &req, rpc.req_len);
+      }
+    });
+  });
+  return loop;
+}
+
 struct EchoRun {
   std::vector<fault::FiredFault> log;
   std::vector<trace::TraceEvent> events;
@@ -44,12 +69,7 @@ EchoRun RunEchoWorkload(int ops, const std::function<void(Kernel&)>& configure) 
   Task* client_task = kernel.CreateTask("client");
   auto recv = kernel.PortAllocate(*server_task);
   auto send = kernel.MakeSendRight(*server_task, *recv, *client_task);
-  auto loop = std::make_shared<ServerLoop>(*recv, "echo", 64);
-  loop->Register(kEchoOp, [](Env& env, const RpcRequest& request, const uint8_t* req,
-                             const uint8_t*, uint32_t) {
-    env.RpcReply(request.token, req, request.req_len);
-  });
-  kernel.CreateThread(server_task, "echo", [loop](Env& env) { loop->Run(env); });
+  auto loop = StartEcho(kernel, server_task, *recv);
   EchoRun out;
   kernel.CreateThread(client_task, "client", [&, send = *send, loop](Env& env) {
     for (int i = 0; i < ops; ++i) {
@@ -252,12 +272,7 @@ TEST(FaultInjectorTest, StallTaskWedgesUntilTerminated) {
   Task* client_task = kernel.CreateTask("client");
   auto recv = kernel.PortAllocate(*server_task);
   auto send = kernel.MakeSendRight(*server_task, *recv, *client_task);
-  auto loop = std::make_shared<ServerLoop>(*recv, "echo", 64);
-  loop->Register(kEchoOp, [](Env& env, const RpcRequest& request, const uint8_t* req,
-                             const uint8_t*, uint32_t) {
-    env.RpcReply(request.token, req, request.req_len);
-  });
-  kernel.CreateThread(server_task, "echo", [loop](Env& env) { loop->Run(env); });
+  auto loop = StartEcho(kernel, server_task, *recv);
   std::vector<base::Status> statuses;
   kernel.CreateThread(client_task, "client", [&, send = *send](Env& env) {
     uint32_t req[2] = {kEchoOp, 0};
@@ -293,12 +308,7 @@ TEST(FaultInjectorTest, RobustCallRidesThroughDroppedReply) {
   Task* client_task = kernel.CreateTask("client");
   auto recv = kernel.PortAllocate(*server_task);
   auto send = kernel.MakeSendRight(*server_task, *recv, *client_task);
-  auto loop = std::make_shared<ServerLoop>(*recv, "echo", 64);
-  loop->Register(kEchoOp, [](Env& env, const RpcRequest& request, const uint8_t* req,
-                             const uint8_t*, uint32_t) {
-    env.RpcReply(request.token, req, request.req_len);
-  });
-  kernel.CreateThread(server_task, "echo", [loop](Env& env) { loop->Run(env); });
+  auto loop = StartEcho(kernel, server_task, *recv);
   kernel.CreateThread(client_task, "client", [&, send = *send, loop](Env& env) {
     PortName cached = send;
     const PortResolver resolver = [send](Env&) -> base::Result<PortName> { return send; };

@@ -15,6 +15,9 @@ struct AddReq {
 struct AddRep {
   uint32_t sum = 0;
 };
+struct OpReq {
+  uint32_t op = 0;
+};
 
 TEST_F(KernelTest, ServerLoopDispatchesByOpCode) {
   Task* server_task = kernel_.CreateTask("server");
@@ -23,16 +26,20 @@ TEST_F(KernelTest, ServerLoopDispatchesByOpCode) {
   auto send = kernel_.MakeSendRight(*server_task, *recv, *client_task);
 
   ServerLoop loop(*recv, "calc");
-  loop.Register(1, [&](Env& env, const RpcRequest& req, const uint8_t* data, const uint8_t*,
-                       uint32_t) {
-    AddReq r;
-    std::memcpy(&r, data, sizeof(r));
-    AddRep rep{r.a + r.b};
-    env.RpcReply(req.token, &rep, sizeof(rep));
+  kernel_.CreateThread(server_task, "s", [&](Env& env) {
+    loop.Run<AddReq>(env, [](Env& env, const RpcRequest& rpc, const AddReq& r, const uint8_t*,
+                             uint32_t) {
+      if (r.op != 1) {
+        env.RpcReply(rpc.token, nullptr, 0, nullptr, 0, kNullPort, base::Status::kNotSupported);
+        return;
+      }
+      AddRep rep{r.a + r.b};
+      env.RpcReply(rpc.token, &rep, sizeof(rep));
+    });
   });
-  kernel_.CreateThread(server_task, "s", [&](Env& env) { loop.Run(env); });
 
   uint32_t sum = 0;
+  uint32_t short_sum = 1;
   base::Status unknown_status = base::Status::kOk;
   kernel_.CreateThread(client_task, "c", [&, send = *send](Env& env) {
     ClientStub stub("calc.client", send);
@@ -40,15 +47,21 @@ TEST_F(KernelTest, ServerLoopDispatchesByOpCode) {
     AddRep rep;
     ASSERT_EQ(stub.Call(env, req, &rep), base::Status::kOk);
     sum = rep.sum;
-    // Unknown op code gets a kNotSupported completion.
+    // A short request reads as zeros past its end, never as the previous
+    // request's bytes.
+    OpReq add_only{1};
+    ASSERT_EQ(stub.Call(env, add_only, &rep), base::Status::kOk);
+    short_sum = rep.sum;
+    // The server's own switch answers an unknown op code.
     AddReq bad{999, 0, 0};
     unknown_status = stub.Call(env, bad, &rep);
     loop.Stop();
-    (void)stub.Call(env, req, &rep);  // final call lets the loop exit
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(sum, 42u);
+  EXPECT_EQ(short_sum, 0u);
   EXPECT_EQ(unknown_status, base::Status::kNotSupported);
+  EXPECT_EQ(kernel_.tracer().metrics().Counter("server.calc.ops"), 3u);
 }
 
 // Stop() between receives takes effect immediately: the receive port dies,
@@ -60,15 +73,15 @@ TEST_F(KernelTest, ServerLoopStopKillsPort) {
   auto recv = kernel_.PortAllocate(*server_task);
   auto send = kernel_.MakeSendRight(*server_task, *recv, *client_task);
   ServerLoop loop(*recv, "oneshot");
-  loop.Register(1, [&](Env& env, const RpcRequest& req, const uint8_t*, const uint8_t*, uint32_t) {
-    env.RpcReply(req.token, nullptr, 0);
+  kernel_.CreateThread(server_task, "s", [&](Env& env) {
+    loop.Run<OpReq>(env, [](Env& env, const RpcRequest& rpc, const OpReq&, const uint8_t*,
+                            uint32_t) { env.RpcReply(rpc.token, nullptr, 0); });
   });
-  kernel_.CreateThread(server_task, "s", [&](Env& env) { loop.Run(env); });
   base::Status after_stop = base::Status::kOk;
   base::Status after_stop2 = base::Status::kOk;
   kernel_.CreateThread(client_task, "c", [&, send = *send](Env& env) {
     ClientStub stub("oneshot.client", send);
-    uint32_t op = 1;
+    OpReq op{1};
     uint32_t rep;
     ASSERT_EQ(stub.Call(env, op, &rep), base::Status::kOk);  // loop is serving
     loop.Stop();  // between receives: the port dies right now
@@ -89,23 +102,25 @@ TEST_F(KernelTest, ServerLoopStopFailsQueuedCallers) {
   auto recv = kernel_.PortAllocate(*server_task);
   auto send = kernel_.MakeSendRight(*server_task, *recv, *client_task);
   ServerLoop loop(*recv, "shutdown");
-  loop.Register(2, [&](Env& env, const RpcRequest& req, const uint8_t*, const uint8_t*, uint32_t) {
-    env.Yield();  // let the second caller queue up behind us
-    loop.Stop();
-    env.RpcReply(req.token, nullptr, 0);
+  kernel_.CreateThread(server_task, "s", [&](Env& env) {
+    loop.Run<OpReq>(env, [&](Env& env, const RpcRequest& rpc, const OpReq&, const uint8_t*,
+                             uint32_t) {
+      env.Yield();  // let the second caller queue up behind us
+      loop.Stop();
+      env.RpcReply(rpc.token, nullptr, 0);
+    });
   });
-  kernel_.CreateThread(server_task, "s", [&](Env& env) { loop.Run(env); });
   base::Status first = base::Status::kInternal;
   base::Status queued = base::Status::kInternal;
   kernel_.CreateThread(client_task, "c1", [&, send = *send](Env& env) {
     ClientStub stub("shutdown.c1", send);
-    uint32_t op = 2;
+    OpReq op{2};
     uint32_t rep;
     first = stub.Call(env, op, &rep);
   });
   kernel_.CreateThread(client_task, "c2", [&, send = *send](Env& env) {
     ClientStub stub("shutdown.c2", send);
-    uint32_t op = 2;
+    OpReq op{2};
     uint32_t rep;
     queued = stub.Call(env, op, &rep);
   });

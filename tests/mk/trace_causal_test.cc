@@ -28,6 +28,11 @@ namespace {
 
 constexpr uint32_t kEchoOp = 1;
 
+struct EchoRequest {
+  uint32_t op = kEchoOp;
+  uint32_t value = 0;
+};
+
 // First span of `kind` (lowest id), or nullptr.
 const trace::Tracer::SpanMeta* FindSpan(Kernel& kernel, trace::SpanKind kind) {
   for (const auto& [id, meta] : kernel.tracer().spans()) {
@@ -70,17 +75,27 @@ struct EchoSystem {
     if (nested_over >= 0) {
       nested_send = GrantTo(static_cast<size_t>(nested_over), *task);
     }
-    auto loop = std::make_shared<ServerLoop>(*recv, name, 64);
-    loop->Register(kEchoOp, [nested_send](Env& env, const RpcRequest& request,
-                                          const uint8_t* req, const uint8_t*, uint32_t) {
-      if (nested_send != kNullPort) {
-        uint32_t inner[2] = {kEchoOp, 7};
-        uint32_t inner_reply[2] = {};
-        (void)env.RpcCall(nested_send, inner, sizeof(inner), inner_reply, sizeof(inner_reply));
-      }
-      env.RpcReply(request.token, req, request.req_len);
+    // The server's own loop and stub images, charged as every server does.
+    const hw::CodeRegion stub = hw::DefineKernelCode("stub." + name, Costs::kRpcServerStub);
+    const hw::CodeRegion loop_code = hw::DefineKernelCode("loop." + name, Costs::kRpcServerLoop);
+    auto loop = std::make_shared<ServerLoop>(*recv, name);
+    kernel_.CreateThread(task, "loop", [loop, nested_send, stub, loop_code](Env& env) {
+      loop->Run<EchoRequest>(env, [l = loop.get(), nested_send, stub, loop_code](
+                                      Env& env, const RpcRequest& rpc, const EchoRequest& req,
+                                      const uint8_t*, uint32_t) {
+        env.kernel().cpu().Execute(loop_code);
+        env.kernel().cpu().Execute(stub);
+        if (!l->EnterHandler(env, rpc)) {
+          return;
+        }
+        if (nested_send != kNullPort) {
+          uint32_t inner[2] = {kEchoOp, 7};
+          uint32_t inner_reply[2] = {};
+          (void)env.RpcCall(nested_send, inner, sizeof(inner), inner_reply, sizeof(inner_reply));
+        }
+        env.RpcReply(rpc.token, &req, rpc.req_len);
+      });
     });
-    kernel_.CreateThread(task, "loop", [loop](Env& env) { loop->Run(env); });
     tasks_.push_back(task);
     loops_.push_back(loop);
     ports_.push_back(*recv);
@@ -380,8 +395,6 @@ TEST(CausalTrace, UnixReadSpansPersonalityFsAndDriver) {
     ASSERT_TRUE(proc->Read(env, *fd, block, sizeof(block)).ok());
     ASSERT_EQ(proc->Close(env, *fd), base::Status::kOk);
     fs.Stop();
-    svc::FsClient unblock(fs.GrantTo(*proc->task()));
-    (void)unblock.Sync(env);
     driver.Stop();
     kernel.TerminateTask(driver_task);
   });

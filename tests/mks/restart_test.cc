@@ -20,6 +20,11 @@ namespace {
 constexpr uint32_t kEchoOp = 1;
 constexpr char kName[] = "/svc/echo";
 
+struct EchoRequest {
+  uint32_t op = kEchoOp;
+  uint32_t value = 0;
+};
+
 class RestartTest : public mk::KernelTest {
  protected:
   RestartTest() {
@@ -40,12 +45,21 @@ class RestartTest : public mk::KernelTest {
     mk::Task* task = kernel_.CreateTask("echo-g" + std::to_string(gen));
     auto recv = kernel_.PortAllocate(*task);
     EXPECT_TRUE(recv.ok());
-    auto loop = std::make_shared<mk::ServerLoop>(*recv, "echo", 64);
-    loop->Register(kEchoOp, [](mk::Env& env, const mk::RpcRequest& request, const uint8_t* req,
-                               const uint8_t*, uint32_t) {
-      env.RpcReply(request.token, req, request.req_len);
+    // The echo server's own loop and stub images, charged as every server does.
+    const hw::CodeRegion stub = hw::DefineKernelCode("stub.echo", mk::Costs::kRpcServerStub);
+    const hw::CodeRegion loop_code = hw::DefineKernelCode("loop.echo", mk::Costs::kRpcServerLoop);
+    auto loop = std::make_shared<mk::ServerLoop>(*recv, "echo");
+    kernel_.CreateThread(task, "echo", [loop, stub, loop_code](mk::Env& env) {
+      loop->Run<EchoRequest>(env, [l = loop.get(), stub, loop_code](
+                                      mk::Env& env, const mk::RpcRequest& rpc,
+                                      const EchoRequest& req, const uint8_t*, uint32_t) {
+        env.kernel().cpu().Execute(loop_code);
+        env.kernel().cpu().Execute(stub);
+        if (l->EnterHandler(env, rpc)) {
+          env.RpcReply(rpc.token, &req, rpc.req_len);
+        }
+      });
     });
-    kernel_.CreateThread(task, "echo", [loop](mk::Env& env) { loop->Run(env); });
     tasks_.push_back(task);
     recvs_.push_back(*recv);
     loops_.push_back(loop);
@@ -80,11 +94,10 @@ class RestartTest : public mk::KernelTest {
     };
   }
 
-  void StopAll(mk::Env& env, NameClient& nc) {
+  void StopAll() {
     loops_.back()->Stop();
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");  // unblock the name server loop
   }
 
   mk::Task* ns_task_;
@@ -126,7 +139,7 @@ TEST_F(RestartTest, CrashRespawnsAndReRegistersUnderSameName) {
     EXPECT_EQ(reply[1], 2u);
     EXPECT_EQ(mgr_->restarts(kName), 1u);
     EXPECT_FALSE(mgr_->degraded(kName));
-    StopAll(env, nc);
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(mgr_->total_restarts(), 1u);
@@ -176,7 +189,6 @@ TEST_F(RestartTest, BudgetExhaustionDegradesCleanly) {
 
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.tracer().metrics().Counter(std::string("restart.") + kName + ".gave_up"), 1u);
@@ -224,7 +236,7 @@ TEST_F(RestartTest, WatchdogKillsWedgedServerAndRespawns) {
     EXPECT_EQ(mgr_->watchdog_kills(kName), 1u);
     EXPECT_EQ(mgr_->restarts(kName), 1u);
     EXPECT_FALSE(mgr_->degraded(kName));
-    StopAll(env, nc);
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.tracer().metrics().Counter(std::string("restart.") + kName +
@@ -265,8 +277,7 @@ TEST_F(RestartTest, IdleServerIsNotKilledByWatchdog) {
     uint32_t reply[2] = {};
     EXPECT_EQ(env.RpcCall(*right, req, sizeof(req), reply, sizeof(reply)), base::Status::kOk);
     EXPECT_EQ(reply[1], 9u);
-    NameClient nc(ns_for_client_);
-    StopAll(env, nc);
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
@@ -294,10 +305,8 @@ TEST_F(RestartTest, UnsupervisedStopIsNotKilledOrRespawned) {
     EXPECT_EQ(mgr_->total_restarts(), 0u);
     EXPECT_EQ(kernel_.tracer().metrics().Counter("restart.watchdog_kills"), 0u);
     EXPECT_EQ(tasks_.size(), 1u);  // no orphan generation spawned
-    NameClient nc(ns_for_client_);
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
@@ -336,7 +345,7 @@ TEST_F(RestartTest, ResetBudgetRevivesDegradedServer) {
     ASSERT_EQ(mk::RpcCallRobust(env, resolver, &cached, req, sizeof(req), reply, sizeof(reply)),
               base::Status::kOk);
     EXPECT_EQ(reply[1], 5u);
-    StopAll(env, nc);
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.tracer().metrics().Counter(std::string("restart.") + kName + ".revived"), 1u);
@@ -365,8 +374,6 @@ TEST_F(RestartTest, RespawnsWithoutNameService) {
     loops_.back()->Stop();
     mgr_->Stop();
     ns_->Stop();
-    NameClient nc(ns_for_client_);
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);

@@ -25,12 +25,9 @@ class Os2Test : public mk::KernelTest {
                          [this](mk::Env& env) { ASSERT_EQ(hpfs_->Format(env), base::Status::kOk); });
   }
 
-  void Shutdown(mk::Env& env, Os2Process& proc) {
+  void Shutdown() {
     fs_->Stop();
     os2_->Stop();
-    (void)proc.DosExit(env, 0);
-    svc::FsClient unblock(fs_->GrantTo(*proc.task()));
-    (void)unblock.Sync(env);
   }
 
   hw::Disk* disk_;
@@ -57,7 +54,7 @@ TEST_F(Os2Test, DosFileApiRoundTrip) {
     ASSERT_EQ(proc.DosClose(env, *h), base::Status::kOk);
     // OS/2 names are case-insensitive even on a case-preserving store.
     EXPECT_TRUE(proc.DosOpen(env, "/report.doc", 0).ok());
-    Shutdown(env, proc);
+    Shutdown();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_GT(proc.api_calls(), 4u);
@@ -85,7 +82,7 @@ TEST_F(Os2Test, DosAllocMemIsEagerAndByteSized) {
     ASSERT_EQ(proc.memory().SubFree(env, *mem, *a), base::Status::kOk);
     ASSERT_EQ(proc.DosFreeMem(env, *mem), base::Status::kOk);
     EXPECT_EQ(proc.memory().committed_pages(), 0u);
-    Shutdown(env, proc);
+    Shutdown();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -116,7 +113,7 @@ TEST_F(Os2Test, DoubleMemoryManagementCostsMoreThanRawKernel) {
     EXPECT_EQ(os2_frames, 40u);  // 2 pages per 5000-byte object, all committed
     EXPECT_EQ(raw_frames, 20u);  // one touched page each
     EXPECT_GT(proc.memory().metadata_bytes(), 0u);
-    Shutdown(env, proc);
+    Shutdown();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -144,7 +141,7 @@ TEST_F(Os2Test, SystemSemaphoresAcrossProcesses) {
     ASSERT_EQ(p2.DosRequestSem(env, sem_id), base::Status::kOk);
     order.push_back(3);
     ASSERT_EQ(p2.DosReleaseSem(env, sem_id), base::Status::kOk);
-    Shutdown(env, p2);
+    Shutdown();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));

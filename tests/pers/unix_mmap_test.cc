@@ -30,12 +30,6 @@ class UnixMmapTest : public mk::KernelTest {
                          [this](mk::Env& env) { ASSERT_EQ(jfs_->Format(env), base::Status::kOk); });
   }
 
-  void StopFs(mk::Env& env, mk::Task& any_client_task) {
-    fs_->Stop();
-    svc::FsClient unblock(fs_->GrantTo(any_client_task));
-    (void)unblock.Sync(env);
-  }
-
   static uint8_t PatternByte(uint64_t i) { return static_cast<uint8_t>(i * 37 + 11); }
 
   // Creates the file with `size` patterned bytes through the fd.
@@ -109,7 +103,7 @@ TEST_F(UnixMmapTest, SharedMappingMatchesReadAndMsyncPublishesStores) {
     ASSERT_EQ(proc->Munmap(env, *addr), base::Status::kOk);
     ASSERT_EQ(proc->Close(env, *fd), base::Status::kOk);
     EXPECT_EQ(fs_->mapped_objects(), 0u);
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -142,7 +136,7 @@ TEST_F(UnixMmapTest, PrivateMappingIsCopyOnWriteAndMsyncIsANoop) {
 
     ASSERT_EQ(proc->Munmap(env, *addr), base::Status::kOk);
     ASSERT_EQ(proc->Close(env, *fd), base::Status::kOk);
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -192,7 +186,7 @@ TEST_F(UnixMmapTest, ForkInheritsSharedMappingBothWaysAndPrivateCopies) {
     ASSERT_EQ(parent->Munmap(env, *shared_addr), base::Status::kOk);
     ASSERT_EQ(parent->Munmap(env, *private_addr), base::Status::kOk);
     ASSERT_EQ(parent->Close(env, *fd), base::Status::kOk);
-    StopFs(env, *parent->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(child_saw_shared, PatternByte(5));
@@ -242,7 +236,7 @@ TEST_F(UnixMmapTest, FsCacheStaysCoherentWithMappedViews) {
 
     ASSERT_EQ(proc->Munmap(env, *addr), base::Status::kOk);
     ASSERT_EQ(proc->Close(env, *fd), base::Status::kOk);
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -262,7 +256,7 @@ TEST_F(UnixMmapTest, MmapRejectsPipesAndZeroLength) {
     auto nofd = proc->Mmap(env, 99, hw::kPageSize, /*shared=*/true);
     EXPECT_FALSE(nofd.ok());
     ASSERT_EQ(proc->Close(env, *fd), base::Status::kOk);
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }

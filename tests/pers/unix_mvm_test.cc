@@ -23,12 +23,6 @@ class PersonalityTest : public mk::KernelTest {
                          [this](mk::Env& env) { ASSERT_EQ(jfs_->Format(env), base::Status::kOk); });
   }
 
-  void StopFs(mk::Env& env, mk::Task& any_client_task) {
-    fs_->Stop();
-    svc::FsClient unblock(fs_->GrantTo(any_client_task));
-    (void)unblock.Sync(env);
-  }
-
   hw::Disk* disk_;
   std::unique_ptr<mks::BackdoorBlockStore> store_;
   std::unique_ptr<svc::BlockCache> cache_;
@@ -56,7 +50,7 @@ TEST_F(PersonalityTest, UnixOpenReadWriteWithImplicitOffset) {
     ASSERT_TRUE(more.ok());
     EXPECT_EQ(*more, 0u);
     ASSERT_EQ(proc->Close(env, *fd), base::Status::kOk);
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -146,7 +140,7 @@ TEST_F(PersonalityTest, UnixReadvWritevMoveAllIovecsInOneCall) {
     EXPECT_EQ(proc->Readv(env, pipe_fds->first, tail, 1).status(),
               base::Status::kNotSupported);
     ASSERT_EQ(proc->Close(env, *fd), base::Status::kOk);
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -179,7 +173,7 @@ TEST_F(PersonalityTest, UnixForkIsolatesMemoryAndSharesFiles) {
     uint32_t pv = 0;
     ASSERT_EQ(env.CopyIn(*mem, &pv, 4), base::Status::kOk);
     parent_value = pv;
-    StopFs(env, *parent->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(child_value, 42u);
@@ -199,7 +193,7 @@ TEST_F(PersonalityTest, UnixPipeCarriesBytes) {
     auto got = proc->Read(env, pipe->first, buf, sizeof(buf));
     ASSERT_TRUE(got.ok());
     received.assign(buf, *got);
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(received, "through the pipe");
@@ -228,7 +222,7 @@ TEST_F(PersonalityTest, UnixLseekSeekEndPositionsAtFileSize) {
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(std::string(tail, 10), "0123456789");
     ASSERT_EQ(proc->Close(env, *fd), base::Status::kOk);
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -257,7 +251,7 @@ TEST_F(PersonalityTest, UnixPipeShortReadKeepsMessageTail) {
     auto got = proc->Read(env, pipe->first, buf, sizeof(buf));
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(std::string(buf, *got), "next");
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(reassembled, "through the pipe");
@@ -298,7 +292,7 @@ TEST_F(PersonalityTest, UnixForkGrantsPipeRightsToChild) {
     auto got = parent->Read(env, rfd, buf, sizeof(buf));
     ASSERT_TRUE(got.ok());
     parent_saw.assign(buf, *got);
-    StopFs(env, *parent->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(child_saw, "to child");
@@ -333,7 +327,7 @@ TEST_F(PersonalityTest, UnixOAppendWritesAtCurrentEof) {
     EXPECT_EQ(std::string(buf, *got), "AAAABBBBCCDE");
     ASSERT_EQ(proc->Close(env, *log_fd), base::Status::kOk);
     ASSERT_EQ(proc->Close(env, *other), base::Status::kOk);
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -367,7 +361,7 @@ TEST_F(PersonalityTest, UnixFsCacheCutsRpcsTransparently) {
       EXPECT_EQ(all[i * 64 + 63], 'a' + i);
     }
     ASSERT_EQ(proc->Close(env, *fd), base::Status::kOk);
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -387,7 +381,7 @@ TEST_F(PersonalityTest, DosBoxRunsProgramAndPrints) {
     ASSERT_EQ(box.LoadProgram(env, as.code()), base::Status::kOk);
     auto n = box.Run(env, /*translated=*/false);
     ASSERT_TRUE(n.ok());
-    StopFs(env, *box.task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(box.console(), "HI");
@@ -428,7 +422,7 @@ TEST_F(PersonalityTest, DosFileIoThroughVirtualDeviceDriver) {
     auto got = fs.Read(env, *h, 0, buf, sizeof(buf));
     ASSERT_TRUE(got.ok());
     content.assign(buf, *got);
-    StopFs(env, *box.task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(content, "SAVE");

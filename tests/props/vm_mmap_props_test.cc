@@ -113,12 +113,6 @@ class VmMmapPropsTest : public mk::KernelTest,
                          [this](mk::Env& env) { ASSERT_EQ(jfs_->Format(env), base::Status::kOk); });
   }
 
-  void StopFs(mk::Env& env, mk::Task& any_client_task) {
-    fs_->Stop();
-    svc::FsClient unblock(fs_->GrantTo(any_client_task));
-    (void)unblock.Sync(env);
-  }
-
   hw::Disk* disk_;
   std::unique_ptr<mks::BackdoorBlockStore> store_;
   std::unique_ptr<svc::BlockCache> cache_;
@@ -338,7 +332,7 @@ TEST_P(VmMmapPropsTest, RandomOpSequencesMatchTheReferenceModel) {
         break;
       }
     }
-    StopFs(env, *proc->task());
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }

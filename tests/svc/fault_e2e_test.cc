@@ -133,11 +133,8 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToRobustClient) {
     // Orderly shutdown of whatever generation is serving now.
     kernel_.faults().DisarmAll();
     servers_.back()->Stop();
-    RobustFsSession fin(ns_for_client_, kFsName);
-    (void)fin.Open(env, "/campaign.dat", 0);  // unblock the serve loop
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 
@@ -221,11 +218,8 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToCachedRobustClient) {
 
     kernel_.faults().DisarmAll();
     servers_.back()->Stop();
-    RobustFsSession fin(ns_for_client_, kFsName);
-    (void)fin.Open(env, "/cached-campaign.dat", 0);  // unblock the serve loop
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 
@@ -289,11 +283,8 @@ TEST_F(FaultE2eTest, BulkOolWritesSurviveMessageCopyFaults) {
 
     kernel_.faults().DisarmAll();
     servers_.back()->Stop();
-    RobustFsSession fin(ns_for_client_, kFsName);
-    (void)fin.Open(env, "/bulk-campaign.dat", 0);  // unblock the serve loop
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_GT(kernel_.tracer().metrics().Counter("mk.rpc.ool_transfers"), 0u);

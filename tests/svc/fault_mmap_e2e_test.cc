@@ -211,11 +211,8 @@ TEST_F(FaultMmapE2eTest, CrashWithLiveMappingRecoversCleanAndDirtyPages) {
     ASSERT_EQ(session.Close(env, *handle), base::Status::kOk);
 
     servers_.back()->Stop();
-    RobustFsSession fin(ns_for_client_, kFsName);
-    (void)fin.Open(env, "/mapped.dat", 0);  // unblock the serve loop
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(mgr_->total_restarts(), 1u);
@@ -311,11 +308,8 @@ TEST_F(FaultMmapE2eTest, MappedReadsStayCoherentAcrossRandomCrashes) {
 
     kernel_.faults().DisarmAll();
     servers_.back()->Stop();
-    RobustFsSession fin(ns_for_client_, kFsName);
-    (void)fin.Open(env, "/soak.dat", 0);  // unblock the serve loop
     mgr_->Stop();
     ns_->Stop();
-    (void)nc.Resolve(env, "/x");
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 

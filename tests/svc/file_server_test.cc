@@ -45,7 +45,6 @@ class FileServerTest : public mk::KernelTest {
       FsClient fs(service_);
       body(env, fs);
       server_->Stop();
-      (void)fs.Sync(env);  // unblock the server loop
     });
     ASSERT_EQ(kernel_.Run(), 0u);
   }

@@ -43,7 +43,6 @@ class FsCacheTest : public mk::KernelTest {
       }
       body(env, fs);
       server_->Stop();
-      (void)fs.Sync(env);  // unblock the server loop
     });
     ASSERT_EQ(kernel_.Run(), 0u);
   }

@@ -38,12 +38,6 @@ class FsMmapTest : public mk::KernelTest {
     client_task_ = kernel_.CreateTask("client");
   }
 
-  void StopFs(mk::Env& env) {
-    fs_->Stop();
-    FsClient unblock(fs_->GrantTo(*client_task_));
-    (void)unblock.Sync(env);
-  }
-
   // Deterministic content: byte i of the file is a function of i alone.
   static uint8_t PatternByte(uint64_t i) { return static_cast<uint8_t>(i * 131 + 17); }
 
@@ -129,7 +123,7 @@ TEST_P(FsMmapDifferentialTest, MappedBytesMatchReadAcrossBoundariesAndEof) {
     ASSERT_EQ(kernel_.ReleasePagedObject(mapping->object_id), base::Status::kOk);
     EXPECT_EQ(fs_->mapped_objects(), 0u);
     ASSERT_EQ(fs.Close(env, *handle), base::Status::kOk);
-    StopFs(env);
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -172,7 +166,7 @@ TEST_F(FsMmapTest, MapObjectIsSharedPerNodeAndRefCounted) {
     ASSERT_EQ(kernel_.VmDeallocate(*client_task_, *base, object->size()), base::Status::kOk);
     ASSERT_EQ(kernel_.ReleasePagedObject(m1->object_id), base::Status::kOk);
     EXPECT_EQ(fs_->mapped_objects(), 0u);
-    StopFs(env);
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -211,7 +205,7 @@ TEST_F(FsMmapTest, FileWriteInvalidatesCleanButNotDirtyMappedPages) {
     // Page 1 was dirty: the mapped store survives the file write.
     ASSERT_EQ(kernel_.CopyIn(*client_task_, *base + hw::kPageSize, &probe, 1), base::Status::kOk);
     EXPECT_EQ(probe, 0x5C);
-    StopFs(env);
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -252,7 +246,7 @@ TEST_F(FsMmapTest, KernelMsyncPublishesDirtyPagesToTheFile) {
     got = fs.Read(env, *handle, 100, file_bytes, sizeof(tag2));
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(std::memcmp(file_bytes, tag2, sizeof(tag2)), 0);
-    StopFs(env);
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }
@@ -301,7 +295,7 @@ TEST_F(FsMmapTest, MappedSequentialReadsUseFewerRpcsThanPerPageReads) {
     EXPECT_GE(read_rpcs, kPages);
     EXPECT_LE(mapped_rpcs * 4, read_rpcs)
         << "readahead should amortize pager RPCs at least 4x below read()";
-    StopFs(env);
+    fs_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 }

@@ -201,13 +201,11 @@ TEST_F(StallE2eTest, WedgedServerIsShedKilledAndRestartedUnderClientsNoses) {
         kills_at_shutdown = mgr_->watchdog_kills(kFsName);
         // Deliberate shutdown must be withdrawn from supervision first, or
         // the watchdog would mistake the stopped server for a wedged one and
-        // respawn an orphan. The serve loop notices Stop() on its next
-        // heartbeat tick, so no unblocking call is needed.
+        // respawn an orphan.
         mgr_->Unsupervise(kFsName);
         servers_.back()->Stop();
         mgr_->Stop();
         ns_->Stop();
-        (void)nc.Resolve(env, "/x");  // unblock the name server's forever-park
       }
     });
   }

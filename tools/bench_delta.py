@@ -24,15 +24,27 @@ per page-sized op by at least 4x versus uncached read() calls. These
 mirror the WPOS_CHECKs inside the bench binary, but as an independent
 CI gate they still hold if someone weakens the in-binary asserts.
 
+With --exact FRESH=BASELINE (repeatable), additionally requires the fresh
+report to equal the committed one byte for byte. Simulated bench output is
+deterministic, so a Release build reproduces the committed BENCH_table1.json
+and BENCH_table2.json exactly; any difference means a simulated number
+moved. A refactor that claims "same numbers" is held to that, and a change
+that moves a number on purpose must re-baseline the file in the same change.
+
 Usage:
   tools/bench_delta.py --fresh bench_table2.json \
       [--baseline BENCH_table2.json] [--tolerance 0.02] \
       [--ablations ablations.json]
+  tools/bench_delta.py --exact bench_table1.json=BENCH_table1.json \
+      --exact bench_table2.json=BENCH_table2.json
 
-Exit status: 0 when within tolerance, 1 on regression or missing keys.
+Exit status: 0 when every gate holds, 1 on regression, missing keys or an
+inexact report.
 """
 
 import argparse
+import difflib
+import itertools
 import json
 import sys
 
@@ -116,9 +128,39 @@ def check_ablations(path):
     return failures
 
 
+def check_exact(pairs):
+    """Byte-for-byte comparison of fresh reports against committed ones.
+
+    `pairs` holds FRESH=BASELINE strings. Returns a list of failure strings
+    (empty when every fresh report equals its baseline).
+    """
+    failures = []
+    for pair in pairs:
+        fresh_path, sep, baseline_path = pair.partition("=")
+        if not sep or not fresh_path or not baseline_path:
+            raise SystemExit(f"--exact wants FRESH=BASELINE, got {pair!r}")
+        with open(fresh_path, "rb") as f:
+            fresh = f.read()
+        with open(baseline_path, "rb") as f:
+            baseline = f.read()
+        if fresh == baseline:
+            print(f"{fresh_path}: byte-identical to {baseline_path}")
+            continue
+        diff = difflib.unified_diff(
+            baseline.decode(errors="replace").splitlines(),
+            fresh.decode(errors="replace").splitlines(),
+            baseline_path, fresh_path, lineterm="", n=0)
+        for line in itertools.islice(diff, 40):
+            print(line)
+        failures.append(
+            f"{fresh_path} differs from {baseline_path}: a simulated number "
+            f"moved; if that is intended, regenerate and commit {baseline_path}")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fresh", required=True,
+    parser.add_argument("--fresh", default=None,
                         help="bench_table2 --json output from this build")
     parser.add_argument("--baseline", default="BENCH_table2.json",
                         help="committed baseline report (default: %(default)s)")
@@ -127,7 +169,25 @@ def main():
     parser.add_argument("--ablations", default=None,
                         help="bench_ablations --json output to gate the "
                              "overload ablation (A5) as well")
+    parser.add_argument("--exact", action="append", default=[],
+                        metavar="FRESH=BASELINE",
+                        help="require FRESH to equal the committed BASELINE "
+                             "byte for byte (repeatable)")
     args = parser.parse_args()
+    if args.fresh is None and not args.exact:
+        parser.error("give --fresh, --exact, or both")
+    if args.ablations and args.fresh is None:
+        parser.error("--ablations needs --fresh")
+
+    if args.exact:
+        failures = check_exact(args.exact)
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        if failures:
+            return 1
+        print("OK: bench reports reproduce the committed baselines exactly")
+    if args.fresh is None:
+        return 0
 
     with open(args.baseline) as f:
         baseline = json.load(f)

@@ -40,6 +40,14 @@ Checks, over every header and source file under src/ and tests/:
      between libc++/libstdc++ and across runs with pointer keys). An
      unordered loop whose order provably does not escape may carry an
      `unordered-ok:` comment on the loop line or the line above.
+  7. One server runtime (src/ only): `RpcReceive(` and
+     `RpcReplyAndReceive(` may appear only in the kernel
+     (src/mk/kernel*.h, src/mk/kernel*.cc) and in mk::ServerLoop
+     (src/mk/server_loop.h). Every server runs on ServerLoop, which owns
+     the receive loop, kTooLarge recovery, heartbeats, the server-op span
+     and the kServerHandlerEntry fault point; a hand-rolled loop would
+     silently drop all of those. tests/ and bench/ keep raw loops because
+     they measure the kernel path itself.
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -79,6 +87,8 @@ USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\s+[\w:]+\s*;", re.MULTIL
 COSTS_DEF_RE = re.compile(r"^\s*struct\s+Costs\b(?!\s*;)", re.MULTILINE)
 TRACE_ENUM_REF_RE = re.compile(r"\b(EventType|SpanKind)::(\w+)")
 FAULT_ENUM_REF_RE = re.compile(r"\b(FaultPoint|FaultMode)::(\w+)")
+RAW_RECEIVE_RE = re.compile(r"\b(RpcReceive|RpcReplyAndReceive)\s*\(")
+SERVER_LOOP_HEADER = Path("src") / "mk" / "server_loop.h"
 TRACE_EMIT_CALL_RE = re.compile(
     r"\b(Emit|BeginSpan|MarkPhase|MarkQueued|EndSpan|ScopedSpan)\s*\("
 )
@@ -255,6 +265,20 @@ def check_determinism(rel_path: Path, text: str, errors: list, accessors: set) -
         )
 
 
+def check_server_runtime(rel_path: Path, text: str, errors: list) -> None:
+    if rel_path.parts[0] != "src" or rel_path == SERVER_LOOP_HEADER:
+        return
+    if rel_path.parent == Path("src") / "mk" and rel_path.name.startswith("kernel"):
+        return
+    for i, line in enumerate(text.split("\n")):
+        match = RAW_RECEIVE_RE.search(strip_line_comment(line))
+        if match:
+            errors.append(
+                f"{rel_path}:{i + 1}: {match.group(1)}() outside the kernel — "
+                f"servers run on mk::ServerLoop ({SERVER_LOOP_HEADER})"
+            )
+
+
 def expected_guard(rel_path: Path) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", str(rel_path)).upper() + "_"
 
@@ -309,6 +333,7 @@ def lint_file(
     check_trace_events(rel_path, text, errors, trace_registry, trace_used)
     check_fault_points(rel_path, text, errors, fault_registry, fault_used)
     check_determinism(rel_path, text, errors, accessors)
+    check_server_runtime(rel_path, text, errors)
     return errors
 
 
