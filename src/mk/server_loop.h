@@ -240,20 +240,12 @@ class ClientStub {
 
   PortName port() const { return port_; }
 
-  // Deadline applied when a call site passes kForever (the common case):
-  // lets a client library bound every call against a possibly-wedged server
-  // without touching each call site. kForever (default) = unbounded.
-  void set_default_timeout_ns(uint64_t ns) { default_timeout_ns_ = ns; }
-
   template <typename Req, typename Rep>
   base::Status Call(Env& env, const Req& req, Rep* rep, RpcRef* ref = nullptr,
                     const RightDescriptor* rights = nullptr, uint32_t rights_count = 0,
                     PortName* granted = nullptr, uint64_t timeout_ns = kForever) {
     env.kernel().cpu().Execute(region_);
     uint32_t reply_len = 0;
-    if (timeout_ns == kForever) {
-      timeout_ns = default_timeout_ns_;
-    }
     return env.RpcCall(port_, &req, sizeof(Req), rep, sizeof(Rep), &reply_len, ref, rights,
                        rights_count, granted, timeout_ns);
   }
@@ -261,7 +253,6 @@ class ClientStub {
  private:
   hw::CodeRegion region_;
   PortName port_;
-  uint64_t default_timeout_ns_ = kForever;
 };
 
 }  // namespace mk

@@ -87,7 +87,7 @@ class RestartManager {
   // Registers a callback invoked (with the supervised name) whenever a
   // supervised server dies — before backoff and respawn. Client-side caches
   // hook this to drop state cached against the dead instance (e.g.
-  // RobustFsSession::OnServerDeath); listeners must not block.
+  // svc::FsClient::OnServerDeath); listeners must not block.
   void AddDeathListener(std::function<void(const std::string&)> listener) {
     death_listeners_.push_back(std::move(listener));
   }

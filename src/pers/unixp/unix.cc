@@ -50,7 +50,7 @@ UnixProcess::UnixProcess(UnixPersonality* pers, mk::Task* task, uint32_t pid)
     : pers_(pers), task_(task), pid_(pid) {
   fs_ = std::make_unique<svc::FsClient>(pers->fs_.GrantTo(*task), pers->io_timeout_ns_);
   if (pers->fs_cache_on_) {
-    fs_->EnableCache(pers->fs_cache_opts_);
+    fs_->EnableCache();
   }
 }
 

@@ -153,11 +153,10 @@ class UnixPersonality {
   // Turns on client-side FS caching (svc::FsCache) for live processes and
   // ones spawned later. Default-off: without it every file operation is a
   // straight RPC to the file server.
-  void EnableFsCache(const svc::FsCacheOptions& opts = svc::FsCacheOptions()) {
+  void EnableFsCache() {
     fs_cache_on_ = true;
-    fs_cache_opts_ = opts;
     for (auto& proc : processes_) {
-      proc->fs_->EnableCache(opts);
+      proc->fs_->EnableCache();
     }
   }
 
@@ -181,7 +180,6 @@ class UnixPersonality {
   uint32_t next_pid_ = 1;
   uint64_t io_timeout_ns_ = mk::kForever;
   bool fs_cache_on_ = false;
-  svc::FsCacheOptions fs_cache_opts_;
 };
 
 }  // namespace pers

@@ -117,6 +117,9 @@ void FileServer::InvalidateMappedRange(Mount* mount, NodeId node, uint64_t offse
 }
 
 FileServer::Mount* FileServer::MountFor(const std::string& path, std::string* rest) {
+  if (path.empty() || path.front() != '/') {
+    return nullptr;  // empty or relative: no such file, as POSIX open("") is ENOENT
+  }
   for (const auto& m : mounts_) {
     const std::string& p = m->prefix;
     if (p == "/") {
@@ -522,10 +525,10 @@ void FileServer::HandleLock(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
 }
 
 void FileServer::HandleStat(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
-  // Handle-based GetAttr: no path walk, so a hot stat (fstat, SEEK_END,
-  // O_APPEND positioning) costs one table lookup instead of a name walk.
-  // A stale handle answers kInvalidArgument, the same signal the robust
-  // session already re-opens on.
+  // Handle-based GetAttr (kFsStat) and SetSize: no path walk, so a hot stat
+  // (fstat, SEEK_END, O_APPEND positioning) costs one table lookup instead
+  // of a name walk. A stale handle answers kInvalidArgument, the signal a
+  // robust FsClient re-opens on.
   FsReply reply;
   kernel_.cpu().Execute(UnionSemRegion());
   auto it = open_files_.find(r.handle);
@@ -535,7 +538,17 @@ void FileServer::HandleStat(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
     return;
   }
   OpenFile& of = it->second;
-  kernel_.cpu().AccessData(of.sim_addr, 48, /*write=*/false);
+  kernel_.cpu().AccessData(of.sim_addr, 48, /*write=*/r.op == FsOp::kSetSize);
+  if (r.op == FsOp::kSetSize) {
+    const base::Status st = of.mount->pfs->SetSize(env, of.node, r.offset);
+    if (st != base::Status::kOk) {
+      reply.status = static_cast<int32_t>(st);
+      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      return;
+    }
+    // Resizing moves EOF under every mapped view: drop all clean pages.
+    InvalidateMappedRange(of.mount, of.node, 0, ~0ull);
+  }
   auto attr = of.mount->pfs->GetAttr(env, of.node);
   if (!attr.ok()) {
     reply.status = static_cast<int32_t>(attr.status());
@@ -760,6 +773,10 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
       }
       std::string rest2;
       Mount* mount2 = MountFor(r.path2, &rest2);
+      if (mount2 == nullptr) {
+        reply.status = static_cast<int32_t>(base::Status::kNotFound);
+        break;
+      }
       if (mount2 != mount) {
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);  // cross-FS rename
         break;
@@ -807,14 +824,9 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
         reply.status = static_cast<int32_t>(node.status());
         break;
       }
-      // Value travels in path2 after the key's NUL: "key\0value\0". A raw
-      // request is untrusted: both strings must terminate inside the fixed
-      // buffer or the parse would run off the end of the request struct.
-      const void* key_nul = std::memchr(r.path2, '\0', kFsMaxPath);
-      if (key_nul == nullptr) {
-        reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-        break;
-      }
+      // Value travels in path2 after the key's NUL: "key\0value\0". Dispatch
+      // already checked that the key terminates inside the fixed buffer; the
+      // value must too, or the parse would run off the end of the request.
       const std::string key(r.path2);
       const size_t value_off = key.size() + 1;
       if (value_off >= kFsMaxPath ||
@@ -848,20 +860,6 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
       }
       break;
     }
-    case FsOp::kSetSize: {
-      auto it = open_files_.find(r.handle);
-      if (it == open_files_.end()) {
-        reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        break;
-      }
-      reply.status = static_cast<int32_t>(
-          it->second.mount->pfs->SetSize(env, it->second.node, r.offset));
-      if (reply.status == 0) {
-        // Resizing moves EOF under every mapped view: drop all clean pages.
-        InvalidateMappedRange(it->second.mount, it->second.node, 0, ~0ull);
-      }
-      break;
-    }
     default:
       reply.status = static_cast<int32_t>(base::Status::kNotSupported);
   }
@@ -878,6 +876,15 @@ void FileServer::Serve(mk::Env& env) {
     }
     kernel_.cpu().Execute(kLoop);
     kernel_.cpu().Execute(kStub);
+    // The one validation point for untrusted requests: every handler may
+    // treat path and path2 as C strings.
+    if (std::memchr(r.path, '\0', kFsMaxPath) == nullptr ||
+        std::memchr(r.path2, '\0', kFsMaxPath) == nullptr) {
+      FsReply reply;
+      reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      return;
+    }
     switch (r.op) {
       case FsOp::kOpen:
         HandleOpen(env, rpc, r);
@@ -902,6 +909,7 @@ void FileServer::Serve(mk::Env& env) {
         HandleLock(env, rpc, r);
         break;
       case FsOp::kFsStat:
+      case FsOp::kSetSize:
         HandleStat(env, rpc, r);
         break;
       case FsOp::kMapObject:
@@ -924,37 +932,118 @@ void FileServer::Serve(mk::Env& env) {
 
 // --- Client ------------------------------------------------------------------------------
 
-void FsClient::EnableCache(const FsCacheOptions& opts) {
-  cache_ = std::make_unique<FsCache>(opts);
-}
-
-base::Result<uint64_t> FsClient::Open(mk::Env& env, const std::string& path, uint32_t flags,
-                                      FsShare share) {
+namespace {
+FsRequest OpenRequest(const std::string& path, uint32_t flags, FsShare share) {
   FsRequest r;
   r.op = FsOp::kOpen;
   r.flags = flags;
   r.share = share;
   r.SetPath(path.c_str());
+  return r;
+}
+
+FsRequest PathRequest(FsOp op, const std::string& path) {
+  FsRequest r;
+  r.op = op;
+  r.SetPath(path.c_str());
+  return r;
+}
+
+FileAttr AttrOf(const FsReply& reply) {
+  return FileAttr{.size = reply.attr.size, .directory = reply.attr.directory != 0};
+}
+}  // namespace
+
+FsClient::FsClient(mk::PortName service, uint64_t call_timeout_ns)
+    : stub_region_(hw::DefineKernelCode("cstub.svc.fs.client", mk::Costs::kRpcClientStub)),
+      port_(service), call_timeout_ns_(call_timeout_ns) {}
+
+FsClient::FsClient(mk::PortName name_service, std::string fs_name,
+                   const mk::RobustCallOptions& opts)
+    : stub_region_(hw::DefineKernelCode("cstub.svc.fs.client", mk::Costs::kRpcClientStub)),
+      port_(mk::kNullPort), names_(std::in_place, name_service), fs_name_(std::move(fs_name)),
+      robust_opts_(opts) {}
+
+void FsClient::EnableCache() { cache_ = std::make_unique<FsCache>(); }
+
+base::Status FsClient::Call(mk::Env& env, const FsRequest& req, FsReply* reply, mk::RpcRef* ref) {
+  env.kernel().cpu().Execute(stub_region_);
+  base::Status st;
+  if (robust()) {
+    const auto resolve = [this](mk::Env& e) { return names_->Resolve(e, fs_name_); };
+    st = mk::RpcCallRobust(env, resolve, &port_, &req, sizeof(req), reply, sizeof(*reply),
+                           robust_opts_, nullptr, ref);
+  } else {
+    st = env.RpcCall(port_, &req, sizeof(req), reply, sizeof(*reply), nullptr, ref, nullptr, 0,
+                     nullptr, call_timeout_ns_);
+  }
+  return st != base::Status::kOk ? st : static_cast<base::Status>(reply->status);
+}
+
+base::Status FsClient::CallOnHandle(mk::Env& env, uint64_t handle, FsRequest& req,
+                                    FsReply* reply, mk::RpcRef* ref) {
+  if (!robust()) {
+    req.handle = handle;
+    return Call(env, req, reply, ref);
+  }
+  auto it = opens_.find(handle);
+  if (it == opens_.end()) {
+    return base::Status::kInvalidArgument;
+  }
+  req.handle = it->second.server_handle;
+  const base::Status st = Call(env, req, reply, ref);
+  if (st != base::Status::kInvalidArgument) {
+    return st;
+  }
+  // A respawned server doesn't know our handle: re-open by path and retry.
+  const base::Status ro = Reopen(env, it->second);
+  if (ro != base::Status::kOk) {
+    return ro;
+  }
+  req.handle = it->second.server_handle;
+  return Call(env, req, reply, ref);
+}
+
+base::Status FsClient::Reopen(mk::Env& env, OpenState& state) {
+  // The server we cached against is gone: everything clean is suspect.
+  OnServerDeath();
+  // The file exists and holds data we must keep.
+  const FsRequest r =
+      OpenRequest(state.path, state.flags & ~(kFsExclusive | kFsTruncate), state.share);
   FsReply reply;
-  mk::PortName granted = mk::kNullPort;
-  const base::Status st = stub_.Call(env, r, &reply, nullptr, nullptr, 0, &granted);
+  const base::Status st = Call(env, r, &reply);
+  if (st == base::Status::kOk) {
+    state.server_handle = reply.handle;
+  }
+  return st;
+}
+
+base::Result<uint64_t> FsClient::Open(mk::Env& env, const std::string& path, uint32_t flags,
+                                      FsShare share) {
+  FsReply reply;
+  const base::Status st = Call(env, OpenRequest(path, flags, share), &reply);
   if (st != base::Status::kOk) {
     return st;
   }
-  if (reply.status != 0) {
-    return static_cast<base::Status>(reply.status);
+  uint64_t handle = reply.handle;
+  if (robust()) {
+    handle = next_local_++;
+    opens_[handle] = OpenState{path, flags, share, reply.handle};
   }
   if (cache_ != nullptr) {
     // The open reply already carries the attributes: the first Stat is free.
-    cache_->PrimeAttr(reply.handle,
-                      FileAttr{.size = reply.attr.size, .directory = reply.attr.directory != 0});
+    cache_->PrimeAttr(handle, AttrOf(reply));
   }
-  return reply.handle;
+  return handle;
 }
 
 base::Status FsClient::Close(mk::Env& env, uint64_t handle) {
+  if (robust() && !opens_.contains(handle)) {
+    return base::Status::kNotFound;
+  }
   if (cache_ != nullptr) {
-    // Flush the handle's write-behind run while the handle is still open.
+    // Flush the handle's write-behind run while the handle is still open
+    // (a robust client re-opens transparently if the server died).
     const base::Status fl = cache_->CloseHandle(env, *this, handle);
     if (fl != base::Status::kOk) {
       return fl;
@@ -962,10 +1051,14 @@ base::Status FsClient::Close(mk::Env& env, uint64_t handle) {
   }
   FsRequest r;
   r.op = FsOp::kClose;
-  r.handle = handle;
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
-  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
+  const base::Status st = CallOnHandle(env, handle, r, &reply);
+  if (!robust()) {
+    return st;
+  }
+  opens_.erase(handle);
+  // The respawned server never saw this open; nothing to close.
+  return st == base::Status::kNotFound ? base::Status::kOk : st;
 }
 
 base::Result<uint32_t> FsClient::Read(mk::Env& env, uint64_t handle, uint64_t offset, void* out,
@@ -973,26 +1066,22 @@ base::Result<uint32_t> FsClient::Read(mk::Env& env, uint64_t handle, uint64_t of
   if (cache_ != nullptr) {
     return cache_->Read(env, *this, handle, offset, out, len);
   }
-  return CacheRead(env, handle, offset, out, len);
+  return UncachedRead(env, handle, offset, out, len);
 }
 
-base::Result<uint32_t> FsClient::CacheRead(mk::Env& env, uint64_t handle, uint64_t offset,
-                                           void* out, uint32_t len) {
+base::Result<uint32_t> FsClient::UncachedRead(mk::Env& env, uint64_t handle, uint64_t offset,
+                                              void* out, uint32_t len) {
   FsRequest r;
   r.op = FsOp::kRead;
-  r.handle = handle;
   r.offset = offset;
   r.len = std::min(len, kFsMaxIo);
   FsReply reply;
   mk::RpcRef ref;
   ref.recv_buf = out;
   ref.recv_cap = len;
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = CallOnHandle(env, handle, r, &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
-  }
-  if (reply.status != 0) {
-    return static_cast<base::Status>(reply.status);
   }
   return reply.len;
 }
@@ -1002,26 +1091,22 @@ base::Result<uint32_t> FsClient::Write(mk::Env& env, uint64_t handle, uint64_t o
   if (cache_ != nullptr) {
     return cache_->Write(env, *this, handle, offset, data, len);
   }
-  return CacheWrite(env, handle, offset, data, len);
+  return UncachedWrite(env, handle, offset, data, len);
 }
 
-base::Result<uint32_t> FsClient::CacheWrite(mk::Env& env, uint64_t handle, uint64_t offset,
-                                            const void* data, uint32_t len) {
+base::Result<uint32_t> FsClient::UncachedWrite(mk::Env& env, uint64_t handle, uint64_t offset,
+                                               const void* data, uint32_t len) {
   FsRequest r;
   r.op = FsOp::kWrite;
-  r.handle = handle;
   r.offset = offset;
   r.len = std::min(len, kFsMaxIo);  // short write past the cap, like Read
   FsReply reply;
   mk::RpcRef ref;
   ref.send_data = data;
   ref.send_len = r.len;
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = CallOnHandle(env, handle, r, &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
-  }
-  if (reply.status != 0) {
-    return static_cast<base::Status>(reply.status);
   }
   return reply.len;
 }
@@ -1051,7 +1136,6 @@ base::Result<uint32_t> FsClient::ReadV(mk::Env& env, uint64_t handle,
   }
   FsRequest r;
   r.op = FsOp::kReadV;
-  r.handle = handle;
   r.extent_count = count;
   r.len = static_cast<uint32_t>(total);
   // The extent table rides out in the ref's send direction; the concatenated
@@ -1063,12 +1147,9 @@ base::Result<uint32_t> FsClient::ReadV(mk::Env& env, uint64_t handle,
   ref.send_len = static_cast<uint32_t>(count * sizeof(FsExtent));
   ref.recv_buf = data.data();
   ref.recv_cap = static_cast<uint32_t>(data.size());
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = CallOnHandle(env, handle, r, &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
-  }
-  if (reply.status != 0) {
-    return static_cast<base::Status>(reply.status);
   }
   // Scatter the concatenated payload back into the caller's buffers.
   uint32_t consumed = 0;
@@ -1113,58 +1194,44 @@ base::Result<uint32_t> FsClient::WriteV(mk::Env& env, uint64_t handle,
   }
   FsRequest r;
   r.op = FsOp::kWriteV;
-  r.handle = handle;
   r.extent_count = count;
   r.len = static_cast<uint32_t>(total);
   FsReply reply;
   mk::RpcRef ref;
   ref.send_data = bulk.data();
   ref.send_len = static_cast<uint32_t>(bulk.size());
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = CallOnHandle(env, handle, r, &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
-  }
-  if (reply.status != 0) {
-    return static_cast<base::Status>(reply.status);
   }
   return reply.len;
 }
 
 base::Result<FileAttr> FsClient::GetAttr(mk::Env& env, const std::string& path) {
-  FsRequest r;
-  r.op = FsOp::kGetAttr;
-  r.SetPath(path.c_str());
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = Call(env, PathRequest(FsOp::kGetAttr, path), &reply);
   if (st != base::Status::kOk) {
     return st;
   }
-  if (reply.status != 0) {
-    return static_cast<base::Status>(reply.status);
-  }
-  return FileAttr{.size = reply.attr.size, .directory = reply.attr.directory != 0};
+  return AttrOf(reply);
 }
 
 base::Result<FileAttr> FsClient::Stat(mk::Env& env, uint64_t handle) {
   if (cache_ != nullptr) {
     return cache_->Stat(env, *this, handle);
   }
-  return CacheStat(env, handle);
+  return UncachedStat(env, handle);
 }
 
-base::Result<FileAttr> FsClient::CacheStat(mk::Env& env, uint64_t handle) {
+base::Result<FileAttr> FsClient::UncachedStat(mk::Env& env, uint64_t handle) {
   FsRequest r;
   r.op = FsOp::kFsStat;
-  r.handle = handle;
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = CallOnHandle(env, handle, r, &reply);
   if (st != base::Status::kOk) {
     return st;
   }
-  if (reply.status != 0) {
-    return static_cast<base::Status>(reply.status);
-  }
-  return FileAttr{.size = reply.attr.size, .directory = reply.attr.directory != 0};
+  return AttrOf(reply);
 }
 
 base::Status FsClient::SetSize(mk::Env& env, uint64_t handle, uint64_t size) {
@@ -1179,37 +1246,25 @@ base::Status FsClient::SetSize(mk::Env& env, uint64_t handle, uint64_t size) {
   }
   FsRequest r;
   r.op = FsOp::kSetSize;
-  r.handle = handle;
   r.offset = size;
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
-  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
+  return CallOnHandle(env, handle, r, &reply);
 }
 
 base::Status FsClient::Mkdir(mk::Env& env, const std::string& path) {
-  FsRequest r;
-  r.op = FsOp::kMkdir;
-  r.SetPath(path.c_str());
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
-  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
+  return Call(env, PathRequest(FsOp::kMkdir, path), &reply);
 }
 
 base::Result<std::vector<DirEntry>> FsClient::ReadDir(mk::Env& env, const std::string& path) {
-  FsRequest r;
-  r.op = FsOp::kReadDir;
-  r.SetPath(path.c_str());
   FsReply reply;
   std::vector<FsDirEntryWire> wire(kFsMaxIo / sizeof(FsDirEntryWire));
   mk::RpcRef ref;
   ref.recv_buf = wire.data();
   ref.recv_cap = static_cast<uint32_t>(wire.size() * sizeof(FsDirEntryWire));
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = Call(env, PathRequest(FsOp::kReadDir, path), &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
-  }
-  if (reply.status != 0) {
-    return static_cast<base::Status>(reply.status);
   }
   std::vector<DirEntry> out;
   for (uint32_t i = 0; i < reply.len; ++i) {
@@ -1219,22 +1274,15 @@ base::Result<std::vector<DirEntry>> FsClient::ReadDir(mk::Env& env, const std::s
 }
 
 base::Status FsClient::Unlink(mk::Env& env, const std::string& path) {
-  FsRequest r;
-  r.op = FsOp::kUnlink;
-  r.SetPath(path.c_str());
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
-  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
+  return Call(env, PathRequest(FsOp::kUnlink, path), &reply);
 }
 
 base::Status FsClient::Rename(mk::Env& env, const std::string& from, const std::string& to) {
-  FsRequest r;
-  r.op = FsOp::kRename;
-  r.SetPath(from.c_str());
+  FsRequest r = PathRequest(FsOp::kRename, from);
   r.SetPath2(to.c_str());
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
-  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
+  return Call(env, r, &reply);
 }
 
 base::Status FsClient::Lock(mk::Env& env, uint64_t handle, uint64_t start, uint64_t len,
@@ -1250,13 +1298,11 @@ base::Status FsClient::Lock(mk::Env& env, uint64_t handle, uint64_t start, uint6
   }
   FsRequest r;
   r.op = FsOp::kLock;
-  r.handle = handle;
   r.offset = start;
   r.len = static_cast<uint32_t>(len);
   r.lock_exclusive = exclusive ? 1 : 0;
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
-  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
+  return CallOnHandle(env, handle, r, &reply);
 }
 
 base::Status FsClient::Unlock(mk::Env& env, uint64_t handle, uint64_t start, uint64_t len) {
@@ -1269,19 +1315,15 @@ base::Status FsClient::Unlock(mk::Env& env, uint64_t handle, uint64_t start, uin
   }
   FsRequest r;
   r.op = FsOp::kUnlock;
-  r.handle = handle;
   r.offset = start;
   r.len = static_cast<uint32_t>(len);
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
-  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
+  return CallOnHandle(env, handle, r, &reply);
 }
 
 base::Status FsClient::SetEa(mk::Env& env, const std::string& path, const std::string& key,
                              const std::string& value) {
-  FsRequest r;
-  r.op = FsOp::kSetEa;
-  r.SetPath(path.c_str());
+  FsRequest r = PathRequest(FsOp::kSetEa, path);
   // Key + value + both NULs must fit the fixed path2 buffer; anything larger
   // would overflow the request struct.
   if (key.size() + value.size() + 2 > kFsMaxPath) {
@@ -1290,27 +1332,21 @@ base::Status FsClient::SetEa(mk::Env& env, const std::string& path, const std::s
   std::memcpy(r.path2, key.c_str(), key.size() + 1);
   std::memcpy(r.path2 + key.size() + 1, value.c_str(), value.size() + 1);
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
-  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
+  return Call(env, r, &reply);
 }
 
 base::Result<std::string> FsClient::GetEa(mk::Env& env, const std::string& path,
                                           const std::string& key) {
-  FsRequest r;
-  r.op = FsOp::kGetEa;
-  r.SetPath(path.c_str());
+  FsRequest r = PathRequest(FsOp::kGetEa, path);
   r.SetPath2(key.c_str());
   FsReply reply;
   char value[256] = {};
   mk::RpcRef ref;
   ref.recv_buf = value;
   ref.recv_cap = sizeof(value) - 1;
-  const base::Status st = stub_.Call(env, r, &reply, &ref);
+  const base::Status st = Call(env, r, &reply, &ref);
   if (st != base::Status::kOk) {
     return st;
-  }
-  if (reply.status != 0) {
-    return static_cast<base::Status>(reply.status);
   }
   return std::string(value, reply.len);
 }
@@ -1326,15 +1362,11 @@ base::Result<FsMapping> FsClient::MapObject(mk::Env& env, uint64_t handle, uint6
   }
   FsRequest r;
   r.op = FsOp::kMapObject;
-  r.handle = handle;
   r.len = static_cast<uint32_t>(min_len);
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = CallOnHandle(env, handle, r, &reply);
   if (st != base::Status::kOk) {
     return st;
-  }
-  if (reply.status != 0) {
-    return static_cast<base::Status>(reply.status);
   }
   return FsMapping{reply.handle, reply.attr.size};
 }
@@ -1344,12 +1376,14 @@ base::Result<uint32_t> FsClient::UnmapObject(mk::Env& env, uint64_t object_id) {
   r.op = FsOp::kMapRelease;
   r.handle = object_id;
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
+  const base::Status st = Call(env, r, &reply);
+  if (robust() && st == base::Status::kInvalidArgument) {
+    // The instance that exported the object died, and its map counts with
+    // it: the object has no mappings the respawn knows about.
+    return 0u;
+  }
   if (st != base::Status::kOk) {
     return st;
-  }
-  if (reply.status != 0) {
-    return static_cast<base::Status>(reply.status);
   }
   return reply.len;
 }
@@ -1368,12 +1402,8 @@ base::Status FsClient::Sync(mk::Env& env) {
       return fl;
     }
   }
-  FsRequest r;
-  r.op = FsOp::kSync;
-  r.SetPath("/");
   FsReply reply;
-  const base::Status st = stub_.Call(env, r, &reply);
-  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
+  return Call(env, PathRequest(FsOp::kSync, "/"), &reply);
 }
 
 }  // namespace svc

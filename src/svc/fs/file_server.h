@@ -15,11 +15,14 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/mk/kernel.h"
+#include "src/mk/rpc_robust.h"
 #include "src/mk/server_loop.h"
+#include "src/mks/naming/name_server.h"
 #include "src/svc/fs/fs_cache.h"
 #include "src/svc/fs/pfs.h"
 #include "src/svc/fs/protocol.h"
@@ -31,7 +34,7 @@ class FileServer {
   // `handle_base` is where handle numbering starts. A restart factory passes
   // a per-generation base so a client's stale handle from the crashed
   // instance can never alias a live handle on the respawn — it fails with
-  // kInvalidArgument and the robust session re-opens.
+  // kInvalidArgument and a robust FsClient re-opens.
   FileServer(mk::Kernel& kernel, mk::Task* task, uint64_t handle_base = 1);
 
   // Mounts `pfs` at `prefix` (e.g. "/os2"). Must happen before Run serves
@@ -194,24 +197,61 @@ struct FsMapping {
   uint64_t size = 0;
 };
 
-// Client library: the RPC stubs a personality links against.
-class FsClient : private FsCacheBackend {
+// Client library: the RPC stubs a personality links against. Every operation
+// marshals its FsRequest once and sends it through one call path, over one
+// of two transports chosen at construction:
+//
+//   - plain: a send right to the server. Handles are the server's own, so a
+//     forked UNIX child keeps using its parent's through the fd table.
+//   - robust: the server is resolved by name through the name service and
+//     re-resolved when it dies or times out (mk::RpcCallRobust). Handles are
+//     client-local and stable across a crash: each remembers its path, flags
+//     and share mode, and a handle operation the respawned server answers
+//     with kInvalidArgument (it never saw our open) re-opens the file by
+//     path once and retries. The file server keeps its state on the
+//     simulated disk, so after restart-manager respawn plus re-open a
+//     mid-workload crash is invisible to the caller.
+//
+// Robust-mode notes:
+//   - Calls are at-least-once: a reply lost to a crash is retried, so an
+//     Open may occasionally leave an orphaned open on a server that executed
+//     the first attempt. Restrictive deny-modes can therefore refuse a
+//     retried open; kDenyNone clients are unaffected.
+//   - Re-opens strip kFsExclusive and kFsTruncate — the file already exists
+//     and its contents must be preserved.
+//   - Byte-range locks are not re-acquired after a restart: the respawned
+//     server never saw them, and Lock/Unlock on a handle it does not know
+//     answer kNotFound.
+//   - When the restart manager has given up on the server (degraded mode),
+//     calls return kUnavailable.
+class FsClient {
  public:
-  // `call_timeout_ns` bounds every RPC in simulated time (kForever = none):
-  // a wedged server then surfaces as kTimedOut instead of a hung client.
-  explicit FsClient(mk::PortName service, uint64_t call_timeout_ns = mk::kForever)
-      : stub_("svc.fs.client", service) {
-    stub_.set_default_timeout_ns(call_timeout_ns);
-  }
+  // Plain transport. `call_timeout_ns` bounds every RPC in simulated time
+  // (kForever = none): a wedged server then surfaces as kTimedOut instead of
+  // a hung client.
+  explicit FsClient(mk::PortName service, uint64_t call_timeout_ns = mk::kForever);
+  // Robust transport. `name_service` is a send right to the name service in
+  // the caller's task; `fs_name` is the name the file server (and its
+  // respawns) register under.
+  FsClient(mk::PortName name_service, std::string fs_name,
+           const mk::RobustCallOptions& opts = mk::RobustCallOptions());
 
-  // Re-bounds every subsequent RPC (in-flight calls keep their deadline).
-  void set_call_timeout_ns(uint64_t ns) { stub_.set_default_timeout_ns(ns); }
+  // Re-bounds every subsequent plain-transport RPC (in-flight calls keep
+  // their deadline).
+  void set_call_timeout_ns(uint64_t ns) { call_timeout_ns_ = ns; }
 
   // Turns on the client-side cache (attr + read-ahead + write-behind).
   // Default-off: until this call every operation is a straight RPC and the
   // committed bench baselines are reproduced bit-for-bit.
-  void EnableCache(const FsCacheOptions& opts = FsCacheOptions());
+  void EnableCache();
   FsCache* cache() { return cache_.get(); }
+  // Coherence hook for restart-manager death notices: drops the cache's
+  // clean state, as a robust re-open does, without needing an Env.
+  void OnServerDeath() {
+    if (cache_ != nullptr) {
+      cache_->BumpGeneration();
+    }
+  }
 
   base::Result<uint64_t> Open(mk::Env& env, const std::string& path, uint32_t flags = 0,
                               FsShare share = FsShare::kDenyNone);
@@ -245,23 +285,60 @@ class FsClient : private FsCacheBackend {
   // Exports a memory object for the open file (server must have
   // EnableMapping); `min_len` sizes the object to at least that many bytes so
   // a mapping larger than the current file is honoured. Pending write-behind
-  // for the handle is flushed first so mapped pages observe it.
+  // for the handle is flushed first so mapped pages observe it. After a
+  // server restart a robust client gets the NEW instance's object id: pass it
+  // to mk::Kernel::AdoptPagerBacking to re-point a surviving mapped object at
+  // the respawn, so clean pages refault against the current generation.
   base::Result<FsMapping> MapObject(mk::Env& env, uint64_t handle, uint64_t min_len = 0);
   // Drops one mapping reference; returns the references remaining server-side.
+  // In robust mode an id the current instance never exported (it died with
+  // the mappings) answers 0 remaining rather than an error.
   base::Result<uint32_t> UnmapObject(mk::Env& env, uint64_t object_id);
   // Publishes the handle's write-behind run to the server (no-op without the
   // cache). Mapped readers of the same file need this after cached writes.
   base::Status Flush(mk::Env& env, uint64_t handle);
 
  private:
-  // FsCacheBackend: the raw single-RPC path the cache misses into.
-  base::Result<uint32_t> CacheRead(mk::Env& env, uint64_t handle, uint64_t offset, void* out,
-                                   uint32_t len) override;
-  base::Result<uint32_t> CacheWrite(mk::Env& env, uint64_t handle, uint64_t offset,
-                                    const void* data, uint32_t len) override;
-  base::Result<FileAttr> CacheStat(mk::Env& env, uint64_t handle) override;
+  friend class FsCache;
 
-  mk::ClientStub stub_;
+  // What a robust handle needs to re-open its file on a respawned server.
+  struct OpenState {
+    std::string path;
+    uint32_t flags = 0;
+    FsShare share = FsShare::kDenyNone;
+    uint64_t server_handle = 0;
+  };
+
+  bool robust() const { return names_.has_value(); }
+  // The one call path: charges the client stub region, sends `req` over the
+  // plain or robust transport, and returns the transport's failure or else
+  // the server's reply status.
+  base::Status Call(mk::Env& env, const FsRequest& req, FsReply* reply,
+                    mk::RpcRef* ref = nullptr);
+  // Call for an operation on an open file: fills in the server's handle for
+  // `handle` and, in robust mode, re-opens once on kInvalidArgument.
+  base::Status CallOnHandle(mk::Env& env, uint64_t handle, FsRequest& req, FsReply* reply,
+                            mk::RpcRef* ref = nullptr);
+  base::Status Reopen(mk::Env& env, OpenState& state);
+
+  // The uncached single-RPC paths FsCache misses and flushes into.
+  base::Result<uint32_t> UncachedRead(mk::Env& env, uint64_t handle, uint64_t offset, void* out,
+                                      uint32_t len);
+  base::Result<uint32_t> UncachedWrite(mk::Env& env, uint64_t handle, uint64_t offset,
+                                       const void* data, uint32_t len);
+  base::Result<FileAttr> UncachedStat(mk::Env& env, uint64_t handle);
+
+  hw::CodeRegion stub_region_;
+  // Plain: the server's port. Robust: the last resolved right (kNullPort
+  // until the first call, and again after the server died or timed out).
+  mk::PortName port_;
+  uint64_t call_timeout_ns_ = mk::kForever;
+  // Robust transport: engaged by the name-service constructor.
+  std::optional<mks::NameClient> names_;
+  std::string fs_name_;
+  mk::RobustCallOptions robust_opts_;
+  std::map<uint64_t, OpenState> opens_;  // by client-local handle
+  uint64_t next_local_ = 1;
   std::unique_ptr<FsCache> cache_;  // null = caching off
 };
 

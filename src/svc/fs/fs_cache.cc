@@ -3,9 +3,17 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/svc/fs/file_server.h"
+
 namespace svc {
 
 namespace {
+// Extra bytes fetched past a sequential read miss (capped so the fetch stays
+// within one kFsMaxIo RPC).
+constexpr uint32_t kReadaheadBytes = 32 * 1024;
+// Write-behind bound: a coalescing run is flushed once it reaches this.
+constexpr uint32_t kWritebackMaxBytes = 64 * 1024;
+
 // The cache's own lookup/copy work, charged like any other client library
 // code so a hit is cheap but not free.
 const hw::CodeRegion& CacheHitRegion() {
@@ -21,8 +29,6 @@ bool Overlaps(uint64_t a_off, uint64_t a_len, uint64_t b_off, uint64_t b_len) {
   return a_off < b_off + b_len && b_off < a_off + a_len;
 }
 }  // namespace
-
-FsCache::FsCache(const FsCacheOptions& opts) : opts_(opts) {}
 
 void FsCache::Observe(mk::Env& env) {
   if (tracer_ == nullptr) {
@@ -59,13 +65,13 @@ void FsCache::CountInvalidate(uint64_t handle) {
   }
 }
 
-base::Status FsCache::Flush(mk::Env& env, FsCacheBackend& be, uint64_t handle, HandleState& s) {
+base::Status FsCache::Flush(mk::Env& env, FsClient& client, uint64_t handle, HandleState& s) {
   if (s.wb_data.empty()) {
     return base::Status::kOk;
   }
-  // Hand the run back before the backend call: a flush error must not leave
-  // the same bytes queued forever (every later call would re-fail), and the
-  // robust backend may re-enter the cache owner during a re-open.
+  // Hand the run back before the client call: a flush error must not leave
+  // the same bytes queued forever (every later call would re-fail), and a
+  // robust client's re-open re-enters the cache (BumpGeneration).
   const uint64_t offset = s.wb_offset;
   std::vector<uint8_t> run = std::move(s.wb_data);
   s.wb_data.clear();
@@ -73,7 +79,7 @@ base::Status FsCache::Flush(mk::Env& env, FsCacheBackend& be, uint64_t handle, H
   while (done < run.size()) {
     const uint32_t chunk =
         static_cast<uint32_t>(std::min<uint64_t>(run.size() - done, kFsMaxIo));
-    auto wrote = be.CacheWrite(env, handle, offset + done, run.data() + done, chunk);
+    auto wrote = client.UncachedWrite(env, handle, offset + done, run.data() + done, chunk);
     if (!wrote.ok()) {
       return wrote.status();
     }
@@ -89,7 +95,7 @@ base::Status FsCache::Flush(mk::Env& env, FsCacheBackend& be, uint64_t handle, H
   return base::Status::kOk;
 }
 
-base::Result<uint32_t> FsCache::Read(mk::Env& env, FsCacheBackend& be, uint64_t handle,
+base::Result<uint32_t> FsCache::Read(mk::Env& env, FsClient& client, uint64_t handle,
                                      uint64_t offset, void* out, uint32_t len) {
   Observe(env);
   HandleState& s = handles_[handle];
@@ -110,7 +116,7 @@ base::Result<uint32_t> FsCache::Read(mk::Env& env, FsCacheBackend& be, uint64_t 
   CountMiss();
   // The fetch observes the server's file, so pending write-behind data for
   // this handle must land first — uncached, those writes already would have.
-  const base::Status fl = Flush(env, be, handle, s);
+  const base::Status fl = Flush(env, client, handle, s);
   if (fl != base::Status::kOk) {
     return fl;
   }
@@ -118,11 +124,11 @@ base::Result<uint32_t> FsCache::Read(mk::Env& env, FsCacheBackend& be, uint64_t 
   uint32_t fetch_len = len;
   if (offset == s.expected_next) {
     fetch_len = static_cast<uint32_t>(
-        std::min<uint64_t>(static_cast<uint64_t>(len) + opts_.readahead_bytes, kFsMaxIo));
+        std::min<uint64_t>(static_cast<uint64_t>(len) + kReadaheadBytes, kFsMaxIo));
   }
   if (fetch_len <= len) {
     // No read-ahead: serve straight into the caller's buffer.
-    auto got = be.CacheRead(env, handle, offset, out, len);
+    auto got = client.UncachedRead(env, handle, offset, out, len);
     if (!got.ok()) {
       return got;
     }
@@ -131,7 +137,7 @@ base::Result<uint32_t> FsCache::Read(mk::Env& env, FsCacheBackend& be, uint64_t 
     return got;
   }
   std::vector<uint8_t> buf(fetch_len);
-  auto got = be.CacheRead(env, handle, offset, buf.data(), fetch_len);
+  auto got = client.UncachedRead(env, handle, offset, buf.data(), fetch_len);
   if (!got.ok()) {
     return got;
   }
@@ -144,7 +150,7 @@ base::Result<uint32_t> FsCache::Read(mk::Env& env, FsCacheBackend& be, uint64_t 
   return user;
 }
 
-base::Result<uint32_t> FsCache::Write(mk::Env& env, FsCacheBackend& be, uint64_t handle,
+base::Result<uint32_t> FsCache::Write(mk::Env& env, FsClient& client, uint64_t handle,
                                       uint64_t offset, const void* data, uint32_t len) {
   Observe(env);
   HandleState& s = handles_[handle];
@@ -161,12 +167,12 @@ base::Result<uint32_t> FsCache::Write(mk::Env& env, FsCacheBackend& be, uint64_t
   }
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   // Oversized writes skip the buffer: flush what's pending, go straight out.
-  if (len >= opts_.writeback_max_bytes) {
-    const base::Status fl = Flush(env, be, handle, s);
+  if (len >= kWritebackMaxBytes) {
+    const base::Status fl = Flush(env, client, handle, s);
     if (fl != base::Status::kOk) {
       return fl;
     }
-    return be.CacheWrite(env, handle, offset, data, len);
+    return client.UncachedWrite(env, handle, offset, data, len);
   }
   if (s.wb_data.empty()) {
     s.wb_offset = offset;
@@ -179,15 +185,15 @@ base::Result<uint32_t> FsCache::Write(mk::Env& env, FsCacheBackend& be, uint64_t
     std::memcpy(s.wb_data.data() + (offset - s.wb_offset), bytes, len);
   } else {
     // Non-contiguous: the old run goes out, a new one starts here.
-    const base::Status fl = Flush(env, be, handle, s);
+    const base::Status fl = Flush(env, client, handle, s);
     if (fl != base::Status::kOk) {
       return fl;
     }
     s.wb_offset = offset;
     s.wb_data.assign(bytes, bytes + len);
   }
-  if (s.wb_data.size() >= opts_.writeback_max_bytes) {
-    const base::Status fl = Flush(env, be, handle, s);
+  if (s.wb_data.size() >= kWritebackMaxBytes) {
+    const base::Status fl = Flush(env, client, handle, s);
     if (fl != base::Status::kOk) {
       return fl;
     }
@@ -195,7 +201,7 @@ base::Result<uint32_t> FsCache::Write(mk::Env& env, FsCacheBackend& be, uint64_t
   return len;
 }
 
-base::Result<FileAttr> FsCache::Stat(mk::Env& env, FsCacheBackend& be, uint64_t handle) {
+base::Result<FileAttr> FsCache::Stat(mk::Env& env, FsClient& client, uint64_t handle) {
   Observe(env);
   HandleState& s = handles_[handle];
   if (s.attr_valid) {
@@ -206,11 +212,11 @@ base::Result<FileAttr> FsCache::Stat(mk::Env& env, FsCacheBackend& be, uint64_t 
   env.kernel().cpu().Execute(CacheMissRegion());
   CountMiss();
   // The server must see pending writes before it reports a size.
-  const base::Status fl = Flush(env, be, handle, s);
+  const base::Status fl = Flush(env, client, handle, s);
   if (fl != base::Status::kOk) {
     return fl;
   }
-  auto attr = be.CacheStat(env, handle);
+  auto attr = client.UncachedStat(env, handle);
   if (!attr.ok()) {
     return attr;
   }
@@ -219,20 +225,20 @@ base::Result<FileAttr> FsCache::Stat(mk::Env& env, FsCacheBackend& be, uint64_t 
   return attr;
 }
 
-base::Status FsCache::FlushHandle(mk::Env& env, FsCacheBackend& be, uint64_t handle) {
+base::Status FsCache::FlushHandle(mk::Env& env, FsClient& client, uint64_t handle) {
   auto it = handles_.find(handle);
   if (it == handles_.end()) {
     return base::Status::kOk;
   }
   Observe(env);
-  return Flush(env, be, handle, it->second);
+  return Flush(env, client, handle, it->second);
 }
 
-base::Status FsCache::FlushAll(mk::Env& env, FsCacheBackend& be) {
+base::Status FsCache::FlushAll(mk::Env& env, FsClient& client) {
   Observe(env);
   base::Status first = base::Status::kOk;
   for (auto& [handle, s] : handles_) {
-    const base::Status st = Flush(env, be, handle, s);
+    const base::Status st = Flush(env, client, handle, s);
     if (st != base::Status::kOk && first == base::Status::kOk) {
       first = st;
     }
@@ -240,8 +246,8 @@ base::Status FsCache::FlushAll(mk::Env& env, FsCacheBackend& be) {
   return first;
 }
 
-base::Status FsCache::CloseHandle(mk::Env& env, FsCacheBackend& be, uint64_t handle) {
-  const base::Status st = FlushHandle(env, be, handle);
+base::Status FsCache::CloseHandle(mk::Env& env, FsClient& client, uint64_t handle) {
+  const base::Status st = FlushHandle(env, client, handle);
   handles_.erase(handle);
   return st;
 }
@@ -262,30 +268,8 @@ void FsCache::PrimeAttr(uint64_t handle, const FileAttr& attr) {
   s.attr_valid = true;
 }
 
-bool FsCache::LookupName(const std::string& name, mk::PortName* out) const {
-  auto it = names_.find(name);
-  if (it == names_.end()) {
-    return false;
-  }
-  *out = it->second;
-  return true;
-}
-
-bool FsCache::TakeName(const std::string& name, mk::PortName* out) {
-  auto it = names_.find(name);
-  if (it == names_.end()) {
-    return false;
-  }
-  *out = it->second;
-  names_.erase(it);
-  return true;
-}
-
-void FsCache::StoreName(const std::string& name, mk::PortName right) { names_[name] = right; }
-
 void FsCache::BumpGeneration() {
   ++generation_;
-  names_.clear();
   for (auto& [handle, s] : handles_) {
     s.attr_valid = false;
     s.ra_data.clear();

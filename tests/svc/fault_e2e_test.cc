@@ -1,6 +1,6 @@
 // End-to-end fault-injection campaign: the file server is crashed by the
 // injector mid-workload, the restart manager respawns it, and a client
-// going through RobustFsSession never notices — every open/write/read/close
+// going through a robust FsClient never notices — every open/write/read/close
 // in the workload succeeds, for ANY seed.
 //
 // The seed comes from WPOS_FAULT_SEED (default 1) so CI can soak many
@@ -21,7 +21,6 @@
 #include "src/mks/restart/restart_manager.h"
 #include "src/svc/fs/block_cache.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/fs_robust.h"
 #include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
@@ -112,7 +111,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToRobustClient) {
     ASSERT_TRUE(right.ok());
     ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
 
-    RobustFsSession session(ns_for_client_, kFsName);
+    FsClient session(ns_for_client_, kFsName);
     auto handle = session.Open(env, "/campaign.dat", kFsCreate | kFsWrite);
     ASSERT_TRUE(handle.ok()) << base::StatusName(handle.status());
     for (uint32_t i = 0; i < 40; ++i) {
@@ -177,7 +176,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToCachedRobustClient) {
     ASSERT_TRUE(right.ok());
     ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
 
-    RobustFsSession session(ns_for_client_, kFsName);
+    FsClient session(ns_for_client_, kFsName);
     session.EnableCache();
     // Death notices reach the cache the way a real client would wire it: the
     // restart manager fans out to every registered listener before respawn.
@@ -237,7 +236,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToCachedRobustClient) {
 }
 
 TEST_F(FaultE2eTest, BulkOolWritesSurviveMessageCopyFaults) {
-  // Large payloads ride the OOL path through RobustFsSession while the
+  // Large payloads ride the OOL path through a robust FsClient while the
   // injector fails message transfers with kBusy at kMessageCopy. The retry
   // loop must re-arm the bulk descriptor each attempt so every record still
   // round-trips bit-exact.
@@ -258,7 +257,7 @@ TEST_F(FaultE2eTest, BulkOolWritesSurviveMessageCopyFaults) {
     kernel_.faults().Arm(mk::fault::FaultPoint::kMessageCopy,
                          mk::fault::FaultMode::kTransientError, 15, /*max_fires=*/3);
 
-    RobustFsSession session(ns_for_client_, kFsName);
+    FsClient session(ns_for_client_, kFsName);
     auto handle = session.Open(env, "/bulk-campaign.dat", kFsCreate | kFsWrite);
     ASSERT_TRUE(handle.ok()) << base::StatusName(handle.status());
     constexpr uint32_t kBlock = 8 * 1024;  // every record moves out-of-line
@@ -293,6 +292,131 @@ TEST_F(FaultE2eTest, BulkOolWritesSurviveMessageCopyFaults) {
         << "the default campaign must actually hit the transfer fault";
   }
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+}
+
+// The rest of the robust client's surface under the same seeded crash
+// arming: scatter/gather I/O, resize, directory and EA operations all
+// succeed through respawns, and every read returns what was written.
+TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleAcrossTheWholeClientApi) {
+  const uint64_t seed = CampaignSeed();
+  kernel_.faults().Enable(seed);
+  kernel_.faults().Arm(mk::fault::FaultPoint::kServerHandlerEntry,
+                       mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2);
+
+  kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
+    mks::NameClient nc(ns_for_client_);
+    auto right =
+        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
+    ASSERT_TRUE(right.ok());
+    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+
+    FsClient fs(ns_for_client_, kFsName);
+    for (uint32_t i = 0; i < 8; ++i) {
+      const std::string dir = "/dir" + std::to_string(i);
+      const std::string from = dir + "/from.dat";
+      const std::string to = dir + "/to.dat";
+      ASSERT_EQ(fs.Mkdir(env, dir), base::Status::kOk) << dir;
+      auto h = fs.Open(env, from, kFsCreate | kFsWrite);
+      ASSERT_TRUE(h.ok()) << base::StatusName(h.status());
+
+      char head[32];
+      char tail[48];
+      std::memset(head, 'a' + i, sizeof(head));
+      std::memset(tail, 'A' + i, sizeof(tail));
+      const FsWriteExtent out[] = {{0, head, sizeof(head)}, {64, tail, sizeof(tail)}};
+      auto wrote = fs.WriteV(env, *h, out, 2);
+      ASSERT_TRUE(wrote.ok()) << "writev " << i << ": " << base::StatusName(wrote.status());
+      ASSERT_EQ(*wrote, sizeof(head) + sizeof(tail));
+      char head_back[32] = {};
+      char tail_back[48] = {};
+      const FsReadExtent in[] = {{0, head_back, sizeof(head_back)},
+                                 {64, tail_back, sizeof(tail_back)}};
+      auto got = fs.ReadV(env, *h, in, 2);
+      ASSERT_TRUE(got.ok()) << "readv " << i << ": " << base::StatusName(got.status());
+      ASSERT_EQ(*got, sizeof(head) + sizeof(tail));
+      EXPECT_EQ(std::memcmp(head_back, head, sizeof(head)), 0);
+      EXPECT_EQ(std::memcmp(tail_back, tail, sizeof(tail)), 0);
+
+      ASSERT_EQ(fs.SetSize(env, *h, 40 + i), base::Status::kOk) << "setsize " << i;
+      auto attr = fs.Stat(env, *h);
+      ASSERT_TRUE(attr.ok()) << "stat " << i << ": " << base::StatusName(attr.status());
+      EXPECT_EQ(attr->size, 40u + i);
+      ASSERT_EQ(fs.Close(env, *h), base::Status::kOk);
+
+      ASSERT_EQ(fs.Rename(env, from, to), base::Status::kOk) << "rename " << i;
+      auto entries = fs.ReadDir(env, dir);
+      ASSERT_TRUE(entries.ok()) << "readdir " << i << ": " << base::StatusName(entries.status());
+      ASSERT_EQ(entries->size(), 1u);
+      EXPECT_EQ((*entries)[0].name, "to.dat");
+
+      const std::string value = "generation-proof " + std::to_string(i);
+      ASSERT_EQ(fs.SetEa(env, to, ".TYPE", value), base::Status::kOk) << "setea " << i;
+      auto ea = fs.GetEa(env, to, ".TYPE");
+      ASSERT_TRUE(ea.ok()) << "getea " << i << ": " << base::StatusName(ea.status());
+      EXPECT_EQ(*ea, value);
+      ASSERT_EQ(fs.Unlink(env, to), base::Status::kOk) << "unlink " << i;
+    }
+
+    kernel_.faults().DisarmAll();
+    servers_.back()->Stop();
+    mgr_->Stop();
+    ns_->Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+
+  const uint64_t crashes =
+      kernel_.faults().fires(mk::fault::FaultPoint::kServerHandlerEntry);
+  EXPECT_EQ(mgr_->total_restarts(), crashes);
+  EXPECT_EQ(kernel_.tracer().metrics().Counter("restart.total"), crashes);
+  EXPECT_EQ(servers_.size(), 1 + crashes);
+  EXPECT_FALSE(mgr_->degraded(kFsName));
+  if (seed == 1) {
+    EXPECT_GT(crashes, 0u) << "the default campaign must actually crash the server";
+  }
+  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+}
+
+// Regression: the robust client once marshalled reads itself and did not cap
+// `len` at kFsMaxIo, so an oversized read drew kInvalidArgument, triggered a
+// spurious re-open and leaked a server-side open. With one marshalling path
+// it behaves exactly like the plain client. No faults are armed.
+TEST_F(FaultE2eTest, RobustClientCapsOversizedReadsLikePlainClient) {
+  kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
+    mks::NameClient nc(ns_for_client_);
+    auto right =
+        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
+    ASSERT_TRUE(right.ok());
+    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+
+    constexpr uint32_t kFileSize = 16 * 1024;
+    std::vector<uint8_t> data(kFileSize, 0x5a);
+    std::vector<uint8_t> back(200 * 1024);
+    FsClient plain(*right);
+    auto ph = plain.Open(env, "/capped.dat", kFsCreate | kFsWrite);
+    ASSERT_TRUE(ph.ok());
+    ASSERT_TRUE(plain.Write(env, *ph, 0, data.data(), kFileSize).ok());
+    auto got = plain.Read(env, *ph, 0, back.data(), static_cast<uint32_t>(back.size()));
+    ASSERT_TRUE(got.ok()) << base::StatusName(got.status());
+    EXPECT_EQ(*got, kFileSize);
+    ASSERT_EQ(plain.Close(env, *ph), base::Status::kOk);
+
+    FsClient robust(ns_for_client_, kFsName);
+    const uint64_t opens_before = servers_[0]->opens();
+    auto rh = robust.Open(env, "/capped.dat");
+    ASSERT_TRUE(rh.ok());
+    got = robust.Read(env, *rh, 0, back.data(), static_cast<uint32_t>(back.size()));
+    ASSERT_TRUE(got.ok()) << base::StatusName(got.status());
+    EXPECT_EQ(*got, kFileSize);
+    EXPECT_EQ(servers_[0]->opens(), opens_before + 1) << "an oversized read must not re-open";
+    ASSERT_EQ(robust.Close(env, *rh), base::Status::kOk);
+    EXPECT_EQ(servers_[0]->open_files(), 0u) << "no server-side open may leak";
+
+    servers_.back()->Stop();
+    mgr_->Stop();
+    ns_->Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(servers_.size(), 1u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 //     VmObject at it;
 //   - dirty mapped pages SURVIVE the crash (the client's copy is the only
 //     copy) and reach the disk afterwards by msync-style replay through the
-//     RobustFsSession, which re-opens the file on the new instance
+//     robust FsClient, which re-opens the file on the new instance
 //     transparently.
 //
 // The seed comes from WPOS_FAULT_SEED (default 1) so the CI fault-soak can
@@ -23,7 +23,6 @@
 #include "src/mks/restart/restart_manager.h"
 #include "src/svc/fs/block_cache.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/fs_robust.h"
 #include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
@@ -110,7 +109,7 @@ TEST_F(FaultMmapE2eTest, CrashWithLiveMappingRecoversCleanAndDirtyPages) {
     ASSERT_TRUE(right.ok());
     ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
 
-    RobustFsSession session(ns_for_client_, kFsName);
+    FsClient session(ns_for_client_, kFsName);
     // Death notices wired the way a mapping-aware client runtime would: drop
     // the session's cached state AND every clean mapped page — the pager that
     // produced those pages died with its instance. Dirty pages are kept: the
@@ -237,7 +236,7 @@ TEST_F(FaultMmapE2eTest, MappedReadsStayCoherentAcrossRandomCrashes) {
     ASSERT_TRUE(right.ok());
     ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
 
-    RobustFsSession session(ns_for_client_, kFsName);
+    FsClient session(ns_for_client_, kFsName);
     std::shared_ptr<mk::VmObject> mapped;
     mgr_->AddDeathListener([&](const std::string& name) {
       if (name != kFsName) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/svc/fs/fat.h"
 #include "src/svc/fs/file_server.h"
 #include "src/svc/fs/inode_fs.h"
@@ -327,10 +329,60 @@ TEST_F(FileServerTest, HandleStatReturnsAttrsWithoutPathWalk) {
     ASSERT_TRUE(attr.ok());
     EXPECT_EQ(attr->size, sizeof(payload));
     EXPECT_FALSE(attr->directory);
+    // SetSize is a handle op too: it needs no path.
+    ASSERT_EQ(fs.SetSize(env, *h, 100), base::Status::kOk);
+    attr = fs.Stat(env, *h);
+    ASSERT_TRUE(attr.ok());
+    EXPECT_EQ(attr->size, 100u);
     ASSERT_EQ(fs.Close(env, *h), base::Status::kOk);
-    // A closed (stale) handle answers kInvalidArgument — the signal the
-    // robust session re-opens on, never a crash on an empty path.
+    // A closed (stale) handle answers kInvalidArgument — the signal a robust
+    // FsClient re-opens on, never a crash on an empty path.
     EXPECT_EQ(fs.Stat(env, *h).status(), base::Status::kInvalidArgument);
+    EXPECT_EQ(fs.SetSize(env, *h, 0), base::Status::kInvalidArgument);
+  });
+}
+
+TEST_F(FileServerTest, EmptyOrRelativePathIsNotFound) {
+  // Regression: the root mount's prefix strip used to throw std::out_of_range
+  // on an empty path, killing the whole simulator, and walked "foo" as "oo".
+  // Like POSIX open(""), every path op now fails with kNotFound.
+  RunClient([&](mk::Env& env, FsClient& fs) {
+    for (const char* bad : {"", "foo"}) {
+      EXPECT_EQ(fs.Open(env, bad, kFsCreate | kFsWrite).status(), base::Status::kNotFound)
+          << "'" << bad << "'";
+      EXPECT_EQ(fs.Mkdir(env, bad), base::Status::kNotFound);
+      EXPECT_EQ(fs.Unlink(env, bad), base::Status::kNotFound);
+      EXPECT_EQ(fs.GetAttr(env, bad).status(), base::Status::kNotFound);
+      EXPECT_EQ(fs.Rename(env, bad, "/renamed.txt"), base::Status::kNotFound);
+    }
+    auto h = fs.Open(env, "/rename-me.txt", kFsCreate | kFsWrite);
+    ASSERT_TRUE(h.ok()) << base::StatusName(h.status());
+    ASSERT_EQ(fs.Close(env, *h), base::Status::kOk);
+    EXPECT_EQ(fs.Rename(env, "/rename-me.txt", ""), base::Status::kNotFound);
+    EXPECT_TRUE(fs.GetAttr(env, "/rename-me.txt").ok());
+  });
+}
+
+TEST_F(FileServerTest, UnterminatedPathFieldsAreInvalidArgument) {
+  // Regression: a hand-built request whose path or path2 holds no NUL was
+  // read as a C string past the end of the request (an ASan stack-buffer
+  // overflow). Dispatch now refuses it before any handler runs.
+  RunClient([&](mk::Env& env, FsClient& fs) {
+    for (const bool second : {false, true}) {
+      FsRequest r;
+      r.op = second ? FsOp::kRename : FsOp::kOpen;
+      r.flags = kFsCreate | kFsWrite;
+      r.SetPath("/ok.txt");
+      std::memset(second ? r.path2 : r.path, 'x', kFsMaxPath);
+      FsReply reply;
+      ASSERT_EQ(env.RpcCall(service_, &r, sizeof(r), &reply, sizeof(reply)),
+                base::Status::kOk);
+      EXPECT_EQ(reply.status, static_cast<int32_t>(base::Status::kInvalidArgument))
+          << (second ? "path2" : "path");
+    }
+    auto h = fs.Open(env, "/canary.txt", kFsCreate | kFsWrite);
+    ASSERT_TRUE(h.ok()) << base::StatusName(h.status());
+    EXPECT_EQ(fs.Close(env, *h), base::Status::kOk);
   });
 }
 

@@ -211,23 +211,6 @@ TEST_F(FsCacheTest, GenerationBumpDropsCleanStateKeepsDirty) {
   });
 }
 
-TEST_F(FsCacheTest, NameCacheStoresTakesAndDropsOnBump) {
-  FsCache cache;
-  cache.StoreName("svc.fs", 42);
-  mk::PortName out = mk::kNullPort;
-  ASSERT_TRUE(cache.LookupName("svc.fs", &out));
-  EXPECT_EQ(out, 42u);
-  // TakeName is one-shot: the robust resolver must not be handed the same
-  // possibly-stale right twice.
-  out = mk::kNullPort;
-  ASSERT_TRUE(cache.TakeName("svc.fs", &out));
-  EXPECT_EQ(out, 42u);
-  EXPECT_FALSE(cache.TakeName("svc.fs", &out));
-  cache.StoreName("svc.fs", 43);
-  cache.BumpGeneration();
-  EXPECT_FALSE(cache.LookupName("svc.fs", &out)) << "a new generation trusts no cached name";
-}
-
 // With the cache left off, the client must be bit-for-bit the old one: same
 // RPC count, same server-side op mix. This is the bench-baseline guarantee.
 TEST_F(FsCacheTest, DisabledCacheChangesNothing) {

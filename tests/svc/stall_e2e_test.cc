@@ -20,7 +20,6 @@
 #include "src/mks/restart/restart_manager.h"
 #include "src/svc/fs/block_cache.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/fs_robust.h"
 #include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
@@ -154,7 +153,7 @@ TEST_F(StallE2eTest, WedgedServerIsShedKilledAndRestartedUnderClientsNoses) {
         (void)env.SleepNs(200'000);
       }
 
-      RobustFsSession session(ns_for_client_, kFsName, BoundedOpts());
+      FsClient session(ns_for_client_, kFsName, BoundedOpts());
       const std::string path = "/stall-" + std::to_string(c) + ".dat";
       auto handle = session.Open(env, path, kFsCreate | kFsWrite);
       ASSERT_TRUE(handle.ok()) << base::StatusName(handle.status());

@@ -26,10 +26,10 @@ CI gate they still hold if someone weakens the in-binary asserts.
 
 With --exact FRESH=BASELINE (repeatable), additionally requires the fresh
 report to equal the committed one byte for byte. Simulated bench output is
-deterministic, so a Release build reproduces the committed BENCH_table1.json
-and BENCH_table2.json exactly; any difference means a simulated number
-moved. A refactor that claims "same numbers" is held to that, and a change
-that moves a number on purpose must re-baseline the file in the same change.
+deterministic, so a Release build reproduces every committed BENCH_*.json
+exactly; any difference means a simulated number moved. A refactor that
+claims "same numbers" is held to that, and a change that moves a number on
+purpose must re-baseline the file in the same change.
 
 Usage:
   tools/bench_delta.py --fresh bench_table2.json \

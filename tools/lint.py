@@ -48,6 +48,14 @@ Checks, over every header and source file under src/ and tests/:
      and the kServerHandlerEntry fault point; a hand-rolled loop would
      silently drop all of those. tests/ and bench/ keep raw loops because
      they measure the kernel path itself.
+  8. One file client (src/ only): `FsOp::` may appear only in the file
+     server's protocol and implementation (src/svc/fs/protocol.h,
+     src/svc/fs/file_server.h, src/svc/fs/file_server.cc). svc::FsClient
+     marshals every file-server request once, over the plain or the robust
+     transport; a second hand-marshalled copy elsewhere drifts from it
+     (a read that skips the kFsMaxIo cap, a missing ReadV). tests/ and
+     bench/ may still build raw requests, which the hostile-input tests
+     need.
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -89,6 +97,10 @@ TRACE_ENUM_REF_RE = re.compile(r"\b(EventType|SpanKind)::(\w+)")
 FAULT_ENUM_REF_RE = re.compile(r"\b(FaultPoint|FaultMode)::(\w+)")
 RAW_RECEIVE_RE = re.compile(r"\b(RpcReceive|RpcReplyAndReceive)\s*\(")
 SERVER_LOOP_HEADER = Path("src") / "mk" / "server_loop.h"
+FS_OP_RE = re.compile(r"\bFsOp::")
+FS_PROTOCOL_FILES = {
+    Path("src") / "svc" / "fs" / name for name in ("protocol.h", "file_server.h", "file_server.cc")
+}
 TRACE_EMIT_CALL_RE = re.compile(
     r"\b(Emit|BeginSpan|MarkPhase|MarkQueued|EndSpan|ScopedSpan)\s*\("
 )
@@ -279,6 +291,17 @@ def check_server_runtime(rel_path: Path, text: str, errors: list) -> None:
             )
 
 
+def check_file_client(rel_path: Path, text: str, errors: list) -> None:
+    if rel_path.parts[0] != "src" or rel_path in FS_PROTOCOL_FILES:
+        return
+    for i, line in enumerate(text.split("\n")):
+        if FS_OP_RE.search(strip_line_comment(line)):
+            errors.append(
+                f"{rel_path}:{i + 1}: FsOp:: outside the file server — file-server "
+                f"requests are marshalled only by svc::FsClient (src/svc/fs/file_server.cc)"
+            )
+
+
 def expected_guard(rel_path: Path) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", str(rel_path)).upper() + "_"
 
@@ -334,6 +357,7 @@ def lint_file(
     check_fault_points(rel_path, text, errors, fault_registry, fault_used)
     check_determinism(rel_path, text, errors, accessors)
     check_server_runtime(rel_path, text, errors)
+    check_file_client(rel_path, text, errors)
     return errors
 
 
