@@ -4,8 +4,6 @@
 //   2. RPC cost versus I/D-cache size — the conclusion's architecture claim
 //      read forward: the bigger the on-chip state, the more an RPC's
 //      footprint and address-space switches cost relative to a trap.
-#include <benchmark/benchmark.h>
-
 #include "src/base/log.h"
 
 #include <cstdio>
@@ -608,26 +606,6 @@ void PrintAblations(bench::JsonReport* report, const std::string& trace_path) {
               "per readahead batch, so the pager amortizes the RPC across 8 pages.\n");
 }
 
-void BM_Handoff(benchmark::State& state) {
-  const bool handoff = state.range(0) != 0;
-  for (auto _ : state) {
-    const double cycles = RpcCyclesPerOp(handoff, 8);
-    state.SetIterationTime(cycles * kOps / 133e6);
-    state.counters["cycles_per_op"] = cycles;
-  }
-}
-BENCHMARK(BM_Handoff)->Arg(1)->Arg(0)->UseManualTime()->Iterations(1);
-
-void BM_CacheSize(benchmark::State& state) {
-  const uint32_t kb = static_cast<uint32_t>(state.range(0));
-  for (auto _ : state) {
-    const double cycles = RpcCyclesPerOp(true, kb);
-    state.SetIterationTime(cycles * kOps / 133e6);
-    state.counters["cycles_per_op"] = cycles;
-  }
-}
-BENCHMARK(BM_CacheSize)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -639,8 +617,5 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     WPOS_CHECK(report.WriteFile(json_path)) << "cannot write " << json_path;
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -8,8 +8,6 @@
 // set of W bytes between switches. Same-task switches keep the TLB; cross-
 // task switches flush it and evict each other's cache state — the cost per
 // switch grows with the working set that must be rebuilt.
-#include <benchmark/benchmark.h>
-
 #include "src/base/log.h"
 
 #include <cstdio>
@@ -117,23 +115,6 @@ void PrintTable(bench::JsonReport* report, const std::string& trace_path) {
               "up; the penalty grows with the working set rebuilt after each switch.\n\n");
 }
 
-void BM_Switch(benchmark::State& state) {
-  const bool cross = state.range(0) != 0;
-  const uint64_t ws = static_cast<uint64_t>(state.range(1));
-  for (auto _ : state) {
-    const Cost c = Measure(cross, ws);
-    state.SetIterationTime(c.cycles_per_switch * 2 * kVolleys / 133e6);
-    state.counters["cycles_per_switch"] = c.cycles_per_switch;
-    state.counters["tlb_per_switch"] = c.tlb_misses_per_switch;
-  }
-}
-BENCHMARK(BM_Switch)
-    ->Args({0, 8192})
-    ->Args({1, 8192})
-    ->Args({1, 32768})
-    ->UseManualTime()
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,8 +126,5 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     WPOS_CHECK(report.WriteFile(json_path)) << "cannot write " << json_path;
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

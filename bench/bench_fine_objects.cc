@@ -5,8 +5,6 @@
 //      in-kernel driver, same device programming.
 //   2. The fine-grained network stack (+ stateful kernel wrappers) vs the
 //      coarse stack, same packets.
-#include <benchmark/benchmark.h>
-
 #include "src/base/log.h"
 
 #include <cstdio>
@@ -42,7 +40,7 @@ Cost Measure(mk::Kernel& kernel, Fn&& op, int warmup = 10) {
 }
 
 void RunDriverAblation(Cost* fine, Cost* coarse, double* fine_virtuals,
-                       const std::string& trace_path = std::string()) {
+                       const std::string& trace_path) {
   hw::Machine machine(hw::MachineConfig{.ram_bytes = 16 * 1024 * 1024});
   mk::Kernel kernel(&machine);
   bench::ArmTrace(kernel, trace_path);
@@ -112,29 +110,6 @@ void PrintAblation(bench::JsonReport* report, const std::string& trace_path) {
               "\"increase the complexity\"; MK++-style coarse objects are the recommendation.\n\n");
 }
 
-void BM_FineDriver(benchmark::State& state) {
-  Cost fine, coarse;
-  double virtuals;
-  RunDriverAblation(&fine, &coarse, &virtuals);
-  for (auto _ : state) {
-    state.SetIterationTime(fine.cycles / 133e6);
-    state.counters["fine_instr"] = fine.instructions;
-    state.counters["coarse_instr"] = coarse.instructions;
-  }
-}
-BENCHMARK(BM_FineDriver)->UseManualTime()->Iterations(1);
-
-void BM_FineStack(benchmark::State& state) {
-  Cost fine, coarse;
-  RunStackAblation(&fine, &coarse);
-  for (auto _ : state) {
-    state.SetIterationTime(fine.cycles / 133e6);
-    state.counters["fine_instr"] = fine.instructions;
-    state.counters["coarse_instr"] = coarse.instructions;
-  }
-}
-BENCHMARK(BM_FineStack)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -146,8 +121,5 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     WPOS_CHECK(report.WriteFile(json_path)) << "cannot write " << json_path;
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -6,8 +6,6 @@
 // (queued, reply port, kernel buffer double copy, OOL virtual copy for large
 // payloads) versus the reworked RPC (synchronous handoff, single physical
 // copy, by-reference bulk data).
-#include <benchmark/benchmark.h>
-
 #include "src/base/log.h"
 
 #include <cstdio>
@@ -33,7 +31,7 @@ struct Pair {
   double ipc_cycles = 0;
 };
 
-Pair MeasureSize(uint32_t size, const std::string& trace_path = std::string()) {
+Pair MeasureSize(uint32_t size, const std::string& trace_path) {
   hw::Machine machine(hw::MachineConfig{.ram_bytes = 32 * 1024 * 1024});
   mk::Kernel kernel(&machine);
   bench::ArmTrace(kernel, trace_path);
@@ -55,7 +53,6 @@ Pair MeasureSize(uint32_t size, const std::string& trace_path = std::string()) {
       if (!req.ok()) {
         return;
       }
-      benchmark::DoNotOptimize(bulk.data());  // data already physically here
       env.RpcReply(req->token, nullptr, 0);
     }
     // Phase 2: legacy server — receive, touch OOL data, send reply message.
@@ -73,8 +70,6 @@ Pair MeasureSize(uint32_t size, const std::string& trace_path = std::string()) {
         (void)kernel.VmDeallocate(env.task(), hw::PageTrunc(ool.address),
                                   hw::PageRound(ool.size));
       }
-      // Inline payloads are consumed too (already copied out by receive).
-      benchmark::DoNotOptimize(msg.inline_data.data());
       mk::MachMessage reply;
       reply.dest = msg.reply_port;
       if (kernel.MachMsgSend(std::move(reply)) != base::Status::kOk) {
@@ -172,19 +167,6 @@ void PrintSweep(bench::JsonReport* report, const std::string& trace_path) {
               "number of bytes transmitted\"\n\n");
 }
 
-void BM_Sweep(benchmark::State& state) {
-  const uint32_t size = static_cast<uint32_t>(state.range(0));
-  for (auto _ : state) {
-    const Pair p = MeasureSize(size);
-    state.SetIterationTime(p.rpc_cycles * kOps / 133e6);
-    state.counters["rpc_cycles"] = p.rpc_cycles;
-    state.counters["machmsg_cycles"] = p.ipc_cycles;
-    state.counters["improvement"] = p.ipc_cycles / p.rpc_cycles;
-  }
-}
-BENCHMARK(BM_Sweep)->Arg(0)->Arg(32)->Arg(512)->Arg(8192)->Arg(32768)->UseManualTime()
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -196,8 +178,5 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     WPOS_CHECK(report.WriteFile(json_path)) << "cannot write " << json_path;
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

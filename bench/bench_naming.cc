@@ -3,8 +3,6 @@
 // alternative, much simplified name service for embedded configurations."
 // Measures resolve/register/search on the full service and resolve/register
 // on the lite service, per operation.
-#include <benchmark/benchmark.h>
-
 #include "src/base/log.h"
 
 #include <cstdio>
@@ -30,7 +28,7 @@ struct Numbers {
   double lite_register = 0;
 };
 
-Numbers MeasureAll(const std::string& trace_path = std::string()) {
+Numbers MeasureAll(const std::string& trace_path) {
   hw::Machine machine(hw::MachineConfig{.ram_bytes = 32 * 1024 * 1024});
   mk::Kernel kernel(&machine);
   bench::ArmTrace(kernel, trace_path);
@@ -111,16 +109,6 @@ void PrintNaming(const Numbers& n, bench::JsonReport* report) {
               "service \"sufficiently expensive\" to justify the lite service.\n\n");
 }
 
-void BM_Naming(benchmark::State& state) {
-  const Numbers n = MeasureAll();
-  for (auto _ : state) {
-    state.SetIterationTime(n.full_resolve * kOps / 133e6);
-    state.counters["full_resolve"] = n.full_resolve;
-    state.counters["lite_resolve"] = n.lite_resolve;
-  }
-}
-BENCHMARK(BM_Naming)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -132,8 +120,5 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     WPOS_CHECK(report.WriteFile(json_path)) << "cannot write " << json_path;
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -6,8 +6,6 @@
 // oriented layer (eager commit, byte-granular sizes, suballocation metadata)
 // and directly against the lazy page-oriented microkernel. Footprint =
 // physical frames + bookkeeping; cycles are reported as well.
-#include <benchmark/benchmark.h>
-
 #include "src/base/log.h"
 
 #include <cstdio>
@@ -30,7 +28,7 @@ constexpr int kObjects = 64;
 constexpr uint64_t kObjectBytes = 6000;  // 1.46 pages: byte-vs-page rounding shows
 constexpr uint64_t kTouchedBytes = 512;  // what the program actually uses early
 
-Footprint RunOs2Layer(const std::string& trace_path = std::string()) {
+Footprint RunOs2Layer(const std::string& trace_path) {
   hw::Machine machine(hw::MachineConfig{.ram_bytes = 32 * 1024 * 1024});
   mk::Kernel kernel(&machine);
   bench::ArmTrace(kernel, trace_path);
@@ -107,19 +105,6 @@ void PrintFootprint(const Footprint& os2, const Footprint& raw, bench::JsonRepor
               "memory \"greatly increased the memory footprint\".\n\n");
 }
 
-void BM_Os2Memory(benchmark::State& state) {
-  const Footprint os2 = RunOs2Layer();
-  const Footprint raw = RunRawKernel();
-  for (auto _ : state) {
-    state.SetIterationTime(static_cast<double>(os2.cycles) / 133e6);
-    state.counters["os2_frames"] = static_cast<double>(os2.frames);
-    state.counters["raw_frames"] = static_cast<double>(raw.frames);
-    state.counters["footprint_ratio"] =
-        static_cast<double>(os2.frames) / static_cast<double>(raw.frames);
-  }
-}
-BENCHMARK(BM_Os2Memory)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -131,8 +116,5 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     WPOS_CHECK(report.WriteFile(json_path)) << "cannot write " << json_path;
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

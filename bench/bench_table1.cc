@@ -6,8 +6,6 @@
 // system (RPC to the file server and driver), graphics ≈ 0.7-0.9 (user-level
 // shared libraries drive the framebuffer directly, without the monolithic
 // system's 16-bit GRE layer), PM tasking ≈ 0.8-1.0, overall ≈ 1.2.
-#include <benchmark/benchmark.h>
-
 #include "src/base/log.h"
 
 #include <cmath>
@@ -51,15 +49,6 @@ void PrintTable1(bench::JsonReport* report, const std::string& trace_path) {
               " is slower\n\n");
 }
 
-void BM_Workload(benchmark::State& state, bench::Workload fn, bool wpos) {
-  for (auto _ : state) {
-    const bench::WorkloadResult r = wpos ? bench::RunOnWpos(fn) : bench::RunOnMono(fn);
-    state.SetIterationTime(r.seconds);  // simulated time
-    state.counters["sim_cycles"] = static_cast<double>(r.cycles);
-    state.counters["sim_instructions"] = static_cast<double>(r.instructions);
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -71,20 +60,5 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     WPOS_CHECK(report.WriteFile(json_path)) << "cannot write " << json_path;
   }
-  for (const bench::NamedWorkload& w : bench::Table1Workloads()) {
-    benchmark::RegisterBenchmark((std::string("wpos/") + w.name).c_str(), &BM_Workload, w.fn,
-                                 true)
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-    benchmark::RegisterBenchmark((std::string("mono/") + w.name).c_str(), &BM_Workload, w.fn,
-                                 false)
-        ->UseManualTime()
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(1);
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

@@ -13,8 +13,6 @@
 // charges nothing (the zero-perturbation claim). `--trace <path>` exports
 // the traced RPC run as a Chrome trace-event file; `--json <path>` writes
 // the machine-readable paper-vs-measured report.
-#include <benchmark/benchmark.h>
-
 #include "src/base/log.h"
 
 #include <array>
@@ -75,12 +73,12 @@ Window MeasureTrap(bool traced = false, SpanDelta* spans = nullptr) {
   Window window;
   kernel.CreateThread(task, "main", [&](mk::Env& env) {
     for (int i = 0; i < kWarmup; ++i) {
-      benchmark::DoNotOptimize(env.ThreadSelf());
+      (void)env.ThreadSelf();
     }
     const mk::trace::Tracer::SpanStats s0 = kernel.tracer().stats(mk::trace::SpanKind::kTrap);
     const hw::CpuCounters c0 = kernel.Counters();
     for (int i = 0; i < kOps; ++i) {
-      benchmark::DoNotOptimize(env.ThreadSelf());
+      (void)env.ThreadSelf();
     }
     window.counters = kernel.Counters() - c0;
     if (spans != nullptr) {
@@ -230,28 +228,6 @@ void PrintSpanTable(const Window& untraced_trap, const Window& untraced_rpc,
   std::printf("\n");
 }
 
-void BM_Trap(benchmark::State& state) {
-  for (auto _ : state) {
-    const Window w = MeasureTrap();
-    state.SetIterationTime(static_cast<double>(w.counters.cycles) / 133e6);
-    state.counters["instr_per_op"] = w.per_op(&hw::CpuCounters::instructions, kOps);
-    state.counters["cycles_per_op"] = w.per_op(&hw::CpuCounters::cycles, kOps);
-    state.counters["bus_per_op"] = w.per_op(&hw::CpuCounters::bus_cycles, kOps);
-  }
-}
-BENCHMARK(BM_Trap)->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_Rpc32(benchmark::State& state) {
-  for (auto _ : state) {
-    const Window w = MeasureRpc32();
-    state.SetIterationTime(static_cast<double>(w.counters.cycles) / 133e6);
-    state.counters["instr_per_op"] = w.per_op(&hw::CpuCounters::instructions, kOps);
-    state.counters["cycles_per_op"] = w.per_op(&hw::CpuCounters::cycles, kOps);
-    state.counters["bus_per_op"] = w.per_op(&hw::CpuCounters::bus_cycles, kOps);
-  }
-}
-BENCHMARK(BM_Rpc32)->UseManualTime()->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -269,8 +245,5 @@ int main(int argc, char** argv) {
   if (!json_path.empty()) {
     WPOS_CHECK(report.WriteFile(json_path)) << "cannot write " << json_path;
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
   return 0;
 }

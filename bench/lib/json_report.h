@@ -29,9 +29,8 @@ class JsonReport {
   std::map<std::string, Row> rows_;
 };
 
-// Removes `flag <value>` or `flag=<value>` from argv — before
-// benchmark::Initialize sees and rejects it — and returns the value, or ""
-// when the flag is absent.
+// Removes `flag <value>` or `flag=<value>` from argv and returns the value,
+// or "" when the flag is absent.
 std::string ExtractFlag(int* argc, char** argv, const std::string& flag);
 
 inline std::string ExtractJsonPath(int* argc, char** argv) {

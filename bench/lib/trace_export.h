@@ -18,8 +18,7 @@ class Kernel;
 
 namespace bench {
 
-// Removes `--trace <path>` from argv (before benchmark::Initialize rejects
-// it) and returns the path, or "" when absent.
+// Removes `--trace <path>` from argv and returns the path, or "" when absent.
 std::string ExtractTracePath(int* argc, char** argv);
 
 // Enables `kernel`'s tracer when `path` is non-empty.

@@ -50,7 +50,7 @@ const std::vector<NamedWorkload>& Table1Workloads();
 // `trace_path` arms the causal tracer for the run and exports the Chrome
 // trace plus the request-tree report (see bench/lib/trace_export.h);
 // tracing charges no simulated cycles, so the window is unchanged.
-WorkloadResult RunOnWpos(Workload workload, const std::string& trace_path = std::string());
+WorkloadResult RunOnWpos(Workload workload, const std::string& trace_path);
 WorkloadResult RunOnMono(Workload workload);
 
 }  // namespace bench

@@ -56,23 +56,27 @@ mk::PortName DiskDriver::GrantTo(mk::Task& client) {
   return *name;
 }
 
-void DiskDriver::AwaitCompletion(mk::Env& env) {
-  while ((kernel_.IoRead(disk_, hw::Disk::kRegStatus) & hw::Disk::kStatusDone) == 0) {
+uint32_t DiskDriver::AwaitCompletion(mk::Env& env) {
+  uint32_t status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
+  while ((status & hw::Disk::kStatusDone) == 0) {
     mk::MachMessage msg;
     const base::Status st = kernel_.MachMsgReceive(irq_port_, &msg);
     if (st != base::Status::kOk) {
-      return;
+      return status;
     }
     ++interrupts_taken_;
     kernel_.cpu().Execute(IsrRegion());
+    status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
   }
   kernel_.IoWrite(disk_, hw::Disk::kRegStatus, 0);  // ack done/error bits
+  return status;
 }
 
 base::Status DiskDriver::DoIo(mk::Env& env, const DiskRequest& req, const uint8_t* in,
                               uint8_t* out) {
-  if (req.count == 0 || req.count > kMaxSectors ||
-      req.lba + req.count > disk_->num_sectors()) {
+  // `lba` comes from the client: no `lba + count`, which wraps for a huge lba.
+  if (req.count == 0 || req.count > kMaxSectors || req.lba > disk_->num_sectors() ||
+      req.count > disk_->num_sectors() - req.lba) {
     return base::Status::kInvalidArgument;
   }
   kernel_.cpu().Execute(IoPathRegion());
@@ -87,7 +91,9 @@ base::Status DiskDriver::DoIo(mk::Env& env, const DiskRequest& req, const uint8_
   kernel_.IoWrite(disk_, hw::Disk::kRegDmaLo, static_cast<uint32_t>(dma_buffer_));
   kernel_.IoWrite(disk_, hw::Disk::kRegCommand,
                   req.op == DiskOp::kRead ? hw::Disk::kCmdRead : hw::Disk::kCmdWrite);
-  AwaitCompletion(env);
+  if ((AwaitCompletion(env) & hw::Disk::kStatusError) != 0) {
+    return base::Status::kIoError;
+  }
   if (req.op == DiskOp::kRead) {
     kernel_.machine().mem().Read(dma_buffer_, out, bytes);
     kernel_.ChargeCopy(dma_buffer_, kernel_.current()->msg_window(), bytes);

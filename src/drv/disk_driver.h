@@ -48,7 +48,8 @@ class DiskDriver {
   void Serve(mk::Env& env);
   // Writes stage `in` into the DMA buffer; reads land in `out`.
   base::Status DoIo(mk::Env& env, const DiskRequest& req, const uint8_t* in, uint8_t* out);
-  void AwaitCompletion(mk::Env& env);
+  // Returns the status register word that ended the wait.
+  uint32_t AwaitCompletion(mk::Env& env);
 
   mk::Kernel& kernel_;
   mk::Task* task_;

@@ -7,9 +7,9 @@
 namespace hw {
 
 Disk::Disk(std::string name, int irq_line, const Geometry& geometry)
-    : Device(std::move(name), irq_line), geometry_(geometry) {
-  image_.resize(geometry_.sectors * kSectorSize, 0);
-}
+    : Device(std::move(name), irq_line),
+      geometry_(geometry),
+      image_(geometry.sectors * kSectorSize) {}
 
 uint32_t Disk::ReadReg(uint32_t offset) {
   switch (offset) {

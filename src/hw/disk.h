@@ -8,15 +8,16 @@
 //   kRegStatus   bit0 busy, bit1 done, bit2 error
 // Writing kRegCommand starts the operation; completion raises the IRQ after
 // a seek-plus-transfer latency. A synchronous backdoor (ReadSectors /
-// WriteSectors) exists for host-side tools such as mkfs.
+// WriteSectors) exists for host-side tools such as mkfs. The platter starts
+// zeroed; the host backs a sector's page only once it is first written.
 #ifndef SRC_HW_DISK_H_
 #define SRC_HW_DISK_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "src/hw/machine.h"
 #include "src/hw/types.h"
+#include "src/hw/zero_fill_buffer.h"
 
 namespace hw {
 
@@ -60,7 +61,7 @@ class Disk : public Device {
   void StartCommand(uint32_t cmd);
 
   Geometry geometry_;
-  std::vector<uint8_t> image_;
+  ZeroFillBuffer image_;
   uint32_t reg_lba_ = 0;
   uint32_t reg_count_ = 0;
   uint32_t reg_dma_ = 0;

@@ -4,9 +4,8 @@
 
 namespace hw {
 
-PhysMem::PhysMem(uint64_t size_bytes) {
+PhysMem::PhysMem(uint64_t size_bytes) : data_(size_bytes) {
   WPOS_CHECK(size_bytes % kPageSize == 0);
-  data_.resize(size_bytes, 0);
   frame_used_.resize(size_bytes >> kPageShift, false);
 }
 

@@ -1,6 +1,7 @@
 // Simulated physical memory: real backing storage plus a frame allocator.
 // Storage and cost are deliberately separate concerns — PhysMem moves bytes,
-// the Cpu charges for them.
+// the Cpu charges for them. RAM powers up zeroed; the host backs a page only
+// once the simulation first writes it (see zero_fill_buffer.h).
 #ifndef SRC_HW_PHYS_MEM_H_
 #define SRC_HW_PHYS_MEM_H_
 
@@ -10,6 +11,7 @@
 
 #include "src/base/status.h"
 #include "src/hw/types.h"
+#include "src/hw/zero_fill_buffer.h"
 
 namespace hw {
 
@@ -41,7 +43,7 @@ class PhysMem {
   void WriteU32(PhysAddr addr, uint32_t v);
 
  private:
-  std::vector<uint8_t> data_;
+  ZeroFillBuffer data_;
   std::vector<bool> frame_used_;
   uint64_t next_hint_ = 0;
   uint64_t frames_allocated_ = 0;

@@ -115,6 +115,14 @@ TEST_F(DiskDriverTest, OutOfRangeRejected) {
     std::vector<uint8_t> buf(hw::Disk::kSectorSize);
     EXPECT_EQ(store.Read(env, disk_->num_sectors(), 1, buf.data()),
               base::Status::kInvalidArgument);
+    // lba + count wraps to 1: the driver must not hand back the previous
+    // transfer's DMA-buffer bytes, nor report a write that never happened.
+    std::vector<uint8_t> prior(2 * hw::Disk::kSectorSize, 0x5a);
+    ASSERT_EQ(store.Write(env, 0, 2, prior.data()), base::Status::kOk);
+    std::vector<uint8_t> wrapped(2 * hw::Disk::kSectorSize);
+    EXPECT_EQ(store.Read(env, UINT64_MAX, 2, wrapped.data()), base::Status::kInvalidArgument);
+    EXPECT_EQ(wrapped, std::vector<uint8_t>(wrapped.size(), 0));
+    EXPECT_EQ(store.Write(env, UINT64_MAX, 2, prior.data()), base::Status::kInvalidArgument);
     driver_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "src/hw/disk.h"
 #include "src/hw/dma.h"
@@ -9,6 +10,12 @@
 
 namespace hw {
 namespace {
+
+long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
 
 class DevicesTest : public ::testing::Test {
  protected:
@@ -75,6 +82,34 @@ TEST_F(DevicesTest, DiskOutOfRangeSetsError) {
   disk->WriteReg(Disk::kRegCount, 1);
   disk->WriteReg(Disk::kRegCommand, Disk::kCmdRead);
   EXPECT_TRUE(disk->ReadReg(Disk::kRegStatus) & Disk::kStatusError);
+}
+
+// The platter reads as zero until written, and the host backs only the
+// sectors written: zeroing a 1 GB image up front would take ~262K faults.
+TEST_F(DevicesTest, DiskHostBacksOnlyWrittenSectors) {
+  constexpr uint64_t kSectors = (1ull << 30) / Disk::kSectorSize;
+  const long faults_before = MinorFaults();
+  {
+    Disk disk("big", 3, Disk::Geometry{.sectors = kSectors});
+    std::vector<uint8_t> sector(Disk::kSectorSize, 0xff);
+    disk.ReadSectors(0, 1, sector.data());
+    EXPECT_EQ(sector, std::vector<uint8_t>(Disk::kSectorSize, 0));
+    sector.assign(Disk::kSectorSize, 0xff);
+    disk.ReadSectors(kSectors - 1, 1, sector.data());
+    EXPECT_EQ(sector, std::vector<uint8_t>(Disk::kSectorSize, 0));
+    std::vector<uint8_t> written(Disk::kSectorSize, 0x3c);
+    disk.WriteSectors(kSectors - 1, 1, written.data());
+    disk.ReadSectors(kSectors - 1, 1, sector.data());
+    EXPECT_EQ(sector, written);
+  }
+  EXPECT_LT(MinorFaults() - faults_before, 1000);
+}
+
+TEST_F(DevicesTest, DiskBackdoorOutOfRangeDies) {
+  Disk disk("small", 3, Disk::Geometry{.sectors = 8});
+  std::vector<uint8_t> sector(Disk::kSectorSize);
+  disk.ReadSectors(7, 1, sector.data());
+  EXPECT_DEATH(disk.ReadSectors(8, 1, sector.data()), "Check failed");
 }
 
 TEST_F(DevicesTest, NicLoopsBackFrames) {

@@ -1,9 +1,16 @@
 #include "src/hw/phys_mem.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 namespace hw {
 namespace {
+
+long MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
 
 TEST(PhysMemTest, AllocAndFreeFrames) {
   PhysMem mem(64 * 1024);
@@ -59,6 +66,28 @@ TEST(PhysMemTest, ReadWriteRoundTrip) {
   EXPECT_EQ(mem.ReadU32(0x2000), 0xdeadbeefu);
   mem.Fill(0x2000, 0, 4);
   EXPECT_EQ(mem.ReadU32(0x2000), 0u);
+}
+
+// Simulated RAM reads as zero from power-up, but the host backs only the
+// pages the simulation writes: zeroing 1 GB up front would take ~262K faults.
+TEST(PhysMemTest, HostBacksOnlyWrittenPages) {
+  constexpr uint64_t kSize = 1ull << 30;
+  const long faults_before = MinorFaults();
+  {
+    PhysMem mem(kSize);
+    EXPECT_EQ(mem.ReadU8(0), 0u);
+    EXPECT_EQ(mem.ReadU8(kSize - 1), 0u);
+    mem.WriteU8(kSize - 1, 0xa5);
+    EXPECT_EQ(mem.ReadU8(kSize - 1), 0xa5u);
+  }
+  EXPECT_LT(MinorFaults() - faults_before, 1000);
+}
+
+TEST(PhysMemTest, OutOfRangeAccessDies) {
+  PhysMem mem(4 * 4096);
+  uint8_t byte = 0;
+  mem.Read(4 * 4096 - 1, &byte, 1);
+  EXPECT_DEATH(mem.Read(4 * 4096, &byte, 1), "physical read out of range");
 }
 
 }  // namespace
