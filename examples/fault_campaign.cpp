@@ -73,7 +73,7 @@ struct Fleet {
         env.kernel().cpu().Execute(loop_code);
         env.kernel().cpu().Execute(stub);
         if (l->EnterHandler(env, rpc)) {
-          env.RpcReply(rpc.token, &req, rpc.req_len);
+          l->Reply(rpc, &req, rpc.req_len);
         }
       });
     });

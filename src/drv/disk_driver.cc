@@ -111,13 +111,13 @@ void DiskDriver::Serve(mk::Env& env) {
     switch (req.op) {
       case DiskOp::kInfo:
         reply.sectors = disk_->num_sectors();
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        loop_->Reply(rpc, &reply, sizeof(reply));
         break;
       case DiskOp::kRead: {
         reply.status = static_cast<int32_t>(DoIo(env, req, nullptr, data.data()));
         const uint32_t bytes =
             reply.status == 0 ? req.count * hw::Disk::kSectorSize : 0;
-        env.RpcReply(rpc.token, &reply, sizeof(reply), data.data(), bytes);
+        loop_->Reply(rpc, &reply, sizeof(reply), data.data(), bytes);
         break;
       }
       case DiskOp::kWrite: {
@@ -126,12 +126,12 @@ void DiskDriver::Serve(mk::Env& env) {
         } else {
           reply.status = static_cast<int32_t>(DoIo(env, req, ref_data, nullptr));
         }
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        loop_->Reply(rpc, &reply, sizeof(reply));
         break;
       }
       default:
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        loop_->Reply(rpc, &reply, sizeof(reply));
     }
   });
 }

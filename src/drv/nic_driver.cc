@@ -94,7 +94,7 @@ void NicDriver::Serve(mk::Env& env) {
     if (req.op == NicOp::kSend) {
       if (frame_len == 0 || frame_len > hw::Nic::kMaxFrame) {
         reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        loop_->Reply(rpc, &reply, sizeof(reply));
       } else {
         kernel_.cpu().Execute(TxRegion());
         kernel_.machine().mem().Write(tx_buffer_, frame, frame_len);
@@ -103,14 +103,14 @@ void NicDriver::Serve(mk::Env& env) {
         kernel_.IoWrite(nic_, hw::Nic::kRegTxLen, frame_len);
         kernel_.IoWrite(nic_, hw::Nic::kRegCommand, hw::Nic::kCmdSend);
         ++frames_tx_;
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        loop_->Reply(rpc, &reply, sizeof(reply));
       }
     } else if (req.op == NicOp::kRecv) {
       if (!rx_queue_.empty()) {
         std::vector<uint8_t> out = std::move(rx_queue_.front());
         rx_queue_.pop_front();
         reply.len = static_cast<uint32_t>(out.size());
-        env.RpcReply(rpc.token, &reply, sizeof(reply), out.data(), reply.len);
+        loop_->Reply(rpc, &reply, sizeof(reply), out.data(), reply.len);
       } else {
         // No frame yet: defer; the ISR thread replies when one arrives, and
         // the serve loop stays available for sends.
@@ -118,7 +118,7 @@ void NicDriver::Serve(mk::Env& env) {
       }
     } else {
       reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      loop_->Reply(rpc, &reply, sizeof(reply));
     }
   });
 }

@@ -20,28 +20,12 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   num_sets_ = config.size_bytes / (config.line_bytes * config.ways);
   WPOS_CHECK((num_sets_ & (num_sets_ - 1)) == 0) << "set count must be a power of two";
   line_shift_ = Log2(config.line_bytes);
+  set_shift_ = Log2(num_sets_);
   lines_.resize(static_cast<size_t>(num_sets_) * config.ways);
 }
 
-Cache::AccessResult Cache::Access(PhysAddr addr, bool write) {
-  ++stats_.accesses;
-  ++tick_;
-  const uint64_t line_addr = addr >> line_shift_;
-  const uint32_t set = static_cast<uint32_t>(line_addr & (num_sets_ - 1));
-  const uint64_t tag = line_addr >> Log2(num_sets_);
-  Line* base = &lines_[static_cast<size_t>(set) * config_.ways];
-
-  // Hit path.
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    Line& line = base[w];
-    if (line.valid && line.tag == tag) {
-      line.lru = tick_;
-      line.dirty = line.dirty || write;
-      return {.hit = true, .writeback = false};
-    }
-  }
-
-  // Miss: pick invalid way, else LRU victim.
+Cache::AccessResult Cache::Miss(Line* base, uint64_t tag, bool write) {
+  // Pick an invalid way, else the LRU victim.
   ++stats_.misses;
   Line* victim = &base[0];
   for (uint32_t w = 0; w < config_.ways; ++w) {

@@ -5,14 +5,6 @@ namespace hw {
 Cpu::Cpu(const CpuConfig& config)
     : config_(config), icache_(config.icache), dcache_(config.dcache), tlb_(config.tlb) {}
 
-void Cpu::ChargeFetch(PhysAddr addr) {
-  Cache::AccessResult r = icache_.Access(addr, /*write=*/false);
-  if (!r.hit) {
-    cycles_ += config_.icache_miss_cycles;
-    bus_cycles_ += config_.bus_per_fill;
-  }
-}
-
 void Cpu::ExecuteInstructions(const CodeRegion& region, uint64_t instructions) {
   if (instructions == 0) {
     return;

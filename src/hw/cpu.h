@@ -147,7 +147,14 @@ class Cpu {
   void set_access_observer(AccessObserver observer) { access_observer_ = std::move(observer); }
 
  private:
-  void ChargeFetch(PhysAddr addr);
+  // One I-cache line fetch; inline, like the cache's hit path, because
+  // every simulated instruction line goes through it.
+  void ChargeFetch(PhysAddr addr) {
+    if (!icache_.Access(addr, /*write=*/false).hit) {
+      cycles_ += config_.icache_miss_cycles;
+      bus_cycles_ += config_.bus_per_fill;
+    }
+  }
 
   CpuConfig config_;
   Cache icache_;

@@ -218,13 +218,16 @@ class Kernel {
   // Combined reply-and-receive (the classic server-loop fast path): delivers
   // the reply and atomically re-enters receive on `receive_name`, so the
   // server is already parked when the client's next call arrives and the
-  // rendezvous can hand off directly in both directions.
-  base::Result<RpcRequest> RpcReplyAndReceive(uint64_t token, const void* reply, uint32_t len,
-                                              PortName receive_name, void* buf, uint32_t cap,
-                                              RpcRef* ref = nullptr,
-                                              const void* reply_ref_data = nullptr,
-                                              uint32_t reply_ref_len = 0,
-                                              PortName grant = kNullPort);
+  // rendezvous can hand off directly in both directions. The reply half
+  // (arguments as for RpcReply) always runs first: a dead or bad receive
+  // port fails only the receive half, and a stale token (the caller timed
+  // out or was aborted meanwhile) has nothing to deliver and goes on into
+  // the receive. `timeout_ns` bounds the park as for RpcReceive.
+  base::Result<RpcRequest> RpcReplyAndReceive(
+      uint64_t token, const void* reply, uint32_t len, PortName receive_name, void* buf,
+      uint32_t cap, RpcRef* ref = nullptr, const void* reply_ref_data = nullptr,
+      uint32_t reply_ref_len = 0, PortName grant = kNullPort,
+      base::Status completion = base::Status::kOk, uint64_t timeout_ns = kForever);
 
   // --- Legacy Mach 3.0 IPC ------------------------------------------------------------
   base::Status MachMsgSend(MachMessage&& msg, uint64_t timeout_ns = kForever);
@@ -365,6 +368,7 @@ class Kernel {
   uint64_t rpc_calls() const { return rpc_calls_; }
   uint64_t mach_msgs() const { return mach_msgs_; }
   uint64_t interrupts_delivered() const { return interrupts_delivered_; }
+  uint64_t kernel_entries() const { return kernel_entries_; }
 
  private:
   friend class Scheduler;
@@ -529,6 +533,14 @@ class Env {
                         PortName grant = kNullPort,
                         base::Status completion = base::Status::kOk) {
     return kernel_.RpcReply(token, reply, len, ref_data, ref_len, grant, completion);
+  }
+  base::Result<RpcRequest> RpcReplyAndReceive(
+      uint64_t token, const void* reply, uint32_t len, PortName port, void* buf, uint32_t cap,
+      RpcRef* ref = nullptr, const void* reply_ref_data = nullptr, uint32_t reply_ref_len = 0,
+      PortName grant = kNullPort, base::Status completion = base::Status::kOk,
+      uint64_t timeout_ns = kForever) {
+    return kernel_.RpcReplyAndReceive(token, reply, len, port, buf, cap, ref, reply_ref_data,
+                                      reply_ref_len, grant, completion, timeout_ns);
   }
   base::Status MachMsgReceive(PortName port, MachMessage* out, uint64_t timeout_ns = kForever) {
     return kernel_.MachMsgReceive(port, out, timeout_ns);

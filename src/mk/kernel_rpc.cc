@@ -59,6 +59,43 @@ bool UseOol(RpcBulkMode mode, uint64_t len) {
   }
   return len >= Costs::kRpcOolThresholdBytes;
 }
+
+// The port a receive on `port` takes its next request from: the port itself
+// if a caller is queued on it, the first member with one when `port` is a
+// set, or nullptr when nobody is waiting.
+Port* QueuedSource(Port* port) {
+  if (!port->is_port_set) {
+    return port->waiting_clients.empty() ? nullptr : port;
+  }
+  for (Port* member : port->set_members) {
+    if (!member->waiting_clients.empty()) {
+      return member;
+    }
+  }
+  return nullptr;
+}
+
+// A server whose park timed out or was aborted leaves the rendezvous deque.
+void LeaveReceiveQueue(Port* port, Thread* server) {
+  for (auto it = port->waiting_servers.begin(); it != port->waiting_servers.end(); ++it) {
+    if (*it == server) {
+      port->waiting_servers.erase(it);
+      return;
+    }
+  }
+}
+
+// The request DeliverRpcToServer left in the server's posted state.
+RpcRequest TakeRequest(Thread::RpcState& s) {
+  RpcRequest out;
+  out.token = s.token;
+  out.arrived_port = s.arrived_port;
+  out.req_len = s.srv_req_len;
+  out.ref_len = s.srv_ref_len;
+  out.rights = std::move(s.srv_rights);
+  out.client_task = s.srv_client_task;
+  return out;
+}
 }  // namespace
 
 void Kernel::ChargeOolTransfer(Thread* from, Thread* to, uint64_t len) {
@@ -347,21 +384,7 @@ base::Result<RpcRequest> Kernel::RpcReceive(PortName receive_name, void* buf, ui
   }
 
   // Receiving on a port set services whichever member has a caller waiting.
-  Port* source = port;
-  if (port->is_port_set) {
-    source = nullptr;
-    for (Port* member : port->set_members) {
-      if (!member->waiting_clients.empty()) {
-        source = member;
-        break;
-      }
-    }
-  } else if (!port->waiting_clients.empty()) {
-    source = port;
-  } else {
-    source = nullptr;
-  }
-  if (source != nullptr) {
+  if (Port* source = QueuedSource(port); source != nullptr) {
     Thread* client = source->waiting_clients.front();
     source->waiting_clients.pop_front();
     server->rpc.arrived_port = source->id();
@@ -384,24 +407,12 @@ base::Result<RpcRequest> Kernel::RpcReceive(PortName receive_name, void* buf, ui
     StartTimedWake(server, timeout_ns);
     const base::Status st = scheduler_.Block(Thread::State::kBlocked, nullptr);
     if (st != base::Status::kOk) {
-      // Timed out or aborted: leave the rendezvous deque before returning.
-      for (auto it = port->waiting_servers.begin(); it != port->waiting_servers.end(); ++it) {
-        if (*it == server) {
-          port->waiting_servers.erase(it);
-          break;
-        }
-      }
+      LeaveReceiveQueue(port, server);
       LeaveKernel();
       return st;
     }
   }
-  RpcRequest out;
-  out.token = s.token;
-  out.arrived_port = s.arrived_port;
-  out.req_len = s.srv_req_len;
-  out.ref_len = s.srv_ref_len;
-  out.rights = std::move(s.srv_rights);
-  out.client_task = s.srv_client_task;
+  RpcRequest out = TakeRequest(s);
   LeaveKernel();
   return out;
 }
@@ -459,11 +470,10 @@ base::Status Kernel::DeliverReply(Thread* server, Thread* client, const void* re
   return c.completion;
 }
 
-base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* reply,
-                                                    uint32_t len, PortName receive_name,
-                                                    void* buf, uint32_t cap, RpcRef* ref,
-                                                    const void* reply_ref_data,
-                                                    uint32_t reply_ref_len, PortName grant) {
+base::Result<RpcRequest> Kernel::RpcReplyAndReceive(
+    uint64_t token, const void* reply, uint32_t len, PortName receive_name, void* buf,
+    uint32_t cap, RpcRef* ref, const void* reply_ref_data, uint32_t reply_ref_len,
+    PortName grant, base::Status completion, uint64_t timeout_ns) {
   Thread* server = scheduler_.current();
   WPOS_DCHECK(server != nullptr) << "RpcReplyAndReceive outside thread context";
   if (sync_observer_ != nullptr) {
@@ -473,23 +483,19 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* 
   cpu().Execute(ReplyPathRegion());
   cpu().Execute(ReceivePathRegion());
 
-  auto port_r = server->task()->port_space().LookupReceive(receive_name);
-  if (!port_r.ok()) {
-    LeaveKernel();
-    return port_r.status();
-  }
-  Port* port = *port_r;
-
-  auto waiter = rpc_waiters_.find(token);
-  if (waiter == rpc_waiters_.end()) {
-    LeaveKernel();
-    return base::Status::kInvalidArgument;
-  }
-  Thread* client = waiter->second.client;
-  rpc_waiters_.erase(waiter);
-  if (client->rpc.token != token || client->state() != Thread::State::kBlocked) {
-    LeaveKernel();
-    return base::Status::kInvalidArgument;
+  // Reply half, before anything about the receive half is looked at: a
+  // client whose reply is ready must not stay blocked because the receive
+  // port died under the server (Stop() from a handler). A stale token — the
+  // caller timed out or was aborted while the handler ran — has nobody to
+  // deliver to; like kDropReply it goes on into the receive, so the loop
+  // keeps serving.
+  Thread* client = nullptr;
+  if (auto waiter = rpc_waiters_.find(token); waiter != rpc_waiters_.end()) {
+    client = waiter->second.client;
+    rpc_waiters_.erase(waiter);
+    if (client->rpc.token != token || client->state() != Thread::State::kBlocked) {
+      client = nullptr;
+    }
   }
   server->rpc.client = nullptr;
   // The reply ends this server's work for the caller; unbind its trace
@@ -497,45 +503,55 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* 
   server->trace_ctx = TraceContext{};
   // Fault point: the reply (see RpcReply). kDropReply swallows the reply but
   // still enters the receive, so the server keeps serving.
-  switch (faults_->Fire(fault::FaultPoint::kRpcReply)) {
-    case fault::FaultMode::kNone:
-      (void)DeliverReply(server, client, reply, len, reply_ref_data, reply_ref_len, grant,
-                         base::Status::kOk);
-      break;
-    case fault::FaultMode::kDropReply:
-      client = nullptr;  // stays blocked until its deadline
-      break;
-    case fault::FaultMode::kCrashTask:
-      client->rpc.completion = base::Status::kPortDead;
-      scheduler_.Wake(client, base::Status::kPortDead);
-      LeaveKernel();
-      TerminateTask(server->task());
-      return base::Status::kAborted;
-    case fault::FaultMode::kKillPort: {
-      Port* request_port = client->rpc.port;
-      client->rpc.completion = base::Status::kPortDead;
-      scheduler_.Wake(client, base::Status::kPortDead);
-      LeaveKernel();
-      if (request_port != nullptr && !request_port->dead()) {
-        DestroyPort(request_port);
+  if (client != nullptr) {
+    switch (faults_->Fire(fault::FaultPoint::kRpcReply)) {
+      case fault::FaultMode::kNone:
+      case fault::FaultMode::kStallTask:
+      case fault::FaultMode::kDelayReply:
+        // kStallTask and kDelayReply are server-loop-only modes (see
+        // points.h); deliver normally here.
+        (void)DeliverReply(server, client, reply, len, reply_ref_data, reply_ref_len, grant,
+                           completion);
+        break;
+      case fault::FaultMode::kDropReply:
+        client = nullptr;  // stays blocked until its deadline
+        break;
+      case fault::FaultMode::kCrashTask:
+        client->rpc.completion = base::Status::kPortDead;
+        scheduler_.Wake(client, base::Status::kPortDead);
+        LeaveKernel();
+        TerminateTask(server->task());
+        return base::Status::kAborted;
+      case fault::FaultMode::kKillPort: {
+        Port* request_port = client->rpc.port;
+        client->rpc.completion = base::Status::kPortDead;
+        scheduler_.Wake(client, base::Status::kPortDead);
+        LeaveKernel();
+        if (request_port != nullptr && !request_port->dead()) {
+          DestroyPort(request_port);
+        }
+        return base::Status::kPortDead;
       }
-      return base::Status::kPortDead;
+      case fault::FaultMode::kTransientError:
+        (void)DeliverReply(server, client, reply, 0, nullptr, 0, kNullPort, base::Status::kBusy);
+        break;
+      case fault::FaultMode::kCount:
+        break;
     }
-    case fault::FaultMode::kTransientError:
-      (void)DeliverReply(server, client, reply, 0, nullptr, 0, kNullPort, base::Status::kBusy);
-      break;
-    case fault::FaultMode::kStallTask:
-    case fault::FaultMode::kDelayReply:
-      // Server-loop-only modes (see points.h); deliver normally here.
-      (void)DeliverReply(server, client, reply, len, reply_ref_data, reply_ref_len, grant,
-                         base::Status::kOk);
-      break;
-    case fault::FaultMode::kCount:
-      break;
   }
 
-  // Post the receive buffers BEFORE resuming the replied client, so its next
-  // call finds this server already parked (reply_and_wait).
+  // Receive half. The replied client (if any) is woken only once the server
+  // has either taken its next request or parked, so the client's next call
+  // finds this server already waiting (reply_and_wait).
+  auto port_r = server->task()->port_space().LookupReceive(receive_name);
+  if (!port_r.ok()) {
+    if (client != nullptr) {
+      scheduler_.Wake(client, base::Status::kOk);
+    }
+    LeaveKernel();
+    return port_r.status();
+  }
+  Port* port = *port_r;
   Thread::RpcState& s = server->rpc;
   s.srv_buf = buf;
   s.srv_cap = cap;
@@ -545,45 +561,27 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* 
     ref->recv_ool = false;
   }
 
-  // Serve any caller already queued on a member/port.
-  Port* source = nullptr;
-  if (port->is_port_set) {
-    for (Port* member : port->set_members) {
-      if (!member->waiting_clients.empty()) {
-        source = member;
-        break;
-      }
-    }
-  } else if (!port->waiting_clients.empty()) {
-    source = port;
-  }
-  if (source != nullptr) {
+  if (Port* source = QueuedSource(port); source != nullptr) {
     Thread* next_client = source->waiting_clients.front();
     source->waiting_clients.pop_front();
     server->rpc.arrived_port = source->id();
     DeliverRpcToServer(next_client, server);
-    if (next_client->rpc.completion != base::Status::kOk) {
+    const bool too_large = next_client->rpc.completion != base::Status::kOk;
+    if (too_large) {
       // The queued request didn't fit the posted buffers. Fail that client —
       // found by schedule exploration: leaving it unwoken here blocked it
       // forever, and the RpcRequest below would have carried a stale token.
       // Same contract as RpcReceive: wake the loser, report kTooLarge.
       scheduler_.Wake(next_client, next_client->rpc.completion);
-      if (client != nullptr) {
-        scheduler_.Wake(client, base::Status::kOk);
-      }
-      LeaveKernel();
-      return base::Status::kTooLarge;
     }
     if (client != nullptr) {
       scheduler_.Wake(client, base::Status::kOk);
     }
-    RpcRequest out;
-    out.token = s.token;
-    out.arrived_port = s.arrived_port;
-    out.req_len = s.srv_req_len;
-    out.ref_len = s.srv_ref_len;
-    out.rights = std::move(s.srv_rights);
-    out.client_task = s.srv_client_task;
+    if (too_large) {
+      LeaveKernel();
+      return base::Status::kTooLarge;
+    }
+    RpcRequest out = TakeRequest(s);
     LeaveKernel();
     return out;
   }
@@ -598,6 +596,7 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* 
     return port->dead() ? base::Status::kPortDead : base::Status::kAborted;
   }
   port->waiting_servers.push_back(server);
+  StartTimedWake(server, timeout_ns);
   base::Status st;
   if (client != nullptr) {
     scheduler_.Wake(client, base::Status::kOk);
@@ -606,22 +605,11 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(uint64_t token, const void* 
     st = scheduler_.Block(Thread::State::kBlocked, nullptr);
   }
   if (st != base::Status::kOk) {
-    for (auto it = port->waiting_servers.begin(); it != port->waiting_servers.end(); ++it) {
-      if (*it == server) {
-        port->waiting_servers.erase(it);
-        break;
-      }
-    }
+    LeaveReceiveQueue(port, server);
     LeaveKernel();
     return st;
   }
-  RpcRequest out;
-  out.token = s.token;
-  out.arrived_port = s.arrived_port;
-  out.req_len = s.srv_req_len;
-  out.ref_len = s.srv_ref_len;
-  out.rights = std::move(s.srv_rights);
-  out.client_task = s.srv_client_task;
+  RpcRequest out = TakeRequest(s);
   LeaveKernel();
   return out;
 }

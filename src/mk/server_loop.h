@@ -14,7 +14,11 @@
 //   - sends watchdog heartbeats once EnableHeartbeat armed them;
 //   - opens a kServerOp span labelled with the loop's name and counts
 //     `server.<name>.ops`;
-//   - calls the dispatch function, which must reply by token (now or later).
+//   - calls the dispatch function, which answers its request with Reply() or
+//     keeps the token to answer later with Kernel::RpcReply;
+//   - sends a reply recorded by Reply() together with the next receive, in
+//     one RpcReplyAndReceive trap (the paper's reply-and-wait), so the
+//     server is parked again before the replied client runs.
 //
 // The loop charges no simulated cycles of its own. Each server's dispatch
 // charges the code regions its server defines (its loop and stub regions
@@ -59,9 +63,10 @@ class ServerLoop {
   // immediately, so a server parked between receives wakes with kPortDead
   // and exits, and every caller — queued or future — observes kPortDead
   // rather than a request that may or may not still be served. A request
-  // already in dispatch still completes by token. Callable from any thread
-  // (including a handler) once Run() has started; calling it before Run()
-  // makes Run() destroy the port and return at once.
+  // already in dispatch still completes: a reply it records is delivered by
+  // the loop's last trap, whose receive half then fails on the dead port.
+  // Callable from any thread (including a handler) once Run() has started;
+  // calling it before Run() makes Run() destroy the port and return at once.
   void Stop() {
     stop_requested_ = true;
     running_ = false;
@@ -90,7 +95,9 @@ class ServerLoop {
     if (health_right_ != kNullPort) {
       SendHeartbeat(env);  // first beat arms the watchdog deadline
     }
-    while (running_) {
+    // A recorded reply is always sent, even once the loop stopped: the
+    // combined trap delivers it and then fails its receive half.
+    while (running_ || reply_.token != 0) {
       Req req;
       std::memset(static_cast<void*>(&req), 0, sizeof(req));
       RpcRef ref;
@@ -100,7 +107,7 @@ class ServerLoop {
       // wakes to beat; without them this is the plain blocking receive.
       const uint64_t receive_timeout =
           health_right_ != kNullPort && heartbeat_every_ns_ != 0 ? heartbeat_every_ns_ : kForever;
-      auto request = env.RpcReceive(port_, &req, sizeof(req), &ref, receive_timeout);
+      auto request = ReplyAndReceive(env, &req, sizeof(req), &ref, receive_timeout);
       if (!request.ok()) {
         if (request.status() == base::Status::kTooLarge) {
           // An oversized queued request was already failed back to its
@@ -129,16 +136,41 @@ class ServerLoop {
       }
       const auto op = static_cast<uint64_t>(req.op);
       trace::Tracer& tracer = env.kernel().tracer();
+      // The span closes when dispatch returns, before the reply it recorded
+      // goes out with the next receive.
       trace::ScopedSpan op_span(tracer, trace::SpanKind::kServerOp,
                                 trace::EventType::kServerDispatch, trace::EventType::kServerDone,
                                 op);
       op_span.set_end_payload(op);
       tracer.LabelSpan(op_span.id(), name_);
       ++tracer.metrics().Counter(ops_counter_);
+      dispatching_ = request->token;
       dispatch(env, *request, req, ref_buf_.data(), ref.recv_len);
+      dispatching_ = 0;
     }
     running_ = false;
     env_ = nullptr;
+  }
+
+  // Answers the request being dispatched. The reply leaves when dispatch
+  // returns, in the same trap that parks the server for its next request,
+  // so the bytes are copied into buffers the loop owns: a host copy with no
+  // simulated cost (the kernel charges the reply copy either way), needed
+  // because the handler's buffers die with its frame. One reply per
+  // request; a reply sent later, by a stored token, goes through
+  // Kernel::RpcReply instead.
+  void Reply(const RpcRequest& rpc, const void* reply, uint32_t len,
+             const void* ref_data = nullptr, uint32_t ref_len = 0, PortName grant = kNullPort,
+             base::Status completion = base::Status::kOk) {
+    WPOS_CHECK(rpc.token != 0 && rpc.token == dispatching_ && reply_.token == 0)
+        << "ServerLoop::Reply answers the request in dispatch, once";
+    const auto* bytes = static_cast<const uint8_t*>(reply);
+    const auto* ref_bytes = static_cast<const uint8_t*>(ref_data);
+    reply_.token = rpc.token;
+    reply_.inline_bytes.assign(bytes, bytes + (bytes != nullptr ? len : 0));
+    reply_.ref_bytes.assign(ref_bytes, ref_bytes + (ref_bytes != nullptr ? ref_len : 0));
+    reply_.grant = grant;
+    reply_.completion = completion;
   }
 
   // The kServerHandlerEntry fault point. A server that hosts it calls this
@@ -172,7 +204,7 @@ class ServerLoop {
         env_ = nullptr;
         return false;
       case fault::FaultMode::kTransientError:
-        env.RpcReply(request.token, nullptr, 0, nullptr, 0, kNullPort, base::Status::kBusy);
+        Reply(request, nullptr, 0, nullptr, 0, kNullPort, base::Status::kBusy);
         return false;
       case fault::FaultMode::kStallTask:
         // Wedged, not dead: the thread parks forever mid-request and stops
@@ -195,6 +227,32 @@ class ServerLoop {
   }
 
  private:
+  // The reply Reply() recorded for the request in dispatch (token 0: none).
+  struct PendingReply {
+    uint64_t token = 0;
+    std::vector<uint8_t> inline_bytes;
+    std::vector<uint8_t> ref_bytes;
+    PortName grant = kNullPort;
+    base::Status completion = base::Status::kOk;
+  };
+
+  // The loop's one receive: with a recorded reply pending, the reply and
+  // the receive share one RpcReplyAndReceive trap; a dispatch that kept its
+  // token (a deferred reply) or sent nothing leaves a plain receive.
+  base::Result<RpcRequest> ReplyAndReceive(Env& env, void* buf, uint32_t cap, RpcRef* ref,
+                                           uint64_t timeout_ns) {
+    if (reply_.token == 0) {
+      return env.RpcReceive(port_, buf, cap, ref, timeout_ns);
+    }
+    const uint64_t token = reply_.token;
+    reply_.token = 0;
+    const auto& ref_bytes = reply_.ref_bytes;
+    return env.RpcReplyAndReceive(
+        token, reply_.inline_bytes.data(), static_cast<uint32_t>(reply_.inline_bytes.size()),
+        port_, buf, cap, ref, ref_bytes.empty() ? nullptr : ref_bytes.data(),
+        static_cast<uint32_t>(ref_bytes.size()), reply_.grant, reply_.completion, timeout_ns);
+  }
+
   void DestroyReceivePort(Env& env) {
     if (!port_destroyed_) {
       port_destroyed_ = true;
@@ -220,6 +278,8 @@ class ServerLoop {
   std::string name_;
   std::string ops_counter_;
   std::vector<uint8_t> ref_buf_;
+  PendingReply reply_;
+  uint64_t dispatching_ = 0;  // token of the request in dispatch (0: none)
   Env* env_ = nullptr;  // set while Run() is active; lets Stop() act at once
   bool running_ = false;
   bool stop_requested_ = false;

@@ -49,19 +49,19 @@ void LiteNameServer::Serve(mk::Env& env) {
       } else if (!entries_.emplace(r.name, req.rights.front()).second) {
         reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
       }
-      env.RpcReply(req.token, &reply, sizeof(reply));
+      loop_->Reply(req, &reply, sizeof(reply));
     } else if (r.op == LiteNameOp::kResolve) {
       ++resolves_;
       auto it = entries_.find(r.name);
       if (it == entries_.end()) {
         reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        env.RpcReply(req.token, &reply, sizeof(reply));
+        loop_->Reply(req, &reply, sizeof(reply));
       } else {
-        env.RpcReply(req.token, &reply, sizeof(reply), nullptr, 0, /*grant=*/it->second);
+        loop_->Reply(req, &reply, sizeof(reply), nullptr, 0, /*grant=*/it->second);
       }
     } else {
       reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-      env.RpcReply(req.token, &reply, sizeof(reply));
+      loop_->Reply(req, &reply, sizeof(reply));
     }
   });
 }

@@ -114,7 +114,7 @@ void NameServer::Serve(mk::Env& env) {
       default: {
         NameReply reply;
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        env.RpcReply(req.token, &reply, sizeof(reply));
+        loop_->Reply(req, &reply, sizeof(reply));
       }
     }
   });
@@ -127,12 +127,12 @@ void NameServer::HandleRegister(mk::Env& env, const mk::RpcRequest& req, const N
   ChargeNameWalk(name);
   if (req.rights.empty()) {
     reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    env.RpcReply(req.token, &reply, sizeof(reply));
+    loop_->Reply(req, &reply, sizeof(reply));
     return;
   }
   if (entries_.contains(name)) {
     reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
-    env.RpcReply(req.token, &reply, sizeof(reply));
+    loop_->Reply(req, &reply, sizeof(reply));
     return;
   }
   Node node;
@@ -147,7 +147,7 @@ void NameServer::HandleRegister(mk::Env& env, const mk::RpcRequest& req, const N
   entries_.emplace(name, std::move(node));
   ++registrations_;
   NotifyWatchers(env, 1, name);
-  env.RpcReply(req.token, &reply, sizeof(reply));
+  loop_->Reply(req, &reply, sizeof(reply));
 }
 
 void NameServer::HandleResolve(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
@@ -158,11 +158,11 @@ void NameServer::HandleResolve(mk::Env& env, const mk::RpcRequest& req, const Na
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     reply.status = static_cast<int32_t>(base::Status::kNotFound);
-    env.RpcReply(req.token, &reply, sizeof(reply));
+    loop_->Reply(req, &reply, sizeof(reply));
     return;
   }
   kernel_.cpu().AccessData(it->second.sim_addr, 48, /*write=*/false);
-  env.RpcReply(req.token, &reply, sizeof(reply), nullptr, 0, /*grant=*/it->second.right);
+  loop_->Reply(req, &reply, sizeof(reply), nullptr, 0, /*grant=*/it->second.right);
 }
 
 void NameServer::HandleUnregister(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
@@ -174,7 +174,7 @@ void NameServer::HandleUnregister(mk::Env& env, const mk::RpcRequest& req, const
   } else {
     NotifyWatchers(env, 2, name);
   }
-  env.RpcReply(req.token, &reply, sizeof(reply));
+  loop_->Reply(req, &reply, sizeof(reply));
 }
 
 void NameServer::HandleList(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
@@ -191,7 +191,7 @@ void NameServer::HandleList(mk::Env& env, const mk::RpcRequest& req, const NameR
     }
   }
   reply.count = static_cast<uint32_t>(results.size());
-  env.RpcReply(req.token, &reply, sizeof(reply), results.data(),
+  loop_->Reply(req, &reply, sizeof(reply), results.data(),
                static_cast<uint32_t>(results.size() * sizeof(NameListEntry)));
 }
 
@@ -214,7 +214,7 @@ void NameServer::HandleSearch(mk::Env& env, const mk::RpcRequest& req, const Nam
     }
   }
   reply.count = static_cast<uint32_t>(results.size());
-  env.RpcReply(req.token, &reply, sizeof(reply), results.data(),
+  loop_->Reply(req, &reply, sizeof(reply), results.data(),
                static_cast<uint32_t>(results.size() * sizeof(NameListEntry)));
 }
 
@@ -246,7 +246,7 @@ void NameServer::HandleSetAttr(mk::Env& env, const mk::RpcRequest& req, const Na
       NotifyWatchers(env, 3, name);
     }
   }
-  env.RpcReply(req.token, &reply, sizeof(reply));
+  loop_->Reply(req, &reply, sizeof(reply));
 }
 
 void NameServer::HandleGetAttr(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
@@ -265,7 +265,7 @@ void NameServer::HandleGetAttr(mk::Env& env, const mk::RpcRequest& req, const Na
       }
     }
   }
-  env.RpcReply(req.token, &reply, sizeof(reply));
+  loop_->Reply(req, &reply, sizeof(reply));
 }
 
 void NameServer::HandleWatch(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
@@ -280,7 +280,7 @@ void NameServer::HandleWatch(mk::Env& env, const mk::RpcRequest& req, const Name
       watchers_.push_back({Canonical(r.name), *port});
     }
   }
-  env.RpcReply(req.token, &reply, sizeof(reply));
+  loop_->Reply(req, &reply, sizeof(reply));
 }
 
 void NameServer::NotifyWatchers(mk::Env& env, uint32_t kind, const std::string& name) {

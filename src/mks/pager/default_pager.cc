@@ -82,8 +82,7 @@ void DefaultPager::Serve(mk::Env& env) {
         }
         // Never-written pages page in as zeros.
       }
-      env.RpcReply(rpc.token, &reply, sizeof(reply), out.data(),
-                   static_cast<uint32_t>(out.size()));
+      loop_->Reply(rpc, &reply, sizeof(reply), out.data(), static_cast<uint32_t>(out.size()));
     } else if (req.op == mk::PagerOp::kDataWrite) {
       ++pageouts_served_;
       ++metrics.Counter("server.pager.pageouts");
@@ -95,18 +94,18 @@ void DefaultPager::Serve(mk::Env& env) {
         reply.status = static_cast<int32_t>(st);
         preloaded_.erase(std::make_pair(req.object_id, req.page_index));
       }
-      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      loop_->Reply(rpc, &reply, sizeof(reply));
     } else if (req.op == mk::PagerOp::kObjectSetup) {
       // Backing store allocates lazily; the init handshake is just an ack.
-      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      loop_->Reply(rpc, &reply, sizeof(reply));
     } else if (req.op == mk::PagerOp::kObjectTerminate) {
       const uint64_t gone = req.object_id;
       std::erase_if(allocation_, [gone](const auto& kv) { return kv.first.first == gone; });
       std::erase_if(preloaded_, [gone](const auto& kv) { return kv.first.first == gone; });
-      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      loop_->Reply(rpc, &reply, sizeof(reply));
     } else {
       reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      loop_->Reply(rpc, &reply, sizeof(reply));
     }
   });
 }

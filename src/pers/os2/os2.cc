@@ -108,7 +108,7 @@ void Os2Server::Serve(mk::Env& env) {
       default:
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
     }
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
   });
 }
 

@@ -230,7 +230,7 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   Mount* mount = MountFor(r.path, &rest);
   if (mount == nullptr) {
     reply.status = static_cast<int32_t>(base::Status::kNotFound);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   const bool ci = (r.flags & kFsCaseInsensitive) != 0;
@@ -242,12 +242,12 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
     node = mount->pfs->Create(env, parent, leaf, /*directory=*/false);
   } else if (node.ok() && (r.flags & kFsExclusive) != 0 && (r.flags & kFsCreate) != 0) {
     reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   if (!node.ok()) {
     reply.status = static_cast<int32_t>(node.status());
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   // Sharing-mode admission (OS/2 deny modes).
@@ -257,14 +257,14 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
       (r.share == FsShare::kDenyAll && state.open_count > 0) ||
       (r.share == FsShare::kDenyWrite && state.writers > 0)) {
     reply.status = static_cast<int32_t>(base::Status::kBusy);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   if ((r.flags & kFsTruncate) != 0) {
     const base::Status st = mount->pfs->SetSize(env, *node, 0);
     if (st != base::Status::kOk && st != base::Status::kNotSupported) {
       reply.status = static_cast<int32_t>(st);
-      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      loop_->Reply(rpc, &reply, sizeof(reply));
       return;
     }
     InvalidateMappedRange(mount, *node, 0, ~0ull);
@@ -301,7 +301,7 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   if (attr.ok()) {
     reply.attr = {attr->size, attr->directory ? uint8_t{1} : uint8_t{0}};
   }
-  env.RpcReply(rpc.token, &reply, sizeof(reply), nullptr, 0, /*grant=*/*file_port_name);
+  loop_->Reply(rpc, &reply, sizeof(reply), nullptr, 0, /*grant=*/*file_port_name);
 }
 
 void FileServer::HandleClose(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
@@ -310,7 +310,7 @@ void FileServer::HandleClose(mk::Env& env, const mk::RpcRequest& rpc, const FsRe
   auto it = open_files_.find(r.handle);
   if (it == open_files_.end()) {
     reply.status = static_cast<int32_t>(base::Status::kNotFound);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   OpenFile& of = it->second;
@@ -335,7 +335,7 @@ void FileServer::HandleClose(mk::Env& env, const mk::RpcRequest& rpc, const FsRe
   }
   (void)kernel_.PortDestroy(*task_, of.file_port);
   open_files_.erase(it);
-  env.RpcReply(rpc.token, &reply, sizeof(reply));
+  loop_->Reply(rpc, &reply, sizeof(reply));
 }
 
 void FileServer::HandleRead(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
@@ -344,7 +344,7 @@ void FileServer::HandleRead(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   auto it = open_files_.find(r.handle);
   if (it == open_files_.end() || r.len > kFsMaxIo) {
     reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   OpenFile& of = it->second;
@@ -352,12 +352,12 @@ void FileServer::HandleRead(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   auto got = of.mount->pfs->Read(env, of.node, r.offset, buffer.data(), r.len);
   if (!got.ok()) {
     reply.status = static_cast<int32_t>(got.status());
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   ++reads_;
   reply.len = *got;
-  env.RpcReply(rpc.token, &reply, sizeof(reply), buffer.data(), *got);
+  loop_->Reply(rpc, &reply, sizeof(reply), buffer.data(), *got);
 }
 
 void FileServer::HandleWrite(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r,
@@ -366,7 +366,7 @@ void FileServer::HandleWrite(mk::Env& env, const mk::RpcRequest& rpc, const FsRe
   auto it = open_files_.find(r.handle);
   if (it == open_files_.end() || data_len != r.len || r.len > kFsMaxIo) {
     reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   OpenFile& of = it->second;
@@ -382,19 +382,19 @@ void FileServer::HandleWrite(mk::Env& env, const mk::RpcRequest& rpc, const FsRe
   NodeState& state = node_states_[NodeKey(of.mount, of.node)];
   if (LockConflicts(state, offset, r.len, /*exclusive=*/true, r.handle)) {
     reply.status = static_cast<int32_t>(base::Status::kBusy);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   auto wrote = of.mount->pfs->Write(env, of.node, offset, data, r.len);
   if (!wrote.ok()) {
     reply.status = static_cast<int32_t>(wrote.status());
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   ++writes_;
   InvalidateMappedRange(of.mount, of.node, offset, *wrote);
   reply.len = *wrote;
-  env.RpcReply(rpc.token, &reply, sizeof(reply));
+  loop_->Reply(rpc, &reply, sizeof(reply));
 }
 
 void FileServer::HandleReadV(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r,
@@ -406,7 +406,7 @@ void FileServer::HandleReadV(mk::Env& env, const mk::RpcRequest& rpc, const FsRe
   if (it == open_files_.end() || count == 0 || count > kFsMaxExtents ||
       ref_len < count * sizeof(FsExtent)) {
     reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   FsExtent extents[kFsMaxExtents];
@@ -417,7 +417,7 @@ void FileServer::HandleReadV(mk::Env& env, const mk::RpcRequest& rpc, const FsRe
   }
   if (total > kFsMaxIo) {
     reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   OpenFile& of = it->second;
@@ -428,7 +428,7 @@ void FileServer::HandleReadV(mk::Env& env, const mk::RpcRequest& rpc, const FsRe
                                    extents[i].len);
     if (!got.ok()) {
       reply.status = static_cast<int32_t>(got.status());
-      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      loop_->Reply(rpc, &reply, sizeof(reply));
       return;
     }
     ++reads_;
@@ -438,7 +438,7 @@ void FileServer::HandleReadV(mk::Env& env, const mk::RpcRequest& rpc, const FsRe
     }
   }
   reply.len = filled;
-  env.RpcReply(rpc.token, &reply, sizeof(reply), buffer.data(), filled);
+  loop_->Reply(rpc, &reply, sizeof(reply), buffer.data(), filled);
 }
 
 void FileServer::HandleWriteV(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r,
@@ -449,7 +449,7 @@ void FileServer::HandleWriteV(mk::Env& env, const mk::RpcRequest& rpc, const FsR
   if (it == open_files_.end() || count == 0 || count > kFsMaxExtents ||
       ref_len < count * sizeof(FsExtent)) {
     reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   FsExtent extents[kFsMaxExtents];
@@ -461,7 +461,7 @@ void FileServer::HandleWriteV(mk::Env& env, const mk::RpcRequest& rpc, const FsR
   const uint64_t table_bytes = count * sizeof(FsExtent);
   if (total > kFsMaxIo || total != r.len || ref_len != table_bytes + total) {
     reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   OpenFile& of = it->second;
@@ -470,7 +470,7 @@ void FileServer::HandleWriteV(mk::Env& env, const mk::RpcRequest& rpc, const FsR
   for (uint32_t i = 0; i < count; ++i) {
     if (LockConflicts(state, extents[i].offset, extents[i].len, /*exclusive=*/true, r.handle)) {
       reply.status = static_cast<int32_t>(base::Status::kBusy);
-      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      loop_->Reply(rpc, &reply, sizeof(reply));
       return;
     }
   }
@@ -481,7 +481,7 @@ void FileServer::HandleWriteV(mk::Env& env, const mk::RpcRequest& rpc, const FsR
                                       extents[i].len);
     if (!wrote.ok()) {
       reply.status = static_cast<int32_t>(wrote.status());
-      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      loop_->Reply(rpc, &reply, sizeof(reply));
       return;
     }
     ++writes_;
@@ -492,7 +492,7 @@ void FileServer::HandleWriteV(mk::Env& env, const mk::RpcRequest& rpc, const FsR
     }
   }
   reply.len = written;
-  env.RpcReply(rpc.token, &reply, sizeof(reply));
+  loop_->Reply(rpc, &reply, sizeof(reply));
 }
 
 void FileServer::HandleLock(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
@@ -501,7 +501,7 @@ void FileServer::HandleLock(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   auto it = open_files_.find(r.handle);
   if (it == open_files_.end()) {
     reply.status = static_cast<int32_t>(base::Status::kNotFound);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   OpenFile& of = it->second;
@@ -521,7 +521,7 @@ void FileServer::HandleLock(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
       reply.status = static_cast<int32_t>(base::Status::kNotFound);
     }
   }
-  env.RpcReply(rpc.token, &reply, sizeof(reply));
+  loop_->Reply(rpc, &reply, sizeof(reply));
 }
 
 void FileServer::HandleStat(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
@@ -534,7 +534,7 @@ void FileServer::HandleStat(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   auto it = open_files_.find(r.handle);
   if (it == open_files_.end()) {
     reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   OpenFile& of = it->second;
@@ -543,7 +543,7 @@ void FileServer::HandleStat(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
     const base::Status st = of.mount->pfs->SetSize(env, of.node, r.offset);
     if (st != base::Status::kOk) {
       reply.status = static_cast<int32_t>(st);
-      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      loop_->Reply(rpc, &reply, sizeof(reply));
       return;
     }
     // Resizing moves EOF under every mapped view: drop all clean pages.
@@ -555,7 +555,7 @@ void FileServer::HandleStat(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   } else {
     reply.attr = {attr->size, attr->directory ? uint8_t{1} : uint8_t{0}};
   }
-  env.RpcReply(rpc.token, &reply, sizeof(reply));
+  loop_->Reply(rpc, &reply, sizeof(reply));
 }
 
 void FileServer::HandleMapObject(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
@@ -563,20 +563,20 @@ void FileServer::HandleMapObject(mk::Env& env, const mk::RpcRequest& rpc, const 
   kernel_.cpu().Execute(UnionSemRegion());
   if (pager_port_raw_ == nullptr) {
     reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   auto it = open_files_.find(r.handle);
   if (it == open_files_.end()) {
     reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   OpenFile& of = it->second;
   auto attr = of.mount->pfs->GetAttr(env, of.node);
   if (!attr.ok()) {
     reply.status = static_cast<int32_t>(attr.status());
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   const auto key = NodeKey(of.mount, of.node);
@@ -603,7 +603,7 @@ void FileServer::HandleMapObject(mk::Env& env, const mk::RpcRequest& rpc, const 
     reply.handle = id;
   }
   reply.attr = {attr->size, attr->directory ? uint8_t{1} : uint8_t{0}};
-  env.RpcReply(rpc.token, &reply, sizeof(reply));
+  loop_->Reply(rpc, &reply, sizeof(reply));
 }
 
 void FileServer::HandleMapRelease(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
@@ -620,7 +620,7 @@ void FileServer::HandleMapRelease(mk::Env& env, const mk::RpcRequest& rpc, const
     // the count only tells the caller whether it was the last mapper.
     reply.len = it->second.map_count;
   }
-  env.RpcReply(rpc.token, &reply, sizeof(reply));
+  loop_->Reply(rpc, &reply, sizeof(reply));
 }
 
 void FileServer::ServePager(mk::Env& env) {
@@ -637,7 +637,7 @@ void FileServer::ServePager(mk::Env& env) {
       case mk::PagerOp::kDataRequest: {
         if (it == map_objects_.end()) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          env.RpcReply(rpc.token, &reply, sizeof(reply));
+          pager_loop_->Reply(rpc, &reply, sizeof(reply));
           break;
         }
         MapObjectState& st = it->second;
@@ -653,13 +653,13 @@ void FileServer::ServePager(mk::Env& env) {
         (void)st.mount->pfs->Read(env, st.node, req.page_index << hw::kPageShift, io.data(),
                                   bytes);
         ++pageins_;
-        env.RpcReply(rpc.token, &reply, sizeof(reply), io.data(), bytes);
+        pager_loop_->Reply(rpc, &reply, sizeof(reply), io.data(), bytes);
         break;
       }
       case mk::PagerOp::kDataWrite: {
         if (it == map_objects_.end() || page_len != hw::kPageSize) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          env.RpcReply(rpc.token, &reply, sizeof(reply));
+          pager_loop_->Reply(rpc, &reply, sizeof(reply));
           break;
         }
         MapObjectState& st = it->second;
@@ -678,14 +678,14 @@ void FileServer::ServePager(mk::Env& env) {
           }
         }
         ++pageouts_;
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        pager_loop_->Reply(rpc, &reply, sizeof(reply));
         break;
       }
       case mk::PagerOp::kObjectSetup: {
         if (it == map_objects_.end()) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
         }
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        pager_loop_->Reply(rpc, &reply, sizeof(reply));
         break;
       }
       case mk::PagerOp::kObjectTerminate: {
@@ -693,12 +693,12 @@ void FileServer::ServePager(mk::Env& env) {
           node_map_.erase(NodeKey(it->second.mount, it->second.node));
           map_objects_.erase(it);
         }
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        pager_loop_->Reply(rpc, &reply, sizeof(reply));
         break;
       }
       default:
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        pager_loop_->Reply(rpc, &reply, sizeof(reply));
     }
   });
 }
@@ -710,7 +710,7 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
   Mount* mount = MountFor(r.path, &rest);
   if (mount == nullptr) {
     reply.status = static_cast<int32_t>(base::Status::kNotFound);
-    env.RpcReply(rpc.token, &reply, sizeof(reply));
+    loop_->Reply(rpc, &reply, sizeof(reply));
     return;
   }
   const bool ci = (r.flags & kFsCaseInsensitive) != 0;
@@ -814,7 +814,7 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
         }
       }
       reply.len = static_cast<uint32_t>(wire.size());
-      env.RpcReply(rpc.token, &reply, sizeof(reply), wire.data(),
+      loop_->Reply(rpc, &reply, sizeof(reply), wire.data(),
                    static_cast<uint32_t>(wire.size() * sizeof(FsDirEntryWire)));
       return;
     }
@@ -850,8 +850,7 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
         break;
       }
       reply.len = static_cast<uint32_t>(value->size());
-      env.RpcReply(rpc.token, &reply, sizeof(reply), value->data(),
-                   static_cast<uint32_t>(value->size()));
+      loop_->Reply(rpc, &reply, sizeof(reply), value->data(), static_cast<uint32_t>(value->size()));
       return;
     }
     case FsOp::kSync: {
@@ -863,7 +862,7 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
     default:
       reply.status = static_cast<int32_t>(base::Status::kNotSupported);
   }
-  env.RpcReply(rpc.token, &reply, sizeof(reply));
+  loop_->Reply(rpc, &reply, sizeof(reply));
 }
 
 void FileServer::Serve(mk::Env& env) {
@@ -882,7 +881,7 @@ void FileServer::Serve(mk::Env& env) {
         std::memchr(r.path2, '\0', kFsMaxPath) == nullptr) {
       FsReply reply;
       reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-      env.RpcReply(rpc.token, &reply, sizeof(reply));
+      loop_->Reply(rpc, &reply, sizeof(reply));
       return;
     }
     switch (r.op) {

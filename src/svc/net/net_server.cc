@@ -107,7 +107,7 @@ void NetServer::Serve(mk::Env& env) {
         if (!sockets_.try_emplace(req.port).second) {
           reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
         }
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        loop_->Reply(rpc, &reply, sizeof(reply));
         break;
       }
       case NetOp::kSendTo: {
@@ -122,7 +122,7 @@ void NetServer::Serve(mk::Env& env) {
         if (reply.status == 0) {
           ++sent_;
         }
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        loop_->Reply(rpc, &reply, sizeof(reply));
         break;
       }
       case NetOp::kSendToV: {
@@ -131,7 +131,7 @@ void NetServer::Serve(mk::Env& env) {
         const uint32_t table_bytes = count * static_cast<uint32_t>(sizeof(NetDgram));
         if (count == 0 || count > kNetMaxBatch || payload_len < table_bytes) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          env.RpcReply(rpc.token, &reply, sizeof(reply));
+          loop_->Reply(rpc, &reply, sizeof(reply));
           break;
         }
         NetDgram headers[kNetMaxBatch];
@@ -147,7 +147,7 @@ void NetServer::Serve(mk::Env& env) {
         }
         if (!valid || table_bytes + total != payload_len) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          env.RpcReply(rpc.token, &reply, sizeof(reply));
+          loop_->Reply(rpc, &reply, sizeof(reply));
           break;
         }
         uint32_t consumed = table_bytes;
@@ -170,14 +170,14 @@ void NetServer::Serve(mk::Env& env) {
           ++dispatched;
         }
         reply.len = dispatched;
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        loop_->Reply(rpc, &reply, sizeof(reply));
         break;
       }
       case NetOp::kRecvFrom: {
         auto it = sockets_.find(req.port);
         if (it == sockets_.end()) {
           reply.status = static_cast<int32_t>(base::Status::kNotFound);
-          env.RpcReply(rpc.token, &reply, sizeof(reply));
+          loop_->Reply(rpc, &reply, sizeof(reply));
           break;
         }
         if (it->second.queue.empty()) {
@@ -189,12 +189,12 @@ void NetServer::Serve(mk::Env& env) {
         reply.len = static_cast<uint32_t>(dgram.payload.size());
         reply.from_addr = dgram.src_addr;
         reply.from_port = dgram.src_port;
-        env.RpcReply(rpc.token, &reply, sizeof(reply), dgram.payload.data(), reply.len);
+        loop_->Reply(rpc, &reply, sizeof(reply), dgram.payload.data(), reply.len);
         break;
       }
       default:
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        env.RpcReply(rpc.token, &reply, sizeof(reply));
+        loop_->Reply(rpc, &reply, sizeof(reply));
     }
   });
   if (!task_->terminated()) {

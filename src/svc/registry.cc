@@ -39,8 +39,7 @@ void RegistryServer::Serve(mk::Env& env) {
     r.key[sizeof(r.key) - 1] = '\0';
     r.value[sizeof(r.value) - 1] = '\0';
     if (r.op < RegOp::kSet || r.op > RegOp::kList) {
-      env.RpcReply(rpc.token, nullptr, 0, nullptr, 0, mk::kNullPort,
-                   base::Status::kNotSupported);
+      loop_->Reply(rpc, nullptr, 0, nullptr, 0, mk::kNullPort, base::Status::kNotSupported);
       return;
     }
     kernel_.cpu().Execute(RegRegion());
@@ -71,7 +70,7 @@ void RegistryServer::HandleSet(mk::Env& env, const mk::RpcRequest& rpc, const Re
   entries_[r.key] = r.value;
   RegReply reply;
   reply.status = static_cast<int32_t>(base::Status::kOk);
-  env.RpcReply(rpc.token, &reply, sizeof(reply));
+  loop_->Reply(rpc, &reply, sizeof(reply));
 }
 
 void RegistryServer::HandleGet(mk::Env& env, const mk::RpcRequest& rpc, const RegRequest& r) {
@@ -83,14 +82,14 @@ void RegistryServer::HandleGet(mk::Env& env, const mk::RpcRequest& rpc, const Re
     reply.status = static_cast<int32_t>(base::Status::kOk);
     std::strncpy(reply.value, it->second.c_str(), sizeof(reply.value) - 1);
   }
-  env.RpcReply(rpc.token, &reply, sizeof(reply));
+  loop_->Reply(rpc, &reply, sizeof(reply));
 }
 
 void RegistryServer::HandleDelete(mk::Env& env, const mk::RpcRequest& rpc, const RegRequest& r) {
   RegReply reply;
   reply.status = static_cast<int32_t>(entries_.erase(r.key) == 0 ? base::Status::kNotFound
                                                                  : base::Status::kOk);
-  env.RpcReply(rpc.token, &reply, sizeof(reply));
+  loop_->Reply(rpc, &reply, sizeof(reply));
 }
 
 void RegistryServer::HandleList(mk::Env& env, const mk::RpcRequest& rpc, const RegRequest& r) {
@@ -108,8 +107,7 @@ void RegistryServer::HandleList(mk::Env& env, const mk::RpcRequest& rpc, const R
   RegReply reply;
   reply.status = static_cast<int32_t>(base::Status::kOk);
   reply.count = count;
-  env.RpcReply(rpc.token, &reply, sizeof(reply), bulk.data(),
-               static_cast<uint32_t>(bulk.size()));
+  loop_->Reply(rpc, &reply, sizeof(reply), bulk.data(), static_cast<uint32_t>(bulk.size()));
 }
 
 base::Status RegistryClient::Set(mk::Env& env, const std::string& key, const std::string& value) {

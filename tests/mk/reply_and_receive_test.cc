@@ -170,5 +170,82 @@ TEST_F(KernelTest, ReplyAndReceiveFailsOversizedQueuedRequestWithoutStranding) {
   EXPECT_EQ(served, 2);
 }
 
+// The reply half runs before the receive half is looked at: a server whose
+// receive port died under it (a handler that stopped its loop) still
+// completes the caller it answers, and only the receive half fails.
+TEST_F(KernelTest, ReplyAndReceiveOnDestroyedPortStillCompletesTheClient) {
+  Task* server = kernel_.CreateTask("server");
+  Task* client = kernel_.CreateTask("client");
+  auto recv = kernel_.PortAllocate(*server);
+  auto send = kernel_.MakeSendRight(*server, *recv, *client);
+  base::Status receive_half = base::Status::kOk;
+  kernel_.CreateThread(server, "s", [&, recv = *recv](Env& env) {
+    uint32_t v = 0;
+    auto req = env.RpcReceive(recv, &v, sizeof(v));
+    ASSERT_TRUE(req.ok());
+    ASSERT_EQ(env.kernel().PortDestroy(*server, recv), base::Status::kOk);
+    const uint32_t reply = v + 1;
+    auto next = env.kernel().RpcReplyAndReceive(req->token, &reply, sizeof(reply), recv, &v,
+                                                sizeof(v));
+    ASSERT_FALSE(next.ok());
+    receive_half = next.status();
+  });
+  base::Status call = base::Status::kInternal;
+  uint32_t got = 0;
+  kernel_.CreateThread(client, "c", [&, send = *send](Env& env) {
+    uint32_t req = 41;
+    call = env.RpcCall(send, &req, sizeof(req), &got, sizeof(got));
+  });
+  EXPECT_EQ(kernel_.Run(), 0u) << "the answered client must not be left blocked";
+  EXPECT_EQ(call, base::Status::kOk);
+  EXPECT_EQ(got, 42u);
+  EXPECT_NE(receive_half, base::Status::kOk);
+}
+
+// A caller that timed out while the handler ran leaves a stale token. The
+// reply has nobody to go to, but the receive half still parks the server,
+// so the loop keeps serving: the next caller finds it waiting.
+TEST_F(KernelTest, ReplyAndReceiveWithStaleTokenStillParks) {
+  Task* server = kernel_.CreateTask("server");
+  Task* client = kernel_.CreateTask("client");
+  auto recv = kernel_.PortAllocate(*server);
+  auto send = kernel_.MakeSendRight(*server, *recv, *client);
+  int served = 0;
+  kernel_.CreateThread(server, "s", [&, recv = *recv](Env& env) {
+    uint32_t v = 0;
+    auto req = env.RpcReceive(recv, &v, sizeof(v));
+    while (req.ok()) {
+      if (++served == 1) {
+        (void)env.SleepNs(5'000'000);  // the caller's 1 ms deadline passes
+      }
+      const uint32_t reply = v * 2;
+      req = env.kernel().RpcReplyAndReceive(req->token, &reply, sizeof(reply), recv, &v,
+                                            sizeof(v));
+    }
+  });
+  base::Status timed_out = base::Status::kOk;
+  size_t parked_servers = 0;
+  base::Status next = base::Status::kInternal;
+  uint32_t got = 0;
+  kernel_.CreateThread(client, "c", [&, send = *send](Env& env) {
+    uint32_t req = 3;
+    timed_out = env.RpcCall(send, &req, sizeof(req), &got, sizeof(got), nullptr, nullptr,
+                            nullptr, 0, nullptr, /*timeout_ns=*/1'000'000);
+    (void)env.SleepNs(10'000'000);  // the handler finishes with the stale token
+    auto port = env.kernel().ResolvePort(*server, *recv);
+    ASSERT_TRUE(port.ok());
+    parked_servers = (*port)->waiting_servers.size();
+    req = 5;
+    next = env.RpcCall(send, &req, sizeof(req), &got, sizeof(got));
+    ASSERT_EQ(env.kernel().PortDestroy(*server, *recv), base::Status::kOk);
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(timed_out, base::Status::kTimedOut);
+  EXPECT_EQ(parked_servers, 1u) << "the stale reply must still park the server";
+  EXPECT_EQ(next, base::Status::kOk);
+  EXPECT_EQ(got, 10u);
+  EXPECT_EQ(served, 2);
+}
+
 }  // namespace
 }  // namespace mk

@@ -129,6 +129,45 @@ TEST_F(KernelTest, ServerLoopStopFailsQueuedCallers) {
   EXPECT_EQ(queued, base::Status::kPortDead);
 }
 
+// The same shutdown through ServerLoop::Reply: a reply recorded before the
+// handler stops the loop still goes out, in the loop's last trap, whose
+// receive half then fails on the destroyed port.
+TEST_F(KernelTest, ServerLoopStopStillDeliversARecordedReply) {
+  Task* server_task = kernel_.CreateTask("server");
+  Task* client_task = kernel_.CreateTask("client");
+  auto recv = kernel_.PortAllocate(*server_task);
+  auto send = kernel_.MakeSendRight(*server_task, *recv, *client_task);
+  ServerLoop loop(*recv, "shutdown");
+  kernel_.CreateThread(server_task, "s", [&](Env& env) {
+    loop.Run<OpReq>(env, [&](Env& env, const RpcRequest& rpc, const OpReq&, const uint8_t*,
+                             uint32_t) {
+      env.Yield();  // let the second caller queue up behind us
+      const AddRep rep{7};
+      loop.Reply(rpc, &rep, sizeof(rep));
+      loop.Stop();
+    });
+  });
+  base::Status first = base::Status::kInternal;
+  uint32_t first_sum = 0;
+  base::Status queued = base::Status::kInternal;
+  kernel_.CreateThread(client_task, "c1", [&, send = *send](Env& env) {
+    ClientStub stub("shutdown.c1", send);
+    AddRep rep;
+    first = stub.Call(env, OpReq{2}, &rep);
+    first_sum = rep.sum;
+  });
+  kernel_.CreateThread(client_task, "c2", [&, send = *send](Env& env) {
+    ClientStub stub("shutdown.c2", send);
+    AddRep rep;
+    queued = stub.Call(env, OpReq{2}, &rep);
+  });
+  EXPECT_EQ(kernel_.Run(), 0u) << "the answered caller must not be stranded";
+  EXPECT_EQ(first, base::Status::kOk);
+  EXPECT_EQ(first_sum, 7u);
+  EXPECT_EQ(queued, base::Status::kPortDead);
+  EXPECT_FALSE(loop.running());
+}
+
 TEST_F(KernelTest, HostInfoAndProcessorSets) {
   const HostInfo& info = kernel_.host().info();
   EXPECT_EQ(info.cpu_mhz, 133u);

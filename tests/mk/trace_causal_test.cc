@@ -67,7 +67,10 @@ uint64_t SpanIdOf(Kernel& kernel, const trace::Tracer::SpanMeta* meta) {
 struct EchoSystem {
   explicit EchoSystem(Kernel& kernel) : kernel_(kernel) {}
 
-  size_t AddServer(const std::string& name, int nested_over = -1) {
+  // `yield_before_reply` makes the handler give up the CPU before it answers,
+  // so another client's call can queue on the port meanwhile.
+  size_t AddServer(const std::string& name, int nested_over = -1,
+                   bool yield_before_reply = false) {
     Task* task = kernel_.CreateTask(name);
     auto recv = kernel_.PortAllocate(*task);
     WPOS_CHECK(recv.ok());
@@ -79,10 +82,12 @@ struct EchoSystem {
     const hw::CodeRegion stub = hw::DefineKernelCode("stub." + name, Costs::kRpcServerStub);
     const hw::CodeRegion loop_code = hw::DefineKernelCode("loop." + name, Costs::kRpcServerLoop);
     auto loop = std::make_shared<ServerLoop>(*recv, name);
-    kernel_.CreateThread(task, "loop", [loop, nested_send, stub, loop_code](Env& env) {
-      loop->Run<EchoRequest>(env, [l = loop.get(), nested_send, stub, loop_code](
-                                      Env& env, const RpcRequest& rpc, const EchoRequest& req,
-                                      const uint8_t*, uint32_t) {
+    kernel_.CreateThread(task, "loop", [loop, nested_send, stub, loop_code,
+                                        yield_before_reply](Env& env) {
+      loop->Run<EchoRequest>(env, [l = loop.get(), nested_send, stub, loop_code,
+                                   yield_before_reply](Env& env, const RpcRequest& rpc,
+                                                       const EchoRequest& req, const uint8_t*,
+                                                       uint32_t) {
         env.kernel().cpu().Execute(loop_code);
         env.kernel().cpu().Execute(stub);
         if (!l->EnterHandler(env, rpc)) {
@@ -93,7 +98,10 @@ struct EchoSystem {
           uint32_t inner_reply[2] = {};
           (void)env.RpcCall(nested_send, inner, sizeof(inner), inner_reply, sizeof(inner_reply));
         }
-        env.RpcReply(rpc.token, &req, rpc.req_len);
+        if (yield_before_reply) {
+          env.Yield();
+        }
+        l->Reply(rpc, &req, rpc.req_len);
       });
     });
     tasks_.push_back(task);
@@ -199,7 +207,10 @@ TEST(CausalTrace, ContendedPortRecordsQueueWait) {
   Kernel kernel(&machine);
   kernel.tracer().Enable();
   EchoSystem sys(kernel);
-  sys.AddServer("hot");
+  // Reply-and-receive parks the server again before a replied client runs,
+  // so two clients alone never queue; a handler that yields lets the other
+  // client's call arrive while it is busy.
+  sys.AddServer("hot", /*nested_over=*/-1, /*yield_before_reply=*/true);
   Task* a_task = kernel.CreateTask("client-a");
   Task* b_task = kernel.CreateTask("client-b");
   const PortName send_a = sys.GrantTo(0, *a_task);

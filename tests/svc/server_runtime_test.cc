@@ -141,6 +141,51 @@ TEST_P(ServerRuntimeTest, OversizedQueuedCallsLeaveTheLoopServing) {
   EXPECT_EQ(kernel_.tracer().metrics().Counter("server." + c.name + ".ops"), 1u);
 }
 
+// Every loop answers with reply-and-receive: the trap that carries a reply
+// also parks the server again before the replied client runs. So a client's
+// back-to-back call finds the server waiting (a 0 queue-wait sample; the
+// first call, made before the server ever received, queued) and the round
+// trip costs two kernel entries, the call and the server's one trap, where
+// reply-then-receive costs three.
+TEST_P(ServerRuntimeTest, BackToBackCallFindsTheServerParked) {
+  const LoopCase& c = GetParam();
+  kernel_.tracer().Enable();
+  const Target target = c.build(*this);
+  mk::Task* client = kernel_.CreateTask("client");
+  auto send = kernel_.MakeSendRight(*target.tasks.front(), target.port, *client);
+  ASSERT_TRUE(send.ok());
+  base::Status first = base::Status::kInternal;
+  base::Status second = base::Status::kInternal;
+  uint64_t round_trip_entries = 0;
+  kernel_.CreateThread(
+      client, "canary",
+      [&, port = *send](mk::Env& env) {
+        uint8_t reply[256];
+        const auto call = [&] {
+          return env.RpcCall(port, c.canary.data(), static_cast<uint32_t>(c.canary.size()),
+                             reply, sizeof(reply), nullptr, nullptr, nullptr, 0, nullptr,
+                             kDeadlineNs);
+        };
+        first = call();
+        const uint64_t entries = kernel_.kernel_entries();
+        second = call();
+        round_trip_entries = kernel_.kernel_entries() - entries;
+        for (mk::Task* task : target.tasks) {
+          kernel_.TerminateTask(task);
+        }
+      },
+      kClientPriority);
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(first, base::Status::kOk);
+  EXPECT_EQ(second, base::Status::kOk);
+  const mk::trace::Histogram& wait = kernel_.tracer().metrics().Hist(
+      "mk.rpc.queue_wait_cycles." + target.tasks.front()->name());
+  EXPECT_EQ(wait.count(), 2u);
+  EXPECT_GT(wait.max(), 0u) << "the first call queued before the server's first receive";
+  EXPECT_EQ(wait.min(), 0u) << "the second call must find the server already parked";
+  EXPECT_EQ(round_trip_entries, 2u);
+}
+
 std::vector<LoopCase> Cases() {
   std::vector<LoopCase> cases;
   {

@@ -56,6 +56,13 @@ Checks, over every header and source file under src/ and tests/:
      (a read that skips the kFsMaxIo cap, a missing ReadV). tests/ and
      bench/ may still build raw requests, which the hostile-input tests
      need.
+  9. Replies go through the server runtime (src/ only; src/mk/kernel*
+     exempt): `RpcReply(rpc.token` and `RpcReply(req.token` are flagged.
+     A dispatch answers its own request with mk::ServerLoop::Reply, which
+     the loop sends together with its next receive in one
+     RpcReplyAndReceive trap; a direct RpcReply costs the server a second
+     trap per request. Only a deferred reply, by a token the server stored
+     (NIC, net and OS/2 waiters), calls Kernel::RpcReply.
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -97,6 +104,7 @@ TRACE_ENUM_REF_RE = re.compile(r"\b(EventType|SpanKind)::(\w+)")
 FAULT_ENUM_REF_RE = re.compile(r"\b(FaultPoint|FaultMode)::(\w+)")
 RAW_RECEIVE_RE = re.compile(r"\b(RpcReceive|RpcReplyAndReceive)\s*\(")
 SERVER_LOOP_HEADER = Path("src") / "mk" / "server_loop.h"
+DIRECT_REPLY_RE = re.compile(r"\bRpcReply\s*\(\s*(?:rpc|req)\.token\b")
 FS_OP_RE = re.compile(r"\bFsOp::")
 FS_PROTOCOL_FILES = {
     Path("src") / "svc" / "fs" / name for name in ("protocol.h", "file_server.h", "file_server.cc")
@@ -278,16 +286,23 @@ def check_determinism(rel_path: Path, text: str, errors: list, accessors: set) -
 
 
 def check_server_runtime(rel_path: Path, text: str, errors: list) -> None:
-    if rel_path.parts[0] != "src" or rel_path == SERVER_LOOP_HEADER:
+    if rel_path.parts[0] != "src":
         return
     if rel_path.parent == Path("src") / "mk" and rel_path.name.startswith("kernel"):
         return
     for i, line in enumerate(text.split("\n")):
-        match = RAW_RECEIVE_RE.search(strip_line_comment(line))
-        if match:
+        code = strip_line_comment(line)
+        match = RAW_RECEIVE_RE.search(code)
+        if match and rel_path != SERVER_LOOP_HEADER:
             errors.append(
                 f"{rel_path}:{i + 1}: {match.group(1)}() outside the kernel — "
                 f"servers run on mk::ServerLoop ({SERVER_LOOP_HEADER})"
+            )
+        if DIRECT_REPLY_RE.search(code):
+            errors.append(
+                f"{rel_path}:{i + 1}: RpcReply() to the request in dispatch — answer it "
+                f"with mk::ServerLoop::Reply, which replies and receives in one trap "
+                f"({SERVER_LOOP_HEADER})"
             )
 
 
