@@ -30,11 +30,6 @@ class FbDriver {
                                mk::Prot::kReadWrite, /*anywhere=*/true);
   }
 
-  // Signal end-of-frame (models a vsync wait register write).
-  void Vsync(mk::Env& env) {
-    kernel_.IoWrite(fb_, hw::Framebuffer::kRegVsyncCount, 1);
-  }
-
   uint64_t mappings() const { return mappings_; }
 
  private:

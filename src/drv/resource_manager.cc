@@ -99,14 +99,4 @@ bool ResourceManager::Owns(DriverId driver, const ResourceId& resource) const {
   return it != resources_.end() && it->second.owner == driver;
 }
 
-std::vector<ResourceId> ResourceManager::ResourcesOf(DriverId driver) const {
-  std::vector<ResourceId> out;
-  for (const auto& [id, r] : resources_) {
-    if (r.owner == driver) {
-      out.push_back(id);
-    }
-  }
-  return out;
-}
-
 }  // namespace drv

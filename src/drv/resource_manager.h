@@ -10,7 +10,6 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/base/status.h"
 #include "src/mk/kernel.h"
@@ -50,7 +49,6 @@ class ResourceManager {
 
   base::Result<DriverId> OwnerOf(const ResourceId& resource) const;
   bool Owns(DriverId driver, const ResourceId& resource) const;
-  std::vector<ResourceId> ResourcesOf(DriverId driver) const;
 
   uint64_t grants() const { return grants_; }
   uint64_t yields() const { return yields_; }

@@ -20,23 +20,21 @@ CodeRegion CodeLayout::Register(const std::string& name, uint32_t instructions,
     return it->second;
   }
   const std::string component = name.substr(0, name.find('.'));
-  Component& comp = components_[component];
-  if (comp.next == 0) {
+  PhysAddr& next = image_next_[component];
+  if (next == 0) {
     // Stagger image bases across cache sets: linkers do not align every
     // module's text to the same cache-set-0 boundary, and doing so here
     // would manufacture pathological conflicts.
-    comp.next = next_image_base_ + (image_count_ * 1312) % 4096;
+    next = next_image_base_ + (image_count_ * 1312) % 4096;
     ++image_count_;
     next_image_base_ += kImageAlign * 256;  // 16 MB of address space per image
   }
   CodeRegion region;
-  region.base = comp.next;
+  region.base = next;
   region.instructions = instructions;
   region.sparsity = sparsity;
   // Line-align each function start (32-byte lines) as linkers typically do.
-  uint64_t bytes = (region.size_bytes() + 31) & ~31ull;
-  comp.next += bytes;
-  comp.bytes += bytes;
+  next += (region.size_bytes() + 31) & ~31ull;
   regions_.emplace(name, region);
   names_by_base_.emplace(region.base, name);
   return region;
@@ -50,19 +48,6 @@ std::string CodeLayout::NameOf(PhysAddr base) const {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "?0x%llx", static_cast<unsigned long long>(base));
   return buf;
-}
-
-uint64_t CodeLayout::ComponentTextBytes(const std::string& component) const {
-  auto it = components_.find(component);
-  return it == components_.end() ? 0 : it->second.bytes;
-}
-
-void CodeLayout::Clear() {
-  regions_.clear();
-  names_by_base_.clear();
-  components_.clear();
-  next_image_base_ = kImageSpaceBase;
-  image_count_ = 0;
 }
 
 }  // namespace hw

@@ -54,24 +54,15 @@ class CodeLayout {
   // at its own 64 KB-aligned base, like a separately linked module.
   CodeRegion Register(const std::string& name, uint32_t instructions, uint32_t sparsity = 1);
 
-  // Total simulated text bytes registered for a component ("mk", "svc", ...).
-  uint64_t ComponentTextBytes(const std::string& component) const;
-
   // Reverse lookup: the registered name of the region starting at `base`
   // ("?0x..." if unknown). Used by profilers to label per-region totals.
   std::string NameOf(PhysAddr base) const;
 
-  void Clear();  // test-only
-
  private:
-  struct Component {
-    PhysAddr next = 0;
-    uint64_t bytes = 0;
-  };
-
   std::unordered_map<std::string, CodeRegion> regions_;
   std::unordered_map<PhysAddr, std::string> names_by_base_;
-  std::unordered_map<std::string, Component> components_;
+  // Next free address in each component's image (0: image not placed yet).
+  std::unordered_map<std::string, PhysAddr> image_next_;
   PhysAddr next_image_base_ = kImageSpaceBase;
   uint64_t image_count_ = 0;
 

@@ -76,11 +76,6 @@ void Cpu::AccessUncached(PhysAddr paddr, uint32_t size, bool write) {
   bus_cycles_ += config_.bus_per_uncached;
 }
 
-void Cpu::FlushCaches() {
-  icache_.Flush();
-  dcache_.Flush();
-}
-
 CpuCounters Cpu::counters() const {
   CpuCounters c;
   c.instructions = instructions_;

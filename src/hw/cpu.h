@@ -108,7 +108,6 @@ class Cpu {
 
   // --- Control --------------------------------------------------------------
   void FlushTlb() { tlb_.Flush(); }
-  void FlushCaches();
 
   // Advance time without executing (idle waiting for a device).
   void AdvanceCycles(Cycles n) { cycles_ += n; }

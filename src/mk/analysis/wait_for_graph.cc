@@ -41,32 +41,6 @@ std::vector<const Thread*> TaskThreads(const Task* task, const Thread* self) {
 
 }  // namespace
 
-const char* WaitKindName(WaitKind kind) {
-  switch (kind) {
-    case WaitKind::kNotBlocked:
-      return "not-blocked";
-    case WaitKind::kRpcAwaitingServer:
-      return "rpc-awaiting-server";
-    case WaitKind::kRpcAwaitingReply:
-      return "rpc-awaiting-reply";
-    case WaitKind::kRpcReceive:
-      return "rpc-receive";
-    case WaitKind::kIpcSendFull:
-      return "ipc-send-full";
-    case WaitKind::kIpcReceiveEmpty:
-      return "ipc-receive-empty";
-    case WaitKind::kJoin:
-      return "join";
-    case WaitKind::kSemaphore:
-      return "semaphore";
-    case WaitKind::kMemSync:
-      return "memsync";
-    case WaitKind::kSleepOrExternal:
-      return "sleep-or-external";
-  }
-  return "unknown";
-}
-
 WaitForGraph WaitForGraph::Build(const Kernel& kernel) {
   WaitForGraph g;
 

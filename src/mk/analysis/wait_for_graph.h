@@ -36,8 +36,6 @@ enum class WaitKind {
   kSleepOrExternal,  // timed sleep or an unrecognized external wait
 };
 
-const char* WaitKindName(WaitKind kind);
-
 struct WaitEdge {
   const Thread* thread = nullptr;
   WaitKind kind = WaitKind::kNotBlocked;

@@ -45,7 +45,6 @@ class Injector {
   // Arms the RNG stream. Clears any previous campaign state (log, counters,
   // per-point arming survive only until the next Enable).
   void Enable(uint64_t seed);
-  void Disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
   uint64_t seed() const { return seed_; }
 

@@ -4,12 +4,10 @@
 #include "src/mk/kernel.h"
 
 #include <algorithm>
-#include <iostream>
 
 #include "src/base/log.h"
 #include "src/mk/analysis/invariants.h"
 #include "src/mk/analysis/wait_for_graph.h"
-#include "src/mk/trace/exporters.h"
 #include "src/mk/vm_object.h"
 
 namespace mk {
@@ -19,6 +17,9 @@ namespace {
 // addresses are never backed by PhysMem storage — only the cache model sees
 // them — so the range can sit above RAM.
 constexpr hw::PhysAddr kKernelHeapBase = 0x8000'0000ull;
+// Instruction footprint of a task's application region when CreateTask is
+// not given one.
+constexpr uint32_t kDefaultAppFootprint = 2048;
 
 const hw::CodeRegion& TrapEntryRegion() {
   static const hw::CodeRegion r = hw::DefineKernelCode("mk.trap.entry", Costs::kTrapEntry);
@@ -77,7 +78,6 @@ const hw::CodeRegion& InterruptReflectRegion() {
 Kernel::Kernel(hw::Machine* machine, const KernelConfig& config)
     : machine_(machine), config_(config), scheduler_(this) {
   heap_ = std::make_unique<KernelHeap>(kKernelHeapBase, config.kernel_heap_bytes);
-  scheduler_.quantum_cycles = config.quantum_cycles;
   tracer_ = std::make_unique<trace::Tracer>(&machine->cpu(), &scheduler_, config.trace_capacity);
   faults_ = std::make_unique<fault::Injector>(tracer_.get());
   prev_log_cycle_source_ = base::SetLogCycleSource([this] { return cpu().cycles(); });
@@ -117,9 +117,6 @@ size_t Kernel::Halt() {
   }
   for (const std::string& cycle : graph.FindCycleReports()) {
     WPOS_LOG(kError) << "deadlock cycle: " << cycle;
-  }
-  if (config_.profile_at_halt && tracer_->enabled()) {
-    trace::WriteFlatProfile(std::cerr, *this);
   }
   return blocked;
 }
@@ -162,7 +159,7 @@ void Kernel::LeaveKernel() {
     sync_observer_->OnKernelLeave(scheduler_.current());
   }
   Thread* t = scheduler_.current();
-  if (t != nullptr && cpu().cycles() - t->dispatch_cycle > scheduler_.quantum_cycles) {
+  if (t != nullptr && cpu().cycles() - t->dispatch_cycle > Scheduler::kQuantumCycles) {
     scheduler_.Yield();
   }
 }
@@ -244,7 +241,7 @@ Task* Kernel::CreateTask(const std::string& name, uint32_t app_footprint_instr) 
   const hw::PhysAddr pt_base = heap_->Allocate(Pmap::kPteWindowEntries * 4, hw::kPageSize);
   auto task = std::make_unique<Task>(next_task_id_++, name, sim_addr, pt_base);
   if (app_footprint_instr == 0) {
-    app_footprint_instr = config_.default_app_footprint;
+    app_footprint_instr = kDefaultAppFootprint;
   }
   task->app_code = hw::DefineKernelCode("app." + name, app_footprint_instr);
   task->set_processor_set(host_.default_pset());

@@ -51,10 +51,6 @@ using ThreadBody = std::function<void(Env&)>;
 
 struct KernelConfig {
   uint64_t kernel_heap_bytes = 8 * 1024 * 1024;
-  uint64_t quantum_cycles = 1'000'000;
-  // Instruction-footprint of the generic application region used when a task
-  // doesn't specify one.
-  uint32_t default_app_footprint = 2048;
   // Debug aid: when non-zero, CheckInvariants() runs on every N-th kernel
   // entry and aborts on the first violation. The analyzer charges no
   // simulated cycles, so enabling it does not perturb measurements — it only
@@ -64,8 +60,6 @@ struct KernelConfig {
   // via Kernel::tracer().Enable(); older events drop on overflow). The
   // tracer is host-side bookkeeping and charges no simulated cycles.
   size_t trace_capacity = 64 * 1024;
-  // When tracing is enabled, Halt() prints the flat profile to stderr.
-  bool profile_at_halt = false;
 };
 
 // Result of a server-side RpcReceive.
@@ -118,7 +112,6 @@ class Kernel {
   trace::Tracer& tracer() { return *tracer_; }
   fault::Injector& faults() { return *faults_; }
   Thread* current() const { return scheduler_.current(); }
-  Task* current_task() const { return scheduler_.current_task(); }
 
   // Runs the machine until no thread is runnable and no device event is
   // pending. Returns the number of threads still blocked (0 = clean halt).
@@ -189,7 +182,6 @@ class Kernel {
   // Returns the current thread's self port name, creating it on first use.
   PortName TrapThreadSelf();
   TaskId TrapTaskSelf();
-  uint64_t TrapClockGetTimeNs();
 
   // --- Reworked RPC ----------------------------------------------------------------
   // Synchronous call on the current thread. Blocks until the server replies.
@@ -296,8 +288,6 @@ class Kernel {
   base::Status CopyOut(Task& task, hw::VirtAddr dst, const void* src, uint64_t len);
   base::Status CopyIn(Task& task, hw::VirtAddr src, void* dst, uint64_t len);
   base::Status UserFill(Task& task, hw::VirtAddr dst, uint8_t byte, uint64_t len);
-  base::Status CopyUserToUser(Task& src_task, hw::VirtAddr src, Task& dst_task, hw::VirtAddr dst,
-                              uint64_t len);
   // Touch (read or write) a range, faulting pages in; models the access costs
   // without host-visible data movement. Used by synthetic workloads.
   base::Status UserTouch(Task& task, hw::VirtAddr addr, uint64_t len, bool write);
@@ -318,7 +308,6 @@ class Kernel {
 
   // --- Clocks and timers -------------------------------------------------------------------
   uint64_t NowNs();
-  uint64_t NowCycles() { return cpu().cycles(); }
   base::Status SleepNs(uint64_t ns);
   // Parks the current thread with no wake scheduled: it stays blocked until
   // something external aborts it (TerminateTask). Models a wedged thread for
@@ -340,10 +329,6 @@ class Kernel {
   void PollHardware();
 
   // --- Instrumentation helpers (used by services too) ---------------------------------------
-  void ChargeCode(const hw::CodeRegion& region) { cpu().Execute(region); }
-  void ChargeCodePartial(const hw::CodeRegion& region, uint64_t instr) {
-    cpu().ExecuteInstructions(region, instr);
-  }
   // Models a tight copy loop moving `len` bytes between two simulated
   // physical buffers (instructions + D-cache traffic on both).
   void ChargeCopy(hw::PhysAddr src, hw::PhysAddr dst, uint64_t len);
@@ -413,15 +398,38 @@ class Kernel {
   base::Status TransferRights(Task& from, Task& to, const RightDescriptor* rights, uint32_t count,
                               std::vector<PortName>* out_names);
   void DeliverRpcToServer(Thread* client, Thread* server);
-  base::Status DeliverReply(Thread* server, Thread* client, const void* reply, uint32_t len,
-                            const void* ref_data, uint32_t ref_len, PortName grant,
-                            base::Status completion);
+  // A server's reply, as RpcReply and RpcReplyAndReceive take it.
+  struct ReplyMessage {
+    const void* data = nullptr;
+    uint32_t len = 0;
+    const void* ref_data = nullptr;
+    uint32_t ref_len = 0;
+    PortName grant = kNullPort;
+    base::Status completion = base::Status::kOk;
+  };
+  // The two halves the server-side RPC traps are built from; each trap
+  // charges its own entry and path regions first. ReplyHalf retires
+  // `token`'s waiter and, if its caller is still blocked on it, fires the
+  // kRpcReply fault point and delivers the reply. It returns kOk, with
+  // *client_out set to the caller to wake (left nullptr when the reply was
+  // dropped), or kInvalidArgument for an unknown or stale token. A crash or
+  // kill fault fails the caller with kPortDead, leaves the kernel and returns
+  // the status that ends the trap: kAborted or kPortDead.
+  base::Status ReplyHalf(Thread* server, uint64_t token, const ReplyMessage& msg,
+                         Thread** client_out);
+  // Takes the next caller queued on `receive_name` (or a member of the set
+  // it names) or parks the server until one arrives, then leaves the kernel.
+  // `replied` (nullptr: none) is the caller ReplyHalf answered; it is woken
+  // once the server has its next request or is parked.
+  base::Result<RpcRequest> ReceiveHalf(Thread* server, PortName receive_name, void* buf,
+                                       uint32_t cap, RpcRef* ref, uint64_t timeout_ns,
+                                       Thread* replied);
+  void DeliverReply(Thread* server, Thread* client, const ReplyMessage& msg);
   base::Status FaultIn(Task& task, VmMapEntry* entry, hw::VirtAddr vaddr, bool write,
                        hw::PhysAddr* out_pa);
   base::Status PagerFill(Task& task, VmObject* object, uint64_t page_index, hw::PhysAddr frame);
   void ArmTimer(uint32_t timer_id);
   void StartTimedWake(Thread* t, uint64_t timeout_ns);
-  void ClearTimedWake(Thread* t);
   void DispatchInterrupt(uint32_t line);
   // Enqueues a death notice (msg_id + notice payload bytes) to every live
   // registered watcher port; prunes watchers whose port has died.

@@ -192,7 +192,6 @@ void Kernel::DeliverRpcToServer(Thread* client, Thread* server) {
       return;
     }
   }
-  s.client = client;
   s.token = next_rpc_token_++;
   c.token = s.token;
   rpc_waiters_[s.token] = RpcInFlight{client, server};
@@ -365,109 +364,32 @@ base::Result<RpcRequest> Kernel::RpcReceive(PortName receive_name, void* buf, ui
   EnterKernel(TrapEntry());
   cpu().Execute(ReceivePathRegion());
   cpu().AccessData(server->task()->port_space().sim_addr(), 32, /*write=*/false);
-  auto port_r = server->task()->port_space().LookupReceive(receive_name);
-  if (!port_r.ok()) {
-    LeaveKernel();
-    return port_r.status();
-  }
-  Port* port = *port_r;
-  Thread::RpcState& s = server->rpc;
-  // Between requests the server works for nobody: drop any stale trace
-  // binding (DeliverRpcToServer rebinds it for the request received here).
-  server->trace_ctx = TraceContext{};
-  s.srv_buf = buf;
-  s.srv_cap = cap;
-  s.srv_ref = ref;
-  if (ref != nullptr) {
-    ref->recv_len = 0;
-    ref->recv_ool = false;
-  }
-
-  // Receiving on a port set services whichever member has a caller waiting.
-  if (Port* source = QueuedSource(port); source != nullptr) {
-    Thread* client = source->waiting_clients.front();
-    source->waiting_clients.pop_front();
-    server->rpc.arrived_port = source->id();
-    DeliverRpcToServer(client, server);
-    if (client->rpc.completion != base::Status::kOk) {
-      // The queued request didn't fit; fail the client, keep receiving.
-      scheduler_.Wake(client, client->rpc.completion);
-      LeaveKernel();
-      return base::Status::kTooLarge;
-    }
-  } else {
-    // Never park on a dead port (TerminateTask already failed its callers) or
-    // from a terminated task: a READY thread of a dying task can reach here
-    // after the teardown ran, and parking would wedge it forever.
-    if (port->dead() || server->task()->terminated()) {
-      LeaveKernel();
-      return port->dead() ? base::Status::kPortDead : base::Status::kAborted;
-    }
-    port->waiting_servers.push_back(server);
-    StartTimedWake(server, timeout_ns);
-    const base::Status st = scheduler_.Block(Thread::State::kBlocked, nullptr);
-    if (st != base::Status::kOk) {
-      LeaveReceiveQueue(port, server);
-      LeaveKernel();
-      return st;
-    }
-  }
-  RpcRequest out = TakeRequest(s);
-  LeaveKernel();
-  return out;
+  return ReceiveHalf(server, receive_name, buf, cap, ref, timeout_ns, /*replied=*/nullptr);
 }
 
-// Copies the reply (inline, bulk, granted right) into the blocked client's
-// posted buffers. Shared by RpcReply and RpcReplyAndReceive.
-base::Status Kernel::DeliverReply(Thread* server, Thread* client, const void* reply,
-                                  uint32_t len, const void* ref_data, uint32_t ref_len,
-                                  PortName grant, base::Status completion) {
-  Thread::RpcState& c = client->rpc;
-  // Server phase of the client's span ends here: what follows is reply copy
-  // and the return to user mode on the client side.
-  tracer_->MarkPhase(c.span_id, trace::EventType::kRpcReply, len);
+base::Status Kernel::RpcReply(uint64_t token, const void* reply, uint32_t len,
+                              const void* ref_data, uint32_t ref_len, PortName grant,
+                              base::Status completion) {
+  Thread* server = scheduler_.current();
+  WPOS_DCHECK(server != nullptr) << "RpcReply outside thread context";
   if (sync_observer_ != nullptr) {
-    // The reply is the matching happens-before edge back from the server
-    // into the blocked client.
-    sync_observer_->OnRendezvous(server, client);
+    sync_observer_->OnOpLabel(server, "RpcReply", token);
   }
-  c.completion = completion;
-  if (len > c.reply_cap) {
-    c.completion = base::Status::kTooLarge;
-  } else {
-    CopyMessageBytes(reply, c.reply_buf, len, server, client);
-    c.reply_len = len;
+  EnterKernel(TrapEntry());
+  cpu().Execute(ReplyPathRegion());
+  Thread* client = nullptr;
+  const base::Status st =
+      ReplyHalf(server, token, {reply, len, ref_data, ref_len, grant, completion}, &client);
+  if (st != base::Status::kOk && st != base::Status::kInvalidArgument) {
+    return st;  // a crash or kill fault ended the trap
   }
-  if (ref_data != nullptr && ref_len > 0 && c.completion == base::Status::kOk) {
-    if (c.ref == nullptr || ref_len > c.ref->recv_cap) {
-      c.completion = base::Status::kTooLarge;
-    } else {
-      std::memcpy(c.ref->recv_buf, ref_data, ref_len);
-      const bool ool = UseOol(c.ref->recv_mode, ref_len);
-      if (ool) {
-        ChargeOolTransfer(server, client, ref_len);
-      } else {
-        const uint64_t span = ref_len < Thread::kMsgWindowSize - kRefWindowOffset
-                                  ? ref_len
-                                  : Thread::kMsgWindowSize - kRefWindowOffset;
-        ChargeCopy(server->msg_window() + kRefWindowOffset,
-                   client->msg_window() + kRefWindowOffset, span);
-      }
-      c.ref->recv_ool = ool;
-      c.ref->recv_len = ref_len;
-    }
+  if (client != nullptr) {
+    scheduler_.Wake(client, base::Status::kOk);
+    // Direct handoff back to the client: the paper's synchronous reply path.
+    scheduler_.HandoffTo(client);
   }
-  if (grant != kNullPort && c.completion == base::Status::kOk) {
-    RightDescriptor rd{.name = grant, .disposition = RightType::kSend};
-    std::vector<PortName> names;
-    const base::Status st = TransferRights(*server->task(), *client->task(), &rd, 1, &names);
-    if (st == base::Status::kOk) {
-      c.granted_right = names.front();
-    } else {
-      c.completion = st;
-    }
-  }
-  return c.completion;
+  LeaveKernel();
+  return st;
 }
 
 base::Result<RpcRequest> Kernel::RpcReplyAndReceive(
@@ -482,74 +404,86 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(
   EnterKernel(TrapEntry());
   cpu().Execute(ReplyPathRegion());
   cpu().Execute(ReceivePathRegion());
-
-  // Reply half, before anything about the receive half is looked at: a
-  // client whose reply is ready must not stay blocked because the receive
-  // port died under the server (Stop() from a handler). A stale token — the
-  // caller timed out or was aborted while the handler ran — has nobody to
-  // deliver to; like kDropReply it goes on into the receive, so the loop
-  // keeps serving.
-  Thread* client = nullptr;
-  if (auto waiter = rpc_waiters_.find(token); waiter != rpc_waiters_.end()) {
-    client = waiter->second.client;
-    rpc_waiters_.erase(waiter);
-    if (client->rpc.token != token || client->state() != Thread::State::kBlocked) {
-      client = nullptr;
-    }
+  // The reply half runs before the receive half looks at anything: a client
+  // whose reply is ready must not stay blocked because the receive port died
+  // under the server (Stop() from a handler). An unknown or stale token and
+  // a dropped reply have nobody to wake and go on into the receive, so the
+  // loop keeps serving.
+  Thread* replied = nullptr;
+  const base::Status st = ReplyHalf(
+      server, token, {reply, len, reply_ref_data, reply_ref_len, grant, completion}, &replied);
+  if (st != base::Status::kOk && st != base::Status::kInvalidArgument) {
+    return st;  // a crash or kill fault ended the trap
   }
-  server->rpc.client = nullptr;
-  // The reply ends this server's work for the caller; unbind its trace
-  // context before the receive half picks up (or waits for) the next one.
+  return ReceiveHalf(server, receive_name, buf, cap, ref, timeout_ns, replied);
+}
+
+base::Status Kernel::ReplyHalf(Thread* server, uint64_t token, const ReplyMessage& msg,
+                               Thread** client_out) {
+  auto waiter = rpc_waiters_.find(token);
+  if (waiter == rpc_waiters_.end()) {
+    return base::Status::kInvalidArgument;
+  }
+  Thread* client = waiter->second.client;
+  rpc_waiters_.erase(waiter);
+  if (client->rpc.token != token || client->state() != Thread::State::kBlocked) {
+    return base::Status::kInvalidArgument;
+  }
+  // The reply ends this server's work for the caller: unbind its trace.
   server->trace_ctx = TraceContext{};
-  // Fault point: the reply (see RpcReply). kDropReply swallows the reply but
-  // still enters the receive, so the server keeps serving.
-  if (client != nullptr) {
-    switch (faults_->Fire(fault::FaultPoint::kRpcReply)) {
-      case fault::FaultMode::kNone:
-      case fault::FaultMode::kStallTask:
-      case fault::FaultMode::kDelayReply:
-        // kStallTask and kDelayReply are server-loop-only modes (see
-        // points.h); deliver normally here.
-        (void)DeliverReply(server, client, reply, len, reply_ref_data, reply_ref_len, grant,
-                           completion);
-        break;
-      case fault::FaultMode::kDropReply:
-        client = nullptr;  // stays blocked until its deadline
-        break;
-      case fault::FaultMode::kCrashTask:
-        client->rpc.completion = base::Status::kPortDead;
-        scheduler_.Wake(client, base::Status::kPortDead);
-        LeaveKernel();
+  // Fault point: the reply. The waiter is already erased, so every mode
+  // leaves the token unreplayable — exactly once per request.
+  const fault::FaultMode mode = faults_->Fire(fault::FaultPoint::kRpcReply);
+  switch (mode) {
+    case fault::FaultMode::kNone:
+    case fault::FaultMode::kStallTask:   // server-loop-only modes (see
+    case fault::FaultMode::kDelayReply:  // points.h): reply normally
+    case fault::FaultMode::kCount:
+      DeliverReply(server, client, msg);
+      break;
+    case fault::FaultMode::kTransientError:
+      DeliverReply(server, client, ReplyMessage{.completion = base::Status::kBusy});
+      break;
+    case fault::FaultMode::kDropReply:
+      // Swallow the reply; the client stays blocked until its deadline.
+      return base::Status::kOk;
+    case fault::FaultMode::kCrashTask:
+    case fault::FaultMode::kKillPort: {
+      Port* request_port = client->rpc.port;
+      client->rpc.completion = base::Status::kPortDead;
+      scheduler_.Wake(client, base::Status::kPortDead);
+      LeaveKernel();
+      if (mode == fault::FaultMode::kCrashTask) {
         TerminateTask(server->task());
         return base::Status::kAborted;
-      case fault::FaultMode::kKillPort: {
-        Port* request_port = client->rpc.port;
-        client->rpc.completion = base::Status::kPortDead;
-        scheduler_.Wake(client, base::Status::kPortDead);
-        LeaveKernel();
-        if (request_port != nullptr && !request_port->dead()) {
-          DestroyPort(request_port);
-        }
-        return base::Status::kPortDead;
       }
-      case fault::FaultMode::kTransientError:
-        (void)DeliverReply(server, client, reply, 0, nullptr, 0, kNullPort, base::Status::kBusy);
-        break;
-      case fault::FaultMode::kCount:
-        break;
+      if (request_port != nullptr && !request_port->dead()) {
+        DestroyPort(request_port);
+      }
+      return base::Status::kPortDead;
     }
   }
+  *client_out = client;
+  return base::Status::kOk;
+}
 
-  // Receive half. The replied client (if any) is woken only once the server
-  // has either taken its next request or parked, so the client's next call
-  // finds this server already waiting (reply_and_wait).
-  auto port_r = server->task()->port_space().LookupReceive(receive_name);
-  if (!port_r.ok()) {
-    if (client != nullptr) {
-      scheduler_.Wake(client, base::Status::kOk);
+base::Result<RpcRequest> Kernel::ReceiveHalf(Thread* server, PortName receive_name, void* buf,
+                                             uint32_t cap, RpcRef* ref, uint64_t timeout_ns,
+                                             Thread* replied) {
+  // An early exit still wakes the replied client: its reply has landed.
+  const auto leave = [&](base::Status st) -> base::Result<RpcRequest> {
+    if (replied != nullptr) {
+      scheduler_.Wake(replied, base::Status::kOk);
     }
     LeaveKernel();
-    return port_r.status();
+    return st;
+  };
+  // Between requests the server works for nobody: drop any stale trace
+  // binding (DeliverRpcToServer rebinds it for the request received here).
+  server->trace_ctx = TraceContext{};
+  auto port_r = server->task()->port_space().LookupReceive(receive_name);
+  if (!port_r.ok()) {
+    return leave(port_r.status());
   }
   Port* port = *port_r;
   Thread::RpcState& s = server->rpc;
@@ -561,127 +495,98 @@ base::Result<RpcRequest> Kernel::RpcReplyAndReceive(
     ref->recv_ool = false;
   }
 
+  // Receiving on a port set services whichever member has a caller waiting.
   if (Port* source = QueuedSource(port); source != nullptr) {
-    Thread* next_client = source->waiting_clients.front();
+    Thread* client = source->waiting_clients.front();
     source->waiting_clients.pop_front();
-    server->rpc.arrived_port = source->id();
-    DeliverRpcToServer(next_client, server);
-    const bool too_large = next_client->rpc.completion != base::Status::kOk;
-    if (too_large) {
-      // The queued request didn't fit the posted buffers. Fail that client —
-      // found by schedule exploration: leaving it unwoken here blocked it
-      // forever, and the RpcRequest below would have carried a stale token.
-      // Same contract as RpcReceive: wake the loser, report kTooLarge.
-      scheduler_.Wake(next_client, next_client->rpc.completion);
+    s.arrived_port = source->id();
+    DeliverRpcToServer(client, server);
+    if (client->rpc.completion != base::Status::kOk) {
+      // The queued request didn't fit the posted buffers: fail that caller,
+      // which would otherwise stay blocked forever, and report kTooLarge;
+      // the server keeps receiving.
+      scheduler_.Wake(client, client->rpc.completion);
+      return leave(base::Status::kTooLarge);
     }
-    if (client != nullptr) {
-      scheduler_.Wake(client, base::Status::kOk);
+    if (replied != nullptr) {
+      scheduler_.Wake(replied, base::Status::kOk);
     }
-    if (too_large) {
-      LeaveKernel();
-      return base::Status::kTooLarge;
-    }
-    RpcRequest out = TakeRequest(s);
-    LeaveKernel();
-    return out;
-  }
-
-  // Same guard as RpcReceive: the reply above still lands, but a dead port
-  // or terminated task must not park.
-  if (port->dead() || server->task()->terminated()) {
-    if (client != nullptr) {
-      scheduler_.Wake(client, base::Status::kOk);
-    }
-    LeaveKernel();
-    return port->dead() ? base::Status::kPortDead : base::Status::kAborted;
-  }
-  port->waiting_servers.push_back(server);
-  StartTimedWake(server, timeout_ns);
-  base::Status st;
-  if (client != nullptr) {
-    scheduler_.Wake(client, base::Status::kOk);
-    st = scheduler_.BlockAndHandoff(nullptr, client);
   } else {
-    st = scheduler_.Block(Thread::State::kBlocked, nullptr);
-  }
-  if (st != base::Status::kOk) {
-    LeaveReceiveQueue(port, server);
-    LeaveKernel();
-    return st;
+    // Never park on a dead port (TerminateTask already failed its callers) or
+    // from a terminated task: a READY thread of a dying task can reach here
+    // after the teardown ran, and parking would wedge it forever.
+    if (port->dead() || server->task()->terminated()) {
+      return leave(port->dead() ? base::Status::kPortDead : base::Status::kAborted);
+    }
+    port->waiting_servers.push_back(server);
+    StartTimedWake(server, timeout_ns);
+    if (replied != nullptr) {
+      // Parked first, then the replied client runs: its next call finds
+      // this server already waiting (reply_and_wait).
+      scheduler_.Wake(replied, base::Status::kOk);
+    }
+    const base::Status st = replied != nullptr
+                                ? scheduler_.BlockAndHandoff(nullptr, replied)
+                                : scheduler_.Block(Thread::State::kBlocked, nullptr);
+    if (st != base::Status::kOk) {
+      LeaveReceiveQueue(port, server);
+      LeaveKernel();
+      return st;
+    }
   }
   RpcRequest out = TakeRequest(s);
   LeaveKernel();
   return out;
 }
 
-base::Status Kernel::RpcReply(uint64_t token, const void* reply, uint32_t len,
-                              const void* ref_data, uint32_t ref_len, PortName grant,
-                              base::Status completion) {
-  Thread* server = scheduler_.current();
-  WPOS_DCHECK(server != nullptr) << "RpcReply outside thread context";
+// Copies the reply (inline, bulk, granted right) into the blocked client's
+// posted buffers.
+void Kernel::DeliverReply(Thread* server, Thread* client, const ReplyMessage& msg) {
+  Thread::RpcState& c = client->rpc;
+  // Server phase of the client's span ends here: what follows is reply copy
+  // and the return to user mode on the client side.
+  tracer_->MarkPhase(c.span_id, trace::EventType::kRpcReply, msg.len);
   if (sync_observer_ != nullptr) {
-    sync_observer_->OnOpLabel(server, "RpcReply", token);
+    // The reply is the matching happens-before edge back from the server
+    // into the blocked client.
+    sync_observer_->OnRendezvous(server, client);
   }
-  EnterKernel(TrapEntry());
-  cpu().Execute(ReplyPathRegion());
-  auto waiter = rpc_waiters_.find(token);
-  if (waiter == rpc_waiters_.end()) {
-    LeaveKernel();
-    return base::Status::kInvalidArgument;
+  c.completion = msg.completion;
+  if (msg.len > c.reply_cap) {
+    c.completion = base::Status::kTooLarge;
+  } else {
+    CopyMessageBytes(msg.data, c.reply_buf, msg.len, server, client);
+    c.reply_len = msg.len;
   }
-  Thread* client = waiter->second.client;
-  rpc_waiters_.erase(waiter);
-  if (client->rpc.token != token || client->state() != Thread::State::kBlocked) {
-    LeaveKernel();
-    return base::Status::kInvalidArgument;
-  }
-  server->rpc.client = nullptr;
-  // The reply ends this server's work for the caller: unbind its trace.
-  server->trace_ctx = TraceContext{};
-  // Fault point: the reply. The waiter is already erased, so every mode
-  // leaves the token unreplayable — exactly once per request.
-  switch (faults_->Fire(fault::FaultPoint::kRpcReply)) {
-    case fault::FaultMode::kNone:
-      break;
-    case fault::FaultMode::kDropReply:
-      // Swallow the reply; the client stays blocked until its deadline.
-      LeaveKernel();
-      return base::Status::kOk;
-    case fault::FaultMode::kCrashTask:
-      client->rpc.completion = base::Status::kPortDead;
-      scheduler_.Wake(client, base::Status::kPortDead);
-      LeaveKernel();
-      TerminateTask(server->task());
-      return base::Status::kAborted;
-    case fault::FaultMode::kKillPort: {
-      Port* request_port = client->rpc.port;
-      client->rpc.completion = base::Status::kPortDead;
-      scheduler_.Wake(client, base::Status::kPortDead);
-      LeaveKernel();
-      if (request_port != nullptr && !request_port->dead()) {
-        DestroyPort(request_port);
+  if (msg.ref_data != nullptr && msg.ref_len > 0 && c.completion == base::Status::kOk) {
+    if (c.ref == nullptr || msg.ref_len > c.ref->recv_cap) {
+      c.completion = base::Status::kTooLarge;
+    } else {
+      std::memcpy(c.ref->recv_buf, msg.ref_data, msg.ref_len);
+      const bool ool = UseOol(c.ref->recv_mode, msg.ref_len);
+      if (ool) {
+        ChargeOolTransfer(server, client, msg.ref_len);
+      } else {
+        const uint64_t span = msg.ref_len < Thread::kMsgWindowSize - kRefWindowOffset
+                                  ? msg.ref_len
+                                  : Thread::kMsgWindowSize - kRefWindowOffset;
+        ChargeCopy(server->msg_window() + kRefWindowOffset,
+                   client->msg_window() + kRefWindowOffset, span);
       }
-      return base::Status::kPortDead;
+      c.ref->recv_ool = ool;
+      c.ref->recv_len = msg.ref_len;
     }
-    case fault::FaultMode::kTransientError:
-      completion = base::Status::kBusy;
-      len = 0;
-      ref_data = nullptr;
-      ref_len = 0;
-      grant = kNullPort;
-      break;
-    case fault::FaultMode::kStallTask:
-    case fault::FaultMode::kDelayReply:
-      break;  // server-loop-only modes (see points.h); reply normally
-    case fault::FaultMode::kCount:
-      break;
   }
-  (void)DeliverReply(server, client, reply, len, ref_data, ref_len, grant, completion);
-  scheduler_.Wake(client, base::Status::kOk);
-  // Direct handoff back to the client: the paper's synchronous reply path.
-  scheduler_.HandoffTo(client);
-  LeaveKernel();
-  return base::Status::kOk;
+  if (msg.grant != kNullPort && c.completion == base::Status::kOk) {
+    RightDescriptor rd{.name = msg.grant, .disposition = RightType::kSend};
+    std::vector<PortName> names;
+    const base::Status st = TransferRights(*server->task(), *client->task(), &rd, 1, &names);
+    if (st == base::Status::kOk) {
+      c.granted_right = names.front();
+    } else {
+      c.completion = st;
+    }
+  }
 }
 
 }  // namespace mk

@@ -58,8 +58,6 @@ void Kernel::StartTimedWake(Thread* t, uint64_t timeout_ns) {
   });
 }
 
-void Kernel::ClearTimedWake(Thread* t) { ++t->wake_generation; }
-
 // --- Kernel semaphores ----------------------------------------------------------------
 
 base::Result<uint32_t> Kernel::SemCreate(uint32_t initial) {
@@ -301,15 +299,6 @@ void Kernel::ArmTimer(uint32_t timer_id) {
     }
     ArmTimer(timer_id);
   });
-}
-
-uint64_t Kernel::TrapClockGetTimeNs() {
-  Thread* t = scheduler_.current();
-  WPOS_CHECK(t != nullptr);
-  EnterKernel(TrapEntry());
-  const uint64_t now = NowNs();
-  LeaveKernel();
-  return now;
 }
 
 }  // namespace mk

@@ -583,25 +583,6 @@ base::Status Kernel::UserTouch(Task& task, hw::VirtAddr addr, uint64_t len, bool
   });
 }
 
-base::Status Kernel::CopyUserToUser(Task& src_task, hw::VirtAddr src, Task& dst_task,
-                                    hw::VirtAddr dst, uint64_t len) {
-  std::vector<uint8_t> bounce(4096);
-  uint64_t done = 0;
-  while (done < len) {
-    const uint64_t chunk = len - done < bounce.size() ? len - done : bounce.size();
-    base::Status st = CopyIn(src_task, src + done, bounce.data(), chunk);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-    st = CopyOut(dst_task, dst + done, bounce.data(), chunk);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-    done += chunk;
-  }
-  return base::Status::kOk;
-}
-
 // --- External memory objects --------------------------------------------------------------------
 
 uint64_t Kernel::RegisterPagedObject(std::shared_ptr<VmObject> object, Port* pager_port,

@@ -72,16 +72,6 @@ base::Status PortSpace::Release(PortName name) {
   return base::Status::kOk;
 }
 
-void PortSpace::RemoveAll() {
-  rights_.clear();
-  send_names_.clear();
-}
-
-PortName PortSpace::SendNameOf(Port* port) const {
-  auto it = send_names_.find(port);
-  return it == send_names_.end() ? kNullPort : it->second;
-}
-
 void PortSpace::ForEachRight(const std::function<void(PortName, const PortRight&)>& fn) const {
   // Visit in name order: callers build diagnostic structures whose layout
   // must not depend on hash-table iteration order.

@@ -98,10 +98,6 @@ class PortSpace {
 
   // Drops one reference; removes the entry when it reaches zero.
   base::Status Release(PortName name);
-  void RemoveAll();
-
-  // The name by which this space holds a send right to `port`, or kNullPort.
-  PortName SendNameOf(Port* port) const;
 
   // Iterates every right in the space (kernel state analyzer, diagnostics).
   void ForEachRight(const std::function<void(PortName, const PortRight&)>& fn) const;

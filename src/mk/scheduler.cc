@@ -29,10 +29,6 @@ const hw::CodeRegion& PmapRegion() {
 }
 }  // namespace
 
-Task* Scheduler::current_task() const {
-  return current_ == nullptr ? nullptr : current_->task();
-}
-
 SyncObserver* Scheduler::observer() const { return kernel_->sync_observer_; }
 
 void Scheduler::MakeReady(Thread* t) {
@@ -230,10 +226,7 @@ void Scheduler::SwitchInto(Thread* t) {
     t->ctx_sp_ = WposCtxMake(t->stack_ + t->stack_bytes_, &Scheduler::Trampoline);
   }
   WposCtxSwitchToFiber(&main_ctx_sp_, t->ctx_sp_, t->stack_, t->stack_bytes_);
-  // Back in the scheduler: account the slice.
-  Thread* was = current_;
-  current_ = nullptr;
-  was->cpu_cycles_used += cpu.cycles() - was->dispatch_cycle;
+  current_ = nullptr;  // back in the scheduler
 }
 
 void Scheduler::SwapOut(bool final) {

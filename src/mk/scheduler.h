@@ -54,7 +54,6 @@ class Scheduler {
   explicit Scheduler(Kernel* kernel) : kernel_(kernel) {}
 
   Thread* current() const { return current_; }
-  Task* current_task() const;
 
   // Main loop: dispatches ready threads until none are ready and no machine
   // event can make one ready. Called once by Kernel::Run.
@@ -93,7 +92,7 @@ class Scheduler {
 
   // Timeslice in cycles; a thread that has been on-CPU longer than this is
   // preempted at its next kernel entry.
-  uint64_t quantum_cycles = 1'000'000;
+  static constexpr uint64_t kQuantumCycles = 1'000'000;
 
   // Ablation knob: with direct handoff disabled, RPC rendezvous go through
   // the ordinary ready queue (wake + full dispatch) instead of switching
@@ -106,7 +105,6 @@ class Scheduler {
   Thread* PickNext();
   Thread* PickNextWithPolicy();
   SyncObserver* observer() const;
-  void DispatchLoop();
   // Switch from the scheduler context into `t`.
   void SwitchInto(Thread* t);
   // Called in thread context: swap back to the scheduler context. `final`

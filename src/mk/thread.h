@@ -129,7 +129,6 @@ class Thread {
     uint64_t span_id = 0;
 
     // Server side (valid between RpcReceive and RpcReply):
-    Thread* client = nullptr;
     uint64_t token = 0;
     uint64_t arrived_port = 0;
     void* srv_buf = nullptr;
@@ -148,12 +147,8 @@ class Thread {
   // client's context; the reply unbinds it). Zero while tracing is off.
   TraceContext trace_ctx;
 
-  // --- Legacy IPC state --------------------------------------------------------
-  Port* ipc_receiving_from = nullptr;
-
   // --- Scheduling --------------------------------------------------------------
-  uint64_t dispatch_cycle = 0;   // when this thread last went on-CPU
-  uint64_t cpu_cycles_used = 0;  // accumulated on-CPU cycles
+  uint64_t dispatch_cycle = 0;  // when this thread last went on-CPU
 
  private:
   friend class Scheduler;

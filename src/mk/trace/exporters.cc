@@ -211,52 +211,6 @@ void WriteChromeTrace(std::ostream& os, Kernel& kernel) {
   os << "\n]}\n";
 }
 
-void WriteFlatProfile(std::ostream& os, Kernel& kernel, size_t top_n) {
-  Tracer& tracer = kernel.tracer();
-  char line[256];
-  os << "=== span profile (CpuCounters deltas per operation phase) ===\n";
-  std::snprintf(line, sizeof(line), "%-12s %10s %-14s %12s %12s %10s %8s %8s %8s\n", "kind",
-                "count", "phase", "instr", "cycles", "bus", "icache", "dcache", "tlb");
-  os << line;
-  for (int k = 0; k < static_cast<int>(SpanKind::kCount); ++k) {
-    const SpanKind kind = static_cast<SpanKind>(k);
-    const Tracer::SpanStats& st = tracer.stats(kind);
-    if (st.count == 0) {
-      continue;
-    }
-    for (int p = 0; p < SpanPhaseCount(kind); ++p) {
-      const hw::CpuCounters& c = st.phases[p];
-      std::snprintf(line, sizeof(line),
-                    "%-12s %10" PRIu64 " %-14s %12" PRIu64 " %12" PRIu64 " %10" PRIu64
-                    " %8" PRIu64 " %8" PRIu64 " %8" PRIu64 "\n",
-                    p == 0 ? SpanName(kind) : "", p == 0 ? st.count : 0, SpanPhaseName(kind, p),
-                    c.instructions, c.cycles, c.bus_cycles, c.icache_misses, c.dcache_misses,
-                    c.tlb_misses);
-      os << line;
-    }
-    std::snprintf(line, sizeof(line),
-                  "%-12s %10s %-14s %12" PRIu64 " %12" PRIu64 " %10" PRIu64 " %8" PRIu64
-                  " %8" PRIu64 " %8" PRIu64 "\n",
-                  "", "", "total", st.total.instructions, st.total.cycles, st.total.bus_cycles,
-                  st.total.icache_misses, st.total.dcache_misses, st.total.tlb_misses);
-    os << line;
-  }
-  os << "=== top code regions by cycles ===\n";
-  std::snprintf(line, sizeof(line), "%-28s %10s %14s %14s %10s\n", "region", "calls", "instr",
-                "cycles", "imiss");
-  os << line;
-  size_t shown = 0;
-  for (const Tracer::RegionProfile& r : tracer.FlatProfile()) {
-    if (shown++ >= top_n) {
-      break;
-    }
-    std::snprintf(line, sizeof(line),
-                  "%-28s %10" PRIu64 " %14" PRIu64 " %14" PRIu64 " %10" PRIu64 "\n",
-                  r.name.c_str(), r.calls, r.instructions, r.cycles, r.icache_misses);
-    os << line;
-  }
-}
-
 void WriteMetricsJson(std::ostream& os, Kernel& kernel) {
   Tracer& tracer = kernel.tracer();
   const MetricRegistry& m = tracer.metrics();

@@ -3,8 +3,6 @@
 //                       span slices with per-phase sub-slices, instant
 //                       events, thread-name metadata, and flow arrows
 //                       linking cross-thread parent/child spans of a trace.
-//   WriteFlatProfile  — human-readable top-N code regions by cycles plus the
-//                       per-span-kind phase breakdown (the Table 2 shape).
 //   WriteMetricsJson  — machine-readable dump of counters, gauges,
 //                       histograms, span aggregates and the CPU counters.
 //   WriteRequestTrees — deterministic text report of every causal request
@@ -16,7 +14,6 @@
 #ifndef SRC_MK_TRACE_EXPORTERS_H_
 #define SRC_MK_TRACE_EXPORTERS_H_
 
-#include <cstddef>
 #include <ostream>
 
 namespace mk {
@@ -26,7 +23,6 @@ class Kernel;
 namespace trace {
 
 void WriteChromeTrace(std::ostream& os, Kernel& kernel);
-void WriteFlatProfile(std::ostream& os, Kernel& kernel, size_t top_n = 25);
 void WriteMetricsJson(std::ostream& os, Kernel& kernel);
 void WriteRequestTrees(std::ostream& os, Kernel& kernel);
 

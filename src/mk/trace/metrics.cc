@@ -49,8 +49,6 @@ void MetricRegistry::GaugeMax(const std::string& name, uint64_t value) {
   }
 }
 
-void MetricRegistry::GaugeSet(const std::string& name, uint64_t value) { gauges_[name] = value; }
-
 Histogram& MetricRegistry::Hist(const std::string& name) { return hists_[name]; }
 
 }  // namespace trace

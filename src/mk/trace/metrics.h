@@ -44,7 +44,6 @@ class MetricRegistry {
   uint64_t& Counter(const std::string& name);
   // Gauge that remembers the highest value observed (queue depth HWMs).
   void GaugeMax(const std::string& name, uint64_t value);
-  void GaugeSet(const std::string& name, uint64_t value);
   Histogram& Hist(const std::string& name);
 
   const std::map<std::string, uint64_t>& counters() const { return counters_; }

@@ -153,14 +153,6 @@ void Tracer::Enable() {
       });
 }
 
-void Tracer::Disable() {
-  if (!enabled_) {
-    return;
-  }
-  enabled_ = false;
-  cpu_->set_execute_observer(nullptr);
-}
-
 void Tracer::Push(EventType type, uint64_t a, uint64_t b) {
   TraceEvent& e = ring_[ring_next_];
   ring_next_ = (ring_next_ + 1) % ring_.size();

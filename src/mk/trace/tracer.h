@@ -61,7 +61,6 @@ class Tracer {
   // Tracing starts disabled; while disabled every hook is a cheap no-op.
   // Enabling installs the CPU execute-observer that feeds the flat profile.
   void Enable();
-  void Disable();
   bool enabled() const { return enabled_; }
 
   // --- Event ring ------------------------------------------------------------

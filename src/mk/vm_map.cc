@@ -14,10 +14,6 @@ VmMapEntry* VmMap::Lookup(hw::VirtAddr vaddr) {
   return (vaddr >= e.start && vaddr < e.end()) ? &e : nullptr;
 }
 
-const VmMapEntry* VmMap::Lookup(hw::VirtAddr vaddr) const {
-  return const_cast<VmMap*>(this)->Lookup(vaddr);
-}
-
 bool VmMap::RangeFree(hw::VirtAddr start, uint64_t size) const {
   if (size == 0) {
     return false;
@@ -116,14 +112,6 @@ base::Status VmMap::Protect(hw::VirtAddr start, uint64_t size, Prot prot) {
   }
   Lookup(start)->prot = prot;
   return base::Status::kOk;
-}
-
-uint64_t VmMap::mapped_bytes() const {
-  uint64_t total = 0;
-  for (const auto& [start, e] : entries_) {
-    total += e.size;
-  }
-  return total;
 }
 
 }  // namespace mk

@@ -44,7 +44,6 @@ class VmMap {
 
   // Finds the entry containing `vaddr`, or null.
   VmMapEntry* Lookup(hw::VirtAddr vaddr);
-  const VmMapEntry* Lookup(hw::VirtAddr vaddr) const;
 
   // Inserts a mapping of `object` at a caller-fixed address. Fails with
   // kNoSpace if the range overlaps an existing entry or exceeds the space.
@@ -63,9 +62,6 @@ class VmMap {
   std::map<hw::VirtAddr, VmMapEntry>& entries() { return entries_; }
   const std::map<hw::VirtAddr, VmMapEntry>& entries() const { return entries_; }
   size_t entry_count() const { return entries_.size(); }
-
-  // Total mapped bytes (virtual size, not resident).
-  uint64_t mapped_bytes() const;
 
  private:
   bool RangeFree(hw::VirtAddr start, uint64_t size) const;

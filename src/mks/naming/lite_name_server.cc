@@ -39,10 +39,16 @@ void LiteNameServer::Serve(mk::Env& env) {
                                        const LiteNameRequest& r, const uint8_t* /*ref_data*/,
                                        uint32_t /*ref_len*/) {
     kernel_.cpu().Execute(kLoop);
+    LiteNameReply reply;
+    // The one validation point for untrusted requests: name is a C string.
+    if (std::memchr(r.name, '\0', kMaxNameLen) == nullptr) {
+      reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+      loop_->Reply(req, &reply, sizeof(reply));
+      return;
+    }
     kernel_.cpu().Execute(LookupRegion());
     const uint64_t bucket = std::hash<std::string_view>{}(r.name) % 64;
     kernel_.cpu().AccessData(table_sim_addr_ + bucket * 64, 32, /*write=*/false);
-    LiteNameReply reply;
     if (r.op == LiteNameOp::kRegister) {
       if (req.rights.empty()) {
         reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);

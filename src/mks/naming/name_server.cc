@@ -86,6 +86,14 @@ void NameServer::Serve(mk::Env& env) {
                                    const uint8_t* ref, uint32_t ref_len) {
     kernel_.cpu().Execute(kLoop);
     kernel_.cpu().Execute(kStub);
+    // The one validation point for untrusted requests: every handler may
+    // treat name as a C string.
+    if (std::memchr(r.name, '\0', kMaxNameLen) == nullptr) {
+      NameReply reply;
+      reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+      loop_->Reply(req, &reply, sizeof(reply));
+      return;
+    }
     switch (r.op) {
       case NameOp::kRegister:
         HandleRegister(env, req, r, ref, ref_len);

@@ -61,15 +61,6 @@ void RtMutex::Lock(mk::Env& env) {
   }
 }
 
-bool RtMutex::TryLock(mk::Env& env) {
-  kernel_.cpu().Execute(MutexFastRegion());
-  if (ReadWord(env) == 0) {
-    WriteWord(env, 1);
-    return true;
-  }
-  return false;
-}
-
 void RtMutex::Unlock(mk::Env& env) {
   kernel_.cpu().Execute(MutexFastRegion());
   const uint32_t v = ReadWord(env);
@@ -105,10 +96,6 @@ void RtCondition::Broadcast(mk::Env& env) {
 
 mk::Thread* CThreads::Fork(const std::string& name, mk::ThreadBody body, int priority) {
   return kernel_.CreateThread(task_, name, std::move(body), priority);
-}
-
-base::Status CThreads::Join(mk::Env& env, mk::Thread* thread) {
-  return kernel_.ThreadJoin(thread);
 }
 
 RtHeap::RtHeap(mk::Kernel& kernel, mk::Task& task, uint64_t size) : kernel_(kernel) {

@@ -37,7 +37,6 @@ class RtMutex {
 
   void Lock(mk::Env& env);
   void Unlock(mk::Env& env);
-  bool TryLock(mk::Env& env);
   hw::VirtAddr word() const { return word_; }
 
   uint64_t contended_acquires() const { return contended_; }
@@ -66,14 +65,13 @@ class RtCondition {
   hw::VirtAddr seq_word_;
 };
 
-// cthread_fork/cthread_join equivalents.
+// cthread_fork equivalent; join with mk::Kernel::ThreadJoin.
 class CThreads {
  public:
   CThreads(mk::Kernel& kernel, mk::Task* task) : kernel_(kernel), task_(task) {}
 
   mk::Thread* Fork(const std::string& name, mk::ThreadBody body,
                    int priority = mk::Thread::kDefaultPriority);
-  base::Status Join(mk::Env& env, mk::Thread* thread);
 
  private:
   mk::Kernel& kernel_;

@@ -375,23 +375,9 @@ Vm86Assembler& Vm86Assembler::Inc(Vm86Reg r) {
   code_.insert(code_.end(), {kOpInc, static_cast<uint8_t>(r)});
   return *this;
 }
-Vm86Assembler& Vm86Assembler::Dec(Vm86Reg r) {
-  code_.insert(code_.end(), {kOpDec, static_cast<uint8_t>(r)});
-  return *this;
-}
-Vm86Assembler& Vm86Assembler::Jmp(uint16_t addr) {
-  code_.insert(code_.end(),
-               {kOpJmp, static_cast<uint8_t>(addr), static_cast<uint8_t>(addr >> 8)});
-  return *this;
-}
 Vm86Assembler& Vm86Assembler::Jz(uint16_t addr) {
   code_.insert(code_.end(),
                {kOpJz, static_cast<uint8_t>(addr), static_cast<uint8_t>(addr >> 8)});
-  return *this;
-}
-Vm86Assembler& Vm86Assembler::Jnz(uint16_t addr) {
-  code_.insert(code_.end(),
-               {kOpJnz, static_cast<uint8_t>(addr), static_cast<uint8_t>(addr >> 8)});
   return *this;
 }
 Vm86Assembler& Vm86Assembler::Load(Vm86Reg r, uint16_t addr) {

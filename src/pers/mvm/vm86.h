@@ -115,10 +115,7 @@ class Vm86Assembler {
   Vm86Assembler& Sub(Vm86Reg dst, Vm86Reg src);
   Vm86Assembler& Cmp(Vm86Reg a, Vm86Reg b);
   Vm86Assembler& Inc(Vm86Reg r);
-  Vm86Assembler& Dec(Vm86Reg r);
-  Vm86Assembler& Jmp(uint16_t addr);
   Vm86Assembler& Jz(uint16_t addr);
-  Vm86Assembler& Jnz(uint16_t addr);
   Vm86Assembler& Load(Vm86Reg r, uint16_t addr);
   Vm86Assembler& Store(uint16_t addr, Vm86Reg r);
   Vm86Assembler& LoadIdx(Vm86Reg r);

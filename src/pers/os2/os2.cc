@@ -38,8 +38,6 @@ uint32_t Os2Server::RegisterProcess(const std::string& name) {
   return pid;
 }
 
-void Os2Server::UnregisterProcess(uint32_t pid) { processes_.erase(pid); }
-
 void Os2Server::Serve(mk::Env& env) {
   static const hw::CodeRegion kLoop = hw::DefineCode("loop.os2", mk::Costs::kRpcServerLoop);
   loop_->Run<Os2Request>(env, [&](mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r,
@@ -207,10 +205,6 @@ base::Result<std::vector<svc::DirEntry>> Os2Process::DosFindAll(mk::Env& env,
   return fs_.ReadDir(env, dir);
 }
 
-mk::Thread* Os2Process::DosCreateThread(const std::string& name, mk::ThreadBody body) {
-  return kernel_.CreateThread(task_, name, std::move(body));
-}
-
 base::Result<uint32_t> Os2Process::DosCreateSem(mk::Env& env, const std::string& name) {
   ChargeStub();
   Os2Request r;
@@ -242,17 +236,6 @@ base::Status Os2Process::DosReleaseSem(mk::Env& env, uint32_t sem) {
   Os2Request r;
   r.op = Os2Op::kReleaseSem;
   r.value = sem;
-  Os2Reply reply;
-  const base::Status st = os2_stub_.Call(env, r, &reply);
-  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
-}
-
-base::Status Os2Process::DosExit(mk::Env& env, int32_t code) {
-  ChargeStub();
-  Os2Request r;
-  r.op = Os2Op::kExitProcess;
-  r.pid = pid_;
-  r.value = static_cast<uint32_t>(code);
   Os2Reply reply;
   const base::Status st = os2_stub_.Call(env, r, &reply);
   return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);

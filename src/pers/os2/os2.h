@@ -53,7 +53,6 @@ class Os2Server {
   void Stop() { loop_->Stop(); }
 
   uint32_t RegisterProcess(const std::string& name);
-  void UnregisterProcess(uint32_t pid);
   size_t process_count() const { return processes_.size(); }
 
  private:
@@ -106,14 +105,10 @@ class Os2Process {
   }
   base::Status DosFreeMem(mk::Env& env, hw::VirtAddr addr) { return memory_.FreeMem(env, addr); }
 
-  mk::Thread* DosCreateThread(const std::string& name, mk::ThreadBody body);
-  base::Status DosSleep(mk::Env& env, uint64_t ms) { return env.SleepNs(ms * 1'000'000); }
-
   // System semaphores via the OS/2 server.
   base::Result<uint32_t> DosCreateSem(mk::Env& env, const std::string& name);
   base::Status DosRequestSem(mk::Env& env, uint32_t sem);
   base::Status DosReleaseSem(mk::Env& env, uint32_t sem);
-  base::Status DosExit(mk::Env& env, int32_t code);
 
   uint64_t api_calls() const { return api_calls_; }
 

@@ -60,35 +60,6 @@ base::Result<hw::VirtAddr> Os2Memory::AllocMem(mk::Env& env, uint64_t bytes, uin
   return *addr;
 }
 
-base::Status Os2Memory::SetMem(mk::Env& env, hw::VirtAddr addr, uint64_t bytes, bool commit) {
-  auto it = allocations_.upper_bound(addr);
-  if (it == allocations_.begin()) {
-    return base::Status::kInvalidAddress;
-  }
-  --it;
-  Allocation& alloc = it->second;
-  if (addr + bytes > it->first + alloc.pages * hw::kPageSize) {
-    return base::Status::kInvalidAddress;
-  }
-  const uint64_t first_page = (addr - it->first) >> hw::kPageShift;
-  const uint64_t page_count = hw::PageRound(bytes + (addr & hw::kPageMask)) >> hw::kPageShift;
-  if (commit) {
-    const base::Status st =
-        CommitRange(env, it->first + first_page * hw::kPageSize, page_count);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-    alloc.committed += page_count;
-    committed_pages_ += page_count;
-  } else {
-    // Decommit: pages go back, but the allocation size is retained.
-    const uint64_t dec = page_count < alloc.committed ? page_count : alloc.committed;
-    alloc.committed -= dec;
-    committed_pages_ -= dec;
-  }
-  return base::Status::kOk;
-}
-
 base::Status Os2Memory::FreeMem(mk::Env& env, hw::VirtAddr addr) {
   auto it = allocations_.find(addr);
   if (it == allocations_.end()) {

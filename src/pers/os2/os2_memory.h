@@ -2,7 +2,7 @@
 // memory management systems" problem.
 //
 // OS/2 semantics: commitment-oriented, eager allocation, byte-granular
-// (DosAllocMem/DosSetMem/DosSubAllocMem), with the operating system
+// (DosAllocMem/DosSubAllocMem), with the operating system
 // *retaining allocation sizes*. The microkernel's VM is page-oriented, lazy,
 // and forgets sizes. The result, reproduced here, is a second allocator
 // stacked on the first: every OS/2 object costs its pages (committed eagerly,
@@ -30,8 +30,6 @@ class Os2Memory {
   // DosAllocMem: reserves `bytes` (byte-granular size retained) and, with
   // kPagCommit, eagerly commits every page through the fault path.
   base::Result<hw::VirtAddr> AllocMem(mk::Env& env, uint64_t bytes, uint32_t flags);
-  // DosSetMem: commit or decommit a byte range within an allocation.
-  base::Status SetMem(mk::Env& env, hw::VirtAddr addr, uint64_t bytes, bool commit);
   base::Status FreeMem(mk::Env& env, hw::VirtAddr addr);
   // DosSubAllocMem-style byte-granular suballocation within an allocation.
   base::Result<hw::VirtAddr> SubAlloc(mk::Env& env, hw::VirtAddr pool, uint64_t bytes);

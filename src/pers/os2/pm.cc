@@ -68,11 +68,6 @@ base::Result<Hwnd> PmSession::CreateWindow(mk::Env& env, const std::string& titl
   return hwnd;
 }
 
-base::Status PmSession::DestroyWindow(mk::Env& env, Hwnd hwnd) {
-  desktop_->kernel_.cpu().Execute(WinMgrRegion());
-  return desktop_->windows_.erase(hwnd) != 0 ? base::Status::kOk : base::Status::kNotFound;
-}
-
 base::Status PmSession::PostMsg(mk::Env& env, Hwnd hwnd, uint32_t msg, uint32_t p1,
                                 uint32_t p2) {
   PmDesktop& d = *desktop_;
@@ -147,19 +142,6 @@ base::Status PmSession::FillRect(mk::Env& env, Hwnd hwnd, uint32_t x, uint32_t y
     const uint64_t offset =
         static_cast<uint64_t>(win.y + y + row) * d.width() + win.x + x;
     const base::Status st = d.kernel_.UserFill(*task_, vram_base_ + offset, color, w);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-  }
-  return base::Status::kOk;
-}
-
-base::Status PmSession::DrawText(mk::Env& env, Hwnd hwnd, uint32_t x, uint32_t y,
-                                 const std::string& text) {
-  // 8x8 glyph cells; each glyph is a small fill.
-  for (size_t i = 0; i < text.size(); ++i) {
-    const base::Status st = FillRect(env, hwnd, x + static_cast<uint32_t>(i) * 8, y, 8, 8,
-                                     static_cast<uint8_t>(text[i]));
     if (st != base::Status::kOk) {
       return st;
     }

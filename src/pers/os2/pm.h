@@ -35,7 +35,6 @@ class PmSession {
  public:
   base::Result<Hwnd> CreateWindow(mk::Env& env, const std::string& title, uint32_t x, uint32_t y,
                                   uint32_t w, uint32_t h);
-  base::Status DestroyWindow(mk::Env& env, Hwnd hwnd);
   // Posts to any window on the desktop, including other processes'.
   base::Status PostMsg(mk::Env& env, Hwnd hwnd, uint32_t msg, uint32_t p1, uint32_t p2);
   // Blocks (memory synchronizer) until a message for `hwnd` arrives.
@@ -45,8 +44,6 @@ class PmSession {
   // Drawing: direct stores into the mapped aperture.
   base::Status FillRect(mk::Env& env, Hwnd hwnd, uint32_t x, uint32_t y, uint32_t w, uint32_t h,
                         uint8_t color);
-  base::Status DrawText(mk::Env& env, Hwnd hwnd, uint32_t x, uint32_t y,
-                        const std::string& text);
   base::Status BitBlt(mk::Env& env, Hwnd hwnd, uint32_t x, uint32_t y, uint32_t w, uint32_t h);
 
   // Bring a window to the front (window switching, the PM Tasking workload).

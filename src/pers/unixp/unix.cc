@@ -453,16 +453,6 @@ base::Status UnixProcess::Close(mk::Env& env, int fd) {
   return st;
 }
 
-base::Status UnixProcess::Unlink(mk::Env& env, const std::string& path) {
-  pers_->kernel_.cpu().Execute(LibcRegion());
-  return fs_->Unlink(env, path);
-}
-
-base::Status UnixProcess::Mkdir(mk::Env& env, const std::string& path) {
-  pers_->kernel_.cpu().Execute(LibcRegion());
-  return fs_->Mkdir(env, path);
-}
-
 base::Result<std::pair<int, int>> UnixProcess::Pipe(mk::Env& env) {
   pers_->kernel_.cpu().Execute(LibcRegion());
   auto port = pers_->kernel_.PortAllocate(*task_);

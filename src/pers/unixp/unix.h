@@ -84,8 +84,6 @@ class UnixProcess {
   base::Status Munmap(mk::Env& env, hw::VirtAddr addr);
   base::Status Msync(mk::Env& env, hw::VirtAddr addr, uint64_t len);
   base::Status Close(mk::Env& env, int fd);
-  base::Status Unlink(mk::Env& env, const std::string& path);
-  base::Status Mkdir(mk::Env& env, const std::string& path);
   base::Result<std::pair<int, int>> Pipe(mk::Env& env);  // {read_fd, write_fd}
 
   // fork: COW-copies the address space and the descriptor table, then runs

@@ -101,25 +101,16 @@ base::Status BlockCache::WriteSector(mk::Env& env, uint64_t lba, const void* dat
   return base::Status::kOk;
 }
 
-base::Status BlockCache::Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) {
-  for (uint32_t i = 0; i < count; ++i) {
-    const base::Status st = ReadSector(env, lba + i, static_cast<uint8_t*>(out) + i * kSectorSize);
+base::Status BlockCache::ZeroTail(mk::Env& env, uint64_t lba, uint32_t from) {
+  uint8_t sector[kSectorSize] = {};
+  if (from != 0) {
+    const base::Status st = ReadSector(env, lba, sector);
     if (st != base::Status::kOk) {
       return st;
     }
+    std::memset(sector + from, 0, kSectorSize - from);
   }
-  return base::Status::kOk;
-}
-
-base::Status BlockCache::Write(mk::Env& env, uint64_t lba, uint32_t count, const void* data) {
-  for (uint32_t i = 0; i < count; ++i) {
-    const base::Status st =
-        WriteSector(env, lba + i, static_cast<const uint8_t*>(data) + i * kSectorSize);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-  }
-  return base::Status::kOk;
+  return WriteSector(env, lba, sector);
 }
 
 base::Status BlockCache::Flush(mk::Env& env) {

@@ -24,8 +24,10 @@ class BlockCache {
 
   base::Status ReadSector(mk::Env& env, uint64_t lba, void* out);
   base::Status WriteSector(mk::Env& env, uint64_t lba, const void* data);
-  base::Status Read(mk::Env& env, uint64_t lba, uint32_t count, void* out);
-  base::Status Write(mk::Env& env, uint64_t lba, uint32_t count, const void* data);
+  // Zeroes bytes [from, kSectorSize) of sector `lba`: the tail of a
+  // truncated file's last block, which a later write past the new end must
+  // not bring back.
+  base::Status ZeroTail(mk::Env& env, uint64_t lba, uint32_t from);
   base::Status Flush(mk::Env& env);
 
   uint64_t num_sectors() const { return store_->num_sectors(); }

@@ -661,6 +661,15 @@ base::Status FatFs::SetSize(mk::Env& env, NodeId node, uint64_t size) {
       }
     }
   }
+  // Zero the rest of the last kept cluster, sector by sector.
+  const uint32_t tail = static_cast<uint32_t>(size % kClusterBytes);
+  for (uint32_t off = tail; prev != 0 && tail != 0 && off < kClusterBytes;
+       off += kSectorSize - off % kSectorSize) {
+    st = cache_->ZeroTail(env, ClusterToSector(prev) + off / kSectorSize, off % kSectorSize);
+    if (st != base::Status::kOk) {
+      return st;
+    }
+  }
   d.size = static_cast<uint32_t>(size);
   return WriteDirent(env, node, d);
 }

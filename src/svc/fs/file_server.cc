@@ -1394,15 +1394,4 @@ base::Status FsClient::Flush(mk::Env& env, uint64_t handle) {
   return cache_->FlushHandle(env, *this, handle);
 }
 
-base::Status FsClient::Sync(mk::Env& env) {
-  if (cache_ != nullptr) {
-    const base::Status fl = cache_->FlushAll(env, *this);
-    if (fl != base::Status::kOk) {
-      return fl;
-    }
-  }
-  FsReply reply;
-  return Call(env, PathRequest(FsOp::kSync, "/"), &reply);
-}
-
 }  // namespace svc

@@ -281,7 +281,6 @@ class FsClient {
   base::Status SetEa(mk::Env& env, const std::string& path, const std::string& key,
                      const std::string& value);
   base::Result<std::string> GetEa(mk::Env& env, const std::string& path, const std::string& key);
-  base::Status Sync(mk::Env& env);
   // Exports a memory object for the open file (server must have
   // EnableMapping); `min_len` sizes the object to at least that many bytes so
   // a mapping larger than the current file is honoured. Pending write-behind

@@ -234,18 +234,6 @@ base::Status FsCache::FlushHandle(mk::Env& env, FsClient& client, uint64_t handl
   return Flush(env, client, handle, it->second);
 }
 
-base::Status FsCache::FlushAll(mk::Env& env, FsClient& client) {
-  Observe(env);
-  base::Status first = base::Status::kOk;
-  for (auto& [handle, s] : handles_) {
-    const base::Status st = Flush(env, client, handle, s);
-    if (st != base::Status::kOk && first == base::Status::kOk) {
-      first = st;
-    }
-  }
-  return first;
-}
-
 base::Status FsCache::CloseHandle(mk::Env& env, FsClient& client, uint64_t handle) {
   const base::Status st = FlushHandle(env, client, handle);
   handles_.erase(handle);

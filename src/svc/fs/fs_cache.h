@@ -9,7 +9,7 @@
 //   - a block-granular read-ahead buffer — a sequential reader's next misses
 //     are served from the over-fetch of the previous one;
 //   - a bounded write-behind run that coalesces contiguous small writes into
-//     one bulk RPC, flushed explicitly on Close/Sync (or when the bound or a
+//     one bulk RPC, flushed explicitly on Close/Flush (or when the bound or a
 //     non-contiguous write forces it).
 //
 // Coherence is write-through invalidation locally (a write drops any cached
@@ -51,7 +51,6 @@ class FsCache {
 
   // Flushes the handle's write-behind run (if any).
   base::Status FlushHandle(mk::Env& env, FsClient& client, uint64_t handle);
-  base::Status FlushAll(mk::Env& env, FsClient& client);
   // Close-time: flush, then forget everything about the handle.
   base::Status CloseHandle(mk::Env& env, FsClient& client, uint64_t handle);
 

@@ -485,8 +485,8 @@ base::Result<uint32_t> InodeFs::MapBlock(mk::Env& env, DiskInode* inode, NodeId 
   return entry - 1;
 }
 
-base::Status InodeFs::FreeAllBlocks(mk::Env& env, DiskInode* inode) {
-  for (uint32_t i = 0; i < kDirect; ++i) {
+base::Status InodeFs::FreeBlocksFrom(mk::Env& env, DiskInode* inode, uint32_t first) {
+  for (uint32_t i = first; i < kDirect; ++i) {
     if (inode->direct[i] != 0) {
       const base::Status st = FreeBlock(env, inode->direct[i] - 1);
       if (st != base::Status::kOk) {
@@ -495,25 +495,35 @@ base::Status InodeFs::FreeAllBlocks(mk::Env& env, DiskInode* inode) {
       inode->direct[i] = 0;
     }
   }
-  if (inode->indirect != 0) {
-    uint8_t sector[kSectorSize];
-    META_READ(env, data_start_ + inode->indirect - 1, sector);
-    for (uint32_t i = 0; i < kPtrsPerIndirect; ++i) {
-      uint32_t entry;
-      std::memcpy(&entry, sector + i * 4, 4);
-      if (entry != 0) {
-        const base::Status st = FreeBlock(env, entry - 1);
-        if (st != base::Status::kOk) {
-          return st;
-        }
-      }
-    }
-    const base::Status st = FreeBlock(env, inode->indirect - 1);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-    inode->indirect = 0;
+  if (inode->indirect == 0) {
+    return base::Status::kOk;
   }
+  const uint32_t first_ind = first > kDirect ? first - kDirect : 0;
+  const uint64_t ind_lba = data_start_ + inode->indirect - 1;
+  uint8_t sector[kSectorSize];
+  META_READ(env, ind_lba, sector);
+  bool changed = false;
+  for (uint32_t i = first_ind; i < kPtrsPerIndirect; ++i) {
+    uint32_t entry;
+    std::memcpy(&entry, sector + i * 4, 4);
+    if (entry != 0) {
+      const base::Status st = FreeBlock(env, entry - 1);
+      if (st != base::Status::kOk) {
+        return st;
+      }
+      std::memset(sector + i * 4, 0, 4);
+      changed = true;
+    }
+  }
+  if (first_ind != 0) {
+    // Blocks below `first` still hang off the indirect block.
+    return changed ? MetaWrite(env, ind_lba, sector) : base::Status::kOk;
+  }
+  const base::Status st = FreeBlock(env, inode->indirect - 1);
+  if (st != base::Status::kOk) {
+    return st;
+  }
+  inode->indirect = 0;
   return base::Status::kOk;
 }
 
@@ -676,7 +686,7 @@ base::Status InodeFs::Remove(mk::Env& env, NodeId dir, const std::string& name) 
   if (st != base::Status::kOk) {
     return st;
   }
-  st = FreeAllBlocks(env, &inode);
+  st = FreeBlocksFrom(env, &inode, 0);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -864,18 +874,19 @@ base::Status InodeFs::SetSize(mk::Env& env, NodeId node, uint64_t size) {
   if (st != base::Status::kOk) {
     return st;
   }
-  // Free whole blocks beyond the new size (direct pointers only for brevity;
-  // indirect blocks are freed lazily when the file is removed).
+  // Free every block past the new size and zero the rest of the last kept
+  // one, so a later write past the new end reads back zeros in between.
   const uint32_t keep_blocks = static_cast<uint32_t>((size + kSectorSize - 1) / kSectorSize);
-  for (uint32_t i = keep_blocks; i < kDirect; ++i) {
-    if (inode.direct[i] != 0) {
-      st = FreeBlock(env, inode.direct[i] - 1);
-      if (st != base::Status::kOk) {
-        (void)TxnCommit(env);
-        return st;
-      }
-      inode.direct[i] = 0;
+  st = FreeBlocksFrom(env, &inode, keep_blocks);
+  if (st == base::Status::kOk && size % kSectorSize != 0) {
+    auto block = MapBlock(env, &inode, node, keep_blocks - 1, /*allocate=*/false);
+    if (block.ok()) {
+      st = cache_->ZeroTail(env, data_start_ + *block, size % kSectorSize);
     }
+  }
+  if (st != base::Status::kOk) {
+    (void)TxnCommit(env);
+    return st;
   }
   inode.size = size;
   st = WriteInode(env, node, inode);

@@ -119,7 +119,9 @@ class InodeFs : public Pfs {
   // and must be zeroed before partial writes.
   base::Result<uint32_t> MapBlock(mk::Env& env, DiskInode* inode, NodeId ino, uint32_t index,
                                   bool allocate, bool* fresh = nullptr);
-  base::Status FreeAllBlocks(mk::Env& env, DiskInode* inode);
+  // Frees the blocks backing file blocks `first` and up, and the indirect
+  // block once nothing is left behind it.
+  base::Status FreeBlocksFrom(mk::Env& env, DiskInode* inode, uint32_t first);
   base::Result<std::pair<NodeId, uint64_t>> FindEntry(mk::Env& env, NodeId dir,
                                                       const std::string& name);
   base::Status WriteEntry(mk::Env& env, NodeId dir, uint64_t slot_offset, const Dirent64& e);

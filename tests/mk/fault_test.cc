@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/hw/machine.h"
@@ -325,6 +327,77 @@ TEST(FaultInjectorTest, RobustCallRidesThroughDroppedReply) {
   EXPECT_EQ(kernel.faults().total_fires(), 1u);
   EXPECT_EQ(kernel.CheckInvariants(), 0u);
 }
+
+// The kRpcReply fault point, every mode, on both server-side reply paths: a
+// reply sent by token with Kernel::RpcReply, and a reply recorded with
+// ServerLoop::Reply that leaves in the loop's RpcReplyAndReceive trap. The
+// faulted call's status, whether the server lives on to answer a second
+// call, and the kernel's invariants must not depend on the path.
+struct ReplyFaultCase {
+  fault::FaultMode mode;
+  base::Status caller;  // status of the call whose reply the fault hit
+  bool keeps_serving;   // the next call is answered rather than failed kPortDead
+};
+
+const ReplyFaultCase kReplyFaultCases[] = {
+    {fault::FaultMode::kDropReply, base::Status::kTimedOut, true},
+    {fault::FaultMode::kCrashTask, base::Status::kPortDead, false},
+    {fault::FaultMode::kKillPort, base::Status::kPortDead, false},
+    {fault::FaultMode::kTransientError, base::Status::kBusy, true},
+    {fault::FaultMode::kStallTask, base::Status::kOk, true},
+    {fault::FaultMode::kDelayReply, base::Status::kOk, true},
+};
+
+class ReplyFaultTest : public ::testing::TestWithParam<std::tuple<ReplyFaultCase, bool>> {};
+
+TEST_P(ReplyFaultTest, CallerStatusAndServerFateMatchTheMode) {
+  const auto& [fault_case, loop_reply] = GetParam();
+  hw::Machine machine(hw::MachineConfig{.ram_bytes = 16 * 1024 * 1024});
+  Kernel kernel(&machine);
+  kernel.faults().Enable(3);
+  kernel.faults().Arm(fault::FaultPoint::kRpcReply, fault_case.mode, 100, /*max_fires=*/1);
+  Task* server_task = kernel.CreateTask("server");
+  Task* client_task = kernel.CreateTask("client");
+  auto recv = kernel.PortAllocate(*server_task);
+  auto send = kernel.MakeSendRight(*server_task, *recv, *client_task);
+  auto loop = std::make_shared<ServerLoop>(*recv, "echo");
+  kernel.CreateThread(server_task, "echo", [&, loop](Env& env) {
+    loop->Run<EchoRequest>(env, [&](Env& env, const RpcRequest& rpc, const EchoRequest& req,
+                                    const uint8_t*, uint32_t) {
+      if (loop_reply) {
+        loop->Reply(rpc, &req, rpc.req_len);
+      } else {
+        (void)env.RpcReply(rpc.token, &req, rpc.req_len);
+      }
+    });
+  });
+  std::vector<base::Status> statuses;
+  kernel.CreateThread(client_task, "client", [&, send = *send](Env& env) {
+    for (uint32_t i = 0; i < 2; ++i) {
+      uint32_t req[2] = {kEchoOp, i};
+      uint32_t reply[2] = {};
+      statuses.push_back(env.RpcCall(send, req, sizeof(req), reply, sizeof(reply), nullptr,
+                                     nullptr, nullptr, 0, nullptr, kDeadlineNs));
+    }
+    loop->Stop();
+  });
+  EXPECT_EQ(kernel.Run(), 0u);
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_EQ(statuses[0], fault_case.caller);
+  EXPECT_EQ(statuses[1],
+            fault_case.keeps_serving ? base::Status::kOk : base::Status::kPortDead);
+  EXPECT_EQ(server_task->terminated(), fault_case.mode == fault::FaultMode::kCrashTask);
+  EXPECT_EQ(kernel.faults().fires(fault::FaultPoint::kRpcReply), 1u);
+  EXPECT_EQ(kernel.CheckInvariants(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryMode, ReplyFaultTest,
+    ::testing::Combine(::testing::ValuesIn(kReplyFaultCases), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<ReplyFaultCase, bool>>& info) {
+      return std::string(fault::FaultModeName(std::get<0>(info.param).mode)) +
+             (std::get<1>(info.param) ? "_loop_reply" : "_rpc_reply");
+    });
 
 }  // namespace
 }  // namespace mk

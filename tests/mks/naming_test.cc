@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+
 #include "src/mks/naming/lite_name_server.h"
 #include "tests/mk/kernel_test_fixture.h"
 
@@ -166,6 +169,48 @@ TEST_F(NamingTest, LiteServiceResolvesCheaperThanFull) {
   kernel_.Run();
   EXPECT_GT(full_cycles, lite_cycles * 11 / 10)
       << "the X.500-style service must cost measurably more than the lite one";
+}
+
+// Hostile input: a request whose bytes after `op` are all non-zero, so the
+// fixed-size name field holds no NUL. Each server answers kInvalidArgument
+// without reading past the field, then still serves a well-formed canary.
+TEST_F(NamingTest, UnterminatedNameIsInvalidArgument) {
+  mk::Task* lite_task = kernel_.CreateTask("mks-naming-lite");
+  LiteNameServer lite(kernel_, lite_task);
+  mk::PortName lite_service = lite.GrantTo(*client_task_);
+  int32_t full_status = 0;
+  int32_t lite_status = 0;
+  kernel_.CreateThread(client_task_, "c", [&](mk::Env& env) {
+    NameRequest full;
+    full.op = NameOp::kResolve;
+    std::memset(full.name, 'x', sizeof(full) - offsetof(NameRequest, name));
+    NameReply full_reply;
+    ASSERT_EQ(env.RpcCall(service_, &full, sizeof(full), &full_reply, sizeof(full_reply)),
+              base::Status::kOk);
+    full_status = full_reply.status;
+
+    LiteNameRequest bare;
+    bare.op = LiteNameOp::kResolve;
+    std::memset(bare.name, 'x', sizeof(bare) - offsetof(LiteNameRequest, name));
+    LiteNameReply lite_reply;
+    ASSERT_EQ(env.RpcCall(lite_service, &bare, sizeof(bare), &lite_reply, sizeof(lite_reply)),
+              base::Status::kOk);
+    lite_status = lite_reply.status;
+
+    NameClient nc(service_);
+    LiteNameClient lc(lite_service);
+    auto p = env.PortAllocate();
+    ASSERT_EQ(nc.Register(env, "/svc/canary", *p), base::Status::kOk);
+    EXPECT_TRUE(nc.Resolve(env, "/svc/canary").ok());
+    ASSERT_EQ(lc.Register(env, "/svc/canary", *p), base::Status::kOk);
+    EXPECT_TRUE(lc.Resolve(env, "/svc/canary").ok());
+    server_->Stop();
+    lite.Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(full_status, static_cast<int32_t>(base::Status::kInvalidArgument));
+  EXPECT_EQ(lite_status, static_cast<int32_t>(base::Status::kInvalidArgument));
+  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // checks every operation's result after randomized op sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 
@@ -179,7 +180,7 @@ TEST_P(PfsContractTest, RandomOpsAgainstOracle) {
     std::map<std::string, NodeId> nodes;
     base::Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 17);
     for (int step = 0; step < 150; ++step) {
-      const int op = static_cast<int>(rng.NextBelow(4));
+      const int op = static_cast<int>(rng.NextBelow(5));
       const std::string name = Name(static_cast<int>(rng.NextBelow(8)));
       switch (op) {
         case 0: {  // create
@@ -241,6 +242,31 @@ TEST_P(PfsContractTest, RandomOpsAgainstOracle) {
           }
           break;
         }
+        case 4: {  // truncate, then write past the new end: the gap reads zeros
+          if (!oracle.contains(name) || oracle[name].empty()) {
+            break;
+          }
+          auto& file = oracle[name];
+          // Cut up to 700 bytes, mostly the last write's, off the end, then
+          // grow the file back to its old size with a one-byte write.
+          const uint64_t old_size = file.size();
+          const uint64_t size = old_size - rng.NextBelow(std::min<uint64_t>(old_size, 700) + 1);
+          ASSERT_EQ(pfs_->SetSize(env, nodes[name], size), base::Status::kOk);
+          const uint8_t last = static_cast<uint8_t>(rng.Next());
+          ASSERT_TRUE(pfs_->Write(env, nodes[name], old_size - 1, &last, 1).ok());
+          file.resize(size);
+          file.resize(old_size, 0);
+          file.back() = last;
+          std::vector<uint8_t> back(old_size - size);
+          auto got = pfs_->Read(env, nodes[name], size, back.data(),
+                                static_cast<uint32_t>(back.size()));
+          ASSERT_TRUE(got.ok());
+          ASSERT_EQ(*got, back.size());
+          for (uint64_t i = 0; i < back.size(); ++i) {
+            ASSERT_EQ(back[i], file[size + i]) << name << " offset " << size + i;
+          }
+          break;
+        }
       }
     }
     // Everything still readable at the end.
@@ -252,6 +278,39 @@ TEST_P(PfsContractTest, RandomOpsAgainstOracle) {
         ASSERT_TRUE(got.ok());
         EXPECT_EQ(back, file) << name;
       }
+    }
+  });
+}
+
+// Truncation must not leave old bytes behind: after a write past the new
+// end, everything between the new size and that write reads back as zeros.
+// (3000 -> 100 keeps part of one block or cluster; 8192 -> 0 drops blocks
+// that hang off an inode's indirect pointer.)
+TEST_P(PfsContractTest, TruncateThenWritePastEndReadsZeros) {
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(Format(env), base::Status::kOk);
+    const std::pair<uint32_t, uint32_t> cases[] = {{3000, 100}, {8192, 0}};
+    int i = 0;
+    for (const auto& [n, m] : cases) {
+      auto node = pfs_->Create(env, pfs_->root(), Name(i++), false);
+      ASSERT_TRUE(node.ok());
+      const std::vector<uint8_t> old_bytes(n, 0xAA);
+      ASSERT_TRUE(pfs_->Write(env, *node, 0, old_bytes.data(), n).ok());
+      EXPECT_EQ(pfs_->SetSize(env, *node, n + 1), base::Status::kNotSupported)
+          << "growth goes through Write";
+      ASSERT_EQ(pfs_->SetSize(env, *node, m), base::Status::kOk);
+      const uint8_t last = 0xBB;
+      ASSERT_TRUE(pfs_->Write(env, *node, n - 1, &last, 1).ok());
+      std::vector<uint8_t> expect(n, 0);
+      std::fill(expect.begin(), expect.begin() + m, 0xAA);
+      expect[n - 1] = last;
+      std::vector<uint8_t> back(n);
+      auto got = pfs_->Read(env, *node, 0, back.data(), n);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(*got, n);
+      EXPECT_EQ(std::count(back.begin(), back.end(), 0xAA), m)
+          << KindName(GetParam()) << " " << n << " -> " << m << ": stale bytes";
+      EXPECT_EQ(back, expect) << KindName(GetParam()) << " " << n << " -> " << m;
     }
   });
 }

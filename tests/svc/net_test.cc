@@ -147,6 +147,30 @@ TEST_F(NetTest, DoubleBindRejected) {
   });
 }
 
+// Shutdown does not strand a parked receiver: when the net server stops, its
+// serve thread resets the sockets and a RecvFrom deferred on a bound port
+// completes with kUnavailable.
+TEST_F(NetTest, StopCompletesDeferredReceiveWithUnavailable) {
+  Build(false, false);
+  base::Result<uint32_t> received = 0u;
+  kernel_.CreateThread(client_task_, "receiver", [&](mk::Env& env) {
+    NetClient net(service_);
+    ASSERT_EQ(net.Bind(env, 7000), base::Status::kOk);
+    received = net.RecvFrom(env, 7000, nullptr, 0);
+  });
+  kernel_.CreateThread(client_task_, "stopper", [&](mk::Env& env) {
+    env.SleepNs(1'000'000);  // the receiver binds and parks its RecvFrom
+    server_->Stop();
+    env.SleepNs(1'000'000);  // the serve thread winds down
+    driver_->Stop();
+    kernel_.TerminateTask(net_task_);
+    kernel_.TerminateTask(driver_task_);
+  });
+  ASSERT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(received.status(), base::Status::kUnavailable);
+  EXPECT_EQ(server_->datagrams_delivered(), 0u);
+}
+
 TEST_F(NetTest, FineStackCostsMoreThanCoarse) {
   // Identical packet processing through both engines, measured directly (the
   // end-to-end ablation lives in bench_fine_objects, which controls for
