@@ -52,6 +52,10 @@ KernelDiskStore::KernelDiskStore(mk::Kernel& kernel, hw::Disk* disk)
 
 base::Status KernelDiskStore::DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uint32_t count,
                                    void* data) {
+  // As DiskDriver::DoIo: no `lba + count`, which wraps for a huge lba.
+  if (lba > disk_->num_sectors() || count > disk_->num_sectors() - lba) {
+    return base::Status::kInvalidArgument;
+  }
   kernel_.cpu().Execute(DriverRegion());
   const uint64_t bytes = static_cast<uint64_t>(count) * hw::Disk::kSectorSize;
   if (cmd == hw::Disk::kCmdWrite) {
@@ -62,13 +66,18 @@ base::Status KernelDiskStore::DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uin
   kernel_.IoWrite(disk_, hw::Disk::kRegCount, count);
   kernel_.IoWrite(disk_, hw::Disk::kRegDmaLo, static_cast<uint32_t>(dma_buffer_));
   kernel_.IoWrite(disk_, hw::Disk::kRegCommand, cmd);
-  while ((kernel_.IoRead(disk_, hw::Disk::kRegStatus) & hw::Disk::kStatusDone) == 0) {
+  uint32_t status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
+  while ((status & hw::Disk::kStatusDone) == 0) {
     const base::Status st = kernel_.SemWait(io_sem_);
     if (st != base::Status::kOk) {
       return st;
     }
+    status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
   }
   kernel_.IoWrite(disk_, hw::Disk::kRegStatus, 0);
+  if ((status & hw::Disk::kStatusError) != 0) {
+    return base::Status::kIoError;
+  }
   if (cmd == hw::Disk::kCmdRead) {
     kernel_.machine().mem().Read(dma_buffer_, data, bytes);
     kernel_.ChargeCopy(dma_buffer_, kernel_.heap().base(), bytes);

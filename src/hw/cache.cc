@@ -14,39 +14,39 @@ uint32_t Log2(uint32_t v) {
 }
 }  // namespace
 
-Cache::Cache(const CacheConfig& config) : config_(config) {
-  WPOS_CHECK(config.size_bytes % (config.line_bytes * config.ways) == 0)
-      << "cache geometry must divide evenly";
-  num_sets_ = config.size_bytes / (config.line_bytes * config.ways);
-  WPOS_CHECK((num_sets_ & (num_sets_ - 1)) == 0) << "set count must be a power of two";
+Cache::Cache(const CacheConfig& config) : ways_(config.ways) {
+  WPOS_CHECK(config.ways != 0) << "cache ways must be non-zero";
+  WPOS_CHECK(config.size_bytes != 0) << "cache size must be non-zero";
+  WPOS_CHECK(config.line_bytes != 0 && (config.line_bytes & (config.line_bytes - 1)) == 0)
+      << "cache line size must be a non-zero power of two";
+  const uint64_t set_bytes = static_cast<uint64_t>(config.line_bytes) * config.ways;
+  WPOS_CHECK(config.size_bytes % set_bytes == 0) << "cache geometry must divide evenly";
+  const uint32_t num_sets = static_cast<uint32_t>(config.size_bytes / set_bytes);
+  WPOS_CHECK((num_sets & (num_sets - 1)) == 0) << "set count must be a power of two";
   line_shift_ = Log2(config.line_bytes);
-  set_shift_ = Log2(num_sets_);
-  lines_.resize(static_cast<size_t>(num_sets_) * config.ways);
+  set_shift_ = Log2(num_sets);
+  set_mask_ = num_sets - 1;
+  lines_.resize(static_cast<size_t>(num_sets) * ways_);
 }
 
-Cache::AccessResult Cache::Miss(Line* base, uint64_t tag, bool write) {
-  // Pick an invalid way, else the LRU victim.
-  ++stats_.misses;
-  Line* victim = &base[0];
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    Line& line = base[w];
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (line.lru < victim->lru) {
-      victim = &line;
-    }
+Cache::AccessResult Cache::MoveToFront(Line* set, uint64_t tag, bool write) {
+  // A hit below slot 0 moves up; a miss drops the last slot, which is empty
+  // or the least recently used line.
+  uint32_t w = 1;
+  while (w < ways_ && set[w].valid && set[w].tag != tag) {
+    ++w;
   }
-  const bool writeback = victim->valid && victim->dirty;
-  if (writeback) {
-    ++stats_.writebacks;
+  const bool hit = w < ways_ && set[w].valid;
+  w = hit ? w : ways_ - 1;
+  const bool writeback = !hit && set[w].valid && set[w].dirty;
+  stats_.misses += hit ? 0 : 1;
+  stats_.writebacks += writeback ? 1 : 0;
+  const bool dirty = write || (hit && set[w].dirty);
+  for (; w > 0; --w) {
+    set[w] = set[w - 1];
   }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->dirty = write;
-  victim->lru = tick_;
-  return {.hit = false, .writeback = writeback};
+  set[0] = {.tag = tag, .valid = true, .dirty = dirty};
+  return {.hit = hit, .writeback = writeback};
 }
 
 void Cache::Flush() {

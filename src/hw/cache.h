@@ -2,6 +2,11 @@
 // Used for both the instruction and the data cache. The model tracks only
 // tags, not contents: it answers "hit or miss" and reports write-backs so the
 // CPU model can account bus traffic.
+//
+// Each set is kept in recency order: slot 0 holds the most recently used
+// line, and valid lines form a prefix, so the last slot is the LRU victim or
+// empty. A hit moves its line to the front; a miss shifts the set down one
+// slot and fills slot 0.
 #ifndef SRC_HW_CACHE_H_
 #define SRC_HW_CACHE_H_
 
@@ -35,50 +40,54 @@ class Cache {
   };
 
   // Touch the line containing `addr`. `write` marks the line dirty on a data
-  // cache; instruction caches pass write=false always. The hit path is
-  // inline: every simulated instruction fetch and data access runs it.
+  // cache; instruction caches pass write=false always. Inline, because every
+  // simulated instruction fetch and data access runs it.
   AccessResult Access(PhysAddr addr, bool write) {
     ++stats_.accesses;
-    ++tick_;
     const uint64_t line_addr = addr >> line_shift_;
-    const uint32_t set = static_cast<uint32_t>(line_addr & (num_sets_ - 1));
     const uint64_t tag = line_addr >> set_shift_;
-    Line* base = &lines_[static_cast<size_t>(set) * config_.ways];
-    for (uint32_t w = 0; w < config_.ways; ++w) {
-      Line& line = base[w];
-      if (line.valid && line.tag == tag) {
-        line.lru = tick_;
-        line.dirty = line.dirty || write;
-        return {.hit = true, .writeback = false};
-      }
+    Line* set = &lines_[static_cast<size_t>(line_addr & set_mask_) * ways_];
+    if (set[0].valid && set[0].tag == tag) {
+      set[0].dirty = set[0].dirty || write;
+      return {.hit = true, .writeback = false};
     }
-    return Miss(base, tag, write);
+    if (ways_ == 2) {
+      // The Pentium's two ways, unrolled: slot 1 hits and moves up or is
+      // evicted, and slot 0 moves down either way, with no branch on which
+      // (close to random for instruction fetches, which mostly miss here).
+      const Line old = set[1];
+      const bool hit = old.valid && old.tag == tag;
+      const bool writeback = !hit && old.valid && old.dirty;
+      stats_.misses += hit ? 0 : 1;
+      stats_.writebacks += writeback ? 1 : 0;
+      set[1] = set[0];
+      set[0] = {.tag = tag, .valid = true, .dirty = write || (hit && old.dirty)};
+      return {.hit = hit, .writeback = writeback};
+    }
+    return MoveToFront(set, tag, write);
   }
 
   // Invalidate everything, writing back dirty lines (counted in stats).
   void Flush();
 
-  const CacheConfig& config() const { return config_; }
   const CacheStats& stats() const { return stats_; }
-  uint32_t num_lines() const { return num_sets_ * config_.ways; }
 
  private:
   struct Line {
     uint64_t tag = 0;
     bool valid = false;
     bool dirty = false;
-    uint64_t lru = 0;  // last-access stamp
   };
 
-  // Fills the set at `base` for `tag`: an invalid way, else the LRU victim.
-  AccessResult Miss(Line* base, uint64_t tag, bool write);
+  // Everything but a hit on slot 0: a hit further down moves its line to
+  // the front; a miss evicts the last slot and fills slot 0.
+  AccessResult MoveToFront(Line* set, uint64_t tag, bool write);
 
-  CacheConfig config_;
-  uint32_t num_sets_;
+  uint32_t ways_;
   uint32_t line_shift_;
-  uint32_t set_shift_;  // log2(num_sets_): a line address's tag starts here
-  std::vector<Line> lines_;  // num_sets_ * ways, row-major by set
-  uint64_t tick_ = 0;
+  uint32_t set_shift_;  // log2(number of sets): a line address's tag starts here
+  uint64_t set_mask_;   // number of sets - 1
+  std::vector<Line> lines_;  // sets * ways, row-major by set, each set MRU first
   CacheStats stats_;
 };
 

@@ -39,37 +39,6 @@ void Cpu::ExecuteInstructions(const CodeRegion& region, uint64_t instructions) {
   }
 }
 
-void Cpu::AccessData(PhysAddr paddr, uint32_t size, bool write) {
-  ++data_accesses_;
-  if (access_observer_) {
-    access_observer_(paddr, size, write);
-  }
-  const uint32_t line = config_.dcache.line_bytes;
-  const PhysAddr first = paddr & ~static_cast<PhysAddr>(line - 1);
-  const PhysAddr last = (paddr + (size == 0 ? 0 : size - 1)) & ~static_cast<PhysAddr>(line - 1);
-  for (PhysAddr a = first; a <= last; a += line) {
-    Cache::AccessResult r = dcache_.Access(a, write);
-    if (!r.hit) {
-      cycles_ += config_.dcache_miss_cycles;
-      bus_cycles_ += config_.bus_per_fill;
-    }
-    if (r.writeback) {
-      cycles_ += config_.writeback_cycles;
-      bus_cycles_ += config_.bus_per_writeback;
-    }
-  }
-}
-
-void Cpu::AccessTranslated(VirtAddr vaddr, PhysAddr paddr, PhysAddr pte_paddr, uint32_t size,
-                           bool write) {
-  if (!tlb_.Access(PageIndex(vaddr))) {
-    cycles_ += config_.tlb_walk_cycles;
-    // The hardware walker reads the PTE through the data cache.
-    AccessData(pte_paddr, 4, /*write=*/false);
-  }
-  AccessData(paddr, size, write);
-}
-
 void Cpu::AccessUncached(PhysAddr paddr, uint32_t size, bool write) {
   ++uncached_accesses_;
   cycles_ += config_.uncached_cycles;

@@ -95,13 +95,39 @@ class Cpu {
 
   // --- Data access ----------------------------------------------------------
   // Cached access to physical memory (kernel structures, copies).
-  void AccessData(PhysAddr paddr, uint32_t size, bool write);
+  void AccessData(PhysAddr paddr, uint32_t size, bool write) {
+    ++data_accesses_;
+    if (access_observer_) {
+      access_observer_(paddr, size, write);
+    }
+    const uint32_t line = config_.dcache.line_bytes;
+    const PhysAddr mask = ~static_cast<PhysAddr>(line - 1);
+    const PhysAddr last = (paddr + (size == 0 ? 0 : size - 1)) & mask;
+    for (PhysAddr a = paddr & mask; a <= last; a += line) {
+      const Cache::AccessResult r = dcache_.Access(a, write);
+      if (!r.hit) {
+        cycles_ += config_.dcache_miss_cycles;
+        bus_cycles_ += config_.bus_per_fill;
+      }
+      if (r.writeback) {
+        cycles_ += config_.writeback_cycles;
+        bus_cycles_ += config_.bus_per_writeback;
+      }
+    }
+  }
 
   // Cached access through a virtual address: models the TLB lookup for the
   // page containing `vaddr` and, on a TLB miss, a page walk touching the PTE
   // at `pte_paddr`, then the D-cache access at `paddr`.
   void AccessTranslated(VirtAddr vaddr, PhysAddr paddr, PhysAddr pte_paddr, uint32_t size,
-                        bool write);
+                        bool write) {
+    if (!tlb_.Access(PageIndex(vaddr))) {
+      cycles_ += config_.tlb_walk_cycles;
+      // The hardware walker reads the PTE through the data cache.
+      AccessData(pte_paddr, 4, /*write=*/false);
+    }
+    AccessData(paddr, size, write);
+  }
 
   // Uncached device-register access.
   void AccessUncached(PhysAddr paddr, uint32_t size, bool write);

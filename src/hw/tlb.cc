@@ -4,41 +4,31 @@
 
 namespace hw {
 
-Tlb::Tlb(const TlbConfig& config) : config_(config) {
-  WPOS_CHECK(config.entries % config.ways == 0);
-  num_sets_ = config.entries / config.ways;
-  WPOS_CHECK((num_sets_ & (num_sets_ - 1)) == 0) << "TLB set count must be a power of two";
+Tlb::Tlb(const TlbConfig& config) : ways_(config.ways) {
+  WPOS_CHECK(config.ways != 0) << "TLB ways must be non-zero";
+  WPOS_CHECK(config.entries != 0) << "TLB entries must be non-zero";
+  WPOS_CHECK(config.entries % config.ways == 0) << "TLB entries must divide evenly into ways";
+  const uint32_t num_sets = config.entries / config.ways;
+  WPOS_CHECK((num_sets & (num_sets - 1)) == 0) << "TLB set count must be a power of two";
+  set_mask_ = num_sets - 1;
   entries_.resize(config.entries);
 }
 
-bool Tlb::Access(uint64_t vpn) {
-  ++stats_.accesses;
-  ++tick_;
-  const uint32_t set = static_cast<uint32_t>(vpn & (num_sets_ - 1));
-  Entry* base = &entries_[static_cast<size_t>(set) * config_.ways];
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    Entry& e = base[w];
-    if (e.valid && e.vpn == vpn) {
-      e.lru = tick_;
-      return true;
-    }
+bool Tlb::MoveToFront(Entry* set, uint64_t vpn) {
+  uint32_t w = 1;
+  while (w < ways_ && set[w].valid && set[w].vpn != vpn) {
+    ++w;
   }
-  ++stats_.misses;
-  Entry* victim = &base[0];
-  for (uint32_t w = 0; w < config_.ways; ++w) {
-    Entry& e = base[w];
-    if (!e.valid) {
-      victim = &e;
-      break;
-    }
-    if (e.lru < victim->lru) {
-      victim = &e;
-    }
+  const bool hit = w < ways_ && set[w].valid;
+  if (!hit) {
+    ++stats_.misses;
+    w = ways_ - 1;
   }
-  victim->valid = true;
-  victim->vpn = vpn;
-  victim->lru = tick_;
-  return false;
+  for (; w > 0; --w) {
+    set[w] = set[w - 1];
+  }
+  set[0] = {.vpn = vpn, .valid = true};
+  return hit;
 }
 
 void Tlb::Flush() {

@@ -1,9 +1,12 @@
 // TLB model. The Pentium and 604 of the paper had no address-space tags, so
 // an address-space switch flushes the whole TLB; the refill cost after a
-// switch is one of the context-switch costs the paper calls out.
+// switch is one of the context-switch costs the paper calls out. Sets are
+// kept in recency order, as in cache.h: slot 0 most recently used, the last
+// slot the LRU victim or an empty slot.
 #ifndef SRC_HW_TLB_H_
 #define SRC_HW_TLB_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -28,7 +31,14 @@ class Tlb {
 
   // Touch the translation for virtual page `vpn`. Returns true on hit; on a
   // miss the entry is installed (the page walk itself is charged by the CPU).
-  bool Access(uint64_t vpn);
+  bool Access(uint64_t vpn) {
+    ++stats_.accesses;
+    Entry* set = &entries_[static_cast<size_t>(vpn & set_mask_) * ways_];
+    if (set[0].valid && set[0].vpn == vpn) {
+      return true;
+    }
+    return MoveToFront(set, vpn);
+  }
 
   void Flush();
 
@@ -38,13 +48,14 @@ class Tlb {
   struct Entry {
     uint64_t vpn = 0;
     bool valid = false;
-    uint64_t lru = 0;
   };
 
-  TlbConfig config_;
-  uint32_t num_sets_;
-  std::vector<Entry> entries_;
-  uint64_t tick_ = 0;
+  // Everything but a hit on slot 0, as Cache::MoveToFront.
+  bool MoveToFront(Entry* set, uint64_t vpn);
+
+  uint32_t ways_;
+  uint64_t set_mask_;  // number of sets - 1
+  std::vector<Entry> entries_;  // sets * ways, row-major by set, each set MRU first
   TlbStats stats_;
 };
 

@@ -1,4 +1,4 @@
-// Priority scheduler over ucontext green threads.
+// Priority scheduler over green threads (context.h's stack switch).
 //
 // The scheduler runs in the "kernel main" context; threads swap back to it
 // whenever they block, yield, or are preempted at a kernel entry. Direct

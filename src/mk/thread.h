@@ -1,6 +1,7 @@
-// Kernel threads. Each simulated thread is a ucontext green thread with its
-// own host stack; the scheduler switches between them and the kernel's main
-// context. All scheduling is deterministic.
+// Kernel threads. Each simulated thread is a green thread with its own host
+// stack, switched by context.h's hand-written stack switch; the scheduler
+// switches between them and the kernel's main context. All scheduling is
+// deterministic.
 #ifndef SRC_MK_THREAD_H_
 #define SRC_MK_THREAD_H_
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "src/baseline/monolithic.h"
+#include "src/drv/disk_driver.h"
+#include "src/drv/resource_manager.h"
 #include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
@@ -88,6 +90,41 @@ TEST_F(MonolithicTest, FileOpsCheaperThanThroughFileServer) {
   // sanity-check that the monolithic path is well under a millisecond per op
   // once warm (no RPC, no address-space switches).
   EXPECT_LT(mono_cycles / 100, 133'000u);
+}
+
+// The in-kernel store and the WPOS path (RpcBlockStore to the user-level
+// disk driver) answer the same out-of-range extents the same way, and
+// neither touches the platter: an lba at the end, an lba that the 32-bit LBA
+// register would truncate to sector 5, and a 2-sector read from the last
+// sector.
+TEST_F(MonolithicTest, BothBlockStoresRejectOutOfRangeExtents) {
+  auto* rpc_disk = static_cast<hw::Disk*>(machine_.AddDevice(std::make_unique<hw::Disk>(
+      "d1", 5, hw::Disk::Geometry{.sectors = disk_->num_sectors()})));
+  drv::ResourceManager rm(kernel_);
+  drv::DiskDriver driver(kernel_, kernel_.CreateTask("disk-driver"), rpc_disk, &rm);
+  mk::Task* app = kernel_.CreateTask("app");
+  const mk::PortName service = driver.GrantTo(*app);
+  kernel_.CreateThread(app, "main", [&](mk::Env& env) {
+    drv::RpcBlockStore rpc_store(service, rpc_disk->num_sectors());
+    for (mks::BlockStore* store : {static_cast<mks::BlockStore*>(store_.get()),
+                                   static_cast<mks::BlockStore*>(&rpc_store)}) {
+      const uint64_t n = store->num_sectors();
+      const std::vector<uint8_t> sector5(hw::Disk::kSectorSize, 0x55);
+      ASSERT_EQ(store->Write(env, 5, 1, sector5.data()), base::Status::kOk);
+      std::vector<uint8_t> buf(2 * hw::Disk::kSectorSize, 0);
+      EXPECT_EQ(store->Read(env, n, 1, buf.data()), base::Status::kInvalidArgument);
+      const std::vector<uint8_t> junk(hw::Disk::kSectorSize, 0xee);
+      EXPECT_EQ(store->Write(env, (uint64_t{1} << 32) + 5, 1, junk.data()),
+                base::Status::kInvalidArgument);
+      EXPECT_EQ(store->Read(env, n - 1, 2, buf.data()), base::Status::kInvalidArgument);
+      EXPECT_EQ(buf, std::vector<uint8_t>(buf.size(), 0)) << "a rejected read wrote bytes";
+      std::vector<uint8_t> back(hw::Disk::kSectorSize);
+      ASSERT_EQ(store->Read(env, 5, 1, back.data()), base::Status::kOk);
+      EXPECT_EQ(back, sector5);
+    }
+    driver.Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
 }
 
 TEST_F(MonolithicTest, WindowMessagesThroughKernelQueues) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/hw/tlb.h"
+
 namespace hw {
 namespace {
 
@@ -77,6 +79,22 @@ TEST(CacheTest, OverCapacityWorkingSetThrashes) {
     }
   }
   EXPECT_EQ(cache.stats().misses, cache.stats().accesses);
+}
+
+// A bad geometry dies in the constructor with its reason, instead of a
+// division by zero there or a wrong answer on the first access.
+TEST(CacheTest, ConstructorRejectsBadGeometry) {
+  EXPECT_DEATH(Cache(CacheConfig{.ways = 0}), "cache ways must be non-zero");
+  EXPECT_DEATH(Cache(CacheConfig{.size_bytes = 0}), "cache size must be non-zero");
+  EXPECT_DEATH(Cache(CacheConfig{.line_bytes = 0}),
+               "cache line size must be a non-zero power of two");
+  EXPECT_DEATH(Cache(CacheConfig{.size_bytes = 6144, .line_bytes = 48, .ways = 2}),
+               "cache line size must be a non-zero power of two");
+}
+
+TEST(TlbTest, ConstructorRejectsBadGeometry) {
+  EXPECT_DEATH(Tlb(TlbConfig{.ways = 0}), "TLB ways must be non-zero");
+  EXPECT_DEATH(Tlb(TlbConfig{.entries = 0}), "TLB entries must be non-zero");
 }
 
 }  // namespace

@@ -1,8 +1,16 @@
-// Parameterized property sweeps over the microkernel itself.
+// Parameterized property sweeps over the microkernel itself, and
+// differential tests of the cache and TLB models against a reference LRU.
+//
+// The differential tests draw seeded random streams; WPOS_PROPS_SEED selects
+// a single seed for CI soaks, and without it a fixed batch of seeds runs.
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/hw/cache.h"
+#include "src/hw/tlb.h"
 #include "tests/mk/kernel_test_fixture.h"
 
 namespace mk {
@@ -146,10 +154,127 @@ INSTANTIATE_TEST_SUITE_P(Patterns, VmTouchTest,
 }  // namespace
 }  // namespace mk
 
-// --- Cache geometry sweep (pure hw, no kernel) --------------------------------------
+// --- Cache and TLB geometry sweeps (pure hw, no kernel) ----------------------------
 
 namespace hw {
 namespace {
+
+std::vector<uint64_t> SeedsUnderTest() {
+  const char* env = std::getenv("WPOS_PROPS_SEED");
+  if (env != nullptr && *env != '\0') {
+    return {std::strtoull(env, nullptr, 10)};
+  }
+  return {1, 7, 1337};
+}
+
+// The replacement the recency-ordered models must reproduce: every line
+// carries the tick of its last access, and a miss fills the first empty way,
+// else the way with the oldest stamp. Set, tag and line come from division,
+// not from the models' shifts and masks.
+struct StampLruSets {
+  struct Way {
+    uint64_t tag = 0;
+    bool valid = false;
+    bool dirty = false;
+    uint64_t stamp = 0;
+  };
+
+  StampLruSets(uint64_t sets, uint32_t ways) : sets(sets), ways(ways), way(sets * ways) {}
+
+  // Returns the way holding `tag` in `set` after the access, and whether it
+  // was there before; `evicted` receives the way a miss replaced.
+  Way* Touch(uint64_t set, uint64_t tag, bool* hit, Way* evicted) {
+    ++tick;
+    Way* base = &way[set * ways];
+    for (uint32_t w = 0; w < ways; ++w) {
+      if (base[w].valid && base[w].tag == tag) {
+        base[w].stamp = tick;
+        *hit = true;
+        return &base[w];
+      }
+    }
+    Way* victim = &base[0];
+    for (uint32_t w = 0; w < ways; ++w) {
+      if (!base[w].valid) {
+        victim = &base[w];
+        break;
+      }
+      if (base[w].stamp < victim->stamp) {
+        victim = &base[w];
+      }
+    }
+    *evicted = *victim;
+    *victim = {.tag = tag, .valid = true, .dirty = false, .stamp = tick};
+    *hit = false;
+    return victim;
+  }
+
+  uint64_t sets;
+  uint32_t ways;
+  std::vector<Way> way;
+  uint64_t tick = 0;
+};
+
+class StampLruCache {
+ public:
+  explicit StampLruCache(const CacheConfig& c)
+      : line_bytes_(c.line_bytes), lru_(c.size_bytes / (c.line_bytes * c.ways), c.ways) {}
+
+  Cache::AccessResult Access(PhysAddr addr, bool write) {
+    ++stats_.accesses;
+    const uint64_t line = addr / line_bytes_;
+    bool hit = false;
+    StampLruSets::Way evicted;
+    StampLruSets::Way* w = lru_.Touch(line % lru_.sets, line / lru_.sets, &hit, &evicted);
+    w->dirty = w->dirty || write;
+    if (hit) {
+      return {.hit = true, .writeback = false};
+    }
+    ++stats_.misses;
+    const bool writeback = evicted.valid && evicted.dirty;
+    stats_.writebacks += writeback ? 1 : 0;
+    return {.hit = false, .writeback = writeback};
+  }
+
+  void Flush() {
+    for (StampLruSets::Way& w : lru_.way) {
+      stats_.writebacks += w.valid && w.dirty ? 1 : 0;
+      w.valid = false;
+      w.dirty = false;
+    }
+  }
+
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  uint64_t line_bytes_;
+  StampLruSets lru_;
+  CacheStats stats_;
+};
+
+// Seeded address stream over `window` units: half the draws re-touch one of
+// the last 16, half are uniform, so sets conflict and evict and hits land at
+// every recency depth of every geometry below.
+class ReuseStream {
+ public:
+  ReuseStream(uint64_t seed, uint64_t window) : rng_(seed), window_(window) {}
+
+  uint64_t Next() {
+    const uint64_t a = (count_ > 0 && rng_.NextBool(0.5))
+                           ? recent_[rng_.NextBelow(count_ < 16 ? count_ : 16)]
+                           : rng_.NextBelow(window_);
+    recent_[count_++ % 16] = a;
+    return a;
+  }
+
+  base::Rng& rng() { return rng_; }
+
+ private:
+  base::Rng rng_;
+  uint64_t window_;
+  uint64_t recent_[16] = {};
+  uint64_t count_ = 0;
+};
 
 class CacheGeometryTest
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t, uint32_t>> {};
@@ -183,12 +308,74 @@ TEST_P(CacheGeometryTest, SequentialSweepMissesOncePerLine) {
   }
 }
 
+TEST_P(CacheGeometryTest, MatchesStampLruReference) {
+  const auto [size, line, ways] = GetParam();
+  for (const uint64_t seed : SeedsUnderTest()) {
+    Cache cache(CacheConfig{size, line, ways});
+    StampLruCache ref(CacheConfig{size, line, ways});
+    // Addresses over four times the cache, 30% writes, a flush every few
+    // thousand accesses.
+    ReuseStream stream(seed, 4ull * size);
+    for (int i = 0; i < 60000; ++i) {
+      if (stream.rng().NextBelow(3000) == 0) {
+        cache.Flush();
+        ref.Flush();
+      }
+      const PhysAddr addr = stream.Next();
+      const bool write = stream.rng().NextBool(0.3);
+      const Cache::AccessResult got = cache.Access(addr, write);
+      const Cache::AccessResult want = ref.Access(addr, write);
+      ASSERT_EQ(got.hit, want.hit) << "seed=" << seed << " access " << i << " addr " << addr;
+      ASSERT_EQ(got.writeback, want.writeback)
+          << "seed=" << seed << " access " << i << " addr " << addr;
+    }
+    EXPECT_EQ(cache.stats().accesses, ref.stats().accesses) << "seed=" << seed;
+    EXPECT_EQ(cache.stats().misses, ref.stats().misses) << "seed=" << seed;
+    EXPECT_EQ(cache.stats().writebacks, ref.stats().writebacks) << "seed=" << seed;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometryTest,
                          ::testing::Values(std::make_tuple(8192u, 32u, 2u),
                                            std::make_tuple(8192u, 32u, 1u),
                                            std::make_tuple(16384u, 32u, 4u),
                                            std::make_tuple(4096u, 16u, 2u),
                                            std::make_tuple(32768u, 64u, 8u)));
+
+class TlbGeometryTest : public ::testing::TestWithParam<std::pair<uint32_t, uint32_t>> {};
+
+TEST_P(TlbGeometryTest, MatchesStampLruReference) {
+  const auto [entries, ways] = GetParam();
+  for (const uint64_t seed : SeedsUnderTest()) {
+    Tlb tlb(TlbConfig{.entries = entries, .ways = ways});
+    StampLruSets ref(entries / ways, ways);
+    uint64_t misses = 0;
+    uint64_t flushes = 0;
+    ReuseStream stream(seed, 4ull * entries);
+    for (int i = 0; i < 60000; ++i) {
+      if (stream.rng().NextBelow(3000) == 0) {
+        tlb.Flush();
+        ++flushes;
+        for (StampLruSets::Way& w : ref.way) {
+          w.valid = false;
+        }
+      }
+      const uint64_t vpn = stream.Next();
+      bool want = false;
+      StampLruSets::Way evicted;
+      ref.Touch(vpn % ref.sets, vpn / ref.sets, &want, &evicted);
+      misses += want ? 0 : 1;
+      ASSERT_EQ(tlb.Access(vpn), want) << "seed=" << seed << " access " << i << " vpn " << vpn;
+    }
+    EXPECT_EQ(tlb.stats().accesses, 60000u) << "seed=" << seed;
+    EXPECT_EQ(tlb.stats().misses, misses) << "seed=" << seed;
+    EXPECT_EQ(tlb.stats().flushes, flushes) << "seed=" << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, TlbGeometryTest,
+                         ::testing::Values(std::make_pair(64u, 4u), std::make_pair(64u, 1u),
+                                           std::make_pair(64u, 2u), std::make_pair(64u, 8u)));
 
 }  // namespace
 }  // namespace hw
