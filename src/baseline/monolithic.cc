@@ -287,7 +287,9 @@ base::Result<uint32_t> MonolithicOs::WinCreate(mk::Env& env, uint32_t x, uint32_
                                                uint32_t h) {
   SyscallEnter();
   kernel_.cpu().Execute(WinRegion());
-  if (fb_ != nullptr && (x + w > fb_->width() || y + h > fb_->height())) {
+  // As DiskDriver::DoIo: no `x + w`, which wraps for a huge width.
+  if (fb_ != nullptr && (w > fb_->width() || x > fb_->width() - w || h > fb_->height() ||
+                         y > fb_->height() - h)) {
     SyscallExit();
     return base::Status::kInvalidArgument;
   }
@@ -346,7 +348,7 @@ base::Status MonolithicOs::WinFillRect(mk::Env& env, mk::Task& task, hw::VirtAdd
     return base::Status::kNotFound;
   }
   const Window& win = it->second;
-  if (x + w > win.w || y + h > win.h) {
+  if (w > win.w || x > win.w - w || h > win.h || y > win.h - h) {
     return base::Status::kInvalidArgument;
   }
   for (uint32_t row = 0; row < h; ++row) {
@@ -369,7 +371,7 @@ base::Status MonolithicOs::WinBitBlt(mk::Env& env, mk::Task& task, hw::VirtAddr 
     return base::Status::kNotFound;
   }
   const Window& win = it->second;
-  if (x + w > win.w || y + h > win.h) {
+  if (w > win.w || x > win.w - w || h > win.h || y > win.h - h) {
     return base::Status::kInvalidArgument;
   }
   for (uint32_t row = 0; row < h; ++row) {

@@ -39,8 +39,6 @@ Cache::AccessResult Cache::MoveToFront(Line* set, uint64_t tag, bool write) {
   const bool hit = w < ways_ && set[w].valid;
   w = hit ? w : ways_ - 1;
   const bool writeback = !hit && set[w].valid && set[w].dirty;
-  stats_.misses += hit ? 0 : 1;
-  stats_.writebacks += writeback ? 1 : 0;
   const bool dirty = write || (hit && set[w].dirty);
   for (; w > 0; --w) {
     set[w] = set[w - 1];

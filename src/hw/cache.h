@@ -40,31 +40,17 @@ class Cache {
   };
 
   // Touch the line containing `addr`. `write` marks the line dirty on a data
-  // cache; instruction caches pass write=false always. Inline, because every
-  // simulated instruction fetch and data access runs it.
+  // cache; instruction caches pass write=false always.
   AccessResult Access(PhysAddr addr, bool write) {
-    ++stats_.accesses;
-    const uint64_t line_addr = addr >> line_shift_;
-    const uint64_t tag = line_addr >> set_shift_;
-    Line* set = &lines_[static_cast<size_t>(line_addr & set_mask_) * ways_];
-    if (set[0].valid && set[0].tag == tag) {
-      set[0].dirty = set[0].dirty || write;
-      return {.hit = true, .writeback = false};
-    }
-    if (ways_ == 2) {
-      // The Pentium's two ways, unrolled: slot 1 hits and moves up or is
-      // evicted, and slot 0 moves down either way, with no branch on which
-      // (close to random for instruction fetches, which mostly miss here).
-      const Line old = set[1];
-      const bool hit = old.valid && old.tag == tag;
-      const bool writeback = !hit && old.valid && old.dirty;
-      stats_.misses += hit ? 0 : 1;
-      stats_.writebacks += writeback ? 1 : 0;
-      set[1] = set[0];
-      set[0] = {.tag = tag, .valid = true, .dirty = write || (hit && old.dirty)};
-      return {.hit = hit, .writeback = writeback};
-    }
-    return MoveToFront(set, tag, write);
+    const CacheStats r = AccessLines(addr, 1, 0, write);
+    return {.hit = r.misses == 0, .writeback = r.writebacks != 0};
+  }
+
+  // Touch `count` lines in order, the first the one containing `addr`, each
+  // next one `stride` lines on, as `count` Access calls would; returns the
+  // run's own stats. Inline: every simulated code region and data range runs it.
+  CacheStats AccessLines(PhysAddr addr, uint64_t count, uint64_t stride, bool write) {
+    return ways_ == 2 ? Walk<2>(addr, count, stride, write) : Walk<0>(addr, count, stride, write);
   }
 
   // Invalidate everything, writing back dirty lines (counted in stats).
@@ -78,6 +64,44 @@ class Cache {
     bool valid = false;
     bool dirty = false;
   };
+
+  // AccessLines for the Pentium's two ways (kWays 2), with no call in the
+  // loop so geometry and counts stay in registers, and for any geometry (0).
+  template <uint32_t kWays>
+  CacheStats Walk(PhysAddr addr, uint64_t count, uint64_t stride, bool write) {
+    const uint32_t ways = kWays != 0 ? kWays : ways_;
+    const uint32_t set_shift = set_shift_;
+    const uint64_t set_mask = set_mask_;
+    Line* const lines = lines_.data();
+    uint64_t misses = 0;
+    uint64_t writebacks = 0;
+    uint64_t line_addr = addr >> line_shift_;
+    for (uint64_t i = 0; i < count; ++i, line_addr += stride) {
+      const uint64_t tag = line_addr >> set_shift;
+      Line* set = &lines[static_cast<size_t>(line_addr & set_mask) * ways];
+      if (set[0].valid && set[0].tag == tag) {
+        set[0].dirty = set[0].dirty || write;
+        continue;
+      }
+      if constexpr (kWays == 2) {
+        // Slot 1 hits and moves up or is evicted; slot 0 moves down either way.
+        const Line old = set[1];
+        const bool hit = old.valid && old.tag == tag;
+        misses += hit ? 0 : 1;
+        writebacks += !hit && old.valid && old.dirty ? 1 : 0;
+        set[1] = set[0];
+        set[0] = {.tag = tag, .valid = true, .dirty = write || (hit && old.dirty)};
+      } else {
+        const AccessResult r = MoveToFront(set, tag, write);
+        misses += r.hit ? 0 : 1;
+        writebacks += r.writeback ? 1 : 0;
+      }
+    }
+    stats_.accesses += count;
+    stats_.misses += misses;
+    stats_.writebacks += writebacks;
+    return {.accesses = count, .misses = misses, .writebacks = writebacks};
+  }
 
   // Everything but a hit on slot 0: a hit further down moves its line to
   // the front; a miss evicts the last slot and fills slot 0.

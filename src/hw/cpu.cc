@@ -9,33 +9,30 @@ void Cpu::ExecuteInstructions(const CodeRegion& region, uint64_t instructions) {
   if (instructions == 0) {
     return;
   }
-  const Cycles cycles_before = cycles_;
-  const uint64_t imiss_before = icache_.stats().misses;
   instructions_ += instructions;
   // Base pipeline cost with fractional accumulation so that repeated short
   // paths do not round the CPI away.
   cycle_frac_ += static_cast<double>(instructions) * config_.base_cpi;
   const Cycles whole = static_cast<Cycles>(cycle_frac_);
   cycle_frac_ -= static_cast<double>(whole);
-  cycles_ += whole;
 
-  // Fetch every I-cache line the executed range covers. For partial
-  // execution beyond the region (copy loops), the same lines re-execute.
-  // With sparsity > 1 the dynamic path hops through a larger static body:
-  // the same number of line fetches, spread over sparsity times the span.
+  // Fetch every I-cache line the executed range covers, in one walk. For
+  // partial execution beyond the region (copy loops), the same lines
+  // re-execute. With sparsity > 1 the dynamic path hops through a larger
+  // static body: the same number of line fetches, spread over sparsity times
+  // the span.
   const uint64_t bytes =
       (instructions > region.instructions ? region.instructions : instructions) *
       kBytesPerInstruction;
   const uint32_t line = config_.icache.line_bytes;
-  const uint32_t stride = line * region.sparsity;
-  const uint64_t fetches = (bytes + line - 1) / line;
-  PhysAddr a = region.base & ~static_cast<PhysAddr>(line - 1);
-  for (uint64_t i = 0; i < fetches; ++i) {
-    ChargeFetch(a + i * stride);
-  }
+  const uint64_t fetches = (bytes + line - 1) >> std::countr_zero(line);
+  const uint64_t misses =
+      icache_.AccessLines(region.base, fetches, region.sparsity, /*write=*/false).misses;
+  const Cycles cycles = whole + misses * config_.icache_miss_cycles;
+  cycles_ += cycles;
+  bus_cycles_ += misses * config_.bus_per_fill;
   if (execute_observer_) {
-    execute_observer_(region, instructions, cycles_ - cycles_before,
-                      icache_.stats().misses - imiss_before);
+    execute_observer_(region, instructions, cycles, misses);
   }
 }
 

@@ -12,6 +12,7 @@
 #ifndef SRC_HW_CPU_H_
 #define SRC_HW_CPU_H_
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -100,33 +101,32 @@ class Cpu {
     if (access_observer_) {
       access_observer_(paddr, size, write);
     }
-    const uint32_t line = config_.dcache.line_bytes;
-    const PhysAddr mask = ~static_cast<PhysAddr>(line - 1);
-    const PhysAddr last = (paddr + (size == 0 ? 0 : size - 1)) & mask;
-    for (PhysAddr a = paddr & mask; a <= last; a += line) {
-      const Cache::AccessResult r = dcache_.Access(a, write);
-      if (!r.hit) {
-        cycles_ += config_.dcache_miss_cycles;
-        bus_cycles_ += config_.bus_per_fill;
-      }
-      if (r.writeback) {
-        cycles_ += config_.writeback_cycles;
-        bus_cycles_ += config_.bus_per_writeback;
-      }
-    }
+    const int shift = std::countr_zero(config_.dcache.line_bytes);
+    const PhysAddr last = paddr + (size == 0 ? 0 : size - 1);
+    const CacheStats r =
+        dcache_.AccessLines(paddr, (last >> shift) - (paddr >> shift) + 1, 1, write);
+    cycles_ += r.misses * config_.dcache_miss_cycles + r.writebacks * config_.writeback_cycles;
+    bus_cycles_ += r.misses * config_.bus_per_fill + r.writebacks * config_.bus_per_writeback;
   }
 
-  // Cached access through a virtual address: models the TLB lookup for the
-  // page containing `vaddr` and, on a TLB miss, a page walk touching the PTE
-  // at `pte_paddr`, then the D-cache access at `paddr`.
+  // Cached access to [vaddr, vaddr + size), within one page, at `paddr`, in
+  // line-sized steps from `vaddr`: one TLB lookup counted once per step (a
+  // miss installs the entry, so later steps would hit) and, on a miss, a walk
+  // of the PTE at `pte_paddr`; then one AccessData per step.
   void AccessTranslated(VirtAddr vaddr, PhysAddr paddr, PhysAddr pte_paddr, uint32_t size,
                         bool write) {
-    if (!tlb_.Access(PageIndex(vaddr))) {
+    const uint32_t line = config_.dcache.line_bytes;
+    const uint64_t steps = size == 0 ? 1 : ((size - 1) >> std::countr_zero(line)) + 1;
+    if (!tlb_.Access(PageIndex(vaddr), steps)) {
       cycles_ += config_.tlb_walk_cycles;
       // The hardware walker reads the PTE through the data cache.
       AccessData(pte_paddr, 4, /*write=*/false);
     }
-    AccessData(paddr, size, write);
+    uint32_t offset = 0;
+    do {
+      AccessData(paddr + offset, size - offset < line ? size - offset : line, write);
+      offset += line;
+    } while (offset < size);
   }
 
   // Uncached device-register access.
@@ -172,15 +172,6 @@ class Cpu {
   void set_access_observer(AccessObserver observer) { access_observer_ = std::move(observer); }
 
  private:
-  // One I-cache line fetch; inline, like the cache's hit path, because
-  // every simulated instruction line goes through it.
-  void ChargeFetch(PhysAddr addr) {
-    if (!icache_.Access(addr, /*write=*/false).hit) {
-      cycles_ += config_.icache_miss_cycles;
-      bus_cycles_ += config_.bus_per_fill;
-    }
-  }
-
   CpuConfig config_;
   Cache icache_;
   Cache dcache_;

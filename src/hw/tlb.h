@@ -29,10 +29,11 @@ class Tlb {
  public:
   explicit Tlb(const TlbConfig& config);
 
-  // Touch the translation for virtual page `vpn`. Returns true on hit; on a
-  // miss the entry is installed (the page walk itself is charged by the CPU).
-  bool Access(uint64_t vpn) {
-    ++stats_.accesses;
+  // Touch the translation for virtual page `vpn` for `lookups` back-to-back
+  // accesses, of which only the first can miss. Returns true on hit; on a miss
+  // the entry is installed (the page walk itself is charged by the CPU).
+  bool Access(uint64_t vpn, uint64_t lookups = 1) {
+    stats_.accesses += lookups;
     Entry* set = &entries_[static_cast<size_t>(vpn & set_mask_) * ways_];
     if (set[0].valid && set[0].vpn == vpn) {
       return true;

@@ -381,7 +381,7 @@ class Kernel {
                              uint32_t reply_cap, uint32_t* reply_len, RpcRef* ref,
                              const RightDescriptor* rights, uint32_t rights_count,
                              PortName* granted, uint64_t timeout_ns);
-  // Charge a translated user-memory access (TLB + D-cache) for `task`.
+  // Charge `task`'s translated access (TLB + D-cache) to one in-page chunk.
   void AccessUser(Task& task, hw::VirtAddr vaddr, hw::PhysAddr pa, uint32_t size, bool write);
   // Virtual-copy snapshot of [addr, addr+size) for legacy OOL transfer:
   // returns an object that sees the current contents; later writes by the

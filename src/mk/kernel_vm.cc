@@ -522,11 +522,7 @@ base::Status Kernel::CopyOut(Task& task, hw::VirtAddr dst, const void* src, uint
     machine_->mem().Write(*pa, bytes + off, chunk);
     cpu().ExecuteInstructions(UserAccessRegion(),
                               Costs::kCopyLoopOverhead / 2 + chunk / Costs::kCopyBytesPerInstr);
-    const uint32_t line = cpu().config().dcache.line_bytes;
-    for (uint64_t o = 0; o < chunk; o += line) {
-      const uint32_t n = static_cast<uint32_t>(chunk - o < line ? chunk - o : line);
-      AccessUser(task, va + o, *pa + o, n, /*write=*/true);
-    }
+    AccessUser(task, va, *pa, static_cast<uint32_t>(chunk), /*write=*/true);
     return base::Status::kOk;
   });
 }
@@ -541,11 +537,7 @@ base::Status Kernel::CopyIn(Task& task, hw::VirtAddr src, void* dst, uint64_t le
     machine_->mem().Read(*pa, bytes + off, chunk);
     cpu().ExecuteInstructions(UserAccessRegion(),
                               Costs::kCopyLoopOverhead / 2 + chunk / Costs::kCopyBytesPerInstr);
-    const uint32_t line = cpu().config().dcache.line_bytes;
-    for (uint64_t o = 0; o < chunk; o += line) {
-      const uint32_t n = static_cast<uint32_t>(chunk - o < line ? chunk - o : line);
-      AccessUser(task, va + o, *pa + o, n, /*write=*/false);
-    }
+    AccessUser(task, va, *pa, static_cast<uint32_t>(chunk), /*write=*/false);
     return base::Status::kOk;
   });
 }
@@ -558,11 +550,7 @@ base::Status Kernel::UserFill(Task& task, hw::VirtAddr dst, uint8_t byte, uint64
     }
     machine_->mem().Fill(*pa, byte, chunk);
     cpu().ExecuteInstructions(UserAccessRegion(), chunk / Costs::kCopyBytesPerInstr);
-    const uint32_t line = cpu().config().dcache.line_bytes;
-    for (uint64_t o = 0; o < chunk; o += line) {
-      const uint32_t n = static_cast<uint32_t>(chunk - o < line ? chunk - o : line);
-      AccessUser(task, va + o, *pa + o, n, /*write=*/true);
-    }
+    AccessUser(task, va, *pa, static_cast<uint32_t>(chunk), /*write=*/true);
     return base::Status::kOk;
   });
 }
@@ -574,11 +562,7 @@ base::Status Kernel::UserTouch(Task& task, hw::VirtAddr addr, uint64_t len, bool
       return pa.status();
     }
     cpu().ExecuteInstructions(UserAccessRegion(), chunk / Costs::kCopyBytesPerInstr);
-    const uint32_t line = cpu().config().dcache.line_bytes;
-    for (uint64_t o = 0; o < chunk; o += line) {
-      const uint32_t n = static_cast<uint32_t>(chunk - o < line ? chunk - o : line);
-      AccessUser(task, va + o, *pa + o, n, write);
-    }
+    AccessUser(task, va, *pa, static_cast<uint32_t>(chunk), write);
     return base::Status::kOk;
   });
 }

@@ -65,7 +65,11 @@ void Os2Server::Serve(mk::Env& env) {
         break;
       }
       case Os2Op::kCreateSem: {
-        if (sem_ids_.contains(r.name)) {
+        // The only op that reads name, so its one validation point: name
+        // must be a C string within its field.
+        if (std::memchr(r.name, '\0', sizeof(r.name)) == nullptr) {
+          reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+        } else if (sem_ids_.contains(r.name)) {
           reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
         } else {
           const uint32_t id = next_sem_++;

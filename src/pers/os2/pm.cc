@@ -50,7 +50,8 @@ base::Result<Hwnd> PmSession::CreateWindow(mk::Env& env, const std::string& titl
                                            uint32_t y, uint32_t w, uint32_t h) {
   PmDesktop& d = *desktop_;
   d.kernel_.cpu().Execute(WinMgrRegion());
-  if (x + w > d.width() || y + h > d.height()) {
+  // As DiskDriver::DoIo: no `x + w`, which wraps for a huge width.
+  if (w > d.width() || x > d.width() - w || h > d.height() || y > d.height() - h) {
     return base::Status::kInvalidArgument;
   }
   PmDesktop::Window win;
@@ -133,7 +134,7 @@ base::Status PmSession::FillRect(mk::Env& env, Hwnd hwnd, uint32_t x, uint32_t y
     return base::Status::kNotFound;
   }
   const PmDesktop::Window& win = it->second;
-  if (x + w > win.w || y + h > win.h) {
+  if (w > win.w || x > win.w - w || h > win.h || y > win.h - h) {
     return base::Status::kInvalidArgument;
   }
   // Direct aperture stores, one scanline at a time.
@@ -159,7 +160,7 @@ base::Status PmSession::BitBlt(mk::Env& env, Hwnd hwnd, uint32_t x, uint32_t y, 
     return base::Status::kNotFound;
   }
   const PmDesktop::Window& win = it->second;
-  if (x + w > win.w || y + h > win.h) {
+  if (w > win.w || x > win.w - w || h > win.h || y > win.h - h) {
     return base::Status::kInvalidArgument;
   }
   // Read-modify-write of the aperture (a blit touches source and target).

@@ -46,9 +46,7 @@ base::Result<BlockCache::Entry*> BlockCache::GetSector(mk::Env& env, uint64_t lb
     // (ReadSector/WriteSector) for the full sector; charging a partial
     // touch here too double-counted the D-cache on every hit.
     kernel_.cpu().Execute(HitRegion());
-    lru_.erase(it->second.lru_pos);
-    lru_.push_front(lba);
-    it->second.lru_pos = lru_.begin();
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return &it->second;
   }
   ++misses_;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/baseline/monolithic.h"
 #include "src/drv/disk_driver.h"
 #include "src/drv/resource_manager.h"
@@ -179,6 +182,33 @@ TEST_F(MonolithicTest, DrawWritesPixels) {
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(machine_.mem().ReadU8(fb_dev_->vram_base() + (60 + 5) * 640 + 55), 0x77);
+}
+
+// As PmTest.WrappedRectanglesAreInvalidArgument, on the monolithic system.
+TEST_F(MonolithicTest, WrappedRectanglesAreInvalidArgument) {
+  constexpr uint32_t kHuge = 0xFFFFFFFA;
+  mk::Task* app = kernel_.CreateTask("app");
+  kernel_.CreateThread(app, "main", [&](mk::Env& env) {
+    auto vram = os_->MapVram(*app);
+    ASSERT_TRUE(vram.ok());
+    EXPECT_EQ(os_->WinCreate(env, 10, 0, kHuge, 10).status(), base::Status::kInvalidArgument);
+    EXPECT_EQ(os_->WinCreate(env, 0, 10, 10, kHuge).status(), base::Status::kInvalidArgument);
+    auto hwnd = os_->WinCreate(env, 100, 50, 200, 100);
+    ASSERT_TRUE(hwnd.ok());
+    EXPECT_EQ(os_->WinFillRect(env, *app, *vram, *hwnd, 10, 20, kHuge, 1, 0x77),
+              base::Status::kInvalidArgument);
+    EXPECT_EQ(os_->WinFillRect(env, *app, *vram, *hwnd, 10, 20, 1, kHuge, 0x77),
+              base::Status::kInvalidArgument);
+    EXPECT_EQ(os_->WinBitBlt(env, *app, *vram, *hwnd, 10, 20, kHuge, 1),
+              base::Status::kInvalidArgument);
+    EXPECT_EQ(os_->WinBitBlt(env, *app, *vram, *hwnd, 10, 20, 1, kHuge),
+              base::Status::kInvalidArgument);
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  std::vector<uint8_t> vram(640 * 480);
+  machine_.mem().Read(fb_dev_->vram_base(), vram.data(), vram.size());
+  EXPECT_EQ(std::count_if(vram.begin(), vram.end(), [](uint8_t px) { return px != 0; }), 0)
+      << "pixels painted";
 }
 
 }  // namespace

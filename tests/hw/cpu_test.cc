@@ -2,10 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
+#include "src/base/rng.h"
 #include "src/hw/code_layout.h"
+#include "tests/props/seeds.h"
 
 namespace hw {
 namespace {
+
+std::vector<uint64_t> Fields(const CpuCounters& c) {
+  return {c.instructions,  c.cycles,     c.bus_cycles,    c.icache_misses,
+          c.dcache_misses, c.tlb_misses, c.data_accesses, c.uncached_accesses};
+}
 
 TEST(CodeLayoutTest, RegionsAreStableAndDisjoint) {
   CodeRegion a = CodeLayout::Global().Register("testcomp.alpha", 100);
@@ -106,6 +117,111 @@ TEST(CpuTest, PartialExecutionRefetchesOnlyRegionLines) {
   auto delta = cpu.counters() - before;
   EXPECT_EQ(delta.instructions, 10000u);
   EXPECT_EQ(delta.icache_misses, 0u);  // body stays resident
+}
+
+// One AccessTranslated per in-page chunk must cost exactly what one call per
+// line-sized step from vaddr costs: same counters, same TLB statistics, and
+// the same AccessData calls, in the same order, seen by the access observer.
+TEST(CpuTest, ChunkedTranslatedAccessMatchesPerStep) {
+  using AccessLog = std::vector<std::tuple<PhysAddr, uint32_t, bool>>;
+  for (const uint64_t seed : props::SeedsUnderTest()) {
+    Cpu chunked;
+    Cpu stepped;
+    AccessLog chunked_log;
+    AccessLog stepped_log;
+    chunked.set_access_observer([&chunked_log](PhysAddr pa, uint32_t size, bool write) {
+      chunked_log.emplace_back(pa, size, write);
+    });
+    stepped.set_access_observer([&stepped_log](PhysAddr pa, uint32_t size, bool write) {
+      stepped_log.emplace_back(pa, size, write);
+    });
+    const uint32_t line = chunked.config().dcache.line_bytes;
+    base::Rng rng(seed);
+    for (int i = 0; i < 3000; ++i) {
+      if (rng.NextBelow(100) == 0) {
+        chunked.FlushTlb();
+        stepped.FlushTlb();
+      }
+      // 96 pages against a 64-entry TLB, so lookups miss and evict; half the
+      // chunks start on a line boundary, half anywhere in the page.
+      const uint64_t vpn = 0x40000 + rng.NextBelow(96);
+      const uint64_t offset = rng.NextBool(0.5) ? rng.NextBelow(kPageSize / line) * line
+                                                : rng.NextBelow(kPageSize);
+      const uint64_t room = kPageSize - offset;
+      const uint32_t size =
+          static_cast<uint32_t>(1 + rng.NextBelow(rng.NextBool(0.5) ? std::min<uint64_t>(room, 64)
+                                                                    : room));
+      const VirtAddr va = (vpn << kPageShift) + offset;
+      // Frames alias, so the D-cache sees reuse across pages.
+      const PhysAddr pa = ((0x100 + vpn % 48) << kPageShift) + offset;
+      const PhysAddr pte = 0x200000 + vpn * 4;
+      const bool write = rng.NextBool(0.3);
+      chunked.AccessTranslated(va, pa, pte, size, write);
+      for (uint32_t o = 0; o < size; o += line) {
+        stepped.AccessTranslated(va + o, pa + o, pte, std::min(line, size - o), write);
+      }
+    }
+    EXPECT_EQ(Fields(chunked.counters()), Fields(stepped.counters())) << "seed=" << seed;
+    EXPECT_EQ(chunked.tlb_stats().accesses, stepped.tlb_stats().accesses) << "seed=" << seed;
+    EXPECT_EQ(chunked.tlb_stats().misses, stepped.tlb_stats().misses) << "seed=" << seed;
+    EXPECT_EQ(chunked.tlb_stats().flushes, stepped.tlb_stats().flushes) << "seed=" << seed;
+    EXPECT_EQ(chunked_log, stepped_log) << "seed=" << seed;
+  }
+}
+
+// ExecuteInstructions against a line-by-line reference: the fetch count comes
+// from division, every fetch is one Cache::Access, and the base cost uses the
+// same fractional-CPI accumulator.
+TEST(CpuTest, RegionWalkMatchesPerLineFetches) {
+  // 13 instructions are 52 bytes, not a multiple of the line; two regions hop
+  // through their text with sparsity 3; bases need not be line-aligned. Calls
+  // draw up to three times a region's instructions, so some run past it.
+  const CodeRegion regions[] = {
+      {.base = 0x10000000, .instructions = 13, .sparsity = 1},
+      {.base = 0x10000404, .instructions = 40, .sparsity = 3},
+      {.base = 0x10002000, .instructions = 200, .sparsity = 1},
+      {.base = 0x10004010, .instructions = 77, .sparsity = 3},
+      {.base = 0x10006000, .instructions = 1, .sparsity = 2},
+  };
+  for (const uint64_t seed : props::SeedsUnderTest()) {
+    Cpu cpu;
+    const CpuConfig& config = cpu.config();
+    const uint32_t line = config.icache.line_bytes;
+    Cache ref(config.icache);
+    CpuCounters want;
+    double frac = 0.0;
+    std::vector<std::pair<uint64_t, uint64_t>> got_calls;
+    std::vector<std::pair<uint64_t, uint64_t>> want_calls;
+    cpu.set_execute_observer([&got_calls](const CodeRegion&, uint64_t, uint64_t cycles,
+                                          uint64_t misses) {
+      got_calls.emplace_back(cycles, misses);
+    });
+    base::Rng rng(seed);
+    for (int i = 0; i < 5000; ++i) {
+      const CodeRegion& r = regions[rng.NextBelow(std::size(regions))];
+      const uint64_t n = rng.NextBelow(3ull * r.instructions + 1);
+      cpu.ExecuteInstructions(r, n);
+      if (n == 0) {
+        continue;
+      }
+      frac += static_cast<double>(n) * config.base_cpi;
+      const uint64_t whole = static_cast<uint64_t>(frac);
+      frac -= static_cast<double>(whole);
+      const uint64_t bytes = std::min<uint64_t>(n, r.instructions) * kBytesPerInstruction;
+      uint64_t misses = 0;
+      for (uint64_t f = 0; f < (bytes + line - 1) / line; ++f) {
+        misses += ref.Access((r.base / line + f * r.sparsity) * line, false).hit ? 0 : 1;
+      }
+      want.instructions += n;
+      want.cycles += whole + misses * config.icache_miss_cycles;
+      want.bus_cycles += misses * config.bus_per_fill;
+      want.icache_misses += misses;
+      want_calls.emplace_back(whole + misses * config.icache_miss_cycles, misses);
+    }
+    EXPECT_EQ(Fields(cpu.counters()), Fields(want)) << "seed=" << seed;
+    EXPECT_EQ(cpu.icache_stats().accesses, ref.stats().accesses) << "seed=" << seed;
+    EXPECT_EQ(got_calls, want_calls) << "seed=" << seed;
+  }
 }
 
 }  // namespace

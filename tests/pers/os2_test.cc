@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "src/pers/os2/os2.h"
 #include "src/pers/os2/pm.h"
 #include "src/svc/fs/inode_fs.h"
@@ -147,6 +151,26 @@ TEST_F(Os2Test, SystemSemaphoresAcrossProcesses) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST_F(Os2Test, UnterminatedSemNameIsInvalidArgument) {
+  Os2Process p(kernel_, *os2_, *fs_, "hostile");
+  const mk::PortName raw = os2_->GrantTo(*p.task());
+  int32_t status = 0;
+  kernel_.CreateThread(p.task(), "main", [&](mk::Env& env) {
+    Os2Request r;
+    r.op = Os2Op::kCreateSem;
+    std::memset(r.name, 'x', sizeof(r.name));
+    Os2Reply reply;
+    ASSERT_EQ(env.RpcCall(raw, &r, sizeof(r), &reply, sizeof(reply)), base::Status::kOk);
+    status = reply.status;
+    // The server still answers a well-formed request.
+    EXPECT_TRUE(p.DosCreateSem(env, "\\SEM32\\CANARY").ok());
+    Shutdown();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(status, static_cast<int32_t>(base::Status::kInvalidArgument));
+  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+}
+
 class PmTest : public mk::KernelTest {
  protected:
   PmTest() {
@@ -228,6 +252,35 @@ TEST_F(PmTest, WindowSwitchRepaints) {
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(desktop_->window_switches(), 2u);
+}
+
+// Every rectangle below has an x + w or y + h that wraps past 2^32 to a value
+// inside its bound; each must be refused before anything is drawn.
+TEST_F(PmTest, WrappedRectanglesAreInvalidArgument) {
+  constexpr uint32_t kHuge = 0xFFFFFFFA;
+  mk::Task* app = kernel_.CreateTask("hostile-draw");
+  auto session_r = desktop_->Attach(*app);
+  ASSERT_TRUE(session_r.ok());
+  PmSession& session = **session_r;
+  kernel_.CreateThread(app, "main", [&](mk::Env& env) {
+    EXPECT_EQ(session.CreateWindow(env, "wide", 10, 0, kHuge, 10).status(),
+              base::Status::kInvalidArgument);
+    EXPECT_EQ(session.CreateWindow(env, "tall", 0, 10, 10, kHuge).status(),
+              base::Status::kInvalidArgument);
+    auto hwnd = session.CreateWindow(env, "Game", 100, 50, 200, 100);
+    ASSERT_TRUE(hwnd.ok());
+    EXPECT_EQ(session.FillRect(env, *hwnd, 10, 10, kHuge, 1, 0x5a),
+              base::Status::kInvalidArgument);
+    EXPECT_EQ(session.FillRect(env, *hwnd, 10, 10, 1, kHuge, 0x5a),
+              base::Status::kInvalidArgument);
+    EXPECT_EQ(session.BitBlt(env, *hwnd, 10, 10, kHuge, 1), base::Status::kInvalidArgument);
+    EXPECT_EQ(session.BitBlt(env, *hwnd, 10, 10, 1, kHuge), base::Status::kInvalidArgument);
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  std::vector<uint8_t> vram(640 * 480);
+  machine_.mem().Read(fb_dev_->vram_base(), vram.data(), vram.size());
+  EXPECT_EQ(std::count_if(vram.begin(), vram.end(), [](uint8_t px) { return px != 0; }), 0)
+      << "pixels painted";
 }
 
 }  // namespace

@@ -5,13 +5,13 @@
 // a single seed for CI soaks, and without it a fixed batch of seeds runs.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "src/base/rng.h"
 #include "src/hw/cache.h"
 #include "src/hw/tlb.h"
 #include "tests/mk/kernel_test_fixture.h"
+#include "tests/props/seeds.h"
 
 namespace mk {
 namespace {
@@ -159,14 +159,6 @@ INSTANTIATE_TEST_SUITE_P(Patterns, VmTouchTest,
 namespace hw {
 namespace {
 
-std::vector<uint64_t> SeedsUnderTest() {
-  const char* env = std::getenv("WPOS_PROPS_SEED");
-  if (env != nullptr && *env != '\0') {
-    return {std::strtoull(env, nullptr, 10)};
-  }
-  return {1, 7, 1337};
-}
-
 // The replacement the recency-ordered models must reproduce: every line
 // carries the tick of its last access, and a miss fills the first empty way,
 // else the way with the oldest stamp. Set, tag and line come from division,
@@ -310,7 +302,7 @@ TEST_P(CacheGeometryTest, SequentialSweepMissesOncePerLine) {
 
 TEST_P(CacheGeometryTest, MatchesStampLruReference) {
   const auto [size, line, ways] = GetParam();
-  for (const uint64_t seed : SeedsUnderTest()) {
+  for (const uint64_t seed : props::SeedsUnderTest()) {
     Cache cache(CacheConfig{size, line, ways});
     StampLruCache ref(CacheConfig{size, line, ways});
     // Addresses over four times the cache, 30% writes, a flush every few
@@ -335,6 +327,45 @@ TEST_P(CacheGeometryTest, MatchesStampLruReference) {
   }
 }
 
+TEST_P(CacheGeometryTest, WalkMatchesStampLruReference) {
+  const auto [size, line, ways] = GetParam();
+  const uint64_t sets = size / (line * ways);
+  // Strides in lines: 0 re-touches one line; sets + 1 steps through
+  // consecutive sets with a new tag each; sets keeps a whole run in one set,
+  // so a run evicts its own lines.
+  const uint64_t strides[] = {0, 1, 3, sets + 1, sets};
+  for (const uint64_t seed : props::SeedsUnderTest()) {
+    Cache cache(CacheConfig{size, line, ways});
+    StampLruCache ref(CacheConfig{size, line, ways});
+    ReuseStream stream(seed, 4ull * size);
+    for (int run = 0; run < 6000; ++run) {
+      if (stream.rng().NextBelow(300) == 0) {
+        cache.Flush();
+        ref.Flush();
+      }
+      const PhysAddr addr = stream.Next();
+      const uint64_t count = stream.rng().NextBelow(41);
+      const uint64_t stride = strides[stream.rng().NextBelow(5)];
+      const bool write = stream.rng().NextBool(0.3);
+      const CacheStats got = cache.AccessLines(addr, count, stride, write);
+      uint64_t misses = 0;
+      uint64_t writebacks = 0;
+      for (uint64_t i = 0; i < count; ++i) {
+        const Cache::AccessResult want = ref.Access(addr + i * stride * line, write);
+        misses += want.hit ? 0 : 1;
+        writebacks += want.writeback ? 1 : 0;
+      }
+      ASSERT_EQ(got.misses, misses) << "seed=" << seed << " run " << run << " addr " << addr
+                                    << " count " << count << " stride " << stride;
+      ASSERT_EQ(got.writebacks, writebacks) << "seed=" << seed << " run " << run << " addr "
+                                            << addr << " count " << count << " stride " << stride;
+    }
+    EXPECT_EQ(cache.stats().accesses, ref.stats().accesses) << "seed=" << seed;
+    EXPECT_EQ(cache.stats().misses, ref.stats().misses) << "seed=" << seed;
+    EXPECT_EQ(cache.stats().writebacks, ref.stats().writebacks) << "seed=" << seed;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometryTest,
                          ::testing::Values(std::make_tuple(8192u, 32u, 2u),
                                            std::make_tuple(8192u, 32u, 1u),
@@ -346,7 +377,7 @@ class TlbGeometryTest : public ::testing::TestWithParam<std::pair<uint32_t, uint
 
 TEST_P(TlbGeometryTest, MatchesStampLruReference) {
   const auto [entries, ways] = GetParam();
-  for (const uint64_t seed : SeedsUnderTest()) {
+  for (const uint64_t seed : props::SeedsUnderTest()) {
     Tlb tlb(TlbConfig{.entries = entries, .ways = ways});
     StampLruSets ref(entries / ways, ways);
     uint64_t misses = 0;

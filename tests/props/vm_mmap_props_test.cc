@@ -21,7 +21,6 @@
 // parameter — the contract must hold with the client FS cache on and off.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <sstream>
@@ -32,6 +31,7 @@
 #include "src/pers/unixp/unix.h"
 #include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
+#include "tests/props/seeds.h"
 
 namespace pers {
 namespace {
@@ -120,14 +120,6 @@ class VmMmapPropsTest : public mk::KernelTest,
   mk::Task* fs_task_;
   std::unique_ptr<svc::FileServer> fs_;
 };
-
-std::vector<uint64_t> SeedsUnderTest() {
-  const char* env = std::getenv("WPOS_PROPS_SEED");
-  if (env != nullptr && *env != '\0') {
-    return {std::strtoull(env, nullptr, 10)};
-  }
-  return {1, 7, 1337};
-}
 
 // One randomized campaign against one file. Returns via gtest assertions;
 // every assertion carries the seed and the op trace for replay.
@@ -325,7 +317,7 @@ TEST_P(VmMmapPropsTest, RandomOpSequencesMatchTheReferenceModel) {
   }
   UnixProcess* proc = nullptr;
   proc = unix_pers.Spawn("prop", [&](mk::Env& env) {
-    for (uint64_t seed : SeedsUnderTest()) {
+    for (uint64_t seed : props::SeedsUnderTest()) {
       RunCampaign(env, kernel_, unix_pers, proc, seed,
                   "/prop-" + std::to_string(seed) + ".dat");
       if (::testing::Test::HasFatalFailure()) {
