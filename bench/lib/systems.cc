@@ -8,6 +8,7 @@ namespace {
 constexpr uint64_t kWposRam = 64ull * 1024 * 1024;  // the PowerPC 604 box
 constexpr uint64_t kMonoRam = 16ull * 1024 * 1024;  // the Pentium box
 constexpr uint64_t kDiskSectors = 256 * 1024;       // 128 MB
+constexpr uint64_t kFsSectors = 128 * 1024;         // the file system's 64 MB at LBA 0
 }  // namespace
 
 // --- WPOS --------------------------------------------------------------------------
@@ -36,14 +37,17 @@ WposSystem::WposSystem() {
   block_store_ = std::make_unique<drv::RpcBlockStore>(disk_driver_->GrantTo(*fs_task),
                                                       disk_->num_sectors());
   cache_ = std::make_unique<svc::BlockCache>(*kernel_, block_store_.get(), 2048);
-  hpfs_ = std::make_unique<svc::HpfsFs>(*kernel_, cache_.get(), 131072);
+  hpfs_ = std::make_unique<svc::HpfsFs>(*kernel_, cache_.get(), kFsSectors);
   file_server_ = std::make_unique<svc::FileServer>(*kernel_, fs_task);
   WPOS_CHECK(file_server_->AddMount("/", hpfs_.get()) == base::Status::kOk);
 
-  // Default pager on its own disk region (same device, via driver).
+  // Default pager on its own disk region, the sectors after the file
+  // system's (same device, through the host backdoor).
   mk::Task* pager_task = kernel_->CreateTask("default-pager");
   pager_ = std::make_unique<mks::DefaultPager>(
-      *kernel_, pager_task, std::make_unique<mks::BackdoorBlockStore>(disk_, 300'000));
+      *kernel_, pager_task,
+      std::make_unique<mks::BackdoorBlockStore>(disk_, 300'000, kFsSectors,
+                                                kDiskSectors - kFsSectors));
 
   // OS/2 personality.
   mk::Task* os2_task = kernel_->CreateTask("os2-server");
@@ -87,7 +91,7 @@ MonoSystem::MonoSystem() {
   machine_->AddDevice(std::unique_ptr<hw::Device>(fb_dev_));
   store_ = std::make_unique<baseline::KernelDiskStore>(*kernel_, disk_);
   cache_ = std::make_unique<svc::BlockCache>(*kernel_, store_.get(), 2048);
-  hpfs_ = std::make_unique<svc::HpfsFs>(*kernel_, cache_.get(), 131072);
+  hpfs_ = std::make_unique<svc::HpfsFs>(*kernel_, cache_.get(), kFsSectors);
   os_ = std::make_unique<baseline::MonolithicOs>(*kernel_, hpfs_.get(), fb_dev_);
   app_task_ = kernel_->CreateTask("os2-app", /*app_footprint_instr=*/4096);
   auto vram = os_->MapVram(*app_task_);

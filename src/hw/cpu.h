@@ -95,24 +95,44 @@ class Cpu {
   void ExecuteInstructions(const CodeRegion& region, uint64_t instructions);
 
   // --- Data access ----------------------------------------------------------
-  // Cached access to physical memory (kernel structures, copies).
+  // Cached access to physical memory (kernel structures, buffers).
   void AccessData(PhysAddr paddr, uint32_t size, bool write) {
     ++data_accesses_;
+    ChargeData(DataLines(paddr, size, write));
     if (access_observer_) {
       access_observer_(paddr, size, write);
     }
-    const int shift = std::countr_zero(config_.dcache.line_bytes);
-    const PhysAddr last = paddr + (size == 0 ? 0 : size - 1);
-    const CacheStats r =
-        dcache_.AccessLines(paddr, (last >> shift) - (paddr >> shift) + 1, 1, write);
-    cycles_ += r.misses * config_.dcache_miss_cycles + r.writebacks * config_.writeback_cycles;
-    bus_cycles_ += r.misses * config_.bus_per_fill + r.writebacks * config_.bus_per_writeback;
+  }
+
+  // A copy loop's D-cache traffic for `len` bytes from `src` to `dst`: for
+  // each line-sized step from the start, the step's source lines are read,
+  // then its destination lines written, exactly as an AccessData of the
+  // source and one of the destination per step would, in one call.
+  void AccessCopy(PhysAddr src, PhysAddr dst, uint64_t len) {
+    const uint32_t line = config_.dcache.line_bytes;
+    CacheStats r;
+    uint64_t steps = 0;
+    for (uint64_t off = 0; off < len; off += line, ++steps) {
+      const uint32_t chunk = static_cast<uint32_t>(len - off < line ? len - off : line);
+      r += DataLines(src + off, chunk, /*write=*/false);
+      r += DataLines(dst + off, chunk, /*write=*/true);
+    }
+    data_accesses_ += 2 * steps;
+    ChargeData(r);
+    if (access_observer_) {
+      for (uint64_t off = 0; off < len; off += line) {
+        const uint32_t chunk = static_cast<uint32_t>(len - off < line ? len - off : line);
+        access_observer_(src + off, chunk, /*write=*/false);
+        access_observer_(dst + off, chunk, /*write=*/true);
+      }
+    }
   }
 
   // Cached access to [vaddr, vaddr + size), within one page, at `paddr`, in
   // line-sized steps from `vaddr`: one TLB lookup counted once per step (a
   // miss installs the entry, so later steps would hit) and, on a miss, a walk
-  // of the PTE at `pte_paddr`; then one AccessData per step.
+  // of the PTE at `pte_paddr`; then each step's lines, as one AccessData per
+  // step would.
   void AccessTranslated(VirtAddr vaddr, PhysAddr paddr, PhysAddr pte_paddr, uint32_t size,
                         bool write) {
     const uint32_t line = config_.dcache.line_bytes;
@@ -122,11 +142,21 @@ class Cpu {
       // The hardware walker reads the PTE through the data cache.
       AccessData(pte_paddr, 4, /*write=*/false);
     }
+    CacheStats r;
     uint32_t offset = 0;
     do {
-      AccessData(paddr + offset, size - offset < line ? size - offset : line, write);
+      r += DataLines(paddr + offset, size - offset < line ? size - offset : line, write);
       offset += line;
     } while (offset < size);
+    data_accesses_ += steps;
+    ChargeData(r);
+    if (access_observer_) {
+      offset = 0;
+      do {
+        access_observer_(paddr + offset, size - offset < line ? size - offset : line, write);
+        offset += line;
+      } while (offset < size);
+    }
   }
 
   // Uncached device-register access.
@@ -134,6 +164,10 @@ class Cpu {
 
   // --- Control --------------------------------------------------------------
   void FlushTlb() { tlb_.Flush(); }
+  // Write back and invalidate the D-cache (the write-backs count in
+  // dcache_stats(); no cycles are charged), so the next accesses find
+  // empty sets.
+  void FlushDcache() { dcache_.Flush(); }
 
   // Advance time without executing (idle waiting for a device).
   void AdvanceCycles(Cycles n) { cycles_ += n; }
@@ -164,14 +198,29 @@ class Cpu {
                                              uint64_t cycles, uint64_t icache_misses)>;
   void set_execute_observer(ExecuteObserver observer) { execute_observer_ = std::move(observer); }
 
-  // Host-side observer called on every AccessData with the access footprint
-  // (address, size, direction); used by the concurrency checker's race
-  // detector. Same contract as the execute observer: it observes, it never
-  // adds cost or calls back into the Cpu.
+  // Host-side observer called once per data access with its footprint
+  // (address, size, direction): per AccessData, and per step of an
+  // AccessCopy or AccessTranslated, in order, after that call's cache walk.
+  // Used by the concurrency checker's race detector. Same contract as the
+  // execute observer: it observes, it never adds cost or calls back into
+  // the Cpu.
   using AccessObserver = std::function<void(PhysAddr paddr, uint32_t size, bool write)>;
   void set_access_observer(AccessObserver observer) { access_observer_ = std::move(observer); }
 
  private:
+  // Walks the D-cache lines of [paddr, paddr + size), at least one line.
+  CacheStats DataLines(PhysAddr paddr, uint32_t size, bool write) {
+    const int shift = std::countr_zero(config_.dcache.line_bytes);
+    const PhysAddr last = paddr + (size == 0 ? 0 : size - 1);
+    return dcache_.AccessLines(paddr, (last >> shift) - (paddr >> shift) + 1, 1, write);
+  }
+
+  // The one D-cache charge: stall and bus cycles for misses and write-backs.
+  void ChargeData(const CacheStats& r) {
+    cycles_ += r.misses * config_.dcache_miss_cycles + r.writebacks * config_.writeback_cycles;
+    bus_cycles_ += r.misses * config_.bus_per_fill + r.writebacks * config_.bus_per_writeback;
+  }
+
   CpuConfig config_;
   Cache icache_;
   Cache dcache_;

@@ -621,12 +621,7 @@ void Kernel::ChargeCopy(hw::PhysAddr src, hw::PhysAddr dst, uint64_t len) {
   }
   cpu().ExecuteInstructions(CopyLoopRegion(),
                             Costs::kCopyLoopOverhead + len / Costs::kCopyBytesPerInstr);
-  const uint32_t line = cpu().config().dcache.line_bytes;
-  for (uint64_t off = 0; off < len; off += line) {
-    const uint32_t chunk = static_cast<uint32_t>(len - off < line ? len - off : line);
-    cpu().AccessData(src + off, chunk, /*write=*/false);
-    cpu().AccessData(dst + off, chunk, /*write=*/true);
-  }
+  cpu().AccessCopy(src, dst, len);
 }
 
 // --- Env ---------------------------------------------------------------------------------

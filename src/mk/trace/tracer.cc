@@ -129,7 +129,7 @@ const char* SpanPhaseName(SpanKind kind, int phase) {
 }
 
 Tracer::Tracer(hw::Cpu* cpu, Scheduler* scheduler, size_t capacity)
-    : cpu_(cpu), scheduler_(scheduler), ring_(capacity == 0 ? 1 : capacity) {}
+    : cpu_(cpu), scheduler_(scheduler), capacity_(capacity == 0 ? 1 : capacity) {}
 
 Tracer::~Tracer() {
   if (enabled_) {
@@ -142,6 +142,8 @@ void Tracer::Enable() {
     return;
   }
   enabled_ = true;
+  // Only a traced run emits, so only it pays for the ring.
+  ring_.resize(capacity_);
   cpu_->set_execute_observer(
       [this](const hw::CodeRegion& region, uint64_t instructions, uint64_t cycles,
              uint64_t icache_misses) {

@@ -59,7 +59,8 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   // Tracing starts disabled; while disabled every hook is a cheap no-op.
-  // Enabling installs the CPU execute-observer that feeds the flat profile.
+  // Enabling allocates the event ring and installs the CPU execute-observer
+  // that feeds the flat profile.
   void Enable();
   bool enabled() const { return enabled_; }
 
@@ -68,8 +69,8 @@ class Tracer {
   // Buffered events, oldest first.
   std::vector<TraceEvent> Events() const;
   uint64_t total_emitted() const { return total_emitted_; }
-  uint64_t dropped() const { return total_emitted_ > ring_.size() ? total_emitted_ - ring_.size() : 0; }
-  size_t capacity() const { return ring_.size(); }
+  uint64_t dropped() const { return total_emitted_ > capacity_ ? total_emitted_ - capacity_ : 0; }
+  size_t capacity() const { return capacity_; }
 
   // --- Span profiler ---------------------------------------------------------
   // Begins a span, emitting `begin_event` (payload a = span id, b = `b`).
@@ -168,8 +169,9 @@ class Tracer {
   Scheduler* scheduler_;
   bool enabled_ = false;
 
-  std::vector<TraceEvent> ring_;
-  size_t ring_next_ = 0;        // next slot to overwrite
+  size_t capacity_;
+  std::vector<TraceEvent> ring_;  // capacity_ events once enabled, empty before
+  size_t ring_next_ = 0;          // next slot to overwrite
   uint64_t total_emitted_ = 0;  // events ever emitted (>= buffered)
 
   uint64_t next_span_id_ = 1;

@@ -33,18 +33,21 @@ std::shared_ptr<mk::VmObject> DefaultPager::CreateBackedObject(uint64_t size) {
   return object;
 }
 
-uint64_t DefaultPager::LbaFor(uint64_t object_id, uint64_t page_index, bool allocate) {
+base::Result<uint64_t> DefaultPager::LbaFor(uint64_t object_id, uint64_t page_index,
+                                            bool allocate) {
   const auto key = std::make_pair(object_id, page_index);
   auto it = allocation_.find(key);
   if (it != allocation_.end()) {
     return it->second;
   }
   if (!allocate) {
-    return ~0ull;
+    return base::Status::kNotFound;
+  }
+  if (store_->num_sectors() - next_lba_ < kSectorsPerPage) {
+    return base::Status::kResourceShortage;  // the paging partition is full
   }
   const uint64_t lba = next_lba_;
   next_lba_ += kSectorsPerPage;
-  WPOS_CHECK(next_lba_ <= store_->num_sectors()) << "paging partition exhausted";
   allocation_.emplace(key, lba);
   return lba;
 }
@@ -73,9 +76,10 @@ void DefaultPager::Serve(mk::Env& env) {
       if (auto pre = preloaded_.find(key); pre != preloaded_.end()) {
         out = pre->second;
       } else {
-        const uint64_t lba = LbaFor(req.object_id, req.page_index, /*allocate=*/false);
-        if (lba != ~0ull) {
-          const base::Status st = store_->Read(env, lba, kSectorsPerPage, out.data());
+        const base::Result<uint64_t> lba =
+            LbaFor(req.object_id, req.page_index, /*allocate=*/false);
+        if (lba.ok()) {
+          const base::Status st = store_->Read(env, *lba, kSectorsPerPage, out.data());
           if (st != base::Status::kOk) {
             reply.status = static_cast<int32_t>(st);
           }
@@ -88,11 +92,13 @@ void DefaultPager::Serve(mk::Env& env) {
       ++metrics.Counter("server.pager.pageouts");
       if (page_len != hw::kPageSize) {
         reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-      } else {
-        const uint64_t lba = LbaFor(req.object_id, req.page_index, /*allocate=*/true);
-        const base::Status st = store_->Write(env, lba, kSectorsPerPage, page);
-        reply.status = static_cast<int32_t>(st);
+      } else if (const base::Result<uint64_t> lba =
+                     LbaFor(req.object_id, req.page_index, /*allocate=*/true);
+                 lba.ok()) {
+        reply.status = static_cast<int32_t>(store_->Write(env, *lba, kSectorsPerPage, page));
         preloaded_.erase(std::make_pair(req.object_id, req.page_index));
+      } else {
+        reply.status = static_cast<int32_t>(lba.status());  // the partition is full
       }
       loop_->Reply(rpc, &reply, sizeof(reply));
     } else if (req.op == mk::PagerOp::kObjectSetup) {

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/base/log.h"
 #include "src/hw/disk.h"
 #include "src/mk/kernel.h"
 #include "src/mk/pager_protocol.h"
@@ -53,7 +54,10 @@ class DefaultPager {
 
  private:
   void Serve(mk::Env& env);
-  uint64_t LbaFor(uint64_t object_id, uint64_t page_index, bool allocate);
+  // The partition LBA of (object, page). A page never written has none
+  // (kNotFound) unless `allocate`, which takes the partition's next free
+  // page, or answers kResourceShortage when the partition is full.
+  base::Result<uint64_t> LbaFor(uint64_t object_id, uint64_t page_index, bool allocate);
 
   mk::Kernel& kernel_;
   mk::Task* task_;
@@ -69,27 +73,43 @@ class DefaultPager {
 };
 
 // BlockStore over the disk's host backdoor, with the device latency modelled
-// as a sleep (the full driver-based store lives in src/drv).
+// as a sleep (the full driver-based store lives in src/drv). It covers the
+// whole disk or the window of `num_sectors` sectors from `first_lba`, which
+// it addresses from 0; an extent outside it is kInvalidArgument.
 class BackdoorBlockStore : public BlockStore {
  public:
   explicit BackdoorBlockStore(hw::Disk* disk, uint64_t latency_ns = 300'000)
-      : disk_(disk), latency_ns_(latency_ns) {}
+      : BackdoorBlockStore(disk, latency_ns, 0, disk->num_sectors()) {}
+  BackdoorBlockStore(hw::Disk* disk, uint64_t latency_ns, uint64_t first_lba,
+                     uint64_t num_sectors)
+      : disk_(disk), latency_ns_(latency_ns), first_lba_(first_lba), num_sectors_(num_sectors) {
+    WPOS_CHECK(first_lba <= disk->num_sectors() && num_sectors <= disk->num_sectors() - first_lba)
+        << "block store window runs off the disk";
+  }
 
   base::Status Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) override {
+    if (lba > num_sectors_ || count > num_sectors_ - lba) {
+      return base::Status::kInvalidArgument;
+    }
     env.SleepNs(latency_ns_);
-    disk_->ReadSectors(lba, count, out);
+    disk_->ReadSectors(first_lba_ + lba, count, out);
     return base::Status::kOk;
   }
   base::Status Write(mk::Env& env, uint64_t lba, uint32_t count, const void* src) override {
+    if (lba > num_sectors_ || count > num_sectors_ - lba) {
+      return base::Status::kInvalidArgument;
+    }
     env.SleepNs(latency_ns_);
-    disk_->WriteSectors(lba, count, src);
+    disk_->WriteSectors(first_lba_ + lba, count, src);
     return base::Status::kOk;
   }
-  uint64_t num_sectors() const override { return disk_->num_sectors(); }
+  uint64_t num_sectors() const override { return num_sectors_; }
 
  private:
   hw::Disk* disk_;
   uint64_t latency_ns_;
+  uint64_t first_lba_;
+  uint64_t num_sectors_;
 };
 
 }  // namespace mks

@@ -90,6 +90,8 @@ TEST(CacheTest, ConstructorRejectsBadGeometry) {
                "cache line size must be a non-zero power of two");
   EXPECT_DEATH(Cache(CacheConfig{.size_bytes = 6144, .line_bytes = 48, .ways = 2}),
                "cache line size must be a non-zero power of two");
+  EXPECT_DEATH(Cache(CacheConfig{.size_bytes = 64, .line_bytes = 1, .ways = 2}),
+               "cache lines must be at least 2 bytes");
 }
 
 TEST(TlbTest, ConstructorRejectsBadGeometry) {

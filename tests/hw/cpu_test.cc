@@ -82,6 +82,19 @@ TEST(CpuTest, TranslatedAccessChargesTlbWalkOnce) {
   EXPECT_EQ(delta.tlb_misses, 0u);
 }
 
+// A user chunk counts one data access per line-sized step, however many
+// lines an unaligned step touches, and one for the PTE read on a TLB miss.
+TEST(CpuTest, TranslatedAccessCountsOneDataAccessPerStep) {
+  Cpu cpu;
+  const auto before = cpu.counters();
+  // 64 bytes from 16 bytes into a line: two steps over three lines.
+  cpu.AccessTranslated(0x40001010, 0x9010, 0x200000, 64, false);
+  const auto delta = cpu.counters() - before;
+  EXPECT_EQ(delta.tlb_misses, 1u);
+  EXPECT_EQ(delta.data_accesses, 3u);
+  EXPECT_EQ(delta.dcache_misses, 4u);  // the PTE's line and three data lines
+}
+
 TEST(CpuTest, TlbFlushForcesRefill) {
   Cpu cpu;
   cpu.AccessTranslated(0x40001000, 0x9000, 0x200000, 4, false);
@@ -166,6 +179,83 @@ TEST(CpuTest, ChunkedTranslatedAccessMatchesPerStep) {
     EXPECT_EQ(chunked.tlb_stats().misses, stepped.tlb_stats().misses) << "seed=" << seed;
     EXPECT_EQ(chunked.tlb_stats().flushes, stepped.tlb_stats().flushes) << "seed=" << seed;
     EXPECT_EQ(chunked_log, stepped_log) << "seed=" << seed;
+  }
+}
+
+// One AccessCopy must cost exactly what the copy loop it replaced cost: per
+// line-sized step, an AccessData of the source, then one of the destination.
+// Same counters (data_accesses too), D-cache statistics and observer calls.
+TEST(CpuTest, CopyMatchesPerStepAccessData) {
+  using AccessLog = std::vector<std::tuple<PhysAddr, uint32_t, bool>>;
+  for (const uint64_t seed : props::SeedsUnderTest()) {
+    Cpu copied;
+    Cpu stepped;
+    AccessLog copied_log;
+    AccessLog stepped_log;
+    copied.set_access_observer([&copied_log](PhysAddr pa, uint32_t size, bool write) {
+      copied_log.emplace_back(pa, size, write);
+    });
+    stepped.set_access_observer([&stepped_log](PhysAddr pa, uint32_t size, bool write) {
+      stepped_log.emplace_back(pa, size, write);
+    });
+    const CacheConfig& dcache = copied.config().dcache;
+    const uint32_t line = dcache.line_bytes;
+    // Addresses one way apart share a set.
+    const uint64_t way = dcache.size_bytes / dcache.ways;
+    const auto both_access = [&](PhysAddr pa, uint32_t size, bool write) {
+      copied.AccessData(pa, size, write);
+      stepped.AccessData(pa, size, write);
+    };
+    base::Rng rng(seed);
+    // Buffers start anywhere in a 32 KB window, half on a line boundary.
+    const auto buffer = [&] {
+      return 0x100000 + (rng.NextBool(0.5) ? rng.NextBelow(32 * 1024 / line) * line
+                                           : rng.NextBelow(32 * 1024));
+    };
+    for (int i = 0; i < 1500; ++i) {
+      if (rng.NextBelow(30) == 0) {
+        copied.FlushDcache();
+        stepped.FlushDcache();
+      }
+      // Lengths of 1 to 8192 bytes, half of them at most five lines.
+      const uint64_t len = 1 + rng.NextBelow(rng.NextBool(0.5) ? 8192 : 5 * line);
+      const PhysAddr src = buffer();
+      PhysAddr dst = buffer();
+      switch (rng.NextBelow(4)) {
+        case 0:
+          dst = src;  // the zero-fill charge of a page fault
+          break;
+        case 1:
+          // The destination shares the source's sets, and a third line,
+          // dirty half the time, is already resident in each of them.
+          dst = src + way;
+          for (uint64_t off = 0; off < len + line; off += line) {
+            both_access(src + 2 * way + off, line, rng.NextBool(0.5));
+          }
+          break;
+        default:
+          break;
+      }
+      // Some unrelated traffic, the same on both.
+      for (uint64_t n = rng.NextBelow(4); n > 0; --n) {
+        both_access(buffer(), static_cast<uint32_t>(1 + rng.NextBelow(2 * line)),
+                    rng.NextBool(0.3));
+      }
+      copied.AccessCopy(src, dst, len);
+      for (uint64_t off = 0; off < len; off += line) {
+        const uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(line, len - off));
+        stepped.AccessData(src + off, chunk, /*write=*/false);
+        stepped.AccessData(dst + off, chunk, /*write=*/true);
+      }
+      ASSERT_EQ(Fields(copied.counters()), Fields(stepped.counters()))
+          << "seed=" << seed << " copy " << i << " src " << src << " dst " << dst << " len "
+          << len;
+    }
+    EXPECT_EQ(copied.dcache_stats().accesses, stepped.dcache_stats().accesses) << "seed=" << seed;
+    EXPECT_EQ(copied.dcache_stats().misses, stepped.dcache_stats().misses) << "seed=" << seed;
+    EXPECT_EQ(copied.dcache_stats().writebacks, stepped.dcache_stats().writebacks)
+        << "seed=" << seed;
+    EXPECT_EQ(copied_log, stepped_log) << "seed=" << seed;
   }
 }
 

@@ -104,6 +104,33 @@ TEST(TraceRing, OverflowKeepsNewest) {
   }
 }
 
+// The ring is allocated when tracing is enabled. Before that the tracer
+// reports its configured capacity and holds nothing; afterwards it records
+// and wraps as always.
+TEST(TraceRing, RingAllocatedOnEnableRecordsAndWraps) {
+  hw::Machine machine(hw::MachineConfig{.ram_bytes = 16 * 1024 * 1024});
+  KernelConfig config;
+  config.trace_capacity = 8;
+  Kernel kernel(&machine, config);
+  trace::Tracer& tracer = kernel.tracer();
+  tracer.Emit(trace::EventType::kInterrupt, 99);
+  EXPECT_EQ(tracer.capacity(), 8u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(tracer.total_emitted(), 0u);
+  EXPECT_TRUE(tracer.Events().empty());
+  tracer.Enable();
+  for (uint64_t i = 0; i < 11; ++i) {
+    tracer.Emit(trace::EventType::kInterrupt, i);
+  }
+  const auto events = tracer.Events();
+  ASSERT_EQ(events.size(), 8u);
+  EXPECT_EQ(tracer.capacity(), 8u);
+  EXPECT_EQ(tracer.dropped(), 3u);
+  for (size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].a, 3 + i);
+  }
+}
+
 TEST(TraceRing, DisabledTracerEmitsNothing) {
   hw::Machine machine(hw::MachineConfig{.ram_bytes = 16 * 1024 * 1024});
   Kernel kernel(&machine);

@@ -271,6 +271,20 @@ class ReuseStream {
 class CacheGeometryTest
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t, uint32_t>> {};
 
+// One draw in ten moves `addr` into line address 0 (bytes 0 to line - 1) or
+// into the top line of the address space, keeping its offset in the line.
+// Empty slots hold an all-ones marker, and neither edge may ever hit one.
+PhysAddr EdgeLine(ReuseStream& stream, PhysAddr addr, uint32_t line) {
+  switch (stream.rng().NextBelow(20)) {
+    case 0:
+      return addr % line;
+    case 1:
+      return ~0ull - (line - 1) + addr % line;
+    default:
+      return addr;
+  }
+}
+
 TEST_P(CacheGeometryTest, LruNeverEvictsWithinWaySetCapacity) {
   const auto [size, line, ways] = GetParam();
   Cache cache(CacheConfig{size, line, ways});
@@ -313,7 +327,7 @@ TEST_P(CacheGeometryTest, MatchesStampLruReference) {
         cache.Flush();
         ref.Flush();
       }
-      const PhysAddr addr = stream.Next();
+      const PhysAddr addr = EdgeLine(stream, stream.Next(), line);
       const bool write = stream.rng().NextBool(0.3);
       const Cache::AccessResult got = cache.Access(addr, write);
       const Cache::AccessResult want = ref.Access(addr, write);
@@ -343,9 +357,13 @@ TEST_P(CacheGeometryTest, WalkMatchesStampLruReference) {
         cache.Flush();
         ref.Flush();
       }
-      const PhysAddr addr = stream.Next();
       const uint64_t count = stream.rng().NextBelow(41);
       const uint64_t stride = strides[stream.rng().NextBelow(5)];
+      // A run that lands on the top line ends there, so it never wraps.
+      PhysAddr addr = EdgeLine(stream, stream.Next(), line);
+      if (addr >= ~0ull - (line - 1) && count > 0) {
+        addr -= (count - 1) * stride * line;
+      }
       const bool write = stream.rng().NextBool(0.3);
       const CacheStats got = cache.AccessLines(addr, count, stride, write);
       uint64_t misses = 0;

@@ -12,12 +12,17 @@ host load, and the table adds the parent's figures, the change in median
 wall time and how many pairs the change won on wall time.
 
 The benches' simulated output is gated byte for byte elsewhere
-(tools/bench_delta.py --exact). This tool reads only the host clock, which
-varies between hosts and between runs, so it reports and never judges.
-Exit status: 0, or 1 when a binary is missing or exits nonzero.
+(tools/bench_delta.py --exact). Host time varies between hosts and between
+runs, so a single build is only reported. With --against, both builds run
+on the same host in alternation, and the tool judges their sum: the eight
+median wall times of BUILD must not exceed those of PARENT_BUILD by more
+than the host_s bound in BENCHMARK.json (a fraction of the parent's sum).
+Exit status: 0; 1 when a binary is missing or exits nonzero, or when the
+summed median wall time is slower than the parent's by more than the bound.
 """
 
 import argparse
+import json
 import os
 import resource
 import statistics
@@ -28,6 +33,15 @@ import time
 
 BENCHES = ["table1", "table2", "ablations", "ipc_vs_rpc", "fine_objects", "naming",
            "os2_memory", "context_switch"]
+
+
+def host_s_bound():
+    """The host_s end-to-end bound of BENCHMARK.json, a fraction."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "BENCHMARK.json")
+    with open(path) as f:
+        metrics = json.load(f)["end_to_end"]
+    return next(m["bound"] for m in metrics if m["name"] == "host_s")
 
 
 def binary(build, bench):
@@ -76,6 +90,8 @@ def main():
               f"{'won':>7}{'parent user_s':>26}{'change user_s':>26}")
     else:
         print(f"{'bench':<16}{'wall_s':>26}{'user_s':>26}")
+    change_sum = 0.0
+    parent_sum = 0.0
     with tempfile.TemporaryDirectory() as cwd:
         for bench in BENCHES:
             change = []
@@ -99,7 +115,16 @@ def main():
             print(f"{bench:<16}{summary(parent_wall):>26}{summary(wall):>26}{delta:>+9.1%}"
                   f"{f'{won}/{args.runs}':>7}{summary([u for _, u in parent]):>26}"
                   f"{summary(user):>26}", flush=True)
-    return 0
+            change_sum += statistics.median(wall)
+            parent_sum += statistics.median(parent_wall)
+    if not args.against:
+        return 0
+    bound = host_s_bound()
+    delta = change_sum / parent_sum - 1
+    verdict = "slower than" if delta > bound else "within"
+    print(f"summed median wall_s: parent {parent_sum:.3f}, change {change_sum:.3f}, "
+          f"{delta:+.1%}, {verdict} the host_s bound of +{bound:.0%}")
+    return 1 if delta > bound else 0
 
 
 if __name__ == "__main__":
