@@ -222,6 +222,8 @@ class Kernel {
       base::Status completion = base::Status::kOk, uint64_t timeout_ns = kForever);
 
   // --- Legacy Mach 3.0 IPC ------------------------------------------------------------
+  // A message whose kernel buffer the heap cannot hold answers
+  // kResourceShortage and queues nothing.
   base::Status MachMsgSend(MachMessage&& msg, uint64_t timeout_ns = kForever);
   base::Status MachMsgReceive(PortName name, MachMessage* out, uint64_t timeout_ns = kForever);
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "src/base/log.h"
+#include "src/base/status.h"
 #include "src/hw/types.h"
 
 namespace mk {
@@ -21,12 +22,25 @@ class KernelHeap {
  public:
   KernelHeap(hw::PhysAddr base, uint64_t size) : base_(base), next_(base), end_(base + size) {}
 
-  hw::PhysAddr Allocate(uint64_t size, uint64_t align = 16) {
-    hw::PhysAddr addr = (next_ + align - 1) & ~(align - 1);
-    WPOS_CHECK(addr + size <= end_) << "kernel heap exhausted";
+  // Allocation for sizes a client chose: a request the heap cannot hold
+  // answers kResourceShortage and takes nothing. The bound is checked as
+  // `size <= end_ - addr` so a huge size cannot wrap past it.
+  base::Result<hw::PhysAddr> TryAllocate(uint64_t size, uint64_t align = 16) {
+    const hw::PhysAddr addr = (next_ + align - 1) & ~(align - 1);
+    if (addr > end_ || size > end_ - addr) {
+      return base::Status::kResourceShortage;
+    }
     next_ = addr + size;
     bytes_allocated_ += size;
     return addr;
+  }
+
+  // Allocation for the kernel's own objects. The heap never frees, so
+  // their exhaustion is still a host abort.
+  hw::PhysAddr Allocate(uint64_t size, uint64_t align = 16) {
+    const base::Result<hw::PhysAddr> addr = TryAllocate(size, align);
+    WPOS_CHECK(addr.ok()) << "kernel heap exhausted";
+    return *addr;
   }
 
   uint64_t bytes_allocated() const { return bytes_allocated_; }

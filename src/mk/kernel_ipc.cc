@@ -67,6 +67,15 @@ base::Status Kernel::MachMsgSend(MachMessage&& msg, uint64_t timeout_ns) {
     return dest.status();
   }
   Port* port = *dest;
+  // The kernel message buffer for copy #1. Its size is the sender's choice,
+  // so a message the heap cannot hold is refused before it is counted or
+  // queued.
+  const base::Result<hw::PhysAddr> kernel_buffer =
+      heap_->TryAllocate(msg.inline_data.size() + 64);
+  if (!kernel_buffer.ok()) {
+    LeaveKernel();
+    return kernel_buffer.status();
+  }
   ++mach_msgs_;
   ++port->send_count;
   cpu().AccessData(port->sim_addr(), 64, /*write=*/true);
@@ -75,7 +84,7 @@ base::Status Kernel::MachMsgSend(MachMessage&& msg, uint64_t timeout_ns) {
   qm->msg_id = msg.msg_id;
   qm->send_cycle = cpu().cycles();
   // Copy #1: user data into the kernel message buffer.
-  qm->kernel_buffer = heap_->Allocate(msg.inline_data.size() + 64);
+  qm->kernel_buffer = *kernel_buffer;
   qm->inline_data = std::move(msg.inline_data);
   if (!qm->inline_data.empty()) {
     const uint64_t span = qm->inline_data.size() < Thread::kMsgWindowSize ? qm->inline_data.size()

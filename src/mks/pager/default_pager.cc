@@ -43,11 +43,15 @@ base::Result<uint64_t> DefaultPager::LbaFor(uint64_t object_id, uint64_t page_in
   if (!allocate) {
     return base::Status::kNotFound;
   }
-  if (store_->num_sectors() - next_lba_ < kSectorsPerPage) {
+  uint64_t lba = next_lba_;
+  if (!free_lbas_.empty()) {
+    lba = free_lbas_.back();
+    free_lbas_.pop_back();
+  } else if (store_->num_sectors() - next_lba_ < kSectorsPerPage) {
     return base::Status::kResourceShortage;  // the paging partition is full
+  } else {
+    next_lba_ += kSectorsPerPage;
   }
-  const uint64_t lba = next_lba_;
-  next_lba_ += kSectorsPerPage;
   allocation_.emplace(key, lba);
   return lba;
 }
@@ -106,7 +110,13 @@ void DefaultPager::Serve(mk::Env& env) {
       loop_->Reply(rpc, &reply, sizeof(reply));
     } else if (req.op == mk::PagerOp::kObjectTerminate) {
       const uint64_t gone = req.object_id;
-      std::erase_if(allocation_, [gone](const auto& kv) { return kv.first.first == gone; });
+      // The object's pages go back to the partition.
+      const auto first = allocation_.lower_bound({gone, 0});
+      const auto last = allocation_.upper_bound({gone, ~0ull});
+      for (auto it = first; it != last; ++it) {
+        free_lbas_.push_back(it->second);
+      }
+      allocation_.erase(first, last);
       std::erase_if(preloaded_, [gone](const auto& kv) { return kv.first.first == gone; });
       loop_->Reply(rpc, &reply, sizeof(reply));
     } else {

@@ -50,13 +50,16 @@ class DefaultPager {
 
   uint64_t pageins_served() const { return pageins_served_; }
   uint64_t pageouts_served() const { return pageouts_served_; }
+  // The partition's high-water mark: sectors ever handed out. A terminated
+  // object's pages are reused below it.
   uint64_t sectors_allocated() const { return next_lba_; }
 
  private:
   void Serve(mk::Env& env);
   // The partition LBA of (object, page). A page never written has none
-  // (kNotFound) unless `allocate`, which takes the partition's next free
-  // page, or answers kResourceShortage when the partition is full.
+  // (kNotFound) unless `allocate`, which takes the last freed page, else the
+  // partition's next unused one, or answers kResourceShortage when the
+  // partition is full.
   base::Result<uint64_t> LbaFor(uint64_t object_id, uint64_t page_index, bool allocate);
 
   mk::Kernel& kernel_;
@@ -66,6 +69,7 @@ class DefaultPager {
   std::unique_ptr<mk::ServerLoop> loop_;
   std::unique_ptr<BlockStore> store_;
   std::map<std::pair<uint64_t, uint64_t>, uint64_t> allocation_;  // (obj,page) -> lba
+  std::vector<uint64_t> free_lbas_;  // terminated objects' pages, reused last in, first out
   std::map<std::pair<uint64_t, uint64_t>, std::vector<uint8_t>> preloaded_;
   uint64_t next_lba_ = 0;
   uint64_t pageins_served_ = 0;

@@ -825,16 +825,9 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
         break;
       }
       // Value travels in path2 after the key's NUL: "key\0value\0". Dispatch
-      // already checked that the key terminates inside the fixed buffer; the
-      // value must too, or the parse would run off the end of the request.
+      // already checked that both end inside the bytes received.
       const std::string key(r.path2);
-      const size_t value_off = key.size() + 1;
-      if (value_off >= kFsMaxPath ||
-          std::memchr(r.path2 + value_off, '\0', kFsMaxPath - value_off) == nullptr) {
-        reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-        break;
-      }
-      const char* value = r.path2 + value_off;
+      const char* value = r.path2 + key.size() + 1;
       reply.status = static_cast<int32_t>(mount->pfs->SetEa(env, *node, key, value));
       break;
     }
@@ -875,10 +868,11 @@ void FileServer::Serve(mk::Env& env) {
     }
     kernel_.cpu().Execute(kLoop);
     kernel_.cpu().Execute(kStub);
-    // The one validation point for untrusted requests: every handler may
-    // treat path and path2 as C strings.
-    if (std::memchr(r.path, '\0', kFsMaxPath) == nullptr ||
-        std::memchr(r.path2, '\0', kFsMaxPath) == nullptr) {
+    // The one validation point for untrusted requests: the bytes received
+    // hold the op's fixed part and every string it reads through its NUL,
+    // so every handler may treat those strings as C strings.
+    const uint32_t wire_len = FsWireLength(r);
+    if (wire_len == 0 || wire_len > rpc.req_len) {
       FsReply reply;
       reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
       loop_->Reply(rpc, &reply, sizeof(reply));
@@ -967,14 +961,16 @@ void FsClient::EnableCache() { cache_ = std::make_unique<FsCache>(); }
 
 base::Status FsClient::Call(mk::Env& env, const FsRequest& req, FsReply* reply, mk::RpcRef* ref) {
   env.kernel().cpu().Execute(stub_region_);
+  const uint32_t len = FsWireLength(req);
+  WPOS_DCHECK(len != 0) << "FsClient built a request with an unterminated string";
   base::Status st;
   if (robust()) {
     const auto resolve = [this](mk::Env& e) { return names_->Resolve(e, fs_name_); };
-    st = mk::RpcCallRobust(env, resolve, &port_, &req, sizeof(req), reply, sizeof(*reply),
-                           robust_opts_, nullptr, ref);
+    st = mk::RpcCallRobust(env, resolve, &port_, &req, len, reply, sizeof(*reply), robust_opts_,
+                           nullptr, ref);
   } else {
-    st = env.RpcCall(port_, &req, sizeof(req), reply, sizeof(*reply), nullptr, ref, nullptr, 0,
-                     nullptr, call_timeout_ns_);
+    st = env.RpcCall(port_, &req, len, reply, sizeof(*reply), nullptr, ref, nullptr, 0, nullptr,
+                     call_timeout_ns_);
   }
   return st != base::Status::kOk ? st : static_cast<base::Status>(reply->status);
 }

@@ -309,9 +309,9 @@ class FsClient {
   };
 
   bool robust() const { return names_.has_value(); }
-  // The one call path: charges the client stub region, sends `req` over the
-  // plain or robust transport, and returns the transport's failure or else
-  // the server's reply status.
+  // The one call path: charges the client stub region, sends `req`'s wire
+  // length (FsWireLength) over the plain or robust transport, and returns
+  // the transport's failure or else the server's reply status.
   base::Status Call(mk::Env& env, const FsRequest& req, FsReply* reply,
                     mk::RpcRef* ref = nullptr);
   // Call for an operation on an open file: fills in the server's handle for

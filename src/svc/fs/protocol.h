@@ -2,6 +2,7 @@
 #ifndef SRC_SVC_FS_PROTOCOL_H_
 #define SRC_SVC_FS_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -96,6 +97,75 @@ struct FsRequest {
     path2[kFsMaxPath - 1] = '\0';
   }
 };
+
+// --- Wire length ---------------------------------------------------------
+//
+// A request travels as a prefix of FsRequest: the fixed part, then every
+// field up to the end of the last string its op reads, as a MIG interface
+// gives each routine its own layout. A handle op (close, read, write, lock,
+// stat, ...) sends the fixed part alone, a path op sends `path` through its
+// NUL, and rename and the EA ops send `path` whole and `path2` through its
+// last NUL. The server receives into a zero-filled FsRequest, so the bytes
+// a client did not send read as zero.
+inline constexpr uint32_t kFsFixedBytes = offsetof(FsRequest, path);
+
+// Bytes that `count` back-to-back NUL-terminated strings take at the front
+// of a kFsMaxPath-byte field, or 0 when they do not all end inside it.
+inline uint32_t FsFieldBytes(const char* field, uint32_t count) {
+  uint32_t used = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    const void* nul =
+        used < kFsMaxPath ? std::memchr(field + used, '\0', kFsMaxPath - used) : nullptr;
+    if (nul == nullptr) {
+      return 0;
+    }
+    used = static_cast<uint32_t>(static_cast<const char*>(nul) - field) + 1;
+  }
+  return used;
+}
+
+// The bytes of `r` that go on the wire, or 0 when a string its op reads
+// does not end inside its field. FsClient sends exactly this many; the
+// server answers kInvalidArgument to a request whose wire length is 0 or
+// longer than what it received, since a cut string would otherwise read as
+// its own prefix.
+inline uint32_t FsWireLength(const FsRequest& r) {
+  uint32_t path2_strings = 0;
+  switch (r.op) {
+    case FsOp::kClose:
+    case FsOp::kRead:
+    case FsOp::kWrite:
+    case FsOp::kSetSize:
+    case FsOp::kLock:
+    case FsOp::kUnlock:
+    case FsOp::kReadV:
+    case FsOp::kWriteV:
+    case FsOp::kFsStat:
+    case FsOp::kMapObject:
+    case FsOp::kMapRelease:
+      return kFsFixedBytes;
+    case FsOp::kRename:
+    case FsOp::kGetEa:
+      path2_strings = 1;
+      break;
+    case FsOp::kSetEa:
+      path2_strings = 2;  // "key\0value\0"
+      break;
+    default:
+      // kOpen and the path ops. An op the server does not know goes to its
+      // path-op handler too, which resolves `path` first.
+      break;
+  }
+  const uint32_t path_bytes = FsFieldBytes(r.path, 1);
+  if (path_bytes == 0) {
+    return 0;
+  }
+  if (path2_strings == 0) {
+    return kFsFixedBytes + path_bytes;
+  }
+  const uint32_t path2_bytes = FsFieldBytes(r.path2, path2_strings);
+  return path2_bytes == 0 ? 0 : static_cast<uint32_t>(offsetof(FsRequest, path2) + path2_bytes);
+}
 
 struct FsAttrWire {
   uint64_t size = 0;

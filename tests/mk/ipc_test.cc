@@ -233,5 +233,61 @@ TEST_F(KernelTest, MachMsgOolVirtualCopyIsSnapshot) {
   EXPECT_EQ(receiver_saw, 0x5a);
 }
 
+// A message the kernel heap cannot hold is a typed answer, not a host
+// abort: nothing is queued or allocated, and the port keeps working.
+TEST_F(KernelTest, MachMsgLargerThanTheHeapIsResourceShortage) {
+  Task* a = kernel_.CreateTask("a");
+  Task* b = kernel_.CreateTask("b");
+  auto recv = kernel_.PortAllocate(*b);
+  auto send = kernel_.MakeSendRight(*b, *recv, *a);
+  Port* port = *kernel_.ResolvePort(*b, *recv);
+  base::Status huge = base::Status::kOk;
+  size_t queued_after_huge = 1;
+  uint64_t heap_taken = 1;
+  std::string got;
+  kernel_.CreateThread(a, "sender", [&, send = *send](Env& env) {
+    const uint64_t heap_before = env.kernel().heap().bytes_allocated();
+    MachMessage big;
+    big.msg_id = 1;
+    big.dest = send;
+    big.inline_data.resize(KernelConfig().kernel_heap_bytes + 1);
+    huge = env.kernel().MachMsgSend(std::move(big));
+    queued_after_huge = port->queue.size();
+    heap_taken = env.kernel().heap().bytes_allocated() - heap_before;
+    MachMessage small;
+    small.msg_id = 2;
+    small.dest = send;
+    const char body[] = "small";
+    small.inline_data.assign(body, body + sizeof(body));
+    ASSERT_EQ(env.kernel().MachMsgSend(std::move(small)), base::Status::kOk);
+  });
+  kernel_.CreateThread(b, "receiver", [&, recv = *recv](Env& env) {
+    MachMessage msg;
+    ASSERT_EQ(env.kernel().MachMsgReceive(recv, &msg), base::Status::kOk);
+    EXPECT_EQ(msg.msg_id, 2u);
+    got = reinterpret_cast<const char*>(msg.inline_data.data());
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(huge, base::Status::kResourceShortage);
+  EXPECT_EQ(queued_after_huge, 0u);
+  EXPECT_EQ(heap_taken, 0u);
+  EXPECT_EQ(got, "small");
+  EXPECT_TRUE(port->queue.empty());
+  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+}
+
+// The heap's bound check cannot wrap: a size near 2^64 is refused, not
+// handed an address past the end.
+TEST(KernelHeapTest, SizesThatWouldWrapTheBoundAreRefused) {
+  KernelHeap heap(0x1000, 0x1000);
+  EXPECT_EQ(heap.TryAllocate(~0ull - 0x100).status(), base::Status::kResourceShortage);
+  EXPECT_EQ(heap.TryAllocate(0x1001).status(), base::Status::kResourceShortage);
+  EXPECT_EQ(heap.bytes_allocated(), 0u);
+  auto all = heap.TryAllocate(0x1000);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(*all, 0x1000u);
+  EXPECT_EQ(heap.TryAllocate(1).status(), base::Status::kResourceShortage);
+}
+
 }  // namespace
 }  // namespace mk

@@ -76,10 +76,10 @@ class PagerPartitionTest : public mk::KernelTest {
     send_ = *send;
   }
 
-  // Pages out one page of object 7 filled with `fill`; returns the pager's answer.
-  base::Status PageOut(mk::Env& env, uint64_t page_index, uint8_t fill) {
+  // Pages out one page of `object` filled with `fill`; returns the pager's answer.
+  base::Status PageOut(mk::Env& env, uint64_t page_index, uint8_t fill, uint64_t object = 7) {
     const mk::PagerRequest req{
-        .op = mk::PagerOp::kDataWrite, .object_id = 7, .page_index = page_index};
+        .op = mk::PagerOp::kDataWrite, .object_id = object, .page_index = page_index};
     std::vector<uint8_t> page(hw::kPageSize, fill);
     mk::RpcRef ref;
     ref.send_data = page.data();
@@ -90,10 +90,10 @@ class PagerPartitionTest : public mk::KernelTest {
     return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
   }
 
-  // Pages in one page of object 7.
-  std::vector<uint8_t> PageIn(mk::Env& env, uint64_t page_index) {
+  // Pages in one page of `object`.
+  std::vector<uint8_t> PageIn(mk::Env& env, uint64_t page_index, uint64_t object = 7) {
     const mk::PagerRequest req{
-        .op = mk::PagerOp::kDataRequest, .object_id = 7, .page_index = page_index};
+        .op = mk::PagerOp::kDataRequest, .object_id = object, .page_index = page_index};
     std::vector<uint8_t> page(hw::kPageSize);
     mk::RpcRef ref;
     ref.recv_buf = page.data();
@@ -104,6 +104,14 @@ class PagerPartitionTest : public mk::KernelTest {
     EXPECT_EQ(reply.status, 0);
     EXPECT_EQ(ref.recv_len, hw::kPageSize);
     return page;
+  }
+
+  // Sends `object` a lifecycle op (kObjectSetup or kObjectTerminate).
+  base::Status Lifecycle(mk::Env& env, mk::PagerOp op, uint64_t object) {
+    const mk::PagerRequest req{.op = op, .object_id = object};
+    mk::PagerReply reply{};
+    const base::Status st = env.RpcCall(send_, &req, sizeof(req), &reply, sizeof(reply));
+    return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
   }
 
   hw::Disk* disk_ = nullptr;
@@ -134,6 +142,43 @@ TEST_F(PagerPartitionTest, FullPartitionAnswersResourceShortage) {
   EXPECT_EQ(answers[8], base::Status::kResourceShortage);
   EXPECT_EQ(page0, std::vector<uint8_t>(hw::kPageSize, 0x10));
   EXPECT_EQ(pager_->sectors_allocated(), 8 * DefaultPager::kSectorsPerPage);
+  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+}
+
+// A terminated object's sectors go back to the partition: short-lived
+// objects that each fill it can follow one another indefinitely.
+TEST_F(PagerPartitionTest, TerminatedObjectsSectorsAreReused) {
+  constexpr uint64_t kPages = 16;
+  StartPager(64, kPages);
+  std::vector<base::Status> answers;
+  std::vector<std::vector<uint8_t>> last_pages;
+  std::vector<uint8_t> terminated_page;
+  kernel_.CreateThread(client_, "client", [&](mk::Env& env) {
+    for (uint64_t round = 0; round < 3; ++round) {
+      const uint64_t object = 100 + round;
+      ASSERT_EQ(Lifecycle(env, mk::PagerOp::kObjectSetup, object), base::Status::kOk);
+      for (uint64_t i = 0; i < kPages; ++i) {
+        answers.push_back(PageOut(env, i, static_cast<uint8_t>(16 * round + i), object));
+      }
+      last_pages.push_back(PageIn(env, kPages - 1, object));
+      ASSERT_EQ(Lifecycle(env, mk::PagerOp::kObjectTerminate, object), base::Status::kOk);
+    }
+    // A terminated object's page no longer maps to the sector's new owner.
+    terminated_page = PageIn(env, 0, 100);
+    pager_->Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  ASSERT_EQ(answers.size(), 3 * kPages);
+  for (size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_EQ(answers[i], base::Status::kOk) << "round " << i / kPages << ", page " << i % kPages;
+  }
+  ASSERT_EQ(last_pages.size(), 3u);
+  for (uint64_t round = 0; round < 3; ++round) {
+    EXPECT_EQ(last_pages[round],
+              std::vector<uint8_t>(hw::kPageSize, static_cast<uint8_t>(16 * round + kPages - 1)));
+  }
+  EXPECT_EQ(terminated_page, std::vector<uint8_t>(hw::kPageSize, 0));
+  EXPECT_EQ(pager_->sectors_allocated(), kPages * DefaultPager::kSectorsPerPage);
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 

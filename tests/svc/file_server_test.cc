@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "src/mk/server_loop.h"
+#include "src/mks/naming/name_server.h"
 #include "src/svc/fs/fat.h"
 #include "src/svc/fs/file_server.h"
 #include "src/svc/fs/inode_fs.h"
@@ -383,6 +389,200 @@ TEST_F(FileServerTest, UnterminatedPathFieldsAreInvalidArgument) {
     auto h = fs.Open(env, "/canary.txt", kFsCreate | kFsWrite);
     ASSERT_TRUE(h.ok()) << base::StatusName(h.status());
     EXPECT_EQ(fs.Close(env, *h), base::Status::kOk);
+  });
+}
+
+// What a server received: the request, zero past the bytes sent, and how
+// many bytes were sent.
+struct Received {
+  FsRequest req;
+  uint32_t len = 0;
+};
+
+// The bytes an op must send, from the request's own strings: the fixed
+// part, then through the NUL of the last string the op reads.
+uint32_t ExpectedWireLength(const FsRequest& r) {
+  const auto end_of = [](size_t field, const char* s) {
+    return static_cast<uint32_t>(field + std::strlen(s) + 1);
+  };
+  switch (r.op) {
+    case FsOp::kOpen:
+    case FsOp::kGetAttr:
+    case FsOp::kMkdir:
+    case FsOp::kReadDir:
+    case FsOp::kUnlink:
+      return end_of(offsetof(FsRequest, path), r.path);
+    case FsOp::kRename:
+    case FsOp::kGetEa:
+      return end_of(offsetof(FsRequest, path2), r.path2);
+    case FsOp::kSetEa: {
+      const size_t key_bytes = std::strlen(r.path2) + 1;
+      return end_of(offsetof(FsRequest, path2) + key_bytes, r.path2 + key_bytes);
+    }
+    default:
+      return offsetof(FsRequest, path);
+  }
+}
+
+// Every op FsClient sends, once each (Sync is the only op it never sends).
+void EveryClientOp(mk::Env& env, FsClient& fs, const std::string& dir) {
+  ASSERT_EQ(fs.Mkdir(env, dir), base::Status::kOk);
+  const std::string path = dir + "/wire.txt";
+  auto h = fs.Open(env, path, kFsCreate | kFsWrite);
+  ASSERT_TRUE(h.ok()) << base::StatusName(h.status());
+  char data[300] = {};
+  char back[300] = {};
+  ASSERT_TRUE(fs.Write(env, *h, 0, data, sizeof(data)).ok());
+  ASSERT_TRUE(fs.Read(env, *h, 0, back, sizeof(back)).ok());
+  const FsWriteExtent wr[2] = {{0, data, 10}, {100, data, 10}};
+  ASSERT_TRUE(fs.WriteV(env, *h, wr, 2).ok());
+  const FsReadExtent rd[2] = {{0, back, 10}, {100, back + 10, 10}};
+  ASSERT_TRUE(fs.ReadV(env, *h, rd, 2).ok());
+  ASSERT_TRUE(fs.Stat(env, *h).ok());
+  ASSERT_EQ(fs.SetSize(env, *h, 200), base::Status::kOk);
+  ASSERT_EQ(fs.Lock(env, *h, 0, 10, /*exclusive=*/true), base::Status::kOk);
+  ASSERT_EQ(fs.Unlock(env, *h, 0, 10), base::Status::kOk);
+  auto mapping = fs.MapObject(env, *h, hw::kPageSize);
+  ASSERT_TRUE(mapping.ok()) << base::StatusName(mapping.status());
+  ASSERT_TRUE(fs.UnmapObject(env, mapping->object_id).ok());
+  ASSERT_EQ(fs.Close(env, *h), base::Status::kOk);
+  ASSERT_TRUE(fs.GetAttr(env, path).ok());
+  ASSERT_EQ(fs.SetEa(env, path, ".TYPE", "Text"), base::Status::kOk);
+  ASSERT_TRUE(fs.GetEa(env, path, ".TYPE").ok());
+  ASSERT_TRUE(fs.ReadDir(env, dir).ok());
+  ASSERT_EQ(fs.Rename(env, path, dir + "/moved.txt"), base::Status::kOk);
+  ASSERT_EQ(fs.Unlink(env, dir + "/moved.txt"), base::Status::kOk);
+}
+
+// The wire contract: every request FsClient sends, over either transport,
+// carries exactly its op's bytes (a read or write sends no path). A
+// recording proxy in front of the file server forwards each request as
+// received and keeps a copy.
+TEST_F(FileServerTest, EveryClientOpSendsItsWireLength) {
+  server_->EnableMapping();
+  mk::Task* ns_task = kernel_.CreateTask("mks-naming");
+  mks::NameServer names(kernel_, ns_task);
+  const mk::PortName ns_right = names.GrantTo(*client_task_);
+  mk::Task* proxy_task = kernel_.CreateTask("fs-proxy");
+  auto proxy_port = kernel_.PortAllocate(*proxy_task);
+  ASSERT_TRUE(proxy_port.ok());
+  const mk::PortName upstream = server_->GrantTo(*proxy_task);
+  auto to_proxy = kernel_.MakeSendRight(*proxy_task, *proxy_port, *client_task_);
+  ASSERT_TRUE(to_proxy.ok());
+  mk::ServerLoop proxy(*proxy_port, "fs-proxy", kFsMaxIo + kFsMaxExtents * sizeof(FsExtent));
+  std::vector<Received> seen;
+  kernel_.CreateThread(proxy_task, "proxy", [&](mk::Env& env) {
+    std::vector<uint8_t> reply_data(kFsMaxIo);
+    proxy.Run<FsRequest>(env, [&](mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r,
+                                  const uint8_t* ref_data, uint32_t ref_len) {
+      seen.push_back({r, rpc.req_len});
+      mk::RpcRef ref;
+      ref.send_data = ref_data;
+      ref.send_len = ref_len;
+      ref.recv_buf = reply_data.data();
+      ref.recv_cap = static_cast<uint32_t>(reply_data.size());
+      FsReply reply;
+      const base::Status st =
+          env.RpcCall(upstream, &r, rpc.req_len, &reply, sizeof(reply), nullptr, &ref);
+      if (st != base::Status::kOk) {
+        reply.status = static_cast<int32_t>(st);
+      }
+      proxy.Reply(rpc, &reply, sizeof(reply), reply_data.data(), ref.recv_len);
+    });
+  });
+  size_t plain_calls = 0;
+  kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
+    FsClient plain(*to_proxy);
+    EveryClientOp(env, plain, "/wire-plain");
+    plain_calls = seen.size();
+    mks::NameClient nc(ns_right);
+    ASSERT_EQ(nc.Register(env, "/svc/fs-proxy", *to_proxy), base::Status::kOk);
+    FsClient robust(ns_right, "/svc/fs-proxy");
+    EveryClientOp(env, robust, "/wire-robust");
+    proxy.Stop();
+    server_->Stop();
+    names.Stop();
+  });
+  ASSERT_EQ(kernel_.Run(), 0u);
+
+  std::set<FsOp> every_op;
+  for (uint32_t op = 1; op <= static_cast<uint32_t>(FsOp::kMapRelease); ++op) {
+    if (static_cast<FsOp>(op) != FsOp::kSync) {
+      every_op.insert(static_cast<FsOp>(op));
+    }
+  }
+  for (const bool robust : {false, true}) {
+    const size_t first = robust ? plain_calls : 0;
+    const size_t last = robust ? seen.size() : plain_calls;
+    std::set<FsOp> ops;
+    for (size_t i = first; i < last; ++i) {
+      const Received& got = seen[i];
+      ops.insert(got.req.op);
+      EXPECT_EQ(got.len, ExpectedWireLength(got.req))
+          << "op " << static_cast<uint32_t>(got.req.op) << (robust ? ", robust" : ", plain");
+      EXPECT_EQ(got.len, FsWireLength(got.req)) << "op " << static_cast<uint32_t>(got.req.op);
+    }
+    EXPECT_EQ(ops, every_op) << (robust ? "robust" : "plain");
+  }
+  // A handle op carries the fixed part alone.
+  EXPECT_EQ(kFsFixedBytes, 48u);
+}
+
+// A request cut short of its op's bytes is refused. The server zero-fills
+// what was not sent, so a cut path would otherwise be served as its own
+// prefix, a cut EA as an empty value, and a cut read as a read of 0 bytes.
+TEST_F(FileServerTest, CutRequestsAreInvalidArgument) {
+  RunClient([&](mk::Env& env, FsClient& fs) {
+    char data[8] = {};
+    const auto send = [&](const FsRequest& r, uint32_t len) {
+      FsReply reply;
+      mk::RpcRef ref;
+      ref.recv_buf = data;
+      ref.recv_cap = sizeof(data);
+      EXPECT_EQ(env.RpcCall(service_, &r, len, &reply, sizeof(reply), nullptr, &ref),
+                base::Status::kOk);
+      return static_cast<base::Status>(reply.status);
+    };
+    auto h = fs.Open(env, "/cut-host.txt", kFsCreate | kFsWrite);
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(fs.Write(env, *h, 0, "data", 4).ok());
+    ASSERT_EQ(fs.SetEa(env, "/cut-host.txt", ".TYPE", "Old"), base::Status::kOk);
+
+    // Cut inside the fixed part: the read's length was not sent.
+    FsRequest read;
+    read.op = FsOp::kRead;
+    read.handle = *h;
+    read.len = 4;
+    EXPECT_EQ(send(read, offsetof(FsRequest, len)), base::Status::kInvalidArgument);
+
+    // Cut inside path: "/cut-me.txt" must not create "/cut".
+    FsRequest open;
+    open.op = FsOp::kOpen;
+    open.flags = kFsCreate | kFsWrite;
+    open.SetPath("/cut-me.txt");
+    EXPECT_EQ(send(open, kFsFixedBytes + 4), base::Status::kInvalidArgument);
+    EXPECT_EQ(fs.GetAttr(env, "/cut").status(), base::Status::kNotFound);
+
+    // Cut between SetEa's key and value: "Old" must survive.
+    FsRequest ea;
+    ea.op = FsOp::kSetEa;
+    ea.SetPath("/cut-host.txt");
+    std::memcpy(ea.path2, ".TYPE\0New", sizeof(".TYPE\0New"));
+    EXPECT_EQ(send(ea, offsetof(FsRequest, path2) + sizeof(".TYPE")),
+              base::Status::kInvalidArgument);
+    auto value = fs.GetEa(env, "/cut-host.txt", ".TYPE");
+    ASSERT_TRUE(value.ok());
+    EXPECT_EQ(*value, "Old");
+
+    // The same requests whole are served, and so is a request sent with
+    // the whole struct behind it.
+    EXPECT_EQ(send(read, FsWireLength(read)), base::Status::kOk);
+    EXPECT_EQ(std::string(data, 4), "data");
+    EXPECT_EQ(send(ea, sizeof(ea)), base::Status::kOk);
+    value = fs.GetEa(env, "/cut-host.txt", ".TYPE");
+    ASSERT_TRUE(value.ok());
+    EXPECT_EQ(*value, "New");
+    ASSERT_EQ(fs.Close(env, *h), base::Status::kOk);
   });
 }
 
