@@ -1,5 +1,6 @@
 #include "src/drv/disk_driver.h"
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -129,6 +130,23 @@ void DiskDriver::Serve(mk::Env& env) {
         loop_->Reply(rpc, &reply, sizeof(reply));
         break;
       }
+      case DiskOp::kWriteRead: {
+        // Both extents are checked before the write, so a rejected request
+        // leaves the platter as it was.
+        base::Status st = base::Status::kInvalidArgument;
+        if (ref_len == req.count * hw::Disk::kSectorSize && req.read_lba < disk_->num_sectors()) {
+          st = DoIo(env, {.op = DiskOp::kWrite, .lba = req.lba, .count = req.count}, ref_data,
+                    nullptr);
+        }
+        if (st == base::Status::kOk) {
+          st = DoIo(env, {.op = DiskOp::kRead, .lba = req.read_lba, .count = 1}, nullptr,
+                    data.data());
+        }
+        reply.status = static_cast<int32_t>(st);
+        const uint32_t bytes = st == base::Status::kOk ? hw::Disk::kSectorSize : 0;
+        loop_->Reply(rpc, &reply, sizeof(reply), data.data(), bytes);
+        break;
+      }
       default:
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
         loop_->Reply(rpc, &reply, sizeof(reply));
@@ -141,7 +159,7 @@ base::Status RpcBlockStore::Read(mk::Env& env, uint64_t lba, uint32_t count, voi
   while (done < count) {
     const uint32_t chunk =
         static_cast<uint32_t>(std::min<uint64_t>(count - done, DiskDriver::kMaxSectors));
-    DiskRequest req{DiskOp::kRead, lba + done, chunk};
+    DiskRequest req{.op = DiskOp::kRead, .lba = lba + done, .count = chunk};
     DiskReply reply;
     mk::RpcRef ref;
     ref.recv_buf = static_cast<uint8_t*>(out) + done * hw::Disk::kSectorSize;
@@ -163,7 +181,7 @@ base::Status RpcBlockStore::Write(mk::Env& env, uint64_t lba, uint32_t count, co
   while (done < count) {
     const uint32_t chunk =
         static_cast<uint32_t>(std::min<uint64_t>(count - done, DiskDriver::kMaxSectors));
-    DiskRequest req{DiskOp::kWrite, lba + done, chunk};
+    DiskRequest req{.op = DiskOp::kWrite, .lba = lba + done, .count = chunk};
     DiskReply reply;
     mk::RpcRef ref;
     ref.send_data = static_cast<const uint8_t*>(src) + done * hw::Disk::kSectorSize;
@@ -178,6 +196,26 @@ base::Status RpcBlockStore::Write(mk::Env& env, uint64_t lba, uint32_t count, co
     done += chunk;
   }
   return base::Status::kOk;
+}
+
+base::Status RpcBlockStore::WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t wcount,
+                                          const void* src, uint64_t rlba, void* out) {
+  // One request carries at most kMaxSectors and a 32-bit read LBA.
+  if (wcount > DiskDriver::kMaxSectors || rlba > UINT32_MAX) {
+    return BlockStore::WriteThenRead(env, wlba, wcount, src, rlba, out);
+  }
+  DiskRequest req{.op = DiskOp::kWriteRead,
+                  .read_lba = static_cast<uint32_t>(rlba),
+                  .lba = wlba,
+                  .count = wcount};
+  DiskReply reply;
+  mk::RpcRef ref;
+  ref.send_data = src;
+  ref.send_len = wcount * hw::Disk::kSectorSize;
+  ref.recv_buf = out;
+  ref.recv_cap = hw::Disk::kSectorSize;
+  const base::Status st = stub_.Call(env, req, &reply, &ref);
+  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
 }
 
 }  // namespace drv

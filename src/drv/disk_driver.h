@@ -15,13 +15,19 @@
 
 namespace drv {
 
-enum class DiskOp : uint32_t { kRead = 1, kWrite = 2, kInfo = 3 };
+// kWriteRead writes `count` sectors at `lba` from the request's data, then
+// reads the one sector at `read_lba` into the reply: two device commands in
+// one RPC.
+enum class DiskOp : uint32_t { kRead = 1, kWrite = 2, kInfo = 3, kWriteRead = 4 };
 
 struct DiskRequest {
   DiskOp op = DiskOp::kRead;
+  uint32_t read_lba = 0;  // kWriteRead only; in op's padding, as kRegLba is 32-bit
   uint64_t lba = 0;
   uint32_t count = 0;  // sectors
 };
+// Every driver RPC copies the request, so a larger one moves simulated numbers.
+static_assert(sizeof(DiskRequest) == 24, "read_lba must fit in op's padding");
 
 struct DiskReply {
   int32_t status = 0;
@@ -72,6 +78,9 @@ class RpcBlockStore : public mks::BlockStore {
 
   base::Status Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) override;
   base::Status Write(mk::Env& env, uint64_t lba, uint32_t count, const void* src) override;
+  // One kWriteRead RPC when the call fits one request.
+  base::Status WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t wcount, const void* src,
+                             uint64_t rlba, void* out) override;
   uint64_t num_sectors() const override { return num_sectors_; }
 
  private:

@@ -246,9 +246,10 @@ Task* Kernel::CreateTask(const std::string& name, uint32_t app_footprint_instr) 
   task->app_code = hw::DefineKernelCode("app." + name, app_footprint_instr);
   task->set_processor_set(host_.default_pset());
   ++host_.default_pset()->tasks_assigned;
-  Port* self = NewPort();
-  self->set_receiver(task.get());
-  task->set_self_port(self);
+  const base::Result<Port*> self = NewPort();
+  WPOS_CHECK(self.ok()) << "kernel heap exhausted";
+  (*self)->set_receiver(task.get());
+  task->set_self_port(*self);
   tasks_.push_back(std::move(task));
   return tasks_.back().get();
 }
@@ -420,8 +421,12 @@ void Kernel::WakeOneReceiver(Port* port) {
   }
 }
 
-Port* Kernel::NewPort() {
-  ports_.push_back(std::make_unique<Port>(next_port_id_++, heap_->Allocate(128)));
+base::Result<Port*> Kernel::NewPort() {
+  const base::Result<hw::PhysAddr> sim_addr = heap_->TryAllocate(128);
+  if (!sim_addr.ok()) {
+    return sim_addr.status();
+  }
+  ports_.push_back(std::make_unique<Port>(next_port_id_++, *sim_addr));
   return ports_.back().get();
 }
 
@@ -464,7 +469,11 @@ void Kernel::DestroyPort(Port* port) {
 
 base::Result<PortName> Kernel::PortAllocate(Task& task) {
   cpu().Execute(PortAllocRegion());
-  Port* port = NewPort();
+  const base::Result<Port*> made = NewPort();
+  if (!made.ok()) {
+    return made.status();
+  }
+  Port* port = *made;
   port->set_receiver(&task);
   cpu().AccessData(port->sim_addr(), 64, /*write=*/true);
   cpu().AccessData(task.port_space().sim_addr(), 32, /*write=*/true);
@@ -520,7 +529,11 @@ base::Result<PortName> Kernel::MakeReceiveRight(Task& from, PortName receive_nam
 
 base::Result<PortName> Kernel::PortSetAllocate(Task& task) {
   cpu().Execute(PortAllocRegion());
-  Port* set = NewPort();
+  const base::Result<Port*> made = NewPort();
+  if (!made.ok()) {
+    return made.status();
+  }
+  Port* set = *made;
   set->is_port_set = true;
   set->set_receiver(&task);
   cpu().AccessData(set->sim_addr(), 64, /*write=*/true);
@@ -586,7 +599,9 @@ PortName Kernel::TrapThreadSelf() {
   cpu().Execute(ThreadSelfRegion());
   cpu().AccessData(t->sim_addr(), 32, /*write=*/false);
   if (t->self_port() == nullptr) {
-    Port* port = NewPort();
+    const base::Result<Port*> made = NewPort();
+    WPOS_CHECK(made.ok()) << "kernel heap exhausted";
+    Port* port = *made;
     port->set_receiver(t->task());
     t->set_self_port(port);
     cpu().Execute(PortAllocRegion());

@@ -144,7 +144,9 @@ class Kernel {
   const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
 
   // --- Ports ---------------------------------------------------------------------
-  base::Result<PortName> PortAllocate(Task& task);  // fresh port + receive right
+  // A fresh port and its receive right; kResourceShortage when the kernel
+  // heap cannot hold the port.
+  base::Result<PortName> PortAllocate(Task& task);
   base::Status PortDestroy(Task& task, PortName name);
   // Creates a send right in `to` for the port named by a *receive* right
   // `receive_name` held by `from`.
@@ -375,7 +377,8 @@ class Kernel {
     bool cancelled = false;
   };
 
-  Port* NewPort();
+  // A fresh port, or kResourceShortage when the kernel heap cannot hold it.
+  base::Result<Port*> NewPort();
   void DestroyPort(Port* port);
   // Wakes one thread blocked receiving on `port` or on its port set.
   void WakeOneReceiver(Port* port);

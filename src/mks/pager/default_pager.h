@@ -26,6 +26,15 @@ class BlockStore {
   virtual ~BlockStore() = default;
   virtual base::Status Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) = 0;
   virtual base::Status Write(mk::Env& env, uint64_t lba, uint32_t count, const void* src) = 0;
+  // Writes `wcount` sectors at `wlba`, then reads the one sector at `rlba`:
+  // a block cache's dirty write-back and the miss that forced it. A store
+  // that can carry both in one request overrides this; the write always
+  // lands before the read.
+  virtual base::Status WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t wcount,
+                                     const void* src, uint64_t rlba, void* out) {
+    const base::Status st = Write(env, wlba, wcount, src);
+    return st != base::Status::kOk ? st : Read(env, rlba, 1, out);
+  }
   virtual uint64_t num_sectors() const = 0;
 };
 

@@ -19,23 +19,53 @@ const hw::CodeRegion& MissRegion() {
 }  // namespace
 
 BlockCache::BlockCache(mk::Kernel& kernel, mks::BlockStore* store, uint32_t capacity_sectors)
-    : kernel_(kernel), store_(store), capacity_(capacity_sectors) {}
+    : kernel_(kernel), store_(store), capacity_(capacity_sectors) {
+  WPOS_CHECK(capacity_ > 0) << "a block cache needs room for one sector";
+}
 
-base::Status BlockCache::Evict(mk::Env& env) {
-  WPOS_CHECK(!lru_.empty());
-  const uint64_t victim = lru_.back();
-  Entry& e = entries_.at(victim);
-  if (e.dirty) {
-    ++writebacks_;
-    const base::Status st = store_->Write(env, victim, 1, e.data.data());
-    if (st != base::Status::kOk) {
-      return st;
+std::pair<uint64_t, uint32_t> BlockCache::DirtyRunAround(uint64_t victim) {
+  auto dirty_at = [&](uint64_t lba) {
+    kernel_.cpu().Execute(HitRegion());
+    auto it = entries_.find(lba);
+    return it != entries_.end() && it->second.dirty;
+  };
+  uint64_t first = victim;
+  uint32_t count = 1;
+  while (count < kMaxRunSectors && first > 0 && dirty_at(first - 1)) {
+    --first;
+    ++count;
+  }
+  while (count < kMaxRunSectors && dirty_at(first + count)) {
+    ++count;
+  }
+  return {first, count};
+}
+
+void BlockCache::TakeDirty(uint64_t first, uint32_t count, uint8_t* out) {
+  for (uint32_t i = 0; i < count; ++i) {
+    Entry& e = entries_.at(first + i);
+    std::memcpy(out + static_cast<size_t>(i) * kSectorSize, e.data.data(), kSectorSize);
+    e.dirty = false;
+  }
+  writebacks_ += count;
+}
+
+void BlockCache::RestoreDirty(uint64_t first, uint32_t count) {
+  for (uint64_t lba = first; lba < first + count; ++lba) {
+    if (auto it = entries_.find(lba); it != entries_.end()) {
+      it->second.dirty = true;
     }
   }
-  lru_.pop_back();
-  free_sim_addrs_.push_back(e.sim_addr);  // recycle: the heap can't free
-  entries_.erase(victim);
-  return base::Status::kOk;
+}
+
+void BlockCache::DropIfClean(uint64_t lba) {
+  auto it = entries_.find(lba);
+  if (it == entries_.end() || it->second.dirty) {
+    return;  // another thread dropped it, or wrote it again
+  }
+  lru_.erase(it->second.lru_pos);
+  free_sim_addrs_.push_back(it->second.sim_addr);  // recycle: the heap can't free
+  entries_.erase(it);
 }
 
 base::Result<BlockCache::Entry*> BlockCache::GetSector(mk::Env& env, uint64_t lba, bool load) {
@@ -51,31 +81,50 @@ base::Result<BlockCache::Entry*> BlockCache::GetSector(mk::Env& env, uint64_t lb
   }
   ++misses_;
   kernel_.cpu().Execute(MissRegion());
-  while (entries_.size() >= capacity_) {
-    const base::Status st = Evict(env);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-  }
   Entry e;
   e.data.resize(kSectorSize);
+  bool loaded = !load;
+  while (entries_.size() >= capacity_) {
+    const uint64_t victim = lru_.back();
+    if (entries_.at(victim).dirty) {
+      const auto [first, count] = DirtyRunAround(victim);
+      std::vector<uint8_t> run(static_cast<size_t>(count) * kSectorSize);
+      TakeDirty(first, count, run.data());
+      const base::Status st =
+          loaded ? store_->Write(env, first, count, run.data())
+                 : store_->WriteThenRead(env, first, count, run.data(), lba, e.data.data());
+      if (st != base::Status::kOk) {
+        RestoreDirty(first, count);
+        return st;
+      }
+      loaded = true;
+    }
+    DropIfClean(victim);
+  }
   if (!free_sim_addrs_.empty()) {
     e.sim_addr = free_sim_addrs_.back();
     free_sim_addrs_.pop_back();
   } else {
     e.sim_addr = kernel_.heap().Allocate(kSectorSize);
   }
-  if (load) {
+  if (!loaded) {
     const base::Status st = store_->Read(env, lba, 1, e.data.data());
     if (st != base::Status::kOk) {
+      free_sim_addrs_.push_back(e.sim_addr);
       return st;
     }
   }
+  // Another thread may have loaded the sector while this one was blocked in
+  // the store; its copy is the current one.
+  it = entries_.find(lba);
+  if (it != entries_.end()) {
+    free_sim_addrs_.push_back(e.sim_addr);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    return &it->second;
+  }
   lru_.push_front(lba);
   e.lru_pos = lru_.begin();
-  auto [pos, inserted] = entries_.emplace(lba, std::move(e));
-  WPOS_CHECK(inserted);
-  return &pos->second;
+  return &entries_.emplace(lba, std::move(e)).first->second;
 }
 
 base::Status BlockCache::ReadSector(mk::Env& env, uint64_t lba, void* out) {
@@ -122,13 +171,19 @@ base::Status BlockCache::Flush(mk::Env& env) {
   }
   std::sort(dirty.begin(), dirty.end());
   for (uint64_t lba : dirty) {
-    Entry& e = entries_.at(lba);
-    ++writebacks_;
-    const base::Status st = store_->Write(env, lba, 1, e.data.data());
+    // Another thread may have written the sector back, or dropped it, while
+    // this one was blocked on an earlier sector.
+    auto it = entries_.find(lba);
+    if (it == entries_.end() || !it->second.dirty) {
+      continue;
+    }
+    uint8_t data[kSectorSize];
+    TakeDirty(lba, 1, data);
+    const base::Status st = store_->Write(env, lba, 1, data);
     if (st != base::Status::kOk) {
+      RestoreDirty(lba, 1);
       return st;
     }
-    e.dirty = false;
   }
   return base::Status::kOk;
 }

@@ -269,6 +269,17 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
     }
     InvalidateMappedRange(mount, *node, 0, ~0ull);
   }
+  // The open file's kernel memory is taken before anything is counted, so an
+  // open the heap cannot hold answers kResourceShortage and leaves no trace.
+  const base::Result<hw::PhysAddr> sim_addr = kernel_.heap().TryAllocate(96);
+  // The open file is represented by a port granted to the client.
+  const base::Result<mk::PortName> file_port =
+      sim_addr.ok() ? kernel_.PortAllocate(*task_) : sim_addr.status();
+  if (!file_port.ok()) {
+    reply.status = static_cast<int32_t>(file_port.status());
+    loop_->Reply(rpc, &reply, sizeof(reply));
+    return;
+  }
   ++state.open_count;
   if (wants_write) {
     ++state.writers;
@@ -288,11 +299,8 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   of.node = *node;
   of.flags = r.flags;
   of.share = r.share;
-  of.sim_addr = kernel_.heap().Allocate(96);
-  // The open file is represented by a port granted to the client.
-  auto file_port_name = kernel_.PortAllocate(*task_);
-  WPOS_CHECK(file_port_name.ok());
-  of.file_port = *file_port_name;
+  of.sim_addr = *sim_addr;
+  of.file_port = *file_port;
   const uint64_t handle = next_handle_++;
   open_files_.emplace(handle, of);
   ++opens_;
@@ -301,7 +309,7 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   if (attr.ok()) {
     reply.attr = {attr->size, attr->directory ? uint8_t{1} : uint8_t{0}};
   }
-  loop_->Reply(rpc, &reply, sizeof(reply), nullptr, 0, /*grant=*/*file_port_name);
+  loop_->Reply(rpc, &reply, sizeof(reply), nullptr, 0, /*grant=*/*file_port);
 }
 
 void FileServer::HandleClose(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {

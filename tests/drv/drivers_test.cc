@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "src/baseline/monolithic.h"
 #include "src/drv/disk_driver.h"
 #include "src/drv/nic_driver.h"
 #include "src/drv/oo/ooddm.h"
@@ -123,6 +127,116 @@ TEST_F(DiskDriverTest, OutOfRangeRejected) {
     EXPECT_EQ(store.Read(env, UINT64_MAX, 2, wrapped.data()), base::Status::kInvalidArgument);
     EXPECT_EQ(wrapped, std::vector<uint8_t>(wrapped.size(), 0));
     EXPECT_EQ(store.Write(env, UINT64_MAX, 2, prior.data()), base::Status::kInvalidArgument);
+    driver_->Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+}
+
+// `count` sectors with `tag` in every byte.
+std::vector<uint8_t> Tagged(uint32_t count, uint8_t tag) {
+  return std::vector<uint8_t>(static_cast<size_t>(count) * hw::Disk::kSectorSize, tag);
+}
+
+TEST_F(DiskDriverTest, WriteReadIsOneRpcThatWritesBeforeItReads) {
+  kernel_.CreateThread(client_task_, "c", [&](mk::Env& env) {
+    RpcBlockStore store(service_, disk_->num_sectors());
+    ASSERT_EQ(store.Write(env, 20, 3, Tagged(3, 0x11).data()), base::Status::kOk);
+    const uint64_t served = driver_->requests_served();
+    const uint64_t irqs = driver_->interrupts_taken();
+    std::vector<uint8_t> out(hw::Disk::kSectorSize);
+    ASSERT_EQ(store.WriteThenRead(env, 20, 3, Tagged(3, 0x22).data(), 21, out.data()),
+              base::Status::kOk);
+    EXPECT_EQ(driver_->requests_served(), served + 1) << "one RPC carries both";
+    EXPECT_EQ(driver_->interrupts_taken(), irqs + 2) << "two device commands";
+    EXPECT_EQ(out, Tagged(1, 0x22)) << "the read inside the run must see the new bytes";
+    // Outside the run, the read returns what was there.
+    ASSERT_EQ(store.WriteThenRead(env, 30, 1, Tagged(1, 0x33).data(), 22, out.data()),
+              base::Status::kOk);
+    EXPECT_EQ(out, Tagged(1, 0x22));
+    driver_->Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  std::vector<uint8_t> platter(3 * hw::Disk::kSectorSize);
+  disk_->ReadSectors(20, 3, platter.data());
+  EXPECT_EQ(platter, Tagged(3, 0x22));
+  disk_->ReadSectors(30, 1, platter.data());
+  EXPECT_EQ(platter[0], 0x33);
+}
+
+TEST_F(DiskDriverTest, MalformedWriteReadIsInvalidArgument) {
+  const uint32_t n = static_cast<uint32_t>(disk_->num_sectors());
+  struct Case {
+    const char* what;
+    DiskRequest req;
+    uint32_t ref_len;
+  };
+  const Case cases[] = {
+      {"count 0", {.op = DiskOp::kWriteRead, .read_lba = 1, .lba = 40, .count = 0}, 0},
+      {"count above kMaxSectors",
+       {.op = DiskOp::kWriteRead, .read_lba = 1, .lba = 40, .count = DiskDriver::kMaxSectors + 1},
+       hw::Disk::kSectorSize},
+      // count x 512 wraps to 512 in 32 bits, so only the count check stops it.
+      {"count that wraps ref_len",
+       {.op = DiskOp::kWriteRead, .read_lba = 1, .lba = 40, .count = (1u << 23) + 1},
+       hw::Disk::kSectorSize},
+      {"ref_len not count x 512",
+       {.op = DiskOp::kWriteRead, .read_lba = 1, .lba = 40, .count = 2},
+       hw::Disk::kSectorSize},
+      {"lba past the disk", {.op = DiskOp::kWriteRead, .read_lba = 1, .lba = n, .count = 1},
+       hw::Disk::kSectorSize},
+      {"lba that wraps", {.op = DiskOp::kWriteRead, .read_lba = 1, .lba = UINT64_MAX, .count = 2},
+       2 * hw::Disk::kSectorSize},
+      {"read_lba past the disk",
+       {.op = DiskOp::kWriteRead, .read_lba = n, .lba = 40, .count = 1},
+       hw::Disk::kSectorSize},
+  };
+  kernel_.CreateThread(client_task_, "c", [&](mk::Env& env) {
+    RpcBlockStore store(service_, n);
+    mk::ClientStub stub("drv.disk.client", service_);
+    ASSERT_EQ(store.Write(env, 40, 2, Tagged(2, 0x40).data()), base::Status::kOk);
+    ASSERT_EQ(store.Write(env, 7, 1, Tagged(1, 0x77).data()), base::Status::kOk);
+    const std::vector<uint8_t> junk = Tagged(2, 0xee);
+    for (const Case& c : cases) {
+      const uint64_t served = driver_->requests_served();
+      DiskReply reply;
+      std::vector<uint8_t> out(hw::Disk::kSectorSize);
+      mk::RpcRef ref;
+      ref.send_data = junk.data();
+      ref.send_len = c.ref_len;
+      ref.recv_buf = out.data();
+      ref.recv_cap = hw::Disk::kSectorSize;
+      ASSERT_EQ(stub.Call(env, c.req, &reply, &ref), base::Status::kOk) << c.what;
+      EXPECT_EQ(static_cast<base::Status>(reply.status), base::Status::kInvalidArgument) << c.what;
+      EXPECT_EQ(ref.recv_len, 0u) << c.what;
+      EXPECT_EQ(driver_->requests_served(), served + 1) << c.what;
+      // The driver still serves a canary, and the rejected write never landed.
+      std::vector<uint8_t> canary(hw::Disk::kSectorSize);
+      ASSERT_EQ(store.Read(env, 7, 1, canary.data()), base::Status::kOk) << c.what;
+      EXPECT_EQ(canary, Tagged(1, 0x77)) << c.what;
+      std::vector<uint8_t> target(2 * hw::Disk::kSectorSize);
+      ASSERT_EQ(store.Read(env, 40, 2, target.data()), base::Status::kOk) << c.what;
+      EXPECT_EQ(target, Tagged(2, 0x40)) << c.what;
+    }
+    driver_->Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+}
+
+TEST_F(DiskDriverTest, DefaultWriteThenReadWritesBeforeItReads) {
+  // The stores without a combined request keep the same order: the monolithic
+  // kernel's in-kernel store, and the backdoor store the tests use.
+  auto* kdisk = static_cast<hw::Disk*>(machine_.AddDevice(std::make_unique<hw::Disk>("d1", 5)));
+  baseline::KernelDiskStore kernel_store(kernel_, kdisk);
+  mks::BackdoorBlockStore backdoor_store(kdisk, 10'000, 64, 64);
+  kernel_.CreateThread(client_task_, "c", [&](mk::Env& env) {
+    for (mks::BlockStore* store : {static_cast<mks::BlockStore*>(&kernel_store),
+                                   static_cast<mks::BlockStore*>(&backdoor_store)}) {
+      ASSERT_EQ(store->Write(env, 20, 3, Tagged(3, 0x11).data()), base::Status::kOk);
+      std::vector<uint8_t> out(hw::Disk::kSectorSize);
+      ASSERT_EQ(store->WriteThenRead(env, 20, 3, Tagged(3, 0x22).data(), 22, out.data()),
+                base::Status::kOk);
+      EXPECT_EQ(out, Tagged(1, 0x22));
+    }
     driver_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);

@@ -44,6 +44,7 @@ class FileServerTest : public mk::KernelTest {
     kernel_.CreateThread(fs_task_, "mkfs", [this](mk::Env& env) {
       ASSERT_EQ(hpfs_->Format(env), base::Status::kOk);
       ASSERT_EQ(fat_->Format(env), base::Status::kOk);
+      formatted_ = true;
     });
   }
 
@@ -69,6 +70,7 @@ class FileServerTest : public mk::KernelTest {
   std::unique_ptr<FileServer> server_;
   mk::Task* client_task_;
   mk::PortName service_;
+  bool formatted_ = false;  // the mkfs thread is done
 };
 
 TEST_F(FileServerTest, CreateWriteReadThroughRpc) {
@@ -583,6 +585,39 @@ TEST_F(FileServerTest, CutRequestsAreInvalidArgument) {
     ASSERT_TRUE(value.ok());
     EXPECT_EQ(*value, "New");
     ASSERT_EQ(fs.Close(env, *h), base::Status::kOk);
+  });
+}
+
+TEST_F(FileServerTest, OpenWithTheKernelHeapFullIsResourceShortage) {
+  // An open takes 96 B for the open file and 128 B for its port from a
+  // kernel heap that never frees. A full heap refuses the open (was a host
+  // abort, "kernel heap exhausted") and counts nothing; handles already
+  // open keep working.
+  RunClient([&](mk::Env& env, FsClient& fs) {
+    auto handle = fs.Open(env, "/kept.txt", kFsCreate | kFsWrite);
+    ASSERT_TRUE(handle.ok());
+    const char msg[] = "opened before the heap filled";
+    ASSERT_TRUE(fs.Write(env, *handle, 0, msg, sizeof(msg)).ok());
+    while (!formatted_) {  // FAT's format still takes cache buffers
+      env.SleepNs(1'000'000);
+    }
+    for (uint64_t size = mk::KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
+      while (kernel_.heap().TryAllocate(size).ok()) {
+      }
+    }
+    const uint64_t opens = server_->opens();
+    EXPECT_EQ(fs.Open(env, "/kept.txt", kFsWrite).status(),
+              base::Status::kResourceShortage);
+    EXPECT_EQ(fs.Open(env, "/kept.txt").status(), base::Status::kResourceShortage);
+    EXPECT_EQ(server_->opens(), opens);
+    char out[64] = {};
+    auto got = fs.Read(env, *handle, 0, out, sizeof(out));
+    ASSERT_TRUE(got.ok());
+    EXPECT_STREQ(out, msg);
+    EXPECT_EQ(fs.Close(env, *handle), base::Status::kOk);
+    // A refused open that had counted itself would keep the file busy.
+    EXPECT_EQ(fs.Unlink(env, "/kept.txt"), base::Status::kOk);
+    EXPECT_EQ(kernel_.CheckInvariants(), 0u);
   });
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <vector>
+
 #include "src/svc/fs/block_cache.h"
 #include "src/svc/fs/fat.h"
 #include "src/svc/fs/inode_fs.h"
@@ -23,10 +27,52 @@ class PfsTest : public mk::KernelTest {
     ASSERT_EQ(kernel_.Run(), 0u);
   }
 
+  // The two-thread tests: two threads of one task inside one small cache,
+  // as the file server's request and pager threads share its BlockCache;
+  // each blocks in the store on a miss. `model_` holds every sector's last
+  // bytes written, one tag byte repeated; sector `lba` starts on the platter
+  // with tag 0x10 + lba.
+  void SeedPlatter() {
+    for (uint64_t lba = 0; lba < 16; ++lba) {
+      model_[lba] = static_cast<uint8_t>(0x10 + lba);
+      const std::vector<uint8_t> bytes(BlockCache::kSectorSize, model_[lba]);
+      disk_->WriteSectors(lba, 1, bytes.data());
+    }
+  }
+
+  void Write(mk::Env& env, BlockCache& cache, uint64_t lba, uint8_t tag) {
+    const std::vector<uint8_t> bytes(BlockCache::kSectorSize, tag);
+    ASSERT_EQ(cache.WriteSector(env, lba, bytes.data()), base::Status::kOk);
+    model_[lba] = tag;
+  }
+
+  void ExpectRead(mk::Env& env, BlockCache& cache, uint64_t lba) {
+    std::vector<uint8_t> out(BlockCache::kSectorSize);
+    ASSERT_EQ(cache.ReadSector(env, lba, out.data()), base::Status::kOk);
+    EXPECT_EQ(out, std::vector<uint8_t>(BlockCache::kSectorSize, model_[lba])) << "sector " << lba;
+  }
+
+  // Runs both threads to completion, then flushes from a third and checks
+  // the platter against the model.
+  void RunBothThenFlush(BlockCache& cache, std::function<void(mk::Env&)> a,
+                        std::function<void(mk::Env&)> b) {
+    kernel_.CreateThread(task_, "file-server", std::move(a));
+    kernel_.CreateThread(task_, "fs-pager", std::move(b));
+    ASSERT_EQ(kernel_.Run(), 0u);
+    RunInThread([&](mk::Env& env) { ASSERT_EQ(cache.Flush(env), base::Status::kOk); });
+    for (const auto& [lba, tag] : model_) {
+      std::vector<uint8_t> platter(BlockCache::kSectorSize);
+      disk_->ReadSectors(lba, 1, platter.data());
+      EXPECT_EQ(platter, std::vector<uint8_t>(BlockCache::kSectorSize, tag)) << "sector " << lba;
+    }
+    EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+  }
+
   hw::Disk* disk_;
   std::unique_ptr<mks::BackdoorBlockStore> store_;
   std::unique_ptr<BlockCache> cache_;
   mk::Task* task_;
+  std::map<uint64_t, uint8_t> model_;
 };
 
 TEST_F(PfsTest, BlockCacheHitsAndWritebacks) {
@@ -105,6 +151,95 @@ TEST_F(PfsTest, BlockCacheHitChargesDataOnce) {
     // full-sector read. The old code added a second, 64-byte touch in
     // GetSector over the same address range.
     EXPECT_EQ(per_hit, 1u);
+  });
+}
+
+TEST_F(PfsTest, TwoThreadsMissOnOneSector) {
+  // Both threads miss on sector 7 and block in the store; the second to
+  // resume finds the first one's copy (was a host abort, `inserted`).
+  SeedPlatter();
+  BlockCache cache(kernel_, store_.get(), 4);
+  RunBothThenFlush(
+      cache,
+      [&](mk::Env& env) {
+        ExpectRead(env, cache, 7);
+        Write(env, cache, 3, 0xa3);
+      },
+      [&](mk::Env& env) {
+        ExpectRead(env, cache, 7);
+        Write(env, cache, 4, 0xb4);
+      });
+  EXPECT_EQ(cache.misses(), 4u);
+  EXPECT_EQ(cache.hits(), 0u) << "both reads of sector 7 must have missed";
+}
+
+TEST_F(PfsTest, TwoThreadsEvictOneDirtyVictim) {
+  // Thread A's miss on sector 2 writes back dirty sectors 0 and 1; while it
+  // is blocked, thread B's misses meet the same victim and the same run
+  // (was a SIGSEGV through the erased victim).
+  SeedPlatter();
+  BlockCache cache(kernel_, store_.get(), 2);
+  RunBothThenFlush(
+      cache,
+      [&](mk::Env& env) {
+        Write(env, cache, 0, 0xa0);
+        Write(env, cache, 1, 0xa1);
+        ExpectRead(env, cache, 2);
+      },
+      [&](mk::Env& env) {
+        for (uint64_t lba : {5, 1, 6, 8, 9, 1}) {
+          ExpectRead(env, cache, lba);
+        }
+      });
+  EXPECT_GE(cache.writebacks(), 2u);
+}
+
+TEST_F(PfsTest, FailedWriteBackLeavesTheRunDirty) {
+  // A store whose writes fail while `fail` is set.
+  struct FlakyStore : mks::BackdoorBlockStore {
+    using BackdoorBlockStore::BackdoorBlockStore;
+    base::Status Write(mk::Env& env, uint64_t lba, uint32_t count, const void* src) override {
+      return fail ? base::Status::kIoError : BackdoorBlockStore::Write(env, lba, count, src);
+    }
+    bool fail = false;
+  };
+  FlakyStore store(disk_, 10'000);
+  SeedPlatter();
+  BlockCache cache(kernel_, &store, 2);
+  RunInThread([&](mk::Env& env) {
+    Write(env, cache, 0, 0xa0);
+    Write(env, cache, 1, 0xa1);
+    store.fail = true;
+    std::vector<uint8_t> out(BlockCache::kSectorSize);
+    EXPECT_EQ(cache.ReadSector(env, 2, out.data()), base::Status::kIoError);
+    store.fail = false;
+    ExpectRead(env, cache, 0);
+    ExpectRead(env, cache, 1);
+    ASSERT_EQ(cache.Flush(env), base::Status::kOk);
+  });
+  std::vector<uint8_t> platter(2 * BlockCache::kSectorSize);
+  disk_->ReadSectors(0, 2, platter.data());
+  EXPECT_EQ(platter[0], 0xa0) << "the failed run was not dirty again";
+  EXPECT_EQ(platter[BlockCache::kSectorSize], 0xa1);
+}
+
+TEST_F(PfsTest, WriteBackRunStopsAtTheRequestLimit) {
+  // 200 contiguous dirty sectors fill a 200-sector cache; the next miss's
+  // victim (sector 0) takes its dirty neighbours up to one request's limit.
+  BlockCache cache(kernel_, store_.get(), 200);
+  RunInThread([&](mk::Env& env) {
+    uint8_t buf[BlockCache::kSectorSize];
+    for (uint64_t lba = 0; lba < 200; ++lba) {
+      std::memset(buf, static_cast<int>(lba + 1), sizeof(buf));
+      ASSERT_EQ(cache.WriteSector(env, lba, buf), base::Status::kOk);
+    }
+    ASSERT_EQ(cache.ReadSector(env, 1000, buf), base::Status::kOk);
+    EXPECT_EQ(cache.writebacks(), BlockCache::kMaxRunSectors);
+    uint8_t platter[BlockCache::kSectorSize];
+    disk_->ReadSectors(BlockCache::kMaxRunSectors - 1, 1, platter);
+    EXPECT_EQ(platter[0], BlockCache::kMaxRunSectors);
+    disk_->ReadSectors(BlockCache::kMaxRunSectors, 1, platter);
+    EXPECT_EQ(platter[0], 0) << "the run went past one request";
   });
 }
 

@@ -228,7 +228,7 @@ std::vector<LoopCase> Cases() {
                      }});
   }
   {
-    drv::DiskRequest info{drv::DiskOp::kInfo, 0, 0};
+    drv::DiskRequest info{.op = drv::DiskOp::kInfo};
     cases.push_back({"disk", sizeof(drv::DiskRequest),
                      drv::DiskDriver::kMaxSectors * hw::Disk::kSectorSize, Bytes(info),
                      [](ServerRuntimeTest& t) {
