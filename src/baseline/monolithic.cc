@@ -39,7 +39,8 @@ const hw::CodeRegion& DrawLoopRegion() {
 
 KernelDiskStore::KernelDiskStore(mk::Kernel& kernel, hw::Disk* disk)
     : kernel_(kernel), disk_(disk) {
-  auto dma = kernel_.machine().mem().AllocContiguous(128 * hw::Disk::kSectorSize / hw::kPageSize);
+  auto dma =
+      kernel_.machine().mem().AllocContiguous(kMaxSectors * hw::Disk::kSectorSize / hw::kPageSize);
   WPOS_CHECK(dma.ok());
   dma_buffer_ = *dma;
   auto sem = kernel_.SemCreate(0);
@@ -50,15 +51,31 @@ KernelDiskStore::KernelDiskStore(mk::Kernel& kernel, hw::Disk* disk)
   });
 }
 
-base::Status KernelDiskStore::DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uint32_t count,
-                                   void* data) {
+bool KernelDiskStore::ValidExtent(uint64_t lba, uint32_t count) const {
   // As DiskDriver::DoIo: no `lba + count`, which wraps for a huge lba.
-  if (lba > disk_->num_sectors() || count > disk_->num_sectors() - lba) {
-    return base::Status::kInvalidArgument;
+  return lba <= disk_->num_sectors() && count <= disk_->num_sectors() - lba;
+}
+
+base::Status KernelDiskStore::StartIo(uint32_t cmd, uint64_t lba, uint32_t count,
+                                      const void* data) {
+  if (posted_) {
+    posted_ = false;
+    // One signal per command: the posted write's interrupt may have
+    // signalled already, and its status is read once the signal is taken.
+    const base::Status st = kernel_.SemWait(io_sem_);
+    if (st != base::Status::kOk) {
+      return st;
+    }
+    const uint32_t status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
+    kernel_.IoWrite(disk_, hw::Disk::kRegStatus, 0);
+    // Unreachable, as in DiskDriver::StartIo: the posted extent was valid.
+    if ((status & hw::Disk::kStatusError) != 0) {
+      return base::Status::kIoError;
+    }
   }
   kernel_.cpu().Execute(DriverRegion());
-  const uint64_t bytes = static_cast<uint64_t>(count) * hw::Disk::kSectorSize;
   if (cmd == hw::Disk::kCmdWrite) {
+    const uint64_t bytes = static_cast<uint64_t>(count) * hw::Disk::kSectorSize;
     kernel_.machine().mem().Write(dma_buffer_, data, bytes);
     kernel_.ChargeCopy(kernel_.heap().base(), dma_buffer_, bytes);
   }
@@ -66,6 +83,18 @@ base::Status KernelDiskStore::DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uin
   kernel_.IoWrite(disk_, hw::Disk::kRegCount, count);
   kernel_.IoWrite(disk_, hw::Disk::kRegDmaLo, static_cast<uint32_t>(dma_buffer_));
   kernel_.IoWrite(disk_, hw::Disk::kRegCommand, cmd);
+  return base::Status::kOk;
+}
+
+base::Status KernelDiskStore::DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uint32_t count,
+                                   void* data) {
+  if (!ValidExtent(lba, count)) {
+    return base::Status::kInvalidArgument;
+  }
+  const base::Status started = StartIo(cmd, lba, count, data);
+  if (started != base::Status::kOk) {
+    return started;
+  }
   uint32_t status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
   while ((status & hw::Disk::kStatusDone) == 0) {
     const base::Status st = kernel_.SemWait(io_sem_);
@@ -79,6 +108,7 @@ base::Status KernelDiskStore::DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uin
     return base::Status::kIoError;
   }
   if (cmd == hw::Disk::kCmdRead) {
+    const uint64_t bytes = static_cast<uint64_t>(count) * hw::Disk::kSectorSize;
     kernel_.machine().mem().Read(dma_buffer_, data, bytes);
     kernel_.ChargeCopy(dma_buffer_, kernel_.heap().base(), bytes);
   }
@@ -88,7 +118,7 @@ base::Status KernelDiskStore::DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uin
 base::Status KernelDiskStore::Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) {
   uint64_t done = 0;
   while (done < count) {
-    const uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(count - done, 128));
+    const uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(count - done, kMaxSectors));
     const base::Status st = DoIo(env, hw::Disk::kCmdRead, lba + done, chunk,
                                  static_cast<uint8_t*>(out) + done * hw::Disk::kSectorSize);
     if (st != base::Status::kOk) {
@@ -102,7 +132,7 @@ base::Status KernelDiskStore::Read(mk::Env& env, uint64_t lba, uint32_t count, v
 base::Status KernelDiskStore::Write(mk::Env& env, uint64_t lba, uint32_t count, const void* src) {
   uint64_t done = 0;
   while (done < count) {
-    const uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(count - done, 128));
+    const uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(count - done, kMaxSectors));
     const base::Status st =
         DoIo(env, hw::Disk::kCmdWrite, lba + done, chunk,
              const_cast<uint8_t*>(static_cast<const uint8_t*>(src)) +
@@ -113,6 +143,26 @@ base::Status KernelDiskStore::Write(mk::Env& env, uint64_t lba, uint32_t count, 
     done += chunk;
   }
   return base::Status::kOk;
+}
+
+base::Status KernelDiskStore::WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t wcount,
+                                            const void* src, uint64_t rlba, void* out) {
+  // A run that takes more than one command, or holds the read sector, goes
+  // the default way: written, then read.
+  if (wcount == 0 || wcount > kMaxSectors || (rlba >= wlba && rlba - wlba < wcount)) {
+    return BlockStore::WriteThenRead(env, wlba, wcount, src, rlba, out);
+  }
+  // Both extents are checked before either command.
+  if (!ValidExtent(wlba, wcount) || !ValidExtent(rlba, 1)) {
+    return base::Status::kInvalidArgument;
+  }
+  const base::Status st = DoIo(env, hw::Disk::kCmdRead, rlba, 1, out);
+  if (st != base::Status::kOk) {
+    return st;
+  }
+  const base::Status started = StartIo(hw::Disk::kCmdWrite, wlba, wcount, src);
+  posted_ = started == base::Status::kOk;
+  return started;
 }
 
 MonolithicOs::MonolithicOs(mk::Kernel& kernel, svc::Pfs* pfs, hw::Framebuffer* fb)

@@ -31,19 +31,31 @@ namespace baseline {
 // monolithic file system.
 class KernelDiskStore : public mks::BlockStore {
  public:
+  // Sectors per device command: the 64 KB DMA buffer.
+  static constexpr uint32_t kMaxSectors = 128;
+
   KernelDiskStore(mk::Kernel& kernel, hw::Disk* disk);
 
   base::Status Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) override;
   base::Status Write(mk::Env& env, uint64_t lba, uint32_t count, const void* src) override;
+  // As drv::DiskDriver's kWriteRead: a read outside the run goes first, and
+  // the run's write is posted.
+  base::Status WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t wcount, const void* src,
+                             uint64_t rlba, void* out) override;
   uint64_t num_sectors() const override { return disk_->num_sectors(); }
 
  private:
+  bool ValidExtent(uint64_t lba, uint32_t count) const;
   base::Status DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uint32_t count, void* data);
+  // Programs the device for a validated extent, after waiting for a posted
+  // write; kIoError when that write failed.
+  base::Status StartIo(uint32_t cmd, uint64_t lba, uint32_t count, const void* data);
 
   mk::Kernel& kernel_;
   hw::Disk* disk_;
   hw::PhysAddr dma_buffer_ = 0;
   uint32_t io_sem_ = 0;
+  bool posted_ = false;  // a WriteThenRead's write is still on the device
 };
 
 class MonolithicOs {

@@ -73,17 +73,37 @@ uint32_t DiskDriver::AwaitCompletion(mk::Env& env) {
   return status;
 }
 
-base::Status DiskDriver::DoIo(mk::Env& env, const DiskRequest& req, const uint8_t* in,
-                              uint8_t* out) {
+bool DiskDriver::ValidExtent(uint64_t lba, uint32_t count) const {
   // `lba` comes from the client: no `lba + count`, which wraps for a huge lba.
-  if (req.count == 0 || req.count > kMaxSectors || req.lba > disk_->num_sectors() ||
-      req.count > disk_->num_sectors() - req.lba) {
-    return base::Status::kInvalidArgument;
+  return count != 0 && count <= kMaxSectors && lba <= disk_->num_sectors() &&
+         count <= disk_->num_sectors() - lba;
+}
+
+base::Status DiskDriver::StartIo(const DiskRequest& req, const uint8_t* in) {
+  if (posted_) {
+    posted_ = false;
+    // Receive before reading status: the write's interrupt may already be
+    // queued, and a status read that found it done would leave that message
+    // stale on irq_port_ (queue limit 5). So each command takes one message.
+    mk::MachMessage msg;
+    if (kernel_.MachMsgReceive(irq_port_, &msg) != base::Status::kOk) {
+      return base::Status::kIoError;
+    }
+    ++interrupts_taken_;
+    kernel_.cpu().Execute(IsrRegion());
+    const uint32_t status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
+    kernel_.IoWrite(disk_, hw::Disk::kRegStatus, 0);
+    // Unreachable, as is DoIo's check after AwaitCompletion: the device
+    // model errs only on an extent outside the disk or a command started
+    // while it is busy, and the driver validated the posted extent.
+    if ((status & hw::Disk::kStatusError) != 0) {
+      return base::Status::kIoError;
+    }
   }
   kernel_.cpu().Execute(IoPathRegion());
-  const uint64_t bytes = static_cast<uint64_t>(req.count) * hw::Disk::kSectorSize;
   if (req.op == DiskOp::kWrite) {
     // Stage data into the DMA buffer.
+    const uint64_t bytes = static_cast<uint64_t>(req.count) * hw::Disk::kSectorSize;
     kernel_.machine().mem().Write(dma_buffer_, in, bytes);
     kernel_.ChargeCopy(kernel_.current()->msg_window(), dma_buffer_, bytes);
   }
@@ -92,10 +112,20 @@ base::Status DiskDriver::DoIo(mk::Env& env, const DiskRequest& req, const uint8_
   kernel_.IoWrite(disk_, hw::Disk::kRegDmaLo, static_cast<uint32_t>(dma_buffer_));
   kernel_.IoWrite(disk_, hw::Disk::kRegCommand,
                   req.op == DiskOp::kRead ? hw::Disk::kCmdRead : hw::Disk::kCmdWrite);
-  if ((AwaitCompletion(env) & hw::Disk::kStatusError) != 0) {
+  return base::Status::kOk;
+}
+
+base::Status DiskDriver::DoIo(mk::Env& env, const DiskRequest& req, const uint8_t* in,
+                              uint8_t* out) {
+  if (!ValidExtent(req.lba, req.count)) {
+    return base::Status::kInvalidArgument;
+  }
+  if (StartIo(req, in) != base::Status::kOk ||
+      (AwaitCompletion(env) & hw::Disk::kStatusError) != 0) {
     return base::Status::kIoError;
   }
   if (req.op == DiskOp::kRead) {
+    const uint64_t bytes = static_cast<uint64_t>(req.count) * hw::Disk::kSectorSize;
     kernel_.machine().mem().Read(dma_buffer_, out, bytes);
     kernel_.ChargeCopy(dma_buffer_, kernel_.current()->msg_window(), bytes);
   }
@@ -131,16 +161,27 @@ void DiskDriver::Serve(mk::Env& env) {
         break;
       }
       case DiskOp::kWriteRead: {
-        // Both extents are checked before the write, so a rejected request
-        // leaves the platter as it was.
+        // Both extents are checked before either command, so a rejected
+        // request neither reads nor writes.
+        const DiskRequest write{.op = DiskOp::kWrite, .lba = req.lba, .count = req.count};
+        const DiskRequest read{.op = DiskOp::kRead, .lba = req.read_lba, .count = 1};
         base::Status st = base::Status::kInvalidArgument;
-        if (ref_len == req.count * hw::Disk::kSectorSize && req.read_lba < disk_->num_sectors()) {
-          st = DoIo(env, {.op = DiskOp::kWrite, .lba = req.lba, .count = req.count}, ref_data,
-                    nullptr);
-        }
-        if (st == base::Status::kOk) {
-          st = DoIo(env, {.op = DiskOp::kRead, .lba = req.read_lba, .count = 1}, nullptr,
-                    data.data());
+        if (ref_len == req.count * hw::Disk::kSectorSize && ValidExtent(req.lba, req.count) &&
+            ValidExtent(req.read_lba, 1)) {
+          if (req.read_lba >= req.lba && req.read_lba - req.lba < req.count) {
+            // The reply must carry the new bytes: write, then read.
+            st = DoIo(env, write, ref_data, nullptr);
+            if (st == base::Status::kOk) {
+              st = DoIo(env, read, nullptr, data.data());
+            }
+          } else {
+            // Read, then post the write: the client runs on while it lands.
+            st = DoIo(env, read, nullptr, data.data());
+            if (st == base::Status::kOk) {
+              st = StartIo(write, ref_data);
+              posted_ = st == base::Status::kOk;
+            }
+          }
         }
         reply.status = static_cast<int32_t>(st);
         const uint32_t bytes = st == base::Status::kOk ? hw::Disk::kSectorSize : 0;

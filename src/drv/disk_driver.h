@@ -15,9 +15,12 @@
 
 namespace drv {
 
-// kWriteRead writes `count` sectors at `lba` from the request's data, then
+// kWriteRead writes `count` sectors at `lba` from the request's data and
 // reads the one sector at `read_lba` into the reply: two device commands in
-// one RPC.
+// one RPC. A `read_lba` inside the run is read after the write, so the reply
+// carries the new bytes. Otherwise the read goes first, and the reply is sent
+// while the write is still on the device (posted): the driver's next command
+// waits for it.
 enum class DiskOp : uint32_t { kRead = 1, kWrite = 2, kInfo = 3, kWriteRead = 4 };
 
 struct DiskRequest {
@@ -52,8 +55,12 @@ class DiskDriver {
 
  private:
   void Serve(mk::Env& env);
+  bool ValidExtent(uint64_t lba, uint32_t count) const;
   // Writes stage `in` into the DMA buffer; reads land in `out`.
   base::Status DoIo(mk::Env& env, const DiskRequest& req, const uint8_t* in, uint8_t* out);
+  // Programs the device for the validated `req`, after finishing a posted
+  // write; kIoError when that write failed.
+  base::Status StartIo(const DiskRequest& req, const uint8_t* in);
   // Returns the status register word that ended the wait.
   uint32_t AwaitCompletion(mk::Env& env);
 
@@ -65,6 +72,7 @@ class DiskDriver {
   std::unique_ptr<mk::ServerLoop> loop_;
   mk::PortName irq_port_ = mk::kNullPort;
   hw::PhysAddr dma_buffer_ = 0;
+  bool posted_ = false;  // a kWriteRead's write is still on the device
   uint64_t requests_served_ = 0;
   uint64_t interrupts_taken_ = 0;
 };

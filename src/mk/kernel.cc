@@ -191,15 +191,15 @@ void Kernel::DispatchInterrupt(uint32_t line) {
   }
   if (binding.reflect_port != nullptr && !binding.reflect_port->dead()) {
     cpu().Execute(InterruptReflectRegion());
-    auto qm = std::make_unique<QueuedMessage>();
-    qm->msg_id = 0x1000 + line;
-    qm->kernel_buffer = heap_->Allocate(64);
-    qm->send_cycle = cpu().cycles();
     Port* port = binding.reflect_port;
     if (port->queue.size() >= port->queue_limit) {
       WPOS_LOG(kDebug) << "dropping interrupt notification, queue full, line " << line;
       return;
     }
+    auto qm = std::make_unique<QueuedMessage>();
+    qm->msg_id = 0x1000 + line;
+    qm->kernel_buffer = heap_->Allocate(64);
+    qm->send_cycle = cpu().cycles();
     port->queue.push_back(std::move(qm));
     WakeOneReceiver(port);
   }

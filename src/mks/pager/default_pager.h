@@ -26,10 +26,13 @@ class BlockStore {
   virtual ~BlockStore() = default;
   virtual base::Status Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) = 0;
   virtual base::Status Write(mk::Env& env, uint64_t lba, uint32_t count, const void* src) = 0;
-  // Writes `wcount` sectors at `wlba`, then reads the one sector at `rlba`:
-  // a block cache's dirty write-back and the miss that forced it. A store
-  // that can carry both in one request overrides this; the write always
-  // lands before the read.
+  // Writes `wcount` sectors at `wlba` and reads the one sector at `rlba`: a
+  // block cache's dirty write-back and the miss that forced it. A read
+  // inside the run returns the new bytes. When it lies outside, a store may
+  // read first and return with the write still on the device (posted); its
+  // next command waits for that write, so writes reach the platter in the
+  // order they were made. Read and Write return only when their commands
+  // are done. The default is synchronous: Write, then Read.
   virtual base::Status WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t wcount,
                                      const void* src, uint64_t rlba, void* out) {
     const base::Status st = Write(env, wlba, wcount, src);

@@ -105,7 +105,11 @@ base::Result<BlockCache::Entry*> BlockCache::GetSector(mk::Env& env, uint64_t lb
     e.sim_addr = free_sim_addrs_.back();
     free_sim_addrs_.pop_back();
   } else {
-    e.sim_addr = kernel_.heap().Allocate(kSectorSize);
+    const base::Result<hw::PhysAddr> addr = kernel_.heap().TryAllocate(kSectorSize);
+    if (!addr.ok()) {
+      return addr.status();  // a full kernel heap: nothing cached, nothing read
+    }
+    e.sim_addr = *addr;
   }
   if (!loaded) {
     const base::Status st = store_->Read(env, lba, 1, e.data.data());

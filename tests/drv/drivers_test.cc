@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/baseline/monolithic.h"
@@ -84,12 +85,37 @@ class DiskDriverTest : public mk::KernelTest {
     service_ = driver_->GrantTo(*client_task_);
   }
 
+  // Runs `body` in one client thread on each store that posts a write-read's
+  // write: the driver's RpcBlockStore over disk_, then the monolithic
+  // kernel's KernelDiskStore over kernel_disk_. Then runs the kernel dry.
+  void RunOnPostingStores(
+      const std::function<void(mk::Env&, mks::BlockStore&, hw::Disk*)>& body) {
+    kernel_disk_ =
+        static_cast<hw::Disk*>(machine_.AddDevice(std::make_unique<hw::Disk>("d1", 5)));
+    kernel_store_ = std::make_unique<baseline::KernelDiskStore>(kernel_, kernel_disk_);
+    kernel_.CreateThread(client_task_, "c", [&](mk::Env& env) {
+      RpcBlockStore rpc_store(service_, disk_->num_sectors());
+      {
+        SCOPED_TRACE("RpcBlockStore");
+        body(env, rpc_store, disk_);
+      }
+      {
+        SCOPED_TRACE("KernelDiskStore");
+        body(env, *kernel_store_, kernel_disk_);
+      }
+      driver_->Stop();
+    });
+    EXPECT_EQ(kernel_.Run(), 0u);
+  }
+
   hw::Disk* disk_;
   std::unique_ptr<ResourceManager> rm_;
   mk::Task* driver_task_;
   std::unique_ptr<DiskDriver> driver_;
   mk::Task* client_task_;
   mk::PortName service_;
+  hw::Disk* kernel_disk_ = nullptr;
+  std::unique_ptr<baseline::KernelDiskStore> kernel_store_;
 };
 
 TEST_F(DiskDriverTest, ReadWriteThroughDriver) {
@@ -223,8 +249,9 @@ TEST_F(DiskDriverTest, MalformedWriteReadIsInvalidArgument) {
 }
 
 TEST_F(DiskDriverTest, DefaultWriteThenReadWritesBeforeItReads) {
-  // The stores without a combined request keep the same order: the monolithic
-  // kernel's in-kernel store, and the backdoor store the tests use.
+  // The backdoor store the tests use keeps the default, a write and then a
+  // read. The monolithic kernel's in-kernel store has its own override, which
+  // takes the same order when the read lies inside the run.
   auto* kdisk = static_cast<hw::Disk*>(machine_.AddDevice(std::make_unique<hw::Disk>("d1", 5)));
   baseline::KernelDiskStore kernel_store(kernel_, kdisk);
   mks::BackdoorBlockStore backdoor_store(kdisk, 10'000, 64, 64);
@@ -240,6 +267,92 @@ TEST_F(DiskDriverTest, DefaultWriteThenReadWritesBeforeItReads) {
     driver_->Stop();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
+}
+
+TEST_F(DiskDriverTest, PostedWriteLandsBeforeTheNextCommand) {
+  RunOnPostingStores([&](mk::Env& env, mks::BlockStore& store, hw::Disk* disk) {
+    std::vector<uint8_t> out(hw::Disk::kSectorSize);
+    std::vector<uint8_t> platter(hw::Disk::kSectorSize);
+    // Read 50 lies outside the run [20, 24): the call returns with the
+    // run's write still on the device.
+    ASSERT_EQ(store.WriteThenRead(env, 20, 4, Tagged(4, 0x22).data(), 50, out.data()),
+              base::Status::kOk);
+    EXPECT_EQ(out, Tagged(1, 0));
+    disk->ReadSectors(21, 1, platter.data());
+    EXPECT_EQ(platter, Tagged(1, 0)) << "the write was not posted";
+    // The next command waits for it.
+    ASSERT_EQ(store.Read(env, 21, 1, out.data()), base::Status::kOk);
+    EXPECT_EQ(out, Tagged(1, 0x22));
+    ASSERT_EQ(store.WriteThenRead(env, 30, 2, Tagged(2, 0x33).data(), 60, out.data()),
+              base::Status::kOk);
+    ASSERT_EQ(store.Write(env, 31, 1, Tagged(1, 0x44).data()), base::Status::kOk);
+    ASSERT_EQ(store.Read(env, 31, 1, out.data()), base::Status::kOk);
+    EXPECT_EQ(out, Tagged(1, 0x44));
+    // A write still posted when its client is done lands all the same.
+    ASSERT_EQ(store.WriteThenRead(env, 40, 3, Tagged(3, 0x55).data(), 70, out.data()),
+              base::Status::kOk);
+  });
+  for (hw::Disk* disk : {disk_, kernel_disk_}) {
+    std::vector<uint8_t> platter(4 * hw::Disk::kSectorSize);
+    disk->ReadSectors(20, 4, platter.data());
+    EXPECT_EQ(platter, Tagged(4, 0x22)) << disk->name();
+    platter.resize(2 * hw::Disk::kSectorSize);
+    disk->ReadSectors(30, 2, platter.data());
+    EXPECT_EQ(platter[0], 0x33) << disk->name();
+    EXPECT_EQ(platter[hw::Disk::kSectorSize], 0x44) << disk->name();
+    platter.resize(3 * hw::Disk::kSectorSize);
+    disk->ReadSectors(40, 3, platter.data());
+    EXPECT_EQ(platter, Tagged(3, 0x55)) << disk->name();
+  }
+  EXPECT_EQ(kernel_.interrupts_delivered(), disk_->io_count() + kernel_disk_->io_count())
+      << "one interrupt per device command";
+}
+
+TEST_F(DiskDriverTest, PostedWriteReturnsAfterTheReadOnly) {
+  // A write-read waits for its read's seek only. Each LBA below is apart
+  // from the one before it, so every command pays a full 40,000-cycle seek;
+  // a write before the read would add one more.
+  RunOnPostingStores([&](mk::Env& env, mks::BlockStore& store, hw::Disk*) {
+    std::vector<uint8_t> out(hw::Disk::kSectorSize);
+    ASSERT_EQ(store.Read(env, 100, 1, out.data()), base::Status::kOk);  // warm the path
+    uint64_t start = kernel_.cpu().cycles();
+    ASSERT_EQ(store.Read(env, 200, 1, out.data()), base::Status::kOk);
+    const uint64_t read = kernel_.cpu().cycles() - start;
+    start = kernel_.cpu().cycles();
+    ASSERT_EQ(store.WriteThenRead(env, 300, 1, Tagged(1, 0x66).data(), 400, out.data()),
+              base::Status::kOk);
+    const uint64_t write_read = kernel_.cpu().cycles() - start;
+    EXPECT_LT(write_read, read + 20'000) << "read " << read << " cycles, write-read "
+                                         << write_read;
+  });
+}
+
+TEST_F(DiskDriverTest, PostedWriteMalformedExtentPostsNothing) {
+  // A valid read with a write extent off the disk: the call answers
+  // kInvalidArgument before either command, so the next command takes
+  // exactly its own interrupt.
+  const uint64_t n = disk_->num_sectors();
+  struct Extent {
+    uint64_t lba;
+    uint32_t count;
+  };
+  const Extent bad[] = {{n, 1}, {n - 1, 2}, {UINT64_MAX, 2}};
+  RunOnPostingStores([&](mk::Env& env, mks::BlockStore& store, hw::Disk* disk) {
+    const std::vector<uint8_t> junk = Tagged(2, 0xee);
+    for (const Extent& e : bad) {
+      SCOPED_TRACE(e.lba);
+      const uint64_t commands = disk->io_count();
+      std::vector<uint8_t> out = Tagged(1, 0xcc);
+      EXPECT_EQ(store.WriteThenRead(env, e.lba, e.count, junk.data(), 1, out.data()),
+                base::Status::kInvalidArgument);
+      EXPECT_EQ(out, Tagged(1, 0xcc)) << "a rejected call returned data";
+      EXPECT_EQ(disk->io_count(), commands) << "a rejected call reached the device";
+      const uint64_t irqs = kernel_.interrupts_delivered();
+      ASSERT_EQ(store.Read(env, 1, 1, out.data()), base::Status::kOk);
+      EXPECT_EQ(disk->io_count(), commands + 1);
+      EXPECT_EQ(kernel_.interrupts_delivered(), irqs + 1);
+    }
+  });
 }
 
 class NicDriverTest : public mk::KernelTest {

@@ -154,5 +154,24 @@ TEST_F(KernelTest, InterruptReflectsToUserLevelPort) {
   EXPECT_EQ(msg_id, 0x1000u + 11);
 }
 
+TEST_F(KernelTest, DroppedInterruptNotificationTakesNoHeap) {
+  // Seven interrupts reach a reflected port that nobody receives on, and its
+  // queue holds five. A dropped notification takes no kernel heap (each took
+  // 64 B, which the heap never returns).
+  Task* driver = kernel_.CreateTask("driver");
+  auto port = kernel_.PortAllocate(*driver);
+  ASSERT_TRUE(port.ok());
+  ASSERT_EQ(kernel_.ReflectInterrupt(*driver, 11, *port), base::Status::kOk);
+  // Apart in time: the PIC holds one pending raise per line between polls.
+  for (uint64_t i = 1; i <= 7; ++i) {
+    machine_.ScheduleAt(i * 100'000, [&] { machine_.pic().Raise(11); });
+  }
+  const uint64_t heap0 = kernel_.heap().bytes_allocated();
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(kernel_.interrupts_delivered(), 7u);
+  EXPECT_EQ((*driver->port_space().LookupReceive(*port))->queue.size(), Port::kDefaultQueueLimit);
+  EXPECT_EQ(kernel_.heap().bytes_allocated() - heap0, Port::kDefaultQueueLimit * 64);
+}
+
 }  // namespace
 }  // namespace mk

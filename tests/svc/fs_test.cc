@@ -223,6 +223,43 @@ TEST_F(PfsTest, FailedWriteBackLeavesTheRunDirty) {
   EXPECT_EQ(platter[BlockCache::kSectorSize], 0xa1);
 }
 
+TEST_F(PfsTest, MissWithTheKernelHeapFullIsResourceShortage) {
+  // A miss with no recycled buffer takes a fresh one from a kernel heap that
+  // never frees. A full heap refuses the miss (was a host abort, "kernel
+  // heap exhausted") before it reads the store or caches anything, and the
+  // sectors already cached keep working.
+  struct CountingStore : mks::BackdoorBlockStore {
+    using BackdoorBlockStore::BackdoorBlockStore;
+    base::Status Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) override {
+      ++reads;
+      return BackdoorBlockStore::Read(env, lba, count, out);
+    }
+    int reads = 0;
+  };
+  CountingStore store(disk_, 10'000);
+  SeedPlatter();
+  BlockCache cache(kernel_, &store, 8);
+  RunInThread([&](mk::Env& env) {
+    ExpectRead(env, cache, 1);
+    Write(env, cache, 2, 0xa2);
+    for (uint64_t size = mk::KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
+      while (kernel_.heap().TryAllocate(size).ok()) {
+      }
+    }
+    const int reads = store.reads;
+    std::vector<uint8_t> out(BlockCache::kSectorSize, 0xee);
+    EXPECT_EQ(cache.ReadSector(env, 3, out.data()), base::Status::kResourceShortage);
+    EXPECT_EQ(out, std::vector<uint8_t>(BlockCache::kSectorSize, 0xee));
+    const std::vector<uint8_t> bytes(BlockCache::kSectorSize, 0xa4);
+    EXPECT_EQ(cache.WriteSector(env, 4, bytes.data()), base::Status::kResourceShortage);
+    EXPECT_EQ(store.reads, reads) << "a refused miss read the store";
+    ExpectRead(env, cache, 1);
+    ExpectRead(env, cache, 2);
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+  });
+}
+
 TEST_F(PfsTest, WriteBackRunStopsAtTheRequestLimit) {
   // 200 contiguous dirty sectors fill a 200-sector cache; the next miss's
   // victim (sector 0) takes its dirty neighbours up to one request's limit.
