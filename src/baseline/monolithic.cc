@@ -56,22 +56,28 @@ bool KernelDiskStore::ValidExtent(uint64_t lba, uint32_t count) const {
   return lba <= disk_->num_sectors() && count <= disk_->num_sectors() - lba;
 }
 
-base::Status KernelDiskStore::StartIo(uint32_t cmd, uint64_t lba, uint32_t count,
+base::Status KernelDiskStore::Sync(mk::Env& env) {
+  if (!posted_) {
+    return base::Status::kOk;
+  }
+  posted_ = false;
+  // One signal per command: the posted write's interrupt may have
+  // signalled already, and its status is read once the signal is taken.
+  const base::Status st = kernel_.SemWait(io_sem_);
+  if (st != base::Status::kOk) {
+    return st;
+  }
+  const uint32_t status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
+  kernel_.IoWrite(disk_, hw::Disk::kRegStatus, 0);
+  // Unreachable, as in DiskDriver::FinishPosted: the posted extent was valid.
+  return (status & hw::Disk::kStatusError) != 0 ? base::Status::kIoError : base::Status::kOk;
+}
+
+base::Status KernelDiskStore::StartIo(mk::Env& env, uint32_t cmd, uint64_t lba, uint32_t count,
                                       const void* data) {
-  if (posted_) {
-    posted_ = false;
-    // One signal per command: the posted write's interrupt may have
-    // signalled already, and its status is read once the signal is taken.
-    const base::Status st = kernel_.SemWait(io_sem_);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-    const uint32_t status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
-    kernel_.IoWrite(disk_, hw::Disk::kRegStatus, 0);
-    // Unreachable, as in DiskDriver::StartIo: the posted extent was valid.
-    if ((status & hw::Disk::kStatusError) != 0) {
-      return base::Status::kIoError;
-    }
+  const base::Status st = Sync(env);
+  if (st != base::Status::kOk) {
+    return st;
   }
   kernel_.cpu().Execute(DriverRegion());
   if (cmd == hw::Disk::kCmdWrite) {
@@ -91,7 +97,7 @@ base::Status KernelDiskStore::DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uin
   if (!ValidExtent(lba, count)) {
     return base::Status::kInvalidArgument;
   }
-  const base::Status started = StartIo(cmd, lba, count, data);
+  const base::Status started = StartIo(env, cmd, lba, count, data);
   if (started != base::Status::kOk) {
     return started;
   }
@@ -160,7 +166,7 @@ base::Status KernelDiskStore::WriteThenRead(mk::Env& env, uint64_t wlba, uint32_
   if (st != base::Status::kOk) {
     return st;
   }
-  const base::Status started = StartIo(hw::Disk::kCmdWrite, wlba, wcount, src);
+  const base::Status started = StartIo(env, hw::Disk::kCmdWrite, wlba, wcount, src);
   posted_ = started == base::Status::kOk;
   return started;
 }

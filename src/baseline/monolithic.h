@@ -42,6 +42,8 @@ class KernelDiskStore : public mks::BlockStore {
   // the run's write is posted.
   base::Status WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t wcount, const void* src,
                              uint64_t rlba, void* out) override;
+  // Takes the posted write's semaphore, if a write is posted.
+  base::Status Sync(mk::Env& env) override;
   uint64_t num_sectors() const override { return disk_->num_sectors(); }
 
  private:
@@ -49,7 +51,8 @@ class KernelDiskStore : public mks::BlockStore {
   base::Status DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uint32_t count, void* data);
   // Programs the device for a validated extent, after waiting for a posted
   // write; kIoError when that write failed.
-  base::Status StartIo(uint32_t cmd, uint64_t lba, uint32_t count, const void* data);
+  base::Status StartIo(mk::Env& env, uint32_t cmd, uint64_t lba, uint32_t count,
+                       const void* data);
 
   mk::Kernel& kernel_;
   hw::Disk* disk_;

@@ -79,26 +79,32 @@ bool DiskDriver::ValidExtent(uint64_t lba, uint32_t count) const {
          count <= disk_->num_sectors() - lba;
 }
 
+base::Status DiskDriver::FinishPosted() {
+  if (!posted_) {
+    return base::Status::kOk;
+  }
+  posted_ = false;
+  // Receive before reading status: the write's interrupt may already be
+  // queued, and a status read that found it done would leave that message
+  // stale on irq_port_ (queue limit 5). So each command takes one message.
+  mk::MachMessage msg;
+  if (kernel_.MachMsgReceive(irq_port_, &msg) != base::Status::kOk) {
+    return base::Status::kIoError;
+  }
+  ++interrupts_taken_;
+  kernel_.cpu().Execute(IsrRegion());
+  const uint32_t status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
+  kernel_.IoWrite(disk_, hw::Disk::kRegStatus, 0);
+  // Unreachable, as is DoIo's check after AwaitCompletion: the device
+  // model errs only on an extent outside the disk or a command started
+  // while it is busy, and the driver validated the posted extent.
+  return (status & hw::Disk::kStatusError) != 0 ? base::Status::kIoError : base::Status::kOk;
+}
+
 base::Status DiskDriver::StartIo(const DiskRequest& req, const uint8_t* in) {
-  if (posted_) {
-    posted_ = false;
-    // Receive before reading status: the write's interrupt may already be
-    // queued, and a status read that found it done would leave that message
-    // stale on irq_port_ (queue limit 5). So each command takes one message.
-    mk::MachMessage msg;
-    if (kernel_.MachMsgReceive(irq_port_, &msg) != base::Status::kOk) {
-      return base::Status::kIoError;
-    }
-    ++interrupts_taken_;
-    kernel_.cpu().Execute(IsrRegion());
-    const uint32_t status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
-    kernel_.IoWrite(disk_, hw::Disk::kRegStatus, 0);
-    // Unreachable, as is DoIo's check after AwaitCompletion: the device
-    // model errs only on an extent outside the disk or a command started
-    // while it is busy, and the driver validated the posted extent.
-    if ((status & hw::Disk::kStatusError) != 0) {
-      return base::Status::kIoError;
-    }
+  const base::Status st = FinishPosted();
+  if (st != base::Status::kOk) {
+    return st;
   }
   kernel_.cpu().Execute(IoPathRegion());
   if (req.op == DiskOp::kWrite) {
@@ -188,6 +194,10 @@ void DiskDriver::Serve(mk::Env& env) {
         loop_->Reply(rpc, &reply, sizeof(reply), data.data(), bytes);
         break;
       }
+      case DiskOp::kSync:
+        reply.status = static_cast<int32_t>(FinishPosted());
+        loop_->Reply(rpc, &reply, sizeof(reply));
+        break;
       default:
         reply.status = static_cast<int32_t>(base::Status::kNotSupported);
         loop_->Reply(rpc, &reply, sizeof(reply));
@@ -196,6 +206,7 @@ void DiskDriver::Serve(mk::Env& env) {
 }
 
 base::Status RpcBlockStore::Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) {
+  may_be_posted_ = false;  // the driver finishes a posted write before any command
   uint64_t done = 0;
   while (done < count) {
     const uint32_t chunk =
@@ -218,6 +229,7 @@ base::Status RpcBlockStore::Read(mk::Env& env, uint64_t lba, uint32_t count, voi
 }
 
 base::Status RpcBlockStore::Write(mk::Env& env, uint64_t lba, uint32_t count, const void* src) {
+  may_be_posted_ = false;
   uint64_t done = 0;
   while (done < count) {
     const uint32_t chunk =
@@ -255,7 +267,19 @@ base::Status RpcBlockStore::WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t 
   ref.send_len = wcount * hw::Disk::kSectorSize;
   ref.recv_buf = out;
   ref.recv_cap = hw::Disk::kSectorSize;
+  may_be_posted_ = rlba < wlba || rlba - wlba >= wcount;
   const base::Status st = stub_.Call(env, req, &reply, &ref);
+  return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
+}
+
+base::Status RpcBlockStore::Sync(mk::Env& env) {
+  if (!may_be_posted_) {
+    return base::Status::kOk;
+  }
+  may_be_posted_ = false;
+  DiskRequest req{.op = DiskOp::kSync};
+  DiskReply reply;
+  const base::Status st = stub_.Call(env, req, &reply);
   return st != base::Status::kOk ? st : static_cast<base::Status>(reply.status);
 }
 

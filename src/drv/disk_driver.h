@@ -20,8 +20,8 @@ namespace drv {
 // one RPC. A `read_lba` inside the run is read after the write, so the reply
 // carries the new bytes. Otherwise the read goes first, and the reply is sent
 // while the write is still on the device (posted): the driver's next command
-// waits for it.
-enum class DiskOp : uint32_t { kRead = 1, kWrite = 2, kInfo = 3, kWriteRead = 4 };
+// waits for it. kSync waits for a posted write and answers its status.
+enum class DiskOp : uint32_t { kRead = 1, kWrite = 2, kInfo = 3, kWriteRead = 4, kSync = 5 };
 
 struct DiskRequest {
   DiskOp op = DiskOp::kRead;
@@ -61,6 +61,8 @@ class DiskDriver {
   // Programs the device for the validated `req`, after finishing a posted
   // write; kIoError when that write failed.
   base::Status StartIo(const DiskRequest& req, const uint8_t* in);
+  // Waits for a posted write, if any; kIoError when it failed.
+  base::Status FinishPosted();
   // Returns the status register word that ended the wait.
   uint32_t AwaitCompletion(mk::Env& env);
 
@@ -89,11 +91,15 @@ class RpcBlockStore : public mks::BlockStore {
   // One kWriteRead RPC when the call fits one request.
   base::Status WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t wcount, const void* src,
                              uint64_t rlba, void* out) override;
+  // One kSync RPC, only when the last request was a kWriteRead that could
+  // post.
+  base::Status Sync(mk::Env& env) override;
   uint64_t num_sectors() const override { return num_sectors_; }
 
  private:
   mk::ClientStub stub_;
   uint64_t num_sectors_;
+  bool may_be_posted_ = false;
 };
 
 }  // namespace drv

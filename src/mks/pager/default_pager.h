@@ -38,6 +38,9 @@ class BlockStore {
     const base::Status st = Write(env, wlba, wcount, src);
     return st != base::Status::kOk ? st : Read(env, rlba, 1, out);
   }
+  // Returns once a posted write is on the platter, with its status. A store
+  // that never posts has nothing to wait for.
+  virtual base::Status Sync(mk::Env& env) { return base::Status::kOk; }
   virtual uint64_t num_sectors() const = 0;
 };
 

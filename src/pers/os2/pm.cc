@@ -1,7 +1,5 @@
 #include "src/pers/os2/pm.h"
 
-#include "src/base/log.h"
-
 namespace pers {
 
 namespace {
@@ -54,6 +52,10 @@ base::Result<Hwnd> PmSession::CreateWindow(mk::Env& env, const std::string& titl
   if (w > d.width() || x > d.width() - w || h > d.height() || y > d.height() - h) {
     return base::Status::kInvalidArgument;
   }
+  // Each window takes a wait word of the desktop's one shared page for good.
+  if (d.next_word_ >= hw::kPageSize / 4) {
+    return base::Status::kResourceShortage;
+  }
   PmDesktop::Window win;
   win.title = title;
   win.owner = task_;
@@ -63,7 +65,6 @@ base::Result<Hwnd> PmSession::CreateWindow(mk::Env& env, const std::string& titl
   win.h = h;
   win.z = d.next_z_++;
   win.wait_word = d.shared_region_ + 4 * d.next_word_++;
-  WPOS_CHECK(d.next_word_ <= hw::kPageSize / 4) << "desktop shared region full";
   const Hwnd hwnd = d.next_hwnd_++;
   d.windows_.emplace(hwnd, std::move(win));
   return hwnd;

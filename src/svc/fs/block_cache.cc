@@ -131,37 +131,34 @@ base::Result<BlockCache::Entry*> BlockCache::GetSector(mk::Env& env, uint64_t lb
   return &entries_.emplace(lba, std::move(e)).first->second;
 }
 
-base::Status BlockCache::ReadSector(mk::Env& env, uint64_t lba, void* out) {
+base::Status BlockCache::ReadBytes(mk::Env& env, uint64_t lba, uint32_t offset, uint32_t len,
+                                   void* out) {
+  WPOS_DCHECK(len != 0 && offset < kSectorSize && len <= kSectorSize - offset);
   auto e = GetSector(env, lba, /*load=*/true);
   if (!e.ok()) {
     return e.status();
   }
-  std::memcpy(out, (*e)->data.data(), kSectorSize);
-  kernel_.cpu().AccessData((*e)->sim_addr, kSectorSize, /*write=*/false);
+  std::memcpy(out, (*e)->data.data() + offset, len);
+  kernel_.cpu().AccessData((*e)->sim_addr + offset, len, /*write=*/false);
   return base::Status::kOk;
 }
 
-base::Status BlockCache::WriteSector(mk::Env& env, uint64_t lba, const void* data) {
-  auto e = GetSector(env, lba, /*load=*/false);
+base::Status BlockCache::WriteBytes(mk::Env& env, uint64_t lba, uint32_t offset, uint32_t len,
+                                    const void* data) {
+  WPOS_DCHECK(len != 0 && offset < kSectorSize && len <= kSectorSize - offset);
+  auto e = GetSector(env, lba, /*load=*/len != kSectorSize);
   if (!e.ok()) {
     return e.status();
   }
-  std::memcpy((*e)->data.data(), data, kSectorSize);
+  std::memcpy((*e)->data.data() + offset, data, len);
   (*e)->dirty = true;
-  kernel_.cpu().AccessData((*e)->sim_addr, kSectorSize, /*write=*/true);
+  kernel_.cpu().AccessData((*e)->sim_addr + offset, len, /*write=*/true);
   return base::Status::kOk;
 }
 
 base::Status BlockCache::ZeroTail(mk::Env& env, uint64_t lba, uint32_t from) {
-  uint8_t sector[kSectorSize] = {};
-  if (from != 0) {
-    const base::Status st = ReadSector(env, lba, sector);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-    std::memset(sector + from, 0, kSectorSize - from);
-  }
-  return WriteSector(env, lba, sector);
+  static constexpr uint8_t kZeros[kSectorSize] = {};
+  return WriteBytes(env, lba, from, kSectorSize - from, kZeros);
 }
 
 base::Status BlockCache::Flush(mk::Env& env) {
@@ -189,7 +186,7 @@ base::Status BlockCache::Flush(mk::Env& env) {
       return st;
     }
   }
-  return base::Status::kOk;
+  return store_->Sync(env);
 }
 
 }  // namespace svc

@@ -37,16 +37,27 @@ class BlockCache {
 
   BlockCache(mk::Kernel& kernel, mks::BlockStore* store, uint32_t capacity_sectors = 256);
 
-  base::Status ReadSector(mk::Env& env, uint64_t lba, void* out);
-  base::Status WriteSector(mk::Env& env, uint64_t lba, const void* data);
+  // Bytes [offset, offset + len) of sector `lba`, in place: one lookup, and
+  // only the D-cache lines the range spans. A partial write loads the sector
+  // on a miss; a whole-sector write reads nothing from the store.
+  base::Status ReadBytes(mk::Env& env, uint64_t lba, uint32_t offset, uint32_t len, void* out);
+  base::Status WriteBytes(mk::Env& env, uint64_t lba, uint32_t offset, uint32_t len,
+                          const void* data);
+  base::Status ReadSector(mk::Env& env, uint64_t lba, void* out) {
+    return ReadBytes(env, lba, 0, kSectorSize, out);
+  }
+  base::Status WriteSector(mk::Env& env, uint64_t lba, const void* data) {
+    return WriteBytes(env, lba, 0, kSectorSize, data);
+  }
   // Zeroes bytes [from, kSectorSize) of sector `lba`: the tail of a
   // truncated file's last block, which a later write past the new end must
   // not bring back.
   base::Status ZeroTail(mk::Env& env, uint64_t lba, uint32_t from);
-  // One write per dirty sector, in LBA order. Runs are for eviction only:
-  // runs here moved perfbench docs p50 by +1.65% through the state `mkfs`
-  // leaves, though its window never flushes (EXPERIMENTS.md, "Write-back
-  // runs").
+  // One write per dirty sector, in LBA order, then the store's Sync: on
+  // return every write-back, a posted one too, is on the platter. Runs are
+  // for eviction only: runs here moved perfbench docs p50 by +1.65% through
+  // the state `mkfs` leaves, though its window never flushes
+  // (EXPERIMENTS.md, "Write-back runs").
   base::Status Flush(mk::Env& env);
 
   uint64_t num_sectors() const { return store_->num_sectors(); }

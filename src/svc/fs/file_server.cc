@@ -855,8 +855,12 @@ void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsR
       return;
     }
     case FsOp::kSync: {
+      // Every mount is synced; the answer is the first failure.
       for (const auto& m : mounts_) {
-        (void)m->pfs->Sync(env);
+        const base::Status st = m->pfs->Sync(env);
+        if (st != base::Status::kOk && reply.status == 0) {
+          reply.status = static_cast<int32_t>(st);
+        }
       }
       break;
     }

@@ -1,5 +1,6 @@
 #include "src/svc/fs/inode_fs.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 
@@ -83,45 +84,48 @@ base::Status InodeFs::TxnBegin(mk::Env& env) {
   return base::Status::kOk;
 }
 
-base::Status InodeFs::MetaWrite(mk::Env& env, uint64_t lba, const void* data) {
-  if (config_.journaled && in_txn_) {
-    // Stage: visible to MetaReads of this transaction via the overlay scan.
-    for (auto& [staged_lba, bytes] : txn_) {
+base::Status InodeFs::MetaRead(mk::Env& env, uint64_t lba, uint32_t offset, uint32_t len,
+                               void* out) {
+  if (in_txn_) {
+    for (const auto& [staged_lba, bytes] : txn_) {
       if (staged_lba == lba) {
-        std::memcpy(bytes.data(), data, kSectorSize);
+        std::memcpy(out, bytes.data() + offset, len);
         return base::Status::kOk;
       }
     }
+  }
+  return cache_->ReadBytes(env, lba, offset, len, out);
+}
+
+base::Status InodeFs::MetaWrite(mk::Env& env, uint64_t lba, uint32_t offset, uint32_t len,
+                                const void* data) {
+  if (!in_txn_) {
+    return cache_->WriteBytes(env, lba, offset, len, data);
+  }
+  // Stage the whole sector: visible to this transaction's MetaReads, and
+  // logged whole at commit.
+  auto it = std::find_if(txn_.begin(), txn_.end(),
+                         [lba](const auto& staged) { return staged.first == lba; });
+  if (it == txn_.end()) {
     std::vector<uint8_t> bytes(kSectorSize);
-    std::memcpy(bytes.data(), data, kSectorSize);
-    txn_.emplace_back(lba, std::move(bytes));
-    return base::Status::kOk;
-  }
-  return cache_->WriteSector(env, lba, data);
-}
-
-// Metadata read honouring the in-flight transaction overlay.
-static base::Status MetaReadImpl(BlockCache* cache, mk::Env& env,
-                                 const std::vector<std::pair<uint64_t, std::vector<uint8_t>>>& txn,
-                                 bool in_txn, uint64_t lba, void* out) {
-  if (in_txn) {
-    for (auto it = txn.rbegin(); it != txn.rend(); ++it) {
-      if (it->first == lba) {
-        std::memcpy(out, it->second.data(), BlockCache::kSectorSize);
-        return base::Status::kOk;
+    if (len != kSectorSize) {
+      const base::Status st = cache_->ReadSector(env, lba, bytes.data());
+      if (st != base::Status::kOk) {
+        return st;
       }
     }
+    it = txn_.emplace(txn_.end(), lba, std::move(bytes));
   }
-  return cache->ReadSector(env, lba, out);
+  std::memcpy(it->second.data() + offset, data, len);
+  return base::Status::kOk;
 }
 
-#define META_READ(env, lba, out)                                                       \
-  do {                                                                                 \
-    const base::Status meta_status =                                                   \
-        MetaReadImpl(cache_, (env), txn_, in_txn_ && config_.journaled, (lba), (out)); \
-    if (meta_status != base::Status::kOk) {                                            \
-      return meta_status;                                                              \
-    }                                                                                  \
+#define META_READ(env, lba, offset, len, out)                                        \
+  do {                                                                               \
+    const base::Status meta_status = MetaRead((env), (lba), (offset), (len), (out)); \
+    if (meta_status != base::Status::kOk) {                                          \
+      return meta_status;                                                            \
+    }                                                                                \
   } while (0)
 
 base::Status InodeFs::TxnCommit(mk::Env& env) {
@@ -333,34 +337,30 @@ base::Status InodeFs::ReadInode(mk::Env& env, NodeId ino, DiskInode* out) {
   if (ino == 0 || ino >= config_.num_inodes) {
     return base::Status::kInvalidArgument;
   }
-  const uint64_t lba = inode_table_start_ + ino / kInodesPerSector;
-  uint8_t sector[kSectorSize];
-  META_READ(env, lba, sector);
-  std::memcpy(out, sector + (ino % kInodesPerSector) * kInodeSize, kInodeSize);
-  return base::Status::kOk;
+  return MetaRead(env, inode_table_start_ + ino / kInodesPerSector,
+                  (ino % kInodesPerSector) * kInodeSize, kInodeSize, out);
 }
 
 base::Status InodeFs::WriteInode(mk::Env& env, NodeId ino, const DiskInode& inode) {
-  const uint64_t lba = inode_table_start_ + ino / kInodesPerSector;
-  uint8_t sector[kSectorSize];
-  META_READ(env, lba, sector);
-  std::memcpy(sector + (ino % kInodesPerSector) * kInodeSize, &inode, kInodeSize);
-  return MetaWrite(env, lba, sector);
+  return MetaWrite(env, inode_table_start_ + ino / kInodesPerSector,
+                   (ino % kInodesPerSector) * kInodeSize, kInodeSize, &inode);
 }
 
 base::Result<NodeId> InodeFs::AllocInode(mk::Env& env, uint32_t mode) {
-  for (NodeId ino = 1; ino < config_.num_inodes; ++ino) {
-    DiskInode inode;
-    const base::Status st = ReadInode(env, ino, &inode);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-    if (inode.mode == 0) {
+  // One read per inode-table sector. Inode 0 is never handed out.
+  for (uint32_t s = 0; s < inode_table_sectors_; ++s) {
+    DiskInode inodes[kInodesPerSector];
+    META_READ(env, inode_table_start_ + s, 0, kSectorSize, inodes);
+    for (uint32_t i = 0; i < kInodesPerSector; ++i) {
+      const NodeId ino = s * kInodesPerSector + i;
+      if (ino == 0 || ino >= config_.num_inodes || inodes[i].mode != 0) {
+        continue;
+      }
       DiskInode fresh;
       fresh.mode = mode;
-      const base::Status wst = WriteInode(env, ino, fresh);
-      if (wst != base::Status::kOk) {
-        return wst;
+      const base::Status st = WriteInode(env, ino, fresh);
+      if (st != base::Status::kOk) {
+        return st;
       }
       return ino;
     }
@@ -376,7 +376,7 @@ base::Status InodeFs::FreeInode(mk::Env& env, NodeId ino) {
 base::Result<uint32_t> InodeFs::AllocBlock(mk::Env& env) {
   uint8_t sector[kSectorSize];
   for (uint32_t s = 0; s < bitmap_sectors_; ++s) {
-    META_READ(env, bitmap_start_ + s, sector);
+    META_READ(env, bitmap_start_ + s, 0, kSectorSize, sector);
     for (uint32_t byte = 0; byte < kSectorSize; ++byte) {
       if (sector[byte] == 0xff) {
         continue;
@@ -388,7 +388,7 @@ base::Result<uint32_t> InodeFs::AllocBlock(mk::Env& env) {
         }
         if ((sector[byte] & (1 << bit)) == 0) {
           sector[byte] |= static_cast<uint8_t>(1 << bit);
-          const base::Status st = MetaWrite(env, bitmap_start_ + s, sector);
+          const base::Status st = MetaWrite(env, bitmap_start_ + s, byte, 1, &sector[byte]);
           if (st != base::Status::kOk) {
             return st;
           }
@@ -401,14 +401,31 @@ base::Result<uint32_t> InodeFs::AllocBlock(mk::Env& env) {
   return base::Status::kNoSpace;
 }
 
-base::Status InodeFs::FreeBlock(mk::Env& env, uint32_t block) {
-  const uint32_t s = block / 8 / kSectorSize;
-  const uint32_t byte = (block / 8) % kSectorSize;
-  uint8_t sector[kSectorSize];
-  META_READ(env, bitmap_start_ + s, sector);
-  sector[byte] &= static_cast<uint8_t>(~(1 << (block % 8)));
-  ++free_blocks_;
-  return MetaWrite(env, bitmap_start_ + s, sector);
+base::Status InodeFs::FreeBlocks(mk::Env& env, std::vector<uint32_t> blocks) {
+  std::sort(blocks.begin(), blocks.end());
+  constexpr uint32_t kBlocksPerSector = kSectorSize * 8;
+  for (size_t first = 0; first < blocks.size();) {
+    const uint32_t s = blocks[first] / kBlocksPerSector;
+    size_t end = first + 1;
+    while (end < blocks.size() && blocks[end] / kBlocksPerSector == s) {
+      ++end;
+    }
+    // The bytes from the first block's bit to the last one's.
+    const uint32_t lo = blocks[first] % kBlocksPerSector / 8;
+    const uint32_t len = blocks[end - 1] % kBlocksPerSector / 8 - lo + 1;
+    uint8_t bytes[kSectorSize];
+    META_READ(env, bitmap_start_ + s, lo, len, bytes);
+    for (size_t i = first; i < end; ++i) {
+      bytes[blocks[i] % kBlocksPerSector / 8 - lo] &= static_cast<uint8_t>(~(1 << (blocks[i] % 8)));
+    }
+    const base::Status st = MetaWrite(env, bitmap_start_ + s, lo, len, bytes);
+    if (st != base::Status::kOk) {
+      return st;
+    }
+    free_blocks_ += end - first;
+    first = end;
+  }
+  return base::Status::kOk;
 }
 
 base::Result<uint32_t> InodeFs::MapBlock(mk::Env& env, DiskInode* inode, NodeId ino,
@@ -449,8 +466,8 @@ base::Result<uint32_t> InodeFs::MapBlock(mk::Env& env, DiskInode* inode, NodeId 
       return block.status();
     }
     inode->indirect = *block + 1;
-    uint8_t zero[kSectorSize] = {};
-    base::Status st = MetaWrite(env, data_start_ + *block, zero);
+    static constexpr uint8_t kZeros[kSectorSize] = {};
+    base::Status st = MetaWrite(env, data_start_ + *block, 0, kSectorSize, kZeros);
     if (st != base::Status::kOk) {
       return st;
     }
@@ -459,11 +476,9 @@ base::Result<uint32_t> InodeFs::MapBlock(mk::Env& env, DiskInode* inode, NodeId 
       return st;
     }
   }
-  uint8_t sector[kSectorSize];
   const uint64_t ind_lba = data_start_ + inode->indirect - 1;
-  META_READ(env, ind_lba, sector);
   uint32_t entry;
-  std::memcpy(&entry, sector + ind_index * 4, 4);
+  META_READ(env, ind_lba, ind_index * 4, 4, &entry);
   if (entry == 0) {
     if (!allocate) {
       return base::Status::kNotFound;
@@ -476,8 +491,7 @@ base::Result<uint32_t> InodeFs::MapBlock(mk::Env& env, DiskInode* inode, NodeId 
     if (fresh != nullptr) {
       *fresh = true;
     }
-    std::memcpy(sector + ind_index * 4, &entry, 4);
-    const base::Status st = MetaWrite(env, ind_lba, sector);
+    const base::Status st = MetaWrite(env, ind_lba, ind_index * 4, 4, &entry);
     if (st != base::Status::kOk) {
       return st;
     }
@@ -486,51 +500,70 @@ base::Result<uint32_t> InodeFs::MapBlock(mk::Env& env, DiskInode* inode, NodeId 
 }
 
 base::Status InodeFs::FreeBlocksFrom(mk::Env& env, DiskInode* inode, uint32_t first) {
+  std::vector<uint32_t> blocks;
   for (uint32_t i = first; i < kDirect; ++i) {
     if (inode->direct[i] != 0) {
-      const base::Status st = FreeBlock(env, inode->direct[i] - 1);
-      if (st != base::Status::kOk) {
-        return st;
-      }
+      blocks.push_back(inode->direct[i] - 1);
       inode->direct[i] = 0;
     }
   }
-  if (inode->indirect == 0) {
-    return base::Status::kOk;
-  }
   const uint32_t first_ind = first > kDirect ? first - kDirect : 0;
-  const uint64_t ind_lba = data_start_ + inode->indirect - 1;
-  uint8_t sector[kSectorSize];
-  META_READ(env, ind_lba, sector);
-  bool changed = false;
-  for (uint32_t i = first_ind; i < kPtrsPerIndirect; ++i) {
-    uint32_t entry;
-    std::memcpy(&entry, sector + i * 4, 4);
-    if (entry != 0) {
-      const base::Status st = FreeBlock(env, entry - 1);
+  if (inode->indirect != 0 && first_ind < kPtrsPerIndirect) {
+    const uint64_t ind_lba = data_start_ + inode->indirect - 1;
+    const uint32_t bytes = (kPtrsPerIndirect - first_ind) * 4;
+    uint32_t ptrs[kPtrsPerIndirect];
+    META_READ(env, ind_lba, first_ind * 4, bytes, ptrs + first_ind);
+    bool changed = false;
+    for (uint32_t i = first_ind; i < kPtrsPerIndirect; ++i) {
+      if (ptrs[i] != 0) {
+        blocks.push_back(ptrs[i] - 1);
+        ptrs[i] = 0;
+        changed = true;
+      }
+    }
+    if (first_ind == 0) {
+      blocks.push_back(inode->indirect - 1);
+      inode->indirect = 0;
+    } else if (changed) {
+      // Blocks below `first` still hang off the indirect block.
+      const base::Status st = MetaWrite(env, ind_lba, first_ind * 4, bytes, ptrs + first_ind);
       if (st != base::Status::kOk) {
         return st;
       }
-      std::memset(sector + i * 4, 0, 4);
-      changed = true;
     }
   }
-  if (first_ind != 0) {
-    // Blocks below `first` still hang off the indirect block.
-    return changed ? MetaWrite(env, ind_lba, sector) : base::Status::kOk;
-  }
-  const base::Status st = FreeBlock(env, inode->indirect - 1);
-  if (st != base::Status::kOk) {
-    return st;
-  }
-  inode->indirect = 0;
-  return base::Status::kOk;
+  return FreeBlocks(env, std::move(blocks));
 }
 
 // --- Directory entries -------------------------------------------------------------------
 
-base::Result<std::pair<NodeId, uint64_t>> InodeFs::FindEntry(mk::Env& env, NodeId dir,
-                                                             const std::string& name) {
+base::Result<uint64_t> InodeFs::ScanDir(
+    mk::Env& env, DiskInode* inode, NodeId dir,
+    const std::function<bool(const Dirent64&, uint64_t)>& visit) {
+  const uint64_t end = inode->size / kDirentSize * kDirentSize;
+  for (uint64_t at = 0; at < end; at += kSectorSize) {
+    auto block = MapBlock(env, inode, dir, static_cast<uint32_t>(at / kSectorSize),
+                          /*allocate=*/false);
+    if (block.status() == base::Status::kNotFound) {
+      continue;  // a hole holds no entries
+    }
+    if (!block.ok()) {
+      return block.status();
+    }
+    const uint32_t len = static_cast<uint32_t>(std::min<uint64_t>(kSectorSize, end - at));
+    Dirent64 entries[kSectorSize / kDirentSize];
+    META_READ(env, data_start_ + *block, 0, len, entries);
+    for (uint32_t i = 0; i < len / kDirentSize; ++i) {
+      if (visit(entries[i], at + i * kDirentSize)) {
+        return at + i * kDirentSize;
+      }
+    }
+  }
+  return inode->size;
+}
+
+base::Result<InodeFs::FoundEntry> InodeFs::FindEntry(mk::Env& env, NodeId dir,
+                                                     const std::string& name) {
   DiskInode inode;
   base::Status st = ReadInode(env, dir, &inode);
   if (st != base::Status::kOk) {
@@ -539,22 +572,22 @@ base::Result<std::pair<NodeId, uint64_t>> InodeFs::FindEntry(mk::Env& env, NodeI
   if (inode.mode != 2) {
     return base::Status::kInvalidArgument;
   }
-  const uint64_t entries = inode.size / kDirentSize;
-  for (uint64_t i = 0; i < entries; ++i) {
-    const uint32_t block_index = static_cast<uint32_t>(i * kDirentSize / kSectorSize);
-    auto block = MapBlock(env, &inode, dir, block_index, /*allocate=*/false);
-    if (!block.ok()) {
-      return block.status();
+  FoundEntry found;
+  auto at = ScanDir(env, &inode, dir, [&](const Dirent64& e, uint64_t) {
+    if (e.used == 0 || !NamesEqual(name, e.name)) {
+      return false;
     }
-    uint8_t sector[kSectorSize];
-    META_READ(env, data_start_ + *block, sector);
-    Dirent64 e;
-    std::memcpy(&e, sector + (i * kDirentSize) % kSectorSize, kDirentSize);
-    if (e.used != 0 && NamesEqual(name, e.name)) {
-      return std::make_pair(static_cast<NodeId>(e.ino), i * kDirentSize);
-    }
+    found.entry = e;
+    return true;
+  });
+  if (!at.ok()) {
+    return at.status();
   }
-  return base::Status::kNotFound;
+  if (*at == inode.size) {
+    return base::Status::kNotFound;
+  }
+  found.offset = *at;
+  return found;
 }
 
 base::Status InodeFs::WriteEntry(mk::Env& env, NodeId dir, uint64_t slot_offset,
@@ -564,24 +597,17 @@ base::Status InodeFs::WriteEntry(mk::Env& env, NodeId dir, uint64_t slot_offset,
   if (st != base::Status::kOk) {
     return st;
   }
+  // MapBlock records a fresh block in `inode` as well as on disk.
   const uint32_t block_index = static_cast<uint32_t>(slot_offset / kSectorSize);
   auto block = MapBlock(env, &inode, dir, block_index, /*allocate=*/true);
   if (!block.ok()) {
     return block.status();
   }
-  uint8_t sector[kSectorSize];
-  META_READ(env, data_start_ + *block, sector);
-  std::memcpy(sector + slot_offset % kSectorSize, &e, kDirentSize);
-  st = MetaWrite(env, data_start_ + *block, sector);
+  st = MetaWrite(env, data_start_ + *block, slot_offset % kSectorSize, kDirentSize, &e);
   if (st != base::Status::kOk) {
     return st;
   }
   if (slot_offset + kDirentSize > inode.size) {
-    // Re-read: MapBlock may have updated the inode (fresh block pointers).
-    st = ReadInode(env, dir, &inode);
-    if (st != base::Status::kOk) {
-      return st;
-    }
     inode.size = slot_offset + kDirentSize;
     return WriteInode(env, dir, inode);
   }
@@ -596,7 +622,7 @@ base::Result<NodeId> InodeFs::Lookup(mk::Env& env, NodeId dir, const std::string
   if (!found.ok()) {
     return found.status();
   }
-  return found->first;
+  return found->entry.ino;
 }
 
 base::Result<NodeId> InodeFs::Create(mk::Env& env, NodeId dir, const std::string& name,
@@ -616,34 +642,22 @@ base::Result<NodeId> InodeFs::Create(mk::Env& env, NodeId dir, const std::string
   if (!ino.ok()) {
     return ino.status();
   }
-  // Find a free slot (reuse unused entries).
+  // The first free slot, or a new one at the end.
   DiskInode dnode;
   st = ReadInode(env, dir, &dnode);
   if (st != base::Status::kOk) {
     return st;
   }
-  uint64_t slot = dnode.size;
-  const uint64_t entries = dnode.size / kDirentSize;
-  for (uint64_t i = 0; i < entries; ++i) {
-    const uint32_t block_index = static_cast<uint32_t>(i * kDirentSize / kSectorSize);
-    auto block = MapBlock(env, &dnode, dir, block_index, false);
-    if (!block.ok()) {
-      break;
-    }
-    uint8_t sector[kSectorSize];
-    META_READ(env, data_start_ + *block, sector);
-    Dirent64 e;
-    std::memcpy(&e, sector + (i * kDirentSize) % kSectorSize, kDirentSize);
-    if (e.used == 0) {
-      slot = i * kDirentSize;
-      break;
-    }
+  auto slot = ScanDir(env, &dnode, dir, [](const Dirent64& e, uint64_t) { return e.used == 0; });
+  if (!slot.ok()) {
+    return slot.status();
   }
   Dirent64 e;
   std::strncpy(e.name, name.c_str(), kNameMax);
   e.ino = static_cast<uint32_t>(*ino);
   e.used = 1;
-  st = WriteEntry(env, dir, slot, e);
+  e.directory = directory ? 1 : 0;
+  st = WriteEntry(env, dir, *slot, e);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -659,27 +673,20 @@ base::Status InodeFs::Remove(mk::Env& env, NodeId dir, const std::string& name) 
   if (!found.ok()) {
     return found.status();
   }
+  const NodeId node = found->entry.ino;
   DiskInode inode;
-  base::Status st = ReadInode(env, found->first, &inode);
+  base::Status st = ReadInode(env, node, &inode);
   if (st != base::Status::kOk) {
     return st;
   }
   if (inode.mode == 2) {
     // Directory: must be empty.
-    const uint64_t entries = inode.size / kDirentSize;
-    for (uint64_t i = 0; i < entries; ++i) {
-      const uint32_t block_index = static_cast<uint32_t>(i * kDirentSize / kSectorSize);
-      auto block = MapBlock(env, &inode, found->first, block_index, false);
-      if (!block.ok()) {
-        continue;
-      }
-      uint8_t sector[kSectorSize];
-      META_READ(env, data_start_ + *block, sector);
-      Dirent64 e;
-      std::memcpy(&e, sector + (i * kDirentSize) % kSectorSize, kDirentSize);
-      if (e.used != 0) {
-        return base::Status::kBusy;
-      }
+    auto used = ScanDir(env, &inode, node, [](const Dirent64& e, uint64_t) { return e.used != 0; });
+    if (!used.ok()) {
+      return used.status();
+    }
+    if (*used != inode.size) {
+      return base::Status::kBusy;
     }
   }
   st = TxnBegin(env);
@@ -690,12 +697,12 @@ base::Status InodeFs::Remove(mk::Env& env, NodeId dir, const std::string& name) 
   if (st != base::Status::kOk) {
     return st;
   }
-  st = FreeInode(env, found->first);
+  st = FreeInode(env, node);
   if (st != base::Status::kOk) {
     return st;
   }
   Dirent64 empty;
-  st = WriteEntry(env, dir, found->second, empty);
+  st = WriteEntry(env, dir, found->offset, empty);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -718,11 +725,10 @@ base::Status InodeFs::Rename(mk::Env& env, NodeId from_dir, const std::string& f
   if (st != base::Status::kOk) {
     return st;
   }
-  Dirent64 e;
-  std::memset(&e, 0, sizeof(e));
+  // The same entry under the new name: its inode and type move with it.
+  Dirent64 e = found->entry;
+  std::memset(e.name, 0, sizeof(e.name));
   std::strncpy(e.name, to.c_str(), kNameMax);
-  e.ino = static_cast<uint32_t>(found->first);
-  e.used = 1;
   // Append in the destination, clear the source slot.
   DiskInode dnode;
   st = ReadInode(env, to_dir, &dnode);
@@ -734,7 +740,7 @@ base::Status InodeFs::Rename(mk::Env& env, NodeId from_dir, const std::string& f
     return st;
   }
   Dirent64 empty;
-  st = WriteEntry(env, from_dir, found->second, empty);
+  st = WriteEntry(env, from_dir, found->offset, empty);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -767,12 +773,11 @@ base::Result<uint32_t> InodeFs::Read(mk::Env& env, NodeId node, uint64_t offset,
       // Sparse hole: zeros.
       std::memset(static_cast<uint8_t*>(out) + done, 0, chunk);
     } else {
-      uint8_t sector[kSectorSize];
-      const base::Status rst = cache_->ReadSector(env, data_start_ + *block, sector);
+      const base::Status rst = cache_->ReadBytes(env, data_start_ + *block, in_block, chunk,
+                                                 static_cast<uint8_t*>(out) + done);
       if (rst != base::Status::kOk) {
         return rst;
       }
-      std::memcpy(static_cast<uint8_t*>(out) + done, sector + in_block, chunk);
     }
     done += chunk;
   }
@@ -806,31 +811,24 @@ base::Result<uint32_t> InodeFs::Write(mk::Env& env, NodeId node, uint64_t offset
       (void)TxnCommit(env);
       return block.status();
     }
-    uint8_t sector[kSectorSize] = {};
-    if (chunk < kSectorSize && !fresh) {
-      // Partial write into an existing block: preserve the rest. A fresh
-      // block stays zeroed — reading it would resurrect a previous owner's
-      // bytes.
-      const base::Status rst = cache_->ReadSector(env, data_start_ + *block, sector);
-      if (rst != base::Status::kOk) {
-        (void)TxnCommit(env);
-        return rst;
-      }
+    const uint8_t* src = static_cast<const uint8_t*>(data) + done;
+    base::Status wst = base::Status::kOk;
+    if (fresh && chunk < kSectorSize) {
+      // A fresh block is written whole, zeros around the chunk: its old
+      // bytes are a previous owner's.
+      uint8_t sector[kSectorSize] = {};
+      std::memcpy(sector + in_block, src, chunk);
+      wst = cache_->WriteSector(env, data_start_ + *block, sector);
+    } else {
+      wst = cache_->WriteBytes(env, data_start_ + *block, in_block, chunk, src);
     }
-    std::memcpy(sector + in_block, static_cast<const uint8_t*>(data) + done, chunk);
-    const base::Status wst = cache_->WriteSector(env, data_start_ + *block, sector);
     if (wst != base::Status::kOk) {
       (void)TxnCommit(env);
       return wst;
     }
     done += chunk;
   }
-  // MapBlock may have rewritten the inode; reload before the size update.
-  st = ReadInode(env, node, &inode);
-  if (st != base::Status::kOk) {
-    (void)TxnCommit(env);
-    return st;
-  }
+  // MapBlock kept `inode` current, so the size update needs no re-read.
   if (offset + len > inode.size) {
     inode.size = offset + len;
     st = WriteInode(env, node, inode);
@@ -906,27 +904,16 @@ base::Result<std::vector<DirEntry>> InodeFs::ReadDir(mk::Env& env, NodeId dir) {
   if (inode.mode != 2) {
     return base::Status::kInvalidArgument;
   }
+  // Each entry carries its child's type: no child inode is read.
   std::vector<DirEntry> out;
-  const uint64_t entries = inode.size / kDirentSize;
-  for (uint64_t i = 0; i < entries; ++i) {
-    const uint32_t block_index = static_cast<uint32_t>(i * kDirentSize / kSectorSize);
-    auto block = MapBlock(env, &inode, dir, block_index, false);
-    if (!block.ok()) {
-      continue;
-    }
-    uint8_t sector[kSectorSize];
-    META_READ(env, data_start_ + *block, sector);
-    Dirent64 e;
-    std::memcpy(&e, sector + (i * kDirentSize) % kSectorSize, kDirentSize);
+  auto scanned = ScanDir(env, &inode, dir, [&](const Dirent64& e, uint64_t) {
     if (e.used != 0) {
-      DiskInode child;
-      const base::Status cst = ReadInode(env, e.ino, &child);
-      DirEntry entry;
-      entry.name = e.name;
-      entry.node = e.ino;
-      entry.directory = cst == base::Status::kOk && child.mode == 2;
-      out.push_back(std::move(entry));
+      out.push_back({.name = e.name, .node = e.ino, .directory = e.directory != 0});
     }
+    return false;
+  });
+  if (!scanned.ok()) {
+    return scanned.status();
   }
   return out;
 }

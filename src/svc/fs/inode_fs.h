@@ -9,6 +9,7 @@
 #ifndef SRC_SVC_FS_INODE_FS_H_
 #define SRC_SVC_FS_INODE_FS_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -95,14 +96,27 @@ class InodeFs : public Pfs {
     char name[kNameMax + 1] = {};  // NUL-terminated, case preserved
     uint32_t ino = 0;
     uint8_t used = 0;
-    uint8_t pad[3] = {};
+    // The child's type, as HPFS keeps the attribute byte in its DIRENT: a
+    // listing reads no child inode.
+    uint8_t directory = 0;
+    uint8_t pad[2] = {};
   };
   static_assert(sizeof(Dirent64) == kDirentSize);
 
+  struct FoundEntry {
+    Dirent64 entry;
+    uint64_t offset = 0;  // of its slot in the directory
+  };
+
   bool NamesEqual(const std::string& a, const char* b) const;
 
-  // Journalled metadata write: logged (when journaling) then applied.
-  base::Status MetaWrite(mk::Env& env, uint64_t lba, const void* data);
+  // Metadata bytes [offset, offset + len) of sector `lba`. Reads see the
+  // in-flight transaction's staged sectors. A write inside a transaction
+  // stages the whole sector, to be logged at commit; otherwise it goes to
+  // the cache in place.
+  base::Status MetaRead(mk::Env& env, uint64_t lba, uint32_t offset, uint32_t len, void* out);
+  base::Status MetaWrite(mk::Env& env, uint64_t lba, uint32_t offset, uint32_t len,
+                         const void* data);
   base::Status TxnBegin(mk::Env& env);
   base::Status TxnCommit(mk::Env& env);
   base::Status ReplayJournal(mk::Env& env);
@@ -112,7 +126,9 @@ class InodeFs : public Pfs {
   base::Result<NodeId> AllocInode(mk::Env& env, uint32_t mode);
   base::Status FreeInode(mk::Env& env, NodeId ino);
   base::Result<uint32_t> AllocBlock(mk::Env& env);
-  base::Status FreeBlock(mk::Env& env, uint32_t block);
+  // Clears the bitmap bits of `blocks`: one read-modify-write per bitmap
+  // sector, of the bytes between its first and last bit.
+  base::Status FreeBlocks(mk::Env& env, std::vector<uint32_t> blocks);
   // Block number backing file-block `index` of `inode`; optionally allocates.
   // `fresh` (optional) reports whether the block was newly allocated — a
   // fresh block's on-disk content is whatever a previous owner left there
@@ -122,8 +138,13 @@ class InodeFs : public Pfs {
   // Frees the blocks backing file blocks `first` and up, and the indirect
   // block once nothing is left behind it.
   base::Status FreeBlocksFrom(mk::Env& env, DiskInode* inode, uint32_t first);
-  base::Result<std::pair<NodeId, uint64_t>> FindEntry(mk::Env& env, NodeId dir,
-                                                      const std::string& name);
+  // Calls `visit(entry, slot_offset)` on each slot of directory `dir` (whose
+  // inode is `inode`) in order, reading each sector once; a hole holds no
+  // slots. Answers the offset of the first slot `visit` returns true for,
+  // or the directory's size when there is none.
+  base::Result<uint64_t> ScanDir(mk::Env& env, DiskInode* inode, NodeId dir,
+                                 const std::function<bool(const Dirent64&, uint64_t)>& visit);
+  base::Result<FoundEntry> FindEntry(mk::Env& env, NodeId dir, const std::string& name);
   base::Status WriteEntry(mk::Env& env, NodeId dir, uint64_t slot_offset, const Dirent64& e);
 
   mk::Kernel& kernel_;

@@ -9,6 +9,7 @@
 #include "src/drv/nic_driver.h"
 #include "src/drv/oo/ooddm.h"
 #include "src/drv/resource_manager.h"
+#include "src/svc/fs/block_cache.h"
 #include "tests/mk/kernel_test_fixture.h"
 
 namespace drv {
@@ -352,6 +353,30 @@ TEST_F(DiskDriverTest, PostedWriteMalformedExtentPostsNothing) {
       EXPECT_EQ(disk->io_count(), commands + 1);
       EXPECT_EQ(kernel_.interrupts_delivered(), irqs + 1);
     }
+  });
+}
+
+TEST_F(DiskDriverTest, FlushWaitsForAPostedWrite) {
+  // A 1-sector cache writes sector 0, and reading sector 5 evicts it
+  // through a posted write-back. The Flush after that finds nothing dirty,
+  // yet returns only once the write is on the platter (it returned with the
+  // platter's sector 0 still old).
+  RunOnPostingStores([&](mk::Env& env, mks::BlockStore& store, hw::Disk* disk) {
+    svc::BlockCache cache(kernel_, &store, 1);
+    const std::vector<uint8_t> bytes = Tagged(1, 0x77);
+    ASSERT_EQ(cache.WriteSector(env, 0, bytes.data()), base::Status::kOk);
+    std::vector<uint8_t> out(hw::Disk::kSectorSize);
+    ASSERT_EQ(cache.ReadSector(env, 5, out.data()), base::Status::kOk);
+    ASSERT_EQ(cache.Flush(env), base::Status::kOk);
+    std::vector<uint8_t> platter(hw::Disk::kSectorSize);
+    disk->ReadSectors(0, 1, platter.data());
+    EXPECT_EQ(platter, bytes) << "Flush returned with the write-back still on the device";
+    // With nothing posted, a Flush makes no request and no device command.
+    const uint64_t served = driver_->requests_served();
+    const uint64_t commands = disk->io_count();
+    ASSERT_EQ(cache.Flush(env), base::Status::kOk);
+    EXPECT_EQ(driver_->requests_served(), served);
+    EXPECT_EQ(disk->io_count(), commands);
   });
 }
 

@@ -254,6 +254,35 @@ TEST_F(PmTest, WindowSwitchRepaints) {
   EXPECT_EQ(desktop_->window_switches(), 2u);
 }
 
+// The desktop's one shared page holds 1024 wait words, one per window for
+// good. A 1025th window is refused (was a host abort), and the windows
+// already made keep working.
+TEST_F(PmTest, WindowPastTheSharedPageIsResourceShortage) {
+  mk::Task* app = kernel_.CreateTask("window-hog");
+  auto session_r = desktop_->Attach(*app);
+  ASSERT_TRUE(session_r.ok());
+  PmSession& session = **session_r;
+  kernel_.CreateThread(app, "main", [&](mk::Env& env) {
+    const uint32_t words = hw::kPageSize / 4;
+    Hwnd first = 0;
+    for (uint32_t i = 0; i < words; ++i) {
+      auto hwnd = session.CreateWindow(env, "w", 0, 0, 8, 8);
+      ASSERT_TRUE(hwnd.ok()) << "window " << i;
+      if (i == 0) {
+        first = *hwnd;
+      }
+    }
+    EXPECT_EQ(session.CreateWindow(env, "one too many", 0, 0, 8, 8).status(),
+              base::Status::kResourceShortage);
+    ASSERT_EQ(session.PostMsg(env, first, 0x200, 1, 2), base::Status::kOk);
+    auto msg = session.GetMsg(env, first);
+    ASSERT_TRUE(msg.ok());
+    EXPECT_EQ(msg->msg, 0x200u);
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+}
+
 // Every rectangle below has an x + w or y + h that wraps past 2^32 to a value
 // inside its bound; each must be refused before anything is drawn.
 TEST_F(PmTest, WrappedRectanglesAreInvalidArgument) {

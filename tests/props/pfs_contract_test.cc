@@ -1,7 +1,8 @@
 // Property-style contract tests run against every physical file system
 // (FAT, HPFS, JFS): whatever their on-disk format, the Pfs interface must
-// behave like a file system. A host-side oracle (std::map of name -> bytes)
-// checks every operation's result after randomized op sequences.
+// behave like a file system. A host-side oracle (std::map of name -> bytes,
+// or of name -> type for directories) checks every operation's result after
+// randomized op sequences.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "src/svc/fs/fat.h"
 #include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
+#include "tests/props/seeds.h"
 
 namespace svc {
 namespace {
@@ -65,6 +67,20 @@ class PfsContractTest : public mk::KernelTest,
       return fat_->Format(env);
     }
     return inode_->Format(env);
+  }
+
+  // A fresh instance of the file system under test over the same cache and
+  // disk, for a remount.
+  std::unique_ptr<Pfs> NewInstance() {
+    switch (GetParam()) {
+      case PfsKind::kFat:
+        return std::make_unique<FatFs>(kernel_, cache_.get(), 32768);
+      case PfsKind::kHpfs:
+        return std::make_unique<HpfsFs>(kernel_, cache_.get(), 65536);
+      case PfsKind::kJfs:
+        return std::make_unique<JfsFs>(kernel_, cache_.get(), 65536);
+    }
+    return nullptr;
   }
 
   // A legal file name for every PFS under test (8.3-safe).
@@ -334,24 +350,7 @@ TEST_P(PfsContractTest, PersistsAcrossRemountWithSameOracle) {
     }
     ASSERT_EQ(pfs_->Sync(env), base::Status::kOk);
   });
-  // Fresh PFS instance over the same cache+disk.
-  std::unique_ptr<FatFs> fat2;
-  std::unique_ptr<InodeFs> inode2;
-  Pfs* remounted = nullptr;
-  switch (GetParam()) {
-    case PfsKind::kFat:
-      fat2 = std::make_unique<FatFs>(kernel_, cache_.get(), 32768);
-      remounted = fat2.get();
-      break;
-    case PfsKind::kHpfs:
-      inode2 = std::make_unique<HpfsFs>(kernel_, cache_.get(), 65536);
-      remounted = inode2.get();
-      break;
-    case PfsKind::kJfs:
-      inode2 = std::make_unique<JfsFs>(kernel_, cache_.get(), 65536);
-      remounted = inode2.get();
-      break;
-  }
+  const std::unique_ptr<Pfs> remounted = NewInstance();
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(remounted->Mount(env), base::Status::kOk);
     for (const auto& [name, data] : oracle) {
@@ -364,6 +363,132 @@ TEST_P(PfsContractTest, PersistsAcrossRemountWithSameOracle) {
       EXPECT_EQ(back, data) << name;
     }
   });
+}
+
+// One directory of about 40 names, five or more sectors of 64-byte entries,
+// under seeded create, mkdir, remove, rename, lookup and listing, against a
+// name -> type oracle; then a remount lists it again. Directories are
+// removable only while empty, so some get a child.
+TEST_P(PfsContractTest, SeededDirectoryMatchesOracle) {
+  struct Entry {
+    bool directory = false;
+    bool has_child = false;
+  };
+  const auto expect_listing = [](mk::Env& env, Pfs& pfs,
+                                 const std::map<std::string, Entry>& oracle) {
+    auto entries = pfs.ReadDir(env, pfs.root());
+    ASSERT_TRUE(entries.ok());
+    std::map<std::string, bool> listed;
+    for (const DirEntry& e : *entries) {
+      EXPECT_TRUE(listed.emplace(e.name, e.directory).second) << "listed twice: " << e.name;
+    }
+    std::map<std::string, bool> expect;
+    for (const auto& [name, entry] : oracle) {
+      expect[name] = entry.directory;
+    }
+    EXPECT_EQ(listed, expect);
+    for (const auto& [name, entry] : oracle) {
+      auto node = pfs.Lookup(env, pfs.root(), name);
+      ASSERT_TRUE(node.ok()) << name;
+      auto attr = pfs.GetAttr(env, *node);
+      ASSERT_TRUE(attr.ok()) << name;
+      EXPECT_EQ(attr->directory, entry.directory) << name;
+    }
+  };
+  for (const uint64_t seed : props::SeedsUnderTest()) {
+    SCOPED_TRACE(testing::Message() << KindName(GetParam()) << " WPOS_PROPS_SEED=" << seed);
+    std::map<std::string, Entry> oracle;
+    RunInThread([&](mk::Env& env) {
+      ASSERT_EQ(Format(env), base::Status::kOk);
+      base::Rng rng(seed);
+      // 8.3 names, upper case, so every file system stores them as given.
+      const auto pick = [&] { return "E" + std::to_string(rng.NextBelow(48)) + ".DAT"; };
+      const NodeId root = pfs_->root();
+      while (oracle.size() < 40) {
+        const std::string name = pick();
+        const bool dir = rng.NextBelow(4) == 0;
+        auto node = pfs_->Create(env, root, name, dir);
+        if (oracle.contains(name)) {
+          ASSERT_EQ(node.status(), base::Status::kAlreadyExists) << name;
+        } else {
+          ASSERT_TRUE(node.ok()) << name;
+          oracle[name] = {.directory = dir};
+        }
+      }
+      for (int step = 0; step < 200; ++step) {
+        const std::string name = pick();
+        const auto it = oracle.find(name);
+        switch (rng.NextBelow(6)) {
+          case 0:    // create
+          case 1: {  // mkdir
+            const bool dir = rng.NextBelow(2) == 0;
+            auto node = pfs_->Create(env, root, name, dir);
+            if (it != oracle.end()) {
+              ASSERT_EQ(node.status(), base::Status::kAlreadyExists) << name;
+            } else {
+              ASSERT_TRUE(node.ok()) << name;
+              oracle[name] = {.directory = dir};
+            }
+            break;
+          }
+          case 2: {  // remove
+            const base::Status st = pfs_->Remove(env, root, name);
+            if (it == oracle.end()) {
+              ASSERT_EQ(st, base::Status::kNotFound) << name;
+            } else if (it->second.has_child) {
+              ASSERT_EQ(st, base::Status::kBusy) << name;
+            } else {
+              ASSERT_EQ(st, base::Status::kOk) << name;
+              oracle.erase(it);
+            }
+            break;
+          }
+          case 3: {  // rename
+            const std::string to = pick();
+            const base::Status st = pfs_->Rename(env, root, name, root, to);
+            if (it == oracle.end()) {
+              ASSERT_EQ(st, base::Status::kNotFound) << name;
+            } else if (oracle.contains(to)) {
+              ASSERT_EQ(st, base::Status::kAlreadyExists) << name << " -> " << to;
+            } else {
+              ASSERT_EQ(st, base::Status::kOk) << name << " -> " << to;
+              oracle[to] = it->second;
+              oracle.erase(it);
+            }
+            break;
+          }
+          case 4: {  // lookup
+            auto node = pfs_->Lookup(env, root, name);
+            ASSERT_EQ(node.ok(), it != oracle.end()) << name;
+            if (node.ok()) {
+              auto attr = pfs_->GetAttr(env, *node);
+              ASSERT_TRUE(attr.ok()) << name;
+              EXPECT_EQ(attr->directory, it->second.directory) << name;
+            }
+            break;
+          }
+          case 5: {  // give an empty directory a child, or list
+            if (it != oracle.end() && it->second.directory && !it->second.has_child) {
+              auto dir = pfs_->Lookup(env, root, name);
+              ASSERT_TRUE(dir.ok()) << name;
+              ASSERT_TRUE(pfs_->Create(env, *dir, "CHILD.DAT", false).ok()) << name;
+              it->second.has_child = true;
+            } else {
+              expect_listing(env, *pfs_, oracle);
+            }
+            break;
+          }
+        }
+      }
+      expect_listing(env, *pfs_, oracle);
+      ASSERT_EQ(pfs_->Sync(env), base::Status::kOk);
+    });
+    const std::unique_ptr<Pfs> remounted = NewInstance();
+    RunInThread([&](mk::Env& env) {
+      ASSERT_EQ(remounted->Mount(env), base::Status::kOk);
+      expect_listing(env, *remounted, oracle);
+    });
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFileSystems, PfsContractTest,

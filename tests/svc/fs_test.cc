@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -11,6 +13,23 @@
 
 namespace svc {
 namespace {
+
+// A store that counts its reads.
+struct CountingStore : mks::BackdoorBlockStore {
+  using BackdoorBlockStore::BackdoorBlockStore;
+  base::Status Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) override {
+    ++reads;
+    return BackdoorBlockStore::Read(env, lba, count, out);
+  }
+  int reads = 0;
+};
+
+// Buffer-cache lookups, hits and misses, that `op` makes.
+uint64_t Lookups(const BlockCache& cache, const std::function<void()>& op) {
+  const uint64_t before = cache.hits() + cache.misses();
+  op();
+  return cache.hits() + cache.misses() - before;
+}
 
 // Runs `body` inside a simulated thread with a block cache over a fresh disk.
 class PfsTest : public mk::KernelTest {
@@ -154,6 +173,77 @@ TEST_F(PfsTest, BlockCacheHitChargesDataOnce) {
   });
 }
 
+TEST_F(PfsTest, BlockCacheBytesPartialWriteOnAMissLoadsTheSector) {
+  // A partial write to a sector that is not cached loads it first, so the
+  // bytes around the range survive; a whole-sector write reads nothing.
+  CountingStore store(disk_, 10'000);
+  SeedPlatter();
+  BlockCache cache(kernel_, &store, 8);
+  const uint8_t patch[4] = {0xa1, 0xa2, 0xa3, 0xa4};
+  const std::vector<uint8_t> whole(BlockCache::kSectorSize, 0xb5);
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(cache.WriteBytes(env, 3, 100, sizeof(patch), patch), base::Status::kOk);
+    EXPECT_EQ(store.reads, 1) << "a partial write on a miss must load the sector";
+    ASSERT_EQ(cache.WriteBytes(env, 5, 0, BlockCache::kSectorSize, whole.data()),
+              base::Status::kOk);
+    EXPECT_EQ(store.reads, 1) << "a whole-sector write read the store";
+    uint8_t back[6] = {};
+    ASSERT_EQ(cache.ReadBytes(env, 3, 99, sizeof(back), back), base::Status::kOk);
+    EXPECT_EQ(back[0], 0x13);
+    EXPECT_EQ(std::memcmp(back + 1, patch, sizeof(patch)), 0);
+    EXPECT_EQ(back[5], 0x13);
+    EXPECT_EQ(store.reads, 1);
+    ASSERT_EQ(cache.Flush(env), base::Status::kOk);
+  });
+  std::vector<uint8_t> expect(BlockCache::kSectorSize, 0x13);
+  std::copy(std::begin(patch), std::end(patch), expect.begin() + 100);
+  std::vector<uint8_t> platter(BlockCache::kSectorSize);
+  disk_->ReadSectors(3, 1, platter.data());
+  EXPECT_EQ(platter, expect);
+  disk_->ReadSectors(5, 1, platter.data());
+  EXPECT_EQ(platter, whole);
+}
+
+TEST_F(PfsTest, BlockCacheBytesChargeOnlyTheLinesTheySpan) {
+  // Each ranged access is one lookup and one D-cache access of exactly its
+  // bytes, so it walks only the lines the range spans.
+  hw::PhysAddr seen_addr = 0;
+  uint32_t seen_size = 0;
+  kernel_.cpu().set_access_observer([&](hw::PhysAddr addr, uint32_t size, bool) {
+    seen_addr = addr;
+    seen_size = size;
+  });
+  RunInThread([&](mk::Env& env) {
+    uint8_t buf[BlockCache::kSectorSize] = {};
+    ASSERT_EQ(cache_->WriteSector(env, 11, buf), base::Status::kOk);
+    const hw::PhysAddr base = seen_addr;
+    const uint32_t line = kernel_.cpu().config().dcache.line_bytes;
+    struct Range {
+      uint32_t offset;
+      uint32_t len;
+    };
+    for (const Range r : {Range{0, 512}, Range{100, 4}, Range{0, 1}, Range{511, 1},
+                          Range{256, 256}, Range{line - 2, 4}, Range{3 * line - 1, 2 * line}}) {
+      for (const bool write : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "offset " << r.offset << " len " << r.len
+                                        << (write ? " write" : " read"));
+        const uint64_t accesses = kernel_.cpu().dcache_stats().accesses;
+        const uint64_t lookups = Lookups(*cache_, [&] {
+          ASSERT_EQ(write ? cache_->WriteBytes(env, 11, r.offset, r.len, buf)
+                          : cache_->ReadBytes(env, 11, r.offset, r.len, buf),
+                    base::Status::kOk);
+        });
+        EXPECT_EQ(lookups, 1u);
+        EXPECT_EQ(seen_addr, base + r.offset);
+        EXPECT_EQ(seen_size, r.len);
+        const uint64_t lines = (base + r.offset + r.len - 1) / line - (base + r.offset) / line + 1;
+        EXPECT_EQ(kernel_.cpu().dcache_stats().accesses - accesses, lines);
+      }
+    }
+  });
+  kernel_.cpu().set_access_observer(nullptr);
+}
+
 TEST_F(PfsTest, TwoThreadsMissOnOneSector) {
   // Both threads miss on sector 7 and block in the store; the second to
   // resume finds the first one's copy (was a host abort, `inserted`).
@@ -228,14 +318,6 @@ TEST_F(PfsTest, MissWithTheKernelHeapFullIsResourceShortage) {
   // never frees. A full heap refuses the miss (was a host abort, "kernel
   // heap exhausted") before it reads the store or caches anything, and the
   // sectors already cached keep working.
-  struct CountingStore : mks::BackdoorBlockStore {
-    using BackdoorBlockStore::BackdoorBlockStore;
-    base::Status Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) override {
-      ++reads;
-      return BackdoorBlockStore::Read(env, lba, count, out);
-    }
-    int reads = 0;
-  };
   CountingStore store(disk_, 10'000);
   SeedPlatter();
   BlockCache cache(kernel_, &store, 8);
@@ -488,6 +570,130 @@ TEST_F(PfsTest, JfsRenamePreservesInode) {
     ASSERT_TRUE(jfs.Read(env, *moved, 0, out, 8).ok());
     EXPECT_STREQ(out, "payload");
   });
+}
+
+// The lookup counts below hold for HPFS, whose metadata goes to the cache in
+// place; JFS stages its metadata in a transaction and logs it at commit.
+TEST_F(PfsTest, LookupsListingAndSearchingReadEachDirectorySectorOnce) {
+  constexpr uint32_t kEntries = 21;  // two full sectors of 8 entries and part of a third
+  constexpr uint64_t kSectors = (kEntries + 7) / 8;
+  HpfsFs hpfs(kernel_, cache_.get(), 16384);
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(hpfs.Format(env), base::Status::kOk);
+    auto dir = hpfs.Create(env, InodeFs::kRootInode, "dir", true);
+    ASSERT_TRUE(dir.ok());
+    std::map<std::string, bool> oracle;
+    for (uint32_t i = 0; i < kEntries; ++i) {
+      const std::string name = "entry" + std::to_string(i);
+      ASSERT_TRUE(hpfs.Create(env, *dir, name, i % 3 == 0).ok());
+      oracle[name] = i % 3 == 0;
+    }
+    // The directory's inode, then each sector once: no child inode.
+    std::map<std::string, bool> listed;
+    const uint64_t listing = Lookups(*cache_, [&] {
+      auto entries = hpfs.ReadDir(env, *dir);
+      ASSERT_TRUE(entries.ok());
+      for (const DirEntry& e : *entries) {
+        listed[e.name] = e.directory;
+      }
+    });
+    EXPECT_EQ(listing, kSectors + 1);
+    EXPECT_EQ(listed, oracle);
+    const uint64_t last = Lookups(*cache_, [&] {
+      EXPECT_TRUE(hpfs.Lookup(env, *dir, "entry" + std::to_string(kEntries - 1)).ok());
+    });
+    EXPECT_EQ(last, kSectors + 1);
+    const uint64_t absent = Lookups(*cache_, [&] {
+      EXPECT_EQ(hpfs.Lookup(env, *dir, "absent").status(), base::Status::kNotFound);
+    });
+    EXPECT_EQ(absent, kSectors + 1);
+  });
+}
+
+TEST_F(PfsTest, LookupsRemovingA48BlockFileMakeOneBitmapReadModifyWrite) {
+  HpfsFs hpfs(kernel_, cache_.get(), 16384);
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(hpfs.Format(env), base::Status::kOk);
+    const uint64_t free0 = hpfs.free_blocks();
+    auto small = hpfs.Create(env, InodeFs::kRootInode, "small", false);
+    auto big = hpfs.Create(env, InodeFs::kRootInode, "big", false);
+    ASSERT_TRUE(small.ok());
+    ASSERT_TRUE(big.ok());
+    ASSERT_TRUE(hpfs.Write(env, *small, 0, "x", 1).ok());
+    const std::vector<uint8_t> data(48 * InodeFs::kSectorSize, 0x5c);
+    ASSERT_TRUE(hpfs.Write(env, *big, 0, data.data(), static_cast<uint32_t>(data.size())).ok());
+    // Both entries sit in the root's first sector. Removing one reads the
+    // root's inode and that sector, reads the file's inode, reads and writes
+    // the bitmap bytes once, writes the freed inode, then reads the root's
+    // inode again and writes the cleared entry: 8 lookups.
+    const uint64_t small_lookups = Lookups(*cache_, [&] {
+      ASSERT_EQ(hpfs.Remove(env, InodeFs::kRootInode, "small"), base::Status::kOk);
+    });
+    EXPECT_EQ(small_lookups, 8u);
+    // The 48-block file adds only its indirect block's read: its 49 bits
+    // (48 data blocks and the indirect one) take the same one bitmap
+    // read-modify-write as the small file's single bit.
+    const uint64_t big_lookups = Lookups(*cache_, [&] {
+      ASSERT_EQ(hpfs.Remove(env, InodeFs::kRootInode, "big"), base::Status::kOk);
+    });
+    EXPECT_EQ(big_lookups, small_lookups + 1);
+    EXPECT_EQ(hpfs.free_blocks() + 1, free0) << "the root keeps its one block";
+    // A new entry takes the first free slot: the root does not grow.
+    ASSERT_TRUE(hpfs.Create(env, InodeFs::kRootInode, "again", false).ok());
+    auto root = hpfs.GetAttr(env, InodeFs::kRootInode);
+    ASSERT_TRUE(root.ok());
+    EXPECT_EQ(root->size, 2 * InodeFs::kDirentSize);
+    ASSERT_EQ(hpfs.Sync(env), base::Status::kOk);
+  });
+  // A remount counts the free blocks from the bitmap itself.
+  HpfsFs remounted(kernel_, cache_.get(), 16384);
+  RunInThread([&](mk::Env& env) { ASSERT_EQ(remounted.Mount(env), base::Status::kOk); });
+  EXPECT_EQ(remounted.free_blocks(), hpfs.free_blocks());
+}
+
+TEST_F(PfsTest, InodeFsDirentTypeSurvivesRenameAndRemount) {
+  for (const bool journaled : {false, true}) {
+    SCOPED_TRACE(journaled ? "jfs" : "hpfs");
+    auto make = [&]() -> std::unique_ptr<InodeFs> {
+      if (journaled) {
+        return std::make_unique<JfsFs>(kernel_, cache_.get(), 16384);
+      }
+      return std::make_unique<HpfsFs>(kernel_, cache_.get(), 16384);
+    };
+    std::unique_ptr<InodeFs> fs = make();
+    RunInThread([&](mk::Env& env) {
+      ASSERT_EQ(fs->Format(env), base::Status::kOk);
+      auto other = fs->Create(env, InodeFs::kRootInode, "other", true);
+      ASSERT_TRUE(other.ok());
+      ASSERT_TRUE(fs->Create(env, InodeFs::kRootInode, "sub", true).ok());
+      ASSERT_TRUE(fs->Create(env, InodeFs::kRootInode, "file", false).ok());
+      ASSERT_EQ(fs->Rename(env, InodeFs::kRootInode, "sub", InodeFs::kRootInode, "renamed"),
+                base::Status::kOk);
+      ASSERT_EQ(fs->Rename(env, InodeFs::kRootInode, "file", *other, "moved"),
+                base::Status::kOk);
+      ASSERT_EQ(fs->Sync(env), base::Status::kOk);
+    });
+    fs = make();
+    RunInThread([&](mk::Env& env) {
+      ASSERT_EQ(fs->Mount(env), base::Status::kOk);
+      auto listing = [&](NodeId dir) {
+        std::map<std::string, bool> types;
+        auto entries = fs->ReadDir(env, dir);
+        EXPECT_TRUE(entries.ok());
+        if (entries.ok()) {
+          for (const DirEntry& e : *entries) {
+            types[e.name] = e.directory;
+          }
+        }
+        return types;
+      };
+      EXPECT_EQ(listing(InodeFs::kRootInode),
+                (std::map<std::string, bool>{{"other", true}, {"renamed", true}}));
+      auto other = fs->Lookup(env, InodeFs::kRootInode, "other");
+      ASSERT_TRUE(other.ok());
+      EXPECT_EQ(listing(*other), (std::map<std::string, bool>{{"moved", false}}));
+    });
+  }
 }
 
 TEST_F(PfsTest, InodeFsBlockAccountingOnRemove) {
