@@ -1,10 +1,8 @@
 // Reproduces the fine-grained-objects evaluation: "having a very large
-// number of virtual method calls slowed the system down" and the wrappers
-// "forced ... to maintain state". Two ablations:
+// number of virtual method calls slowed the system down". Two ablations:
 //   1. OODDM TDiskDrive (deep hierarchy, many short virtuals) vs the coarse
 //      in-kernel driver, same device programming.
-//   2. The fine-grained network stack (+ stateful kernel wrappers) vs the
-//      coarse stack, same packets.
+//   2. The fine-grained network stack vs the coarse stack, same packets.
 #include "src/base/log.h"
 
 #include <cstdio>

@@ -1,6 +1,6 @@
 // User-level network interface driver: a receive thread takes reflected
 // interrupts and drains frames into a queue; a service thread serves
-// send/receive RPCs to the networking service.
+// send/receive RPCs from its clients (bench_ablations' frame echo).
 #ifndef SRC_DRV_NIC_DRIVER_H_
 #define SRC_DRV_NIC_DRIVER_H_
 
@@ -58,7 +58,7 @@ class NicDriver {
   uint64_t frames_rx_ = 0;
 };
 
-// Client-side frame interface for the networking service.
+// Client-side frame interface to the driver.
 class NicClient {
  public:
   explicit NicClient(mk::PortName service) : stub_("drv.nic.client", service) {}

@@ -58,43 +58,6 @@ class OoObject {
   uint64_t virtual_calls_ = 0;
 };
 
-// Stateful C++ wrappers for the kernel interfaces (the Taligent wrappers the
-// paper complains about: "rather than being a simple, stateless
-// representation of the kernel interfaces, [they] exported a significantly
-// different set of interfaces that forced them to maintain state").
-class TPortSenderWrapper : public OoObject {
- public:
-  TPortSenderWrapper(mk::Kernel& kernel, mk::PortName port)
-      : OoObject(kernel, "TPortSender"), port_(port) {}
-
-  base::Status SendRequest(mk::Env& env, const void* req, uint32_t req_len, void* reply,
-                           uint32_t reply_cap, mk::RpcRef* ref = nullptr) {
-    // The wrapper's "value-added" interface: validation, statistics,
-    // default-policy state — each its own short virtual method.
-    Method("ValidateTarget", 14);
-    Method("CheckQuota", 12);
-    Method("RecordAttempt", 10);
-    Method("MarshalHeader", 18);
-    const base::Status st =
-        env.RpcCall(port_, req, req_len, reply, reply_cap, nullptr, ref);
-    Method("RecordOutcome", 12);
-    Method("UpdateLatencyStats", 16);
-    ++requests_;
-    if (st != base::Status::kOk) {
-      ++failures_;
-      Method("HandleFailure", 20);
-    }
-    return st;
-  }
-
-  uint64_t requests() const { return requests_; }
-
- private:
-  mk::PortName port_;
-  uint64_t requests_ = 0;
-  uint64_t failures_ = 0;
-};
-
 }  // namespace drv
 
 #endif  // SRC_DRV_OO_FINE_GRAINED_H_

@@ -1,6 +1,6 @@
 // Simulated network interface with loopback delivery: a transmitted frame
 // reappears on the receive side after a wire latency. Enough to exercise the
-// networking service's full send/receive code paths.
+// NIC drivers' full send/receive code paths.
 //
 // Registers:
 //   kRegTxAddr/kRegTxLen + kRegCommand(kCmdSend)  transmit a frame by DMA

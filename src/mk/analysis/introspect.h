@@ -35,10 +35,6 @@ class Introspector {
     return k.memsync_waiters_;
   }
 
-  using PeriodicTimer = Kernel::PeriodicTimer;
-  static const std::unordered_map<uint32_t, PeriodicTimer>& timers(const Kernel& k) {
-    return k.timers_;
-  }
   using InterruptBinding = Kernel::InterruptBinding;
   static const std::unordered_map<uint32_t, InterruptBinding>& interrupt_bindings(
       const Kernel& k) {

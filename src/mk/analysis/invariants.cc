@@ -33,7 +33,7 @@ std::string ThreadLabel(const Thread* t) {
 
 std::string PortLabel(const Port* p) {
   std::ostringstream os;
-  os << (p->is_port_set ? "port set " : "port ") << p->id();
+  os << "port " << p->id();
   return os.str();
 }
 
@@ -136,48 +136,12 @@ class Checker {
         if (!port->waiting_servers.empty() || !port->waiting_clients.empty()) {
           Violation(PortLabel(port), " is dead but has RPC rendezvous waiters");
         }
-        if (port->member_of != nullptr || !port->set_members.empty()) {
-          Violation(PortLabel(port), " is dead but still linked to a port set");
-        }
         if (port->receiver() != nullptr) {
           Violation(PortLabel(port), " is dead but still names a receiver task");
         }
       }
       if (port->receiver() != nullptr && known_tasks_.count(port->receiver()) == 0) {
         Violation(PortLabel(port), " receiver is not a task the kernel owns");
-      }
-      // Port-set shape: links consistent both ways, no nesting, no traffic
-      // through the set object itself (messages and callers land on members).
-      if (port->member_of != nullptr) {
-        const Port* set = port->member_of;
-        if (!set->is_port_set) {
-          Violation(PortLabel(port), " member_of ", PortLabel(set), " which is not a port set");
-        }
-        bool linked = false;
-        for (const Port* m : set->set_members) {
-          linked |= m == port;
-        }
-        if (!linked) {
-          Violation(PortLabel(port), " points at ", PortLabel(set),
-                    " but is missing from its member list");
-        }
-      }
-      if (port->is_port_set) {
-        if (!port->queue.empty() || !port->waiting_clients.empty() ||
-            !port->blocked_senders.empty()) {
-          Violation(PortLabel(port), " carries traffic directly (queue/clients/senders)");
-        }
-        for (const Port* m : port->set_members) {
-          if (m->is_port_set) {
-            Violation(PortLabel(port), " contains nested ", PortLabel(m));
-          }
-          if (m->member_of != port) {
-            Violation(PortLabel(port), " lists ", PortLabel(m),
-                      " whose back-pointer names a different set");
-          }
-        }
-      } else if (!port->set_members.empty()) {
-        Violation(PortLabel(port), " is not a set but has set members");
       }
     }
   }

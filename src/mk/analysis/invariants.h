@@ -21,9 +21,7 @@ namespace mk::analysis {
 // the object graph is consistent. Checked invariants:
 //   - every port right names a port the kernel owns, with refs >= 1
 //   - dead ports are fully detached: empty message queue, no blocked or
-//     rendezvous waiters, no port-set membership in either direction
-//   - port-set links are consistent both ways (member_of <-> set_members),
-//     sets do not nest and never carry traffic themselves
+//     rendezvous waiters, no receiver task
 //   - every port honours queue.size() <= queue_limit
 //   - a kBlocked thread sits on exactly the wait queue named by waiting_on
 //     (or none for RPC/sleep blocks); no other state appears on any queue,

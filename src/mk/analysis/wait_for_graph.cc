@@ -20,7 +20,7 @@ std::string ThreadLabel(const Thread* t) {
 
 std::string PortLabel(const Port* p) {
   std::ostringstream os;
-  os << (p->is_port_set ? "port set " : "port ") << p->id();
+  os << "port " << p->id();
   return os.str();
 }
 
@@ -104,46 +104,26 @@ WaitForGraph WaitForGraph::Build(const Kernel& kernel) {
     awaiting_reply[rpc.client] = {token, rpc.server};
   }
 
-  // The member ports a receive on `port` can take work from.
-  auto sources_of = [](const Port* port) {
-    std::vector<const Port*> sources;
-    if (port->is_port_set) {
-      sources.assign(port->set_members.begin(), port->set_members.end());
-    } else {
-      sources.push_back(port);
-    }
-    return sources;
-  };
-  auto holder_threads = [&](const std::vector<const Port*>& sources, const Thread* self) {
+  // Live threads of every task that holds a right to `port`, excluding
+  // `self`: the candidates that could send to it.
+  auto holder_threads = [&](const Port* port, const Thread* self) {
     std::vector<const Thread*> out;
-    std::unordered_set<const Thread*> seen;
-    for (const Port* s : sources) {
-      auto it = holders.find(s);
-      if (it == holders.end()) {
-        continue;
-      }
-      for (const Task* task : it->second) {
-        for (const Thread* t : TaskThreads(task, self)) {
-          if (seen.insert(t).second) {
-            out.push_back(t);
-          }
-        }
+    auto it = holders.find(port);
+    if (it == holders.end()) {
+      return out;
+    }
+    for (const Task* task : it->second) {
+      for (const Thread* t : TaskThreads(task, self)) {
+        out.push_back(t);
       }
     }
     return out;
   };
-  auto external_sender = [&](const std::vector<const Port*>& sources) {
-    // unordered-ok: existence check only; order does not escape.
-    for (const auto& [id, timer] : Introspector::timers(kernel)) {
-      if (!timer.cancelled &&
-          std::find(sources.begin(), sources.end(), timer.port) != sources.end()) {
-        return true;
-      }
-    }
+  // A reflected interrupt line feeds `port` from outside the thread graph.
+  auto external_sender = [&](const Port* port) {
     // unordered-ok: existence check only; order does not escape.
     for (const auto& [line, binding] : Introspector::interrupt_bindings(kernel)) {
-      if (binding.reflect_port != nullptr &&
-          std::find(sources.begin(), sources.end(), binding.reflect_port) != sources.end()) {
+      if (binding.reflect_port == port) {
         return true;
       }
     }
@@ -185,7 +165,7 @@ WaitForGraph WaitForGraph::Build(const Kernel& kernel) {
     } else if (auto server = server_parked_on.find(thread); server != server_parked_on.end()) {
       e.kind = WaitKind::kRpcReceive;
       e.port = server->second;
-      e.wakers = holder_threads(sources_of(e.port), thread);
+      e.wakers = holder_threads(e.port, thread);
       detail << "in RpcReceive on " << PortLabel(e.port) << " waiting for a caller";
     } else if (thread->waiting_on != nullptr) {
       const auto info = queue_info.find(thread->waiting_on);
@@ -204,15 +184,13 @@ WaitForGraph WaitForGraph::Build(const Kernel& kernel) {
             detail << "in MachMsgSend on " << PortLabel(e.port) << " (queue full, "
                    << e.port->queue.size() << "/" << e.port->queue_limit << ")";
             break;
-          case QueueRole::kIpcReceive: {
+          case QueueRole::kIpcReceive:
             e.kind = WaitKind::kIpcReceiveEmpty;
             e.port = info->second.port;
-            const auto sources = sources_of(e.port);
-            e.wakers = holder_threads(sources, thread);
-            e.external_wake = external_sender(sources);
+            e.wakers = holder_threads(e.port, thread);
+            e.external_wake = external_sender(e.port);
             detail << "in MachMsgReceive on " << PortLabel(e.port) << " (queue empty)";
             break;
-          }
           case QueueRole::kSemaphore:
             e.kind = WaitKind::kSemaphore;
             // Any live thread can signal a kernel semaphore.

@@ -5,7 +5,7 @@
 // wakers is a set and any one of them making progress suffices, so a
 // multi-threaded server task never looks deadlocked just because one of its
 // threads is. DeadlockedThreads() is the fixpoint of "can make progress"
-// (runnable threads and external wake sources — timers, reflected
+// (runnable threads and external wake sources — timed sleeps, reflected
 // interrupts — seed the set); FindCycleReports() renders each wait cycle in
 // the deadlocked set as a human-readable thread -> port -> task chain.
 #ifndef SRC_MK_ANALYSIS_WAIT_FOR_GRAPH_H_
@@ -44,7 +44,7 @@ struct WaitEdge {
   // progress suffices. Empty with external_wake false means nothing in the
   // system can ever wake the thread.
   std::vector<const Thread*> wakers;
-  bool external_wake = false;  // a timer or reflected interrupt can wake it
+  bool external_wake = false;  // a timed wake or reflected interrupt can wake it
   std::string detail;          // human-readable description of the wait
 };
 

@@ -102,7 +102,6 @@ struct Costs {
   // --- Clocks and timers -------------------------------------------------------
   static constexpr uint32_t kClockGetTime = 70;
   static constexpr uint32_t kTimerArm = 130;
-  static constexpr uint32_t kTimerFire = 110;
 
   // --- I/O support -------------------------------------------------------------
   static constexpr uint32_t kIoRegAccess = 40;       // kernel-mediated reg access

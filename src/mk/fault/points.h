@@ -18,11 +18,11 @@ namespace fault {
 enum class FaultPoint : uint8_t {
   // ServerLoop::EnterHandler, called first in a server's dispatch before any
   // handler state changes. Only the servers a campaign survives losing
-  // call it: the file, net and registry servers, and the echo loops in
-  // tests and examples. Supports every mode: kCrashTask (terminate the
-  // serving task), kDropReply (swallow the request; the client needs a
-  // deadline), kKillPort (destroy the service port), kTransientError (reply
-  // kBusy), kStallTask (park the serving thread forever — a wedged-but-alive
+  // call it: the file server, and the echo loops in tests and examples.
+  // Supports every mode: kCrashTask (terminate the serving task),
+  // kDropReply (swallow the request; the client needs a deadline),
+  // kKillPort (destroy the service port), kTransientError (reply kBusy),
+  // kStallTask (park the serving thread forever — a wedged-but-alive
   // server only a watchdog can recover), kDelayReply (sleep a seeded
   // simulated delay before handling — an overloaded-but-correct server).
   kServerHandlerEntry = 0,

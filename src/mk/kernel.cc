@@ -85,11 +85,6 @@ Kernel::Kernel(hw::Machine* machine, const KernelConfig& config)
     Thread* t = scheduler_.current();
     return t == nullptr ? uint64_t{0} : t->trace_ctx.trace_id;
   });
-  HostInfo info;
-  info.name = "wpos-sim";
-  info.cpu_mhz = machine->cpu().config().mhz;
-  info.memory_bytes = machine->mem().size();
-  host_.set_info(info);
 }
 
 Kernel::~Kernel() {
@@ -244,8 +239,6 @@ Task* Kernel::CreateTask(const std::string& name, uint32_t app_footprint_instr) 
     app_footprint_instr = kDefaultAppFootprint;
   }
   task->app_code = hw::DefineKernelCode("app." + name, app_footprint_instr);
-  task->set_processor_set(host_.default_pset());
-  ++host_.default_pset()->tasks_assigned;
   const base::Result<Port*> self = NewPort();
   WPOS_CHECK(self.ok()) << "kernel heap exhausted";
   (*self)->set_receiver(task.get());
@@ -410,14 +403,6 @@ void Kernel::WakeOneReceiver(Port* port) {
   if (Thread* receiver = port->blocked_receivers.DequeueFront()) {
     receiver->waiting_on = nullptr;
     scheduler_.Wake(receiver, base::Status::kOk);
-    return;
-  }
-  // Nobody on the port: a receiver may be parked on its port set.
-  if (port->member_of != nullptr) {
-    if (Thread* receiver = port->member_of->blocked_receivers.DequeueFront()) {
-      receiver->waiting_on = nullptr;
-      scheduler_.Wake(receiver, base::Status::kOk);
-    }
   }
 }
 
@@ -432,18 +417,9 @@ base::Result<Port*> Kernel::NewPort() {
 
 void Kernel::DestroyPort(Port* port) {
   port->MarkDead();
-  // A dead port keeps no messages and no set linkage; drop them now so the
-  // object graph stays consistent (checked by CheckInvariants).
+  // A dead port keeps no messages; drop them now so the object graph stays
+  // consistent (checked by CheckInvariants).
   port->queue.clear();
-  if (port->member_of != nullptr) {
-    auto& members = port->member_of->set_members;
-    members.erase(std::remove(members.begin(), members.end(), port), members.end());
-    port->member_of = nullptr;
-  }
-  for (Port* member : port->set_members) {
-    member->member_of = nullptr;
-  }
-  port->set_members.clear();
   while (Thread* t = port->blocked_receivers.DequeueFront()) {
     t->waiting_on = nullptr;
     scheduler_.Wake(t, base::Status::kPortDead);
@@ -499,9 +475,6 @@ base::Status Kernel::PortSetQueueLimit(Task& task, PortName receive_name, uint32
   if (!port.ok()) {
     return port.status();
   }
-  if ((*port)->is_port_set) {
-    return base::Status::kInvalidRight;  // sets carry no traffic of their own
-  }
   cpu().AccessData((*port)->sim_addr(), 64, /*write=*/true);
   (*port)->rpc_queue_limit = limit;
   return base::Status::kOk;
@@ -525,61 +498,6 @@ base::Result<PortName> Kernel::MakeReceiveRight(Task& from, PortName receive_nam
   }
   cpu().AccessData(to.port_space().sim_addr(), 32, /*write=*/true);
   return to.port_space().Insert(*port, RightType::kReceive);
-}
-
-base::Result<PortName> Kernel::PortSetAllocate(Task& task) {
-  cpu().Execute(PortAllocRegion());
-  const base::Result<Port*> made = NewPort();
-  if (!made.ok()) {
-    return made.status();
-  }
-  Port* set = *made;
-  set->is_port_set = true;
-  set->set_receiver(&task);
-  cpu().AccessData(set->sim_addr(), 64, /*write=*/true);
-  return task.port_space().Insert(set, RightType::kReceive);
-}
-
-base::Status Kernel::PortSetAdd(Task& task, PortName set_name, PortName member_receive) {
-  cpu().Execute(PortTransferRegion());
-  auto set = task.port_space().LookupReceive(set_name);
-  if (!set.ok()) {
-    return set.status();
-  }
-  if (!(*set)->is_port_set) {
-    return base::Status::kInvalidRight;
-  }
-  auto member = task.port_space().LookupReceive(member_receive);
-  if (!member.ok()) {
-    return member.status();
-  }
-  if ((*member)->is_port_set) {
-    return base::Status::kInvalidArgument;  // sets do not nest
-  }
-  if ((*member)->member_of != nullptr) {
-    return base::Status::kAlreadyExists;
-  }
-  (*member)->member_of = *set;
-  (*set)->set_members.push_back(*member);
-  return base::Status::kOk;
-}
-
-base::Status Kernel::PortSetRemove(Task& task, PortName set_name, PortName member_receive) {
-  auto set = task.port_space().LookupReceive(set_name);
-  if (!set.ok()) {
-    return set.status();
-  }
-  auto member = task.port_space().LookupReceive(member_receive);
-  if (!member.ok()) {
-    return member.status();
-  }
-  if ((*member)->member_of != *set) {
-    return base::Status::kNotFound;
-  }
-  (*member)->member_of = nullptr;
-  auto& members = (*set)->set_members;
-  members.erase(std::find(members.begin(), members.end(), *member));
-  return base::Status::kOk;
 }
 
 base::Result<Port*> Kernel::ResolvePort(Task& task, PortName name) {

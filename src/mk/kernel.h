@@ -1,8 +1,11 @@
 // The IBM Microkernel: the central kernel object.
 //
-// Facilities (paper, "The IBM Microkernel" section): IPC/RPC, tasks and
-// threads, virtual memory management, I/O support, hosts and processor sets,
-// clocks and timers, synchronizers. IPC is present in both forms: the
+// Facilities (paper, "The IBM Microkernel" section). Modelled: IPC/RPC,
+// tasks and threads, virtual memory management, I/O support (interrupts,
+// reflected or in-kernel, and device registers), clocks (the current time,
+// timed sleeps and every call's timeout) and synchronizers. Not modelled,
+// because no program here uses them: hosts and processor sets, Mach port
+// sets and periodic kernel timers. IPC is present in both forms: the
 // inherited Mach 3.0 mach_msg (queued, asynchronous, reply ports, virtual
 // copy) and the reworked RPC (synchronous, no reply ports, no queuing,
 // blocked send/receive, physical copy, by-reference bulk data) whose 2-10x
@@ -26,7 +29,6 @@
 #include "src/hw/machine.h"
 #include "src/mk/costs.h"
 #include "src/mk/fault/injector.h"
-#include "src/mk/host.h"
 #include "src/mk/ids.h"
 #include "src/mk/kernel_heap.h"
 #include "src/mk/message.h"
@@ -65,7 +67,6 @@ struct KernelConfig {
 // Result of a server-side RpcReceive.
 struct RpcRequest {
   uint64_t token = 0;
-  uint64_t arrived_port = 0;  // Port::id() the call arrived on (set receives)
   uint32_t req_len = 0;
   uint32_t ref_len = 0;               // bulk data copied into the posted ref buffer
   std::vector<PortName> rights;       // rights transferred to the server
@@ -108,7 +109,6 @@ class Kernel {
   hw::Cpu& cpu() { return machine_->cpu(); }
   Scheduler& scheduler() { return scheduler_; }
   KernelHeap& heap() { return *heap_; }
-  Host& host() { return host_; }
   trace::Tracer& tracer() { return *tracer_; }
   fault::Injector& faults() { return *faults_; }
   Thread* current() const { return scheduler_.current(); }
@@ -124,9 +124,9 @@ class Kernel {
   size_t Halt();
 
   // Walks the kernel object graph (port rights, queues and wait queues,
-  // port-set back-pointers, thread states, in-flight RPCs, counters)
-  // checking structural invariants; logs each violation at kError and
-  // returns the number found (0 = consistent). See src/mk/analysis/.
+  // thread states, in-flight RPCs, counters) checking structural
+  // invariants; logs each violation at kError and returns the number found
+  // (0 = consistent). See src/mk/analysis/.
   size_t CheckInvariants() const;
 
   // --- Tasks and threads -------------------------------------------------------
@@ -172,13 +172,6 @@ class Kernel {
   // interrupt reflection. A watcher port that itself dies is pruned.
   base::Status RegisterDeathWatcher(Task& task, PortName receive_name);
   base::Status UnregisterDeathWatcher(Task& task, PortName receive_name);
-
-  // --- Port sets -----------------------------------------------------------------
-  // A port set groups receive rights so one thread can serve many ports
-  // (as in Mach). Receiving on the set takes work from any member.
-  base::Result<PortName> PortSetAllocate(Task& task);
-  base::Status PortSetAdd(Task& task, PortName set, PortName member_receive);
-  base::Status PortSetRemove(Task& task, PortName set, PortName member_receive);
 
   // --- Traps (the Table 2 comparison point) -------------------------------------
   // Returns the current thread's self port name, creating it on first use.
@@ -300,6 +293,8 @@ class Kernel {
   base::Result<hw::PhysAddr> ResolveForAccess(Task& task, hw::VirtAddr vaddr, bool write);
 
   // --- Synchronizers ---------------------------------------------------------------------
+  // kResourceShortage, with no semaphore id taken, when the kernel heap
+  // cannot hold the semaphore.
   base::Result<uint32_t> SemCreate(uint32_t initial);
   base::Status SemWait(uint32_t sem, uint64_t timeout_ns = kForever);
   base::Status SemSignal(uint32_t sem);
@@ -310,16 +305,13 @@ class Kernel {
   base::Status MemSyncWait(hw::VirtAddr addr, uint32_t expected, uint64_t timeout_ns = kForever);
   uint32_t MemSyncWake(hw::VirtAddr addr, uint32_t count);
 
-  // --- Clocks and timers -------------------------------------------------------------------
+  // --- Clocks -------------------------------------------------------------------------------
   uint64_t NowNs();
   base::Status SleepNs(uint64_t ns);
   // Parks the current thread with no wake scheduled: it stays blocked until
   // something external aborts it (TerminateTask). Models a wedged thread for
   // the kStallTask fault mode; returns the abort status when woken.
   base::Status StallForever();
-  // Periodic timer posting an (empty) legacy message to `port` every period.
-  base::Result<uint32_t> TimerArmPeriodic(Task& task, PortName port, uint64_t period_ns);
-  base::Status TimerCancel(uint32_t timer_id);
 
   // --- I/O support ----------------------------------------------------------------------------
   // In-kernel interrupt handler (BSD-style drivers).
@@ -370,17 +362,10 @@ class Kernel {
     bool alive = true;
   };
 
-  struct PeriodicTimer {
-    Task* task = nullptr;
-    Port* port = nullptr;
-    uint64_t period_cycles = 0;
-    bool cancelled = false;
-  };
-
   // A fresh port, or kResourceShortage when the kernel heap cannot hold it.
   base::Result<Port*> NewPort();
   void DestroyPort(Port* port);
-  // Wakes one thread blocked receiving on `port` or on its port set.
+  // Wakes one thread blocked receiving on `port`.
   void WakeOneReceiver(Port* port);
   base::Status RpcCallOnPort(Port* port, const void* req, uint32_t req_len, void* reply,
                              uint32_t reply_cap, uint32_t* reply_len, RpcRef* ref,
@@ -422,8 +407,8 @@ class Kernel {
   // the status that ends the trap: kAborted or kPortDead.
   base::Status ReplyHalf(Thread* server, uint64_t token, const ReplyMessage& msg,
                          Thread** client_out);
-  // Takes the next caller queued on `receive_name` (or a member of the set
-  // it names) or parks the server until one arrives, then leaves the kernel.
+  // Takes the next caller queued on `receive_name` or parks the server
+  // until one arrives, then leaves the kernel.
   // `replied` (nullptr: none) is the caller ReplyHalf answered; it is woken
   // once the server has its next request or is parked.
   base::Result<RpcRequest> ReceiveHalf(Thread* server, PortName receive_name, void* buf,
@@ -433,7 +418,6 @@ class Kernel {
   base::Status FaultIn(Task& task, VmMapEntry* entry, hw::VirtAddr vaddr, bool write,
                        hw::PhysAddr* out_pa);
   base::Status PagerFill(Task& task, VmObject* object, uint64_t page_index, hw::PhysAddr frame);
-  void ArmTimer(uint32_t timer_id);
   void StartTimedWake(Thread* t, uint64_t timeout_ns);
   void DispatchInterrupt(uint32_t line);
   // Enqueues a death notice (msg_id + notice payload bytes) to every live
@@ -447,7 +431,6 @@ class Kernel {
   Scheduler scheduler_;
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<fault::Injector> faults_;
-  Host host_;
 
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<std::unique_ptr<Thread>> threads_;
@@ -473,9 +456,6 @@ class Kernel {
   uint32_t next_sem_id_ = 1;
   // Memory synchronizer wait queues keyed by physical word address.
   std::unordered_map<uint64_t, WaitQueue> memsync_waiters_;
-
-  std::unordered_map<uint32_t, PeriodicTimer> timers_;
-  uint32_t next_timer_id_ = 1;
 
   std::unordered_map<uint64_t, std::shared_ptr<VmObject>> paged_objects_;
   uint64_t next_object_id_ = 1;

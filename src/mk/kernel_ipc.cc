@@ -176,20 +176,7 @@ base::Status Kernel::MachMsgReceive(PortName name, MachMessage* out, uint64_t ti
     return port_r.status();
   }
   Port* port = *port_r;
-  // On a port set, receive from whichever member has a queued message.
-  auto pick_source = [&]() -> Port* {
-    if (!port->is_port_set) {
-      return port->queue.empty() ? nullptr : port;
-    }
-    for (Port* member : port->set_members) {
-      if (!member->queue.empty()) {
-        return member;
-      }
-    }
-    return nullptr;
-  };
-  Port* source = pick_source();
-  while (source == nullptr) {
+  while (port->queue.empty()) {
     if (port->dead()) {
       LeaveKernel();
       return base::Status::kPortDead;
@@ -200,16 +187,15 @@ base::Status Kernel::MachMsgReceive(PortName name, MachMessage* out, uint64_t ti
       LeaveKernel();
       return st;
     }
-    source = pick_source();
   }
-  std::unique_ptr<QueuedMessage> qm = std::move(source->queue.front());
-  source->queue.pop_front();
+  std::unique_ptr<QueuedMessage> qm = std::move(port->queue.front());
+  port->queue.pop_front();
   if (sync_observer_ != nullptr) {
-    sync_observer_->OnChannelRecv(source->id(), receiver);
+    sync_observer_->OnChannelRecv(port->id(), receiver);
   }
   span.set_end_payload(qm->msg_id);
   cpu().Execute(KmsgRegion());
-  cpu().AccessData(source->sim_addr(), 64, /*write=*/true);
+  cpu().AccessData(port->sim_addr(), 64, /*write=*/true);
 
   out->msg_id = qm->msg_id;
   out->dest = name;
@@ -248,7 +234,7 @@ base::Status Kernel::MachMsgReceive(PortName name, MachMessage* out, uint64_t ti
     }
     out->ool.push_back({.address = *addr, .size = region.size, .deallocate_sender = false});
   }
-  if (Thread* blocked = source->blocked_senders.DequeueFront()) {
+  if (Thread* blocked = port->blocked_senders.DequeueFront()) {
     blocked->waiting_on = nullptr;
     scheduler_.Wake(blocked, base::Status::kOk);
   }

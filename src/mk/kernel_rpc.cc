@@ -60,21 +60,6 @@ bool UseOol(RpcBulkMode mode, uint64_t len) {
   return len >= Costs::kRpcOolThresholdBytes;
 }
 
-// The port a receive on `port` takes its next request from: the port itself
-// if a caller is queued on it, the first member with one when `port` is a
-// set, or nullptr when nobody is waiting.
-Port* QueuedSource(Port* port) {
-  if (!port->is_port_set) {
-    return port->waiting_clients.empty() ? nullptr : port;
-  }
-  for (Port* member : port->set_members) {
-    if (!member->waiting_clients.empty()) {
-      return member;
-    }
-  }
-  return nullptr;
-}
-
 // A server whose park timed out or was aborted leaves the rendezvous deque.
 void LeaveReceiveQueue(Port* port, Thread* server) {
   for (auto it = port->waiting_servers.begin(); it != port->waiting_servers.end(); ++it) {
@@ -89,7 +74,6 @@ void LeaveReceiveQueue(Port* port, Thread* server) {
 RpcRequest TakeRequest(Thread::RpcState& s) {
   RpcRequest out;
   out.token = s.token;
-  out.arrived_port = s.arrived_port;
   out.req_len = s.srv_req_len;
   out.ref_len = s.srv_ref_len;
   out.rights = std::move(s.srv_rights);
@@ -289,21 +273,13 @@ base::Status Kernel::RpcCallOnPort(Port* port, const void* req, uint32_t req_len
   c.completion = base::Status::kOk;
   c.port = port;
 
-  // A server may be parked on the port itself or on the set it belongs to.
-  std::deque<Thread*>* server_queue = nullptr;
   if (!port->waiting_servers.empty()) {
-    server_queue = &port->waiting_servers;
-  } else if (port->member_of != nullptr && !port->member_of->waiting_servers.empty()) {
-    server_queue = &port->member_of->waiting_servers;
-  }
-  if (server_queue != nullptr) {
-    Thread* server = server_queue->front();
-    server_queue->pop_front();
-    server->rpc.arrived_port = port->id();
+    Thread* server = port->waiting_servers.front();
+    port->waiting_servers.pop_front();
     DeliverRpcToServer(client, server);
     if (c.completion != base::Status::kOk) {
       // Delivery failed; re-park the server, fail the call.
-      server_queue->push_front(server);
+      port->waiting_servers.push_front(server);
       return c.completion;
     }
     scheduler_.Wake(server, base::Status::kOk);
@@ -495,11 +471,9 @@ base::Result<RpcRequest> Kernel::ReceiveHalf(Thread* server, PortName receive_na
     ref->recv_ool = false;
   }
 
-  // Receiving on a port set services whichever member has a caller waiting.
-  if (Port* source = QueuedSource(port); source != nullptr) {
-    Thread* client = source->waiting_clients.front();
-    source->waiting_clients.pop_front();
-    s.arrived_port = source->id();
+  if (!port->waiting_clients.empty()) {
+    Thread* client = port->waiting_clients.front();
+    port->waiting_clients.pop_front();
     DeliverRpcToServer(client, server);
     if (client->rpc.completion != base::Status::kOk) {
       // The queued request didn't fit the posted buffers: fail that caller,

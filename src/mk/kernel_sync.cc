@@ -1,8 +1,11 @@
-// Synchronizers, clocks and timers (paper: "Mach 3.0 also had no notion of
+// Synchronizers and clocks (paper: "Mach 3.0 also had no notion of
 // synchronization other than that which can be constructed using the IPC
 // system. Since this was too expensive ... we implemented a comprehensive set
 // of synchronizers including both memory- and kernel-based locks and
 // semaphores", plus "a much more extensive time management component").
+// Modelled: kernel semaphores, memory-based (futex-style) waits, the
+// current time, timed sleeps and the deadline behind every timeout. The
+// time manager's periodic timers are not: no program here arms one.
 #include "src/base/log.h"
 #include "src/mk/kernel.h"
 
@@ -37,10 +40,6 @@ const hw::CodeRegion& TimerArmRegion() {
   static const hw::CodeRegion r = hw::DefineKernelCode("mk.clock.timer_arm", Costs::kTimerArm);
   return r;
 }
-const hw::CodeRegion& TimerFireRegion() {
-  static const hw::CodeRegion r = hw::DefineKernelCode("mk.clock.timer_fire", Costs::kTimerFire);
-  return r;
-}
 }  // namespace
 
 // --- Timed wakes ------------------------------------------------------------------
@@ -61,10 +60,14 @@ void Kernel::StartTimedWake(Thread* t, uint64_t timeout_ns) {
 // --- Kernel semaphores ----------------------------------------------------------------
 
 base::Result<uint32_t> Kernel::SemCreate(uint32_t initial) {
+  const base::Result<hw::PhysAddr> sim_addr = heap_->TryAllocate(64);
+  if (!sim_addr.ok()) {
+    return sim_addr.status();
+  }
   const uint32_t id = next_sem_id_++;
   Semaphore sem;
   sem.count = initial;
-  sem.sim_addr = heap_->Allocate(64);
+  sem.sim_addr = *sim_addr;
   semaphores_.emplace(id, std::move(sem));
   return id;
 }
@@ -222,7 +225,7 @@ uint32_t Kernel::MemSyncWake(hw::VirtAddr addr, uint32_t count) {
   return woken;
 }
 
-// --- Clocks and timers --------------------------------------------------------------------------
+// --- Clocks --------------------------------------------------------------------------------------
 
 uint64_t Kernel::NowNs() {
   cpu().Execute(ClockRegion());
@@ -247,58 +250,6 @@ base::Status Kernel::StallForever() {
   // an abort (TerminateTask). This is the kStallTask fault mode's wedge —
   // the thread holds whatever it holds and stops making progress.
   return scheduler_.Block(Thread::State::kBlocked, nullptr);
-}
-
-base::Result<uint32_t> Kernel::TimerArmPeriodic(Task& task, PortName port, uint64_t period_ns) {
-  cpu().Execute(TimerArmRegion());
-  auto p = task.port_space().LookupReceive(port);
-  if (!p.ok()) {
-    return p.status();
-  }
-  const uint32_t id = next_timer_id_++;
-  PeriodicTimer timer;
-  timer.task = &task;
-  timer.port = *p;
-  timer.period_cycles = cpu().NsToCycles(period_ns);
-  if (timer.period_cycles == 0) {
-    return base::Status::kInvalidArgument;
-  }
-  timers_.emplace(id, timer);
-  ArmTimer(id);
-  return id;
-}
-
-base::Status Kernel::TimerCancel(uint32_t timer_id) {
-  auto it = timers_.find(timer_id);
-  if (it == timers_.end() || it->second.cancelled) {
-    return base::Status::kNotFound;
-  }
-  it->second.cancelled = true;
-  return base::Status::kOk;
-}
-
-void Kernel::ArmTimer(uint32_t timer_id) {
-  auto it = timers_.find(timer_id);
-  if (it == timers_.end() || it->second.cancelled) {
-    return;
-  }
-  machine_->ScheduleAfter(it->second.period_cycles, [this, timer_id] {
-    auto timer_it = timers_.find(timer_id);
-    if (timer_it == timers_.end() || timer_it->second.cancelled) {
-      return;
-    }
-    PeriodicTimer& timer = timer_it->second;
-    cpu().Execute(TimerFireRegion());
-    if (!timer.port->dead() && timer.port->queue.size() < timer.port->queue_limit) {
-      auto qm = std::make_unique<QueuedMessage>();
-      qm->msg_id = 0x2000 + timer_id;
-      qm->kernel_buffer = heap_->Allocate(64);
-      qm->send_cycle = cpu().cycles();
-      timer.port->queue.push_back(std::move(qm));
-      WakeOneReceiver(timer.port);
-    }
-    ArmTimer(timer_id);
-  });
 }
 
 }  // namespace mk

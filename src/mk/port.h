@@ -12,7 +12,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "src/base/status.h"
 #include "src/hw/types.h"
@@ -57,14 +56,6 @@ class Port {
 
   uint64_t send_count = 0;
   uint64_t rpc_count = 0;
-
-  // --- Port sets ---------------------------------------------------------------
-  // A port set is itself a Port object that cannot carry traffic; receive
-  // operations on it service whichever member has work. Members hold a back
-  // pointer so senders can wake a receiver parked on the set.
-  bool is_port_set = false;
-  std::vector<Port*> set_members;
-  Port* member_of = nullptr;
 
  private:
   uint64_t id_;

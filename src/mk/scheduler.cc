@@ -85,13 +85,9 @@ Thread* Scheduler::PickNext() {
   }
   for (int prio = Thread::kNumPriorities - 1; prio >= 0; --prio) {
     auto& q = ready_[prio];
-    for (auto it = q.begin(); it != q.end(); ++it) {
-      Thread* t = *it;
-      ProcessorSet* ps = t->task()->processor_set();
-      if (ps != nullptr && !ps->enabled()) {
-        continue;  // task's processor set is disabled; skip but keep queued
-      }
-      q.erase(it);
+    if (!q.empty()) {
+      Thread* t = q.front();
+      q.pop_front();
       --ready_count_;
       return t;
     }
@@ -109,13 +105,7 @@ Thread* Scheduler::PickNextWithPolicy() {
   std::vector<Thread*> candidates;
   candidates.reserve(ready_count_);
   for (int prio = Thread::kNumPriorities - 1; prio >= 0; --prio) {
-    for (Thread* t : ready_[prio]) {
-      ProcessorSet* ps = t->task()->processor_set();
-      if (ps != nullptr && !ps->enabled()) {
-        continue;
-      }
-      candidates.push_back(t);
-    }
+    candidates.insert(candidates.end(), ready_[prio].begin(), ready_[prio].end());
   }
   if (candidates.empty()) {
     handoff_was_hint_ = false;
@@ -154,16 +144,7 @@ void Scheduler::PreemptPoint() {
   candidates.reserve(ready_count_ + 1);
   candidates.push_back(current_);
   for (int prio = Thread::kNumPriorities - 1; prio >= 0; --prio) {
-    for (Thread* t : ready_[prio]) {
-      ProcessorSet* ps = t->task()->processor_set();
-      if (ps != nullptr && !ps->enabled()) {
-        continue;
-      }
-      candidates.push_back(t);
-    }
-  }
-  if (candidates.size() < 2) {
-    return;
+    candidates.insert(candidates.end(), ready_[prio].begin(), ready_[prio].end());
   }
   Thread* next = policy_->OnPreemptPoint(current_, candidates);
   if (next == current_) {

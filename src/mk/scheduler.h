@@ -34,8 +34,8 @@ class SchedulePolicy {
   virtual ~SchedulePolicy() = default;
 
   // Dispatch decision. `candidates` lists every runnable thread in the stock
-  // scheduler's scan order (priority high to low, FIFO within a priority,
-  // disabled processor sets skipped); `natural` is the index the stock
+  // scheduler's scan order (priority high to low, FIFO within a priority);
+  // `natural` is the index the stock
   // scheduler would pick (the handoff hint when one is pending, else the
   // front of the scan). `previous` ran before this decision (nullptr at
   // boot); `reason` is why it stopped. Returns the index to dispatch.

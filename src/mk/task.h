@@ -18,7 +18,6 @@
 namespace mk {
 
 class Thread;
-class ProcessorSet;
 
 class Task {
  public:
@@ -48,9 +47,6 @@ class Task {
   bool terminated() const { return terminated_; }
   void set_terminated() { terminated_ = true; }
 
-  ProcessorSet* processor_set() const { return processor_set_; }
-  void set_processor_set(ProcessorSet* ps) { processor_set_ = ps; }
-
   // The application code region used by Env::Compute for this task; sized at
   // task creation to model the task's instruction working set.
   hw::CodeRegion app_code;
@@ -71,7 +67,6 @@ class Task {
   Port* self_port_ = nullptr;
   std::vector<Thread*> threads_;
   bool terminated_ = false;
-  ProcessorSet* processor_set_ = nullptr;
 };
 
 }  // namespace mk

@@ -131,7 +131,6 @@ class Thread {
 
     // Server side (valid between RpcReceive and RpcReply):
     uint64_t token = 0;
-    uint64_t arrived_port = 0;
     void* srv_buf = nullptr;
     uint32_t srv_cap = 0;
     RpcRef* srv_ref = nullptr;

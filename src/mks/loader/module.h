@@ -1,15 +1,13 @@
 // Load-module format for the Microkernel Services loader: a simplified ELF
 // ("we chose the ELF format") with text/data/bss segments, an export symbol
-// table, and import lists. Modules serialize to a flat byte image so they can
-// live on the simulated disk.
+// table, and import lists. Modules are registered with the loader in memory;
+// no on-disk image format is modelled.
 #ifndef SRC_MKS_LOADER_MODULE_H_
 #define SRC_MKS_LOADER_MODULE_H_
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "src/base/status.h"
 
 namespace mks {
 
@@ -24,8 +22,6 @@ struct ModuleImport {
 };
 
 struct LoadModule {
-  static constexpr uint32_t kMagic = 0x7f4c4d31;  // "\x7fLM1"
-
   std::string name;
   bool shared_library = false;
   bool coerced = false;  // address-coerced shared library (same base everywhere)
@@ -36,9 +32,6 @@ struct LoadModule {
   std::vector<ModuleSymbol> exports;
   std::vector<ModuleImport> imports;
   std::vector<std::string> needed;  // libraries to load first
-
-  std::vector<uint8_t> Serialize() const;
-  static base::Result<LoadModule> Parse(const std::vector<uint8_t>& image);
 };
 
 }  // namespace mks

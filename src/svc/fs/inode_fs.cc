@@ -74,14 +74,23 @@ bool InodeFs::NamesEqual(const std::string& a, const char* b) const {
 
 // --- Journal ----------------------------------------------------------------------
 
-base::Status InodeFs::TxnBegin(mk::Env& env) {
-  if (!config_.journaled) {
-    return base::Status::kOk;
+InodeFs::Txn::Txn(InodeFs& fs) : fs_(fs) {
+  if (!fs_.config_.journaled) {
+    return;
   }
-  WPOS_CHECK(!in_txn_) << "nested fs transaction";
-  in_txn_ = true;
-  txn_.clear();
-  return base::Status::kOk;
+  WPOS_CHECK(!fs_.in_txn_) << "nested fs transaction";
+  fs_.in_txn_ = true;
+  fs_.txn_.clear();
+  fs_.txn_free_blocks_ = fs_.free_blocks_;
+}
+
+InodeFs::Txn::~Txn() {
+  if (!fs_.in_txn_) {
+    return;  // committed, or no journal
+  }
+  fs_.in_txn_ = false;
+  fs_.txn_.clear();
+  fs_.free_blocks_ = fs_.txn_free_blocks_;
 }
 
 base::Status InodeFs::MetaRead(mk::Env& env, uint64_t lba, uint32_t offset, uint32_t len,
@@ -634,17 +643,14 @@ base::Result<NodeId> InodeFs::Create(mk::Env& env, NodeId dir, const std::string
   if (FindEntry(env, dir, name).ok()) {
     return base::Status::kAlreadyExists;
   }
-  base::Status st = TxnBegin(env);
-  if (st != base::Status::kOk) {
-    return st;
-  }
+  Txn txn(*this);
   auto ino = AllocInode(env, directory ? 2u : 1u);
   if (!ino.ok()) {
     return ino.status();
   }
   // The first free slot, or a new one at the end.
   DiskInode dnode;
-  st = ReadInode(env, dir, &dnode);
+  base::Status st = ReadInode(env, dir, &dnode);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -661,7 +667,7 @@ base::Result<NodeId> InodeFs::Create(mk::Env& env, NodeId dir, const std::string
   if (st != base::Status::kOk) {
     return st;
   }
-  st = TxnCommit(env);
+  st = txn.Commit(env);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -689,10 +695,7 @@ base::Status InodeFs::Remove(mk::Env& env, NodeId dir, const std::string& name) 
       return base::Status::kBusy;
     }
   }
-  st = TxnBegin(env);
-  if (st != base::Status::kOk) {
-    return st;
-  }
+  Txn txn(*this);
   st = FreeBlocksFrom(env, &inode, 0);
   if (st != base::Status::kOk) {
     return st;
@@ -706,7 +709,7 @@ base::Status InodeFs::Remove(mk::Env& env, NodeId dir, const std::string& name) 
   if (st != base::Status::kOk) {
     return st;
   }
-  return TxnCommit(env);
+  return txn.Commit(env);
 }
 
 base::Status InodeFs::Rename(mk::Env& env, NodeId from_dir, const std::string& from,
@@ -721,17 +724,14 @@ base::Status InodeFs::Rename(mk::Env& env, NodeId from_dir, const std::string& f
   if (FindEntry(env, to_dir, to).ok()) {
     return base::Status::kAlreadyExists;
   }
-  base::Status st = TxnBegin(env);
-  if (st != base::Status::kOk) {
-    return st;
-  }
+  Txn txn(*this);
   // The same entry under the new name: its inode and type move with it.
   Dirent64 e = found->entry;
   std::memset(e.name, 0, sizeof(e.name));
   std::strncpy(e.name, to.c_str(), kNameMax);
   // Append in the destination, clear the source slot.
   DiskInode dnode;
-  st = ReadInode(env, to_dir, &dnode);
+  base::Status st = ReadInode(env, to_dir, &dnode);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -744,7 +744,7 @@ base::Status InodeFs::Rename(mk::Env& env, NodeId from_dir, const std::string& f
   if (st != base::Status::kOk) {
     return st;
   }
-  return TxnCommit(env);
+  return txn.Commit(env);
 }
 
 base::Result<uint32_t> InodeFs::Read(mk::Env& env, NodeId node, uint64_t offset, void* out,
@@ -795,10 +795,7 @@ base::Result<uint32_t> InodeFs::Write(mk::Env& env, NodeId node, uint64_t offset
   if (inode.mode != 1) {
     return base::Status::kInvalidArgument;
   }
-  st = TxnBegin(env);  // block-pointer/bitmap updates are metadata
-  if (st != base::Status::kOk) {
-    return st;
-  }
+  Txn txn(*this);  // block-pointer/bitmap updates are metadata
   uint32_t done = 0;
   while (done < len) {
     const uint64_t pos = offset + done;
@@ -808,7 +805,6 @@ base::Result<uint32_t> InodeFs::Write(mk::Env& env, NodeId node, uint64_t offset
     bool fresh = false;
     auto block = MapBlock(env, &inode, node, block_index, /*allocate=*/true, &fresh);
     if (!block.ok()) {
-      (void)TxnCommit(env);
       return block.status();
     }
     const uint8_t* src = static_cast<const uint8_t*>(data) + done;
@@ -823,7 +819,6 @@ base::Result<uint32_t> InodeFs::Write(mk::Env& env, NodeId node, uint64_t offset
       wst = cache_->WriteBytes(env, data_start_ + *block, in_block, chunk, src);
     }
     if (wst != base::Status::kOk) {
-      (void)TxnCommit(env);
       return wst;
     }
     done += chunk;
@@ -833,11 +828,10 @@ base::Result<uint32_t> InodeFs::Write(mk::Env& env, NodeId node, uint64_t offset
     inode.size = offset + len;
     st = WriteInode(env, node, inode);
     if (st != base::Status::kOk) {
-      (void)TxnCommit(env);
       return st;
     }
   }
-  st = TxnCommit(env);
+  st = txn.Commit(env);
   if (st != base::Status::kOk) {
     return st;
   }
@@ -868,10 +862,7 @@ base::Status InodeFs::SetSize(mk::Env& env, NodeId node, uint64_t size) {
   if (size > inode.size) {
     return base::Status::kNotSupported;
   }
-  st = TxnBegin(env);
-  if (st != base::Status::kOk) {
-    return st;
-  }
+  Txn txn(*this);
   // Free every block past the new size and zero the rest of the last kept
   // one, so a later write past the new end reads back zeros in between.
   const uint32_t keep_blocks = static_cast<uint32_t>((size + kSectorSize - 1) / kSectorSize);
@@ -883,16 +874,14 @@ base::Status InodeFs::SetSize(mk::Env& env, NodeId node, uint64_t size) {
     }
   }
   if (st != base::Status::kOk) {
-    (void)TxnCommit(env);
     return st;
   }
   inode.size = size;
   st = WriteInode(env, node, inode);
   if (st != base::Status::kOk) {
-    (void)TxnCommit(env);
     return st;
   }
-  return TxnCommit(env);
+  return txn.Commit(env);
 }
 
 base::Result<std::vector<DirEntry>> InodeFs::ReadDir(mk::Env& env, NodeId dir) {
@@ -928,10 +917,7 @@ base::Status InodeFs::SetEa(mk::Env& env, NodeId node, const std::string& key,
   if (st != base::Status::kOk) {
     return st;
   }
-  st = TxnBegin(env);
-  if (st != base::Status::kOk) {
-    return st;
-  }
+  Txn txn(*this);
   int free_slot = -1;
   int match_slot = -1;
   for (uint32_t i = 0; i < kEaSlots; ++i) {
@@ -945,7 +931,6 @@ base::Status InodeFs::SetEa(mk::Env& env, NodeId node, const std::string& key,
   }
   const int slot = match_slot >= 0 ? match_slot : free_slot;
   if (slot < 0) {
-    (void)TxnCommit(env);
     return base::Status::kNoSpace;
   }
   std::memset(inode.ea[slot], 0, sizeof(inode.ea[slot]));
@@ -953,10 +938,9 @@ base::Status InodeFs::SetEa(mk::Env& env, NodeId node, const std::string& key,
   std::memcpy(inode.ea[slot] + key.size() + 1, value.c_str(), value.size());
   st = WriteInode(env, node, inode);
   if (st != base::Status::kOk) {
-    (void)TxnCommit(env);
     return st;
   }
-  return TxnCommit(env);
+  return txn.Commit(env);
 }
 
 base::Result<std::string> InodeFs::GetEa(mk::Env& env, NodeId node, const std::string& key) {

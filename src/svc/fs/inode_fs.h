@@ -108,6 +108,23 @@ class InodeFs : public Pfs {
     uint64_t offset = 0;  // of its slot in the directory
   };
 
+  // One op's metadata transaction. The constructor begins it and Commit
+  // logs and applies it. Every other way out of the scope (an error return)
+  // aborts it: the staged sectors drop and free_blocks_ is restored, so a
+  // failed JFS op changes no metadata. Without a journal both ends do
+  // nothing, and each metadata write has already gone to the cache.
+  class Txn {
+   public:
+    explicit Txn(InodeFs& fs);
+    ~Txn();
+    Txn(const Txn&) = delete;
+    Txn& operator=(const Txn&) = delete;
+    base::Status Commit(mk::Env& env) { return fs_.TxnCommit(env); }
+
+   private:
+    InodeFs& fs_;
+  };
+
   bool NamesEqual(const std::string& a, const char* b) const;
 
   // Metadata bytes [offset, offset + len) of sector `lba`. Reads see the
@@ -117,7 +134,6 @@ class InodeFs : public Pfs {
   base::Status MetaRead(mk::Env& env, uint64_t lba, uint32_t offset, uint32_t len, void* out);
   base::Status MetaWrite(mk::Env& env, uint64_t lba, uint32_t offset, uint32_t len,
                          const void* data);
-  base::Status TxnBegin(mk::Env& env);
   base::Status TxnCommit(mk::Env& env);
   base::Status ReplayJournal(mk::Env& env);
 
@@ -164,6 +180,7 @@ class InodeFs : public Pfs {
   // In-flight transaction (journaled mode).
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> txn_;
   bool in_txn_ = false;
+  uint64_t txn_free_blocks_ = 0;  // free_blocks_ when the transaction began
   uint64_t next_txn_seq_ = 1;
   uint32_t journal_head_ = 0;  // sector offset within the journal region
   uint64_t journal_records_ = 0;

@@ -1,13 +1,11 @@
-// Protocol-stack engines for the networking service.
+// Protocol-stack engines, as a networking service would run them.
 //
 // The same ETH/IP/UDP-style encapsulation is implemented twice:
 //   - CoarseStack: a handful of flat functions (the style the paper
 //     recommends after the fact);
 //   - FineStack: the Taligent style — a chain of fine-grained header and
-//     buffer objects with many short virtual methods, going through the
-//     stateful C++ kernel wrappers.
-// The networking server is parameterized on the engine so benches can run
-// identical traffic through both.
+//     buffer objects with many short virtual methods.
+// bench_fine_objects runs identical packets through both.
 #ifndef SRC_SVC_NET_STACK_H_
 #define SRC_SVC_NET_STACK_H_
 

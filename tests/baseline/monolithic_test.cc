@@ -184,6 +184,34 @@ TEST_F(MonolithicTest, DrawWritesPixels) {
   EXPECT_EQ(machine_.mem().ReadU8(fb_dev_->vram_base() + (60 + 5) * 640 + 55), 0x77);
 }
 
+// Each window takes a kernel semaphore, 64 B of a heap that never frees. On
+// a full heap WinCreate answers kResourceShortage, and the windows made
+// before it still post and get messages.
+TEST_F(MonolithicTest, WinCreateWithTheKernelHeapFullIsResourceShortage) {
+  mk::Task* app = kernel_.CreateTask("app");
+  kernel_.CreateThread(app, "main", [&](mk::Env& env) {
+    std::vector<uint32_t> windows;
+    for (int i = 0; i < 3; ++i) {
+      auto hwnd = os_->WinCreate(env, 10, 10, 100, 100);
+      ASSERT_TRUE(hwnd.ok());
+      windows.push_back(*hwnd);
+    }
+    for (uint64_t size = mk::KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
+      while (kernel_.heap().TryAllocate(size).ok()) {
+      }
+    }
+    EXPECT_EQ(os_->WinCreate(env, 10, 10, 100, 100).status(),
+              base::Status::kResourceShortage);
+    for (uint32_t hwnd : windows) {
+      ASSERT_EQ(os_->WinPost(env, hwnd, 0xf1, hwnd, 2), base::Status::kOk);
+      auto msg = os_->WinGet(env, hwnd);
+      ASSERT_TRUE(msg.ok());
+      EXPECT_EQ(msg->p1, hwnd);
+    }
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+}
+
 // As PmTest.WrappedRectanglesAreInvalidArgument, on the monolithic system.
 TEST_F(MonolithicTest, WrappedRectanglesAreInvalidArgument) {
   constexpr uint32_t kHuge = 0xFFFFFFFA;

@@ -2,11 +2,9 @@
 #include <sys/resource.h>
 
 #include "src/hw/disk.h"
-#include "src/hw/dma.h"
 #include "src/hw/framebuffer.h"
 #include "src/hw/machine.h"
 #include "src/hw/nic.h"
-#include "src/hw/timer_device.h"
 
 namespace hw {
 namespace {
@@ -148,38 +146,6 @@ TEST_F(DevicesTest, NicQueuesWhenRxBusy) {
   nic->WriteReg(Nic::kRegCommand, Nic::kCmdRxAck);
   EXPECT_EQ(machine_.mem().ReadU8(0x40000), 2);
   EXPECT_EQ(nic->frames_delivered(), 2u);
-}
-
-TEST_F(DevicesTest, TimerTicksPeriodically) {
-  auto* timer = static_cast<TimerDevice*>(
-      machine_.AddDevice(std::make_unique<TimerDevice>("timer0", 0)));
-  timer->WriteReg(TimerDevice::kRegPeriod, 1000);
-  timer->WriteReg(TimerDevice::kRegControl, TimerDevice::kCtlStart);
-  for (int i = 0; i < 5; ++i) {
-    machine_.IdleAdvance();
-  }
-  EXPECT_EQ(timer->ticks(), 5u);
-  EXPECT_TRUE(machine_.pic().IsPending(0));
-  timer->WriteReg(TimerDevice::kRegControl, TimerDevice::kCtlStop);
-  const uint64_t ticks_at_stop = timer->ticks();
-  while (machine_.IdleAdvance()) {
-  }
-  EXPECT_EQ(timer->ticks(), ticks_at_stop);  // stale events are inert
-}
-
-TEST_F(DevicesTest, DmaTransfersAndRaisesIrq) {
-  auto* dma = static_cast<DmaEngine*>(machine_.AddDevice(std::make_unique<DmaEngine>("dma0", 6)));
-  machine_.mem().Fill(0x50000, 0x77, 256);
-  dma->WriteReg(DmaEngine::kRegSrc, 0x50000);
-  dma->WriteReg(DmaEngine::kRegDst, 0x60000);
-  dma->WriteReg(DmaEngine::kRegLen, 256);
-  dma->WriteReg(DmaEngine::kRegControl, 1);
-  while (machine_.IdleAdvance()) {
-  }
-  EXPECT_EQ(machine_.mem().ReadU8(0x60000), 0x77);
-  EXPECT_EQ(machine_.mem().ReadU8(0x600ff), 0x77);
-  EXPECT_TRUE(dma->ReadReg(DmaEngine::kRegStatus) & DmaEngine::kStatusDone);
-  EXPECT_TRUE(machine_.pic().IsPending(6));
 }
 
 TEST_F(DevicesTest, FramebufferAllocatesVramAperture) {

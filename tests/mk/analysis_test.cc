@@ -1,10 +1,13 @@
 // Kernel state analyzer tests: wait-for-graph deadlock detection and the
 // object-graph invariant checker (src/mk/analysis/).
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/mk/analysis/invariants.h"
 #include "src/mk/analysis/wait_for_graph.h"
 #include "src/mk/kernel.h"
 #include "tests/mk/kernel_test_fixture.h"
@@ -118,20 +121,36 @@ TEST_F(KernelTest, HaltReportsWhyThreadsAreBlocked) {
   EXPECT_TRUE(graph.FindCycles().empty());
 }
 
-// A receiver waiting on a port fed by a periodic timer is NOT deadlocked:
-// the timer is an external wake source.
-TEST_F(KernelTest, TimerFedReceiverIsNotDeadlocked) {
+// A receiver waiting on a port that a device's interrupts are reflected to
+// is NOT deadlocked, even before the first interrupt: the device is an
+// external wake source. The receiver above, which nothing feeds, is.
+TEST_F(KernelTest, InterruptFedReceiverIsNotDeadlocked) {
+  constexpr uint32_t kLine = 9;
   Task* task = kernel_.CreateTask("driver");
   auto port = kernel_.PortAllocate(*task);
   ASSERT_TRUE(port.ok());
-  auto timer = kernel_.TimerArmPeriodic(*task, *port, 1'000'000);
-  ASSERT_TRUE(timer.ok());
-  kernel_.CreateThread(task, "ticker", [p = *port, tid = *timer](Env& env) {
+  ASSERT_EQ(kernel_.ReflectInterrupt(*task, kLine, *port), base::Status::kOk);
+  machine_.ScheduleAt(1'000'000, [&] { machine_.pic().Raise(kLine); });
+  uint32_t msg_id = 0;
+  Thread* receiver = kernel_.CreateThread(task, "isr", [&, p = *port](Env& env) {
     MachMessage msg;
     ASSERT_EQ(env.kernel().MachMsgReceive(p, &msg), base::Status::kOk);
-    ASSERT_EQ(env.kernel().TimerCancel(tid), base::Status::kOk);
+    msg_id = msg.msg_id;
+  });
+  bool probed = false;
+  kernel_.CreateThread(task, "probe", [&](Env& env) {
+    env.SleepNs(100'000);  // the receiver parks; the interrupt is still ahead
+    analysis::WaitForGraph graph = analysis::WaitForGraph::Build(kernel_);
+    const analysis::WaitEdge* edge = graph.EdgeFor(receiver);
+    ASSERT_NE(edge, nullptr);
+    EXPECT_EQ(edge->kind, analysis::WaitKind::kIpcReceiveEmpty);
+    EXPECT_TRUE(edge->external_wake);
+    EXPECT_TRUE(graph.DeadlockedThreads().empty());
+    probed = true;
   });
   EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_TRUE(probed);
+  EXPECT_EQ(msg_id, 0x1000u + kLine);
 }
 
 // Teardown invariant: a task killed while its port still holds queued
@@ -163,43 +182,21 @@ TEST_F(KernelTest, KillTaskWithQueuedMessagesStaysConsistent) {
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 
-// Teardown invariant: destroying a port-set member detaches it from the set
-// in both directions; destroying the set releases all members.
-TEST_F(KernelTest, PortSetMemberDeathDetachesLinks) {
-  Task* task = kernel_.CreateTask("srv");
-  auto set = kernel_.PortSetAllocate(*task);
-  auto m1 = kernel_.PortAllocate(*task);
-  auto m2 = kernel_.PortAllocate(*task);
-  ASSERT_EQ(kernel_.PortSetAdd(*task, *set, *m1), base::Status::kOk);
-  ASSERT_EQ(kernel_.PortSetAdd(*task, *set, *m2), base::Status::kOk);
-  Port* set_port = *kernel_.ResolvePort(*task, *set);
-  Port* m1_port = *kernel_.ResolvePort(*task, *m1);
-  Port* m2_port = *kernel_.ResolvePort(*task, *m2);
-
-  ASSERT_EQ(kernel_.PortDestroy(*task, *m1), base::Status::kOk);
-  EXPECT_EQ(m1_port->member_of, nullptr);
-  EXPECT_EQ(set_port->set_members.size(), 1u);
-  EXPECT_EQ(set_port->set_members.front(), m2_port);
-  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
-
-  ASSERT_EQ(kernel_.PortDestroy(*task, *set), base::Status::kOk);
-  EXPECT_EQ(m2_port->member_of, nullptr);
-  EXPECT_TRUE(set_port->set_members.empty());
-  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
-}
-
 // The checker actually detects corruption (and says what broke).
 TEST_F(KernelTest, InvariantCheckerFlagsCorruption) {
   Task* task = kernel_.CreateTask("t");
-  auto set = kernel_.PortSetAllocate(*task);
-  auto member = kernel_.PortAllocate(*task);
-  Port* set_port = *kernel_.ResolvePort(*task, *set);
-  Port* member_port = *kernel_.ResolvePort(*task, *member);
+  auto name = kernel_.PortAllocate(*task);
+  ASSERT_TRUE(name.ok());
+  Port* port = *kernel_.ResolvePort(*task, *name);
 
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
-  member_port->member_of = set_port;  // one-way link: corrupt
-  EXPECT_GE(kernel_.CheckInvariants(), 1u);
-  member_port->member_of = nullptr;  // restore for teardown
+  while (port->queue.size() <= port->queue_limit) {  // one past the limit: corrupt
+    port->queue.push_back(std::make_unique<QueuedMessage>());
+  }
+  const std::vector<std::string> violations = analysis::CollectViolations(kernel_);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_TRUE(Contains(violations[0], "exceeds limit")) << violations[0];
+  port->queue.clear();  // restore for teardown
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 

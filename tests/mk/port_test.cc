@@ -22,7 +22,6 @@ TEST_F(KernelTest, PortAllocateWithTheHeapFullIsResourceShortage) {
   }
   const size_t ports = task->port_space().size();
   EXPECT_EQ(kernel_.PortAllocate(*task).status(), base::Status::kResourceShortage);
-  EXPECT_EQ(kernel_.PortSetAllocate(*task).status(), base::Status::kResourceShortage);
   EXPECT_EQ(task->port_space().size(), ports);
 }
 

@@ -89,37 +89,6 @@ TEST_F(KernelTest, ReplyAndReceiveBeatsReplyThenReceiveUnderLoad) {
       << "combined reply+receive must be >20% faster under load";
 }
 
-TEST_F(KernelTest, ReplyAndReceiveWorksOnPortSets) {
-  Task* server = kernel_.CreateTask("server");
-  Task* client = kernel_.CreateTask("client");
-  auto set = kernel_.PortSetAllocate(*server);
-  auto p1 = kernel_.PortAllocate(*server);
-  auto p2 = kernel_.PortAllocate(*server);
-  ASSERT_EQ(kernel_.PortSetAdd(*server, *set, *p1), base::Status::kOk);
-  ASSERT_EQ(kernel_.PortSetAdd(*server, *set, *p2), base::Status::kOk);
-  auto s1 = kernel_.MakeSendRight(*server, *p1, *client);
-  auto s2 = kernel_.MakeSendRight(*server, *p2, *client);
-  int served = 0;
-  kernel_.CreateThread(server, "s", [&, set = *set](Env& env) {
-    char buf[16];
-    auto req = env.RpcReceive(set, buf, sizeof(buf));
-    while (req.ok()) {
-      ++served;
-      req = env.kernel().RpcReplyAndReceive(req->token, nullptr, 0, set, buf, sizeof(buf));
-    }
-  });
-  kernel_.CreateThread(client, "c", [&, s1 = *s1, s2 = *s2](Env& env) {
-    char reply[8];
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_EQ(env.RpcCall(s1, "a", 1, reply, sizeof(reply)), base::Status::kOk);
-      ASSERT_EQ(env.RpcCall(s2, "b", 1, reply, sizeof(reply)), base::Status::kOk);
-    }
-    ASSERT_EQ(env.kernel().PortDestroy(*server, *set), base::Status::kOk);
-  });
-  EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_EQ(served, 6);
-}
-
 // Regression found by schedule exploration: when a client's request queued
 // up while the server was busy and then failed delivery (too large for the
 // posted buffers), RpcReplyAndReceive neither woke that client nor told the

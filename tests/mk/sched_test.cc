@@ -120,22 +120,6 @@ TEST_F(KernelTest, RunReportsBlockedThreads) {
   EXPECT_EQ(kernel_.Run(), 1u);
 }
 
-TEST_F(KernelTest, ProcessorSetDisableParksTasks) {
-  Task* task = kernel_.CreateTask("t");
-  ProcessorSet* ps = kernel_.host().CreateProcessorSet("penalty-box");
-  ASSERT_EQ(kernel_.host().AssignTask(*task, ps), base::Status::kOk);
-  ps->set_enabled(false);
-  bool ran = false;
-  kernel_.CreateThread(task, "parked", [&](Env&) { ran = true; });
-  Task* other = kernel_.CreateTask("other");
-  kernel_.CreateThread(other, "enabler", [&](Env& env) {
-    env.Compute(10);
-    ps->set_enabled(true);
-  });
-  kernel_.Run();
-  EXPECT_TRUE(ran);
-}
-
 TEST_F(KernelTest, DeterministicCycleCounts) {
   auto run_once = [] {
     hw::Machine machine(hw::MachineConfig{.ram_bytes = 16 * 1024 * 1024});

@@ -168,22 +168,5 @@ TEST_F(KernelTest, ServerLoopStopStillDeliversARecordedReply) {
   EXPECT_FALSE(loop.running());
 }
 
-TEST_F(KernelTest, HostInfoAndProcessorSets) {
-  const HostInfo& info = kernel_.host().info();
-  EXPECT_EQ(info.cpu_mhz, 133u);
-  EXPECT_EQ(info.memory_bytes, 16u * 1024 * 1024);
-  EXPECT_EQ(info.page_size, 4096u);
-  ProcessorSet* ps = kernel_.host().CreateProcessorSet("batch");
-  EXPECT_NE(ps->id(), kernel_.host().default_pset()->id());
-  EXPECT_EQ(kernel_.host().FindProcessorSet(ps->id()), ps);
-  EXPECT_EQ(kernel_.host().FindProcessorSet(999), nullptr);
-  Task* t = kernel_.CreateTask("t");
-  EXPECT_EQ(kernel_.host().AssignTask(*t, ps), base::Status::kOk);
-  EXPECT_EQ(t->processor_set(), ps);
-  EXPECT_EQ(ps->tasks_assigned, 1u);
-  ps->set_enabled(false);
-  EXPECT_EQ(kernel_.host().AssignTask(*t, ps), base::Status::kPermissionDenied);
-}
-
 }  // namespace
 }  // namespace mk

@@ -106,24 +106,24 @@ TEST_F(KernelTest, MemSyncWaitTimesOut) {
   EXPECT_EQ(st, base::Status::kTimedOut);
 }
 
-TEST_F(KernelTest, PeriodicTimerPostsMessages) {
+TEST_F(KernelTest, SemCreateWithTheHeapFullIsResourceShortage) {
+  // A semaphore takes 64 B of a kernel heap that never frees: a full heap
+  // answers kResourceShortage and registers no semaphore, and one made
+  // before still signals and waits.
   Task* task = kernel_.CreateTask("t");
-  auto port = kernel_.PortAllocate(*task);
-  ASSERT_TRUE(port.ok());
-  auto timer = kernel_.TimerArmPeriodic(*task, *port, /*period_ns=*/1'000'000);
-  ASSERT_TRUE(timer.ok());
-  int ticks = 0;
-  kernel_.CreateThread(task, "ticker", [&](Env& env) {
-    for (int i = 0; i < 3; ++i) {
-      MachMessage msg;
-      ASSERT_EQ(env.kernel().MachMsgReceive(*port, &msg), base::Status::kOk);
-      ++ticks;
+  kernel_.CreateThread(task, "w", [&](Env& env) {
+    auto made = env.kernel().SemCreate(0);
+    ASSERT_TRUE(made.ok());
+    for (uint64_t size = KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
+      while (env.kernel().heap().TryAllocate(size).ok()) {
+      }
     }
-    ASSERT_EQ(env.kernel().TimerCancel(*timer), base::Status::kOk);
+    EXPECT_EQ(env.kernel().SemCreate(0).status(), base::Status::kResourceShortage);
+    EXPECT_EQ(env.kernel().SemDestroy(*made + 1), base::Status::kNotFound);
+    ASSERT_EQ(env.kernel().SemSignal(*made), base::Status::kOk);
+    EXPECT_EQ(env.kernel().SemWait(*made), base::Status::kOk);
   });
   EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_EQ(ticks, 3);
-  EXPECT_EQ(kernel_.TimerCancel(*timer), base::Status::kNotFound);  // already cancelled
 }
 
 TEST_F(KernelTest, KernelInterruptHandlerRuns) {

@@ -33,37 +33,6 @@ LoadModule MakeProgram(const std::string& name, std::vector<std::string> needed,
   return m;
 }
 
-TEST(LoadModuleTest, SerializeParseRoundTrip) {
-  LoadModule m = MakeLib("libc.so", {{"open", 0x100}, {"read", 0x180}});
-  m.imports.push_back({"libmach.so", "mach_rpc"});
-  m.needed.push_back("libmach.so");
-  m.data_image = {9, 8, 7};
-  auto image = m.Serialize();
-  auto parsed = LoadModule::Parse(image);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->name, "libc.so");
-  EXPECT_TRUE(parsed->shared_library);
-  EXPECT_FALSE(parsed->coerced);
-  EXPECT_EQ(parsed->text_size, 3u * 4096);
-  EXPECT_EQ(parsed->exports.size(), 2u);
-  EXPECT_EQ(parsed->exports[1].name, "read");
-  EXPECT_EQ(parsed->exports[1].offset, 0x180u);
-  ASSERT_EQ(parsed->imports.size(), 1u);
-  EXPECT_EQ(parsed->imports[0].library, "libmach.so");
-  EXPECT_EQ(parsed->needed, (std::vector<std::string>{"libmach.so"}));
-  EXPECT_EQ(parsed->data_image, (std::vector<uint8_t>{9, 8, 7}));
-}
-
-TEST(LoadModuleTest, ParseRejectsGarbage) {
-  std::vector<uint8_t> junk = {1, 2, 3, 4, 5};
-  EXPECT_EQ(LoadModule::Parse(junk).status(), base::Status::kCorrupt);
-  // Truncated valid prefix.
-  LoadModule m = MakeLib("x", {});
-  auto image = m.Serialize();
-  image.resize(image.size() / 2);
-  EXPECT_EQ(LoadModule::Parse(image).status(), base::Status::kCorrupt);
-}
-
 class LoaderTest : public mk::KernelTest {
  protected:
   Loader loader_{kernel_};

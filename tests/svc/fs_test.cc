@@ -572,6 +572,83 @@ TEST_F(PfsTest, JfsRenamePreservesInode) {
   });
 }
 
+// A JFS op that fails inside its transaction ends it: the next op runs. The
+// 1,024-inode table holds 1,022 files beside the root (inode 0 is never
+// used), so the 1,023rd create answers kNoSpace and so does the next one.
+TEST_F(PfsTest, JfsFailedCreateEndsItsTransaction) {
+  constexpr uint32_t kFiles = 1022;
+  JfsFs jfs(kernel_, cache_.get(), 32768);
+  std::map<std::string, bool> created;
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(jfs.Format(env), base::Status::kOk);
+    for (uint32_t i = 0; i < kFiles; ++i) {
+      std::string name = "f";
+      name += std::to_string(i);
+      ASSERT_TRUE(jfs.Create(env, InodeFs::kRootInode, name, false).ok()) << name;
+      created[name] = false;
+    }
+    EXPECT_EQ(jfs.Create(env, InodeFs::kRootInode, "full", false).status(),
+              base::Status::kNoSpace);
+    EXPECT_EQ(jfs.Create(env, InodeFs::kRootInode, "still-full", true).status(),
+              base::Status::kNoSpace);
+    ASSERT_EQ(jfs.Remove(env, InodeFs::kRootInode, "f7"), base::Status::kOk);
+    created.erase("f7");
+    ASSERT_TRUE(jfs.Create(env, InodeFs::kRootInode, "again", false).ok());
+    created["again"] = false;
+    ASSERT_EQ(jfs.Sync(env), base::Status::kOk);
+  });
+  // A remount lists exactly the names whose create answered kOk.
+  JfsFs remounted(kernel_, cache_.get(), 32768);
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(remounted.Mount(env), base::Status::kOk);
+    auto entries = remounted.ReadDir(env, InodeFs::kRootInode);
+    ASSERT_TRUE(entries.ok());
+    std::map<std::string, bool> listed;
+    for (const DirEntry& e : *entries) {
+      listed[e.name] = e.directory;
+    }
+    EXPECT_EQ(listed, created);
+  });
+}
+
+// A JFS write that runs out of blocks changes no metadata: the file keeps
+// its size, the blocks it took are free again, and a remount counts the
+// same. 1,024 sectors leave 254 data blocks.
+TEST_F(PfsTest, JfsWriteOutOfBlocksChangesNothing) {
+  JfsFs jfs(kernel_, cache_.get(), 1024);
+  NodeId victim = 0;
+  uint64_t free_before = 0;
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(jfs.Format(env), base::Status::kOk);
+    auto fill = jfs.Create(env, InodeFs::kRootInode, "fill", false);
+    auto file = jfs.Create(env, InodeFs::kRootInode, "victim", false);
+    ASSERT_TRUE(fill.ok());
+    ASSERT_TRUE(file.ok());
+    victim = *file;
+    const std::vector<uint8_t> data(64 * 1024, 0x5a);  // 128 blocks and an indirect one
+    ASSERT_TRUE(jfs.Write(env, *fill, 0, data.data(), static_cast<uint32_t>(data.size())).ok());
+    ASSERT_TRUE(jfs.Write(env, victim, 0, data.data(), 1024).ok());
+    free_before = jfs.free_blocks();
+    ASSERT_LT(free_before, 129u) << "the second 64 KB must not fit";
+    EXPECT_EQ(jfs.Write(env, victim, 1024, data.data(), static_cast<uint32_t>(data.size()))
+                  .status(),
+              base::Status::kNoSpace);
+    auto attr = jfs.GetAttr(env, victim);
+    ASSERT_TRUE(attr.ok());
+    EXPECT_EQ(attr->size, 1024u);
+    EXPECT_EQ(jfs.free_blocks(), free_before);
+    ASSERT_EQ(jfs.Sync(env), base::Status::kOk);
+  });
+  JfsFs remounted(kernel_, cache_.get(), 1024);
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(remounted.Mount(env), base::Status::kOk);
+    auto attr = remounted.GetAttr(env, victim);
+    ASSERT_TRUE(attr.ok());
+    EXPECT_EQ(attr->size, 1024u);
+  });
+  EXPECT_EQ(remounted.free_blocks(), free_before);
+}
+
 // The lookup counts below hold for HPFS, whose metadata goes to the cache in
 // place; JFS stages its metadata in a transaction and logs it at commit.
 TEST_F(PfsTest, LookupsListingAndSearchingReadEachDirectorySectorOnce) {

@@ -25,8 +25,6 @@
 #include "src/mks/pager/default_pager.h"
 #include "src/pers/os2/os2.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/net/net_server.h"
-#include "src/svc/registry.h"
 #include "tests/mk/kernel_test_fixture.h"
 
 namespace svc {
@@ -211,23 +209,6 @@ std::vector<LoopCase> Cases() {
                      }});
   }
   {
-    NetRequest bind;
-    bind.op = NetOp::kBind;
-    bind.port = 9000;
-    cases.push_back({"net", sizeof(NetRequest),
-                     kNetMaxBatch * (sizeof(NetDgram) + hw::Nic::kMaxFrame), Bytes(bind),
-                     [](ServerRuntimeTest& t) {
-                       mk::Task* nic_task = t.kernel().CreateTask("nic-driver");
-                       auto* nic = t.Keep(std::make_unique<drv::NicDriver>(t.kernel(), nic_task,
-                                                                           t.AddNic(), nullptr));
-                       mk::Task* task = t.kernel().CreateTask("net-server");
-                       auto* net = t.Keep(std::make_unique<NetServer>(
-                           t.kernel(), task, nic->GrantTo(*task),
-                           std::make_unique<CoarseStack>(t.kernel()), /*use_wrappers=*/false));
-                       return Target{{task, nic_task}, net->service_port()};
-                     }});
-  }
-  {
     drv::DiskRequest info{.op = drv::DiskOp::kInfo};
     cases.push_back({"disk", sizeof(drv::DiskRequest),
                      drv::DiskDriver::kMaxSectors * hw::Disk::kSectorSize, Bytes(info),
@@ -293,29 +274,12 @@ std::vector<LoopCase> Cases() {
                        return Target{{task}, pager->receive_port()};
                      }});
   }
-  {
-    RegRequest set;
-    set.op = RegOp::kSet;
-    set.SetKey("canary");
-    cases.push_back({"svc.registry", sizeof(RegRequest), 64 * 1024, Bytes(set),
-                     [](ServerRuntimeTest& t) {
-                       mk::Task* task = t.kernel().CreateTask("registry");
-                       auto* reg = t.Keep(std::make_unique<RegistryServer>(t.kernel(), task));
-                       return Target{{task}, reg->receive_port()};
-                     }});
-  }
   return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(EveryLoop, ServerRuntimeTest, ::testing::ValuesIn(Cases()),
                          [](const ::testing::TestParamInfo<LoopCase>& info) {
-                           std::string name = info.param.name;
-                           for (char& ch : name) {
-                             if (ch == '.') {
-                               ch = '_';
-                             }
-                           }
-                           return name;
+                           return info.param.name;
                          });
 
 }  // namespace

@@ -30,10 +30,9 @@ Checks, over every header and source file under src/ and tests/:
      except kNone/kCount must be referenced somewhere outside points.h.
      A registered-but-never-armed-or-fired point documents coverage the
      campaign does not actually have.
-  6. Determinism (src/mk, src/svc, and src/pers; src/mk/host.cc exempt):
-     the
-     simulation must replay bit-identically — that is what makes schedule
-     traces from the explorer reproducible. Banned: rand()/srand(),
+  6. Determinism (src/mk, src/svc, and src/pers): the simulation must
+     replay bit-identically — that is what makes schedule traces from
+     the explorer reproducible. Banned: rand()/srand(),
      std::random_device, wall-clock reads (std::chrono::system_clock etc.,
      time(), gettimeofday, clock_gettime), and range-for iteration over
      std::unordered_map/set (iteration order is unspecified and varies
@@ -62,7 +61,7 @@ Checks, over every header and source file under src/ and tests/:
      the loop sends together with its next receive in one
      RpcReplyAndReceive trap; a direct RpcReply costs the server a second
      trap per request. Only a deferred reply, by a token the server stored
-     (NIC, net and OS/2 waiters), calls Kernel::RpcReply.
+     (NIC and OS/2 waiters), calls Kernel::RpcReply.
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -78,7 +77,6 @@ TRACE_EVENTS_HEADER = Path("src") / "mk" / "trace" / "events.h"
 FAULT_POINTS_HEADER = Path("src") / "mk" / "fault" / "points.h"
 
 DETERMINISM_SCOPES = (Path("src") / "mk", Path("src") / "svc", Path("src") / "pers")
-DETERMINISM_EXEMPT = {Path("src") / "mk" / "host.cc"}
 BANNED_NONDETERMINISM = (
     (re.compile(r"\b(?:s?rand)\s*\("), "rand()/srand() — seedless PRNG"),
     (re.compile(r"std::random_device"), "std::random_device — hardware entropy"),
@@ -238,8 +236,6 @@ def load_unordered_accessors() -> set:
 
 
 def in_determinism_scope(rel_path: Path) -> bool:
-    if rel_path in DETERMINISM_EXEMPT:
-        return False
     return any(
         rel_path.parts[: len(scope.parts)] == scope.parts for scope in DETERMINISM_SCOPES
     )
