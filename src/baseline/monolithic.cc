@@ -38,11 +38,12 @@ const hw::CodeRegion& DrawLoopRegion() {
 }  // namespace
 
 KernelDiskStore::KernelDiskStore(mk::Kernel& kernel, hw::Disk* disk)
-    : kernel_(kernel), disk_(disk) {
-  auto dma =
-      kernel_.machine().mem().AllocContiguous(kMaxSectors * hw::Disk::kSectorSize / hw::kPageSize);
-  WPOS_CHECK(dma.ok());
-  dma_buffer_ = *dma;
+    : kernel_(kernel),
+      disk_(disk),
+      engine_(kernel, disk,
+              {.take_interrupt = [this] { return kernel_.SemWait(io_sem_); },
+               .io_path = DriverRegion,
+               .copy_peer = [this] { return kernel_.heap().base(); }}) {
   auto sem = kernel_.SemCreate(0);
   WPOS_CHECK(sem.ok());
   io_sem_ = *sem;
@@ -51,133 +52,42 @@ KernelDiskStore::KernelDiskStore(mk::Kernel& kernel, hw::Disk* disk)
   });
 }
 
-bool KernelDiskStore::ValidExtent(uint64_t lba, uint32_t count) const {
-  // As DiskDriver::DoIo: no `lba + count`, which wraps for a huge lba.
-  return lba <= disk_->num_sectors() && count <= disk_->num_sectors() - lba;
-}
-
-base::Status KernelDiskStore::Sync(mk::Env& env) {
-  if (!posted_) {
-    return base::Status::kOk;
-  }
-  posted_ = false;
-  // One signal per command: the posted write's interrupt may have
-  // signalled already, and its status is read once the signal is taken.
-  const base::Status st = kernel_.SemWait(io_sem_);
-  if (st != base::Status::kOk) {
-    return st;
-  }
-  const uint32_t status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
-  kernel_.IoWrite(disk_, hw::Disk::kRegStatus, 0);
-  // Unreachable, as in DiskDriver::FinishPosted: the posted extent was valid.
-  return (status & hw::Disk::kStatusError) != 0 ? base::Status::kIoError : base::Status::kOk;
-}
-
-base::Status KernelDiskStore::StartIo(mk::Env& env, uint32_t cmd, uint64_t lba, uint32_t count,
-                                      const void* data) {
-  const base::Status st = Sync(env);
-  if (st != base::Status::kOk) {
-    return st;
-  }
-  kernel_.cpu().Execute(DriverRegion());
-  if (cmd == hw::Disk::kCmdWrite) {
-    const uint64_t bytes = static_cast<uint64_t>(count) * hw::Disk::kSectorSize;
-    kernel_.machine().mem().Write(dma_buffer_, data, bytes);
-    kernel_.ChargeCopy(kernel_.heap().base(), dma_buffer_, bytes);
-  }
-  kernel_.IoWrite(disk_, hw::Disk::kRegLba, static_cast<uint32_t>(lba));
-  kernel_.IoWrite(disk_, hw::Disk::kRegCount, count);
-  kernel_.IoWrite(disk_, hw::Disk::kRegDmaLo, static_cast<uint32_t>(dma_buffer_));
-  kernel_.IoWrite(disk_, hw::Disk::kRegCommand, cmd);
-  return base::Status::kOk;
-}
-
-base::Status KernelDiskStore::DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uint32_t count,
-                                   void* data) {
-  if (!ValidExtent(lba, count)) {
-    return base::Status::kInvalidArgument;
-  }
-  const base::Status started = StartIo(env, cmd, lba, count, data);
-  if (started != base::Status::kOk) {
-    return started;
-  }
-  uint32_t status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
-  while ((status & hw::Disk::kStatusDone) == 0) {
-    const base::Status st = kernel_.SemWait(io_sem_);
+base::Status KernelDiskStore::Transfer(uint64_t lba, uint32_t count, const void* src,
+                                       void* out) {
+  for (uint64_t done = 0; done < count;) {
+    const uint32_t chunk =
+        static_cast<uint32_t>(std::min<uint64_t>(count - done, drv::DiskEngine::kMaxSectors));
+    const uint64_t at = done * hw::Disk::kSectorSize;
+    const base::Status st =
+        src != nullptr ? engine_.Write(lba + done, chunk, static_cast<const uint8_t*>(src) + at)
+                       : engine_.Read(lba + done, chunk, static_cast<uint8_t*>(out) + at);
     if (st != base::Status::kOk) {
       return st;
     }
-    status = kernel_.IoRead(disk_, hw::Disk::kRegStatus);
-  }
-  kernel_.IoWrite(disk_, hw::Disk::kRegStatus, 0);
-  if ((status & hw::Disk::kStatusError) != 0) {
-    return base::Status::kIoError;
-  }
-  if (cmd == hw::Disk::kCmdRead) {
-    const uint64_t bytes = static_cast<uint64_t>(count) * hw::Disk::kSectorSize;
-    kernel_.machine().mem().Read(dma_buffer_, data, bytes);
-    kernel_.ChargeCopy(dma_buffer_, kernel_.heap().base(), bytes);
+    done += chunk;
   }
   return base::Status::kOk;
 }
 
 base::Status KernelDiskStore::Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) {
-  uint64_t done = 0;
-  while (done < count) {
-    const uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(count - done, kMaxSectors));
-    const base::Status st = DoIo(env, hw::Disk::kCmdRead, lba + done, chunk,
-                                 static_cast<uint8_t*>(out) + done * hw::Disk::kSectorSize);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-    done += chunk;
-  }
-  return base::Status::kOk;
+  return Transfer(lba, count, nullptr, out);
 }
 
 base::Status KernelDiskStore::Write(mk::Env& env, uint64_t lba, uint32_t count, const void* src) {
-  uint64_t done = 0;
-  while (done < count) {
-    const uint32_t chunk = static_cast<uint32_t>(std::min<uint64_t>(count - done, kMaxSectors));
-    const base::Status st =
-        DoIo(env, hw::Disk::kCmdWrite, lba + done, chunk,
-             const_cast<uint8_t*>(static_cast<const uint8_t*>(src)) +
-                 done * hw::Disk::kSectorSize);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-    done += chunk;
-  }
-  return base::Status::kOk;
+  return Transfer(lba, count, src, nullptr);
 }
 
 base::Status KernelDiskStore::WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t wcount,
                                             const void* src, uint64_t rlba, void* out) {
-  // A run that takes more than one command, or holds the read sector, goes
-  // the default way: written, then read.
-  if (wcount == 0 || wcount > kMaxSectors || (rlba >= wlba && rlba - wlba < wcount)) {
+  // A run longer than one command goes the default way.
+  if (wcount > drv::DiskEngine::kMaxSectors) {
     return BlockStore::WriteThenRead(env, wlba, wcount, src, rlba, out);
   }
-  // Both extents are checked before either command.
-  if (!ValidExtent(wlba, wcount) || !ValidExtent(rlba, 1)) {
-    return base::Status::kInvalidArgument;
-  }
-  const base::Status st = DoIo(env, hw::Disk::kCmdRead, rlba, 1, out);
-  if (st != base::Status::kOk) {
-    return st;
-  }
-  const base::Status started = StartIo(env, hw::Disk::kCmdWrite, wlba, wcount, src);
-  posted_ = started == base::Status::kOk;
-  return started;
+  return engine_.WriteThenRead(wlba, wcount, src, rlba, out);
 }
 
 MonolithicOs::MonolithicOs(mk::Kernel& kernel, svc::Pfs* pfs, hw::Framebuffer* fb)
-    : kernel_(kernel), pfs_(pfs), fb_(fb) {
-  if (fb_ != nullptr) {
-    vram_object_ = std::make_shared<mk::VmObject>(hw::PageRound(fb_->vram_size()));
-    vram_object_->SetDeviceWindow(fb_->vram_base());
-  }
-}
+    : kernel_(kernel), pfs_(pfs), fb_(kernel, fb) {}
 
 void MonolithicOs::SyscallEnter() {
   ++syscalls_;
@@ -195,30 +105,11 @@ void MonolithicOs::ChargeGreThunk() {
 base::Result<svc::NodeId> MonolithicOs::Walk(mk::Env& env, const std::string& path,
                                              svc::NodeId* parent, std::string* leaf) {
   kernel_.cpu().Execute(FsLayerRegion());
+  if (path.empty() || path.front() != '/') {
+    return base::Status::kNotFound;  // empty or relative, as the file server answers
+  }
   svc::NodeId dir = pfs_->root();
-  std::vector<std::string> parts;
-  size_t start = 1;
-  while (start <= path.size()) {
-    const size_t slash = path.find('/', start);
-    const std::string part =
-        slash == std::string::npos ? path.substr(start) : path.substr(start, slash - start);
-    if (!part.empty()) {
-      parts.push_back(part);
-    }
-    if (slash == std::string::npos) {
-      break;
-    }
-    start = slash + 1;
-  }
-  if (parent != nullptr) {
-    *parent = dir;
-  }
-  if (parts.empty()) {
-    if (leaf != nullptr) {
-      leaf->clear();
-    }
-    return dir;
-  }
+  const std::vector<std::string> parts = svc::SplitPath(path);
   for (size_t i = 0; i + 1 < parts.size(); ++i) {
     auto next = pfs_->Lookup(env, dir, parts[i]);
     if (!next.ok()) {
@@ -228,6 +119,9 @@ base::Result<svc::NodeId> MonolithicOs::Walk(mk::Env& env, const std::string& pa
   }
   if (parent != nullptr) {
     *parent = dir;
+  }
+  if (parts.empty()) {
+    return dir;  // the root, with no leaf
   }
   if (leaf != nullptr) {
     *leaf = parts.back();
@@ -294,10 +188,10 @@ base::Status MonolithicOs::Mkdir(mk::Env& env, const std::string& path) {
   SyscallEnter();
   svc::NodeId parent = 0;
   std::string leaf;
-  (void)Walk(env, path, &parent, &leaf);
+  auto walked = Walk(env, path, &parent, &leaf);
   if (leaf.empty()) {
     SyscallExit();
-    return base::Status::kInvalidArgument;
+    return walked.ok() ? base::Status::kInvalidArgument : walked.status();
   }
   auto node = pfs_->Create(env, parent, leaf, /*directory=*/true);
   SyscallExit();
@@ -331,21 +225,13 @@ base::Result<std::vector<svc::DirEntry>> MonolithicOs::ReadDir(mk::Env& env,
   return entries;
 }
 
-base::Result<hw::VirtAddr> MonolithicOs::MapVram(mk::Task& task) {
-  if (vram_object_ == nullptr) {
-    return base::Status::kNotSupported;
-  }
-  return kernel_.VmMapObject(task, vram_object_, 0, hw::PageRound(fb_->vram_size()),
-                             mk::Prot::kReadWrite, /*anywhere=*/true);
-}
+base::Result<hw::VirtAddr> MonolithicOs::MapVram(mk::Task& task) { return fb_.MapInto(task); }
 
 base::Result<uint32_t> MonolithicOs::WinCreate(mk::Env& env, uint32_t x, uint32_t y, uint32_t w,
                                                uint32_t h) {
   SyscallEnter();
   kernel_.cpu().Execute(WinRegion());
-  // As DiskDriver::DoIo: no `x + w`, which wraps for a huge width.
-  if (fb_ != nullptr && (w > fb_->width() || x > fb_->width() - w || h > fb_->height() ||
-                         y > fb_->height() - h)) {
+  if (!drv::RectInside(x, y, w, h, fb_.width(), fb_.height())) {
     SyscallExit();
     return base::Status::kInvalidArgument;
   }
@@ -404,18 +290,11 @@ base::Status MonolithicOs::WinFillRect(mk::Env& env, mk::Task& task, hw::VirtAdd
     return base::Status::kNotFound;
   }
   const Window& win = it->second;
-  if (w > win.w || x > win.w - w || h > win.h || y > win.h - h) {
+  if (!drv::RectInside(x, y, w, h, win.w, win.h)) {
     return base::Status::kInvalidArgument;
   }
-  for (uint32_t row = 0; row < h; ++row) {
-    kernel_.cpu().ExecuteInstructions(DrawLoopRegion(), 8 + w / 8);
-    const uint64_t offset = static_cast<uint64_t>(win.y + y + row) * fb_->width() + win.x + x;
-    const base::Status st = kernel_.UserFill(task, vram + offset, color, w);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-  }
-  return base::Status::kOk;
+  return drv::FillRows(kernel_, task, vram, fb_.width(), win.x + x, win.y + y, w, h, color,
+                       DrawLoopRegion);
 }
 
 base::Status MonolithicOs::WinBitBlt(mk::Env& env, mk::Task& task, hw::VirtAddr vram,
@@ -427,22 +306,11 @@ base::Status MonolithicOs::WinBitBlt(mk::Env& env, mk::Task& task, hw::VirtAddr 
     return base::Status::kNotFound;
   }
   const Window& win = it->second;
-  if (w > win.w || x > win.w - w || h > win.h || y > win.h - h) {
+  if (!drv::RectInside(x, y, w, h, win.w, win.h)) {
     return base::Status::kInvalidArgument;
   }
-  for (uint32_t row = 0; row < h; ++row) {
-    kernel_.cpu().ExecuteInstructions(DrawLoopRegion(), 8 + w / 4);
-    const uint64_t offset = static_cast<uint64_t>(win.y + y + row) * fb_->width() + win.x + x;
-    base::Status st = kernel_.UserTouch(task, vram + offset, w, /*write=*/false);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-    st = kernel_.UserTouch(task, vram + offset, w, /*write=*/true);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-  }
-  return base::Status::kOk;
+  return drv::BlitRows(kernel_, task, vram, fb_.width(), win.x + x, win.y + y, w, h,
+                       DrawLoopRegion);
 }
 
 base::Status MonolithicOs::WinSwitch(mk::Env& env, mk::Task& task, hw::VirtAddr vram,

@@ -14,9 +14,10 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 
+#include "src/drv/disk_driver.h"
+#include "src/drv/fb_driver.h"
 #include "src/hw/disk.h"
 #include "src/hw/framebuffer.h"
 #include "src/mk/kernel.h"
@@ -28,12 +29,11 @@
 namespace baseline {
 
 // In-kernel interrupt-driven disk driver: the block store behind the
-// monolithic file system.
+// monolithic file system. It runs the user-level driver's drv::DiskEngine,
+// with the kernel's hooks: an in-kernel semaphore for the interrupt, the
+// monos2.drv.disk region, and copies against the kernel heap.
 class KernelDiskStore : public mks::BlockStore {
  public:
-  // Sectors per device command: the 64 KB DMA buffer.
-  static constexpr uint32_t kMaxSectors = 128;
-
   KernelDiskStore(mk::Kernel& kernel, hw::Disk* disk);
 
   base::Status Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) override;
@@ -42,29 +42,25 @@ class KernelDiskStore : public mks::BlockStore {
   // the run's write is posted.
   base::Status WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t wcount, const void* src,
                              uint64_t rlba, void* out) override;
-  // Takes the posted write's semaphore, if a write is posted.
-  base::Status Sync(mk::Env& env) override;
+  // Waits for a posted write, if any.
+  base::Status Sync(mk::Env& env) override { return engine_.FinishPosted(); }
   uint64_t num_sectors() const override { return disk_->num_sectors(); }
 
  private:
-  bool ValidExtent(uint64_t lba, uint32_t count) const;
-  base::Status DoIo(mk::Env& env, uint32_t cmd, uint64_t lba, uint32_t count, void* data);
-  // Programs the device for a validated extent, after waiting for a posted
-  // write; kIoError when that write failed.
-  base::Status StartIo(mk::Env& env, uint32_t cmd, uint64_t lba, uint32_t count,
-                       const void* data);
+  // Read (`out`) or Write (`src`): one command per drv::DiskEngine::kMaxSectors.
+  base::Status Transfer(uint64_t lba, uint32_t count, const void* src, void* out);
 
   mk::Kernel& kernel_;
   hw::Disk* disk_;
-  hw::PhysAddr dma_buffer_ = 0;
   uint32_t io_sem_ = 0;
-  bool posted_ = false;  // a WriteThenRead's write is still on the device
+  drv::DiskEngine engine_;
 };
 
 class MonolithicOs {
  public:
   // The PFS (formatted by the caller) plugs in exactly as it does in the
-  // file server — only the access structure differs.
+  // file server — only the access structure differs. `fb` is the screen the
+  // window system draws on.
   MonolithicOs(mk::Kernel& kernel, svc::Pfs* pfs, hw::Framebuffer* fb);
 
   // --- File API: trap + in-kernel call ----------------------------------------
@@ -110,6 +106,8 @@ class MonolithicOs {
   // Trap + dispatch bracket around every call.
   void SyscallEnter();
   void SyscallExit();
+  // As FileServer::Walk: `*parent` and `*leaf` are set once the walk
+  // reaches the parent, and the root has no leaf.
   base::Result<svc::NodeId> Walk(mk::Env& env, const std::string& path, svc::NodeId* parent,
                                  std::string* leaf);
   // The 16-bit PM/GRE entry: selector thunk + dispatch, charged per draw call.
@@ -117,8 +115,7 @@ class MonolithicOs {
 
   mk::Kernel& kernel_;
   svc::Pfs* pfs_;
-  hw::Framebuffer* fb_;
-  std::shared_ptr<mk::VmObject> vram_object_;
+  drv::FbDriver fb_;
   std::map<uint64_t, Node> open_files_;
   uint64_t next_handle_ = 1;
   std::map<uint32_t, Window> windows_;

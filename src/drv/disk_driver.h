@@ -1,10 +1,11 @@
 // User-level disk driver in the style of [Golub'93]: the driver is an
 // ordinary task that maps the device's registers, takes its interrupts as
-// reflected messages, and serves block I/O to clients over RPC. A DMA bounce
-// buffer of physically contiguous frames carries the data to/from the device.
+// reflected messages, and serves block I/O to clients over RPC. Its disk
+// work, DiskEngine, is the monolithic kernel's in-kernel driver too.
 #ifndef SRC_DRV_DISK_DRIVER_H_
 #define SRC_DRV_DISK_DRIVER_H_
 
+#include <functional>
 #include <memory>
 
 #include "src/drv/resource_manager.h"
@@ -37,11 +38,59 @@ struct DiskReply {
   uint64_t sectors = 0;  // kInfo: disk size
 };
 
-class DiskDriver {
+// The disk path both systems run, one device command at a time through a
+// 64 KB DMA bounce buffer: the extent check, starting a command (after any
+// posted write), the completion wait, and kWriteRead's order. DiskDriver and
+// baseline::KernelDiskStore differ only in the hooks.
+class DiskEngine {
  public:
-  // Max sectors per request, bounded by the DMA bounce buffer (64 KB).
+  // Sectors per command: the DMA buffer's 64 KB.
   static constexpr uint32_t kMaxSectors = 128;
 
+  struct Hooks {
+    // Blocks until the disk's next interrupt.
+    std::function<base::Status()> take_interrupt;
+    // The region starting a command charges; an accessor, so that the
+    // region is defined on the first command.
+    const hw::CodeRegion& (*io_path)();
+    // The address the DMA buffer's copies run against.
+    std::function<hw::PhysAddr()> copy_peer;
+  };
+
+  DiskEngine(mk::Kernel& kernel, hw::Disk* disk, Hooks hooks);
+
+  // One command. kInvalidArgument for an extent off the disk or longer than
+  // kMaxSectors, kIoError when the device errs, or the failed wait's status.
+  base::Status Read(uint64_t lba, uint32_t count, void* out) {
+    return Io(hw::Disk::kCmdRead, lba, count, nullptr, out);
+  }
+  base::Status Write(uint64_t lba, uint32_t count, const void* src) {
+    return Io(hw::Disk::kCmdWrite, lba, count, src, nullptr);
+  }
+  // Writes `wcount` sectors at `wlba` and reads the sector at `rlba`. Both
+  // extents are checked before either command. A read inside the run goes
+  // after the write; otherwise the read goes first, and the write is posted.
+  base::Status WriteThenRead(uint64_t wlba, uint32_t wcount, const void* src, uint64_t rlba,
+                             void* out);
+  // Waits for a posted write, if any: kIoError when it failed, or the failed
+  // wait's status.
+  base::Status FinishPosted();
+
+ private:
+  bool ValidExtent(uint64_t lba, uint32_t count) const;
+  base::Status Io(uint32_t cmd, uint64_t lba, uint32_t count, const void* src, void* out);
+  // Programs the device for a valid extent, after finishing a posted write.
+  base::Status Start(uint32_t cmd, uint64_t lba, uint32_t count, const void* src);
+
+  mk::Kernel& kernel_;
+  hw::Disk* disk_;
+  Hooks hooks_;
+  hw::PhysAddr dma_buffer_ = 0;
+  bool posted_ = false;  // a WriteThenRead's write is still on the device
+};
+
+class DiskDriver {
+ public:
   DiskDriver(mk::Kernel& kernel, mk::Task* task, hw::Disk* disk, ResourceManager* rm);
 
   mk::Task* task() const { return task_; }
@@ -55,16 +104,6 @@ class DiskDriver {
 
  private:
   void Serve(mk::Env& env);
-  bool ValidExtent(uint64_t lba, uint32_t count) const;
-  // Writes stage `in` into the DMA buffer; reads land in `out`.
-  base::Status DoIo(mk::Env& env, const DiskRequest& req, const uint8_t* in, uint8_t* out);
-  // Programs the device for the validated `req`, after finishing a posted
-  // write; kIoError when that write failed.
-  base::Status StartIo(const DiskRequest& req, const uint8_t* in);
-  // Waits for a posted write, if any; kIoError when it failed.
-  base::Status FinishPosted();
-  // Returns the status register word that ended the wait.
-  uint32_t AwaitCompletion(mk::Env& env);
 
   mk::Kernel& kernel_;
   mk::Task* task_;
@@ -73,8 +112,7 @@ class DiskDriver {
   mk::PortName service_port_ = mk::kNullPort;
   std::unique_ptr<mk::ServerLoop> loop_;
   mk::PortName irq_port_ = mk::kNullPort;
-  hw::PhysAddr dma_buffer_ = 0;
-  bool posted_ = false;  // a kWriteRead's write is still on the device
+  DiskEngine engine_;
   uint64_t requests_served_ = 0;
   uint64_t interrupts_taken_ = 0;
 };
@@ -88,7 +126,8 @@ class RpcBlockStore : public mks::BlockStore {
 
   base::Status Read(mk::Env& env, uint64_t lba, uint32_t count, void* out) override;
   base::Status Write(mk::Env& env, uint64_t lba, uint32_t count, const void* src) override;
-  // One kWriteRead RPC when the call fits one request.
+  // One kWriteRead RPC when the run fits one request. kInvalidArgument for a
+  // read sector above UINT32_MAX, which no request can carry.
   base::Status WriteThenRead(mk::Env& env, uint64_t wlba, uint32_t wcount, const void* src,
                              uint64_t rlba, void* out) override;
   // One kSync RPC, only when the last request was a kWriteRead that could
@@ -97,6 +136,9 @@ class RpcBlockStore : public mks::BlockStore {
   uint64_t num_sectors() const override { return num_sectors_; }
 
  private:
+  // Read (`out`) or Write (`src`): one request per DiskEngine::kMaxSectors.
+  base::Status Transfer(mk::Env& env, uint64_t lba, uint32_t count, const void* src, void* out);
+
   mk::ClientStub stub_;
   uint64_t num_sectors_;
   bool may_be_posted_ = false;

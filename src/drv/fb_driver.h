@@ -1,7 +1,9 @@
 // Framebuffer driver. Its essential job in WPOS terms: hand the VRAM
 // aperture to user-level graphics code (the Presentation-Manager-style
 // library) as a device-backed memory object so applications can "directly
-// drive the screen buffer" without any server round trips.
+// drive the screen buffer" without any server round trips. The monolithic
+// comparator maps the same aperture, and both window systems draw through
+// the rectangle check and scanline loops below.
 #ifndef SRC_DRV_FB_DRIVER_H_
 #define SRC_DRV_FB_DRIVER_H_
 
@@ -38,6 +40,53 @@ class FbDriver {
   std::shared_ptr<mk::VmObject> vram_object_;
   uint64_t mappings_ = 0;
 };
+
+// Whether the w x h rectangle at (x, y) lies inside a width x height one. No
+// `x + w`, which wraps for a huge width.
+inline bool RectInside(uint32_t x, uint32_t y, uint32_t w, uint32_t h, uint32_t width,
+                       uint32_t height) {
+  return w <= width && x <= width - w && h <= height && y <= height - h;
+}
+
+// The draw loops: one scanline at a time of the w x h rectangle at (x, y)
+// of the aperture mapped at `vram` in `task`, `width` bytes to a line. Each
+// line charges `loop`, an accessor, so that the region is defined on the
+// first line drawn.
+using LoopRegion = const hw::CodeRegion& (*)();
+
+// Direct aperture stores.
+inline base::Status FillRows(mk::Kernel& kernel, mk::Task& task, hw::VirtAddr vram,
+                             uint32_t width, uint32_t x, uint32_t y, uint32_t w, uint32_t h,
+                             uint8_t color, LoopRegion loop) {
+  for (uint32_t row = 0; row < h; ++row) {
+    kernel.cpu().ExecuteInstructions(loop(), 8 + w / 8);
+    const uint64_t offset = static_cast<uint64_t>(y + row) * width + x;
+    const base::Status st = kernel.UserFill(task, vram + offset, color, w);
+    if (st != base::Status::kOk) {
+      return st;
+    }
+  }
+  return base::Status::kOk;
+}
+
+// Read-modify-write of the aperture (a blit touches source and target).
+inline base::Status BlitRows(mk::Kernel& kernel, mk::Task& task, hw::VirtAddr vram,
+                             uint32_t width, uint32_t x, uint32_t y, uint32_t w, uint32_t h,
+                             LoopRegion loop) {
+  for (uint32_t row = 0; row < h; ++row) {
+    kernel.cpu().ExecuteInstructions(loop(), 8 + w / 4);
+    const uint64_t offset = static_cast<uint64_t>(y + row) * width + x;
+    base::Status st = kernel.UserTouch(task, vram + offset, w, /*write=*/false);
+    if (st != base::Status::kOk) {
+      return st;
+    }
+    st = kernel.UserTouch(task, vram + offset, w, /*write=*/true);
+    if (st != base::Status::kOk) {
+      return st;
+    }
+  }
+  return base::Status::kOk;
+}
 
 }  // namespace drv
 

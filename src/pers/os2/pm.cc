@@ -48,8 +48,7 @@ base::Result<Hwnd> PmSession::CreateWindow(mk::Env& env, const std::string& titl
                                            uint32_t y, uint32_t w, uint32_t h) {
   PmDesktop& d = *desktop_;
   d.kernel_.cpu().Execute(WinMgrRegion());
-  // As DiskDriver::DoIo: no `x + w`, which wraps for a huge width.
-  if (w > d.width() || x > d.width() - w || h > d.height() || y > d.height() - h) {
+  if (!drv::RectInside(x, y, w, h, d.width(), d.height())) {
     return base::Status::kInvalidArgument;
   }
   // Each window takes a wait word of the desktop's one shared page for good.
@@ -135,20 +134,11 @@ base::Status PmSession::FillRect(mk::Env& env, Hwnd hwnd, uint32_t x, uint32_t y
     return base::Status::kNotFound;
   }
   const PmDesktop::Window& win = it->second;
-  if (w > win.w || x > win.w - w || h > win.h || y > win.h - h) {
+  if (!drv::RectInside(x, y, w, h, win.w, win.h)) {
     return base::Status::kInvalidArgument;
   }
-  // Direct aperture stores, one scanline at a time.
-  for (uint32_t row = 0; row < h; ++row) {
-    d.kernel_.cpu().ExecuteInstructions(DrawLoopRegion(), 8 + w / 8);
-    const uint64_t offset =
-        static_cast<uint64_t>(win.y + y + row) * d.width() + win.x + x;
-    const base::Status st = d.kernel_.UserFill(*task_, vram_base_ + offset, color, w);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-  }
-  return base::Status::kOk;
+  return drv::FillRows(d.kernel_, *task_, vram_base_, d.width(), win.x + x, win.y + y, w, h,
+                       color, DrawLoopRegion);
 }
 
 base::Status PmSession::BitBlt(mk::Env& env, Hwnd hwnd, uint32_t x, uint32_t y, uint32_t w,
@@ -161,24 +151,11 @@ base::Status PmSession::BitBlt(mk::Env& env, Hwnd hwnd, uint32_t x, uint32_t y, 
     return base::Status::kNotFound;
   }
   const PmDesktop::Window& win = it->second;
-  if (w > win.w || x > win.w - w || h > win.h || y > win.h - h) {
+  if (!drv::RectInside(x, y, w, h, win.w, win.h)) {
     return base::Status::kInvalidArgument;
   }
-  // Read-modify-write of the aperture (a blit touches source and target).
-  for (uint32_t row = 0; row < h; ++row) {
-    d.kernel_.cpu().ExecuteInstructions(DrawLoopRegion(), 8 + w / 4);
-    const uint64_t offset =
-        static_cast<uint64_t>(win.y + y + row) * d.width() + win.x + x;
-    base::Status st = d.kernel_.UserTouch(*task_, vram_base_ + offset, w, /*write=*/false);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-    st = d.kernel_.UserTouch(*task_, vram_base_ + offset, w, /*write=*/true);
-    if (st != base::Status::kOk) {
-      return st;
-    }
-  }
-  return base::Status::kOk;
+  return drv::BlitRows(d.kernel_, *task_, vram_base_, d.width(), win.x + x, win.y + y, w, h,
+                       DrawLoopRegion);
 }
 
 base::Status PmSession::SwitchTo(mk::Env& env, Hwnd hwnd) {

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/drv/disk_driver.h"
 #include "src/mk/kernel.h"
 #include "src/mks/pager/default_pager.h"
 
@@ -31,9 +32,8 @@ namespace svc {
 class BlockCache {
  public:
   static constexpr uint32_t kSectorSize = 512;
-  // The per-request limit that the disk driver and the monolithic kernel's
-  // in-kernel store share: their 64 KB DMA buffers.
-  static constexpr uint32_t kMaxRunSectors = 128;
+  // The disk engine's per-command limit, which both systems' stores run.
+  static constexpr uint32_t kMaxRunSectors = drv::DiskEngine::kMaxSectors;
 
   BlockCache(mk::Kernel& kernel, mks::BlockStore* store, uint32_t capacity_sectors = 256);
 

@@ -164,32 +164,7 @@ base::Result<NodeId> FileServer::Walk(mk::Env& env, Mount* mount, const std::str
                                       bool stop_at_parent) {
   kernel_.cpu().Execute(WalkRegion());
   NodeId dir = mount->pfs->root();
-  if (parent != nullptr) {
-    *parent = dir;
-  }
-  if (rest.empty()) {
-    if (leaf != nullptr) {
-      leaf->clear();
-    }
-    return dir;
-  }
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (start <= rest.size()) {
-    const size_t slash = rest.find('/', start);
-    const std::string part =
-        slash == std::string::npos ? rest.substr(start) : rest.substr(start, slash - start);
-    if (!part.empty()) {
-      parts.push_back(part);
-    }
-    if (slash == std::string::npos) {
-      break;
-    }
-    start = slash + 1;
-  }
-  if (parts.empty()) {
-    return dir;
-  }
+  const std::vector<std::string> parts = SplitPath(rest);
   for (size_t i = 0; i + 1 < parts.size(); ++i) {
     auto next = LookupChild(env, mount, dir, parts[i], case_insensitive);
     if (!next.ok()) {
@@ -199,6 +174,9 @@ base::Result<NodeId> FileServer::Walk(mk::Env& env, Mount* mount, const std::str
   }
   if (parent != nullptr) {
     *parent = dir;
+  }
+  if (parts.empty()) {
+    return dir;  // the root, with no leaf
   }
   if (leaf != nullptr) {
     *leaf = parts.back();

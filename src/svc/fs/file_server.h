@@ -127,8 +127,9 @@ class FileServer {
   void InvalidateMappedRange(Mount* mount, NodeId node, uint64_t offset, uint64_t len);
   Mount* MountFor(const std::string& path, std::string* rest);
   // Walks `rest` within `mount`; returns the final node and (optionally) its
-  // parent + leaf name. Honours kFsCaseInsensitive over case-sensitive PFSes
-  // by falling back to a directory scan (one of the union-semantics costs).
+  // parent + leaf name, set once the walk reaches the parent (the root has
+  // no leaf). Honours kFsCaseInsensitive over case-sensitive PFSes by
+  // falling back to a directory scan (one of the union-semantics costs).
   base::Result<NodeId> Walk(mk::Env& env, Mount* mount, const std::string& rest,
                             bool case_insensitive, NodeId* parent, std::string* leaf,
                             bool stop_at_parent);

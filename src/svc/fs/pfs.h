@@ -5,6 +5,7 @@
 #ifndef SRC_SVC_FS_PFS_H_
 #define SRC_SVC_FS_PFS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,6 +16,20 @@
 namespace svc {
 
 using NodeId = uint64_t;
+
+// A path's components, split at '/' with empty ones dropped: the walk of the
+// file server and of the monolithic comparator.
+inline std::vector<std::string> SplitPath(const std::string& path) {
+  std::vector<std::string> parts;
+  for (size_t start = 0; start <= path.size();) {
+    const size_t slash = std::min(path.find('/', start), path.size());
+    if (slash > start) {
+      parts.push_back(path.substr(start, slash - start));
+    }
+    start = slash + 1;
+  }
+  return parts;
+}
 
 struct FileAttr {
   uint64_t size = 0;

@@ -50,6 +50,31 @@ TEST_F(MonolithicTest, FileApiViaTraps) {
   EXPECT_GE(os_->syscalls(), 4u);
 }
 
+TEST_F(MonolithicTest, EmptyOrRelativePathIsNotFound) {
+  // Regression: the walk skipped a path's first character, so "foo" was
+  // walked as "oo" (Open with kFsCreate made "/oo") and "" opened the root.
+  // As in the file server (FileServerTest.EmptyOrRelativePathIsNotFound),
+  // every path op now fails with kNotFound and creates nothing.
+  mk::Task* app = kernel_.CreateTask("app");
+  kernel_.CreateThread(app, "main", [&](mk::Env& env) {
+    ASSERT_EQ(hpfs_->Format(env), base::Status::kOk);
+    for (const char* bad : {"", "foo"}) {
+      SCOPED_TRACE(std::string("'") + bad + "'");
+      EXPECT_EQ(os_->Open(env, bad, 0).status(), base::Status::kNotFound);
+      EXPECT_EQ(os_->Unlink(env, bad), base::Status::kNotFound);
+      EXPECT_EQ(os_->ReadDir(env, bad).status(), base::Status::kNotFound);
+      EXPECT_EQ(os_->Open(env, bad, svc::kFsCreate).status(), base::Status::kNotFound);
+      EXPECT_EQ(os_->Mkdir(env, bad), base::Status::kNotFound);
+    }
+    auto root = os_->ReadDir(env, "/");
+    ASSERT_TRUE(root.ok()) << base::StatusName(root.status());
+    for (const svc::DirEntry& entry : *root) {
+      ADD_FAILURE() << "the root lists '" << entry.name << "'";
+    }
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+}
+
 TEST_F(MonolithicTest, InKernelDriverIsInterruptDriven) {
   mk::Task* app = kernel_.CreateTask("app");
   kernel_.CreateThread(app, "main", [&](mk::Env& env) {

@@ -200,7 +200,7 @@ TEST_F(DiskDriverTest, MalformedWriteReadIsInvalidArgument) {
   const Case cases[] = {
       {"count 0", {.op = DiskOp::kWriteRead, .read_lba = 1, .lba = 40, .count = 0}, 0},
       {"count above kMaxSectors",
-       {.op = DiskOp::kWriteRead, .read_lba = 1, .lba = 40, .count = DiskDriver::kMaxSectors + 1},
+       {.op = DiskOp::kWriteRead, .read_lba = 1, .lba = 40, .count = DiskEngine::kMaxSectors + 1},
        hw::Disk::kSectorSize},
       // count x 512 wraps to 512 in 32 bits, so only the count check stops it.
       {"count that wraps ref_len",
@@ -329,22 +329,25 @@ TEST_F(DiskDriverTest, PostedWriteReturnsAfterTheReadOnly) {
 }
 
 TEST_F(DiskDriverTest, PostedWriteMalformedExtentPostsNothing) {
-  // A valid read with a write extent off the disk: the call answers
-  // kInvalidArgument before either command, so the next command takes
-  // exactly its own interrupt.
+  // A write extent off the disk, an empty run, or a read sector that
+  // neither the 32-bit read_lba field nor the LBA register can carry: the
+  // call answers kInvalidArgument before either command, so the next
+  // command takes exactly its own interrupt.
   const uint64_t n = disk_->num_sectors();
   struct Extent {
     uint64_t lba;
     uint32_t count;
+    uint64_t read_lba;
   };
-  const Extent bad[] = {{n, 1}, {n - 1, 2}, {UINT64_MAX, 2}};
+  const Extent bad[] = {
+      {n, 1, 1}, {n - 1, 2, 1}, {UINT64_MAX, 2, 1}, {5, 0, 1}, {5, 1, (uint64_t{1} << 32) + 5}};
   RunOnPostingStores([&](mk::Env& env, mks::BlockStore& store, hw::Disk* disk) {
     const std::vector<uint8_t> junk = Tagged(2, 0xee);
     for (const Extent& e : bad) {
-      SCOPED_TRACE(e.lba);
+      SCOPED_TRACE(testing::Message() << e.lba << " +" << e.count << ", read " << e.read_lba);
       const uint64_t commands = disk->io_count();
       std::vector<uint8_t> out = Tagged(1, 0xcc);
-      EXPECT_EQ(store.WriteThenRead(env, e.lba, e.count, junk.data(), 1, out.data()),
+      EXPECT_EQ(store.WriteThenRead(env, e.lba, e.count, junk.data(), e.read_lba, out.data()),
                 base::Status::kInvalidArgument);
       EXPECT_EQ(out, Tagged(1, 0xcc)) << "a rejected call returned data";
       EXPECT_EQ(disk->io_count(), commands) << "a rejected call reached the device";

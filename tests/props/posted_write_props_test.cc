@@ -75,7 +75,7 @@ class PostedWritePropsTest : public ::testing::TestWithParam<StoreKind> {
       }
       // Runs up to one command's limit, half of them short.
       const uint32_t wcount = static_cast<uint32_t>(
-          rng.NextInRange(1, rng.NextBool(0.5) ? 8 : DiskDriver::kMaxSectors));
+          rng.NextInRange(1, rng.NextBool(0.5) ? 8 : DiskEngine::kMaxSectors));
       const uint64_t wlba = rng.NextBelow(kRange - wcount + 1);
       const uint64_t rlba = rng.NextBool(0.4) ? wlba + rng.NextBelow(wcount) : rng.NextBelow(kRange);
       const bool inside = rlba >= wlba && rlba < wlba + wcount;

@@ -211,7 +211,7 @@ std::vector<LoopCase> Cases() {
   {
     drv::DiskRequest info{.op = drv::DiskOp::kInfo};
     cases.push_back({"disk", sizeof(drv::DiskRequest),
-                     drv::DiskDriver::kMaxSectors * hw::Disk::kSectorSize, Bytes(info),
+                     drv::DiskEngine::kMaxSectors * hw::Disk::kSectorSize, Bytes(info),
                      [](ServerRuntimeTest& t) {
                        mk::Task* task = t.kernel().CreateTask("disk-driver");
                        auto* disk = t.Keep(std::make_unique<drv::DiskDriver>(

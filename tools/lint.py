@@ -62,6 +62,10 @@ Checks, over every header and source file under src/ and tests/:
      RpcReplyAndReceive trap; a direct RpcReply costs the server a second
      trap per request. Only a deferred reply, by a token the server stored
      (NIC and OS/2 waiters), calls Kernel::RpcReply.
+ 10. One driver per device (src/ only): `hw::<Device>::kReg…` may appear
+     only in src/hw/ and src/drv/. The monolithic comparator runs the
+     user-level driver's code (drv::DiskEngine) with the kernel's hooks; a
+     second copy of a register sequence outside drv/ drifts from it.
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -104,6 +108,8 @@ RAW_RECEIVE_RE = re.compile(r"\b(RpcReceive|RpcReplyAndReceive)\s*\(")
 SERVER_LOOP_HEADER = Path("src") / "mk" / "server_loop.h"
 DIRECT_REPLY_RE = re.compile(r"\bRpcReply\s*\(\s*(?:rpc|req)\.token\b")
 FS_OP_RE = re.compile(r"\bFsOp::")
+DEVICE_REG_RE = re.compile(r"\bhw::\w+::kReg\w*")
+DEVICE_REG_DIRS = (Path("src") / "hw", Path("src") / "drv")
 FS_PROTOCOL_FILES = {
     Path("src") / "svc" / "fs" / name for name in ("protocol.h", "file_server.h", "file_server.cc")
 }
@@ -313,6 +319,18 @@ def check_file_client(rel_path: Path, text: str, errors: list) -> None:
             )
 
 
+def check_device_registers(rel_path: Path, text: str, errors: list) -> None:
+    if rel_path.parts[0] != "src" or any(d in rel_path.parents for d in DEVICE_REG_DIRS):
+        return
+    for i, line in enumerate(text.split("\n")):
+        match = DEVICE_REG_RE.search(strip_line_comment(line))
+        if match:
+            errors.append(
+                f"{rel_path}:{i + 1}: {match.group(0)} outside src/hw and src/drv — device "
+                f"registers are programmed only by their driver (drv::DiskEngine for the disk)"
+            )
+
+
 def expected_guard(rel_path: Path) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", str(rel_path)).upper() + "_"
 
@@ -369,6 +387,7 @@ def lint_file(
     check_determinism(rel_path, text, errors, accessors)
     check_server_runtime(rel_path, text, errors)
     check_file_client(rel_path, text, errors)
+    check_device_registers(rel_path, text, errors)
     return errors
 
 
