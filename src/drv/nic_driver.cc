@@ -73,15 +73,18 @@ void NicDriver::IsrLoop(mk::Env& env) {
       ++frames_rx_;
       kernel_.IoWrite(nic_, hw::Nic::kRegCommand, hw::Nic::kCmdRxAck);
       // Complete a queued receive directly from the interrupt thread
-      // (deferred RPC reply).
+      // (deferred RPC reply). A receiver that gave up leaves the frame to
+      // the next one.
       while (!pending_recvs_.empty() && !rx_queue_.empty()) {
         const uint64_t token = pending_recvs_.front();
         pending_recvs_.pop_front();
-        std::vector<uint8_t> out = std::move(rx_queue_.front());
+        std::vector<uint8_t> frame = std::move(rx_queue_.front());
         rx_queue_.pop_front();
-        NicReply reply;
-        reply.len = static_cast<uint32_t>(out.size());
-        (void)kernel_.RpcReply(token, &reply, sizeof(reply), out.data(), reply.len);
+        const NicReply reply{0, static_cast<uint32_t>(frame.size())};
+        if (kernel_.RpcReply(token, &reply, sizeof(reply), frame.data(), reply.len) !=
+            base::Status::kOk) {
+          rx_queue_.push_front(std::move(frame));
+        }
       }
     }
   }
@@ -90,11 +93,11 @@ void NicDriver::IsrLoop(mk::Env& env) {
 void NicDriver::Serve(mk::Env& env) {
   loop_->Run<NicRequest>(env, [&](mk::Env& env, const mk::RpcRequest& rpc, const NicRequest& req,
                                   const uint8_t* frame, uint32_t frame_len) {
-    NicReply reply;
+    base::Status st = base::Status::kOk;
+    std::vector<uint8_t> out;  // a received frame
     if (req.op == NicOp::kSend) {
       if (frame_len == 0 || frame_len > hw::Nic::kMaxFrame) {
-        reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-        loop_->Reply(rpc, &reply, sizeof(reply));
+        st = base::Status::kInvalidArgument;
       } else {
         kernel_.cpu().Execute(TxRegion());
         kernel_.machine().mem().Write(tx_buffer_, frame, frame_len);
@@ -103,23 +106,21 @@ void NicDriver::Serve(mk::Env& env) {
         kernel_.IoWrite(nic_, hw::Nic::kRegTxLen, frame_len);
         kernel_.IoWrite(nic_, hw::Nic::kRegCommand, hw::Nic::kCmdSend);
         ++frames_tx_;
-        loop_->Reply(rpc, &reply, sizeof(reply));
       }
     } else if (req.op == NicOp::kRecv) {
-      if (!rx_queue_.empty()) {
-        std::vector<uint8_t> out = std::move(rx_queue_.front());
-        rx_queue_.pop_front();
-        reply.len = static_cast<uint32_t>(out.size());
-        loop_->Reply(rpc, &reply, sizeof(reply), out.data(), reply.len);
-      } else {
+      if (rx_queue_.empty()) {
         // No frame yet: defer; the ISR thread replies when one arrives, and
         // the serve loop stays available for sends.
         pending_recvs_.push_back(rpc.token);
+        return;
       }
+      out = std::move(rx_queue_.front());
+      rx_queue_.pop_front();
     } else {
-      reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-      loop_->Reply(rpc, &reply, sizeof(reply));
+      st = base::Status::kNotSupported;
     }
+    const NicReply reply{static_cast<int32_t>(st), static_cast<uint32_t>(out.size())};
+    loop_->Reply(rpc, &reply, sizeof(reply), out.data(), reply.len);
   });
 }
 

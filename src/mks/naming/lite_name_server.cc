@@ -39,36 +39,29 @@ void LiteNameServer::Serve(mk::Env& env) {
                                        const LiteNameRequest& r, const uint8_t* /*ref_data*/,
                                        uint32_t /*ref_len*/) {
     kernel_.cpu().Execute(kLoop);
-    LiteNameReply reply;
+    mk::PortName grant = mk::kNullPort;
+    base::Status st = base::Status::kInvalidArgument;
     // The one validation point for untrusted requests: name is a C string.
-    if (std::memchr(r.name, '\0', kMaxNameLen) == nullptr) {
-      reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-      loop_->Reply(req, &reply, sizeof(reply));
-      return;
-    }
-    kernel_.cpu().Execute(LookupRegion());
-    const uint64_t bucket = std::hash<std::string_view>{}(r.name) % 64;
-    kernel_.cpu().AccessData(table_sim_addr_ + bucket * 64, 32, /*write=*/false);
-    if (r.op == LiteNameOp::kRegister) {
-      if (req.rights.empty()) {
-        reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-      } else if (!entries_.emplace(r.name, req.rights.front()).second) {
-        reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
-      }
-      loop_->Reply(req, &reply, sizeof(reply));
-    } else if (r.op == LiteNameOp::kResolve) {
-      ++resolves_;
-      auto it = entries_.find(r.name);
-      if (it == entries_.end()) {
-        reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        loop_->Reply(req, &reply, sizeof(reply));
+    if (std::memchr(r.name, '\0', kMaxNameLen) != nullptr) {
+      kernel_.cpu().Execute(LookupRegion());
+      const uint64_t bucket = std::hash<std::string_view>{}(r.name) % 64;
+      kernel_.cpu().AccessData(table_sim_addr_ + bucket * 64, 32, /*write=*/false);
+      if (r.op == LiteNameOp::kRegister) {
+        if (!req.rights.empty()) {  // a register without a right stays invalid
+          st = entries_.emplace(r.name, req.rights.front()).second ? base::Status::kOk
+                                                                    : base::Status::kAlreadyExists;
+        }
+      } else if (r.op == LiteNameOp::kResolve) {
+        ++resolves_;
+        auto it = entries_.find(r.name);
+        st = it != entries_.end() ? base::Status::kOk : base::Status::kNotFound;
+        grant = it != entries_.end() ? it->second : mk::kNullPort;
       } else {
-        loop_->Reply(req, &reply, sizeof(reply), nullptr, 0, /*grant=*/it->second);
+        st = base::Status::kNotSupported;
       }
-    } else {
-      reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-      loop_->Reply(req, &reply, sizeof(reply));
     }
+    const LiteNameReply reply{static_cast<int32_t>(st)};
+    loop_->Reply(req, &reply, sizeof(reply), nullptr, 0, grant);
   });
 }
 

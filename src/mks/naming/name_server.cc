@@ -1,5 +1,6 @@
 #include "src/mks/naming/name_server.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/base/log.h"
@@ -86,66 +87,68 @@ void NameServer::Serve(mk::Env& env) {
                                    const uint8_t* ref, uint32_t ref_len) {
     kernel_.cpu().Execute(kLoop);
     kernel_.cpu().Execute(kStub);
+    Answer a;
+    base::Status st = base::Status::kInvalidArgument;
     // The one validation point for untrusted requests: every handler may
     // treat name as a C string.
-    if (std::memchr(r.name, '\0', kMaxNameLen) == nullptr) {
-      NameReply reply;
-      reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-      loop_->Reply(req, &reply, sizeof(reply));
-      return;
-    }
-    switch (r.op) {
-      case NameOp::kRegister:
-        HandleRegister(env, req, r, ref, ref_len);
-        break;
-      case NameOp::kResolve:
-        HandleResolve(env, req, r);
-        break;
-      case NameOp::kUnregister:
-        HandleUnregister(env, req, r);
-        break;
-      case NameOp::kList:
-        HandleList(env, req, r);
-        break;
-      case NameOp::kSearch:
-        HandleSearch(env, req, r);
-        break;
-      case NameOp::kSetAttr:
-        HandleSetAttr(env, req, r);
-        break;
-      case NameOp::kGetAttr:
-        HandleGetAttr(env, req, r);
-        break;
-      case NameOp::kWatch:
-        HandleWatch(env, req, r);
-        break;
-      default: {
-        NameReply reply;
-        reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        loop_->Reply(req, &reply, sizeof(reply));
+    if (std::memchr(r.name, '\0', kMaxNameLen) != nullptr) {
+      switch (r.op) {
+        case NameOp::kRegister:
+          st = HandleRegister(env, req, r, ref, ref_len);
+          break;
+        case NameOp::kResolve:
+          st = HandleResolve(r, a);
+          break;
+        case NameOp::kUnregister:
+          st = HandleUnregister(env, r);
+          break;
+        case NameOp::kList:
+          st = HandleList(r, a);
+          break;
+        case NameOp::kSearch:
+          st = HandleSearch(r, a);
+          break;
+        case NameOp::kSetAttr:
+          st = HandleSetAttr(env, r);
+          break;
+        case NameOp::kGetAttr:
+          st = HandleGetAttr(r, a);
+          break;
+        case NameOp::kWatch:
+          st = HandleWatch(req, r);
+          break;
+        default:
+          st = base::Status::kNotSupported;
       }
     }
+    if (st != base::Status::kOk) {
+      // A failed operation answers its status alone.
+      a = Answer{.reply = {.status = static_cast<int32_t>(st)}};
+    }
+    loop_->Reply(req, &a.reply, sizeof(a.reply), a.results.data(),
+                 static_cast<uint32_t>(a.results.size() * sizeof(NameListEntry)), a.grant);
   });
 }
 
-void NameServer::HandleRegister(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r,
-                                const uint8_t* ref, uint32_t ref_len) {
-  NameReply reply;
+base::Status NameServer::HandleRegister(mk::Env& env, const mk::RpcRequest& req,
+                                        const NameRequest& r, const uint8_t* ref,
+                                        uint32_t ref_len) {
   const std::string name = Canonical(r.name);
   ChargeNameWalk(name);
   if (req.rights.empty()) {
-    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    loop_->Reply(req, &reply, sizeof(reply));
-    return;
+    return base::Status::kInvalidArgument;
   }
   if (entries_.contains(name)) {
-    reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
-    loop_->Reply(req, &reply, sizeof(reply));
-    return;
+    return base::Status::kAlreadyExists;
+  }
+  // A node the kernel heap cannot hold is refused before anything changes.
+  const base::Result<hw::PhysAddr> sim_addr = kernel_.heap().TryAllocate(128);
+  if (!sim_addr.ok()) {
+    return sim_addr.status();
   }
   Node node;
   node.right = req.rights.front();
-  node.sim_addr = kernel_.heap().Allocate(128);
+  node.sim_addr = *sim_addr;
   const uint32_t n_attrs = std::min(r.attr_count, kMaxAttrsPerEntry);
   for (uint32_t i = 0; i < n_attrs && (i + 1) * sizeof(Attribute) <= ref_len; ++i) {
     Attribute a;
@@ -155,140 +158,115 @@ void NameServer::HandleRegister(mk::Env& env, const mk::RpcRequest& req, const N
   entries_.emplace(name, std::move(node));
   ++registrations_;
   NotifyWatchers(env, 1, name);
-  loop_->Reply(req, &reply, sizeof(reply));
+  return base::Status::kOk;
 }
 
-void NameServer::HandleResolve(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
-  NameReply reply;
+base::Status NameServer::HandleResolve(const NameRequest& r, Answer& a) {
   const std::string name = Canonical(r.name);
   ChargeNameWalk(name);
   ++resolves_;
   auto it = entries_.find(name);
   if (it == entries_.end()) {
-    reply.status = static_cast<int32_t>(base::Status::kNotFound);
-    loop_->Reply(req, &reply, sizeof(reply));
-    return;
+    return base::Status::kNotFound;
   }
   kernel_.cpu().AccessData(it->second.sim_addr, 48, /*write=*/false);
-  loop_->Reply(req, &reply, sizeof(reply), nullptr, 0, /*grant=*/it->second.right);
+  a.grant = it->second.right;
+  return base::Status::kOk;
 }
 
-void NameServer::HandleUnregister(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
-  NameReply reply;
+base::Status NameServer::HandleUnregister(mk::Env& env, const NameRequest& r) {
   const std::string name = Canonical(r.name);
   ChargeNameWalk(name);
   if (entries_.erase(name) == 0) {
-    reply.status = static_cast<int32_t>(base::Status::kNotFound);
-  } else {
-    NotifyWatchers(env, 2, name);
+    return base::Status::kNotFound;
   }
-  loop_->Reply(req, &reply, sizeof(reply));
+  NotifyWatchers(env, 2, name);
+  return base::Status::kOk;
 }
 
-void NameServer::HandleList(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
-  NameReply reply;
+base::Status NameServer::HandleList(const NameRequest& r, Answer& a) {
   const std::string dir = Canonical(r.name);
   ChargeNameWalk(dir);
-  std::vector<NameListEntry> results;
   for (const auto& [name, node] : entries_) {
     kernel_.cpu().Execute(ComponentRegion());
-    if (IsDirectChild(dir, name) && results.size() < kMaxListResults) {
+    if (IsDirectChild(dir, name) && a.results.size() < kMaxListResults) {
       NameListEntry e;
       std::strncpy(e.name, name.c_str(), kMaxNameLen - 1);
-      results.push_back(e);
+      a.results.push_back(e);
     }
   }
-  reply.count = static_cast<uint32_t>(results.size());
-  loop_->Reply(req, &reply, sizeof(reply), results.data(),
-               static_cast<uint32_t>(results.size() * sizeof(NameListEntry)));
+  a.reply.count = static_cast<uint32_t>(a.results.size());
+  return base::Status::kOk;
 }
 
-void NameServer::HandleSearch(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
-  NameReply reply;
-  std::vector<NameListEntry> results;
+base::Status NameServer::HandleSearch(const NameRequest& r, Answer& a) {
   for (const auto& [name, node] : entries_) {
     kernel_.cpu().Execute(AttrRegion());
     kernel_.cpu().AccessData(node.sim_addr, 64, /*write=*/false);
-    for (const Attribute& a : node.attrs) {
-      if (std::strncmp(a.key, r.attr.key, kMaxAttrKey) == 0 &&
-          std::strncmp(a.value, r.attr.value, kMaxAttrValue) == 0) {
-        if (results.size() < kMaxListResults) {
+    for (const Attribute& attr : node.attrs) {
+      if (std::strncmp(attr.key, r.attr.key, kMaxAttrKey) == 0 &&
+          std::strncmp(attr.value, r.attr.value, kMaxAttrValue) == 0) {
+        if (a.results.size() < kMaxListResults) {
           NameListEntry e;
           std::strncpy(e.name, name.c_str(), kMaxNameLen - 1);
-          results.push_back(e);
+          a.results.push_back(e);
         }
         break;
       }
     }
   }
-  reply.count = static_cast<uint32_t>(results.size());
-  loop_->Reply(req, &reply, sizeof(reply), results.data(),
-               static_cast<uint32_t>(results.size() * sizeof(NameListEntry)));
+  a.reply.count = static_cast<uint32_t>(a.results.size());
+  return base::Status::kOk;
 }
 
-void NameServer::HandleSetAttr(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
-  NameReply reply;
+base::Status NameServer::HandleSetAttr(mk::Env& env, const NameRequest& r) {
   const std::string name = Canonical(r.name);
   ChargeNameWalk(name);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
-    reply.status = static_cast<int32_t>(base::Status::kNotFound);
-  } else {
-    kernel_.cpu().AccessData(it->second.sim_addr, 64, /*write=*/true);
-    bool updated = false;
-    for (Attribute& a : it->second.attrs) {
-      if (std::strncmp(a.key, r.attr.key, kMaxAttrKey) == 0) {
-        std::memcpy(a.value, r.attr.value, kMaxAttrValue);
-        updated = true;
-        break;
-      }
-    }
-    if (!updated) {
-      if (it->second.attrs.size() >= kMaxAttrsPerEntry) {
-        reply.status = static_cast<int32_t>(base::Status::kNoSpace);
-      } else {
-        it->second.attrs.push_back(r.attr);
-      }
-    }
-    if (reply.status == 0) {
-      NotifyWatchers(env, 3, name);
-    }
+    return base::Status::kNotFound;
   }
-  loop_->Reply(req, &reply, sizeof(reply));
+  kernel_.cpu().AccessData(it->second.sim_addr, 64, /*write=*/true);
+  auto attr = std::find_if(it->second.attrs.begin(), it->second.attrs.end(), [&](const auto& a) {
+    return std::strncmp(a.key, r.attr.key, kMaxAttrKey) == 0;
+  });
+  if (attr != it->second.attrs.end()) {
+    std::memcpy(attr->value, r.attr.value, kMaxAttrValue);
+  } else if (it->second.attrs.size() >= kMaxAttrsPerEntry) {
+    return base::Status::kNoSpace;
+  } else {
+    it->second.attrs.push_back(r.attr);
+  }
+  NotifyWatchers(env, 3, name);
+  return base::Status::kOk;
 }
 
-void NameServer::HandleGetAttr(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
-  NameReply reply;
+base::Status NameServer::HandleGetAttr(const NameRequest& r, Answer& a) {
   const std::string name = Canonical(r.name);
   ChargeNameWalk(name);
   auto it = entries_.find(name);
-  reply.status = static_cast<int32_t>(base::Status::kNotFound);
   if (it != entries_.end()) {
-    for (const Attribute& a : it->second.attrs) {
+    for (const Attribute& attr : it->second.attrs) {
       kernel_.cpu().Execute(AttrRegion());
-      if (std::strncmp(a.key, r.attr.key, kMaxAttrKey) == 0) {
-        reply.attr = a;
-        reply.status = 0;
-        break;
+      if (std::strncmp(attr.key, r.attr.key, kMaxAttrKey) == 0) {
+        a.reply.attr = attr;
+        return base::Status::kOk;
       }
     }
   }
-  loop_->Reply(req, &reply, sizeof(reply));
+  return base::Status::kNotFound;
 }
 
-void NameServer::HandleWatch(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r) {
-  NameReply reply;
+base::Status NameServer::HandleWatch(const mk::RpcRequest& req, const NameRequest& r) {
   if (req.rights.empty()) {
-    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-  } else {
-    auto port = kernel_.ResolvePort(*task_, req.rights.front());
-    if (!port.ok()) {
-      reply.status = static_cast<int32_t>(port.status());
-    } else {
-      watchers_.push_back({Canonical(r.name), *port});
-    }
+    return base::Status::kInvalidArgument;
   }
-  loop_->Reply(req, &reply, sizeof(reply));
+  auto port = kernel_.ResolvePort(*task_, req.rights.front());
+  if (!port.ok()) {
+    return port.status();
+  }
+  watchers_.push_back({Canonical(r.name), *port});
+  return base::Status::kOk;
 }
 
 void NameServer::NotifyWatchers(mk::Env& env, uint32_t kind, const std::string& name) {
@@ -301,12 +279,16 @@ void NameServer::NotifyWatchers(mk::Env& env, uint32_t kind, const std::string& 
     if (w.port->dead() || w.port->queue.size() >= w.port->queue_limit) {
       continue;
     }
+    const base::Result<hw::PhysAddr> buffer = kernel_.heap().TryAllocate(sizeof(NameEvent));
+    if (!buffer.ok()) {
+      continue;
+    }
     NameEvent event;
     event.kind = kind;
     std::strncpy(event.name, name.c_str(), kMaxNameLen - 1);
     auto qm = std::make_unique<mk::QueuedMessage>();
     qm->msg_id = 0x3000;
-    qm->kernel_buffer = kernel_.heap().Allocate(sizeof(NameEvent));
+    qm->kernel_buffer = *buffer;
     qm->inline_data.resize(sizeof(NameEvent));
     std::memcpy(qm->inline_data.data(), &event, sizeof(NameEvent));
     w.port->queue.push_back(std::move(qm));

@@ -47,16 +47,27 @@ class NameServer {
     mk::Port* port = nullptr;
   };
 
+  // What a request answers besides its status: the reply's fields, the
+  // names a kList or kSearch found, and the send right kResolve grants.
+  struct Answer {
+    NameReply reply;
+    std::vector<NameListEntry> results;
+    mk::PortName grant = mk::kNullPort;
+  };
+
   void Serve(mk::Env& env);
-  void HandleRegister(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r,
-                      const uint8_t* ref, uint32_t ref_len);
-  void HandleResolve(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r);
-  void HandleUnregister(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r);
-  void HandleList(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r);
-  void HandleSearch(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r);
-  void HandleSetAttr(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r);
-  void HandleGetAttr(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r);
-  void HandleWatch(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r);
+  // One operation each: the status it answers, with `a` filled on success.
+  base::Status HandleRegister(mk::Env& env, const mk::RpcRequest& req, const NameRequest& r,
+                              const uint8_t* ref, uint32_t ref_len);
+  base::Status HandleResolve(const NameRequest& r, Answer& a);
+  base::Status HandleUnregister(mk::Env& env, const NameRequest& r);
+  base::Status HandleList(const NameRequest& r, Answer& a);
+  base::Status HandleSearch(const NameRequest& r, Answer& a);
+  base::Status HandleSetAttr(mk::Env& env, const NameRequest& r);
+  base::Status HandleGetAttr(const NameRequest& r, Answer& a);
+  base::Status HandleWatch(const mk::RpcRequest& req, const NameRequest& r);
+  // Posts a NameEvent to every watcher of `name`. A notice that the
+  // watcher's queue or the kernel heap cannot hold is dropped.
   void NotifyWatchers(mk::Env& env, uint32_t kind, const std::string& name);
 
   // Models the X.500-style processing: canonicalize and walk the name one

@@ -1,5 +1,6 @@
 #include "src/mks/pager/default_pager.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -66,48 +67,41 @@ base::Status DefaultPager::Preload(uint64_t object_id, uint64_t page_index, cons
 }
 
 void DefaultPager::Serve(mk::Env& env) {
+  std::vector<uint8_t> out(hw::kPageSize);  // a kDataRequest's page
   loop_->Run<mk::PagerRequest>(env, [&](mk::Env& env, const mk::RpcRequest& rpc,
                                         const mk::PagerRequest& req, const uint8_t* page,
                                         uint32_t page_len) {
     mk::trace::MetricRegistry& metrics = kernel_.tracer().metrics();
     kernel_.cpu().Execute(ServeRegion());
-    mk::PagerReply reply{};
+    base::Status st = base::Status::kOk;
+    uint32_t bytes = 0;  // of `out`, sent when the op succeeds
     if (req.op == mk::PagerOp::kDataRequest) {
       ++pageins_served_;
       ++metrics.Counter("server.pager.pageins");
       const auto key = std::make_pair(req.object_id, req.page_index);
-      std::vector<uint8_t> out(hw::kPageSize, 0);
+      bytes = hw::kPageSize;
       if (auto pre = preloaded_.find(key); pre != preloaded_.end()) {
         out = pre->second;
+      } else if (const base::Result<uint64_t> lba =
+                     LbaFor(req.object_id, req.page_index, /*allocate=*/false);
+                 lba.ok()) {
+        st = store_->Read(env, *lba, kSectorsPerPage, out.data());
       } else {
-        const base::Result<uint64_t> lba =
-            LbaFor(req.object_id, req.page_index, /*allocate=*/false);
-        if (lba.ok()) {
-          const base::Status st = store_->Read(env, *lba, kSectorsPerPage, out.data());
-          if (st != base::Status::kOk) {
-            reply.status = static_cast<int32_t>(st);
-          }
-        }
-        // Never-written pages page in as zeros.
+        std::fill(out.begin(), out.end(), 0);  // never-written pages page in as zeros
       }
-      loop_->Reply(rpc, &reply, sizeof(reply), out.data(), static_cast<uint32_t>(out.size()));
     } else if (req.op == mk::PagerOp::kDataWrite) {
       ++pageouts_served_;
       ++metrics.Counter("server.pager.pageouts");
       if (page_len != hw::kPageSize) {
-        reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
+        st = base::Status::kInvalidArgument;
       } else if (const base::Result<uint64_t> lba =
                      LbaFor(req.object_id, req.page_index, /*allocate=*/true);
                  lba.ok()) {
-        reply.status = static_cast<int32_t>(store_->Write(env, *lba, kSectorsPerPage, page));
+        st = store_->Write(env, *lba, kSectorsPerPage, page);
         preloaded_.erase(std::make_pair(req.object_id, req.page_index));
       } else {
-        reply.status = static_cast<int32_t>(lba.status());  // the partition is full
+        st = lba.status();  // the partition is full
       }
-      loop_->Reply(rpc, &reply, sizeof(reply));
-    } else if (req.op == mk::PagerOp::kObjectSetup) {
-      // Backing store allocates lazily; the init handshake is just an ack.
-      loop_->Reply(rpc, &reply, sizeof(reply));
     } else if (req.op == mk::PagerOp::kObjectTerminate) {
       const uint64_t gone = req.object_id;
       // The object's pages go back to the partition.
@@ -118,11 +112,12 @@ void DefaultPager::Serve(mk::Env& env) {
       }
       allocation_.erase(first, last);
       std::erase_if(preloaded_, [gone](const auto& kv) { return kv.first.first == gone; });
-      loop_->Reply(rpc, &reply, sizeof(reply));
-    } else {
-      reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-      loop_->Reply(rpc, &reply, sizeof(reply));
+    } else if (req.op != mk::PagerOp::kObjectSetup) {
+      // kObjectSetup is an ack: the backing store allocates lazily.
+      st = base::Status::kNotSupported;
     }
+    const mk::PagerReply reply{static_cast<int32_t>(st)};
+    loop_->Reply(rpc, &reply, sizeof(reply), out.data(), st == base::Status::kOk ? bytes : 0);
   });
 }
 

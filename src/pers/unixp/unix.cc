@@ -245,8 +245,8 @@ base::Result<uint32_t> UnixProcess::Writev(mk::Env& env, int fd, const UnixIoVec
     return base::Status::kInvalidArgument;
   }
   if ((desc.flags & kOAppend) != 0) {
-    // Same O_APPEND repositioning as Write. The server's gather-write path
-    // honours explicit extent offsets only, so the client must aim at EOF.
+    // Same O_APPEND repositioning as Write. The server appends a gather
+    // write at EOF as it does a write; the fd offset follows it there.
     auto attr = fs_->Stat(env, desc.handle);
     if (!attr.ok()) {
       return attr.status();

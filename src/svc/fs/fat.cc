@@ -535,8 +535,16 @@ base::Result<uint32_t> FatFs::Write(mk::Env& env, NodeId node, uint64_t offset, 
   if ((d.attr & 0x10) != 0) {
     return base::Status::kInvalidArgument;
   }
+  // The extent must fit the 32-bit size field and then the data area, checked
+  // so that it cannot wrap, before a cluster is taken or a byte is written.
+  if (offset > UINT32_MAX || len > UINT32_MAX - offset) {
+    return base::Status::kTooLarge;
+  }
   // Ensure the chain covers [0, offset+len).
   const uint64_t needed_clusters = (offset + len + kClusterBytes - 1) / kClusterBytes;
+  if (needed_clusters > num_clusters_) {
+    return base::Status::kNoSpace;
+  }
   uint16_t c = d.first_cluster;
   uint16_t last = 0;
   uint64_t have = 0;
@@ -549,18 +557,29 @@ base::Result<uint32_t> FatFs::Write(mk::Env& env, NodeId node, uint64_t offset, 
     }
     c = *next;
   }
+  // A write that cannot extend the chain gives back the clusters it took.
+  const uint16_t tail = last;
+  uint16_t first_fresh = 0;
   while (have < needed_clusters) {
     auto fresh = AllocCluster(env);
-    if (!fresh.ok()) {
-      return fresh.status();
+    st = fresh.ok() && last != 0 ? FatSet(env, last, *fresh) : fresh.status();
+    if (st != base::Status::kOk) {
+      if (fresh.ok()) {
+        (void)FreeChain(env, *fresh);
+      }
+      if (first_fresh != 0) {
+        (void)FreeChain(env, first_fresh);
+        if (tail != 0) {
+          (void)FatSet(env, tail, kClusterEnd);
+        }
+      }
+      return st;
     }
     if (last == 0) {
       d.first_cluster = *fresh;
-    } else {
-      st = FatSet(env, last, *fresh);
-      if (st != base::Status::kOk) {
-        return st;
-      }
+    }
+    if (first_fresh == 0) {
+      first_fresh = *fresh;
     }
     last = *fresh;
     ++have;

@@ -31,6 +31,10 @@ std::string LowerCase(const std::string& s) {
   }
   return out;
 }
+
+FsAttrWire WireAttr(const FileAttr& attr) {
+  return {attr.size, attr.directory ? uint8_t{1} : uint8_t{0}};
+}
 }  // namespace
 
 FileServer::FileServer(mk::Kernel& kernel, mk::Task* task, uint64_t handle_base)
@@ -201,16 +205,452 @@ bool FileServer::LockConflicts(const NodeState& state, uint64_t start, uint64_t 
   return false;
 }
 
-void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
-  FsReply reply;
+base::Status FileServer::Validate(const mk::RpcRequest& rpc, const FsRequest& r,
+                                  const uint8_t* ref_data, uint32_t ref_len, IoExtents* io) {
+  // The bytes received hold the op's fixed part and every string it reads
+  // through its NUL, so every handler may treat those strings as C strings.
+  const uint32_t wire_len = FsWireLength(r);
+  if (wire_len == 0 || wire_len > rpc.req_len) {
+    return base::Status::kInvalidArgument;
+  }
+  const bool vectored = r.op == FsOp::kReadV || r.op == FsOp::kWriteV;
+  switch (r.op) {
+    case FsOp::kLock:
+    case FsOp::kUnlock:
+      // A lock range ends inside 64 bits: LockConflicts compares its end.
+      return r.len > ~0ull - r.offset ? base::Status::kInvalidArgument : base::Status::kOk;
+    case FsOp::kRead:
+    case FsOp::kWrite:
+      io->at[0] = FsExtent{r.offset, r.len, 0};
+      io->count = 1;
+      break;
+    case FsOp::kReadV:
+    case FsOp::kWriteV:
+      if (r.extent_count == 0 || r.extent_count > kFsMaxExtents ||
+          ref_len < r.extent_count * sizeof(FsExtent)) {
+        return base::Status::kInvalidArgument;
+      }
+      io->count = r.extent_count;
+      std::memcpy(io->at, ref_data, io->count * sizeof(FsExtent));
+      break;
+    default:
+      return base::Status::kOk;
+  }
+  // An I/O request moves at most kFsMaxIo bytes, and a write carries exactly
+  // its extents' bytes behind the table.
+  const uint32_t table_bytes = vectored ? io->count * static_cast<uint32_t>(sizeof(FsExtent)) : 0;
+  uint64_t total = 0;
+  for (uint32_t i = 0; i < io->count; ++i) {
+    total += io->at[i].len;
+  }
+  io->payload = ref_data + table_bytes;
+  const bool write = r.op == FsOp::kWrite || r.op == FsOp::kWriteV;
+  if (total > kFsMaxIo || (write && (total != r.len || ref_len != table_bytes + total))) {
+    return base::Status::kInvalidArgument;
+  }
+  return base::Status::kOk;
+}
+
+base::Status FileServer::Dispatch(mk::Env& env, const FsRequest& r, IoExtents& io, Answer& a) {
+  const auto it = open_files_.find(r.handle);
+  OpenFile* of = it != open_files_.end() ? &it->second : nullptr;
+  const bool read = r.op == FsOp::kRead || r.op == FsOp::kReadV;
+  if (read || r.op == FsOp::kWrite || r.op == FsOp::kWriteV) {
+    if (of == nullptr) {
+      return base::Status::kInvalidArgument;
+    }
+    kernel_.cpu().AccessData(of->sim_addr, 48, /*write=*/true);
+    return read ? ReadExtents(env, *of, io, a) : WriteExtents(env, r.handle, *of, io, a);
+  }
+  // Every other op starts with the union-of-personalities checks.
   kernel_.cpu().Execute(UnionSemRegion());
+  switch (r.op) {
+    case FsOp::kClose: {
+      if (of == nullptr) {
+        return base::Status::kNotFound;
+      }
+      auto key = NodeKey(of->mount, of->node);
+      NodeState& state = node_states_[key];
+      // Drop this handle's locks.
+      std::erase_if(state.locks, [&](const LockRange& l) { return l.handle == r.handle; });
+      --state.open_count;
+      if ((of->flags & (kFsWrite | kFsTruncate | kFsAppend)) != 0) {
+        --state.writers;
+      }
+      if (of->share == FsShare::kDenyWrite) {
+        --state.deny_write;
+      } else if (of->share == FsShare::kDenyAll) {
+        --state.deny_all;
+      }
+      if (state.open_count == 0 && state.delete_on_close && !state.name.empty()) {
+        (void)of->mount->pfs->Remove(env, state.parent, state.name);
+      }
+      if (state.open_count == 0) {
+        node_states_.erase(key);
+      }
+      (void)kernel_.PortDestroy(*task_, of->file_port);
+      open_files_.erase(it);
+      return base::Status::kOk;
+    }
+    case FsOp::kLock:
+    case FsOp::kUnlock: {
+      if (of == nullptr) {
+        return base::Status::kNotFound;
+      }
+      NodeState& state = node_states_[NodeKey(of->mount, of->node)];
+      if (r.op == FsOp::kUnlock) {
+        const size_t dropped = std::erase_if(state.locks, [&](const LockRange& l) {
+          return l.handle == r.handle && l.start == r.offset && l.len == r.len;
+        });
+        return dropped == 0 ? base::Status::kNotFound : base::Status::kOk;
+      }
+      if (LockConflicts(state, r.offset, r.len, r.lock_exclusive != 0, r.handle)) {
+        return base::Status::kBusy;
+      }
+      state.locks.push_back({r.offset, r.len, r.lock_exclusive != 0, r.handle});
+      return base::Status::kOk;
+    }
+    case FsOp::kFsStat:
+    case FsOp::kSetSize: {
+      // Handle-based GetAttr and SetSize: no path walk, so a hot stat
+      // (fstat, SEEK_END, O_APPEND positioning) costs one table lookup
+      // instead of a name walk. A stale handle answers kInvalidArgument, the
+      // signal a robust FsClient re-opens on.
+      if (of == nullptr) {
+        return base::Status::kInvalidArgument;
+      }
+      kernel_.cpu().AccessData(of->sim_addr, 48, /*write=*/r.op == FsOp::kSetSize);
+      if (r.op == FsOp::kSetSize) {
+        const base::Status st = of->mount->pfs->SetSize(env, of->node, r.offset);
+        if (st != base::Status::kOk) {
+          return st;
+        }
+        // Resizing moves EOF under every mapped view: drop all clean pages.
+        InvalidateMappedRange(of->mount, of->node, 0, ~0ull);
+      }
+      auto attr = of->mount->pfs->GetAttr(env, of->node);
+      if (!attr.ok()) {
+        return attr.status();
+      }
+      a.reply.attr = WireAttr(*attr);
+      return base::Status::kOk;
+    }
+    case FsOp::kMapObject:
+      if (pager_port_raw_ == nullptr) {
+        return base::Status::kNotSupported;
+      }
+      return of == nullptr ? base::Status::kInvalidArgument : MapObject(env, r, *of, a);
+    case FsOp::kMapRelease: {
+      auto mapped = map_objects_.find(r.handle);
+      if (mapped == map_objects_.end()) {
+        return base::Status::kInvalidArgument;
+      }
+      if (mapped->second.map_count > 0) {
+        --mapped->second.map_count;
+      }
+      // State lives until the kernel's kObjectTerminate reaches the pager
+      // port; the count only tells the caller whether it was the last mapper.
+      a.reply.len = mapped->second.map_count;
+      return base::Status::kOk;
+    }
+    default:
+      return PathOp(env, r, a);
+  }
+}
+
+base::Status FileServer::ReadExtents(mk::Env& env, const OpenFile& of, const IoExtents& io,
+                                     Answer& a) {
+  for (uint32_t i = 0; i < io.count; ++i) {
+    auto got = of.mount->pfs->Read(env, of.node, io.at[i].offset, io_.data() + a.payload_len,
+                                   io.at[i].len);
+    if (!got.ok()) {
+      return got.status();
+    }
+    ++reads_;
+    a.payload_len += *got;
+    if (*got < io.at[i].len) {
+      break;  // short extent (EOF): later extents are not attempted
+    }
+  }
+  a.reply.len = a.payload_len;
+  return base::Status::kOk;
+}
+
+base::Status FileServer::WriteExtents(mk::Env& env, uint64_t handle, const OpenFile& of,
+                                      IoExtents& io, Answer& a) {
+  if ((of.flags & kFsAppend) != 0) {
+    // UNIX O_APPEND semantics: the extents land back to back at EOF.
+    auto attr = of.mount->pfs->GetAttr(env, of.node);
+    for (uint32_t i = 0; attr.ok() && i < io.count; ++i) {
+      io.at[i].offset = i == 0 ? attr->size : io.at[i - 1].offset + io.at[i - 1].len;
+    }
+  }
+  // Byte-range lock enforcement, before any extent is written.
+  const NodeState& state = node_states_[NodeKey(of.mount, of.node)];
+  for (uint32_t i = 0; i < io.count; ++i) {
+    if (LockConflicts(state, io.at[i].offset, io.at[i].len, /*exclusive=*/true, handle)) {
+      return base::Status::kBusy;
+    }
+  }
+  for (uint32_t i = 0; i < io.count; ++i) {
+    auto wrote = of.mount->pfs->Write(env, of.node, io.at[i].offset, io.payload + a.reply.len,
+                                      io.at[i].len);
+    if (!wrote.ok()) {
+      return wrote.status();
+    }
+    ++writes_;
+    InvalidateMappedRange(of.mount, of.node, io.at[i].offset, *wrote);
+    a.reply.len += *wrote;
+    if (*wrote < io.at[i].len) {
+      break;
+    }
+  }
+  return base::Status::kOk;
+}
+
+base::Status FileServer::MapObject(mk::Env& env, const FsRequest& r, const OpenFile& of,
+                                   Answer& a) {
+  auto attr = of.mount->pfs->GetAttr(env, of.node);
+  if (!attr.ok()) {
+    return attr.status();
+  }
+  const auto key = NodeKey(of.mount, of.node);
+  auto existing = node_map_.find(key);
+  if (existing != node_map_.end()) {
+    // All mappings of one node share one memory object: that sharing IS the
+    // coherence between two clients mapping the same file.
+    MapObjectState& mapped = map_objects_[existing->second];
+    ++mapped.map_count;
+    a.reply.handle = mapped.object_id;
+  } else {
+    const uint64_t want = std::max<uint64_t>(std::max<uint64_t>(r.len, attr->size), 1);
+    auto object = std::make_shared<mk::VmObject>(hw::PageRound(want));
+    object->EnableDirtyTracking();
+    const uint64_t id = kernel_.RegisterPagedObject(object, pager_port_raw_, 0);
+    MapObjectState mapped;
+    mapped.object = std::move(object);
+    mapped.object_id = id;
+    mapped.map_count = 1;
+    mapped.mount = of.mount;
+    mapped.node = of.node;
+    node_map_.emplace(key, id);
+    map_objects_.emplace(id, std::move(mapped));
+    a.reply.handle = id;
+  }
+  a.reply.attr = WireAttr(*attr);
+  return base::Status::kOk;
+}
+
+void FileServer::ServePager(mk::Env& env) {
+  static const hw::CodeRegion kPagerLoop = hw::DefineCode("svc.fs.pager", 230);
+  // Out: a full readahead batch.
+  std::vector<uint8_t> io(static_cast<size_t>(mk::Costs::kMmapReadaheadPages) * hw::kPageSize);
+  pager_loop_->Run<mk::PagerRequest>(env, [&](mk::Env& env, const mk::RpcRequest& rpc,
+                                              const mk::PagerRequest& req, const uint8_t* page,
+                                              uint32_t page_len) {
+    kernel_.cpu().Execute(kPagerLoop);
+    auto it = map_objects_.find(req.object_id);
+    base::Status st = base::Status::kOk;
+    uint32_t bytes = 0;  // of `io`, sent when the op succeeds
+    switch (req.op) {
+      case mk::PagerOp::kDataRequest: {
+        if (it == map_objects_.end()) {
+          st = base::Status::kInvalidArgument;
+          break;
+        }
+        MapObjectState& mapped = it->second;
+        const uint64_t object_pages = mapped.object->size() >> hw::kPageShift;
+        uint64_t want = 1;
+        if (mapped.object->dirty_tracking() && req.page_index < object_pages) {
+          want = std::min<uint64_t>(mk::Costs::kMmapReadaheadPages, object_pages - req.page_index);
+        }
+        bytes = static_cast<uint32_t>(want * hw::kPageSize);
+        std::memset(io.data(), 0, bytes);
+        // A short (or failed) read leaves zeros: pages at and past EOF map
+        // in as zeros, the same bytes read() can never return.
+        (void)mapped.mount->pfs->Read(env, mapped.node, req.page_index << hw::kPageShift,
+                                      io.data(), bytes);
+        ++pageins_;
+        break;
+      }
+      case mk::PagerOp::kDataWrite: {
+        if (it == map_objects_.end() || page_len != hw::kPageSize) {
+          st = base::Status::kInvalidArgument;
+          break;
+        }
+        MapObjectState& mapped = it->second;
+        const uint64_t offset = req.page_index << hw::kPageShift;
+        auto attr = mapped.mount->pfs->GetAttr(env, mapped.node);
+        const uint64_t limit = attr.ok() ? attr->size : 0;
+        if (offset < limit) {
+          // Writeback never extends the file: a mapped store past EOF is
+          // only durable up to the current size (msync through a session
+          // that also grows the file is the personality's business).
+          const uint32_t n =
+              static_cast<uint32_t>(std::min<uint64_t>(hw::kPageSize, limit - offset));
+          st = mapped.mount->pfs->Write(env, mapped.node, offset, page, n).status();
+        }
+        ++pageouts_;
+        break;
+      }
+      case mk::PagerOp::kObjectSetup:
+        if (it == map_objects_.end()) {
+          st = base::Status::kInvalidArgument;
+        }
+        break;
+      case mk::PagerOp::kObjectTerminate:
+        if (it != map_objects_.end()) {
+          node_map_.erase(NodeKey(it->second.mount, it->second.node));
+          map_objects_.erase(it);
+        }
+        break;
+      default:
+        st = base::Status::kNotSupported;
+    }
+    const mk::PagerReply reply{static_cast<int32_t>(st)};
+    pager_loop_->Reply(rpc, &reply, sizeof(reply), io.data(), st == base::Status::kOk ? bytes : 0);
+  });
+}
+
+base::Status FileServer::PathOp(mk::Env& env, const FsRequest& r, Answer& a) {
   std::string rest;
   Mount* mount = MountFor(r.path, &rest);
   if (mount == nullptr) {
-    reply.status = static_cast<int32_t>(base::Status::kNotFound);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
+    return base::Status::kNotFound;
   }
+  const bool ci = (r.flags & kFsCaseInsensitive) != 0;
+  switch (r.op) {
+    case FsOp::kOpen:
+      return Open(env, r, mount, rest, a);
+    case FsOp::kGetAttr: {
+      auto node = Walk(env, mount, rest, ci, nullptr, nullptr, false);
+      if (!node.ok()) {
+        return node.status();
+      }
+      auto attr = mount->pfs->GetAttr(env, *node);
+      if (!attr.ok()) {
+        return attr.status();
+      }
+      a.reply.attr = WireAttr(*attr);
+      return base::Status::kOk;
+    }
+    case FsOp::kMkdir: {
+      NodeId parent = 0;
+      std::string leaf;
+      auto st = Walk(env, mount, rest, ci, &parent, &leaf, /*stop_at_parent=*/true);
+      if (!st.ok()) {
+        return st.status();
+      }
+      if (leaf.empty()) {
+        return base::Status::kInvalidArgument;
+      }
+      return mount->pfs->Create(env, parent, leaf, /*directory=*/true).status();
+    }
+    case FsOp::kUnlink: {
+      NodeId parent = 0;
+      std::string leaf;
+      auto node = Walk(env, mount, rest, ci, &parent, &leaf, false);
+      if (!node.ok()) {
+        return node.status();
+      }
+      // Union rule: an open file cannot be unlinked by path on OS/2; UNIX
+      // would allow it. The server takes the restrictive intersection and
+      // reports busy (one of the inevitable compromises).
+      if (node_states_.contains(NodeKey(mount, *node))) {
+        return base::Status::kBusy;
+      }
+      return mount->pfs->Remove(env, parent, leaf);
+    }
+    case FsOp::kRename: {
+      NodeId from_parent = 0;
+      std::string from_leaf;
+      auto node = Walk(env, mount, rest, ci, &from_parent, &from_leaf, false);
+      if (!node.ok()) {
+        return node.status();
+      }
+      // As for unlink: an open file keeps its name. (FAT moves a renamed
+      // entry to a new slot, and a node id is its slot.)
+      if (node_states_.contains(NodeKey(mount, *node))) {
+        return base::Status::kBusy;
+      }
+      std::string rest2;
+      Mount* mount2 = MountFor(r.path2, &rest2);
+      if (mount2 == nullptr) {
+        return base::Status::kNotFound;
+      }
+      if (mount2 != mount) {
+        return base::Status::kNotSupported;  // cross-FS rename
+      }
+      NodeId to_parent = 0;
+      std::string to_leaf;
+      auto tst = Walk(env, mount, rest2, ci, &to_parent, &to_leaf, /*stop_at_parent=*/true);
+      if (!tst.ok()) {
+        return tst.status();
+      }
+      return mount->pfs->Rename(env, from_parent, from_leaf, to_parent, to_leaf);
+    }
+    case FsOp::kReadDir: {
+      auto node = Walk(env, mount, rest, ci, nullptr, nullptr, false);
+      if (!node.ok()) {
+        return node.status();
+      }
+      auto entries = mount->pfs->ReadDir(env, *node);
+      if (!entries.ok()) {
+        return entries.status();
+      }
+      const size_t count = std::min(entries->size(), io_.size() / sizeof(FsDirEntryWire));
+      for (size_t i = 0; i < count; ++i) {
+        FsDirEntryWire w;
+        std::strncpy(w.name, (*entries)[i].name.c_str(), sizeof(w.name) - 1);
+        w.directory = (*entries)[i].directory ? 1 : 0;
+        std::memcpy(io_.data() + i * sizeof(w), &w, sizeof(w));
+      }
+      a.reply.len = static_cast<uint32_t>(count);
+      a.payload_len = static_cast<uint32_t>(count * sizeof(FsDirEntryWire));
+      return base::Status::kOk;
+    }
+    case FsOp::kSetEa: {
+      auto node = Walk(env, mount, rest, ci, nullptr, nullptr, false);
+      if (!node.ok()) {
+        return node.status();
+      }
+      // Value travels in path2 after the key's NUL: "key\0value\0". The
+      // validation step checked that both end inside the bytes received.
+      const std::string key(r.path2);
+      return mount->pfs->SetEa(env, *node, key, r.path2 + key.size() + 1);
+    }
+    case FsOp::kGetEa: {
+      auto node = Walk(env, mount, rest, ci, nullptr, nullptr, false);
+      if (!node.ok()) {
+        return node.status();
+      }
+      auto value = mount->pfs->GetEa(env, *node, r.path2);
+      if (!value.ok()) {
+        return value.status();
+      }
+      a.payload_len = static_cast<uint32_t>(std::min(value->size(), io_.size()));
+      std::memcpy(io_.data(), value->data(), a.payload_len);
+      a.reply.len = a.payload_len;
+      return base::Status::kOk;
+    }
+    case FsOp::kSync: {
+      // Every mount is synced; the answer is the first failure.
+      base::Status first = base::Status::kOk;
+      for (const auto& m : mounts_) {
+        const base::Status st = m->pfs->Sync(env);
+        if (first == base::Status::kOk) {
+          first = st;
+        }
+      }
+      return first;
+    }
+    default:
+      return base::Status::kNotSupported;
+  }
+}
+
+base::Status FileServer::Open(mk::Env& env, const FsRequest& r, Mount* mount,
+                              const std::string& rest, Answer& a) {
   const bool ci = (r.flags & kFsCaseInsensitive) != 0;
   NodeId parent = 0;
   std::string leaf;
@@ -219,14 +659,10 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
       !leaf.empty()) {
     node = mount->pfs->Create(env, parent, leaf, /*directory=*/false);
   } else if (node.ok() && (r.flags & kFsExclusive) != 0 && (r.flags & kFsCreate) != 0) {
-    reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
+    return base::Status::kAlreadyExists;
   }
   if (!node.ok()) {
-    reply.status = static_cast<int32_t>(node.status());
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
+    return node.status();
   }
   // Sharing-mode admission (OS/2 deny modes).
   NodeState& state = node_states_[NodeKey(mount, *node)];
@@ -234,16 +670,12 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   if (state.deny_all > 0 || (wants_write && state.deny_write > 0) ||
       (r.share == FsShare::kDenyAll && state.open_count > 0) ||
       (r.share == FsShare::kDenyWrite && state.writers > 0)) {
-    reply.status = static_cast<int32_t>(base::Status::kBusy);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
+    return base::Status::kBusy;
   }
   if ((r.flags & kFsTruncate) != 0) {
     const base::Status st = mount->pfs->SetSize(env, *node, 0);
     if (st != base::Status::kOk && st != base::Status::kNotSupported) {
-      reply.status = static_cast<int32_t>(st);
-      loop_->Reply(rpc, &reply, sizeof(reply));
-      return;
+      return st;
     }
     InvalidateMappedRange(mount, *node, 0, ~0ull);
   }
@@ -254,9 +686,7 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   const base::Result<mk::PortName> file_port =
       sim_addr.ok() ? kernel_.PortAllocate(*task_) : sim_addr.status();
   if (!file_port.ok()) {
-    reply.status = static_cast<int32_t>(file_port.status());
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
+    return file_port.status();
   }
   ++state.open_count;
   if (wants_write) {
@@ -282,570 +712,13 @@ void FileServer::HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsReq
   const uint64_t handle = next_handle_++;
   open_files_.emplace(handle, of);
   ++opens_;
-  reply.handle = handle;
+  a.reply.handle = handle;
   auto attr = mount->pfs->GetAttr(env, *node);
   if (attr.ok()) {
-    reply.attr = {attr->size, attr->directory ? uint8_t{1} : uint8_t{0}};
+    a.reply.attr = WireAttr(*attr);
   }
-  loop_->Reply(rpc, &reply, sizeof(reply), nullptr, 0, /*grant=*/*file_port);
-}
-
-void FileServer::HandleClose(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
-  FsReply reply;
-  kernel_.cpu().Execute(UnionSemRegion());
-  auto it = open_files_.find(r.handle);
-  if (it == open_files_.end()) {
-    reply.status = static_cast<int32_t>(base::Status::kNotFound);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  OpenFile& of = it->second;
-  auto key = NodeKey(of.mount, of.node);
-  NodeState& state = node_states_[key];
-  // Drop this handle's locks.
-  std::erase_if(state.locks, [&](const LockRange& l) { return l.handle == r.handle; });
-  --state.open_count;
-  if ((of.flags & (kFsWrite | kFsTruncate | kFsAppend)) != 0) {
-    --state.writers;
-  }
-  if (of.share == FsShare::kDenyWrite) {
-    --state.deny_write;
-  } else if (of.share == FsShare::kDenyAll) {
-    --state.deny_all;
-  }
-  if (state.open_count == 0 && state.delete_on_close && !state.name.empty()) {
-    (void)of.mount->pfs->Remove(env, state.parent, state.name);
-  }
-  if (state.open_count == 0) {
-    node_states_.erase(key);
-  }
-  (void)kernel_.PortDestroy(*task_, of.file_port);
-  open_files_.erase(it);
-  loop_->Reply(rpc, &reply, sizeof(reply));
-}
-
-void FileServer::HandleRead(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
-  FsReply reply;
-  static std::vector<uint8_t> buffer(kFsMaxIo);
-  auto it = open_files_.find(r.handle);
-  if (it == open_files_.end() || r.len > kFsMaxIo) {
-    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  OpenFile& of = it->second;
-  kernel_.cpu().AccessData(of.sim_addr, 48, /*write=*/true);
-  auto got = of.mount->pfs->Read(env, of.node, r.offset, buffer.data(), r.len);
-  if (!got.ok()) {
-    reply.status = static_cast<int32_t>(got.status());
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  ++reads_;
-  reply.len = *got;
-  loop_->Reply(rpc, &reply, sizeof(reply), buffer.data(), *got);
-}
-
-void FileServer::HandleWrite(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r,
-                             const uint8_t* data, uint32_t data_len) {
-  FsReply reply;
-  auto it = open_files_.find(r.handle);
-  if (it == open_files_.end() || data_len != r.len || r.len > kFsMaxIo) {
-    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  OpenFile& of = it->second;
-  kernel_.cpu().AccessData(of.sim_addr, 48, /*write=*/true);
-  uint64_t offset = r.offset;
-  if ((of.flags & kFsAppend) != 0) {
-    auto attr = of.mount->pfs->GetAttr(env, of.node);
-    if (attr.ok()) {
-      offset = attr->size;  // UNIX O_APPEND semantics
-    }
-  }
-  // Byte-range lock enforcement.
-  NodeState& state = node_states_[NodeKey(of.mount, of.node)];
-  if (LockConflicts(state, offset, r.len, /*exclusive=*/true, r.handle)) {
-    reply.status = static_cast<int32_t>(base::Status::kBusy);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  auto wrote = of.mount->pfs->Write(env, of.node, offset, data, r.len);
-  if (!wrote.ok()) {
-    reply.status = static_cast<int32_t>(wrote.status());
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  ++writes_;
-  InvalidateMappedRange(of.mount, of.node, offset, *wrote);
-  reply.len = *wrote;
-  loop_->Reply(rpc, &reply, sizeof(reply));
-}
-
-void FileServer::HandleReadV(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r,
-                             const uint8_t* ref_data, uint32_t ref_len) {
-  FsReply reply;
-  static std::vector<uint8_t> buffer(kFsMaxIo);
-  auto it = open_files_.find(r.handle);
-  const uint32_t count = r.extent_count;
-  if (it == open_files_.end() || count == 0 || count > kFsMaxExtents ||
-      ref_len < count * sizeof(FsExtent)) {
-    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  FsExtent extents[kFsMaxExtents];
-  std::memcpy(extents, ref_data, count * sizeof(FsExtent));
-  uint64_t total = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    total += extents[i].len;
-  }
-  if (total > kFsMaxIo) {
-    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  OpenFile& of = it->second;
-  kernel_.cpu().AccessData(of.sim_addr, 48, /*write=*/true);
-  uint32_t filled = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    auto got = of.mount->pfs->Read(env, of.node, extents[i].offset, buffer.data() + filled,
-                                   extents[i].len);
-    if (!got.ok()) {
-      reply.status = static_cast<int32_t>(got.status());
-      loop_->Reply(rpc, &reply, sizeof(reply));
-      return;
-    }
-    ++reads_;
-    filled += *got;
-    if (*got < extents[i].len) {
-      break;  // short extent (EOF): later extents are not attempted
-    }
-  }
-  reply.len = filled;
-  loop_->Reply(rpc, &reply, sizeof(reply), buffer.data(), filled);
-}
-
-void FileServer::HandleWriteV(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r,
-                              const uint8_t* ref_data, uint32_t ref_len) {
-  FsReply reply;
-  auto it = open_files_.find(r.handle);
-  const uint32_t count = r.extent_count;
-  if (it == open_files_.end() || count == 0 || count > kFsMaxExtents ||
-      ref_len < count * sizeof(FsExtent)) {
-    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  FsExtent extents[kFsMaxExtents];
-  std::memcpy(extents, ref_data, count * sizeof(FsExtent));
-  uint64_t total = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    total += extents[i].len;
-  }
-  const uint64_t table_bytes = count * sizeof(FsExtent);
-  if (total > kFsMaxIo || total != r.len || ref_len != table_bytes + total) {
-    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  OpenFile& of = it->second;
-  kernel_.cpu().AccessData(of.sim_addr, 48, /*write=*/true);
-  NodeState& state = node_states_[NodeKey(of.mount, of.node)];
-  for (uint32_t i = 0; i < count; ++i) {
-    if (LockConflicts(state, extents[i].offset, extents[i].len, /*exclusive=*/true, r.handle)) {
-      reply.status = static_cast<int32_t>(base::Status::kBusy);
-      loop_->Reply(rpc, &reply, sizeof(reply));
-      return;
-    }
-  }
-  const uint8_t* data = ref_data + table_bytes;
-  uint32_t written = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    auto wrote = of.mount->pfs->Write(env, of.node, extents[i].offset, data + written,
-                                      extents[i].len);
-    if (!wrote.ok()) {
-      reply.status = static_cast<int32_t>(wrote.status());
-      loop_->Reply(rpc, &reply, sizeof(reply));
-      return;
-    }
-    ++writes_;
-    InvalidateMappedRange(of.mount, of.node, extents[i].offset, *wrote);
-    written += *wrote;
-    if (*wrote < extents[i].len) {
-      break;
-    }
-  }
-  reply.len = written;
-  loop_->Reply(rpc, &reply, sizeof(reply));
-}
-
-void FileServer::HandleLock(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
-  FsReply reply;
-  kernel_.cpu().Execute(UnionSemRegion());
-  auto it = open_files_.find(r.handle);
-  if (it == open_files_.end()) {
-    reply.status = static_cast<int32_t>(base::Status::kNotFound);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  OpenFile& of = it->second;
-  NodeState& state = node_states_[NodeKey(of.mount, of.node)];
-  if (r.op == FsOp::kLock) {
-    if (LockConflicts(state, r.offset, r.len, r.lock_exclusive != 0, r.handle)) {
-      reply.status = static_cast<int32_t>(base::Status::kBusy);
-    } else {
-      state.locks.push_back({r.offset, r.len, r.lock_exclusive != 0, r.handle});
-    }
-  } else {
-    const size_t before = state.locks.size();
-    std::erase_if(state.locks, [&](const LockRange& l) {
-      return l.handle == r.handle && l.start == r.offset && l.len == r.len;
-    });
-    if (state.locks.size() == before) {
-      reply.status = static_cast<int32_t>(base::Status::kNotFound);
-    }
-  }
-  loop_->Reply(rpc, &reply, sizeof(reply));
-}
-
-void FileServer::HandleStat(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
-  // Handle-based GetAttr (kFsStat) and SetSize: no path walk, so a hot stat
-  // (fstat, SEEK_END, O_APPEND positioning) costs one table lookup instead
-  // of a name walk. A stale handle answers kInvalidArgument, the signal a
-  // robust FsClient re-opens on.
-  FsReply reply;
-  kernel_.cpu().Execute(UnionSemRegion());
-  auto it = open_files_.find(r.handle);
-  if (it == open_files_.end()) {
-    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  OpenFile& of = it->second;
-  kernel_.cpu().AccessData(of.sim_addr, 48, /*write=*/r.op == FsOp::kSetSize);
-  if (r.op == FsOp::kSetSize) {
-    const base::Status st = of.mount->pfs->SetSize(env, of.node, r.offset);
-    if (st != base::Status::kOk) {
-      reply.status = static_cast<int32_t>(st);
-      loop_->Reply(rpc, &reply, sizeof(reply));
-      return;
-    }
-    // Resizing moves EOF under every mapped view: drop all clean pages.
-    InvalidateMappedRange(of.mount, of.node, 0, ~0ull);
-  }
-  auto attr = of.mount->pfs->GetAttr(env, of.node);
-  if (!attr.ok()) {
-    reply.status = static_cast<int32_t>(attr.status());
-  } else {
-    reply.attr = {attr->size, attr->directory ? uint8_t{1} : uint8_t{0}};
-  }
-  loop_->Reply(rpc, &reply, sizeof(reply));
-}
-
-void FileServer::HandleMapObject(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
-  FsReply reply;
-  kernel_.cpu().Execute(UnionSemRegion());
-  if (pager_port_raw_ == nullptr) {
-    reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  auto it = open_files_.find(r.handle);
-  if (it == open_files_.end()) {
-    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  OpenFile& of = it->second;
-  auto attr = of.mount->pfs->GetAttr(env, of.node);
-  if (!attr.ok()) {
-    reply.status = static_cast<int32_t>(attr.status());
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  const auto key = NodeKey(of.mount, of.node);
-  auto existing = node_map_.find(key);
-  if (existing != node_map_.end()) {
-    // All mappings of one node share one memory object: that sharing IS the
-    // coherence between two clients mapping the same file.
-    MapObjectState& st = map_objects_[existing->second];
-    ++st.map_count;
-    reply.handle = st.object_id;
-  } else {
-    const uint64_t want = std::max<uint64_t>(std::max<uint64_t>(r.len, attr->size), 1);
-    auto object = std::make_shared<mk::VmObject>(hw::PageRound(want));
-    object->EnableDirtyTracking();
-    const uint64_t id = kernel_.RegisterPagedObject(object, pager_port_raw_, 0);
-    MapObjectState st;
-    st.object = std::move(object);
-    st.object_id = id;
-    st.map_count = 1;
-    st.mount = of.mount;
-    st.node = of.node;
-    node_map_.emplace(key, id);
-    map_objects_.emplace(id, std::move(st));
-    reply.handle = id;
-  }
-  reply.attr = {attr->size, attr->directory ? uint8_t{1} : uint8_t{0}};
-  loop_->Reply(rpc, &reply, sizeof(reply));
-}
-
-void FileServer::HandleMapRelease(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
-  FsReply reply;
-  kernel_.cpu().Execute(UnionSemRegion());
-  auto it = map_objects_.find(r.handle);
-  if (it == map_objects_.end()) {
-    reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-  } else {
-    if (it->second.map_count > 0) {
-      --it->second.map_count;
-    }
-    // State lives until the kernel's kObjectTerminate reaches the pager port;
-    // the count only tells the caller whether it was the last mapper.
-    reply.len = it->second.map_count;
-  }
-  loop_->Reply(rpc, &reply, sizeof(reply));
-}
-
-void FileServer::ServePager(mk::Env& env) {
-  static const hw::CodeRegion kPagerLoop = hw::DefineCode("svc.fs.pager", 230);
-  // Out: a full readahead batch.
-  std::vector<uint8_t> io(static_cast<size_t>(mk::Costs::kMmapReadaheadPages) * hw::kPageSize);
-  pager_loop_->Run<mk::PagerRequest>(env, [&](mk::Env& env, const mk::RpcRequest& rpc,
-                                              const mk::PagerRequest& req, const uint8_t* page,
-                                              uint32_t page_len) {
-    kernel_.cpu().Execute(kPagerLoop);
-    mk::PagerReply reply{};
-    auto it = map_objects_.find(req.object_id);
-    switch (req.op) {
-      case mk::PagerOp::kDataRequest: {
-        if (it == map_objects_.end()) {
-          reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          pager_loop_->Reply(rpc, &reply, sizeof(reply));
-          break;
-        }
-        MapObjectState& st = it->second;
-        const uint64_t object_pages = st.object->size() >> hw::kPageShift;
-        uint64_t want = 1;
-        if (st.object->dirty_tracking() && req.page_index < object_pages) {
-          want = std::min<uint64_t>(mk::Costs::kMmapReadaheadPages, object_pages - req.page_index);
-        }
-        const uint32_t bytes = static_cast<uint32_t>(want * hw::kPageSize);
-        std::memset(io.data(), 0, bytes);
-        // A short (or failed) read leaves zeros: pages at and past EOF map
-        // in as zeros, the same bytes read() can never return.
-        (void)st.mount->pfs->Read(env, st.node, req.page_index << hw::kPageShift, io.data(),
-                                  bytes);
-        ++pageins_;
-        pager_loop_->Reply(rpc, &reply, sizeof(reply), io.data(), bytes);
-        break;
-      }
-      case mk::PagerOp::kDataWrite: {
-        if (it == map_objects_.end() || page_len != hw::kPageSize) {
-          reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-          pager_loop_->Reply(rpc, &reply, sizeof(reply));
-          break;
-        }
-        MapObjectState& st = it->second;
-        const uint64_t offset = req.page_index << hw::kPageShift;
-        auto attr = st.mount->pfs->GetAttr(env, st.node);
-        const uint64_t limit = attr.ok() ? attr->size : 0;
-        if (offset < limit) {
-          // Writeback never extends the file: a mapped store past EOF is
-          // only durable up to the current size (msync through a session
-          // that also grows the file is the personality's business).
-          const uint32_t n =
-              static_cast<uint32_t>(std::min<uint64_t>(hw::kPageSize, limit - offset));
-          auto wrote = st.mount->pfs->Write(env, st.node, offset, page, n);
-          if (!wrote.ok()) {
-            reply.status = static_cast<int32_t>(wrote.status());
-          }
-        }
-        ++pageouts_;
-        pager_loop_->Reply(rpc, &reply, sizeof(reply));
-        break;
-      }
-      case mk::PagerOp::kObjectSetup: {
-        if (it == map_objects_.end()) {
-          reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-        }
-        pager_loop_->Reply(rpc, &reply, sizeof(reply));
-        break;
-      }
-      case mk::PagerOp::kObjectTerminate: {
-        if (it != map_objects_.end()) {
-          node_map_.erase(NodeKey(it->second.mount, it->second.node));
-          map_objects_.erase(it);
-        }
-        pager_loop_->Reply(rpc, &reply, sizeof(reply));
-        break;
-      }
-      default:
-        reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-        pager_loop_->Reply(rpc, &reply, sizeof(reply));
-    }
-  });
-}
-
-void FileServer::HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r) {
-  FsReply reply;
-  kernel_.cpu().Execute(UnionSemRegion());
-  std::string rest;
-  Mount* mount = MountFor(r.path, &rest);
-  if (mount == nullptr) {
-    reply.status = static_cast<int32_t>(base::Status::kNotFound);
-    loop_->Reply(rpc, &reply, sizeof(reply));
-    return;
-  }
-  const bool ci = (r.flags & kFsCaseInsensitive) != 0;
-  switch (r.op) {
-    case FsOp::kGetAttr: {
-      auto node = Walk(env, mount, rest, ci, nullptr, nullptr, false);
-      if (!node.ok()) {
-        reply.status = static_cast<int32_t>(node.status());
-        break;
-      }
-      auto attr = mount->pfs->GetAttr(env, *node);
-      if (!attr.ok()) {
-        reply.status = static_cast<int32_t>(attr.status());
-        break;
-      }
-      reply.attr = {attr->size, attr->directory ? uint8_t{1} : uint8_t{0}};
-      break;
-    }
-    case FsOp::kMkdir: {
-      NodeId parent = 0;
-      std::string leaf;
-      auto st = Walk(env, mount, rest, ci, &parent, &leaf, /*stop_at_parent=*/true);
-      if (!st.ok()) {
-        reply.status = static_cast<int32_t>(st.status());
-        break;
-      }
-      if (leaf.empty()) {
-        reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-        break;
-      }
-      auto node = mount->pfs->Create(env, parent, leaf, /*directory=*/true);
-      reply.status = static_cast<int32_t>(node.status());
-      break;
-    }
-    case FsOp::kUnlink: {
-      NodeId parent = 0;
-      std::string leaf;
-      auto node = Walk(env, mount, rest, ci, &parent, &leaf, false);
-      if (!node.ok()) {
-        reply.status = static_cast<int32_t>(node.status());
-        break;
-      }
-      // Union rule: an open file cannot be unlinked by path on OS/2; UNIX
-      // would allow it. The server takes the restrictive intersection and
-      // reports busy (one of the inevitable compromises).
-      if (node_states_.contains(NodeKey(mount, *node))) {
-        reply.status = static_cast<int32_t>(base::Status::kBusy);
-        break;
-      }
-      reply.status = static_cast<int32_t>(mount->pfs->Remove(env, parent, leaf));
-      break;
-    }
-    case FsOp::kRename: {
-      NodeId from_parent = 0;
-      std::string from_leaf;
-      auto node = Walk(env, mount, rest, ci, &from_parent, &from_leaf, false);
-      if (!node.ok()) {
-        reply.status = static_cast<int32_t>(node.status());
-        break;
-      }
-      std::string rest2;
-      Mount* mount2 = MountFor(r.path2, &rest2);
-      if (mount2 == nullptr) {
-        reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        break;
-      }
-      if (mount2 != mount) {
-        reply.status = static_cast<int32_t>(base::Status::kNotSupported);  // cross-FS rename
-        break;
-      }
-      NodeId to_parent = 0;
-      std::string to_leaf;
-      auto tst = Walk(env, mount, rest2, ci, &to_parent, &to_leaf, /*stop_at_parent=*/true);
-      if (!tst.ok()) {
-        reply.status = static_cast<int32_t>(tst.status());
-        break;
-      }
-      reply.status = static_cast<int32_t>(
-          mount->pfs->Rename(env, from_parent, from_leaf, to_parent, to_leaf));
-      break;
-    }
-    case FsOp::kReadDir: {
-      auto node = Walk(env, mount, rest, ci, nullptr, nullptr, false);
-      if (!node.ok()) {
-        reply.status = static_cast<int32_t>(node.status());
-        break;
-      }
-      auto entries = mount->pfs->ReadDir(env, *node);
-      if (!entries.ok()) {
-        reply.status = static_cast<int32_t>(entries.status());
-        break;
-      }
-      std::vector<FsDirEntryWire> wire;
-      for (const DirEntry& e : *entries) {
-        FsDirEntryWire w;
-        std::strncpy(w.name, e.name.c_str(), sizeof(w.name) - 1);
-        w.directory = e.directory ? 1 : 0;
-        wire.push_back(w);
-        if (wire.size() * sizeof(FsDirEntryWire) + sizeof(FsDirEntryWire) > kFsMaxIo) {
-          break;
-        }
-      }
-      reply.len = static_cast<uint32_t>(wire.size());
-      loop_->Reply(rpc, &reply, sizeof(reply), wire.data(),
-                   static_cast<uint32_t>(wire.size() * sizeof(FsDirEntryWire)));
-      return;
-    }
-    case FsOp::kSetEa: {
-      auto node = Walk(env, mount, rest, ci, nullptr, nullptr, false);
-      if (!node.ok()) {
-        reply.status = static_cast<int32_t>(node.status());
-        break;
-      }
-      // Value travels in path2 after the key's NUL: "key\0value\0". Dispatch
-      // already checked that both end inside the bytes received.
-      const std::string key(r.path2);
-      const char* value = r.path2 + key.size() + 1;
-      reply.status = static_cast<int32_t>(mount->pfs->SetEa(env, *node, key, value));
-      break;
-    }
-    case FsOp::kGetEa: {
-      auto node = Walk(env, mount, rest, ci, nullptr, nullptr, false);
-      if (!node.ok()) {
-        reply.status = static_cast<int32_t>(node.status());
-        break;
-      }
-      auto value = mount->pfs->GetEa(env, *node, r.path2);
-      if (!value.ok()) {
-        reply.status = static_cast<int32_t>(value.status());
-        break;
-      }
-      reply.len = static_cast<uint32_t>(value->size());
-      loop_->Reply(rpc, &reply, sizeof(reply), value->data(), static_cast<uint32_t>(value->size()));
-      return;
-    }
-    case FsOp::kSync: {
-      // Every mount is synced; the answer is the first failure.
-      for (const auto& m : mounts_) {
-        const base::Status st = m->pfs->Sync(env);
-        if (st != base::Status::kOk && reply.status == 0) {
-          reply.status = static_cast<int32_t>(st);
-        }
-      }
-      break;
-    }
-    default:
-      reply.status = static_cast<int32_t>(base::Status::kNotSupported);
-  }
-  loop_->Reply(rpc, &reply, sizeof(reply));
+  a.grant = *file_port;
+  return base::Status::kOk;
 }
 
 void FileServer::Serve(mk::Env& env) {
@@ -858,52 +731,17 @@ void FileServer::Serve(mk::Env& env) {
     }
     kernel_.cpu().Execute(kLoop);
     kernel_.cpu().Execute(kStub);
-    // The one validation point for untrusted requests: the bytes received
-    // hold the op's fixed part and every string it reads through its NUL,
-    // so every handler may treat those strings as C strings.
-    const uint32_t wire_len = FsWireLength(r);
-    if (wire_len == 0 || wire_len > rpc.req_len) {
-      FsReply reply;
-      reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
-      loop_->Reply(rpc, &reply, sizeof(reply));
-      return;
+    IoExtents io;
+    Answer a;
+    base::Status st = Validate(rpc, r, ref_data, ref_len, &io);
+    if (st == base::Status::kOk) {
+      st = Dispatch(env, r, io, a);
     }
-    switch (r.op) {
-      case FsOp::kOpen:
-        HandleOpen(env, rpc, r);
-        break;
-      case FsOp::kClose:
-        HandleClose(env, rpc, r);
-        break;
-      case FsOp::kRead:
-        HandleRead(env, rpc, r);
-        break;
-      case FsOp::kWrite:
-        HandleWrite(env, rpc, r, ref_data, ref_len);
-        break;
-      case FsOp::kReadV:
-        HandleReadV(env, rpc, r, ref_data, ref_len);
-        break;
-      case FsOp::kWriteV:
-        HandleWriteV(env, rpc, r, ref_data, ref_len);
-        break;
-      case FsOp::kLock:
-      case FsOp::kUnlock:
-        HandleLock(env, rpc, r);
-        break;
-      case FsOp::kFsStat:
-      case FsOp::kSetSize:
-        HandleStat(env, rpc, r);
-        break;
-      case FsOp::kMapObject:
-        HandleMapObject(env, rpc, r);
-        break;
-      case FsOp::kMapRelease:
-        HandleMapRelease(env, rpc, r);
-        break;
-      default:
-        HandlePathOp(env, rpc, r);
+    if (st != base::Status::kOk) {
+      // A failed operation answers its status alone.
+      a = Answer{.reply = {.status = static_cast<int32_t>(st)}};
     }
+    loop_->Reply(rpc, &a.reply, sizeof(a.reply), io_.data(), a.payload_len, a.grant);
   });
   // The service loop is gone (Stop, or an injected kKillPort): the fs-pager
   // port goes with it. A dead task needs no help — its teardown destroyed
@@ -1272,6 +1110,9 @@ base::Status FsClient::Rename(mk::Env& env, const std::string& from, const std::
 
 base::Status FsClient::Lock(mk::Env& env, uint64_t handle, uint64_t start, uint64_t len,
                             bool exclusive) {
+  if (len > UINT32_MAX) {
+    return base::Status::kInvalidArgument;  // the wire carries 32 bits
+  }
   if (cache_ != nullptr) {
     // Lock acquisition is a coherence point: another client may have written
     // the range since we cached it. Publish our pending bytes, drop ours.
@@ -1291,6 +1132,9 @@ base::Status FsClient::Lock(mk::Env& env, uint64_t handle, uint64_t start, uint6
 }
 
 base::Status FsClient::Unlock(mk::Env& env, uint64_t handle, uint64_t start, uint64_t len) {
+  if (len > UINT32_MAX) {
+    return base::Status::kInvalidArgument;
+  }
   if (cache_ != nullptr) {
     // Writes made under the lock must be visible before the lock drops.
     const base::Status fl = cache_->FlushHandle(env, *this, handle);
@@ -1337,6 +1181,9 @@ base::Result<std::string> FsClient::GetEa(mk::Env& env, const std::string& path,
 }
 
 base::Result<FsMapping> FsClient::MapObject(mk::Env& env, uint64_t handle, uint64_t min_len) {
+  if (min_len > UINT32_MAX) {
+    return base::Status::kInvalidArgument;
+  }
   if (cache_ != nullptr) {
     // Mapped pages fault in from the server: pending write-behind must land
     // there first or the mapping would read stale bytes.

@@ -119,6 +119,23 @@ class FileServer {
     NodeId node = 0;
   };
 
+  // An I/O request's extents, as the validation step found them: kRead and
+  // kWrite are one extent, kReadV and kWriteV carry a table at the front of
+  // their ref data. A write's bytes follow the table in `payload`.
+  struct IoExtents {
+    FsExtent at[kFsMaxExtents];
+    uint32_t count = 0;
+    const uint8_t* payload = nullptr;
+  };
+
+  // What a successful operation answers besides its status: the reply's
+  // fields, the first `payload_len` bytes of `io_`, and a granted port.
+  struct Answer {
+    FsReply reply;
+    uint32_t payload_len = 0;
+    mk::PortName grant = mk::kNullPort;
+  };
+
   void Serve(mk::Env& env);
   void ServePager(mk::Env& env);
   // Drops clean resident pages of the node's mapped object overlapping
@@ -136,20 +153,19 @@ class FileServer {
   base::Result<NodeId> LookupChild(mk::Env& env, Mount* mount, NodeId dir,
                                    const std::string& name, bool case_insensitive);
 
-  void HandleOpen(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
-  void HandleClose(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
-  void HandleRead(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
-  void HandleWrite(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r,
-                   const uint8_t* data, uint32_t data_len);
-  void HandleReadV(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r,
-                   const uint8_t* ref_data, uint32_t ref_len);
-  void HandleWriteV(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r,
-                    const uint8_t* ref_data, uint32_t ref_len);
-  void HandlePathOp(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
-  void HandleLock(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
-  void HandleStat(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
-  void HandleMapObject(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
-  void HandleMapRelease(mk::Env& env, const mk::RpcRequest& rpc, const FsRequest& r);
+  // The one validation step for untrusted requests, run before any handler;
+  // fills `io` for the four I/O ops.
+  static base::Status Validate(const mk::RpcRequest& rpc, const FsRequest& r,
+                               const uint8_t* ref_data, uint32_t ref_len, IoExtents* io);
+  // One operation each: the status it answers, with `a` filled on success.
+  base::Status Dispatch(mk::Env& env, const FsRequest& r, IoExtents& io, Answer& a);
+  base::Status ReadExtents(mk::Env& env, const OpenFile& of, const IoExtents& io, Answer& a);
+  base::Status WriteExtents(mk::Env& env, uint64_t handle, const OpenFile& of, IoExtents& io,
+                            Answer& a);
+  base::Status MapObject(mk::Env& env, const FsRequest& r, const OpenFile& of, Answer& a);
+  base::Status PathOp(mk::Env& env, const FsRequest& r, Answer& a);
+  base::Status Open(mk::Env& env, const FsRequest& r, Mount* mount, const std::string& rest,
+                    Answer& a);
 
   bool LockConflicts(const NodeState& state, uint64_t start, uint64_t len, bool exclusive,
                      uint64_t handle) const;
@@ -169,6 +185,10 @@ class FileServer {
   uint64_t opens_ = 0;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
+  // The payload of the reply in progress: read bytes, directory entries or
+  // an EA value. Each server has its own, since a read that misses the
+  // cache yields with it half filled.
+  std::vector<uint8_t> io_ = std::vector<uint8_t>(kFsMaxIo);
   // --- Mapping/pager state (EnableMapping) ---
   std::unique_ptr<mk::ServerLoop> pager_loop_;
   mk::Port* pager_port_raw_ = nullptr;

@@ -795,6 +795,13 @@ base::Result<uint32_t> InodeFs::Write(mk::Env& env, NodeId node, uint64_t offset
   if (inode.mode != 1) {
     return base::Status::kInvalidArgument;
   }
+  // A file maps at most kDirect + kPtrsPerIndirect blocks: an extent past
+  // them is refused whole, checked so that it cannot wrap, before any block
+  // is taken.
+  constexpr uint64_t kMaxBytes = uint64_t{kDirect + kPtrsPerIndirect} * kSectorSize;
+  if (offset > kMaxBytes || len > kMaxBytes - offset) {
+    return base::Status::kTooLarge;
+  }
   Txn txn(*this);  // block-pointer/bitmap updates are metadata
   uint32_t done = 0;
   while (done < len) {

@@ -213,5 +213,57 @@ TEST_F(NamingTest, UnterminatedNameIsInvalidArgument) {
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 
+// Fills the kernel heap, which never frees, down to its last 15 bytes.
+void FillKernelHeap(mk::Kernel& kernel) {
+  for (uint64_t size = mk::KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
+    while (kernel.heap().TryAllocate(size).ok()) {
+    }
+  }
+}
+
+TEST_F(NamingTest, RegisterWithTheKernelHeapFullIsResourceShortage) {
+  // A node takes 128 B of kernel heap. On a full heap the register answers
+  // kResourceShortage and registers nothing (was a host abort, "kernel heap
+  // exhausted"); names already registered still resolve.
+  kernel_.CreateThread(client_task_, "c", [&](mk::Env& env) {
+    NameClient nc(service_);
+    auto p = env.PortAllocate();
+    ASSERT_TRUE(p.ok());
+    ASSERT_EQ(nc.Register(env, "/svc/before", *p), base::Status::kOk);
+    FillKernelHeap(kernel_);
+    EXPECT_EQ(nc.Register(env, "/svc/after", *p), base::Status::kResourceShortage);
+    EXPECT_EQ(server_->entry_count(), 1u);
+    EXPECT_EQ(server_->registrations(), 1u);
+    EXPECT_EQ(nc.Resolve(env, "/svc/after").status(), base::Status::kNotFound);
+    EXPECT_TRUE(nc.Resolve(env, "/svc/before").ok());
+    server_->Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+}
+
+TEST_F(NamingTest, UnregisterUnderAWatchWithTheKernelHeapFullDropsTheNotice) {
+  // A notice takes kernel heap for its message buffer. One the heap cannot
+  // hold is dropped, as one for a full watcher queue is (was a host abort);
+  // the unregister itself succeeds.
+  kernel_.CreateThread(client_task_, "c", [&](mk::Env& env) {
+    NameClient nc(service_);
+    auto notify = env.PortAllocate();
+    auto p = env.PortAllocate();
+    ASSERT_TRUE(notify.ok());
+    ASSERT_TRUE(p.ok());
+    ASSERT_EQ(nc.Watch(env, "/svc", *notify), base::Status::kOk);
+    ASSERT_EQ(nc.Register(env, "/svc/gone", *p), base::Status::kOk);
+    mk::MachMessage msg;
+    ASSERT_EQ(env.kernel().MachMsgReceive(*notify, &msg), base::Status::kOk);
+    FillKernelHeap(kernel_);
+    EXPECT_EQ(nc.Unregister(env, "/svc/gone"), base::Status::kOk);
+    EXPECT_EQ(env.kernel().MachMsgReceive(*notify, &msg, /*timeout_ns=*/0),
+              base::Status::kTimedOut);
+    EXPECT_EQ(nc.Resolve(env, "/svc/gone").status(), base::Status::kNotFound);
+    server_->Stop();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+}
+
 }  // namespace
 }  // namespace mks

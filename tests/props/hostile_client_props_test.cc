@@ -1,0 +1,460 @@
+// Hostile-client harness (ROADMAP item 4): seeded raw requests that no stub
+// would build, against the file server (over an HPFS and a FAT mount), the
+// full and lite name servers and the NIC driver. Each request goes out
+// through Env::RpcCall with a deadline, and the oracle is:
+//
+//   - every answer is a typed status: the transport's, or a reply status
+//     that names a base::Status;
+//   - no request hangs its server (its deadline would expire) or kills it;
+//   - afterwards a canary on every mount creates, writes, reads back and
+//     removes a file, both name servers register and resolve, and the NIC
+//     echoes a frame;
+//   - Kernel::CheckInvariants() returns 0.
+//
+// An abort fails the test binary; the ASan and UBSan legs add "no sanitizer
+// report". Each seed runs on a fresh system, so a failure names its seed and
+// request, and WPOS_PROPS_SEED=<seed> replays it alone.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <functional>
+#include <iterator>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "src/base/rng.h"
+#include "src/drv/nic_driver.h"
+#include "src/mks/naming/lite_name_server.h"
+#include "src/mks/naming/name_server.h"
+#include "src/mks/pager/default_pager.h"
+#include "src/svc/fs/fat.h"
+#include "src/svc/fs/file_server.h"
+#include "src/svc/fs/inode_fs.h"
+#include "tests/props/seeds.h"
+
+namespace {
+
+constexpr int kRequestsPerSeed = 300;
+// Far beyond any well-formed request's service time: a miss means a hang.
+constexpr uint64_t kDeadlineNs = 2'000'000'000;
+
+// Every server and a hostile client on one fresh machine.
+struct System {
+  System() : machine(hw::MachineConfig{.ram_bytes = 16 * 1024 * 1024}), kernel(&machine) {
+    auto* disk = static_cast<hw::Disk*>(machine.AddDevice(
+        std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 32 * 1024})));
+    store = std::make_unique<mks::BackdoorBlockStore>(disk, 10'000);
+    cache = std::make_unique<svc::BlockCache>(kernel, store.get(), 256);
+    hpfs = std::make_unique<svc::HpfsFs>(kernel, cache.get(), 16384);
+    auto* fat_disk = static_cast<hw::Disk*>(machine.AddDevice(std::make_unique<hw::Disk>("f", 4)));
+    fat_store = std::make_unique<mks::BackdoorBlockStore>(fat_disk, 10'000);
+    fat_cache = std::make_unique<svc::BlockCache>(kernel, fat_store.get(), 128);
+    fat = std::make_unique<svc::FatFs>(kernel, fat_cache.get(), 8192);
+    mk::Task* fs_task = kernel.CreateTask("file-server");
+    fs = std::make_unique<svc::FileServer>(kernel, fs_task);
+    fs->EnableMapping();
+    EXPECT_EQ(fs->AddMount("/", hpfs.get()), base::Status::kOk);
+    EXPECT_EQ(fs->AddMount("/fat", fat.get()), base::Status::kOk);
+    kernel.CreateThread(fs_task, "mkfs", [this](mk::Env& env) {
+      ASSERT_EQ(hpfs->Format(env), base::Status::kOk);
+      ASSERT_EQ(fat->Format(env), base::Status::kOk);
+      formatted = true;
+    });
+    names = std::make_unique<mks::NameServer>(kernel, kernel.CreateTask("naming"));
+    lite = std::make_unique<mks::LiteNameServer>(kernel, kernel.CreateTask("naming-lite"));
+    nic = static_cast<hw::Nic*>(machine.AddDevice(std::make_unique<hw::Nic>("nic0", 5)));
+    nic_task = kernel.CreateTask("nic-driver");
+    nic_driver = std::make_unique<drv::NicDriver>(kernel, nic_task, nic, nullptr);
+    client = kernel.CreateTask("hostile");
+    fs_port = fs->GrantTo(*client);
+    names_port = names->GrantTo(*client);
+    lite_port = lite->GrantTo(*client);
+    nic_port = nic_driver->GrantTo(*client);
+    // A send right whose port the campaign kills: a right to a dead port.
+    mk::Task* helper = kernel.CreateTask("helper");
+    const mk::PortName doomed = *kernel.PortAllocate(*helper);
+    dead_right = *kernel.MakeSendRight(*helper, doomed, *client);
+    kill_doomed = [this, helper, doomed] { (void)kernel.PortDestroy(*helper, doomed); };
+  }
+
+  // Runs `campaign` as the hostile client, then stops every server. No
+  // thread may be left blocked, and the object graph must be consistent.
+  void Run(const std::function<void(mk::Env&)>& campaign) {
+    kernel.CreateThread(client, "hostile", [&](mk::Env& env) {
+      while (!formatted) {
+        env.SleepNs(1'000'000);
+      }
+      campaign(env);
+      fs->Stop();
+      names->Stop();
+      lite->Stop();
+      nic_driver->Stop();
+      kernel.TerminateTask(nic_task);  // its interrupt thread runs until the task dies
+    });
+    EXPECT_EQ(kernel.Run(), 0u);
+    EXPECT_EQ(kernel.CheckInvariants(), 0u);
+  }
+
+  hw::Machine machine;
+  mk::Kernel kernel;
+  std::unique_ptr<mks::BackdoorBlockStore> store;
+  std::unique_ptr<svc::BlockCache> cache;
+  std::unique_ptr<svc::HpfsFs> hpfs;
+  std::unique_ptr<mks::BackdoorBlockStore> fat_store;
+  std::unique_ptr<svc::BlockCache> fat_cache;
+  std::unique_ptr<svc::FatFs> fat;
+  std::unique_ptr<svc::FileServer> fs;
+  std::unique_ptr<mks::NameServer> names;
+  std::unique_ptr<mks::LiteNameServer> lite;
+  hw::Nic* nic = nullptr;
+  mk::Task* nic_task = nullptr;
+  std::unique_ptr<drv::NicDriver> nic_driver;
+  mk::Task* client = nullptr;
+  mk::PortName fs_port = mk::kNullPort;
+  mk::PortName names_port = mk::kNullPort;
+  mk::PortName lite_port = mk::kNullPort;
+  mk::PortName nic_port = mk::kNullPort;
+  mk::PortName dead_right = mk::kNullPort;
+  std::function<void()> kill_doomed;
+  bool formatted = false;
+};
+
+bool IsTyped(base::Status st) {
+  return static_cast<int32_t>(st) >= 0 && st <= base::Status::kInternal;
+}
+
+// One raw request and the oracle's per-request half: it completes before its
+// deadline with a typed status. Answers the status.
+template <typename Rep>
+base::Status Send(mk::Env& env, mk::PortName port, const std::vector<uint8_t>& req, Rep* reply,
+                  mk::RpcRef* ref, const mk::RightDescriptor* right, const std::string& what) {
+  const base::Status st =
+      env.RpcCall(port, req.data(), static_cast<uint32_t>(req.size()), reply, sizeof(*reply),
+                  nullptr, ref, right, right != nullptr ? 1 : 0, nullptr, kDeadlineNs);
+  EXPECT_TRUE(IsTyped(st)) << what;
+  // kPortDead may name a dead right in the request or in the reply; a dead
+  // server shows in the canaries.
+  EXPECT_NE(st, base::Status::kTimedOut) << "the server hung on " << what;
+  const auto answer = static_cast<base::Status>(reply->status);
+  EXPECT_TRUE(st != base::Status::kOk || IsTyped(answer)) << what << ": " << reply->status;
+  return st != base::Status::kOk ? st : answer;
+}
+
+// The bytes a request goes out with: its own wire length, a cut prefix, or
+// more than the server's request type holds (the transport refuses those).
+template <typename Req>
+std::vector<uint8_t> Wire(base::Rng& rng, const Req& req, uint32_t wire_len, std::ostream& what) {
+  uint32_t len = wire_len != 0 ? wire_len : sizeof(Req);
+  const uint64_t roll = rng.NextBelow(20);
+  if (roll == 0) {
+    len = static_cast<uint32_t>(rng.NextBelow(len));
+  } else if (roll == 1) {
+    len = static_cast<uint32_t>(sizeof(Req) + rng.NextInRange(1, 64));
+  }
+  what << " len=" << len;
+  std::vector<uint8_t> bytes(std::max<size_t>(len, sizeof(Req)), 0x5a);
+  std::memcpy(bytes.data(), &req, sizeof(Req));
+  bytes.resize(len);
+  return bytes;
+}
+
+// A field of `n` bytes: a name from `palette`, nothing, or no NUL at all.
+void FillString(base::Rng& rng, char* field, size_t n, const std::vector<std::string>& palette) {
+  std::memset(field, 0, n);
+  const uint64_t roll = rng.NextBelow(10);
+  if (roll == 0) {
+    std::memset(field, 'x', n);  // unterminated
+  } else if (roll == 1) {
+    for (size_t i = 0; i < n; ++i) {
+      field[i] = static_cast<char>(rng.Next());
+    }
+  } else if (roll > 2) {
+    const std::string& s = palette[rng.NextBelow(palette.size())];
+    std::memcpy(field, s.c_str(), std::min(s.size() + 1, n));
+  }
+}
+
+uint64_t FarOffset(base::Rng& rng) {
+  static constexpr uint64_t kOffsets[] = {
+      0, 1ull << 31, (1ull << 32) - 1, 1ull << 32, 1ull << 41, 64ull << 20, 1ull << 63,
+      ~0ull - 2047, ~0ull,
+  };
+  const uint64_t roll = rng.NextBelow(12);
+  if (roll < 3) {
+    return rng.NextBelow(16 * 1024);
+  }
+  return roll < 11 ? kOffsets[rng.NextBelow(std::size(kOffsets))] : rng.Next();
+}
+
+uint32_t AnyLength(base::Rng& rng) {
+  static constexpr uint32_t kLengths[] = {0, 1, svc::kFsMaxIo, svc::kFsMaxIo + 1, UINT32_MAX};
+  return rng.NextBool(0.6) ? static_cast<uint32_t>(rng.NextBelow(8192))
+                           : kLengths[rng.NextBelow(std::size(kLengths))];
+}
+
+// A file-server canary at `path`: create, write, read back, remove.
+void FsCanary(mk::Env& env, svc::FsClient& fs, const std::string& path) {
+  auto h = fs.Open(env, path, svc::kFsCreate | svc::kFsWrite);
+  ASSERT_TRUE(h.ok()) << path << ": " << base::StatusName(h.status());
+  const std::string msg = "canary " + path;
+  auto wrote = fs.Write(env, *h, 0, msg.data(), static_cast<uint32_t>(msg.size()));
+  ASSERT_TRUE(wrote.ok()) << path << ": " << base::StatusName(wrote.status());
+  std::vector<char> back(msg.size() + 8, 0);
+  auto got = fs.Read(env, *h, 0, back.data(), static_cast<uint32_t>(back.size()));
+  ASSERT_TRUE(got.ok()) << path;
+  EXPECT_EQ(std::string(back.data(), *got), msg) << path;
+  EXPECT_EQ(fs.Close(env, *h), base::Status::kOk) << path;
+  EXPECT_EQ(fs.Unlink(env, path), base::Status::kOk) << path;
+}
+
+void FsCampaign(mk::Env& env, System& sys, uint64_t seed) {
+  base::Rng rng(seed);
+  svc::FsClient fs(sys.fs_port);
+  // Handles the requests aim at: one live file on each mount, a closed
+  // handle, and the object id of a mapping.
+  std::vector<uint64_t> handles;
+  for (const char* path : {"/h.dat", "/fat/H.DAT", "/closed.dat"}) {
+    auto h = fs.Open(env, path, svc::kFsCreate | svc::kFsWrite);
+    ASSERT_TRUE(h.ok()) << path;
+    ASSERT_TRUE(fs.Write(env, *h, 0, "hostile", 7).ok()) << path;
+    handles.push_back(*h);
+  }
+  ASSERT_EQ(fs.Close(env, handles[2]), base::Status::kOk);
+  auto mapping = fs.MapObject(env, handles[0]);
+  ASSERT_TRUE(mapping.ok());
+  handles.push_back(mapping->object_id);
+  const std::vector<std::string> paths = {
+      "/h.dat", "/fat/H.DAT", "/new.dat", "/fat/NEW.DAT", "/dir", "/fat/DIR", "/fat", "/",
+      "relative", "//", "/no/such/file"};
+  std::vector<uint8_t> out(svc::kFsMaxIo + 4096);
+  for (int i = 0; i < kRequestsPerSeed; ++i) {
+    std::ostringstream what;
+    what << "seed=" << seed << " fs request " << i;
+    svc::FsRequest r;
+    const uint64_t op = rng.NextBelow(22);
+    r.op = static_cast<svc::FsOp>(op == 21 ? rng.Next() : op);
+    r.flags = rng.NextBool(0.8) ? static_cast<uint32_t>(rng.NextBelow(128))
+                                : static_cast<uint32_t>(rng.Next());
+    r.share = static_cast<svc::FsShare>(rng.NextBelow(4));
+    r.handle = rng.NextBool(0.8) ? handles[rng.NextBelow(handles.size())] : rng.Next();
+    r.offset = FarOffset(rng);
+    r.len = AnyLength(rng);
+    r.lock_exclusive = static_cast<uint32_t>(rng.NextBelow(2));
+    r.extent_count = static_cast<uint32_t>(
+        rng.NextBool(0.8) ? rng.NextBelow(svc::kFsMaxExtents + 2) : rng.Next());
+    FillString(rng, r.path, sizeof(r.path), paths);
+    FillString(rng, r.path2, sizeof(r.path2),
+               {std::string(".KEY\0value", 10), "/fat/MOVED.DAT", "/moved.dat"});
+    // By-reference data: an extent table (valid, short or wrapping) and a
+    // payload that may or may not match it. Half the I/O requests are made
+    // well-formed, so that their far offsets reach the file systems.
+    const bool well_formed = rng.NextBool(0.5);
+    const bool vectored = r.op == svc::FsOp::kReadV || r.op == svc::FsOp::kWriteV;
+    std::vector<uint8_t> ref_data;
+    if (rng.NextBool(0.6) || (well_formed && vectored)) {
+      const uint32_t count = well_formed ? static_cast<uint32_t>(rng.NextInRange(1, 16))
+                                         : static_cast<uint32_t>(rng.NextBelow(18));
+      uint64_t total = 0;
+      for (uint32_t e = 0; e < count; ++e) {
+        const svc::FsExtent ext{FarOffset(rng), rng.NextBool(0.8) || well_formed
+                                                    ? static_cast<uint32_t>(rng.NextBelow(4096))
+                                                    : AnyLength(rng)};
+        total += ext.len;
+        const auto* bytes = reinterpret_cast<const uint8_t*>(&ext);
+        ref_data.insert(ref_data.end(), bytes, bytes + sizeof(ext));
+      }
+      uint64_t payload = rng.NextBool(0.7) ? total : rng.NextBelow(8192);
+      if (well_formed && vectored) {
+        r.extent_count = count;
+        r.len = static_cast<uint32_t>(total);
+        payload = r.op == svc::FsOp::kWriteV ? total : 0;
+      }
+      ref_data.resize(ref_data.size() + std::min<uint64_t>(payload, svc::kFsMaxIo + 64), 0xab);
+      if (rng.NextBool(0.2) && !well_formed) {
+        ref_data.resize(rng.NextBelow(ref_data.size() + 1));
+      }
+    }
+    if (well_formed && (r.op == svc::FsOp::kRead || r.op == svc::FsOp::kWrite)) {
+      r.len = static_cast<uint32_t>(rng.NextBelow(4096));
+      ref_data.assign(r.op == svc::FsOp::kWrite ? r.len : 0, 0xab);
+    }
+    what << " op=" << static_cast<uint32_t>(r.op) << " handle=" << r.handle
+         << " offset=" << r.offset << " len=" << r.len << " extents=" << r.extent_count
+         << " ref=" << ref_data.size();
+    mk::RpcRef ref;
+    ref.send_data = ref_data.empty() ? nullptr : ref_data.data();
+    ref.send_len = static_cast<uint32_t>(ref_data.size());
+    ref.recv_buf = out.data();
+    ref.recv_cap = static_cast<uint32_t>(out.size());
+    const std::vector<uint8_t> wire = Wire(rng, r, svc::FsWireLength(r), what);
+    svc::FsReply reply;
+    (void)Send(env, sys.fs_port, wire, &reply, &ref, nullptr, what.str());
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
+  }
+  for (const char* path : {"/canary.dat", "/fat/CANARY.DAT"}) {
+    FsCanary(env, fs, path);
+  }
+  EXPECT_EQ(env.kernel().CheckInvariants(), 0u) << "seed=" << seed;
+}
+
+void NamingCampaign(mk::Env& env, System& sys, uint64_t seed) {
+  base::Rng rng(seed);
+  auto live = env.PortAllocate();
+  auto notify = env.PortAllocate();
+  ASSERT_TRUE(live.ok() && notify.ok());
+  const mk::RightDescriptor rights[] = {
+      {.name = *live}, {.name = *notify}, {.name = sys.dead_right}};
+  const std::vector<std::string> names = {"/svc/a", "/svc/b", "/svc", "/", "", "rel/name",
+                                          "//x//", "/svc/a/deep"};
+  for (int i = 0; i < kRequestsPerSeed; ++i) {
+    std::ostringstream what;
+    what << "seed=" << seed << " naming request " << i;
+    if (i == kRequestsPerSeed / 3) {
+      sys.kill_doomed();  // from here on the dead right names a dead port
+    } else if (i == 2 * kRequestsPerSeed / 3) {
+      // A watcher whose port dies: later notices find it dead.
+      (void)env.kernel().PortDestroy(env.task(), *notify);
+    }
+    const mk::RightDescriptor* right =
+        rng.NextBool(0.3) ? nullptr : &rights[rng.NextBelow(std::size(rights))];
+    what << " right=" << (right != nullptr ? right->name : 0);
+    mk::RpcRef ref;
+    std::vector<uint8_t> attrs;
+    if (rng.NextBool(0.5)) {
+      // Up to 6 attributes fit; more is past the server's by-reference cap.
+      attrs.resize(rng.NextBelow(8) * sizeof(mks::Attribute) + rng.NextBelow(3));
+      for (auto& b : attrs) {
+        b = static_cast<uint8_t>(rng.Next());
+      }
+      ref.send_data = attrs.data();
+      ref.send_len = static_cast<uint32_t>(attrs.size());
+    }
+    std::vector<mks::NameListEntry> results(mks::kMaxListResults);
+    ref.recv_buf = results.data();
+    ref.recv_cap = static_cast<uint32_t>(results.size() * sizeof(mks::NameListEntry));
+    if (rng.NextBool(0.7)) {
+      mks::NameRequest r;
+      const uint64_t op = rng.NextBelow(10);
+      r.op = static_cast<mks::NameOp>(op == 9 ? rng.Next() : op);
+      FillString(rng, r.name, sizeof(r.name), names);
+      FillString(rng, r.attr.key, sizeof(r.attr.key), {"type", "owner"});
+      FillString(rng, r.attr.value, sizeof(r.attr.value), {"disk", "net"});
+      r.attr_count = rng.NextBool(0.7) ? static_cast<uint32_t>(rng.NextBelow(9))
+                                       : static_cast<uint32_t>(rng.Next());
+      what << " full op=" << static_cast<uint32_t>(r.op) << " attrs=" << r.attr_count
+           << " ref=" << attrs.size();
+      mks::NameReply reply;
+      (void)Send(env, sys.names_port, Wire(rng, r, 0, what), &reply, &ref, right, what.str());
+    } else {
+      mks::LiteNameRequest r;
+      const uint64_t op = rng.NextBelow(4);
+      r.op = static_cast<mks::LiteNameOp>(op == 3 ? rng.Next() : op);
+      FillString(rng, r.name, sizeof(r.name), names);
+      what << " lite op=" << static_cast<uint32_t>(r.op);
+      mks::LiteNameReply reply;
+      (void)Send(env, sys.lite_port, Wire(rng, r, 0, what), &reply, nullptr, right, what.str());
+    }
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
+  }
+  // Canaries: both services still register and resolve, to the right port.
+  mks::NameClient nc(sys.names_port);
+  mks::LiteNameClient lc(sys.lite_port);
+  auto canary = env.PortAllocate();
+  ASSERT_TRUE(canary.ok());
+  mk::Port* want = *env.kernel().ResolvePort(env.task(), *canary);
+  const std::string name = "/canary/" + std::to_string(seed);
+  ASSERT_EQ(nc.Register(env, name, *canary), base::Status::kOk) << "seed=" << seed;
+  ASSERT_EQ(lc.Register(env, name, *canary), base::Status::kOk) << "seed=" << seed;
+  for (const base::Result<mk::PortName>& got : {nc.Resolve(env, name), lc.Resolve(env, name)}) {
+    ASSERT_TRUE(got.ok()) << "seed=" << seed;
+    EXPECT_EQ(*env.kernel().ResolvePort(env.task(), *got), want) << "seed=" << seed;
+  }
+  EXPECT_EQ(env.kernel().CheckInvariants(), 0u) << "seed=" << seed;
+}
+
+void NicCampaign(mk::Env& env, System& sys, uint64_t seed) {
+  base::Rng rng(seed);
+  std::vector<uint8_t> out(hw::Nic::kMaxFrame + 64);
+  for (int i = 0; i < kRequestsPerSeed; ++i) {
+    std::ostringstream what;
+    what << "seed=" << seed << " nic request " << i;
+    drv::NicRequest r;
+    const uint64_t op = rng.NextBelow(4);
+    r.op = static_cast<drv::NicOp>(op == 3 ? rng.Next() : op);
+    r.len = static_cast<uint32_t>(rng.Next());
+    std::vector<uint8_t> frame(rng.NextBool(0.9) ? rng.NextBelow(hw::Nic::kMaxFrame + 1)
+                                                 : hw::Nic::kMaxFrame + rng.NextInRange(1, 64),
+                               static_cast<uint8_t>(i));
+    what << " op=" << static_cast<uint32_t>(r.op) << " frame=" << frame.size();
+    mk::RpcRef ref;
+    ref.send_data = frame.empty() ? nullptr : frame.data();
+    ref.send_len = static_cast<uint32_t>(frame.size());
+    ref.recv_buf = out.data();
+    ref.recv_cap = static_cast<uint32_t>(out.size());
+    if (r.op == drv::NicOp::kRecv) {
+      // A receive waits for a frame; this client gives up after 1 ms, and
+      // the driver must not lose the next frame to it.
+      drv::NicReply reply;
+      const base::Status st = env.RpcCall(sys.nic_port, &r, sizeof(r), &reply, sizeof(reply),
+                                          nullptr, &ref, nullptr, 0, nullptr, 1'000'000);
+      EXPECT_TRUE(IsTyped(st)) << what.str() << ": " << base::StatusName(st);
+      continue;
+    }
+    drv::NicReply reply;
+    (void)Send(env, sys.nic_port, Wire(rng, r, 0, what), &reply, &ref, nullptr, what.str());
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
+  }
+  // Canary: a frame sent comes back, behind whatever the campaign queued.
+  drv::NicClient nic(sys.nic_port);
+  std::vector<uint8_t> canary(96);
+  for (size_t i = 0; i < canary.size(); ++i) {
+    canary[i] = static_cast<uint8_t>(0xc0 ^ i);
+  }
+  ASSERT_EQ(nic.Send(env, canary.data(), static_cast<uint32_t>(canary.size())),
+            base::Status::kOk);
+  bool echoed = false;
+  for (int i = 0; i < kRequestsPerSeed && !echoed; ++i) {
+    drv::NicRequest recv{drv::NicOp::kRecv, 0};
+    drv::NicReply reply;
+    mk::RpcRef ref;
+    ref.recv_buf = out.data();
+    ref.recv_cap = static_cast<uint32_t>(out.size());
+    ASSERT_EQ(env.RpcCall(sys.nic_port, &recv, sizeof(recv), &reply, sizeof(reply), nullptr,
+                          &ref, nullptr, 0, nullptr, kDeadlineNs),
+              base::Status::kOk)
+        << "seed=" << seed << ": the canary frame never came back";
+    echoed = reply.len == canary.size() &&
+             std::equal(canary.begin(), canary.end(), out.begin());
+  }
+  EXPECT_TRUE(echoed) << "seed=" << seed;
+  EXPECT_EQ(env.kernel().CheckInvariants(), 0u) << "seed=" << seed;
+}
+
+void RunSeeds(void (*campaign)(mk::Env&, System&, uint64_t)) {
+  for (uint64_t seed : props::SeedsUnderTest()) {
+    System sys;
+    sys.Run([&](mk::Env& env) { campaign(env, sys, seed); });
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(HostileClientPropsTest, FileServerAnswersEveryRequestWithAStatus) { RunSeeds(&FsCampaign); }
+
+TEST(HostileClientPropsTest, NameServersAnswerEveryRequestWithAStatus) {
+  RunSeeds(&NamingCampaign);
+}
+
+TEST(HostileClientPropsTest, NicDriverAnswersEveryRequestWithAStatus) { RunSeeds(&NicCampaign); }
+
+}  // namespace

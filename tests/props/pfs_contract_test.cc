@@ -491,6 +491,41 @@ TEST_P(PfsContractTest, SeededDirectoryMatchesOracle) {
   }
 }
 
+// A write a file system cannot hold is refused before it changes anything:
+// past the largest file its format maps (HPFS and JFS: 140 blocks; FAT: a
+// 32-bit size), past the volume, or where offset + len wraps. The file's
+// bytes and size and the free space stay as they were, and the volume still
+// takes a small write. HPFS and JFS used to cut the block index to 32 bits
+// and write block 0; FAT chained every free cluster, or spun on the wrap.
+TEST_P(PfsContractTest, RefusedWritesChangeNothing) {
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(Format(env), base::Status::kOk);
+    const auto free_space = [&] {
+      return fat_ != nullptr ? fat_->free_clusters() : inode_->free_blocks();
+    };
+    auto node = pfs_->Create(env, pfs_->root(), "FAR.DAT", false);
+    ASSERT_TRUE(node.ok());
+    const std::string old = "0123456789";
+    ASSERT_TRUE(pfs_->Write(env, *node, 0, old.data(), 10).ok());
+    const uint64_t free_before = free_space();
+    for (const uint64_t offset : {1ull << 41, 64ull << 20, ~0ull - 2047}) {
+      EXPECT_FALSE(pfs_->Write(env, *node, offset, "abcd", 4).ok())
+          << KindName(GetParam()) << " offset " << offset;
+      char back[16] = {};
+      auto got = pfs_->Read(env, *node, 0, back, sizeof(back));
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(std::string(back, *got), old) << KindName(GetParam()) << " offset " << offset;
+      auto attr = pfs_->GetAttr(env, *node);
+      ASSERT_TRUE(attr.ok());
+      EXPECT_EQ(attr->size, 10u) << KindName(GetParam()) << " offset " << offset;
+      EXPECT_EQ(free_space(), free_before) << KindName(GetParam()) << " offset " << offset;
+    }
+    auto next = pfs_->Create(env, pfs_->root(), "NEXT.DAT", false);
+    ASSERT_TRUE(next.ok());
+    EXPECT_TRUE(pfs_->Write(env, *next, 0, "hello", 5).ok());
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(AllFileSystems, PfsContractTest,
                          ::testing::Values(PfsKind::kFat, PfsKind::kHpfs, PfsKind::kJfs),
                          [](const ::testing::TestParamInfo<PfsKind>& info) {

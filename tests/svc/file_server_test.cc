@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <set>
@@ -619,6 +620,122 @@ TEST_F(FileServerTest, OpenWithTheKernelHeapFullIsResourceShortage) {
     EXPECT_EQ(fs.Unlink(env, "/kept.txt"), base::Status::kOk);
     EXPECT_EQ(kernel_.CheckInvariants(), 0u);
   });
+}
+
+TEST_F(FileServerTest, GatherWriteOnAnAppendHandleAppends) {
+  // kWriteV honours kFsAppend as kWrite does: the extents land back to back
+  // at EOF, whatever offsets they name (they used to land where they said).
+  RunClient([&](mk::Env& env, FsClient& fs) {
+    auto h = fs.Open(env, "/journal.log", kFsCreate | kFsWrite | kFsAppend);
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(fs.Write(env, *h, 0, "0123456789", 10).ok());
+    const FsWriteExtent extents[] = {{0, "X", 1}, {5, "YZ", 2}};
+    auto wrote = fs.WriteV(env, *h, extents, 2);
+    ASSERT_TRUE(wrote.ok());
+    EXPECT_EQ(*wrote, 3u);
+    auto attr = fs.Stat(env, *h);
+    ASSERT_TRUE(attr.ok());
+    EXPECT_EQ(attr->size, 13u);
+    char out[16] = {};
+    auto got = fs.Read(env, *h, 0, out, sizeof(out));
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(std::string(out, *got), "0123456789XYZ");
+    ASSERT_EQ(fs.Close(env, *h), base::Status::kOk);
+  });
+}
+
+TEST_F(FileServerTest, LockLengthsPastTheWireAreRefused) {
+  // The wire carries a 32-bit length: a wider one is refused rather than
+  // cut (2^32 used to lock nothing and answer kOk), and the server refuses a
+  // raw range whose end passes 2^64.
+  RunClient([&](mk::Env& env, FsClient& fs) {
+    auto h1 = fs.Open(env, "/wide.dat", kFsCreate | kFsWrite);
+    auto h2 = fs.Open(env, "/wide.dat", kFsWrite);
+    ASSERT_TRUE(h1.ok());
+    ASSERT_TRUE(h2.ok());
+    EXPECT_EQ(fs.Lock(env, *h1, 0, 1ull << 32, /*exclusive=*/true),
+              base::Status::kInvalidArgument);
+    EXPECT_EQ(fs.Unlock(env, *h1, 0, 1ull << 32), base::Status::kInvalidArgument);
+    EXPECT_EQ(fs.MapObject(env, *h1, 1ull << 32).status(), base::Status::kInvalidArgument);
+    FsRequest wrap;
+    wrap.op = FsOp::kLock;
+    wrap.handle = *h1;
+    wrap.offset = ~0ull - 9;
+    wrap.len = 100;
+    wrap.lock_exclusive = 1;
+    FsReply reply;
+    ASSERT_EQ(env.RpcCall(service_, &wrap, FsWireLength(wrap), &reply, sizeof(reply)),
+              base::Status::kOk);
+    EXPECT_EQ(static_cast<base::Status>(reply.status), base::Status::kInvalidArgument);
+    // Nothing was locked, and the widest range the wire carries still is.
+    EXPECT_TRUE(fs.Write(env, *h2, 0, "x", 1).ok());
+    ASSERT_EQ(fs.Lock(env, *h1, 0, UINT32_MAX, /*exclusive=*/true), base::Status::kOk);
+    EXPECT_EQ(fs.Write(env, *h2, 0, "x", 1).status(), base::Status::kBusy);
+    ASSERT_EQ(fs.Close(env, *h1), base::Status::kOk);
+    ASSERT_EQ(fs.Close(env, *h2), base::Status::kOk);
+  });
+}
+
+TEST_F(FileServerTest, EachServerAnswersReadsFromItsOwnBuffer) {
+  // Two more servers on this kernel, each over its own disk and a 4-sector
+  // cache: an 8 KB read misses sector by sector and yields to the disk with
+  // its reply half filled, so the two reads below interleave. Each client
+  // must get its own server's bytes.
+  struct Stack {
+    std::unique_ptr<mks::BackdoorBlockStore> store;
+    std::unique_ptr<BlockCache> cache;
+    std::unique_ptr<HpfsFs> hpfs;
+    std::unique_ptr<FileServer> server;
+    mk::PortName service = mk::kNullPort;
+    bool formatted = false;
+  };
+  Stack stacks[2];
+  for (int i = 0; i < 2; ++i) {
+    Stack& s = stacks[i];
+    auto* disk = static_cast<hw::Disk*>(
+        machine_.AddDevice(std::make_unique<hw::Disk>("own" + std::to_string(i), 5 + i)));
+    s.store = std::make_unique<mks::BackdoorBlockStore>(disk, 10'000);
+    s.cache = std::make_unique<BlockCache>(kernel_, s.store.get(), 4);
+    s.hpfs = std::make_unique<HpfsFs>(kernel_, s.cache.get(), 8192);
+    mk::Task* task = kernel_.CreateTask("fs" + std::to_string(i));
+    s.server = std::make_unique<FileServer>(kernel_, task);
+    ASSERT_EQ(s.server->AddMount("/", s.hpfs.get()), base::Status::kOk);
+    s.service = s.server->GrantTo(*client_task_);
+    kernel_.CreateThread(task, "mkfs", [&s](mk::Env& env) {
+      ASSERT_EQ(s.hpfs->Format(env), base::Status::kOk);
+      s.formatted = true;
+    });
+  }
+  int written = 0;
+  int done = 0;
+  for (int i = 0; i < 2; ++i) {
+    kernel_.CreateThread(client_task_, "reader", [&, i](mk::Env& env) {
+      Stack& s = stacks[i];
+      while (!s.formatted) {
+        env.SleepNs(1'000'000);
+      }
+      FsClient fs(s.service);
+      auto h = fs.Open(env, "/own.dat", kFsCreate | kFsWrite);
+      ASSERT_TRUE(h.ok());
+      const std::vector<uint8_t> mine(8192, static_cast<uint8_t>('A' + i));
+      ASSERT_TRUE(fs.Write(env, *h, 0, mine.data(), 8192).ok());
+      ++written;
+      while (written < 2) {
+        env.SleepNs(1'000);
+      }
+      std::vector<uint8_t> got(8192);
+      auto n = fs.Read(env, *h, 0, got.data(), 8192);
+      ASSERT_TRUE(n.ok());
+      EXPECT_EQ(*n, 8192u);
+      EXPECT_EQ(std::count(got.begin(), got.end(), 'A' + i), 8192) << "server " << i;
+      ASSERT_EQ(fs.Close(env, *h), base::Status::kOk);
+      s.server->Stop();
+      if (++done == 2) {
+        server_->Stop();
+      }
+    });
+  }
+  ASSERT_EQ(kernel_.Run(), 0u);
 }
 
 TEST_F(FileServerTest, EaOnFatIsNotSupported) {

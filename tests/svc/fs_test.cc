@@ -649,6 +649,47 @@ TEST_F(PfsTest, JfsWriteOutOfBlocksChangesNothing) {
   EXPECT_EQ(remounted.free_blocks(), free_before);
 }
 
+TEST_F(PfsTest, FatWriteOutOfClustersGivesThemBack) {
+  // A write that needs more clusters than are free takes every free one
+  // and fails with kNoSpace; it gives them all back. They used to stay
+  // chained to a first cluster never written back, so an empty file's failed
+  // write left the volume full for good.
+  FatFs fat(kernel_, cache_.get(), 1024);
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(fat.Format(env), base::Status::kOk);
+    const uint64_t clusters = fat.free_clusters();
+    auto fill = fat.Create(env, FatFs::kRootNode, "FILL.DAT", false);
+    auto empty = fat.Create(env, FatFs::kRootNode, "EMPTY.DAT", false);
+    auto kept = fat.Create(env, FatFs::kRootNode, "KEPT.DAT", false);
+    ASSERT_TRUE(fill.ok() && empty.ok() && kept.ok());
+    ASSERT_TRUE(fat.Write(env, *fill, 0, "x", 1).ok());
+    ASSERT_TRUE(fat.Write(env, *kept, 0, "0123456789", 10).ok());
+    const uint64_t free_before = fat.free_clusters();
+    ASSERT_EQ(free_before, clusters - 2);
+    // Each extent fits the volume, but not the clusters left free.
+    for (const NodeId node : {*empty, *kept}) {
+      EXPECT_EQ(fat.Write(env, node, (clusters - 1) * FatFs::kClusterBytes, "abcd", 4).status(),
+                base::Status::kNoSpace);
+      EXPECT_EQ(fat.free_clusters(), free_before);
+    }
+    auto attr = fat.GetAttr(env, *kept);
+    ASSERT_TRUE(attr.ok());
+    EXPECT_EQ(attr->size, 10u);
+    char back[10] = {};
+    ASSERT_TRUE(fat.Read(env, *kept, 0, back, sizeof(back)).ok());
+    EXPECT_EQ(std::string(back, sizeof(back)), "0123456789");
+    ASSERT_EQ(fat.Remove(env, FatFs::kRootNode, "EMPTY.DAT"), base::Status::kOk);
+    auto next = fat.Create(env, FatFs::kRootNode, "NEXT.DAT", false);
+    ASSERT_TRUE(next.ok());
+    EXPECT_TRUE(fat.Write(env, *next, 0, "hello", 5).ok());
+    ASSERT_EQ(fat.Sync(env), base::Status::kOk);
+  });
+  // The FAT on the platter agrees: a remount counts the same free clusters.
+  FatFs remounted(kernel_, cache_.get(), 1024);
+  RunInThread([&](mk::Env& env) { ASSERT_EQ(remounted.Mount(env), base::Status::kOk); });
+  EXPECT_EQ(remounted.free_clusters(), fat.free_clusters());
+}
+
 // The lookup counts below hold for HPFS, whose metadata goes to the cache in
 // place; JFS stages its metadata in a transaction and logs it at commit.
 TEST_F(PfsTest, LookupsListingAndSearchingReadEachDirectorySectorOnce) {

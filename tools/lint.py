@@ -66,6 +66,13 @@ Checks, over every header and source file under src/ and tests/:
      only in src/hw/ and src/drv/. The monolithic comparator runs the
      user-level driver's code (drv::DiskEngine) with the kernel's hooks; a
      second copy of a register sequence outside drv/ drifts from it.
+ 11. One reply per server loop (src/ outside src/mk/): a file calls
+     `->Reply(` exactly as often as it constructs an mk::ServerLoop
+     (`make_unique<mk::ServerLoop>`). Each dispatch computes one status and
+     answers from one place, as drv::DiskDriver::Serve does; a Reply in
+     every error branch is a second copy of the answer that drifts (a
+     failed op that still sends its payload). A deferred reply by a stored
+     token goes through Kernel::RpcReply and does not count.
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -108,6 +115,8 @@ RAW_RECEIVE_RE = re.compile(r"\b(RpcReceive|RpcReplyAndReceive)\s*\(")
 SERVER_LOOP_HEADER = Path("src") / "mk" / "server_loop.h"
 DIRECT_REPLY_RE = re.compile(r"\bRpcReply\s*\(\s*(?:rpc|req)\.token\b")
 FS_OP_RE = re.compile(r"\bFsOp::")
+SERVER_LOOP_NEW_RE = re.compile(r"\bmake_unique<\s*(?:mk::)?ServerLoop\s*>\s*\(")
+LOOP_REPLY_RE = re.compile(r"->Reply\s*\(")
 DEVICE_REG_RE = re.compile(r"\bhw::\w+::kReg\w*")
 DEVICE_REG_DIRS = (Path("src") / "hw", Path("src") / "drv")
 FS_PROTOCOL_FILES = {
@@ -308,6 +317,20 @@ def check_server_runtime(rel_path: Path, text: str, errors: list) -> None:
             )
 
 
+def check_one_reply_per_loop(rel_path: Path, text: str, errors: list) -> None:
+    if rel_path.parts[0] != "src" or rel_path.parts[:2] == ("src", "mk"):
+        return
+    code = "\n".join(strip_line_comment(line) for line in text.split("\n"))
+    loops = len(SERVER_LOOP_NEW_RE.findall(code))
+    replies = [code.count("\n", 0, m.start()) + 1 for m in LOOP_REPLY_RE.finditer(code)]
+    if len(replies) != loops:
+        errors.append(
+            f"{rel_path}: {len(replies)} ServerLoop::Reply call(s) for {loops} server "
+            f"loop(s) (lines {', '.join(map(str, replies)) or 'none'}) — each dispatch "
+            f"computes one status and answers from one place"
+        )
+
+
 def check_file_client(rel_path: Path, text: str, errors: list) -> None:
     if rel_path.parts[0] != "src" or rel_path in FS_PROTOCOL_FILES:
         return
@@ -386,6 +409,7 @@ def lint_file(
     check_fault_points(rel_path, text, errors, fault_registry, fault_used)
     check_determinism(rel_path, text, errors, accessors)
     check_server_runtime(rel_path, text, errors)
+    check_one_reply_per_loop(rel_path, text, errors)
     check_file_client(rel_path, text, errors)
     check_device_registers(rel_path, text, errors)
     return errors
