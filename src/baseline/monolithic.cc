@@ -1,5 +1,7 @@
 #include "src/baseline/monolithic.h"
 
+#include <algorithm>
+
 #include "src/base/log.h"
 
 namespace baseline {
@@ -322,7 +324,15 @@ base::Status MonolithicOs::WinSwitch(mk::Env& env, mk::Task& task, hw::VirtAddr 
     SyscallExit();
     return base::Status::kNotFound;
   }
-  it->second.z = next_z_++;
+  Window& win = it->second;
+  // As PmSession::SwitchTo: only a window that one above it overlaps
+  // repaints.
+  const bool covered = std::any_of(windows_.begin(), windows_.end(), [&](const auto& entry) {
+    const Window& other = entry.second;
+    return other.z > win.z &&
+           drv::RectsOverlap(win.x, win.y, win.w, win.h, other.x, other.y, other.w, other.h);
+  });
+  win.z = next_z_++;
   // Activation broadcast (WM_ACTIVATE): in the monolithic system each post
   // is a kernel-queue operation.
   for (auto& [other_hwnd, other] : windows_) {
@@ -332,7 +342,7 @@ base::Status MonolithicOs::WinSwitch(mk::Env& env, mk::Task& task, hw::VirtAddr 
     }
   }
   SyscallExit();
-  return WinBitBlt(env, task, vram, hwnd, 0, 0, it->second.w, it->second.h);
+  return covered ? WinBitBlt(env, task, vram, hwnd, 0, 0, win.w, win.h) : base::Status::kOk;
 }
 
 }  // namespace baseline

@@ -48,6 +48,16 @@ inline bool RectInside(uint32_t x, uint32_t y, uint32_t w, uint32_t h, uint32_t 
   return w <= width && x <= width - w && h <= height && y <= height - h;
 }
 
+// Whether the w1 x h1 rectangle at (x1, y1) and the w2 x h2 one at (x2, y2)
+// share a pixel. The ends are summed in 64 bits, where no `x + w` wraps.
+inline bool RectsOverlap(uint32_t x1, uint32_t y1, uint32_t w1, uint32_t h1, uint32_t x2,
+                         uint32_t y2, uint32_t w2, uint32_t h2) {
+  const auto meet = [](uint64_t a, uint64_t la, uint64_t b, uint64_t lb) {
+    return la != 0 && lb != 0 && a < b + lb && b < a + la;
+  };
+  return meet(x1, w1, x2, w2) && meet(y1, h1, y2, h2);
+}
+
 // The draw loops: one scanline at a time of the w x h rectangle at (x, y)
 // of the aperture mapped at `vram` in `task`, `width` bytes to a line. Each
 // line charges `loop`, an accessor, so that the region is defined on the

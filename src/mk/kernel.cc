@@ -191,9 +191,14 @@ void Kernel::DispatchInterrupt(uint32_t line) {
       WPOS_LOG(kDebug) << "dropping interrupt notification, queue full, line " << line;
       return;
     }
+    const base::Result<hw::PhysAddr> buffer = heap_->TryAllocate(64);
+    if (!buffer.ok()) {
+      WPOS_LOG(kDebug) << "dropping interrupt notification, kernel heap full, line " << line;
+      return;
+    }
     auto qm = std::make_unique<QueuedMessage>();
     qm->msg_id = 0x1000 + line;
-    qm->kernel_buffer = heap_->Allocate(64);
+    qm->kernel_buffer = *buffer;
     qm->send_cycle = cpu().cycles();
     port->queue.push_back(std::move(qm));
     WakeOneReceiver(port);
@@ -386,11 +391,17 @@ void Kernel::NotifyDeathWatchers(uint32_t msg_id, const void* notice, uint32_t l
                        << watcher->id() << ")";
       continue;
     }
+    const base::Result<hw::PhysAddr> buffer = heap_->TryAllocate(64);
+    if (!buffer.ok()) {
+      WPOS_LOG(kDebug) << "dropping death notice " << msg_id << ", kernel heap full (port "
+                       << watcher->id() << ")";
+      continue;
+    }
     auto qm = std::make_unique<QueuedMessage>();
     qm->msg_id = msg_id;
     qm->inline_data.assign(static_cast<const uint8_t*>(notice),
                            static_cast<const uint8_t*>(notice) + len);
-    qm->kernel_buffer = heap_->Allocate(64);
+    qm->kernel_buffer = *buffer;
     qm->send_cycle = cpu().cycles();
     watcher->queue.push_back(std::move(qm));
     WakeOneReceiver(watcher);

@@ -385,8 +385,13 @@ class Kernel {
   // `to`: per-page reference/map work plus page-table traffic, no per-byte
   // copy loop. Used by the RPC ref paths above the OOL threshold.
   void ChargeOolTransfer(Thread* from, Thread* to, uint64_t len);
-  base::Status TransferRights(Task& from, Task& to, const RightDescriptor* rights, uint32_t count,
-                              std::vector<PortName>* out_names);
+  // The ports of `count` rights `from` may send, all looked up before any
+  // moves, so that a refused transfer changes neither port space.
+  base::Status ResolveRights(Task& from, const RightDescriptor* rights, uint32_t count,
+                             std::vector<Port*>* ports);
+  // Enters the resolved rights into `to`'s port space, appending their names.
+  void TransferRights(Task& to, const RightDescriptor* rights, const std::vector<Port*>& ports,
+                      std::vector<PortName>* out_names);
   void DeliverRpcToServer(Thread* client, Thread* server);
   // A server's reply, as RpcReply and RpcReplyAndReceive take it.
   struct ReplyMessage {

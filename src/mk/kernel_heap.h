@@ -35,8 +35,9 @@ class KernelHeap {
     return addr;
   }
 
-  // Allocation for the kernel's own objects. The heap never frees, so
-  // their exhaustion is still a host abort.
+  // Allocation for the kernel's own objects: tasks, threads and objects made
+  // once at construction (tools/lint.py rule 12 lists the sites). The heap
+  // never frees, so their exhaustion is still a host abort.
   hw::PhysAddr Allocate(uint64_t size, uint64_t align = 16) {
     const base::Result<hw::PhysAddr> addr = TryAllocate(size, align);
     WPOS_CHECK(addr.ok()) << "kernel heap exhausted";

@@ -113,74 +113,76 @@ void Kernel::CopyMessageBytes(const void* src, void* dst, uint64_t len, Thread* 
   ChargeCopy(src_win, dst_win, span);
 }
 
-base::Status Kernel::TransferRights(Task& from, Task& to, const RightDescriptor* rights,
-                                    uint32_t count, std::vector<PortName>* out_names) {
+base::Status Kernel::ResolveRights(Task& from, const RightDescriptor* rights, uint32_t count,
+                                   std::vector<Port*>* ports) {
   for (uint32_t i = 0; i < count; ++i) {
-    cpu().Execute(RightsRegion());
     auto port = from.port_space().LookupSendable(rights[i].name);
     if (!port.ok()) {
       return port.status();
     }
-    cpu().AccessData(to.port_space().sim_addr(), 32, /*write=*/true);
-    const PortName name = to.port_space().Insert(*port, rights[i].disposition);
-    if (out_names != nullptr) {
-      out_names->push_back(name);
-    }
-    if (rights[i].disposition == RightType::kReceive) {
-      (*port)->set_receiver(&to);
-    }
+    ports->push_back(*port);
   }
   return base::Status::kOk;
 }
 
+void Kernel::TransferRights(Task& to, const RightDescriptor* rights,
+                            const std::vector<Port*>& ports, std::vector<PortName>* out_names) {
+  for (size_t i = 0; i < ports.size(); ++i) {
+    cpu().Execute(RightsRegion());
+    cpu().AccessData(to.port_space().sim_addr(), 32, /*write=*/true);
+    out_names->push_back(to.port_space().Insert(ports[i], rights[i].disposition));
+    if (rights[i].disposition == RightType::kReceive) {
+      ports[i]->set_receiver(&to);
+    }
+  }
+}
+
 // Moves the client's request (inline bytes, by-reference data, rights) into
-// the waiting server's posted buffers. Returns false and completes the
-// client's call with an error if the request does not fit.
+// the waiting server's posted buffers. A request that does not fit, or that
+// names a right the client cannot send, completes the client's call with an
+// error and leaves the server as it was: every check comes before the first
+// byte or right moves.
 void Kernel::DeliverRpcToServer(Thread* client, Thread* server) {
   Thread::RpcState& c = client->rpc;
   Thread::RpcState& s = server->rpc;
-  if (c.req_len > s.srv_cap) {
+  const uint32_t ref_len = c.ref != nullptr ? c.ref->send_len : 0;
+  if (c.req_len > s.srv_cap ||
+      (ref_len > 0 && (s.srv_ref == nullptr || ref_len > s.srv_ref->recv_cap))) {
     c.completion = base::Status::kTooLarge;
+    return;
+  }
+  std::vector<Port*> ports;
+  c.completion = ResolveRights(*client->task(), c.req_rights,
+                               c.req_rights != nullptr ? c.req_rights_count : 0, &ports);
+  if (c.completion != base::Status::kOk) {
     return;
   }
   CopyMessageBytes(c.req_data, s.srv_buf, c.req_len, client, server);
   s.srv_req_len = c.req_len;
   s.srv_ref_len = 0;
-  if (c.ref != nullptr && c.ref->send_len > 0) {
-    if (s.srv_ref == nullptr || c.ref->send_len > s.srv_ref->recv_cap) {
-      c.completion = base::Status::kTooLarge;
-      return;
-    }
-    std::memcpy(s.srv_ref->recv_buf, c.ref->send_data, c.ref->send_len);
-    const bool ool = UseOol(c.ref->send_mode, c.ref->send_len);
+  if (ref_len > 0) {
+    std::memcpy(s.srv_ref->recv_buf, c.ref->send_data, ref_len);
+    const bool ool = UseOol(c.ref->send_mode, ref_len);
     if (ool) {
-      ChargeOolTransfer(client, server, c.ref->send_len);
+      ChargeOolTransfer(client, server, ref_len);
     } else {
-      const uint64_t span = c.ref->send_len < Thread::kMsgWindowSize - kRefWindowOffset
-                                ? c.ref->send_len
+      const uint64_t span = ref_len < Thread::kMsgWindowSize - kRefWindowOffset
+                                ? ref_len
                                 : Thread::kMsgWindowSize - kRefWindowOffset;
       ChargeCopy(client->msg_window() + kRefWindowOffset, server->msg_window() + kRefWindowOffset,
                  span);
     }
     c.ref->sent_ool = ool;
     s.srv_ref->recv_ool = ool;
-    s.srv_ref->recv_len = c.ref->send_len;
-    s.srv_ref_len = c.ref->send_len;
+    s.srv_ref->recv_len = ref_len;
+    s.srv_ref_len = ref_len;
   }
   s.srv_rights.clear();
-  if (c.req_rights != nullptr && c.req_rights_count > 0) {
-    const base::Status st = TransferRights(*client->task(), *server->task(), c.req_rights,
-                                           c.req_rights_count, &s.srv_rights);
-    if (st != base::Status::kOk) {
-      c.completion = st;
-      return;
-    }
-  }
+  TransferRights(*server->task(), c.req_rights, ports, &s.srv_rights);
   s.token = next_rpc_token_++;
   c.token = s.token;
   rpc_waiters_[s.token] = RpcInFlight{client, server};
   s.srv_client_task = client->task()->id();
-  c.completion = base::Status::kOk;
   if (sync_observer_ != nullptr) {
     // Request delivery is a happens-before edge from the (blocked or about to
     // block) client into the server.
@@ -553,12 +555,12 @@ void Kernel::DeliverReply(Thread* server, Thread* client, const ReplyMessage& ms
   }
   if (msg.grant != kNullPort && c.completion == base::Status::kOk) {
     RightDescriptor rd{.name = msg.grant, .disposition = RightType::kSend};
-    std::vector<PortName> names;
-    const base::Status st = TransferRights(*server->task(), *client->task(), &rd, 1, &names);
-    if (st == base::Status::kOk) {
+    std::vector<Port*> ports;
+    c.completion = ResolveRights(*server->task(), &rd, 1, &ports);
+    if (c.completion == base::Status::kOk) {
+      std::vector<PortName> names;
+      TransferRights(*client->task(), &rd, ports, &names);
       c.granted_right = names.front();
-    } else {
-      c.completion = st;
     }
   }
 }

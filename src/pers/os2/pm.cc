@@ -1,5 +1,7 @@
 #include "src/pers/os2/pm.h"
 
+#include <algorithm>
+
 namespace pers {
 
 namespace {
@@ -165,7 +167,14 @@ base::Status PmSession::SwitchTo(mk::Env& env, Hwnd hwnd) {
   if (it == d.windows_.end()) {
     return base::Status::kNotFound;
   }
-  it->second.z = d.next_z_++;
+  PmDesktop::Window& win = it->second;
+  // A window that no window above it overlaps is on screen whole already.
+  const bool covered = std::any_of(d.windows_.begin(), d.windows_.end(), [&](const auto& entry) {
+    const PmDesktop::Window& other = entry.second;
+    return other.z > win.z &&
+           drv::RectsOverlap(win.x, win.y, win.w, win.h, other.x, other.y, other.w, other.h);
+  });
+  win.z = d.next_z_++;
   ++d.window_switches_;
   // Activation broadcast: every other window learns about the focus change
   // (WM_ACTIVATE in real PM), through the shared-memory queues.
@@ -174,8 +183,8 @@ base::Status PmSession::SwitchTo(mk::Env& env, Hwnd hwnd) {
       (void)PostMsg(env, other_hwnd, /*msg=*/0x0d, hwnd, 0);
     }
   }
-  // Bringing a window forward repaints it.
-  return BitBlt(env, hwnd, 0, 0, it->second.w, it->second.h);
+  // Bringing a covered window forward repaints it.
+  return covered ? BitBlt(env, hwnd, 0, 0, win.w, win.h) : base::Status::kOk;
 }
 
 }  // namespace pers

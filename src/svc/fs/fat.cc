@@ -199,6 +199,11 @@ base::Status FatFs::FreeChain(mk::Env& env, uint16_t first) {
 }
 
 base::Status FatFs::ReadDirent(mk::Env& env, NodeId node, Dirent* out) {
+  if (node == kRootNode) {
+    // The root has no dirent: node 1's slot is bytes 32-63 of the boot
+    // sector. So a read, write or truncate through the root is refused.
+    return base::Status::kInvalidArgument;
+  }
   uint8_t sector[kSectorSize];
   const base::Status st = cache_->ReadSector(env, NodeSector(node), sector);
   if (st != base::Status::kOk) {
@@ -650,6 +655,9 @@ base::Status FatFs::SetSize(mk::Env& env, NodeId node, uint64_t size) {
   base::Status st = ReadDirent(env, node, &d);
   if (st != base::Status::kOk) {
     return st;
+  }
+  if ((d.attr & 0x10) != 0) {
+    return base::Status::kInvalidArgument;  // a directory's clusters hold its entries
   }
   if (size > d.size) {
     return base::Status::kNotSupported;  // growth happens through Write

@@ -664,12 +664,16 @@ base::Status FileServer::Open(mk::Env& env, const FsRequest& r, Mount* mount,
   if (!node.ok()) {
     return node.status();
   }
-  // Sharing-mode admission (OS/2 deny modes).
-  NodeState& state = node_states_[NodeKey(mount, *node)];
+  // Sharing-mode admission (OS/2 deny modes). A node that no handle holds
+  // open has no state: it is made only once the open commits, so an open
+  // that fails leaves no entry to make the file look open.
+  static const NodeState kUnopened;
+  const auto found = node_states_.find(NodeKey(mount, *node));
+  const NodeState& seen = found != node_states_.end() ? found->second : kUnopened;
   const bool wants_write = (r.flags & (kFsWrite | kFsTruncate | kFsAppend)) != 0;
-  if (state.deny_all > 0 || (wants_write && state.deny_write > 0) ||
-      (r.share == FsShare::kDenyAll && state.open_count > 0) ||
-      (r.share == FsShare::kDenyWrite && state.writers > 0)) {
+  if (seen.deny_all > 0 || (wants_write && seen.deny_write > 0) ||
+      (r.share == FsShare::kDenyAll && seen.open_count > 0) ||
+      (r.share == FsShare::kDenyWrite && seen.writers > 0)) {
     return base::Status::kBusy;
   }
   if ((r.flags & kFsTruncate) != 0) {
@@ -688,6 +692,7 @@ base::Status FileServer::Open(mk::Env& env, const FsRequest& r, Mount* mount,
   if (!file_port.ok()) {
     return file_port.status();
   }
+  NodeState& state = node_states_[NodeKey(mount, *node)];
   ++state.open_count;
   if (wants_write) {
     ++state.writers;

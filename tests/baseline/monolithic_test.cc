@@ -195,6 +195,34 @@ TEST_F(MonolithicTest, DrawGoesThroughGreThunk) {
       << "each draw call must pay the 16-bit GRE thunk";
 }
 
+// As on the PM desktop: a switch repaints a window, every line, only when a
+// window above it overlaps it.
+TEST_F(MonolithicTest, WindowSwitchRepaints) {
+  kernel_.tracer().Enable();
+  mk::Task* app = kernel_.CreateTask("app");
+  kernel_.CreateThread(app, "main", [&](mk::Env& env) {
+    auto vram = os_->MapVram(*app);
+    ASSERT_TRUE(vram.ok());
+    auto w1 = os_->WinCreate(env, 0, 0, 64, 64);
+    auto w2 = os_->WinCreate(env, 32, 32, 64, 48);
+    auto w3 = os_->WinCreate(env, 200, 200, 64, 64);
+    ASSERT_TRUE(w1.ok());
+    ASSERT_TRUE(w2.ok());
+    ASSERT_TRUE(w3.ok());
+    const auto expect_switch = [&](uint32_t hwnd, uint64_t lines) {
+      const uint64_t lines0 = mk::RegionCalls(kernel_, "monos2.gre.draw_loop");
+      ASSERT_EQ(os_->WinSwitch(env, *app, *vram, hwnd), base::Status::kOk);
+      EXPECT_EQ(mk::RegionCalls(kernel_, "monos2.gre.draw_loop") - lines0, lines)
+          << "window " << hwnd;
+    };
+    expect_switch(*w1, 64);  // two covers it
+    expect_switch(*w2, 48);  // now one covers two
+    expect_switch(*w3, 0);   // overlaps neither
+    expect_switch(*w2, 0);   // only three, which it does not meet, is above it
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+}
+
 TEST_F(MonolithicTest, DrawWritesPixels) {
   mk::Task* app = kernel_.CreateTask("app");
   kernel_.CreateThread(app, "main", [&](mk::Env& env) {
@@ -221,10 +249,7 @@ TEST_F(MonolithicTest, WinCreateWithTheKernelHeapFullIsResourceShortage) {
       ASSERT_TRUE(hwnd.ok());
       windows.push_back(*hwnd);
     }
-    for (uint64_t size = mk::KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
-      while (kernel_.heap().TryAllocate(size).ok()) {
-      }
-    }
+    mk::FillKernelHeap(kernel_);
     EXPECT_EQ(os_->WinCreate(env, 10, 10, 100, 100).status(),
               base::Status::kResourceShortage);
     for (uint32_t hwnd : windows) {

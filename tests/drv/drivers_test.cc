@@ -6,6 +6,7 @@
 
 #include "src/baseline/monolithic.h"
 #include "src/drv/disk_driver.h"
+#include "src/drv/fb_driver.h"
 #include "src/drv/nic_driver.h"
 #include "src/drv/oo/ooddm.h"
 #include "src/drv/resource_manager.h"
@@ -421,6 +422,19 @@ TEST_F(NicDriverTest, LoopbackFrameThroughDriver) {
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(driver_->frames_tx(), 1u);
   EXPECT_EQ(driver_->frames_rx(), 1u);
+}
+
+// Two rectangles overlap when they share a pixel. Touching edges and an
+// empty rectangle do not, and an end past 2^32 does not wrap to the origin.
+TEST(FbDriverTest, RectsOverlapWhenTheyShareAPixel) {
+  EXPECT_TRUE(RectsOverlap(0, 0, 64, 64, 32, 32, 64, 48));
+  EXPECT_TRUE(RectsOverlap(10, 10, 100, 100, 20, 20, 10, 10));  // one inside the other
+  EXPECT_FALSE(RectsOverlap(0, 0, 64, 64, 64, 0, 64, 64));      // side by side
+  EXPECT_FALSE(RectsOverlap(0, 0, 64, 64, 0, 64, 64, 64));      // one above the other
+  EXPECT_FALSE(RectsOverlap(10, 10, 0, 64, 0, 0, 64, 64));      // empty
+  constexpr uint32_t kHuge = 0xFFFFFFFA;
+  EXPECT_FALSE(RectsOverlap(kHuge, 0, 10, 10, 0, 0, 4, 10));  // x + w would wrap to 4
+  EXPECT_TRUE(RectsOverlap(10, 0, kHuge, 10, 100, 0, 10, 10));
 }
 
 class OoddmTest : public mk::KernelTest {};

@@ -62,6 +62,26 @@ TEST_F(KernelTest, WatcherReceivesTaskThenPortDeath) {
   EXPECT_EQ(kernel_.tracer().metrics().Counter("mk.task_deaths"), 1u);
 }
 
+// A death notice takes 64 B of kernel heap. With the heap full the notice is
+// dropped, as one for a full watcher queue is, instead of aborting the host,
+// and the task still dies.
+TEST_F(KernelTest, DeathNoticeWithTheHeapFullIsDropped) {
+  Task* watcher_task = kernel_.CreateTask("watcher");
+  auto notify = kernel_.PortAllocate(*watcher_task);
+  ASSERT_TRUE(notify.ok());
+  ASSERT_EQ(kernel_.RegisterDeathWatcher(*watcher_task, *notify), base::Status::kOk);
+  Task* victim = kernel_.CreateTask("victim");
+  Task* driver = kernel_.CreateTask("driver");
+  kernel_.CreateThread(driver, "kill", [&](Env& env) {
+    FillKernelHeap(env.kernel());
+    env.kernel().TerminateTask(victim);
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_TRUE(victim->terminated());
+  EXPECT_EQ(kernel_.tracer().metrics().Counter("mk.task_deaths"), 1u);
+  EXPECT_EQ((*watcher_task->port_space().LookupReceive(*notify))->queue.size(), 0u);
+}
+
 TEST_F(KernelTest, UnregisteredWatcherHearsNothing) {
   Task* watcher_task = kernel_.CreateTask("watcher");
   auto notify = kernel_.PortAllocate(*watcher_task);

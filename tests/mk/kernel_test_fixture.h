@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/hw/machine.h"
 #include "src/mk/analysis/wait_for_graph.h"
 #include "src/mk/kernel.h"
@@ -33,6 +35,25 @@ class KernelTest : public ::testing::Test {
   // Tests that deliberately construct a deadlock opt out of the teardown scan.
   bool check_deadlocks_on_teardown_ = true;
 };
+
+// How often the code region `name` ran, from the tracer's flat profile
+// (which counts only while tracing is on). A draw loop runs once a line.
+inline uint64_t RegionCalls(Kernel& kernel, const std::string& name) {
+  for (const trace::Tracer::RegionProfile& region : kernel.tracer().FlatProfile()) {
+    if (region.name == name) {
+      return region.calls;
+    }
+  }
+  return 0;
+}
+
+// Fills the kernel heap, which never frees, down to its last 15 bytes.
+inline void FillKernelHeap(Kernel& kernel) {
+  for (uint64_t size = KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
+    while (kernel.heap().TryAllocate(size).ok()) {
+    }
+  }
+}
 
 }  // namespace mk
 

@@ -16,10 +16,7 @@ TEST_F(KernelTest, PortAllocateWithTheHeapFullIsResourceShortage) {
   // A port takes 128 B of a kernel heap that never frees: a full heap
   // answers kResourceShortage instead of aborting the host.
   Task* task = kernel_.CreateTask("t");
-  for (uint64_t size = KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
-    while (kernel_.heap().TryAllocate(size).ok()) {
-    }
-  }
+  FillKernelHeap(kernel_);
   const size_t ports = task->port_space().size();
   EXPECT_EQ(kernel_.PortAllocate(*task).status(), base::Status::kResourceShortage);
   EXPECT_EQ(task->port_space().size(), ports);

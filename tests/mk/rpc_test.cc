@@ -87,18 +87,107 @@ TEST_F(KernelTest, RpcTooLargeRequestFails) {
   auto send = kernel_.MakeSendRight(*server, *recv, *client);
   kernel_.CreateThread(server, "s", [&, recv = *recv](Env& env) {
     char tiny[8];
+    // The oversized request is refused at delivery, and the server stays
+    // parked for the next one, which fits.
     auto req = env.RpcReceive(recv, tiny, sizeof(tiny));
-    // Delivery of the oversized request fails server-side with kTooLarge.
-    EXPECT_FALSE(req.ok());
+    ASSERT_TRUE(req.ok());
+    EXPECT_EQ(req->req_len, 4u);
+    env.RpcReply(req->token, nullptr, 0);
   });
   base::Status st = base::Status::kOk;
+  base::Status next = base::Status::kTooLarge;
   kernel_.CreateThread(client, "c", [&, send = *send](Env& env) {
     char big[128] = {};
     char reply[8];
     st = env.RpcCall(send, big, sizeof(big), reply, sizeof(reply));
+    const uint32_t small = 1;
+    next = env.RpcCall(send, &small, sizeof(small), nullptr, 0);
   });
-  kernel_.Run();
+  EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(st, base::Status::kTooLarge);
+  EXPECT_EQ(next, base::Status::kOk);
+}
+
+// A request refused on its way into a parked server (here: a by-reference
+// payload past the server's cap) moves none of its bytes into the server's
+// buffers. So the next, shorter request reads zeros past its own bytes, as
+// a fresh receive buffer promises, not the refused request's tail.
+TEST_F(KernelTest, RefusedDeliveryLeavesTheParkedServerUntouched) {
+  Task* server = kernel_.CreateTask("server");
+  Task* client = kernel_.CreateTask("client");
+  auto recv = kernel_.PortAllocate(*server);
+  auto send = kernel_.MakeSendRight(*server, *recv, *client);
+  std::vector<uint8_t> seen;
+  kernel_.CreateThread(server, "s", [&, recv = *recv](Env& env) {
+    uint8_t buf[64] = {};
+    uint8_t bulk[16] = {};
+    RpcRef ref;
+    ref.recv_buf = bulk;
+    ref.recv_cap = sizeof(bulk);
+    auto req = env.RpcReceive(recv, buf, sizeof(buf), &ref);
+    ASSERT_TRUE(req.ok());
+    EXPECT_EQ(req->req_len, 8u);
+    EXPECT_EQ(req->ref_len, 0u);
+    EXPECT_EQ(std::count(bulk, bulk + sizeof(bulk), 0), 16);
+    seen.assign(buf, buf + sizeof(buf));
+    env.RpcReply(req->token, nullptr, 0);
+  });
+  kernel_.CreateThread(client, "c", [&, send = *send](Env& env) {
+    ASSERT_EQ((*kernel_.ResolvePort(*server, *recv))->waiting_servers.size(), 1u)
+        << "the server must be parked";
+    const std::vector<uint8_t> refused(64, 0xab);
+    const std::vector<uint8_t> too_big(32, 0xcd);
+    RpcRef ref;
+    ref.send_data = too_big.data();
+    ref.send_len = static_cast<uint32_t>(too_big.size());
+    EXPECT_EQ(env.RpcCall(send, refused.data(), 64, nullptr, 0, nullptr, &ref),
+              base::Status::kTooLarge);
+    const uint64_t shorter = 0x1122334455667788;
+    EXPECT_EQ(env.RpcCall(send, &shorter, sizeof(shorter), nullptr, 0), base::Status::kOk);
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  ASSERT_EQ(seen.size(), 64u);
+  EXPECT_EQ(std::count(seen.begin() + 8, seen.end(), 0), 56) << "the refused request's tail";
+}
+
+// A request whose second right names a dead port is refused whole: the
+// first right does not reach the parked server's port space either.
+TEST_F(KernelTest, RefusedRightsLeaveTheParkedServersPortSpaceAlone) {
+  Task* server = kernel_.CreateTask("server");
+  Task* client = kernel_.CreateTask("client");
+  Task* other = kernel_.CreateTask("other");
+  auto recv = kernel_.PortAllocate(*server);
+  auto send = kernel_.MakeSendRight(*server, *recv, *client);
+  auto live = kernel_.PortAllocate(*client);
+  auto gone = kernel_.PortAllocate(*other);
+  ASSERT_TRUE(live.ok());
+  ASSERT_TRUE(gone.ok());
+  auto gone_send = kernel_.MakeSendRight(*other, *gone, *client);
+  ASSERT_TRUE(gone_send.ok());
+  ASSERT_EQ(kernel_.PortDestroy(*other, *gone), base::Status::kOk);
+  size_t rights_received = 99;
+  kernel_.CreateThread(server, "s", [&, recv = *recv](Env& env) {
+    uint32_t buf = 0;
+    auto req = env.RpcReceive(recv, &buf, sizeof(buf));
+    ASSERT_TRUE(req.ok());
+    rights_received = req->rights.size();
+    env.RpcReply(req->token, nullptr, 0);
+  });
+  kernel_.CreateThread(client, "c", [&, send = *send](Env& env) {
+    ASSERT_EQ((*kernel_.ResolvePort(*server, *recv))->waiting_servers.size(), 1u)
+        << "the server must be parked";
+    const size_t names = server->port_space().size();
+    const RightDescriptor rights[] = {{.name = *live, .disposition = RightType::kSend},
+                                      {.name = *gone_send, .disposition = RightType::kSend}};
+    const uint32_t hdr = 1;
+    EXPECT_EQ(env.RpcCall(send, &hdr, sizeof(hdr), nullptr, 0, nullptr, nullptr, rights, 2),
+              base::Status::kPortDead);
+    EXPECT_EQ(server->port_space().size(), names) << "a right of the refused request";
+    // The server still serves a well-formed request.
+    EXPECT_EQ(env.RpcCall(send, &hdr, sizeof(hdr), nullptr, 0), base::Status::kOk);
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(rights_received, 0u);
 }
 
 TEST_F(KernelTest, RpcByReferenceBulkData) {

@@ -114,10 +114,7 @@ TEST_F(KernelTest, SemCreateWithTheHeapFullIsResourceShortage) {
   kernel_.CreateThread(task, "w", [&](Env& env) {
     auto made = env.kernel().SemCreate(0);
     ASSERT_TRUE(made.ok());
-    for (uint64_t size = KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
-      while (env.kernel().heap().TryAllocate(size).ok()) {
-      }
-    }
+    FillKernelHeap(env.kernel());
     EXPECT_EQ(env.kernel().SemCreate(0).status(), base::Status::kResourceShortage);
     EXPECT_EQ(env.kernel().SemDestroy(*made + 1), base::Status::kNotFound);
     ASSERT_EQ(env.kernel().SemSignal(*made), base::Status::kOk);
@@ -171,6 +168,21 @@ TEST_F(KernelTest, DroppedInterruptNotificationTakesNoHeap) {
   EXPECT_EQ(kernel_.interrupts_delivered(), 7u);
   EXPECT_EQ((*driver->port_space().LookupReceive(*port))->queue.size(), Port::kDefaultQueueLimit);
   EXPECT_EQ(kernel_.heap().bytes_allocated() - heap0, Port::kDefaultQueueLimit * 64);
+}
+
+TEST_F(KernelTest, InterruptWithTheHeapFullIsDropped) {
+  // A reflected interrupt's notification takes 64 B of kernel heap. With the
+  // heap full it is dropped, as one for a full queue is, instead of
+  // aborting the host.
+  Task* driver = kernel_.CreateTask("driver");
+  auto port = kernel_.PortAllocate(*driver);
+  ASSERT_TRUE(port.ok());
+  ASSERT_EQ(kernel_.ReflectInterrupt(*driver, 11, *port), base::Status::kOk);
+  machine_.ScheduleAt(100'000, [&] { machine_.pic().Raise(11); });
+  FillKernelHeap(kernel_);
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(kernel_.interrupts_delivered(), 1u);
+  EXPECT_EQ((*driver->port_space().LookupReceive(*port))->queue.size(), 0u);
 }
 
 }  // namespace

@@ -213,14 +213,6 @@ TEST_F(NamingTest, UnterminatedNameIsInvalidArgument) {
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 
-// Fills the kernel heap, which never frees, down to its last 15 bytes.
-void FillKernelHeap(mk::Kernel& kernel) {
-  for (uint64_t size = mk::KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
-    while (kernel.heap().TryAllocate(size).ok()) {
-    }
-  }
-}
-
 TEST_F(NamingTest, RegisterWithTheKernelHeapFullIsResourceShortage) {
   // A node takes 128 B of kernel heap. On a full heap the register answers
   // kResourceShortage and registers nothing (was a host abort, "kernel heap
@@ -230,7 +222,7 @@ TEST_F(NamingTest, RegisterWithTheKernelHeapFullIsResourceShortage) {
     auto p = env.PortAllocate();
     ASSERT_TRUE(p.ok());
     ASSERT_EQ(nc.Register(env, "/svc/before", *p), base::Status::kOk);
-    FillKernelHeap(kernel_);
+    mk::FillKernelHeap(kernel_);
     EXPECT_EQ(nc.Register(env, "/svc/after", *p), base::Status::kResourceShortage);
     EXPECT_EQ(server_->entry_count(), 1u);
     EXPECT_EQ(server_->registrations(), 1u);
@@ -255,7 +247,7 @@ TEST_F(NamingTest, UnregisterUnderAWatchWithTheKernelHeapFullDropsTheNotice) {
     ASSERT_EQ(nc.Register(env, "/svc/gone", *p), base::Status::kOk);
     mk::MachMessage msg;
     ASSERT_EQ(env.kernel().MachMsgReceive(*notify, &msg), base::Status::kOk);
-    FillKernelHeap(kernel_);
+    mk::FillKernelHeap(kernel_);
     EXPECT_EQ(nc.Unregister(env, "/svc/gone"), base::Status::kOk);
     EXPECT_EQ(env.kernel().MachMsgReceive(*notify, &msg, /*timeout_ns=*/0),
               base::Status::kTimedOut);

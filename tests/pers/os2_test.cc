@@ -238,20 +238,37 @@ TEST_F(PmTest, CrossProcessWindowMessages) {
   EXPECT_EQ(desktop_->messages_posted(), 5u);
 }
 
+// A switch raises the window and repaints it, every line, only when a
+// window above it overlaps it. One that nothing covers is on screen whole
+// already: its switch draws nothing.
 TEST_F(PmTest, WindowSwitchRepaints) {
+  kernel_.tracer().Enable();
   mk::Task* app = kernel_.CreateTask("swp32");
   auto session = desktop_->Attach(*app);
   ASSERT_TRUE(session.ok());
+  PmSession& pm = **session;
   kernel_.CreateThread(app, "main", [&](mk::Env& env) {
-    auto w1 = (*session)->CreateWindow(env, "one", 0, 0, 64, 64);
-    auto w2 = (*session)->CreateWindow(env, "two", 32, 32, 64, 64);
+    auto w1 = pm.CreateWindow(env, "one", 0, 0, 64, 64);
+    auto w2 = pm.CreateWindow(env, "two", 32, 32, 64, 48);
+    auto w3 = pm.CreateWindow(env, "three", 200, 200, 64, 64);
     ASSERT_TRUE(w1.ok());
     ASSERT_TRUE(w2.ok());
-    ASSERT_EQ((*session)->SwitchTo(env, *w1), base::Status::kOk);
-    ASSERT_EQ((*session)->SwitchTo(env, *w2), base::Status::kOk);
+    ASSERT_TRUE(w3.ok());
+    const auto expect_switch = [&](Hwnd hwnd, uint64_t lines, uint64_t draws) {
+      const uint64_t lines0 = mk::RegionCalls(kernel_, "os2.pm.draw_loop");
+      const uint64_t draws0 = pm.draw_calls();
+      ASSERT_EQ(pm.SwitchTo(env, hwnd), base::Status::kOk);
+      EXPECT_EQ(mk::RegionCalls(kernel_, "os2.pm.draw_loop") - lines0, lines)
+          << "window " << hwnd;
+      EXPECT_EQ(pm.draw_calls() - draws0, draws) << "window " << hwnd;
+    };
+    expect_switch(*w1, 64, 1);  // two covers it
+    expect_switch(*w2, 48, 1);  // now one covers two
+    expect_switch(*w3, 0, 0);   // overlaps neither
+    expect_switch(*w2, 0, 0);   // only three, which it does not meet, is above it
   });
   EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_EQ(desktop_->window_switches(), 2u);
+  EXPECT_EQ(desktop_->window_switches(), 4u);
 }
 
 // The desktop's one shared page holds 1024 wait words, one per window for

@@ -526,6 +526,50 @@ TEST_P(PfsContractTest, RefusedWritesChangeNothing) {
   });
 }
 
+// A directory is not a file: a write or a truncate through the root or a
+// subdirectory answers kInvalidArgument, and neither listing nor the free
+// space changes. FAT's root has no dirent of its own (node 1's slot is bytes
+// 32-63 of the boot sector); FAT used to write through it into a phantom
+// file, and to truncate a subdirectory's cluster, and its entries, away.
+TEST_P(PfsContractTest, FileIoOnADirectoryIsInvalidArgument) {
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(Format(env), base::Status::kOk);
+    const auto free_space = [&] {
+      return fat_ != nullptr ? fat_->free_clusters() : inode_->free_blocks();
+    };
+    const auto names = [&](NodeId dir) {
+      std::vector<std::string> out;
+      auto entries = pfs_->ReadDir(env, dir);
+      EXPECT_TRUE(entries.ok());
+      if (entries.ok()) {
+        for (const DirEntry& e : *entries) {
+          out.push_back(e.name);
+        }
+      }
+      return out;
+    };
+    auto sub = pfs_->Create(env, pfs_->root(), "SUB", /*directory=*/true);
+    ASSERT_TRUE(sub.ok());
+    ASSERT_TRUE(pfs_->Create(env, *sub, "INNER.DAT", false).ok());
+    const uint64_t free_before = free_space();
+    const std::vector<std::string> root_names = names(pfs_->root());
+    const std::vector<std::string> sub_names = names(*sub);
+    for (const NodeId dir : {pfs_->root(), *sub}) {
+      SCOPED_TRACE(KindName(GetParam()) + (dir == pfs_->root() ? " root" : " subdirectory"));
+      EXPECT_EQ(pfs_->Write(env, dir, 0, "abc", 3).status(), base::Status::kInvalidArgument);
+      EXPECT_EQ(pfs_->SetSize(env, dir, 0), base::Status::kInvalidArgument);
+    }
+    EXPECT_EQ(free_space(), free_before) << KindName(GetParam());
+    EXPECT_EQ(names(pfs_->root()), root_names) << KindName(GetParam());
+    EXPECT_EQ(names(*sub), sub_names) << KindName(GetParam());
+    if (fat_ != nullptr) {
+      char buf[4];
+      EXPECT_EQ(pfs_->Read(env, pfs_->root(), 0, buf, sizeof(buf)).status(),
+                base::Status::kInvalidArgument);
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(AllFileSystems, PfsContractTest,
                          ::testing::Values(PfsKind::kFat, PfsKind::kHpfs, PfsKind::kJfs),
                          [](const ::testing::TestParamInfo<PfsKind>& info) {

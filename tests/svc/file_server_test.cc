@@ -602,10 +602,7 @@ TEST_F(FileServerTest, OpenWithTheKernelHeapFullIsResourceShortage) {
     while (!formatted_) {  // FAT's format still takes cache buffers
       env.SleepNs(1'000'000);
     }
-    for (uint64_t size = mk::KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
-      while (kernel_.heap().TryAllocate(size).ok()) {
-      }
-    }
+    mk::FillKernelHeap(kernel_);
     const uint64_t opens = server_->opens();
     EXPECT_EQ(fs.Open(env, "/kept.txt", kFsWrite).status(),
               base::Status::kResourceShortage);
@@ -619,6 +616,51 @@ TEST_F(FileServerTest, OpenWithTheKernelHeapFullIsResourceShortage) {
     // A refused open that had counted itself would keep the file busy.
     EXPECT_EQ(fs.Unlink(env, "/kept.txt"), base::Status::kOk);
     EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+  });
+}
+
+TEST_F(FileServerTest, FailedOpenLeavesNoSharingState) {
+  // A file's sharing state is made when an open commits. An open the kernel
+  // heap cannot hold used to leave an empty entry behind, and the file,
+  // which nobody had open, answered kBusy to every unlink and rename.
+  RunClient([&](mk::Env& env, FsClient& fs) {
+    auto handle = fs.Open(env, "/probe.txt", kFsCreate | kFsWrite);
+    ASSERT_TRUE(handle.ok());
+    ASSERT_EQ(fs.Close(env, *handle), base::Status::kOk);
+    while (!formatted_) {  // FAT's format still takes cache buffers
+      env.SleepNs(1'000'000);
+    }
+    mk::FillKernelHeap(kernel_);
+    EXPECT_EQ(fs.Open(env, "/probe.txt", kFsWrite).status(), base::Status::kResourceShortage);
+    EXPECT_EQ(fs.Unlink(env, "/probe.txt"), base::Status::kOk);
+  });
+}
+
+TEST_F(FileServerTest, TruncatingOpenOfAFatDirectoryIsInvalidArgument) {
+  // As on HPFS, a directory is not a file to truncate. FAT used to free a
+  // subdirectory's cluster, and its entries with it; its root, which has no
+  // dirent, read bytes 32-63 of the boot sector as one.
+  RunClient([&](mk::Env& env, FsClient& fs) {
+    while (!formatted_) {
+      env.SleepNs(1'000'000);
+    }
+    ASSERT_EQ(fs.Mkdir(env, "/fat/SUB"), base::Status::kOk);
+    auto inner = fs.Open(env, "/fat/SUB/INNER.TXT", kFsCreate | kFsWrite);
+    ASSERT_TRUE(inner.ok());
+    ASSERT_EQ(fs.Close(env, *inner), base::Status::kOk);
+    ASSERT_EQ(fs.Mkdir(env, "/hsub"), base::Status::kOk);
+    const uint64_t free_clusters = fat_->free_clusters();
+    for (const char* dir : {"/fat/SUB", "/fat", "/hsub"}) {
+      EXPECT_EQ(fs.Open(env, dir, kFsWrite | kFsTruncate).status(),
+                base::Status::kInvalidArgument)
+          << dir;
+    }
+    EXPECT_EQ(fat_->free_clusters(), free_clusters);
+    auto entries = fs.ReadDir(env, "/fat/SUB");
+    ASSERT_TRUE(entries.ok());
+    ASSERT_EQ(entries->size(), 1u);
+    EXPECT_EQ((*entries)[0].name, "INNER.TXT");
+    EXPECT_TRUE(fs.GetAttr(env, "/fat/SUB/INNER.TXT").ok());
   });
 }
 

@@ -324,10 +324,7 @@ TEST_F(PfsTest, MissWithTheKernelHeapFullIsResourceShortage) {
   RunInThread([&](mk::Env& env) {
     ExpectRead(env, cache, 1);
     Write(env, cache, 2, 0xa2);
-    for (uint64_t size = mk::KernelConfig().kernel_heap_bytes; size >= 16; size /= 2) {
-      while (kernel_.heap().TryAllocate(size).ok()) {
-      }
-    }
+    mk::FillKernelHeap(kernel_);
     const int reads = store.reads;
     std::vector<uint8_t> out(BlockCache::kSectorSize, 0xee);
     EXPECT_EQ(cache.ReadSector(env, 3, out.data()), base::Status::kResourceShortage);

@@ -73,6 +73,14 @@ Checks, over every header and source file under src/ and tests/:
      every error branch is a second copy of the answer that drifts (a
      failed op that still sends its payload). A deferred reply by a stored
      token goes through Kernel::RpcReply and does not count.
+ 12. The aborting kernel-heap allocation is rationed (src/ only): a file
+     calls `heap_->Allocate(` or `heap().Allocate(` no more often than
+     HEAP_ALLOCATE_ALLOWED says (files not listed: never).
+     KernelHeap::Allocate aborts the host once the heap, which never
+     frees, is full. A site that a client, an interrupt or a crash loop
+     can reach takes TryAllocate instead, and answers kResourceShortage or
+     drops its notification. The list holds CreateTask and CreateThread
+     and objects made once at construction.
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -118,6 +126,14 @@ FS_OP_RE = re.compile(r"\bFsOp::")
 SERVER_LOOP_NEW_RE = re.compile(r"\bmake_unique<\s*(?:mk::)?ServerLoop\s*>\s*\(")
 LOOP_REPLY_RE = re.compile(r"->Reply\s*\(")
 DEVICE_REG_RE = re.compile(r"\bhw::\w+::kReg\w*")
+HEAP_ALLOCATE_RE = re.compile(r"\bheap(?:_->|\(\)\.)Allocate\s*\(")
+HEAP_ALLOCATE_ALLOWED = {
+    Path("src") / "mk" / "kernel.cc": 4,  # CreateTask, CreateThread
+    Path("src") / "mks" / "naming" / "lite_name_server.cc": 1,
+    Path("src") / "drv" / "oo" / "fine_grained.h": 2,
+    Path("src") / "drv" / "oo" / "ooddm.h": 1,
+    Path("src") / "mk" / "analysis" / "explore" / "selftest.h": 1,
+}
 DEVICE_REG_DIRS = (Path("src") / "hw", Path("src") / "drv")
 FS_PROTOCOL_FILES = {
     Path("src") / "svc" / "fs" / name for name in ("protocol.h", "file_server.h", "file_server.cc")
@@ -354,6 +370,23 @@ def check_device_registers(rel_path: Path, text: str, errors: list) -> None:
             )
 
 
+def check_heap_allocate(rel_path: Path, text: str, errors: list) -> None:
+    if rel_path.parts[0] != "src":
+        return
+    lines = [
+        i + 1
+        for i, line in enumerate(text.split("\n"))
+        if HEAP_ALLOCATE_RE.search(strip_line_comment(line))
+    ]
+    allowed = HEAP_ALLOCATE_ALLOWED.get(rel_path, 0)
+    if len(lines) > allowed:
+        errors.append(
+            f"{rel_path}: {len(lines)} aborting KernelHeap::Allocate call(s) for {allowed} "
+            f"allowed (lines {', '.join(map(str, lines))}) — a full heap aborts the host; "
+            f"take TryAllocate and answer kResourceShortage or drop the notification"
+        )
+
+
 def expected_guard(rel_path: Path) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", str(rel_path)).upper() + "_"
 
@@ -412,6 +445,7 @@ def lint_file(
     check_one_reply_per_loop(rel_path, text, errors)
     check_file_client(rel_path, text, errors)
     check_device_registers(rel_path, text, errors)
+    check_heap_allocate(rel_path, text, errors)
     return errors
 
 
