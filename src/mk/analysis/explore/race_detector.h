@@ -6,7 +6,7 @@
 // pairs of conflicting accesses in *different* steps of *different* threads
 // that are neither ordered by a happens-before edge (vector clocks over the
 // kernel's synchronizers: semaphores, port/channel transfers, RPC
-// rendezvous, explicit wakes, thread create/join) nor consistently protected
+// rendezvous, explicit wakes, thread creation) nor consistently protected
 // by a common lock (Eraser-style locksets over semaphores used as mutexes,
 // plus the implicit big kernel lock for accesses made between
 // EnterKernel/LeaveKernel brackets).

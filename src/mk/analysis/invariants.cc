@@ -94,9 +94,6 @@ class Checker {
     for (uint64_t addr : SortedKeys(memsync)) {
       add_queue(memsync.at(addr), "memsync@" + std::to_string(addr));
     }
-    for (const auto& t : Introspector::threads(kernel_)) {
-      add_queue(t->exit_waiters, "exit_waiters of '" + t->name() + "'");
-    }
   }
 
   void CheckPortRights() {

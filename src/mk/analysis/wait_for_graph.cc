@@ -59,28 +59,24 @@ WaitForGraph WaitForGraph::Build(const Kernel& kernel) {
   }
 
   // Classify the wait queues so waiting_on resolves to a reason.
-  enum class QueueRole { kIpcSend, kIpcReceive, kSemaphore, kMemSync, kJoin };
+  enum class QueueRole { kIpcSend, kIpcReceive, kSemaphore, kMemSync };
   struct QueueInfo {
     QueueRole role;
     const Port* port = nullptr;
-    const Thread* joinee = nullptr;
     uint64_t id = 0;  // semaphore id / memsync word address
   };
   std::unordered_map<const WaitQueue*, QueueInfo> queue_info;
   for (const auto& p : Introspector::ports(kernel)) {
-    queue_info[&p->blocked_senders] = {QueueRole::kIpcSend, p.get(), nullptr, 0};
-    queue_info[&p->blocked_receivers] = {QueueRole::kIpcReceive, p.get(), nullptr, 0};
+    queue_info[&p->blocked_senders] = {QueueRole::kIpcSend, p.get(), 0};
+    queue_info[&p->blocked_receivers] = {QueueRole::kIpcReceive, p.get(), 0};
   }
   // unordered-ok: builds a keyed lookup table; order does not escape.
   for (const auto& [id, sem] : Introspector::semaphores(kernel)) {
-    queue_info[&sem.waiters] = {QueueRole::kSemaphore, nullptr, nullptr, id};
+    queue_info[&sem.waiters] = {QueueRole::kSemaphore, nullptr, id};
   }
   // unordered-ok: builds a keyed lookup table; order does not escape.
   for (const auto& [addr, q] : Introspector::memsync_waiters(kernel)) {
-    queue_info[&q] = {QueueRole::kMemSync, nullptr, nullptr, addr};
-  }
-  for (const auto& t : Introspector::threads(kernel)) {
-    queue_info[&t->exit_waiters] = {QueueRole::kJoin, nullptr, t.get(), 0};
+    queue_info[&q] = {QueueRole::kMemSync, nullptr, addr};
   }
 
   // RPC rendezvous membership and in-flight calls.
@@ -209,11 +205,6 @@ WaitForGraph WaitForGraph::Build(const Kernel& kernel) {
               }
             }
             detail << "waiting on memory word @" << std::hex << info->second.id << std::dec;
-            break;
-          case QueueRole::kJoin:
-            e.kind = WaitKind::kJoin;
-            e.wakers.push_back(info->second.joinee);
-            detail << "joining " << ThreadLabel(info->second.joinee);
             break;
         }
       }

@@ -30,7 +30,6 @@ enum class WaitKind {
   kRpcReceive,         // parked in Port::waiting_servers, no caller
   kIpcSendFull,        // legacy send blocked on a full queue
   kIpcReceiveEmpty,    // legacy receive blocked on an empty queue
-  kJoin,               // waiting for a thread to terminate
   kSemaphore,
   kMemSync,
   kSleepOrExternal,  // timed sleep or an unrecognized external wait

@@ -84,7 +84,6 @@ struct Costs {
   static constexpr uint32_t kPmapEnter = 70;
   static constexpr uint32_t kVmAllocate = 240;
   static constexpr uint32_t kVmDeallocate = 200;
-  static constexpr uint32_t kVmProtect = 160;
   static constexpr uint32_t kVmMapObject = 280;
   // Managed file-backed objects (mmap): pages the kernel requests from the
   // pager per kDataRequest when the faulting object tracks dirty pages —

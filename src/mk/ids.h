@@ -20,7 +20,6 @@ enum class Prot : uint8_t {
   kWrite = 2,
   kReadWrite = 3,
   kExecute = 4,
-  kAll = 7,
 };
 
 inline Prot operator|(Prot a, Prot b) {
@@ -32,8 +31,6 @@ inline bool ProtIncludes(Prot have, Prot want) {
 }
 
 enum class RightType : uint8_t { kReceive, kSend, kSendOnce };
-
-enum class Inherit : uint8_t { kNone, kShare, kCopy };
 
 }  // namespace mk
 

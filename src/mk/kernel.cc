@@ -37,10 +37,6 @@ const hw::CodeRegion& ThreadSelfRegion() {
   static const hw::CodeRegion r = hw::DefineKernelCode("mk.trap.thread_self", Costs::kThreadSelfBody);
   return r;
 }
-const hw::CodeRegion& TaskSelfRegion() {
-  static const hw::CodeRegion r = hw::DefineKernelCode("mk.trap.task_self", Costs::kThreadSelfBody);
-  return r;
-}
 const hw::CodeRegion& PortLookupRegion() {
   static const hw::CodeRegion r = hw::DefineKernelCode("mk.port.lookup", Costs::kPortNameLookup);
   return r;
@@ -273,14 +269,6 @@ Thread* Kernel::CreateThread(Task* task, const std::string& name, ThreadBody bod
   return t;
 }
 
-base::Status Kernel::ThreadJoin(Thread* target) {
-  WPOS_CHECK(scheduler_.current() != nullptr) << "ThreadJoin outside thread context";
-  if (target->state() == Thread::State::kTerminated) {
-    return base::Status::kOk;
-  }
-  return scheduler_.Block(Thread::State::kBlocked, &target->exit_waiters);
-}
-
 void Kernel::TerminateTask(Task* task) {
   if (task->terminated()) {
     return;
@@ -501,16 +489,6 @@ base::Result<PortName> Kernel::MakeSendRight(Task& from, PortName receive_name, 
   return to.port_space().Insert(*port, RightType::kSend);
 }
 
-base::Result<PortName> Kernel::MakeReceiveRight(Task& from, PortName receive_name, Task& to) {
-  cpu().Execute(PortTransferRegion());
-  auto port = from.port_space().LookupReceive(receive_name);
-  if (!port.ok()) {
-    return port.status();
-  }
-  cpu().AccessData(to.port_space().sim_addr(), 32, /*write=*/true);
-  return to.port_space().Insert(*port, RightType::kReceive);
-}
-
 base::Result<Port*> Kernel::ResolvePort(Task& task, PortName name) {
   auto right = task.port_space().Lookup(name);
   if (!right.ok()) {
@@ -544,17 +522,6 @@ PortName Kernel::TrapThreadSelf() {
   const PortName name = t->self_port_name();
   LeaveKernel();
   return name;
-}
-
-TaskId Kernel::TrapTaskSelf() {
-  Thread* t = scheduler_.current();
-  WPOS_DCHECK(t != nullptr);
-  EnterKernel(TrapEntryRegion());
-  cpu().Execute(TaskSelfRegion());
-  cpu().AccessData(t->task()->sim_addr(), 16, /*write=*/false);
-  const TaskId id = t->task()->id();
-  LeaveKernel();
-  return id;
 }
 
 // --- Instrumentation ------------------------------------------------------------------

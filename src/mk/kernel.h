@@ -133,8 +133,6 @@ class Kernel {
   Task* CreateTask(const std::string& name, uint32_t app_footprint_instr = 0);
   Thread* CreateThread(Task* task, const std::string& name, ThreadBody body,
                        int priority = Thread::kDefaultPriority);
-  // Waits (current thread) until `target` terminates.
-  base::Status ThreadJoin(Thread* target);
   // Terminates a task: destroys the ports it holds the receive right for
   // (queued and in-flight callers get kPortDead, as with ServerLoop::Stop),
   // fails RPCs the task's threads were serving, aborts its blocked threads,
@@ -151,11 +149,6 @@ class Kernel {
   // Creates a send right in `to` for the port named by a *receive* right
   // `receive_name` held by `from`.
   base::Result<PortName> MakeSendRight(Task& from, PortName receive_name, Task& to);
-  // Creates a receive right in `to` for the same port. The port's receiver
-  // task (teardown ownership) stays with the original allocator; the extra
-  // right only lets `to` dequeue — how a forked child inherits a pipe's
-  // read end.
-  base::Result<PortName> MakeReceiveRight(Task& from, PortName receive_name, Task& to);
   // Bounds the synchronous-RPC rendezvous queue of the port named by a
   // receive right: once `limit` callers are parked in waiting_clients, new
   // callers are shed with kBusy instead of parking (admission control).
@@ -176,7 +169,6 @@ class Kernel {
   // --- Traps (the Table 2 comparison point) -------------------------------------
   // Returns the current thread's self port name, creating it on first use.
   PortName TrapThreadSelf();
-  TaskId TrapTaskSelf();
 
   // --- Reworked RPC ----------------------------------------------------------------
   // Synchronous call on the current thread. Blocks until the server replies.
@@ -226,18 +218,13 @@ class Kernel {
   base::Result<hw::VirtAddr> VmAllocate(Task& task, uint64_t size);
   base::Status VmAllocateAt(Task& task, hw::VirtAddr addr, uint64_t size);
   base::Status VmDeallocate(Task& task, hw::VirtAddr addr, uint64_t size);
-  base::Status VmProtect(Task& task, hw::VirtAddr addr, uint64_t size, Prot prot);
   base::Result<hw::VirtAddr> VmMapObject(Task& task, std::shared_ptr<VmObject> object,
                                          uint64_t offset, uint64_t size, Prot prot,
-                                         bool anywhere, hw::VirtAddr fixed = 0,
-                                         Inherit inherit = Inherit::kShare);
+                                         bool anywhere, hw::VirtAddr fixed = 0);
   // Coerced memory (IBM extension): shared memory mapped at the same address
   // range in every participating address space.
   base::Result<hw::VirtAddr> VmAllocateCoerced(Task& first, uint64_t size);
   base::Status VmMapCoerced(Task& task, hw::VirtAddr coerced_addr);
-  // Fork-style address-space copy honouring entry inheritance; used by the
-  // UNIX personality.
-  Task* TaskForkVm(Task& parent, const std::string& name);
 
   // External memory objects (OSF RI flavour): associate the object with a
   // pager port. Faults on absent pages RPC to the pager with the object id.

@@ -49,15 +49,7 @@ constexpr uint64_t kRefWindowOffset = 16 * 1024;
 
 // Whether a bulk transfer of `len` bytes goes out-of-line under `mode`.
 bool UseOol(RpcBulkMode mode, uint64_t len) {
-  switch (mode) {
-    case RpcBulkMode::kCopy:
-      return false;
-    case RpcBulkMode::kOol:
-      return true;
-    case RpcBulkMode::kAuto:
-      break;
-  }
-  return len >= Costs::kRpcOolThresholdBytes;
+  return mode == RpcBulkMode::kAuto && len >= Costs::kRpcOolThresholdBytes;
 }
 
 // A server whose park timed out or was aborted leaves the rendezvous deque.
@@ -539,7 +531,7 @@ void Kernel::DeliverReply(Thread* server, Thread* client, const ReplyMessage& ms
       c.completion = base::Status::kTooLarge;
     } else {
       std::memcpy(c.ref->recv_buf, msg.ref_data, msg.ref_len);
-      const bool ool = UseOol(c.ref->recv_mode, msg.ref_len);
+      const bool ool = UseOol(RpcBulkMode::kAuto, msg.ref_len);
       if (ool) {
         ChargeOolTransfer(server, client, msg.ref_len);
       } else {

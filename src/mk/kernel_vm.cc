@@ -1,6 +1,6 @@
 // Virtual memory: allocation, mapping, the page-fault path (zero fill, COW
-// shadow chains, external-pager fill), coerced memory, fork-style address
-// space copy, and user-memory access with full cost modelling.
+// shadow chains, external-pager fill), coerced memory, and user-memory
+// access with full cost modelling.
 #include <cstring>
 #include <vector>
 
@@ -43,10 +43,6 @@ const hw::CodeRegion& AllocateRegion() {
 }
 const hw::CodeRegion& DeallocateRegion() {
   static const hw::CodeRegion r = hw::DefineKernelCode("mk.vm.deallocate", Costs::kVmDeallocate);
-  return r;
-}
-const hw::CodeRegion& ProtectRegion() {
-  static const hw::CodeRegion r = hw::DefineKernelCode("mk.vm.protect", Costs::kVmProtect);
   return r;
 }
 const hw::CodeRegion& MapObjectRegion() {
@@ -103,28 +99,15 @@ base::Status Kernel::VmDeallocate(Task& task, hw::VirtAddr addr, uint64_t size) 
   return base::Status::kOk;
 }
 
-base::Status Kernel::VmProtect(Task& task, hw::VirtAddr addr, uint64_t size, Prot prot) {
-  cpu().Execute(ProtectRegion());
-  const base::Status st = task.vm_map().Protect(addr, hw::PageRound(size), prot);
-  if (st != base::Status::kOk) {
-    return st;
-  }
-  task.pmap().ProtectRange(hw::PageIndex(addr), hw::PageRound(size) >> hw::kPageShift, prot);
-  cpu().FlushTlb();
-  return base::Status::kOk;
-}
-
 base::Result<hw::VirtAddr> Kernel::VmMapObject(Task& task, std::shared_ptr<VmObject> object,
                                                uint64_t offset, uint64_t size, Prot prot,
-                                               bool anywhere, hw::VirtAddr fixed,
-                                               Inherit inherit) {
+                                               bool anywhere, hw::VirtAddr fixed) {
   cpu().Execute(MapObjectRegion());
   VmMapEntry entry;
   entry.size = hw::PageRound(size);
   entry.object = std::move(object);
   entry.offset = offset;
   entry.prot = prot;
-  entry.inherit = inherit;
   // Managed file-backed object going live for the first time: tell its pager
   // (the memory_object_init handshake). The chain base matters — a private
   // mapping maps an anonymous shadow over the managed object.
@@ -177,7 +160,6 @@ base::Result<hw::VirtAddr> Kernel::VmAllocateCoerced(Task& first, uint64_t size)
   entry.start = addr;
   entry.size = size;
   entry.object = region.object;
-  entry.inherit = Inherit::kShare;
   entry.coerced = true;
   const base::Status st = first.vm_map().InsertAt(entry);
   if (st != base::Status::kOk) {
@@ -194,47 +176,11 @@ base::Status Kernel::VmMapCoerced(Task& task, hw::VirtAddr coerced_addr) {
       entry.start = region.addr;
       entry.size = region.size;
       entry.object = region.object;
-      entry.inherit = Inherit::kShare;
       entry.coerced = true;
       return task.vm_map().InsertAt(entry);
     }
   }
   return base::Status::kNotFound;
-}
-
-// --- Fork-style copy ------------------------------------------------------------------
-
-Task* Kernel::TaskForkVm(Task& parent, const std::string& name) {
-  Task* child = CreateTask(name);
-  for (auto& [start, entry] : parent.vm_map().entries()) {
-    switch (entry.inherit) {
-      case Inherit::kNone:
-        break;
-      case Inherit::kShare: {
-        VmMapEntry copy = entry;
-        WPOS_CHECK(child->vm_map().InsertAt(copy) == base::Status::kOk);
-        break;
-      }
-      case Inherit::kCopy: {
-        // Symmetric COW: both sides shadow the old object.
-        auto original = entry.object;
-        auto parent_shadow = std::make_shared<VmObject>(original->size());
-        parent_shadow->SetShadow(original);
-        auto child_shadow = std::make_shared<VmObject>(original->size());
-        child_shadow->SetShadow(original);
-        entry.object = parent_shadow;
-        VmMapEntry copy = entry;
-        copy.object = child_shadow;
-        WPOS_CHECK(child->vm_map().InsertAt(copy) == base::Status::kOk);
-        // Downgrade the parent's live mappings so writes fault and copy.
-        parent.pmap().ProtectRange(hw::PageIndex(entry.start), entry.size >> hw::kPageShift,
-                                   Prot::kRead);
-        break;
-      }
-    }
-  }
-  cpu().FlushTlb();
-  return child;
 }
 
 // --- Legacy OOL snapshot -----------------------------------------------------------------

@@ -44,7 +44,7 @@ base::Status RpcCallRobust(Env& env, const PortResolver& resolve, PortName* cach
           sleep_ns = widened;
         }
       }
-      if (opts.jitter && sleep_ns > 1) {
+      if (sleep_ns > 1) {
         // Uniform in [sleep/2, sleep]: desynchronizes retries across
         // threads without shrinking the mean wait below half.
         sleep_ns = sleep_ns / 2 + jitter.NextBelow(sleep_ns / 2 + 1);

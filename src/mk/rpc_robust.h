@@ -121,12 +121,11 @@ struct RobustCallOptions {
   uint32_t max_attempts = 4;
   // Backoff before the 2nd, 3rd, ... attempt; doubles every retry. Gives a
   // restart manager's backoff window time to pass in simulated time.
-  uint64_t retry_backoff_ns = 500'000;
-  // Deterministic per-thread backoff jitter: each retry sleeps a uniform
-  // draw from [backoff/2, backoff] out of a stream seeded by the calling
-  // thread's id, so clients of a restarted server fan out instead of
+  // Each retry sleeps a uniform draw from [backoff/2, backoff] out of a
+  // stream seeded by the calling thread's id (deterministic per-thread
+  // jitter), so clients of a restarted server fan out instead of
   // re-resolving in lockstep (thundering herd). Same seed, same schedule.
-  bool jitter = true;
+  uint64_t retry_backoff_ns = 500'000;
   // Optional shared overload breaker. When attached, consecutive kBusy
   // completions widen the backoff (retry_backoff_ns << consecutive_busy)
   // and a tripped breaker fast-fails the whole call with kUnavailable

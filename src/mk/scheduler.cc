@@ -300,10 +300,6 @@ void Scheduler::ExitCurrent() {
   last_reason_ = SwitchReason::kExit;
   last_running_ = self;
   self->set_state(Thread::State::kTerminated);
-  while (Thread* waiter = self->exit_waiters.DequeueFront()) {
-    waiter->waiting_on = nullptr;
-    Wake(waiter, base::Status::kOk);
-  }
   SwapOut(/*final=*/true);
   WPOS_CHECK(false) << "terminated thread resumed";
   __builtin_unreachable();

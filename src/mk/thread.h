@@ -24,12 +24,12 @@ class Task;
 // kAuto lets the kernel pick: transfers of at least
 // Costs::kRpcOolThresholdBytes move out-of-line (page reference + remap, no
 // per-byte copy loop); smaller ones go through the physical copy loop whose
-// constant cost beats page bookkeeping. kCopy / kOol force one path — the
-// benches use kCopy to measure what zero-copy saves.
+// constant cost beats page bookkeeping. kCopy forces the copy loop — the
+// benches use it to measure what zero-copy saves. Reply data always moves
+// as kAuto.
 enum class RpcBulkMode : uint8_t {
   kAuto = 0,
   kCopy,
-  kOol,
 };
 
 // Bulk-data descriptor for the reworked RPC: data too large for the message
@@ -42,7 +42,6 @@ struct RpcRef {
   uint32_t recv_cap = 0;
   uint32_t recv_len = 0;  // filled by the kernel on reply
   RpcBulkMode send_mode = RpcBulkMode::kAuto;  // request-direction transfer
-  RpcBulkMode recv_mode = RpcBulkMode::kAuto;  // reply-direction transfer
   // Filled by the kernel: whether the last transfer in each direction went
   // out-of-line. On a server-posted ref, recv_ool describes the request
   // data; on a client ref, sent_ool the request and recv_ool the reply.
@@ -107,9 +106,6 @@ class Thread {
   WaitQueue* waiting_on = nullptr;
   uint64_t wake_deadline = 0;  // cycle of a pending timed wake, 0 = none
   uint64_t wake_generation = 0;
-
-  // Threads waiting for this thread to terminate (join).
-  WaitQueue exit_waiters;
 
   // --- RPC rendezvous state ------------------------------------------------------
   struct RpcState {

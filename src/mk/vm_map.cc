@@ -79,39 +79,4 @@ base::Status VmMap::Remove(hw::VirtAddr start, uint64_t size) {
   return base::Status::kOk;
 }
 
-base::Status VmMap::Protect(hw::VirtAddr start, uint64_t size, Prot prot) {
-  VmMapEntry* e = Lookup(start);
-  if (e == nullptr || start + size > e->end()) {
-    return base::Status::kInvalidAddress;
-  }
-  if (!ProtIncludes(e->max_prot, prot)) {
-    return base::Status::kProtectionFailure;
-  }
-  // Split the entry so exactly [start, start+size) carries the new
-  // protection.
-  VmMapEntry middle = *e;
-  if (start > e->start) {
-    VmMapEntry& left = *e;
-    VmMapEntry right = left;
-    const uint64_t delta = start - left.start;
-    left.size = delta;
-    right.start = start;
-    right.offset += delta;
-    right.size -= delta;
-    entries_.emplace(right.start, right);
-    middle = right;
-  }
-  VmMapEntry* target = Lookup(start);
-  if (size < target->size) {
-    VmMapEntry tail = *target;
-    tail.start = start + size;
-    tail.offset += size;
-    tail.size -= size;
-    target->size = size;
-    entries_.emplace(tail.start, tail);
-  }
-  Lookup(start)->prot = prot;
-  return base::Status::kOk;
-}
-
 }  // namespace mk

@@ -21,8 +21,6 @@ struct VmMapEntry {
   std::shared_ptr<VmObject> object;
   uint64_t offset = 0;  // offset of `start` within the object
   Prot prot = Prot::kReadWrite;
-  Prot max_prot = Prot::kAll;
-  Inherit inherit = Inherit::kCopy;
   bool coerced = false;  // same-address shared region (the IBM extension)
   bool needs_copy = false;  // entry must shadow its object before first write
 
@@ -53,11 +51,9 @@ class VmMap {
   // returns the address.
   base::Result<hw::VirtAddr> InsertAnywhere(VmMapEntry entry);
 
-  // Removes [start, start+size); only whole-entry deallocation is supported
-  // (entries are split on demand by Protect but not by Deallocate).
+  // Removes [start, start+size); only whole-entry deallocation is
+  // supported.
   base::Status Remove(hw::VirtAddr start, uint64_t size);
-
-  base::Status Protect(hw::VirtAddr start, uint64_t size, Prot prot);
 
   std::map<hw::VirtAddr, VmMapEntry>& entries() { return entries_; }
   const std::map<hw::VirtAddr, VmMapEntry>& entries() const { return entries_; }

@@ -43,10 +43,9 @@ struct RestartPolicy {
   // simulated time is force-terminated — TerminateTask fails its queued
   // callers with kPortDead — and respawned through the normal death path,
   // so a wedged server heals exactly like a crashed one. 0 = watchdog off.
+  // While idle the manager wakes every heartbeat_deadline_ns / 2 + 1 to
+  // check deadlines.
   uint64_t heartbeat_deadline_ns = 0;
-  // How often the manager wakes to check deadlines while idle; 0 picks
-  // heartbeat_deadline_ns / 2.
-  uint64_t watchdog_poll_ns = 0;
 };
 
 // Administrative revive request (RestartManager::ResetBudget): the name of
@@ -123,10 +122,7 @@ class RestartManager {
   void HandleHeartbeat(mk::Env& env, mk::TaskId task);
   void HandleRevive(mk::Env& env, const std::string& name);
   void CheckDeadlines(mk::Env& env);
-  uint64_t WatchdogPollNs() const {
-    return policy_.watchdog_poll_ns != 0 ? policy_.watchdog_poll_ns
-                                         : policy_.heartbeat_deadline_ns / 2 + 1;
-  }
+  uint64_t WatchdogPollNs() const { return policy_.heartbeat_deadline_ns / 2 + 1; }
 
   mk::Kernel& kernel_;
   mk::Task* task_;

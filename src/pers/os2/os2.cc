@@ -32,12 +32,6 @@ mk::PortName Os2Server::GrantTo(mk::Task& client) {
   return *name;
 }
 
-uint32_t Os2Server::RegisterProcess(const std::string& name) {
-  const uint32_t pid = next_pid_++;
-  processes_.emplace(pid, Process{name, -1, true});
-  return pid;
-}
-
 void Os2Server::Serve(mk::Env& env) {
   static const hw::CodeRegion kLoop = hw::DefineCode("loop.os2", mk::Costs::kRpcServerLoop);
   loop_->Run<Os2Request>(env, [&](mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r,
@@ -45,25 +39,6 @@ void Os2Server::Serve(mk::Env& env) {
     kernel_.cpu().Execute(kLoop);
     Os2Reply reply;
     switch (r.op) {
-      case Os2Op::kExitProcess: {
-        auto it = processes_.find(r.pid);
-        if (it == processes_.end()) {
-          reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        } else {
-          it->second.alive = false;
-          it->second.exit_code = static_cast<int32_t>(r.value);
-        }
-        break;
-      }
-      case Os2Op::kQueryProcess: {
-        auto it = processes_.find(r.pid);
-        if (it == processes_.end()) {
-          reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        } else {
-          reply.value = it->second.alive ? 1 : 0;
-        }
-        break;
-      }
       case Os2Op::kCreateSem: {
         // The only op that reads name, so its one validation point: name
         // must be a C string within its field.
@@ -97,12 +72,20 @@ void Os2Server::Serve(mk::Env& env) {
         auto it = system_sems_.find(r.value);
         if (it == system_sems_.end()) {
           reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        } else if (!it->second.waiters.empty()) {
-          const uint64_t waiter = it->second.waiters.front();
-          it->second.waiters.pop_front();
-          Os2Reply granted;
-          (void)kernel_.RpcReply(waiter, &granted, sizeof(granted));
-        } else {
+          break;
+        }
+        // The semaphore passes to the first waiter still there to take it.
+        // A waiter whose task died or whose call timed out has no call left
+        // to answer; its reply fails and the release moves on.
+        std::deque<uint64_t>& waiters = it->second.waiters;
+        bool handed = false;
+        while (!handed && !waiters.empty()) {
+          const uint64_t waiter = waiters.front();
+          waiters.pop_front();
+          const Os2Reply granted;
+          handed = kernel_.RpcReply(waiter, &granted, sizeof(granted)) == base::Status::kOk;
+        }
+        if (!handed) {
           ++it->second.count;
         }
         break;
@@ -117,9 +100,7 @@ void Os2Server::Serve(mk::Env& env) {
 Os2Process::Os2Process(mk::Kernel& kernel, Os2Server& server, svc::FileServer& fs,
                        const std::string& name)
     : kernel_(kernel),
-      server_(server),
       task_(kernel.CreateTask("os2." + name, /*app_footprint_instr=*/4096)),
-      pid_(server.RegisterProcess(name)),
       memory_(kernel, *task_),
       fs_(fs.GrantTo(*task_)),
       os2_stub_("os2.client", server.GrantTo(*task_)) {}

@@ -5,7 +5,7 @@
 // for the microkernel, Microkernel Services, shared services and the OS/2
 // server, with as much function as possible implemented in the libraries
 // themselves to reduce server interaction. The OS/2 server holds the truly
-// shared state (process table, system semaphores); file function forwards to
+// shared state, the system semaphores; file function forwards to
 // the personality-neutral file server with OS/2 semantics flags; memory
 // function is the commitment-oriented layer in os2_memory.h.
 #ifndef SRC_PERS_OS2_OS2_H_
@@ -24,16 +24,13 @@
 namespace pers {
 
 enum class Os2Op : uint32_t {
-  kExitProcess = 1,
-  kQueryProcess = 2,
   kCreateSem = 3,
   kRequestSem = 4,
   kReleaseSem = 5,
 };
 
 struct Os2Request {
-  Os2Op op = Os2Op::kQueryProcess;
-  uint32_t pid = 0;
+  Os2Op op = Os2Op::kCreateSem;
   uint32_t value = 0;
   char name[64] = {};
 };
@@ -52,9 +49,6 @@ class Os2Server {
   // mk::ServerLoop::Stop semantics: the service port dies at once.
   void Stop() { loop_->Stop(); }
 
-  uint32_t RegisterProcess(const std::string& name);
-  size_t process_count() const { return processes_.size(); }
-
  private:
   void Serve(mk::Env& env);
 
@@ -62,12 +56,6 @@ class Os2Server {
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
   std::unique_ptr<mk::ServerLoop> loop_;
-  struct Process {
-    std::string name;
-    int32_t exit_code = -1;
-    bool alive = true;
-  };
-  std::map<uint32_t, Process> processes_;
   struct SystemSem {
     uint32_t count = 1;
     std::deque<uint64_t> waiters;  // RPC tokens awaiting the semaphore
@@ -75,7 +63,6 @@ class Os2Server {
   std::map<std::string, uint32_t> sem_ids_;
   std::map<uint32_t, SystemSem> system_sems_;
   uint32_t next_sem_ = 1;
-  uint32_t next_pid_ = 2;  // pid 1 is the server itself, OS/2 style
 };
 
 // One OS/2 process: a microkernel task plus the client-side libraries.
@@ -85,7 +72,6 @@ class Os2Process {
              const std::string& name);
 
   mk::Task* task() { return task_; }
-  uint32_t pid() const { return pid_; }
   Os2Memory& memory() { return memory_; }
 
   // --- Dos* API (client library; charges OS/2 stub code) ----------------------
@@ -116,9 +102,7 @@ class Os2Process {
   void ChargeStub();
 
   mk::Kernel& kernel_;
-  Os2Server& server_;
   mk::Task* task_;
-  uint32_t pid_;
   Os2Memory memory_;
   svc::FsClient fs_;
   mk::ClientStub os2_stub_;

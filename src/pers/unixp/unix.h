@@ -1,8 +1,7 @@
 // UNIX personality (the AIX-compatible multi-server implementation the
-// project planned): POSIX-flavoured processes and file descriptors built
-// entirely from personality-neutral pieces — fork is the microkernel's
-// COW address-space copy, the file table fronts the shared file server,
-// pipes are port-based.
+// project planned): POSIX-flavoured processes built entirely from
+// personality-neutral pieces — each process is a microkernel task, and its
+// file-descriptor table fronts the shared file server.
 #ifndef SRC_PERS_UNIXP_UNIX_H_
 #define SRC_PERS_UNIXP_UNIX_H_
 
@@ -24,12 +23,6 @@ enum UnixOpenFlags : uint32_t {
   kOTrunc = 1u << 3,
   kOAppend = 1u << 4,
   kOExcl = 1u << 5,
-};
-
-// readv/writev scatter-gather element (struct iovec).
-struct UnixIoVec {
-  void* base = nullptr;
-  uint32_t len = 0;
 };
 
 // The errno subset this personality can produce (POSIX values).
@@ -59,54 +52,33 @@ class UnixPersonality;
 class UnixProcess {
  public:
   mk::Task* task() { return task_; }
-  uint32_t pid() const { return pid_; }
-  int32_t exit_code() const { return exit_code_; }
-  bool exited() const { return exited_; }
 
   // --- POSIX-ish API -----------------------------------------------------------
   base::Result<int> Open(mk::Env& env, const std::string& path, uint32_t flags);
   base::Result<uint32_t> Read(mk::Env& env, int fd, void* buf, uint32_t len);
   base::Result<uint32_t> Write(mk::Env& env, int fd, const void* buf, uint32_t len);
-  // readv/writev: one file-server RPC moves every iovec (consecutive file
-  // positions starting at the fd's offset). Pipes are not supported.
-  base::Result<uint32_t> Readv(mk::Env& env, int fd, const UnixIoVec* iov, uint32_t iovcnt);
-  base::Result<uint32_t> Writev(mk::Env& env, int fd, const UnixIoVec* iov, uint32_t iovcnt);
   base::Result<uint64_t> Lseek(mk::Env& env, int fd, int64_t offset, int whence);
   // mmap family. Mmap maps the open file from offset 0 at a kernel-chosen
   // address (the server must have FileServer::EnableMapping). `shared` maps
   // the server-exported memory object directly (MAP_SHARED: stores are seen
   // by every mapper and reach the file via Msync); otherwise a private COW
-  // shadow is mapped (MAP_PRIVATE: stores stay process-local, fork gives the
-  // child its own copy-on-write view). Mapped stores become visible to
+  // shadow is mapped (MAP_PRIVATE: stores stay process-local, copied on
+  // write). Mapped stores become visible to
   // read() only after Msync, which writes dirty pages through the file
   // session clipped to the current file size — mmap never extends a file.
   base::Result<hw::VirtAddr> Mmap(mk::Env& env, int fd, uint64_t len, bool shared);
   base::Status Munmap(mk::Env& env, hw::VirtAddr addr);
   base::Status Msync(mk::Env& env, hw::VirtAddr addr, uint64_t len);
   base::Status Close(mk::Env& env, int fd);
-  base::Result<std::pair<int, int>> Pipe(mk::Env& env);  // {read_fd, write_fd}
-
-  // fork: COW-copies the address space and the descriptor table, then runs
-  // `child_main` as the child's initial thread. Returns the child.
-  base::Result<UnixProcess*> Fork(mk::Env& env, mk::ThreadBody child_main);
-  // waitpid: blocks until the child's main thread exits; returns exit code.
-  base::Result<int32_t> WaitPid(mk::Env& env, UnixProcess* child);
-  void Exit(mk::Env& env, int32_t code);
 
  private:
   friend class UnixPersonality;
-  UnixProcess(UnixPersonality* pers, mk::Task* task, uint32_t pid);
+  UnixProcess(UnixPersonality* pers, mk::Task* task);
 
   struct FileDesc {
-    enum class Kind : uint8_t { kFile, kPipeRead, kPipeWrite } kind = Kind::kFile;
-    uint64_t handle = 0;       // file-server handle
-    uint64_t offset = 0;       // implicit POSIX file offset
+    uint64_t handle = 0;  // file-server handle
+    uint64_t offset = 0;  // implicit POSIX file offset
     uint32_t flags = 0;
-    mk::PortName pipe = mk::kNullPort;  // pipe port right
-    // Tail of a pipe message a short read could not consume: POSIX pipes
-    // are byte streams, so these bytes come back on the next read instead
-    // of vanishing with the message.
-    std::vector<uint8_t> pipe_rest;
   };
 
   // One live mmap region. `object` is the managed (server-exported) memory
@@ -122,14 +94,10 @@ class UnixProcess {
 
   UnixPersonality* pers_;
   mk::Task* task_;
-  uint32_t pid_;
   std::unique_ptr<svc::FsClient> fs_;
   std::map<int, FileDesc> fds_;
   std::vector<Mapping> mappings_;
   int next_fd_ = 3;  // 0-2 reserved, as tradition demands
-  mk::Thread* main_thread_ = nullptr;
-  int32_t exit_code_ = 0;
-  bool exited_ = false;
 };
 
 class UnixPersonality {
@@ -158,14 +126,11 @@ class UnixPersonality {
     }
   }
 
-  // Creates the initial process; its main thread runs `main`.
+  // Creates a process; its main thread runs `main`.
   UnixProcess* Spawn(const std::string& name, mk::ThreadBody main);
-
-  size_t process_count() const { return processes_.size(); }
 
  private:
   friend class UnixProcess;
-  UnixProcess* AdoptTask(mk::Task* task);
 
   mk::Kernel& kernel_;
   svc::FileServer& fs_;
@@ -175,7 +140,6 @@ class UnixPersonality {
   // invalidation runs while mappings exist. Zero (no mmap in use) keeps the
   // existing write-behind behaviour bit-for-bit.
   uint64_t live_mappings_ = 0;
-  uint32_t next_pid_ = 1;
   uint64_t io_timeout_ns_ = mk::kForever;
   bool fs_cache_on_ = false;
 };

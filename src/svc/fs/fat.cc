@@ -489,6 +489,9 @@ base::Result<uint32_t> FatFs::Read(mk::Env& env, NodeId node, uint64_t offset, v
   if (st != base::Status::kOk) {
     return st;
   }
+  if ((d.attr & 0x10) != 0) {
+    return base::Status::kInvalidArgument;  // a directory holds no file data
+  }
   if (offset >= d.size) {
     return 0u;
   }

@@ -37,14 +37,7 @@ class FatFs : public Pfs {
   // Writes a fresh, empty file system.
   base::Status Format(mk::Env& env);
 
-  std::string type() const override { return "fat"; }
-  PfsCapabilities capabilities() const override {
-    return {.long_names = false,
-            .case_sensitive = false,
-            .case_preserving = false,
-            .extended_attributes = false,
-            .journaled = false};
-  }
+  bool case_sensitive() const override { return false; }
 
   base::Status Mount(mk::Env& env) override;
   base::Status Sync(mk::Env& env) override;

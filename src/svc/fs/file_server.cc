@@ -142,7 +142,7 @@ FileServer::Mount* FileServer::MountFor(const std::string& path, std::string* re
 base::Result<NodeId> FileServer::LookupChild(mk::Env& env, Mount* mount, NodeId dir,
                                              const std::string& name, bool case_insensitive) {
   auto direct = mount->pfs->Lookup(env, dir, name);
-  if (direct.ok() || !case_insensitive || mount->pfs->capabilities().case_sensitive == false) {
+  if (direct.ok() || !case_insensitive || !mount->pfs->case_sensitive()) {
     return direct;
   }
   // Union-semantics fallback: a case-insensitive personality looking at a

@@ -147,7 +147,7 @@ base::Status InodeFs::TxnCommit(mk::Env& env) {
     return base::Status::kOk;
   }
   kernel_.cpu().Execute(JournalRegion());
-  WPOS_CHECK(1 + txn_.size() * 2 <= config_.journal_sectors) << "transaction exceeds journal";
+  WPOS_CHECK(1 + txn_.size() * 2 <= kJournalSectors) << "transaction exceeds journal";
   // 1. Write the log records.
   uint32_t sector = journal_start_ + 1;
   for (const auto& [lba, bytes] : txn_) {
@@ -244,14 +244,14 @@ base::Status InodeFs::ReplayJournal(mk::Env& env) {
 // --- Format / mount --------------------------------------------------------------------
 
 base::Status InodeFs::Format(mk::Env& env) {
-  inode_table_sectors_ = (config_.num_inodes + kInodesPerSector - 1) / kInodesPerSector;
+  inode_table_sectors_ = (kNumInodes + kInodesPerSector - 1) / kInodesPerSector;
   inode_table_start_ = 1;
   bitmap_start_ = inode_table_start_ + inode_table_sectors_;
   // Provisional block count to size the bitmap.
   uint32_t data_guess = static_cast<uint32_t>(total_sectors_) - bitmap_start_;
   bitmap_sectors_ = (data_guess / 8 + kSectorSize - 1) / kSectorSize;
   journal_start_ = bitmap_start_ + bitmap_sectors_;
-  const uint32_t journal = config_.journaled ? config_.journal_sectors : 0;
+  const uint32_t journal = config_.journaled ? kJournalSectors : 0;
   data_start_ = journal_start_ + journal;
   num_blocks_ = static_cast<uint32_t>(total_sectors_) - data_start_;
   free_blocks_ = num_blocks_;
@@ -259,7 +259,7 @@ base::Status InodeFs::Format(mk::Env& env) {
   uint8_t sector[kSectorSize] = {};
   Superblock sb{kMagic,
                 static_cast<uint32_t>(total_sectors_),
-                config_.num_inodes,
+                kNumInodes,
                 inode_table_start_,
                 inode_table_sectors_,
                 bitmap_start_,
@@ -310,7 +310,6 @@ base::Status InodeFs::Mount(mk::Env& env) {
   journal_start_ = sb.journal_start;
   data_start_ = sb.data_start;
   num_blocks_ = sb.num_blocks;
-  config_.num_inodes = sb.num_inodes;
   crash_before_apply_ = false;
   if (sb.journaled != 0) {
     st = ReplayJournal(env);
@@ -343,7 +342,7 @@ base::Status InodeFs::Sync(mk::Env& env) { return cache_->Flush(env); }
 // --- Inode and block management --------------------------------------------------------
 
 base::Status InodeFs::ReadInode(mk::Env& env, NodeId ino, DiskInode* out) {
-  if (ino == 0 || ino >= config_.num_inodes) {
+  if (ino == 0 || ino >= kNumInodes) {
     return base::Status::kInvalidArgument;
   }
   return MetaRead(env, inode_table_start_ + ino / kInodesPerSector,
@@ -362,7 +361,7 @@ base::Result<NodeId> InodeFs::AllocInode(mk::Env& env, uint32_t mode) {
     META_READ(env, inode_table_start_ + s, 0, kSectorSize, inodes);
     for (uint32_t i = 0; i < kInodesPerSector; ++i) {
       const NodeId ino = s * kInodesPerSector + i;
-      if (ino == 0 || ino >= config_.num_inodes || inodes[i].mode != 0) {
+      if (ino == 0 || ino >= kNumInodes || inodes[i].mode != 0) {
         continue;
       }
       DiskInode fresh;
@@ -757,6 +756,9 @@ base::Result<uint32_t> InodeFs::Read(mk::Env& env, NodeId node, uint64_t offset,
   }
   if (inode.mode == 0) {
     return base::Status::kNotFound;
+  }
+  if (inode.mode != 1) {
+    return base::Status::kInvalidArgument;  // a directory holds no file data
   }
   if (offset >= inode.size) {
     return 0u;

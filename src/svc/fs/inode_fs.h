@@ -19,11 +19,8 @@
 namespace svc {
 
 struct InodeFsConfig {
-  std::string type_name = "hpfs";
   bool case_sensitive = false;
   bool journaled = false;
-  uint32_t num_inodes = 1024;
-  uint32_t journal_sectors = 256;  // only if journaled
 };
 
 class InodeFs : public Pfs {
@@ -38,19 +35,14 @@ class InodeFs : public Pfs {
   static constexpr uint32_t kNameMax = 55;
   static constexpr uint32_t kEaSlots = 2;
   static constexpr NodeId kRootInode = 1;
+  static constexpr uint32_t kNumInodes = 1024;
+  static constexpr uint32_t kJournalSectors = 256;  // only if journaled
 
   InodeFs(mk::Kernel& kernel, BlockCache* cache, uint64_t sectors, InodeFsConfig config);
 
   base::Status Format(mk::Env& env);
 
-  std::string type() const override { return config_.type_name; }
-  PfsCapabilities capabilities() const override {
-    return {.long_names = true,
-            .case_sensitive = config_.case_sensitive,
-            .case_preserving = true,
-            .extended_attributes = true,
-            .journaled = config_.journaled};
-  }
+  bool case_sensitive() const override { return config_.case_sensitive; }
 
   base::Status Mount(mk::Env& env) override;
   base::Status Sync(mk::Env& env) override;
@@ -194,14 +186,14 @@ class HpfsFs : public InodeFs {
  public:
   HpfsFs(mk::Kernel& kernel, BlockCache* cache, uint64_t sectors)
       : InodeFs(kernel, cache, sectors,
-                {.type_name = "hpfs", .case_sensitive = false, .journaled = false}) {}
+                {.case_sensitive = false, .journaled = false}) {}
 };
 
 class JfsFs : public InodeFs {
  public:
   JfsFs(mk::Kernel& kernel, BlockCache* cache, uint64_t sectors)
       : InodeFs(kernel, cache, sectors,
-                {.type_name = "jfs", .case_sensitive = true, .journaled = true}) {}
+                {.case_sensitive = true, .journaled = true}) {}
 };
 
 }  // namespace svc

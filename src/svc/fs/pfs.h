@@ -43,20 +43,13 @@ struct DirEntry {
   bool directory = false;
 };
 
-struct PfsCapabilities {
-  bool long_names = false;       // FAT: false (8.3 only)
-  bool case_sensitive = false;   // JFS: true; FAT/HPFS: false
-  bool case_preserving = false;  // HPFS/JFS: true; FAT: false (uppercases)
-  bool extended_attributes = false;
-  bool journaled = false;
-};
-
 class Pfs {
  public:
   virtual ~Pfs() = default;
 
-  virtual std::string type() const = 0;
-  virtual PfsCapabilities capabilities() const = 0;
+  // Whether names differing only in case name different files (JFS: true;
+  // FAT and HPFS: false).
+  virtual bool case_sensitive() const = 0;
 
   virtual base::Status Mount(mk::Env& env) = 0;
   virtual base::Status Sync(mk::Env& env) = 0;

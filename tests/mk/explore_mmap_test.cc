@@ -52,7 +52,7 @@ void PrivatePageFaultWorkload(Kernel& kernel) {
   s.shadow->SetShadow(s.backing);
   s.task = kernel.CreateTask("mmap-race");
   auto addr = kernel.VmMapObject(*s.task, s.shadow, 0, hw::kPageSize, Prot::kReadWrite,
-                                 /*anywhere=*/true, 0, Inherit::kCopy);
+                                 /*anywhere=*/true);
   ASSERT_TRUE(addr.ok());
   s.base = *addr;
 

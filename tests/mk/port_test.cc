@@ -114,13 +114,5 @@ TEST_F(KernelTest, ThreadSelfIsStable) {
   EXPECT_EQ(first, second);
 }
 
-TEST_F(KernelTest, TaskSelfReturnsOwnId) {
-  Task* task = kernel_.CreateTask("t");
-  TaskId id = 0;
-  kernel_.CreateThread(task, "w", [&](Env& env) { id = env.kernel().TrapTaskSelf(); });
-  kernel_.Run();
-  EXPECT_EQ(id, task->id());
-}
-
 }  // namespace
 }  // namespace mk

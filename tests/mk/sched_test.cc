@@ -46,23 +46,6 @@ TEST_F(KernelTest, HigherPriorityRunsFirst) {
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
 }
 
-TEST_F(KernelTest, JoinWaitsForTarget) {
-  Task* task = kernel_.CreateTask("t");
-  bool child_done = false;
-  bool joined_after_child = false;
-  Thread* child = kernel_.CreateThread(task, "child", [&](Env& env) {
-    env.Yield();
-    env.Yield();
-    child_done = true;
-  });
-  kernel_.CreateThread(task, "parent", [&](Env& env) {
-    EXPECT_EQ(env.kernel().ThreadJoin(child), base::Status::kOk);
-    joined_after_child = child_done;
-  });
-  kernel_.Run();
-  EXPECT_TRUE(joined_after_child);
-}
-
 TEST_F(KernelTest, SleepAdvancesSimulatedTime) {
   Task* task = kernel_.CreateTask("t");
   uint64_t t0 = 0;

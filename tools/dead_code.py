@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Dead-code gate: every out-of-line function under src/ must be linked
-into some executable, and every src/ translation unit into some program.
+into some executable, every src/ translation unit into some program, and
+every function a test links into a program too, or carry a written reason.
 
 Builds the main tree (tests, benches, examples) and the stand-alone
 perfbench program in Debug (-O0, so nothing is inlined away) with
 -ffunction-sections -fdata-sections and links with -Wl,--gc-sections. The
-linker then drops every function no executable reaches. Two rules:
+linker then drops every function no executable reaches. Three rules:
 
   1. A `T`/`t` symbol defined under src/ that appears in no executable, a
      test included, is code nothing runs: delete it, or give it a caller
@@ -15,6 +16,12 @@ linker then drops every function no executable reaches. Two rules:
      component only its tests use: delete it with its tests, or give it a
      role in a program. The one exemption is src/mk/analysis/, the
      checkers that tests exist to run.
+  3. An out-of-line src/ function outside src/mk/analysis/ that a test
+     links must also be linked into a program, or its demangled name must
+     contain an entry of TEST_ONLY below, each kept for a written reason.
+     The lambdas and local template instances inside a listed function
+     match through that function's name. An entry that matches no
+     test-only function fails too, so the table cannot go stale.
 
 Functions are matched by mangled name, so a static function that shares
 its name with one in another translation unit counts as linked when
@@ -32,8 +39,9 @@ Usage:
 
 DIR (default .dead_code_build at the repo root) gets two CMake build
 trees, main/ and perfbench/; an existing tree is rebuilt incrementally.
-Exit status: 0 when both rules hold, 1 when either fails (each dead
-function printed demangled, then each unreached translation unit, one a
+Exit status: 0 when all three rules hold, 1 when any fails (each dead
+function printed demangled, then each unreached translation unit, then
+each unlisted test-only function and each stale TEST_ONLY entry, one a
 line), 2 on a build failure.
 """
 
@@ -49,8 +57,75 @@ FLAGS = [
     "-DCMAKE_CXX_FLAGS=-ffunction-sections -fdata-sections",
     "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections",
 ]
-# Translation units rule 2 does not apply to.
+# Translation units rules 2 and 3 do not apply to.
 PROGRAM_EXEMPT = (Path("src") / "mk" / "analysis",)
+
+# Rule 3: the functions only tests link that stay, grouped by the reason
+# they stay. An entry matches every function whose demangled name
+# contains it.
+TEST_ONLY = {
+    "instruments that tests read the model through": (
+        # The per-region cycle profile; also the base of a per-image rollup.
+        "mk::trace::Tracer::FlatProfile",
+        "base::ScopedLogCapture",
+        "hw::PhysMem::IsAllocated",
+        "hw::PhysMem::ReadU8",
+        "hw::PhysMem::WriteU8",
+        "hw::PhysMem::WriteU32",
+        "hw::Cache::Flush",
+        "hw::CodeLayout::NameOf",
+        "hw::Machine::FindDevice",
+        "hw::InterruptController::Enable",
+        "hw::InterruptController::IsPending",
+        "mks::RestartManager::restarts",
+        "mks::RestartManager::watchdog_kills",
+        # Builds the DOS programs the MVM tests run.
+        "pers::Vm86Assembler",
+    ),
+    "the file-client API that the robust transport and whole-workload runs build on": (
+        # The robust constructor; the plain ones are in programs.
+        "svc::FsClient::FsClient",
+        "svc::FsClient::Rename",
+        "svc::FsClient::Lock",
+        "svc::FsClient::Unlock",
+        "svc::FsClient::ReadV",
+        "svc::FsClient::WriteV",
+        "svc::FsClient::SetSize",
+        "svc::FsClient::GetAttr",
+        "svc::FsClient::SetEa",
+        "svc::FsClient::GetEa",
+        "svc::FsCache::InvalidateHandle",
+    ),
+    "the mapped-file write path, a candidate for a tuned File Intensive 2, and its recovery": (
+        "mk::Kernel::VmMsync",
+        "mk::Kernel::VmObjectMarkClean",
+        # Kernel::PagerWriteback and its code region.
+        "PagerWriteback",
+        "mk::Kernel::AdoptPagerBacking",
+        "pers::UnixProcess::Mmap",
+        "pers::UnixProcess::Munmap",
+        "pers::UnixProcess::Msync",
+    ),
+    "recovery and degradation": (
+        "mks::RestartManager::ResetBudget",
+        "pers::UnixErrnoOf",
+    ),
+    "the other half of an API that programs use": (
+        # A semaphore's kernel heap comes back here.
+        "mk::Kernel::SemDestroy",
+        "pers::Os2Memory::FreeMem",
+        "pers::Os2Memory::SubFree",
+        "pers::Os2Memory::QueryMemSize",
+        "drv::ResourceManager::Yield",
+        "drv::ResourceManager::OwnerOf",
+        "mks::NameClient::SetAttr",
+        "mks::NameClient::GetAttr",
+        # The OS/2 system semaphores, which a workload harness needs.
+        "pers::Os2Process::DosCreateSem",
+        "pers::Os2Process::DosRequestSem",
+        "pers::Os2Process::DosReleaseSem",
+    ),
+}
 
 
 def build(source, build_dir, jobs):
@@ -134,24 +209,39 @@ def main():
     dead = sorted(set().union(*units.values()) - linked)
     for name in sorted(demangle(dead)):
         print(name)
+    checked = {
+        unit: functions
+        for unit, functions in units.items()
+        if not any(unit.is_relative_to(exempt) for exempt in PROGRAM_EXEMPT)
+    }
     unreached = [
         unit
-        for unit, functions in sorted(units.items())
-        if functions
-        and not functions & in_programs
-        and not any(unit.is_relative_to(exempt) for exempt in PROGRAM_EXEMPT)
+        for unit, functions in sorted(checked.items())
+        if functions and not functions & in_programs
     ]
     for unit in unreached:
         print(f"{unit}: no function linked into a bench, example or perfbench")
+    test_only = demangle(sorted((set().union(*checked.values()) & linked) - in_programs))
+    entries = [entry for group in TEST_ONLY.values() for entry in group]
+    unlisted = sorted(name for name in test_only if not any(e in name for e in entries))
+    stale = [e for e in entries if not any(e in name for name in test_only)]
+    for name in unlisted:
+        print(f"{name}: linked only into tests and not in TEST_ONLY")
+    for entry in stale:
+        print(f"TEST_ONLY entry {entry!r} matches no test-only function")
     if dead:
         print(f"{len(dead)} src/ function(s) linked into no executable", file=sys.stderr)
     if unreached:
         print(f"{len(unreached)} src/ translation unit(s) reached by no program", file=sys.stderr)
-    if dead or unreached:
+    if unlisted:
+        print(f"{len(unlisted)} src/ function(s) linked only into tests", file=sys.stderr)
+    if stale:
+        print(f"{len(stale)} stale TEST_ONLY entr(ies)", file=sys.stderr)
+    if dead or unreached or unlisted or stale:
         return 1
     print(
-        "every src/ function is linked into some executable and every src/ translation unit "
-        "into some program",
+        "every src/ function is linked into some executable, every src/ translation unit into "
+        "some program, and every test-only function is listed with its reason",
         file=sys.stderr,
     )
     return 0
