@@ -18,7 +18,6 @@
 #include "src/mk/kernel.h"
 #include "src/mks/pager/default_pager.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/inode_fs.h"
 
 namespace {
 
@@ -328,23 +327,14 @@ double FileIntensiveRpcsPerOp(bool cached) {
   auto* disk = static_cast<hw::Disk*>(machine.AddDevice(
       std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 64 * 1024})));
   mks::BackdoorBlockStore store(disk, 30'000);
-  svc::BlockCache cache(kernel, &store, 1024);
-  svc::HpfsFs hpfs(kernel, &cache, 65536);
-  mk::Task* fs_task = kernel.CreateTask("file-server");
-  svc::FileServer server(kernel, fs_task);
-  WPOS_CHECK(server.AddMount("/", &hpfs) == base::Status::kOk);
+  svc::FileServer server(kernel, kernel.CreateTask("file-server"));
+  WPOS_CHECK(server.AddVolume("/", &store) == base::Status::kOk);
   mk::Task* app = kernel.CreateTask("app");
   const mk::PortName service = server.GrantTo(*app);
-  bool formatted = false;
-  kernel.CreateThread(fs_task, "mkfs", [&](mk::Env& env) {
-    WPOS_CHECK(hpfs.Format(env) == base::Status::kOk);
-    formatted = true;
-  });
+  server.StartMkfs();
   double rpcs_per_op = 0;
   kernel.CreateThread(app, "app", [&](mk::Env& env) {
-    while (!formatted) {
-      (void)env.SleepNs(200'000);
-    }
+    server.AwaitMkfs(env);
     svc::FsClient fs(service);
     if (cached) {
       fs.EnableCache();
@@ -395,24 +385,15 @@ MappedReadResult MappedVsReadPass(bool mapped) {
   auto* disk = static_cast<hw::Disk*>(machine.AddDevice(
       std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 64 * 1024})));
   mks::BackdoorBlockStore store(disk, 30'000);
-  svc::BlockCache cache(kernel, &store, 1024);
-  svc::HpfsFs hpfs(kernel, &cache, 65536);
-  mk::Task* fs_task = kernel.CreateTask("file-server");
-  svc::FileServer server(kernel, fs_task);
-  WPOS_CHECK(server.AddMount("/", &hpfs) == base::Status::kOk);
+  svc::FileServer server(kernel, kernel.CreateTask("file-server"));
+  WPOS_CHECK(server.AddVolume("/", &store) == base::Status::kOk);
   server.EnableMapping();
   mk::Task* app = kernel.CreateTask("app");
   const mk::PortName service = server.GrantTo(*app);
-  bool formatted = false;
-  kernel.CreateThread(fs_task, "mkfs", [&](mk::Env& env) {
-    WPOS_CHECK(hpfs.Format(env) == base::Status::kOk);
-    formatted = true;
-  });
+  server.StartMkfs();
   MappedReadResult out;
   kernel.CreateThread(app, "app", [&](mk::Env& env) {
-    while (!formatted) {
-      (void)env.SleepNs(200'000);
-    }
+    server.AwaitMkfs(env);
     svc::FsClient fs(service);
     std::vector<uint8_t> page(hw::kPageSize, 0x5a);
     auto h = fs.Open(env, "/mapped.dat", svc::kFsCreate | svc::kFsWrite);

@@ -33,13 +33,11 @@ WposSystem::WposSystem() {
 
   // File server over the disk driver's RPC service.
   mk::Task* fs_task = kernel_->CreateTask("file-server");
-  fs_task_ = fs_task;
   block_store_ = std::make_unique<drv::RpcBlockStore>(disk_driver_->GrantTo(*fs_task),
                                                       disk_->num_sectors());
-  cache_ = std::make_unique<svc::BlockCache>(*kernel_, block_store_.get(), 2048);
-  hpfs_ = std::make_unique<svc::HpfsFs>(*kernel_, cache_.get(), kFsSectors);
   file_server_ = std::make_unique<svc::FileServer>(*kernel_, fs_task);
-  WPOS_CHECK(file_server_->AddMount("/", hpfs_.get()) == base::Status::kOk);
+  WPOS_CHECK(file_server_->AddVolume("/", block_store_.get(), svc::PfsKind::kHpfs, kFsSectors,
+                                     2048) == base::Status::kOk);
 
   // Default pager on its own disk region, the sectors after the file
   // system's (same device, through the host backdoor).
@@ -62,19 +60,12 @@ WposSystem::WposSystem() {
 WposSystem::~WposSystem() = default;
 
 void WposSystem::RunApp(std::function<void(mk::Env&)> body) {
-  if (!formatted_) {
-    // mkfs must run inside the file server's task: the block store's send
-    // right to the disk driver lives in that task's port space.
-    kernel_->CreateThread(fs_task_, "mkfs", [this](mk::Env& env) {
-      WPOS_CHECK(hpfs_->Format(env) == base::Status::kOk);
-      formatted_ = true;
-    });
+  if (!file_server_->formatted()) {
+    file_server_->StartMkfs();
   }
   kernel_->CreateThread(process_->task(), "app-main",
                         [this, body = std::move(body)](mk::Env& env) {
-    while (!formatted_) {
-      env.SleepNs(200'000);
-    }
+    file_server_->AwaitMkfs(env);
     body(env);
   });
   kernel_->Run();
@@ -90,9 +81,9 @@ MonoSystem::MonoSystem() {
   fb_dev_ = new hw::Framebuffer("fb0", machine_.get(), 640, 480);
   machine_->AddDevice(std::unique_ptr<hw::Device>(fb_dev_));
   store_ = std::make_unique<baseline::KernelDiskStore>(*kernel_, disk_);
-  cache_ = std::make_unique<svc::BlockCache>(*kernel_, store_.get(), 2048);
-  hpfs_ = std::make_unique<svc::HpfsFs>(*kernel_, cache_.get(), kFsSectors);
-  os_ = std::make_unique<baseline::MonolithicOs>(*kernel_, hpfs_.get(), fb_dev_);
+  volume_ = std::make_unique<svc::Volume>(*kernel_, store_.get(), svc::PfsKind::kHpfs, kFsSectors,
+                                          2048);
+  os_ = std::make_unique<baseline::MonolithicOs>(*kernel_, &volume_->pfs(), fb_dev_);
   app_task_ = kernel_->CreateTask("os2-app", /*app_footprint_instr=*/4096);
   auto vram = os_->MapVram(*app_task_);
   WPOS_CHECK(vram.ok());
@@ -104,7 +95,7 @@ MonoSystem::~MonoSystem() = default;
 void MonoSystem::RunApp(std::function<void(mk::Env&)> body) {
   kernel_->CreateThread(app_task_, "app-main", [this, body = std::move(body)](mk::Env& env) {
     if (!formatted_) {
-      WPOS_CHECK(hpfs_->Format(env) == base::Status::kOk);
+      WPOS_CHECK(volume_->pfs().Format(env) == base::Status::kOk);
       formatted_ = true;
     }
     body(env);

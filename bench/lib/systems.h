@@ -20,7 +20,7 @@
 #include "src/pers/os2/os2.h"
 #include "src/pers/os2/pm.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/inode_fs.h"
+#include "src/svc/fs/volume.h"
 
 namespace bench {
 
@@ -82,8 +82,6 @@ class WposSystem {
   std::unique_ptr<drv::DiskDriver> disk_driver_;
   std::unique_ptr<drv::RpcBlockStore> block_store_;
   std::unique_ptr<drv::FbDriver> fb_driver_;
-  std::unique_ptr<svc::BlockCache> cache_;
-  std::unique_ptr<svc::HpfsFs> hpfs_;
   std::unique_ptr<svc::FileServer> file_server_;
   std::unique_ptr<mks::NameServer> name_server_;
   std::unique_ptr<mks::DefaultPager> pager_;
@@ -91,8 +89,6 @@ class WposSystem {
   std::unique_ptr<pers::Os2Process> process_;
   std::unique_ptr<pers::PmDesktop> desktop_;
   std::unique_ptr<pers::PmSession> pm_session_;
-  mk::Task* fs_task_ = nullptr;
-  bool formatted_ = false;
 };
 
 // Monolithic OS/2 comparator. The paper's Pentium box: 16 MB.
@@ -116,8 +112,7 @@ class MonoSystem {
   hw::Disk* disk_ = nullptr;
   hw::Framebuffer* fb_dev_ = nullptr;
   std::unique_ptr<baseline::KernelDiskStore> store_;
-  std::unique_ptr<svc::BlockCache> cache_;
-  std::unique_ptr<svc::HpfsFs> hpfs_;
+  std::unique_ptr<svc::Volume> volume_;
   std::unique_ptr<baseline::MonolithicOs> os_;
   mk::Task* app_task_ = nullptr;
   hw::VirtAddr vram_ = 0;

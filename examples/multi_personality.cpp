@@ -20,8 +20,6 @@
 #include "src/pers/os2/os2.h"
 #include "src/pers/unixp/unix.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/fat.h"
-#include "src/svc/fs/inode_fs.h"
 
 int main() {
   hw::Machine machine(hw::MachineConfig{.ram_bytes = 64 * 1024 * 1024});
@@ -31,18 +29,12 @@ int main() {
 
   // Personality-neutral: one file server, two physical file systems.
   mks::BackdoorBlockStore store(disk, 200'000);
-  svc::BlockCache cache(kernel, &store, 1024);
-  svc::HpfsFs hpfs(kernel, &cache, 49152);
   // FAT lives on its own disk to keep the example compact.
   auto* fat_disk = static_cast<hw::Disk*>(machine.AddDevice(std::make_unique<hw::Disk>("d2", 4)));
   mks::BackdoorBlockStore fat_store(fat_disk, 200'000);
-  svc::BlockCache fat_cache(kernel, &fat_store, 256);
-  svc::FatFs fat(kernel, &fat_cache, 8192);
-
-  mk::Task* fs_task = kernel.CreateTask("file-server");
-  svc::FileServer fs(kernel, fs_task);
-  fs.AddMount("/", &hpfs);
-  fs.AddMount("/fat", &fat);
+  svc::FileServer fs(kernel, kernel.CreateTask("file-server"));
+  fs.AddVolume("/", &store, svc::PfsKind::kHpfs, 49152);
+  fs.AddVolume("/fat", &fat_store, svc::PfsKind::kFat, 8192, 256);
 
   // Personalities.
   mk::Task* os2_task = kernel.CreateTask("os2-server");
@@ -53,16 +45,12 @@ int main() {
 
   // mkfs, then run the three personalities in dependency order via a simple
   // shared step counter.
-  int step = 0;
-  kernel.CreateThread(fs_task, "mkfs", [&](mk::Env& env) {
-    hpfs.Format(env);
-    fat.Format(env);
-    step = 1;
-  });
+  fs.StartMkfs();
+  int step = 1;
 
   // 1. The OS/2 application writes a document with an extended attribute.
   kernel.CreateThread(os2.task(), "os2-app", [&](mk::Env& env) {
-    while (step < 1) {
+    while (!fs.formatted()) {
       env.SleepNs(100'000);
     }
     auto h = os2.DosOpen(env, "/Shared Report.doc", svc::kFsCreate | svc::kFsWrite);

@@ -20,7 +20,6 @@
 #include "src/mk/trace/exporters.h"
 #include "src/pers/unixp/unix.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/inode_fs.h"
 
 int main(int argc, char** argv) {
   const std::string out = argc > 1 ? argv[1] : "trace_request.json";
@@ -38,25 +37,17 @@ int main(int argc, char** argv) {
   // File server on its own task, backed by the driver over RPC.
   mk::Task* fs_task = kernel.CreateTask("file-server");
   drv::RpcBlockStore store(driver.GrantTo(*fs_task), disk->num_sectors());
+  svc::FileServer fs(kernel, fs_task);
   // A deliberately tiny cache so the traced read() misses and must take the
   // third hop to the disk driver.
-  svc::BlockCache cache(kernel, &store, 16);
-  svc::HpfsFs hpfs(kernel, &cache, 65536);
-  svc::FileServer fs(kernel, fs_task);
-  WPOS_CHECK(fs.AddMount("/", &hpfs) == base::Status::kOk);
-  bool formatted = false;
-  kernel.CreateThread(fs_task, "mkfs", [&](mk::Env& env) {
-    WPOS_CHECK(hpfs.Format(env) == base::Status::kOk);
-    formatted = true;
-  });
+  WPOS_CHECK(fs.AddVolume("/", &store, svc::PfsKind::kHpfs, 65536, 16) == base::Status::kOk);
+  fs.StartMkfs();
 
   // UNIX personality process as the application.
   pers::UnixPersonality unix_pers(kernel, fs);
   pers::UnixProcess* proc = nullptr;
   proc = unix_pers.Spawn("cat", [&](mk::Env& env) {
-    while (!formatted) {
-      env.SleepNs(200'000);
-    }
+    fs.AwaitMkfs(env);
     char block[1024];
     std::memset(block, 'x', sizeof(block));
     auto fd = proc->Open(env, "/data.bin", pers::kOCreat | pers::kORdWr);

@@ -34,8 +34,7 @@ class FatFs : public Pfs {
   // bounds the region of the device this file system occupies.
   FatFs(mk::Kernel& kernel, BlockCache* cache, uint64_t sectors);
 
-  // Writes a fresh, empty file system.
-  base::Status Format(mk::Env& env);
+  base::Status Format(mk::Env& env) override;
 
   bool case_sensitive() const override { return false; }
 

@@ -79,6 +79,31 @@ base::Status FileServer::AddMount(const std::string& prefix, Pfs* pfs) {
   return base::Status::kOk;
 }
 
+base::Status FileServer::AddVolume(const std::string& prefix, mks::BlockStore* store,
+                                   PfsKind kind, uint64_t fs_sectors, uint32_t cache_sectors) {
+  auto volume = std::make_unique<Volume>(kernel_, store, kind, fs_sectors, cache_sectors);
+  const base::Status st = AddMount(prefix, &volume->pfs());
+  if (st == base::Status::kOk) {
+    volumes_.push_back(std::move(volume));
+  }
+  return st;
+}
+
+void FileServer::StartMkfs() {
+  kernel_.CreateThread(task_, "mkfs", [this](mk::Env& env) {
+    for (const auto& volume : volumes_) {
+      WPOS_CHECK(volume->pfs().Format(env) == base::Status::kOk);
+    }
+    formatted_ = true;
+  });
+}
+
+void FileServer::AwaitMkfs(mk::Env& env) {
+  while (!formatted_) {
+    (void)env.SleepNs(200'000);
+  }
+}
+
 mk::PortName FileServer::GrantTo(mk::Task& client) {
   auto name = kernel_.MakeSendRight(*task_, receive_port_, client);
   WPOS_CHECK(name.ok());

@@ -26,6 +26,7 @@
 #include "src/svc/fs/fs_cache.h"
 #include "src/svc/fs/pfs.h"
 #include "src/svc/fs/protocol.h"
+#include "src/svc/fs/volume.h"
 
 namespace svc {
 
@@ -40,6 +41,21 @@ class FileServer {
   // Mounts `pfs` at `prefix` (e.g. "/os2"). Must happen before Run serves
   // requests that touch the prefix. The PFS must already be formatted.
   base::Status AddMount(const std::string& prefix, Pfs* pfs);
+  // Builds a volume that this server owns, a `kind` file system of
+  // `fs_sectors` over a cache of `cache_sectors` on `store`, and mounts it
+  // at `prefix`. The store must outlive the server.
+  base::Status AddVolume(const std::string& prefix, mks::BlockStore* store,
+                         PfsKind kind = PfsKind::kHpfs, uint64_t fs_sectors = 65536,
+                         uint32_t cache_sectors = 1024);
+  // The i-th volume AddVolume built.
+  Volume& volume(size_t i) { return *volumes_[i]; }
+  // Starts an "mkfs" thread in the server's own task, where an RPC store's
+  // send right to the disk driver lives, that formats every volume the
+  // server holds when it runs. formatted() turns true when it is done;
+  // AwaitMkfs sleeps 200 us at a time until then.
+  void StartMkfs();
+  bool formatted() const { return formatted_; }
+  void AwaitMkfs(mk::Env& env);
 
   mk::Task* task() const { return task_; }
   mk::PortName receive_port() const { return receive_port_; }
@@ -178,6 +194,8 @@ class FileServer {
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
   std::unique_ptr<mk::ServerLoop> loop_;
+  std::vector<std::unique_ptr<Volume>> volumes_;
+  bool formatted_ = false;
   std::vector<std::unique_ptr<Mount>> mounts_;  // longest prefix wins
   std::map<uint64_t, OpenFile> open_files_;
   std::map<std::pair<uint64_t, uint64_t>, NodeState> node_states_;

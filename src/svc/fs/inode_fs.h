@@ -40,7 +40,7 @@ class InodeFs : public Pfs {
 
   InodeFs(mk::Kernel& kernel, BlockCache* cache, uint64_t sectors, InodeFsConfig config);
 
-  base::Status Format(mk::Env& env);
+  base::Status Format(mk::Env& env) override;
 
   bool case_sensitive() const override { return config_.case_sensitive; }
 

@@ -51,6 +51,8 @@ class Pfs {
   // FAT and HPFS: false).
   virtual bool case_sensitive() const = 0;
 
+  // Writes a fresh, empty file system.
+  virtual base::Status Format(mk::Env& env) = 0;
   virtual base::Status Mount(mk::Env& env) = 0;
   virtual base::Status Sync(mk::Env& env) = 0;
 

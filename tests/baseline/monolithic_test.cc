@@ -6,7 +6,7 @@
 #include "src/baseline/monolithic.h"
 #include "src/drv/disk_driver.h"
 #include "src/drv/resource_manager.h"
-#include "src/svc/fs/inode_fs.h"
+#include "src/svc/fs/volume.h"
 #include "tests/mk/kernel_test_fixture.h"
 
 namespace baseline {
@@ -20,23 +20,22 @@ class MonolithicTest : public mk::KernelTest {
     fb_dev_ = new hw::Framebuffer("fb0", &machine_, 640, 480);
     machine_.AddDevice(std::unique_ptr<hw::Device>(fb_dev_));
     store_ = std::make_unique<KernelDiskStore>(kernel_, disk_);
-    cache_ = std::make_unique<svc::BlockCache>(kernel_, store_.get(), 1024);
-    hpfs_ = std::make_unique<svc::HpfsFs>(kernel_, cache_.get(), 65536);
-    os_ = std::make_unique<MonolithicOs>(kernel_, hpfs_.get(), fb_dev_);
+    volume_ =
+        std::make_unique<svc::Volume>(kernel_, store_.get(), svc::PfsKind::kHpfs, 65536, 1024);
+    os_ = std::make_unique<MonolithicOs>(kernel_, &volume_->pfs(), fb_dev_);
   }
 
   hw::Disk* disk_;
   hw::Framebuffer* fb_dev_;
   std::unique_ptr<KernelDiskStore> store_;
-  std::unique_ptr<svc::BlockCache> cache_;
-  std::unique_ptr<svc::HpfsFs> hpfs_;
+  std::unique_ptr<svc::Volume> volume_;
   std::unique_ptr<MonolithicOs> os_;
 };
 
 TEST_F(MonolithicTest, FileApiViaTraps) {
   mk::Task* app = kernel_.CreateTask("app");
   kernel_.CreateThread(app, "main", [&](mk::Env& env) {
-    ASSERT_EQ(hpfs_->Format(env), base::Status::kOk);
+    ASSERT_EQ(volume_->pfs().Format(env), base::Status::kOk);
     auto h = os_->Open(env, "/config.sys", svc::kFsCreate);
     ASSERT_TRUE(h.ok());
     ASSERT_TRUE(os_->Write(env, *h, 0, "FILES=40", 8).ok());
@@ -57,7 +56,7 @@ TEST_F(MonolithicTest, EmptyOrRelativePathIsNotFound) {
   // every path op now fails with kNotFound and creates nothing.
   mk::Task* app = kernel_.CreateTask("app");
   kernel_.CreateThread(app, "main", [&](mk::Env& env) {
-    ASSERT_EQ(hpfs_->Format(env), base::Status::kOk);
+    ASSERT_EQ(volume_->pfs().Format(env), base::Status::kOk);
     for (const char* bad : {"", "foo"}) {
       SCOPED_TRACE(std::string("'") + bad + "'");
       EXPECT_EQ(os_->Open(env, bad, 0).status(), base::Status::kNotFound);
@@ -96,7 +95,7 @@ TEST_F(MonolithicTest, FileOpsCheaperThanThroughFileServer) {
   mk::Task* app = kernel_.CreateTask("app");
   uint64_t mono_cycles = 0;
   kernel_.CreateThread(app, "main", [&](mk::Env& env) {
-    ASSERT_EQ(hpfs_->Format(env), base::Status::kOk);
+    ASSERT_EQ(volume_->pfs().Format(env), base::Status::kOk);
     auto h = os_->Open(env, "/bench.dat", svc::kFsCreate);
     ASSERT_TRUE(h.ok());
     char block[512] = {};

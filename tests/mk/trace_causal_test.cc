@@ -21,7 +21,6 @@
 #include "src/mk/trace/exporters.h"
 #include "src/pers/unixp/unix.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/inode_fs.h"
 
 namespace mk {
 namespace {
@@ -379,22 +378,14 @@ TEST(CausalTrace, UnixReadSpansPersonalityFsAndDriver) {
   drv::DiskDriver driver(kernel, driver_task, disk, nullptr);
   Task* fs_task = kernel.CreateTask("file-server");
   drv::RpcBlockStore store(driver.GrantTo(*fs_task), disk->num_sectors());
-  // Tiny cache: the traced read() must miss and take the third hop.
-  svc::BlockCache cache(kernel, &store, 16);
-  svc::HpfsFs hpfs(kernel, &cache, 65536);
   svc::FileServer fs(kernel, fs_task);
-  ASSERT_EQ(fs.AddMount("/", &hpfs), base::Status::kOk);
-  bool formatted = false;
-  kernel.CreateThread(fs_task, "mkfs", [&](Env& env) {
-    ASSERT_EQ(hpfs.Format(env), base::Status::kOk);
-    formatted = true;
-  });
+  // Tiny cache: the traced read() must miss and take the third hop.
+  ASSERT_EQ(fs.AddVolume("/", &store, svc::PfsKind::kHpfs, 65536, 16), base::Status::kOk);
+  fs.StartMkfs();
   pers::UnixPersonality unix_pers(kernel, fs);
   pers::UnixProcess* proc = nullptr;
   proc = unix_pers.Spawn("reader", [&](Env& env) {
-    while (!formatted) {
-      env.SleepNs(200'000);
-    }
+    fs.AwaitMkfs(env);
     char block[1024];
     std::memset(block, 'x', sizeof(block));
     auto fd = proc->Open(env, "/data.bin", pers::kOCreat | pers::kORdWr);

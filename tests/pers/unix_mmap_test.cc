@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/pers/unixp/unix.h"
-#include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
 namespace pers {
@@ -17,17 +16,13 @@ namespace {
 class UnixMmapTest : public mk::KernelTest {
  protected:
   UnixMmapTest() {
-    disk_ = static_cast<hw::Disk*>(machine_.AddDevice(
+    auto* disk = static_cast<hw::Disk*>(machine_.AddDevice(
         std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 128 * 1024})));
-    store_ = std::make_unique<mks::BackdoorBlockStore>(disk_, 10'000);
-    cache_ = std::make_unique<svc::BlockCache>(kernel_, store_.get(), 1024);
-    jfs_ = std::make_unique<svc::JfsFs>(kernel_, cache_.get(), 65536);
-    fs_task_ = kernel_.CreateTask("file-server");
-    fs_ = std::make_unique<svc::FileServer>(kernel_, fs_task_);
+    store_ = std::make_unique<mks::BackdoorBlockStore>(disk, 10'000);
+    fs_ = std::make_unique<svc::FileServer>(kernel_, kernel_.CreateTask("file-server"));
     fs_->EnableMapping();
-    EXPECT_EQ(fs_->AddMount("/", jfs_.get()), base::Status::kOk);
-    kernel_.CreateThread(fs_task_, "mkfs",
-                         [this](mk::Env& env) { ASSERT_EQ(jfs_->Format(env), base::Status::kOk); });
+    EXPECT_EQ(fs_->AddVolume("/", store_.get(), svc::PfsKind::kJfs), base::Status::kOk);
+    fs_->StartMkfs();
   }
 
   static uint8_t PatternByte(uint64_t i) { return static_cast<uint8_t>(i * 37 + 11); }
@@ -44,11 +39,7 @@ class UnixMmapTest : public mk::KernelTest {
     ASSERT_TRUE(proc->Lseek(env, fd, 0, 0).ok());
   }
 
-  hw::Disk* disk_;
   std::unique_ptr<mks::BackdoorBlockStore> store_;
-  std::unique_ptr<svc::BlockCache> cache_;
-  std::unique_ptr<svc::JfsFs> jfs_;
-  mk::Task* fs_task_;
   std::unique_ptr<svc::FileServer> fs_;
 };
 

@@ -2,7 +2,6 @@
 
 #include "src/pers/mvm/mvm.h"
 #include "src/pers/unixp/unix.h"
-#include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
 namespace pers {
@@ -11,23 +10,15 @@ namespace {
 class PersonalityTest : public mk::KernelTest {
  protected:
   PersonalityTest() {
-    disk_ = static_cast<hw::Disk*>(machine_.AddDevice(
+    auto* disk = static_cast<hw::Disk*>(machine_.AddDevice(
         std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 128 * 1024})));
-    store_ = std::make_unique<mks::BackdoorBlockStore>(disk_, 10'000);
-    cache_ = std::make_unique<svc::BlockCache>(kernel_, store_.get(), 1024);
-    jfs_ = std::make_unique<svc::JfsFs>(kernel_, cache_.get(), 65536);
-    fs_task_ = kernel_.CreateTask("file-server");
-    fs_ = std::make_unique<svc::FileServer>(kernel_, fs_task_);
-    EXPECT_EQ(fs_->AddMount("/", jfs_.get()), base::Status::kOk);
-    kernel_.CreateThread(fs_task_, "mkfs",
-                         [this](mk::Env& env) { ASSERT_EQ(jfs_->Format(env), base::Status::kOk); });
+    store_ = std::make_unique<mks::BackdoorBlockStore>(disk, 10'000);
+    fs_ = std::make_unique<svc::FileServer>(kernel_, kernel_.CreateTask("file-server"));
+    EXPECT_EQ(fs_->AddVolume("/", store_.get(), svc::PfsKind::kJfs), base::Status::kOk);
+    fs_->StartMkfs();
   }
 
-  hw::Disk* disk_;
   std::unique_ptr<mks::BackdoorBlockStore> store_;
-  std::unique_ptr<svc::BlockCache> cache_;
-  std::unique_ptr<svc::JfsFs> jfs_;
-  mk::Task* fs_task_;
   std::unique_ptr<svc::FileServer> fs_;
 };
 
@@ -99,7 +90,7 @@ TEST_F(PersonalityTest, UnixIoTimeoutSurfacesWedgedServerAsEagain) {
     EXPECT_LE(waited, 10'000'000u) << "the bounded call must not hang";
     // The wedged server cannot be stopped cleanly; terminate its task (the
     // watchdog's job in a full system).
-    kernel_.TerminateTask(fs_task_);
+    kernel_.TerminateTask(fs_->task());
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(kernel_.CheckInvariants(), 0u);

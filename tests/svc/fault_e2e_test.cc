@@ -3,97 +3,25 @@
 // going through a robust FsClient never notices — every open/write/read/close
 // in the workload succeeds, for ANY seed.
 //
-// The seed comes from WPOS_FAULT_SEED (default 1) so CI can soak many
-// campaigns over the same binary; the invariants asserted here are
-// seed-independent: zero client-visible failures, and the restart metrics
-// equal to the injected crash count.
+// The invariants asserted here are seed-independent: zero client-visible
+// failures, and the restart metrics equal to the injected crash count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/mk/trace/exporters.h"
-#include "src/mks/restart/restart_manager.h"
-#include "src/svc/fs/block_cache.h"
-#include "src/svc/fs/file_server.h"
-#include "src/svc/fs/inode_fs.h"
-#include "tests/mk/kernel_test_fixture.h"
+#include "tests/svc/supervised_fs_fixture.h"
 
 namespace svc {
 namespace {
 
-constexpr char kFsName[] = "/svc/fs";
-
-uint64_t CampaignSeed() {
-  const char* env = std::getenv("WPOS_FAULT_SEED");
-  if (env == nullptr || *env == '\0') {
-    return 1;
-  }
-  return std::strtoull(env, nullptr, 10);
-}
-
-class FaultE2eTest : public mk::KernelTest {
+class FaultE2eTest : public SupervisedFsTest {
  protected:
-  FaultE2eTest() {
-    disk_ = static_cast<hw::Disk*>(machine_.AddDevice(
-        std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 256 * 1024})));
-    store_ = std::make_unique<mks::BackdoorBlockStore>(disk_, 10'000);
-    cache_ = std::make_unique<BlockCache>(kernel_, store_.get(), 1024);
-    fs_ = std::make_unique<HpfsFs>(kernel_, cache_.get(), 65536);
-
-    ns_task_ = kernel_.CreateTask("mks-naming");
-    ns_ = std::make_unique<mks::NameServer>(kernel_, ns_task_);
-    mgr_task_ = kernel_.CreateTask("mks-restart");
-    mks::RestartPolicy policy;
-    policy.max_restarts = 8;  // well above the armed max_fires
-    mgr_ = std::make_unique<mks::RestartManager>(kernel_, mgr_task_, ns_->GrantTo(*mgr_task_),
-                                                 policy);
-    client_task_ = kernel_.CreateTask("client");
-    ns_for_client_ = ns_->GrantTo(*client_task_);
-
-    // Generation 0, formatted from its own task before the workload runs.
-    mk::Task* gen0 = SpawnFs();
-    kernel_.CreateThread(gen0, "mkfs", [this](mk::Env& env) {
-      ASSERT_EQ(fs_->Format(env), base::Status::kOk);
-    });
-    mgr_->Supervise(kFsName, gen0, [this](mk::Env&) {
-      mk::Task* task = SpawnFs();
-      auto right =
-          kernel_.MakeSendRight(*task, servers_.back()->receive_port(), *mgr_task_);
-      EXPECT_TRUE(right.ok());
-      return mks::RestartManager::Respawned{task, right.ok() ? *right : mk::kNullPort};
-    });
-  }
-
-  // The physical file system and its cache live OUTSIDE the server task: the
-  // simulated disk is the durable state a respawned server recovers from.
-  mk::Task* SpawnFs() {
-    const uint64_t gen = static_cast<uint64_t>(servers_.size());
-    mk::Task* task = kernel_.CreateTask("file-server-g" + std::to_string(gen));
-    // A fresh handle base per generation: stale handles from the crashed
-    // instance can never alias a live one.
-    auto server = std::make_unique<FileServer>(kernel_, task, gen * 1'000'000 + 1);
-    EXPECT_EQ(server->AddMount("/", fs_.get()), base::Status::kOk);
-    servers_.push_back(std::move(server));
-    return task;
-  }
-
-  hw::Disk* disk_;
-  std::unique_ptr<mks::BackdoorBlockStore> store_;
-  std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<InodeFs> fs_;
-  mk::Task* ns_task_;
-  std::unique_ptr<mks::NameServer> ns_;
-  mk::Task* mgr_task_;
-  std::unique_ptr<mks::RestartManager> mgr_;
-  mk::Task* client_task_;
-  mk::PortName ns_for_client_ = mk::kNullPort;
-  std::vector<std::unique_ptr<FileServer>> servers_;
+  FaultE2eTest() { Start({.max_restarts = 8}); }  // well above the armed max_fires
 };
 
 TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToRobustClient) {
@@ -105,11 +33,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToRobustClient) {
                        mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2);
 
   kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
-    mks::NameClient nc(ns_for_client_);
-    auto right =
-        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
-    ASSERT_TRUE(right.ok());
-    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+    ASSERT_TRUE(RegisterFs(env).ok());
 
     FsClient session(ns_for_client_, kFsName);
     auto handle = session.Open(env, "/campaign.dat", kFsCreate | kFsWrite);
@@ -129,11 +53,8 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToRobustClient) {
     }
     ASSERT_EQ(session.Close(env, *handle), base::Status::kOk);
 
-    // Orderly shutdown of whatever generation is serving now.
     kernel_.faults().DisarmAll();
-    servers_.back()->Stop();
-    mgr_->Stop();
-    ns_->Stop();
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 
@@ -170,11 +91,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToCachedRobustClient) {
                        mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2);
 
   kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
-    mks::NameClient nc(ns_for_client_);
-    auto right =
-        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
-    ASSERT_TRUE(right.ok());
-    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+    ASSERT_TRUE(RegisterFs(env).ok());
 
     FsClient session(ns_for_client_, kFsName);
     session.EnableCache();
@@ -216,9 +133,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleToCachedRobustClient) {
     ASSERT_EQ(session.Close(env, *handle), base::Status::kOk);
 
     kernel_.faults().DisarmAll();
-    servers_.back()->Stop();
-    mgr_->Stop();
-    ns_->Stop();
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 
@@ -244,11 +159,7 @@ TEST_F(FaultE2eTest, BulkOolWritesSurviveMessageCopyFaults) {
   kernel_.faults().Enable(seed);
 
   kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
-    mks::NameClient nc(ns_for_client_);
-    auto right =
-        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
-    ASSERT_TRUE(right.ok());
-    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+    ASSERT_TRUE(RegisterFs(env).ok());
 
     // Armed only for the robust-session workload: kMessageCopy hits EVERY
     // RPC, and the one-shot Register above has no retry loop to absorb it.
@@ -281,9 +192,7 @@ TEST_F(FaultE2eTest, BulkOolWritesSurviveMessageCopyFaults) {
     ASSERT_EQ(session.Close(env, *handle), base::Status::kOk);
 
     kernel_.faults().DisarmAll();
-    servers_.back()->Stop();
-    mgr_->Stop();
-    ns_->Stop();
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_GT(kernel_.tracer().metrics().Counter("mk.rpc.ool_transfers"), 0u);
@@ -304,11 +213,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleAcrossTheWholeClientApi) {
                        mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2);
 
   kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
-    mks::NameClient nc(ns_for_client_);
-    auto right =
-        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
-    ASSERT_TRUE(right.ok());
-    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+    ASSERT_TRUE(RegisterFs(env).ok());
 
     FsClient fs(ns_for_client_, kFsName);
     for (uint32_t i = 0; i < 8; ++i) {
@@ -358,9 +263,7 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleAcrossTheWholeClientApi) {
     }
 
     kernel_.faults().DisarmAll();
-    servers_.back()->Stop();
-    mgr_->Stop();
-    ns_->Stop();
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 
@@ -382,11 +285,8 @@ TEST_F(FaultE2eTest, InjectedCrashesAreInvisibleAcrossTheWholeClientApi) {
 // it behaves exactly like the plain client. No faults are armed.
 TEST_F(FaultE2eTest, RobustClientCapsOversizedReadsLikePlainClient) {
   kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
-    mks::NameClient nc(ns_for_client_);
-    auto right =
-        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
+    auto right = RegisterFs(env);
     ASSERT_TRUE(right.ok());
-    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
 
     constexpr uint32_t kFileSize = 16 * 1024;
     std::vector<uint8_t> data(kFileSize, 0x5a);
@@ -411,9 +311,7 @@ TEST_F(FaultE2eTest, RobustClientCapsOversizedReadsLikePlainClient) {
     ASSERT_EQ(robust.Close(env, *rh), base::Status::kOk);
     EXPECT_EQ(servers_[0]->open_files(), 0u) << "no server-side open may leak";
 
-    servers_.back()->Stop();
-    mgr_->Stop();
-    ns_->Stop();
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(servers_.size(), 1u);

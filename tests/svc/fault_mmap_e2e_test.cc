@@ -10,92 +10,29 @@
 //     robust FsClient, which re-opens the file on the new instance
 //     transparently.
 //
-// The seed comes from WPOS_FAULT_SEED (default 1) so the CI fault-soak can
-// sweep campaigns; every assertion here is seed-independent.
+// Every assertion here is seed-independent.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/mks/restart/restart_manager.h"
-#include "src/svc/fs/block_cache.h"
-#include "src/svc/fs/file_server.h"
-#include "src/svc/fs/inode_fs.h"
-#include "tests/mk/kernel_test_fixture.h"
+#include "tests/svc/supervised_fs_fixture.h"
 
 namespace svc {
 namespace {
 
-constexpr char kFsName[] = "/svc/fs";
 constexpr uint64_t kFilePages = 4;
 constexpr uint64_t kFileSize = kFilePages * hw::kPageSize;
 
-uint64_t CampaignSeed() {
-  const char* env = std::getenv("WPOS_FAULT_SEED");
-  if (env == nullptr || *env == '\0') {
-    return 1;
-  }
-  return std::strtoull(env, nullptr, 10);
-}
-
-class FaultMmapE2eTest : public mk::KernelTest {
+class FaultMmapE2eTest : public SupervisedFsTest {
  protected:
-  FaultMmapE2eTest() {
-    disk_ = static_cast<hw::Disk*>(machine_.AddDevice(
-        std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 256 * 1024})));
-    store_ = std::make_unique<mks::BackdoorBlockStore>(disk_, 10'000);
-    cache_ = std::make_unique<BlockCache>(kernel_, store_.get(), 1024);
-    fs_ = std::make_unique<HpfsFs>(kernel_, cache_.get(), 65536);
-
-    ns_task_ = kernel_.CreateTask("mks-naming");
-    ns_ = std::make_unique<mks::NameServer>(kernel_, ns_task_);
-    mgr_task_ = kernel_.CreateTask("mks-restart");
-    mks::RestartPolicy policy;
-    policy.max_restarts = 8;
-    mgr_ = std::make_unique<mks::RestartManager>(kernel_, mgr_task_, ns_->GrantTo(*mgr_task_),
-                                                 policy);
-    client_task_ = kernel_.CreateTask("client");
-    ns_for_client_ = ns_->GrantTo(*client_task_);
-
-    mk::Task* gen0 = SpawnFs();
-    kernel_.CreateThread(gen0, "mkfs", [this](mk::Env& env) {
-      ASSERT_EQ(fs_->Format(env), base::Status::kOk);
-    });
-    mgr_->Supervise(kFsName, gen0, [this](mk::Env&) {
-      mk::Task* task = SpawnFs();
-      auto right =
-          kernel_.MakeSendRight(*task, servers_.back()->receive_port(), *mgr_task_);
-      EXPECT_TRUE(right.ok());
-      return mks::RestartManager::Respawned{task, right.ok() ? *right : mk::kNullPort};
-    });
-  }
-
   // Every generation exports memory objects: a respawn must be mappable so
   // a surviving object can adopt its backing.
-  mk::Task* SpawnFs() {
-    const uint64_t gen = static_cast<uint64_t>(servers_.size());
-    mk::Task* task = kernel_.CreateTask("file-server-g" + std::to_string(gen));
-    auto server = std::make_unique<FileServer>(kernel_, task, gen * 1'000'000 + 1);
-    server->EnableMapping();
-    EXPECT_EQ(server->AddMount("/", fs_.get()), base::Status::kOk);
-    servers_.push_back(std::move(server));
-    return task;
+  FaultMmapE2eTest() {
+    Start({.max_restarts = 8}, [](FileServer& server) { server.EnableMapping(); });
   }
-
-  hw::Disk* disk_;
-  std::unique_ptr<mks::BackdoorBlockStore> store_;
-  std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<InodeFs> fs_;
-  mk::Task* ns_task_;
-  std::unique_ptr<mks::NameServer> ns_;
-  mk::Task* mgr_task_;
-  std::unique_ptr<mks::RestartManager> mgr_;
-  mk::Task* client_task_;
-  mk::PortName ns_for_client_ = mk::kNullPort;
-  std::vector<std::unique_ptr<FileServer>> servers_;
 };
 
 TEST_F(FaultMmapE2eTest, CrashWithLiveMappingRecoversCleanAndDirtyPages) {
@@ -103,11 +40,7 @@ TEST_F(FaultMmapE2eTest, CrashWithLiveMappingRecoversCleanAndDirtyPages) {
   kernel_.faults().Enable(seed);
 
   kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
-    mks::NameClient nc(ns_for_client_);
-    auto right =
-        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
-    ASSERT_TRUE(right.ok());
-    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+    ASSERT_TRUE(RegisterFs(env).ok());
 
     FsClient session(ns_for_client_, kFsName);
     // Death notices wired the way a mapping-aware client runtime would: drop
@@ -209,9 +142,7 @@ TEST_F(FaultMmapE2eTest, CrashWithLiveMappingRecoversCleanAndDirtyPages) {
     ASSERT_EQ(kernel_.ReleasePagedObject(fresh->object_id), base::Status::kOk);
     ASSERT_EQ(session.Close(env, *handle), base::Status::kOk);
 
-    servers_.back()->Stop();
-    mgr_->Stop();
-    ns_->Stop();
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
   EXPECT_EQ(mgr_->total_restarts(), 1u);
@@ -230,11 +161,7 @@ TEST_F(FaultMmapE2eTest, MappedReadsStayCoherentAcrossRandomCrashes) {
                        mk::fault::FaultMode::kCrashTask, 10, /*max_fires=*/2);
 
   kernel_.CreateThread(client_task_, "client", [&](mk::Env& env) {
-    mks::NameClient nc(ns_for_client_);
-    auto right =
-        kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(), *client_task_);
-    ASSERT_TRUE(right.ok());
-    ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+    ASSERT_TRUE(RegisterFs(env).ok());
 
     FsClient session(ns_for_client_, kFsName);
     std::shared_ptr<mk::VmObject> mapped;
@@ -306,9 +233,7 @@ TEST_F(FaultMmapE2eTest, MappedReadsStayCoherentAcrossRandomCrashes) {
     mapped.reset();
 
     kernel_.faults().DisarmAll();
-    servers_.back()->Stop();
-    mgr_->Stop();
-    ns_->Stop();
+    StopAll();
   });
   EXPECT_EQ(kernel_.Run(), 0u);
 

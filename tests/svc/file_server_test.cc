@@ -11,42 +11,30 @@
 #include "src/mks/naming/name_server.h"
 #include "src/svc/fs/fat.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
 namespace svc {
 namespace {
 
-// Full stack fixture: disk -> block cache -> HPFS + FAT -> file server; a
-// separate client task talks to it over RPC.
+// Full stack fixture: a file server with an HPFS volume at "/" and a FAT
+// volume at "/fat", each on a disk of its own; a separate client task talks
+// to it over RPC.
 class FileServerTest : public mk::KernelTest {
  protected:
   FileServerTest() {
-    disk_ = static_cast<hw::Disk*>(machine_.AddDevice(
+    auto* disk = static_cast<hw::Disk*>(machine_.AddDevice(
         std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 256 * 1024})));
-    store_ = std::make_unique<mks::BackdoorBlockStore>(disk_, 10'000);
-    cache_ = std::make_unique<BlockCache>(kernel_, store_.get(), 1024);
-    hpfs_ = std::make_unique<HpfsFs>(kernel_, cache_.get(), 65536);
-    // FAT occupies a second region of the disk via a second cache window; to
-    // keep the fixture simple it gets its own disk.
-    fat_disk_ = static_cast<hw::Disk*>(machine_.AddDevice(std::make_unique<hw::Disk>("d2", 4)));
-    fat_store_ = std::make_unique<mks::BackdoorBlockStore>(fat_disk_, 10'000);
-    fat_cache_ = std::make_unique<BlockCache>(kernel_, fat_store_.get(), 256);
-    fat_ = std::make_unique<FatFs>(kernel_, fat_cache_.get(), 8192);
+    store_ = std::make_unique<mks::BackdoorBlockStore>(disk, 10'000);
+    auto* fat_disk = static_cast<hw::Disk*>(machine_.AddDevice(std::make_unique<hw::Disk>("d2", 4)));
+    fat_store_ = std::make_unique<mks::BackdoorBlockStore>(fat_disk, 10'000);
 
-    fs_task_ = kernel_.CreateTask("file-server");
-    server_ = std::make_unique<FileServer>(kernel_, fs_task_);
-    EXPECT_EQ(server_->AddMount("/", hpfs_.get()), base::Status::kOk);
-    EXPECT_EQ(server_->AddMount("/fat", fat_.get()), base::Status::kOk);
+    server_ = std::make_unique<FileServer>(kernel_, kernel_.CreateTask("file-server"));
+    EXPECT_EQ(server_->AddVolume("/", store_.get()), base::Status::kOk);
+    EXPECT_EQ(server_->AddVolume("/fat", fat_store_.get(), PfsKind::kFat, 8192, 256),
+              base::Status::kOk);
     client_task_ = kernel_.CreateTask("client");
     service_ = server_->GrantTo(*client_task_);
-
-    // Format both file systems from a setup thread before the tests run.
-    kernel_.CreateThread(fs_task_, "mkfs", [this](mk::Env& env) {
-      ASSERT_EQ(hpfs_->Format(env), base::Status::kOk);
-      ASSERT_EQ(fat_->Format(env), base::Status::kOk);
-      formatted_ = true;
-    });
+    server_->StartMkfs();
   }
 
   // Runs the client body, then stops the server cleanly.
@@ -59,19 +47,13 @@ class FileServerTest : public mk::KernelTest {
     ASSERT_EQ(kernel_.Run(), 0u);
   }
 
-  hw::Disk* disk_;
-  hw::Disk* fat_disk_;
+  FatFs& fat() { return static_cast<FatFs&>(server_->volume(1).pfs()); }
+
   std::unique_ptr<mks::BackdoorBlockStore> store_;
   std::unique_ptr<mks::BackdoorBlockStore> fat_store_;
-  std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<BlockCache> fat_cache_;
-  std::unique_ptr<HpfsFs> hpfs_;
-  std::unique_ptr<FatFs> fat_;
-  mk::Task* fs_task_;
   std::unique_ptr<FileServer> server_;
   mk::Task* client_task_;
   mk::PortName service_;
-  bool formatted_ = false;  // the mkfs thread is done
 };
 
 TEST_F(FileServerTest, CreateWriteReadThroughRpc) {
@@ -180,21 +162,14 @@ TEST_F(FileServerTest, ByteRangeLocksConflict) {
 }
 
 TEST_F(FileServerTest, CaseInsensitiveFlagOverCaseSensitiveStore) {
-  // Mount a JFS (case-sensitive) and open with the OS/2 flag.
+  // Mount a JFS (case-sensitive) and open with the OS/2 flag. The mkfs
+  // thread, which has not run yet, formats it too.
   auto jfs_disk = static_cast<hw::Disk*>(machine_.AddDevice(std::make_unique<hw::Disk>("d3", 5)));
-  auto jfs_store = std::make_unique<mks::BackdoorBlockStore>(jfs_disk, 10'000);
-  auto jfs_cache = std::make_unique<BlockCache>(kernel_, jfs_store.get(), 256);
-  auto jfs = std::make_unique<JfsFs>(kernel_, jfs_cache.get(), 16384);
-  ASSERT_EQ(server_->AddMount("/unix", jfs.get()), base::Status::kOk);
-  bool formatted = false;
-  kernel_.CreateThread(fs_task_, "mkfs2", [&](mk::Env& env) {
-    ASSERT_EQ(jfs->Format(env), base::Status::kOk);
-    formatted = true;
-  });
+  mks::BackdoorBlockStore jfs_store(jfs_disk, 10'000);
+  ASSERT_EQ(server_->AddVolume("/unix", &jfs_store, PfsKind::kJfs, 16384, 256),
+            base::Status::kOk);
   RunClient([&](mk::Env& env, FsClient& fs) {
-    while (!formatted) {
-      env.SleepNs(100'000);  // mkfs blocks on device latency; wait it out
-    }
+    server_->AwaitMkfs(env);  // mkfs blocks on device latency; wait it out
     auto h = fs.Open(env, "/unix/ReadMe.MD", kFsCreate | kFsWrite);
     ASSERT_TRUE(h.ok());
     ASSERT_EQ(fs.Close(env, *h), base::Status::kOk);
@@ -599,9 +574,7 @@ TEST_F(FileServerTest, OpenWithTheKernelHeapFullIsResourceShortage) {
     ASSERT_TRUE(handle.ok());
     const char msg[] = "opened before the heap filled";
     ASSERT_TRUE(fs.Write(env, *handle, 0, msg, sizeof(msg)).ok());
-    while (!formatted_) {  // FAT's format still takes cache buffers
-      env.SleepNs(1'000'000);
-    }
+    server_->AwaitMkfs(env);  // FAT's format still takes cache buffers
     mk::FillKernelHeap(kernel_);
     const uint64_t opens = server_->opens();
     EXPECT_EQ(fs.Open(env, "/kept.txt", kFsWrite).status(),
@@ -627,9 +600,7 @@ TEST_F(FileServerTest, FailedOpenLeavesNoSharingState) {
     auto handle = fs.Open(env, "/probe.txt", kFsCreate | kFsWrite);
     ASSERT_TRUE(handle.ok());
     ASSERT_EQ(fs.Close(env, *handle), base::Status::kOk);
-    while (!formatted_) {  // FAT's format still takes cache buffers
-      env.SleepNs(1'000'000);
-    }
+    server_->AwaitMkfs(env);  // FAT's format still takes cache buffers
     mk::FillKernelHeap(kernel_);
     EXPECT_EQ(fs.Open(env, "/probe.txt", kFsWrite).status(), base::Status::kResourceShortage);
     EXPECT_EQ(fs.Unlink(env, "/probe.txt"), base::Status::kOk);
@@ -641,21 +612,19 @@ TEST_F(FileServerTest, TruncatingOpenOfAFatDirectoryIsInvalidArgument) {
   // subdirectory's cluster, and its entries with it; its root, which has no
   // dirent, read bytes 32-63 of the boot sector as one.
   RunClient([&](mk::Env& env, FsClient& fs) {
-    while (!formatted_) {
-      env.SleepNs(1'000'000);
-    }
+    server_->AwaitMkfs(env);
     ASSERT_EQ(fs.Mkdir(env, "/fat/SUB"), base::Status::kOk);
     auto inner = fs.Open(env, "/fat/SUB/INNER.TXT", kFsCreate | kFsWrite);
     ASSERT_TRUE(inner.ok());
     ASSERT_EQ(fs.Close(env, *inner), base::Status::kOk);
     ASSERT_EQ(fs.Mkdir(env, "/hsub"), base::Status::kOk);
-    const uint64_t free_clusters = fat_->free_clusters();
+    const uint64_t free_clusters = fat().free_clusters();
     for (const char* dir : {"/fat/SUB", "/fat", "/hsub"}) {
       EXPECT_EQ(fs.Open(env, dir, kFsWrite | kFsTruncate).status(),
                 base::Status::kInvalidArgument)
           << dir;
     }
-    EXPECT_EQ(fat_->free_clusters(), free_clusters);
+    EXPECT_EQ(fat().free_clusters(), free_clusters);
     auto entries = fs.ReadDir(env, "/fat/SUB");
     ASSERT_TRUE(entries.ok());
     ASSERT_EQ(entries->size(), 1u);
@@ -725,11 +694,8 @@ TEST_F(FileServerTest, EachServerAnswersReadsFromItsOwnBuffer) {
   // must get its own server's bytes.
   struct Stack {
     std::unique_ptr<mks::BackdoorBlockStore> store;
-    std::unique_ptr<BlockCache> cache;
-    std::unique_ptr<HpfsFs> hpfs;
     std::unique_ptr<FileServer> server;
     mk::PortName service = mk::kNullPort;
-    bool formatted = false;
   };
   Stack stacks[2];
   for (int i = 0; i < 2; ++i) {
@@ -737,25 +703,17 @@ TEST_F(FileServerTest, EachServerAnswersReadsFromItsOwnBuffer) {
     auto* disk = static_cast<hw::Disk*>(
         machine_.AddDevice(std::make_unique<hw::Disk>("own" + std::to_string(i), 5 + i)));
     s.store = std::make_unique<mks::BackdoorBlockStore>(disk, 10'000);
-    s.cache = std::make_unique<BlockCache>(kernel_, s.store.get(), 4);
-    s.hpfs = std::make_unique<HpfsFs>(kernel_, s.cache.get(), 8192);
-    mk::Task* task = kernel_.CreateTask("fs" + std::to_string(i));
-    s.server = std::make_unique<FileServer>(kernel_, task);
-    ASSERT_EQ(s.server->AddMount("/", s.hpfs.get()), base::Status::kOk);
+    s.server = std::make_unique<FileServer>(kernel_, kernel_.CreateTask("fs" + std::to_string(i)));
+    ASSERT_EQ(s.server->AddVolume("/", s.store.get(), PfsKind::kHpfs, 8192, 4), base::Status::kOk);
     s.service = s.server->GrantTo(*client_task_);
-    kernel_.CreateThread(task, "mkfs", [&s](mk::Env& env) {
-      ASSERT_EQ(s.hpfs->Format(env), base::Status::kOk);
-      s.formatted = true;
-    });
+    s.server->StartMkfs();
   }
   int written = 0;
   int done = 0;
   for (int i = 0; i < 2; ++i) {
     kernel_.CreateThread(client_task_, "reader", [&, i](mk::Env& env) {
       Stack& s = stacks[i];
-      while (!s.formatted) {
-        env.SleepNs(1'000'000);
-      }
+      s.server->AwaitMkfs(env);
       FsClient fs(s.service);
       auto h = fs.Open(env, "/own.dat", kFsCreate | kFsWrite);
       ASSERT_TRUE(h.ok());

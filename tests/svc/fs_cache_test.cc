@@ -8,31 +8,24 @@
 
 #include "src/svc/fs/file_server.h"
 #include "src/svc/fs/fs_cache.h"
-#include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
 namespace svc {
 namespace {
 
-// Disk -> block cache -> HPFS -> file server; the client under test runs in
-// its own task with (or without) the client-side cache enabled.
+// A file server with one HPFS volume; the client under test runs in its own
+// task with (or without) the client-side cache enabled.
 class FsCacheTest : public mk::KernelTest {
  protected:
   FsCacheTest() {
-    disk_ = static_cast<hw::Disk*>(machine_.AddDevice(
+    auto* disk = static_cast<hw::Disk*>(machine_.AddDevice(
         std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 256 * 1024})));
-    store_ = std::make_unique<mks::BackdoorBlockStore>(disk_, 10'000);
-    cache_ = std::make_unique<BlockCache>(kernel_, store_.get(), 1024);
-    hpfs_ = std::make_unique<HpfsFs>(kernel_, cache_.get(), 65536);
-
-    fs_task_ = kernel_.CreateTask("file-server");
-    server_ = std::make_unique<FileServer>(kernel_, fs_task_);
-    EXPECT_EQ(server_->AddMount("/", hpfs_.get()), base::Status::kOk);
+    store_ = std::make_unique<mks::BackdoorBlockStore>(disk, 10'000);
+    server_ = std::make_unique<FileServer>(kernel_, kernel_.CreateTask("file-server"));
+    EXPECT_EQ(server_->AddVolume("/", store_.get()), base::Status::kOk);
     client_task_ = kernel_.CreateTask("client");
     service_ = server_->GrantTo(*client_task_);
-
-    kernel_.CreateThread(fs_task_, "mkfs",
-                         [this](mk::Env& env) { ASSERT_EQ(hpfs_->Format(env), base::Status::kOk); });
+    server_->StartMkfs();
   }
 
   void RunClient(bool cached, std::function<void(mk::Env&, FsClient&)> body) {
@@ -51,11 +44,7 @@ class FsCacheTest : public mk::KernelTest {
   // this for the same client-visible behaviour.
   uint64_t ServerOps() { return kernel_.tracer().metrics().Counter("server.fs.ops"); }
 
-  hw::Disk* disk_;
   std::unique_ptr<mks::BackdoorBlockStore> store_;
-  std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<HpfsFs> hpfs_;
-  mk::Task* fs_task_;
   std::unique_ptr<FileServer> server_;
   mk::Task* client_task_;
   mk::PortName service_;

@@ -13,9 +13,7 @@
 #include <vector>
 
 #include "src/mks/pager/default_pager.h"
-#include "src/svc/fs/block_cache.h"
 #include "src/svc/fs/file_server.h"
-#include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
 namespace svc {
@@ -24,17 +22,13 @@ namespace {
 class FsMmapTest : public mk::KernelTest {
  protected:
   FsMmapTest() {
-    disk_ = static_cast<hw::Disk*>(machine_.AddDevice(
+    auto* disk = static_cast<hw::Disk*>(machine_.AddDevice(
         std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 128 * 1024})));
-    store_ = std::make_unique<mks::BackdoorBlockStore>(disk_, 10'000);
-    block_cache_ = std::make_unique<BlockCache>(kernel_, store_.get(), 1024);
-    jfs_ = std::make_unique<JfsFs>(kernel_, block_cache_.get(), 65536);
-    fs_task_ = kernel_.CreateTask("file-server");
-    fs_ = std::make_unique<FileServer>(kernel_, fs_task_);
+    store_ = std::make_unique<mks::BackdoorBlockStore>(disk, 10'000);
+    fs_ = std::make_unique<FileServer>(kernel_, kernel_.CreateTask("file-server"));
     fs_->EnableMapping();
-    EXPECT_EQ(fs_->AddMount("/", jfs_.get()), base::Status::kOk);
-    kernel_.CreateThread(fs_task_, "mkfs",
-                         [this](mk::Env& env) { ASSERT_EQ(jfs_->Format(env), base::Status::kOk); });
+    EXPECT_EQ(fs_->AddVolume("/", store_.get(), PfsKind::kJfs), base::Status::kOk);
+    fs_->StartMkfs();
     client_task_ = kernel_.CreateTask("client");
   }
 
@@ -51,11 +45,7 @@ class FsMmapTest : public mk::KernelTest {
     ASSERT_EQ(*wrote, size);
   }
 
-  hw::Disk* disk_;
   std::unique_ptr<mks::BackdoorBlockStore> store_;
-  std::unique_ptr<BlockCache> block_cache_;
-  std::unique_ptr<JfsFs> jfs_;
-  mk::Task* fs_task_;
   std::unique_ptr<FileServer> fs_;
   mk::Task* client_task_;
 };

@@ -11,33 +11,17 @@
 // seed.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "src/mks/restart/restart_manager.h"
-#include "src/svc/fs/block_cache.h"
-#include "src/svc/fs/file_server.h"
-#include "src/svc/fs/inode_fs.h"
-#include "tests/mk/kernel_test_fixture.h"
+#include "tests/svc/supervised_fs_fixture.h"
 
 namespace svc {
 namespace {
 
-constexpr char kFsName[] = "/svc/fs";
 constexpr uint64_t kBeatNs = 500'000;           // server heartbeat period
 constexpr uint64_t kWatchdogDeadlineNs = 2'000'000;  // 4 missed beats = wedged
 constexpr uint32_t kQueueLimit = 2;             // admission bound on the fs port
-
-uint64_t CampaignSeed() {
-  const char* env = std::getenv("WPOS_FAULT_SEED");
-  if (env == nullptr || *env == '\0') {
-    return 1;
-  }
-  return std::strtoull(env, nullptr, 10);
-}
 
 mk::RobustCallOptions BoundedOpts() {
   mk::RobustCallOptions opts;
@@ -66,66 +50,22 @@ uint64_t RobustCallCeilingNs() {
   return total + 10'000'000;  // slack for resolver RPCs and server work
 }
 
-class StallE2eTest : public mk::KernelTest {
+class StallE2eTest : public SupervisedFsTest {
  protected:
-  StallE2eTest() {
-    disk_ = static_cast<hw::Disk*>(machine_.AddDevice(
-        std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 256 * 1024})));
-    store_ = std::make_unique<mks::BackdoorBlockStore>(disk_, 10'000);
-    cache_ = std::make_unique<BlockCache>(kernel_, store_.get(), 1024);
-    fs_ = std::make_unique<HpfsFs>(kernel_, cache_.get(), 65536);
-
-    ns_task_ = kernel_.CreateTask("mks-naming");
-    ns_ = std::make_unique<mks::NameServer>(kernel_, ns_task_);
-    mgr_task_ = kernel_.CreateTask("mks-restart");
-    mks::RestartPolicy policy;
-    policy.max_restarts = 4;
-    policy.backoff_initial_ns = 100'000;
-    policy.heartbeat_deadline_ns = kWatchdogDeadlineNs;
-    mgr_ = std::make_unique<mks::RestartManager>(kernel_, mgr_task_, ns_->GrantTo(*mgr_task_),
-                                                 policy);
-    client_task_ = kernel_.CreateTask("client");
-    ns_for_client_ = ns_->GrantTo(*client_task_);
-
-    mk::Task* gen0 = SpawnFs();
-    kernel_.CreateThread(gen0, "mkfs", [this](mk::Env& env) {
-      ASSERT_EQ(fs_->Format(env), base::Status::kOk);
-    });
-    mgr_->Supervise(kFsName, gen0, [this](mk::Env&) {
-      mk::Task* task = SpawnFs();
-      auto right = kernel_.MakeSendRight(*task, servers_.back()->receive_port(), *mgr_task_);
-      EXPECT_TRUE(right.ok());
-      return mks::RestartManager::Respawned{task, right.ok() ? *right : mk::kNullPort};
-    });
-  }
-
   // Every generation gets the full overload armor: bounded RPC admission
   // on its service port and heartbeats to the manager's watchdog.
-  mk::Task* SpawnFs() {
-    const uint64_t gen = static_cast<uint64_t>(servers_.size());
-    mk::Task* task = kernel_.CreateTask("file-server-g" + std::to_string(gen));
-    auto server = std::make_unique<FileServer>(kernel_, task, gen * 1'000'000 + 1);
-    EXPECT_EQ(server->AddMount("/", fs_.get()), base::Status::kOk);
-    EXPECT_EQ(kernel_.PortSetQueueLimit(*task, server->receive_port(), kQueueLimit),
-              base::Status::kOk);
-    auto health = mgr_->HealthRightFor(*task);
-    EXPECT_TRUE(health.ok());
-    server->EnableHeartbeat(*health, 1, kBeatNs);
-    servers_.push_back(std::move(server));
-    return task;
+  StallE2eTest() {
+    Start({.max_restarts = 4,
+           .backoff_initial_ns = 100'000,
+           .heartbeat_deadline_ns = kWatchdogDeadlineNs},
+          [this](FileServer& server) {
+            EXPECT_EQ(kernel_.PortSetQueueLimit(*server.task(), server.receive_port(), kQueueLimit),
+                      base::Status::kOk);
+            auto health = mgr_->HealthRightFor(*server.task());
+            EXPECT_TRUE(health.ok());
+            server.EnableHeartbeat(*health, 1, kBeatNs);
+          });
   }
-
-  hw::Disk* disk_;
-  std::unique_ptr<mks::BackdoorBlockStore> store_;
-  std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<InodeFs> fs_;
-  mk::Task* ns_task_;
-  std::unique_ptr<mks::NameServer> ns_;
-  mk::Task* mgr_task_;
-  std::unique_ptr<mks::RestartManager> mgr_;
-  mk::Task* client_task_;
-  mk::PortName ns_for_client_ = mk::kNullPort;
-  std::vector<std::unique_ptr<FileServer>> servers_;
 };
 
 TEST_F(StallE2eTest, WedgedServerIsShedKilledAndRestartedUnderClientsNoses) {
@@ -142,12 +82,8 @@ TEST_F(StallE2eTest, WedgedServerIsShedKilledAndRestartedUnderClientsNoses) {
 
   for (int c = 0; c < kClients; ++c) {
     kernel_.CreateThread(client_task_, "client" + std::to_string(c), [&, c](mk::Env& env) {
-      mks::NameClient nc(ns_for_client_);
       if (c == 0) {
-        auto right = kernel_.MakeSendRight(*servers_[0]->task(), servers_[0]->receive_port(),
-                                           *client_task_);
-        ASSERT_TRUE(right.ok());
-        ASSERT_EQ(nc.Register(env, kFsName, *right), base::Status::kOk);
+        ASSERT_TRUE(RegisterFs(env).ok());
       } else {
         // Let client 0 register and arm before the herd piles in.
         (void)env.SleepNs(200'000);
@@ -202,9 +138,7 @@ TEST_F(StallE2eTest, WedgedServerIsShedKilledAndRestartedUnderClientsNoses) {
         // the watchdog would mistake the stopped server for a wedged one and
         // respawn an orphan.
         mgr_->Unsupervise(kFsName);
-        servers_.back()->Stop();
-        mgr_->Stop();
-        ns_->Stop();
+        StopAll();
       }
     });
   }
