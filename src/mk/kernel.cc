@@ -249,12 +249,24 @@ Task* Kernel::CreateTask(const std::string& name, uint32_t app_footprint_instr) 
 }
 
 Thread* Kernel::CreateThread(Task* task, const std::string& name, ThreadBody body, int priority) {
+  const base::Result<Thread*> t = TryCreateThread(task, name, std::move(body), priority);
+  WPOS_CHECK(t.ok()) << "kernel heap exhausted";
+  return *t;
+}
+
+base::Result<Thread*> Kernel::TryCreateThread(Task* task, const std::string& name, ThreadBody body,
+                                              int priority) {
   WPOS_CHECK(task != nullptr);
   WPOS_CHECK(priority >= 0 && priority < Thread::kNumPriorities);
   cpu().Execute(ThreadCreateRegion());
-  const hw::PhysAddr sim_addr = heap_->Allocate(512);
-  const hw::PhysAddr window = heap_->Allocate(Thread::kMsgWindowSize, 64);
-  auto thread = std::make_unique<Thread>(next_thread_id_++, task, name, priority, sim_addr, window);
+  const base::Result<hw::PhysAddr> sim_addr = heap_->TryAllocate(512);
+  const base::Result<hw::PhysAddr> window =
+      sim_addr.ok() ? heap_->TryAllocate(Thread::kMsgWindowSize, 64) : sim_addr;
+  if (!window.ok()) {
+    return window.status();
+  }
+  auto thread =
+      std::make_unique<Thread>(next_thread_id_++, task, name, priority, *sim_addr, *window);
   Thread* t = thread.get();
   t->entry_ = [this, t, body = std::move(body)] {
     Env env(*this, t);

@@ -133,6 +133,12 @@ class Kernel {
   Task* CreateTask(const std::string& name, uint32_t app_footprint_instr = 0);
   Thread* CreateThread(Task* task, const std::string& name, ThreadBody body,
                        int priority = Thread::kDefaultPriority);
+  // CreateThread for a thread a client's request makes: a kernel heap that
+  // cannot hold its 512 B record and 64 KB message window answers
+  // kResourceShortage, where CreateThread aborts the host. The record stays
+  // taken when only the window did not fit; the heap never frees.
+  base::Result<Thread*> TryCreateThread(Task* task, const std::string& name, ThreadBody body,
+                                        int priority = Thread::kDefaultPriority);
   // Terminates a task: destroys the ports it holds the receive right for
   // (queued and in-flight callers get kPortDead, as with ServerLoop::Stop),
   // fails RPCs the task's threads were serving, aborts its blocked threads,

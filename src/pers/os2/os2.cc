@@ -32,6 +32,67 @@ mk::PortName Os2Server::GrantTo(mk::Task& client) {
   return *name;
 }
 
+void Os2Server::Stop() {
+  loop_->Stop();
+  if (death_port_ != mk::kNullPort) {
+    (void)kernel_.UnregisterDeathWatcher(*task_, death_port_);
+    // Killing the port ends the watcher thread's receive with kPortDead.
+    (void)kernel_.PortDestroy(*task_, death_port_);
+  }
+}
+
+base::Status Os2Server::WatchDeaths() {
+  if (death_port_ != mk::kNullPort) {
+    return base::Status::kOk;
+  }
+  auto port = kernel_.PortAllocate(*task_);
+  if (!port.ok()) {
+    return port.status();
+  }
+  death_port_ = *port;
+  const base::Result<mk::Thread*> watcher = kernel_.TryCreateThread(task_, "os2-deaths",
+                                                                    [this](mk::Env& env) {
+    mk::MachMessage msg;
+    mk::TaskDeathNotice notice;
+    while (env.MachMsgReceive(death_port_, &msg) == base::Status::kOk) {
+      if (msg.msg_id != mk::kTaskDeathMsgId || msg.inline_data.size() < sizeof(notice)) {
+        continue;  // a port's death: semaphores are held by tasks
+      }
+      std::memcpy(&notice, msg.inline_data.data(), sizeof(notice));
+      for (auto& [id, sem] : system_sems_) {
+        if (sem.holder == notice.task) {
+          PassOn(sem);
+        }
+      }
+    }
+  }, mk::Thread::kDefaultPriority + 2);
+  if (!watcher.ok()) {
+    (void)kernel_.PortDestroy(*task_, death_port_);
+    death_port_ = mk::kNullPort;
+    return watcher.status();
+  }
+  (void)kernel_.RegisterDeathWatcher(*task_, death_port_);  // a fresh receive right
+  return base::Status::kOk;
+}
+
+void Os2Server::PassOn(SystemSem& sem) {
+  // A waiter whose task died or whose call timed out has no call left to
+  // answer; its reply fails and the semaphore moves on.
+  while (!sem.waiters.empty()) {
+    const SystemSem::Waiter next = sem.waiters.front();
+    sem.waiters.pop_front();
+    sem.holder = next.task;
+    const Os2Reply granted;
+    // A reply can yield, and another thread may pass the semaphore on
+    // meanwhile; then that thread's answer stands.
+    if (kernel_.RpcReply(next.token, &granted, sizeof(granted)) == base::Status::kOk ||
+        sem.holder != next.task) {
+      return;
+    }
+  }
+  sem.holder = 0;
+}
+
 void Os2Server::Serve(mk::Env& env) {
   static const hw::CodeRegion kLoop = hw::DefineCode("loop.os2", mk::Costs::kRpcServerLoop);
   loop_->Run<Os2Request>(env, [&](mk::Env& env, const mk::RpcRequest& rpc, const Os2Request& r,
@@ -46,6 +107,8 @@ void Os2Server::Serve(mk::Env& env) {
           reply.status = static_cast<int32_t>(base::Status::kInvalidArgument);
         } else if (sem_ids_.contains(r.name)) {
           reply.status = static_cast<int32_t>(base::Status::kAlreadyExists);
+        } else if (const base::Status st = WatchDeaths(); st != base::Status::kOk) {
+          reply.status = static_cast<int32_t>(st);
         } else {
           const uint32_t id = next_sem_++;
           sem_ids_.emplace(r.name, id);
@@ -58,12 +121,13 @@ void Os2Server::Serve(mk::Env& env) {
         auto it = system_sems_.find(r.value);
         if (it == system_sems_.end()) {
           reply.status = static_cast<int32_t>(base::Status::kNotFound);
-        } else if (it->second.count > 0) {
-          --it->second.count;
+        } else if (it->second.holder == 0) {
+          it->second.holder = rpc.client_task;
         } else {
-          // Owner holds it: defer the reply; the release completes it. The
-          // server thread stays free to serve other processes meanwhile.
-          it->second.waiters.push_back(rpc.token);
+          // Held, by this task too: defer the reply; a release or the
+          // holder's death completes it. The server thread stays free to
+          // serve other processes meanwhile.
+          it->second.waiters.push_back({rpc.token, rpc.client_task});
           return;
         }
         break;
@@ -72,21 +136,10 @@ void Os2Server::Serve(mk::Env& env) {
         auto it = system_sems_.find(r.value);
         if (it == system_sems_.end()) {
           reply.status = static_cast<int32_t>(base::Status::kNotFound);
-          break;
-        }
-        // The semaphore passes to the first waiter still there to take it.
-        // A waiter whose task died or whose call timed out has no call left
-        // to answer; its reply fails and the release moves on.
-        std::deque<uint64_t>& waiters = it->second.waiters;
-        bool handed = false;
-        while (!handed && !waiters.empty()) {
-          const uint64_t waiter = waiters.front();
-          waiters.pop_front();
-          const Os2Reply granted;
-          handed = kernel_.RpcReply(waiter, &granted, sizeof(granted)) == base::Status::kOk;
-        }
-        if (!handed) {
-          ++it->second.count;
+        } else if (it->second.holder != rpc.client_task) {
+          reply.status = static_cast<int32_t>(base::Status::kPermissionDenied);
+        } else {
+          PassOn(it->second);
         }
         break;
       }

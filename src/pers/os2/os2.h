@@ -5,9 +5,10 @@
 // for the microkernel, Microkernel Services, shared services and the OS/2
 // server, with as much function as possible implemented in the libraries
 // themselves to reduce server interaction. The OS/2 server holds the truly
-// shared state, the system semaphores; file function forwards to
-// the personality-neutral file server with OS/2 semantics flags; memory
-// function is the commitment-oriented layer in os2_memory.h.
+// shared state, the system semaphores, each held by at most one process;
+// file function forwards to the personality-neutral file server with OS/2
+// semantics flags; memory function is the commitment-oriented layer in
+// os2_memory.h.
 #ifndef SRC_PERS_OS2_OS2_H_
 #define SRC_PERS_OS2_OS2_H_
 
@@ -46,20 +47,34 @@ class Os2Server {
 
   mk::PortName receive_port() const { return receive_port_; }
   mk::PortName GrantTo(mk::Task& client);
-  // mk::ServerLoop::Stop semantics: the service port dies at once.
-  void Stop() { loop_->Stop(); }
+  // mk::ServerLoop::Stop semantics: the service port dies at once, and the
+  // death-notice port with it.
+  void Stop();
 
  private:
+  // A system semaphore is free or held by one task. Only the holder may
+  // release it (kPermissionDenied, OS/2's ERROR_NOT_OWNER); a release, or
+  // the holder's death, passes it to the first waiter still there.
+  struct SystemSem {
+    struct Waiter {
+      uint64_t token = 0;  // the parked kRequestSem call
+      mk::TaskId task = 0;
+    };
+    mk::TaskId holder = 0;  // 0: free
+    std::deque<Waiter> waiters;
+  };
+
   void Serve(mk::Env& env);
+  // Made on the first kCreateSem: a port that task-death notices reach,
+  // and a thread that passes on each semaphore whose holder died.
+  base::Status WatchDeaths();
+  void PassOn(SystemSem& sem);
 
   mk::Kernel& kernel_;
   mk::Task* task_;
   mk::PortName receive_port_ = mk::kNullPort;
   std::unique_ptr<mk::ServerLoop> loop_;
-  struct SystemSem {
-    uint32_t count = 1;
-    std::deque<uint64_t> waiters;  // RPC tokens awaiting the semaphore
-  };
+  mk::PortName death_port_ = mk::kNullPort;
   std::map<std::string, uint32_t> sem_ids_;
   std::map<uint32_t, SystemSem> system_sems_;
   uint32_t next_sem_ = 1;

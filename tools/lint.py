@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Repository lint checks, run in CI before the build.
 
-Checks, over every header and source file under src/ and tests/:
+Checks, over every header and source file under src/, tests/ and bench/
+(rule 13 reads examples/ too):
 
   1. Headers carry an include guard derived from the repo-relative path
      (src/mk/kernel.h -> SRC_MK_KERNEL_H_) with matching #ifndef/#define
@@ -79,8 +80,15 @@ Checks, over every header and source file under src/ and tests/:
      KernelHeap::Allocate aborts the host once the heap, which never
      frees, is full. A site that a client, an interrupt or a crash loop
      can reach takes TryAllocate instead, and answers kResourceShortage or
-     drops its notification. The list holds CreateTask and CreateThread
-     and objects made once at construction.
+     drops its notification. The list holds CreateTask and objects made
+     once at construction; CreateThread aborts through TryCreateThread.
+ 13. One file-service assembly: outside src/svc/fs/, no file constructs a
+     BlockCache or a physical file system (HpfsFs, JfsFs, FatFs, InodeFs).
+     A file server builds its volumes with FileServer::AddVolume, and the
+     monolithic comparator holds one svc::Volume. One place builds a file
+     server's state, so a change to how a server generation gets its cache
+     and file systems (ROADMAP item 13: mount from the disk) changes one
+     place. Exempt are the unit tests of those classes (PFS_UNIT_TESTS).
 
 Exit status is the number of files with violations (0 = clean).
 """
@@ -91,6 +99,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCAN_DIRS = ("src", "tests", "bench")
+# Rule 13 alone also reads the example programs.
+ASSEMBLY_SCAN_DIRS = SCAN_DIRS + ("examples",)
 COSTS_HEADER = Path("src") / "mk" / "costs.h"
 TRACE_EVENTS_HEADER = Path("src") / "mk" / "trace" / "events.h"
 FAULT_POINTS_HEADER = Path("src") / "mk" / "fault" / "points.h"
@@ -128,7 +138,7 @@ LOOP_REPLY_RE = re.compile(r"->Reply\s*\(")
 DEVICE_REG_RE = re.compile(r"\bhw::\w+::kReg\w*")
 HEAP_ALLOCATE_RE = re.compile(r"\bheap(?:_->|\(\)\.)Allocate\s*\(")
 HEAP_ALLOCATE_ALLOWED = {
-    Path("src") / "mk" / "kernel.cc": 4,  # CreateTask, CreateThread
+    Path("src") / "mk" / "kernel.cc": 2,  # CreateTask
     Path("src") / "mks" / "naming" / "lite_name_server.cc": 1,
     Path("src") / "drv" / "oo" / "fine_grained.h": 2,
     Path("src") / "drv" / "oo" / "ooddm.h": 1,
@@ -138,6 +148,19 @@ DEVICE_REG_DIRS = (Path("src") / "hw", Path("src") / "drv")
 FS_PROTOCOL_FILES = {
     Path("src") / "svc" / "fs" / name for name in ("protocol.h", "file_server.h", "file_server.cc")
 }
+FS_DIR = Path("src") / "svc" / "fs"
+PFS_UNIT_TESTS = {
+    Path("tests") / "svc" / "fs_test.cc",
+    Path("tests") / "props" / "pfs_contract_test.cc",
+    Path("tests") / "props" / "block_cache_runs_props_test.cc",
+    # A one-sector cache over the disk driver's store.
+    Path("tests") / "drv" / "drivers_test.cc",
+}
+# A cache or file system made by make_unique<T>(...), T name(...), T(...)
+# or T{...}; a T&, a T* or a unique_ptr<T> member constructs nothing.
+FS_CONSTRUCT_RE = re.compile(
+    r"\b(BlockCache|HpfsFs|JfsFs|FatFs|InodeFs)\b(?:\s*>\s*\(|\s*[({]|\s+\w+\s*[({])"
+)
 TRACE_EMIT_CALL_RE = re.compile(
     r"\b(Emit|BeginSpan|MarkPhase|MarkQueued|EndSpan|ScopedSpan)\s*\("
 )
@@ -387,6 +410,19 @@ def check_heap_allocate(rel_path: Path, text: str, errors: list) -> None:
         )
 
 
+def check_fs_assembly(rel_path: Path, text: str, errors: list) -> None:
+    if FS_DIR in rel_path.parents or rel_path in PFS_UNIT_TESTS:
+        return
+    for i, line in enumerate(text.split("\n")):
+        match = FS_CONSTRUCT_RE.search(strip_line_comment(line))
+        if match:
+            errors.append(
+                f"{rel_path}:{i + 1}: constructs a {match.group(1)} outside {FS_DIR} — a "
+                f"file server builds its volumes with FileServer::AddVolume, and the "
+                f"comparator holds one svc::Volume"
+            )
+
+
 def expected_guard(rel_path: Path) -> str:
     return re.sub(r"[^A-Za-z0-9]", "_", str(rel_path)).upper() + "_"
 
@@ -446,6 +482,7 @@ def lint_file(
     check_file_client(rel_path, text, errors)
     check_device_registers(rel_path, text, errors)
     check_heap_allocate(rel_path, text, errors)
+    check_fs_assembly(rel_path, text, errors)
     return errors
 
 
@@ -458,17 +495,25 @@ def main() -> int:
     accessors = load_unordered_accessors()
     fault_used = {}
     trace_used = {}
-    for scan_dir in SCAN_DIRS:
+    for scan_dir in ASSEMBLY_SCAN_DIRS:
         root = REPO_ROOT / scan_dir
         if not root.is_dir():
             continue
         for path in sorted(root.rglob("*")):
-            if path.suffix not in (".h", ".cc"):
+            if path.suffix not in (".h", ".cc", ".cpp"):
                 continue
             scanned += 1
-            errors = lint_file(
-                path, trace_registry, fault_registry, accessors, fault_used, trace_used
-            )
+            if scan_dir in SCAN_DIRS and path.suffix != ".cpp":
+                errors = lint_file(
+                    path, trace_registry, fault_registry, accessors, fault_used, trace_used
+                )
+            else:
+                errors = []
+                check_fs_assembly(
+                    path.relative_to(REPO_ROOT),
+                    path.read_text(encoding="utf-8", errors="replace"),
+                    errors,
+                )
             if errors:
                 bad_files += 1
                 total_errors += len(errors)
