@@ -593,8 +593,8 @@ base::Status FileServer::PathOp(mk::Env& env, const FsRequest& r, Answer& a) {
       if (!node.ok()) {
         return node.status();
       }
-      // As for unlink: an open file keeps its name. (FAT moves a renamed
-      // entry to a new slot, and a node id is its slot.)
+      // Union rule, as for unlink: an open file keeps its name, as OS/2
+      // requires; UNIX would allow the rename.
       if (node_states_.contains(NodeKey(mount, *node))) {
         return base::Status::kBusy;
       }

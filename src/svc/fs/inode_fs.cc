@@ -54,11 +54,11 @@ struct JournalRecHeader {
 constexpr uint32_t kJournalRecMagic = 0x574a5243;
 }  // namespace
 
-InodeFs::InodeFs(mk::Kernel& kernel, BlockCache* cache, uint64_t sectors, InodeFsConfig config)
-    : kernel_(kernel), cache_(cache), total_sectors_(sectors), config_(std::move(config)) {}
+InodeFs::InodeFs(mk::Kernel& kernel, BlockCache* cache, uint64_t sectors, PfsKind kind)
+    : kernel_(kernel), cache_(cache), total_sectors_(sectors), kind_(kind) {}
 
 bool InodeFs::NamesEqual(const std::string& a, const char* b) const {
-  if (config_.case_sensitive) {
+  if (case_sensitive()) {
     return a == b;
   }
   size_t i = 0;
@@ -72,10 +72,35 @@ bool InodeFs::NamesEqual(const std::string& a, const char* b) const {
   return b[i] == '\0';
 }
 
+base::Result<std::string> InodeFs::StoredName(const std::string& name) const {
+  if (name.empty() || name.size() > kNameMax || name.find('/') != std::string::npos ||
+      name == "." || name == "..") {
+    return base::Status::kInvalidArgument;
+  }
+  if (kind_ != PfsKind::kFat) {
+    return name;
+  }
+  const size_t dot = name.rfind('.');
+  const std::string stem = name.substr(0, dot);
+  const std::string ext = dot == std::string::npos ? "" : name.substr(dot + 1);
+  // The long-name incompatibility: anything beyond 8.3 cannot be stored.
+  if (stem.empty() || stem.size() > 8 || ext.size() > 3) {
+    return base::Status::kNotSupported;
+  }
+  if (name.find(' ') != std::string::npos || stem.find('.') != std::string::npos) {
+    return base::Status::kInvalidArgument;
+  }
+  std::string stored = ext.empty() ? stem : name;  // "a." is stored as "A"
+  for (char& c : stored) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  return stored;
+}
+
 // --- Journal ----------------------------------------------------------------------
 
 InodeFs::Txn::Txn(InodeFs& fs) : fs_(fs) {
-  if (!fs_.config_.journaled) {
+  if (!fs_.journaled()) {
     return;
   }
   WPOS_CHECK(!fs_.in_txn_) << "nested fs transaction";
@@ -138,7 +163,7 @@ base::Status InodeFs::MetaWrite(mk::Env& env, uint64_t lba, uint32_t offset, uin
   } while (0)
 
 base::Status InodeFs::TxnCommit(mk::Env& env) {
-  if (!config_.journaled) {
+  if (!journaled()) {
     return base::Status::kOk;
   }
   WPOS_CHECK(in_txn_);
@@ -251,7 +276,7 @@ base::Status InodeFs::Format(mk::Env& env) {
   uint32_t data_guess = static_cast<uint32_t>(total_sectors_) - bitmap_start_;
   bitmap_sectors_ = (data_guess / 8 + kSectorSize - 1) / kSectorSize;
   journal_start_ = bitmap_start_ + bitmap_sectors_;
-  const uint32_t journal = config_.journaled ? kJournalSectors : 0;
+  const uint32_t journal = journaled() ? kJournalSectors : 0;
   data_start_ = journal_start_ + journal;
   num_blocks_ = static_cast<uint32_t>(total_sectors_) - data_start_;
   free_blocks_ = num_blocks_;
@@ -268,7 +293,7 @@ base::Status InodeFs::Format(mk::Env& env) {
                 journal,
                 data_start_,
                 num_blocks_,
-                config_.journaled ? 1u : 0u};
+                journaled() ? 1u : 0u};
   std::memcpy(sector, &sb, sizeof(sb));
   base::Status st = cache_->WriteSector(env, 0, sector);
   if (st != base::Status::kOk) {
@@ -572,6 +597,17 @@ base::Result<uint64_t> InodeFs::ScanDir(
 
 base::Result<InodeFs::FoundEntry> InodeFs::FindEntry(mk::Env& env, NodeId dir,
                                                      const std::string& name) {
+  if (kind_ == PfsKind::kFat) {
+    // An 8.3 name is found by its stored form, and a long one is refused
+    // here as at create.
+    auto stored = StoredName(name);
+    if (!stored.ok()) {
+      return stored.status();
+    }
+    if (*stored != name) {
+      return FindEntry(env, dir, *stored);
+    }
+  }
   DiskInode inode;
   base::Status st = ReadInode(env, dir, &inode);
   if (st != base::Status::kOk) {
@@ -636,10 +672,11 @@ base::Result<NodeId> InodeFs::Lookup(mk::Env& env, NodeId dir, const std::string
 base::Result<NodeId> InodeFs::Create(mk::Env& env, NodeId dir, const std::string& name,
                                      bool directory) {
   kernel_.cpu().Execute(LookupRegion());
-  if (name.empty() || name.size() > kNameMax || name.find('/') != std::string::npos) {
-    return base::Status::kInvalidArgument;
+  auto stored = StoredName(name);
+  if (!stored.ok()) {
+    return stored.status();
   }
-  if (FindEntry(env, dir, name).ok()) {
+  if (FindEntry(env, dir, *stored).ok()) {
     return base::Status::kAlreadyExists;
   }
   Txn txn(*this);
@@ -658,7 +695,7 @@ base::Result<NodeId> InodeFs::Create(mk::Env& env, NodeId dir, const std::string
     return slot.status();
   }
   Dirent64 e;
-  std::strncpy(e.name, name.c_str(), kNameMax);
+  std::strncpy(e.name, stored->c_str(), kNameMax);
   e.ino = static_cast<uint32_t>(*ino);
   e.used = 1;
   e.directory = directory ? 1 : 0;
@@ -713,21 +750,22 @@ base::Status InodeFs::Remove(mk::Env& env, NodeId dir, const std::string& name) 
 
 base::Status InodeFs::Rename(mk::Env& env, NodeId from_dir, const std::string& from,
                              NodeId to_dir, const std::string& to) {
-  if (to.empty() || to.size() > kNameMax) {
-    return base::Status::kInvalidArgument;
+  auto stored = StoredName(to);
+  if (!stored.ok()) {
+    return stored.status();
   }
   auto found = FindEntry(env, from_dir, from);
   if (!found.ok()) {
     return found.status();
   }
-  if (FindEntry(env, to_dir, to).ok()) {
+  if (FindEntry(env, to_dir, *stored).ok()) {
     return base::Status::kAlreadyExists;
   }
   Txn txn(*this);
   // The same entry under the new name: its inode and type move with it.
   Dirent64 e = found->entry;
   std::memset(e.name, 0, sizeof(e.name));
-  std::strncpy(e.name, to.c_str(), kNameMax);
+  std::strncpy(e.name, stored->c_str(), kNameMax);
   // Append in the destination, clear the source slot.
   DiskInode dnode;
   base::Status st = ReadInode(env, to_dir, &dnode);
@@ -805,8 +843,9 @@ base::Result<uint32_t> InodeFs::Write(mk::Env& env, NodeId node, uint64_t offset
     return base::Status::kTooLarge;
   }
   Txn txn(*this);  // block-pointer/bitmap updates are metadata
+  const uint64_t old_size = inode.size;
   uint32_t done = 0;
-  while (done < len) {
+  while (st == base::Status::kOk && done < len) {
     const uint64_t pos = offset + done;
     const uint32_t block_index = static_cast<uint32_t>(pos / kSectorSize);
     const uint32_t in_block = static_cast<uint32_t>(pos % kSectorSize);
@@ -814,31 +853,37 @@ base::Result<uint32_t> InodeFs::Write(mk::Env& env, NodeId node, uint64_t offset
     bool fresh = false;
     auto block = MapBlock(env, &inode, node, block_index, /*allocate=*/true, &fresh);
     if (!block.ok()) {
-      return block.status();
+      st = block.status();
+      break;
     }
     const uint8_t* src = static_cast<const uint8_t*>(data) + done;
-    base::Status wst = base::Status::kOk;
     if (fresh && chunk < kSectorSize) {
       // A fresh block is written whole, zeros around the chunk: its old
       // bytes are a previous owner's.
       uint8_t sector[kSectorSize] = {};
       std::memcpy(sector + in_block, src, chunk);
-      wst = cache_->WriteSector(env, data_start_ + *block, sector);
+      st = cache_->WriteSector(env, data_start_ + *block, sector);
     } else {
-      wst = cache_->WriteBytes(env, data_start_ + *block, in_block, chunk, src);
-    }
-    if (wst != base::Status::kOk) {
-      return wst;
+      st = cache_->WriteBytes(env, data_start_ + *block, in_block, chunk, src);
     }
     done += chunk;
   }
   // MapBlock kept `inode` current, so the size update needs no re-read.
-  if (offset + len > inode.size) {
+  if (st == base::Status::kOk && offset + len > old_size) {
     inode.size = offset + len;
     st = WriteInode(env, node, inode);
-    if (st != base::Status::kOk) {
-      return st;
+  }
+  if (st != base::Status::kOk) {
+    // A write that fails, out of blocks say, gives back every block it
+    // mapped past the old end. A journal's transaction drops them as it
+    // ends; without one, they are freed here.
+    if (!journaled()) {
+      inode.size = old_size;
+      (void)FreeBlocksFrom(env, &inode,
+                           static_cast<uint32_t>((old_size + kSectorSize - 1) / kSectorSize));
+      (void)WriteInode(env, node, inode);
     }
+    return st;
   }
   st = txn.Commit(env);
   if (st != base::Status::kOk) {
@@ -918,6 +963,9 @@ base::Result<std::vector<DirEntry>> InodeFs::ReadDir(mk::Env& env, NodeId dir) {
 
 base::Status InodeFs::SetEa(mk::Env& env, NodeId node, const std::string& key,
                             const std::string& value) {
+  if (kind_ == PfsKind::kFat) {
+    return base::Status::kNotSupported;
+  }
   if (key.size() + value.size() + 2 > sizeof(DiskInode{}.ea[0])) {
     return base::Status::kTooLarge;
   }
@@ -953,6 +1001,9 @@ base::Status InodeFs::SetEa(mk::Env& env, NodeId node, const std::string& key,
 }
 
 base::Result<std::string> InodeFs::GetEa(mk::Env& env, NodeId node, const std::string& key) {
+  if (kind_ == PfsKind::kFat) {
+    return base::Status::kNotSupported;
+  }
   DiskInode inode;
   const base::Status st = ReadInode(env, node, &inode);
   if (st != base::Status::kOk) {

@@ -1,10 +1,15 @@
-// Inode-based physical file system core, instantiated twice:
-//   - HPFS-flavoured: long names, case-insensitive but case-preserving,
-//     extended attributes, no journal;
-//   - JFS-flavoured: long names, case-sensitive, extended attributes, and a
-//     physical redo journal for metadata (write-ahead logged, replayed on
-//     mount).
-// Both run against the shared block cache, like the real file server's
+// The inode-based physical file system, in three flavours (PfsKind):
+//   - HPFS: long names, case-insensitive but case-preserving, extended
+//     attributes, no journal;
+//   - JFS: long names, case-sensitive, extended attributes, and a physical
+//     redo journal for metadata (write-ahead logged, replayed on mount);
+//   - FAT: HPFS's layout behind an 8.3 name rule. The paper's "old FAT
+//     format used by OS/2 ... supports only 8 character file names followed
+//     by a '.' followed by 3 character extensions", so a long name cannot
+//     be stored: it answers kNotSupported. Names are stored upper-cased,
+//     and there are no extended attributes. FAT's on-disk format (its
+//     table, clusters and fixed root directory) is not modelled.
+// Each runs against the shared block cache, like the real file server's
 // vnode-dispatched physical file systems.
 #ifndef SRC_SVC_FS_INODE_FS_H_
 #define SRC_SVC_FS_INODE_FS_H_
@@ -18,10 +23,8 @@
 
 namespace svc {
 
-struct InodeFsConfig {
-  bool case_sensitive = false;
-  bool journaled = false;
-};
+// The flavour of a physical file system, and the one setting of an InodeFs.
+enum class PfsKind { kFat, kHpfs, kJfs };
 
 class InodeFs : public Pfs {
  public:
@@ -38,11 +41,13 @@ class InodeFs : public Pfs {
   static constexpr uint32_t kNumInodes = 1024;
   static constexpr uint32_t kJournalSectors = 256;  // only if journaled
 
-  InodeFs(mk::Kernel& kernel, BlockCache* cache, uint64_t sectors, InodeFsConfig config);
+  // The cache (and its block store) must outlive the file system. `sectors`
+  // bounds the region of the device this file system occupies.
+  InodeFs(mk::Kernel& kernel, BlockCache* cache, uint64_t sectors, PfsKind kind);
 
   base::Status Format(mk::Env& env) override;
 
-  bool case_sensitive() const override { return config_.case_sensitive; }
+  bool case_sensitive() const override { return kind_ == PfsKind::kJfs; }
 
   base::Status Mount(mk::Env& env) override;
   base::Status Sync(mk::Env& env) override;
@@ -117,7 +122,13 @@ class InodeFs : public Pfs {
     InodeFs& fs_;
   };
 
+  bool journaled() const { return kind_ == PfsKind::kJfs; }
   bool NamesEqual(const std::string& a, const char* b) const;
+  // The form `name` is stored and found under. Every flavour refuses an
+  // empty name, one longer than kNameMax, one holding '/', and "." and ".."
+  // (kInvalidArgument). FAT upper-cases an 8.3 name and refuses anything
+  // longer with kNotSupported. Charges nothing.
+  base::Result<std::string> StoredName(const std::string& name) const;
 
   // Metadata bytes [offset, offset + len) of sector `lba`. Reads see the
   // in-flight transaction's staged sectors. A write inside a transaction
@@ -158,7 +169,7 @@ class InodeFs : public Pfs {
   mk::Kernel& kernel_;
   BlockCache* cache_;
   uint64_t total_sectors_;
-  InodeFsConfig config_;
+  PfsKind kind_;
 
   uint32_t inode_table_start_ = 0;
   uint32_t inode_table_sectors_ = 0;
@@ -179,21 +190,6 @@ class InodeFs : public Pfs {
   uint64_t journal_replays_ = 0;
   bool crash_before_apply_ = false;
   bool mounted_ = false;
-};
-
-// Convenience aliases with the paper's file-system mix.
-class HpfsFs : public InodeFs {
- public:
-  HpfsFs(mk::Kernel& kernel, BlockCache* cache, uint64_t sectors)
-      : InodeFs(kernel, cache, sectors,
-                {.case_sensitive = false, .journaled = false}) {}
-};
-
-class JfsFs : public InodeFs {
- public:
-  JfsFs(mk::Kernel& kernel, BlockCache* cache, uint64_t sectors)
-      : InodeFs(kernel, cache, sectors,
-                {.case_sensitive = true, .journaled = true}) {}
 };
 
 }  // namespace svc

@@ -1,7 +1,9 @@
 // Physical-file-system interface: the extended vnode architecture of the
-// WPOS file server. Each PFS implements these operations against a block
+// WPOS file server. A PFS implements these operations against a block
 // device; the file server mounts PFS instances into the single rooted tree
-// and layers the union of the personalities' semantics on top.
+// and layers the union of the personalities' semantics on top, and the
+// monolithic comparator mounts one the same way. svc::InodeFs implements it,
+// in three flavours (PfsKind: FAT, HPFS and JFS).
 #ifndef SRC_SVC_FS_PFS_H_
 #define SRC_SVC_FS_PFS_H_
 
@@ -71,14 +73,10 @@ class Pfs {
   virtual base::Status SetSize(mk::Env& env, NodeId node, uint64_t size) = 0;
   virtual base::Result<std::vector<DirEntry>> ReadDir(mk::Env& env, NodeId dir) = 0;
 
-  // Extended attributes; PFSes without EA support return kNotSupported.
+  // Extended attributes; a PFS without them (FAT) answers kNotSupported.
   virtual base::Status SetEa(mk::Env& env, NodeId node, const std::string& key,
-                             const std::string& value) {
-    return base::Status::kNotSupported;
-  }
-  virtual base::Result<std::string> GetEa(mk::Env& env, NodeId node, const std::string& key) {
-    return base::Status::kNotSupported;
-  }
+                             const std::string& value) = 0;
+  virtual base::Result<std::string> GetEa(mk::Env& env, NodeId node, const std::string& key) = 0;
 };
 
 }  // namespace svc

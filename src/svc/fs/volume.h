@@ -5,16 +5,10 @@
 #ifndef SRC_SVC_FS_VOLUME_H_
 #define SRC_SVC_FS_VOLUME_H_
 
-#include <memory>
-
 #include "src/svc/fs/block_cache.h"
-#include "src/svc/fs/pfs.h"
+#include "src/svc/fs/inode_fs.h"
 
 namespace svc {
-
-// The physical file system a volume holds: HPFS and JFS are the two
-// InodeFs flavours, FAT is FatFs.
-enum class PfsKind { kHpfs, kJfs, kFat };
 
 class Volume {
  public:
@@ -22,13 +16,14 @@ class Volume {
   // outlive the volume; the cache holds `cache_sectors`. Touches no kernel
   // state, so a volume may be built anywhere.
   Volume(mk::Kernel& kernel, mks::BlockStore* store, PfsKind kind, uint64_t fs_sectors,
-         uint32_t cache_sectors);
+         uint32_t cache_sectors)
+      : cache_(kernel, store, cache_sectors), pfs_(kernel, &cache_, fs_sectors, kind) {}
 
-  Pfs& pfs() { return *pfs_; }
+  InodeFs& pfs() { return pfs_; }
 
  private:
   BlockCache cache_;
-  std::unique_ptr<Pfs> pfs_;
+  InodeFs pfs_;
 };
 
 }  // namespace svc

@@ -1,8 +1,8 @@
 // Property-style contract tests run against every physical file system
-// (FAT, HPFS, JFS): whatever their on-disk format, the Pfs interface must
-// behave like a file system. A host-side oracle (std::map of name -> bytes,
-// or of name -> type for directories) checks every operation's result after
-// randomized op sequences.
+// flavour (FAT, HPFS, JFS): whatever its names and journal, the Pfs
+// interface must behave like a file system. A host-side oracle (std::map of
+// name -> bytes, or of name -> type for directories) checks every
+// operation's result after randomized op sequences.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,15 +10,12 @@
 #include <memory>
 
 #include "src/base/rng.h"
-#include "src/svc/fs/fat.h"
 #include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 #include "tests/props/seeds.h"
 
 namespace svc {
 namespace {
-
-enum class PfsKind { kFat, kHpfs, kJfs };
 
 std::string KindName(PfsKind k) {
   switch (k) {
@@ -40,20 +37,7 @@ class PfsContractTest : public mk::KernelTest,
         std::make_unique<hw::Disk>("d", 3, hw::Disk::Geometry{.sectors = 128 * 1024})));
     store_ = std::make_unique<mks::BackdoorBlockStore>(disk_, 5'000);
     cache_ = std::make_unique<BlockCache>(kernel_, store_.get(), 2048);
-    switch (GetParam()) {
-      case PfsKind::kFat:
-        fat_ = std::make_unique<FatFs>(kernel_, cache_.get(), 32768);
-        pfs_ = fat_.get();
-        break;
-      case PfsKind::kHpfs:
-        inode_ = std::make_unique<HpfsFs>(kernel_, cache_.get(), 65536);
-        pfs_ = inode_.get();
-        break;
-      case PfsKind::kJfs:
-        inode_ = std::make_unique<JfsFs>(kernel_, cache_.get(), 65536);
-        pfs_ = inode_.get();
-        break;
-    }
+    pfs_ = NewInstance();
   }
 
   void RunInThread(std::function<void(mk::Env&)> body) {
@@ -62,25 +46,10 @@ class PfsContractTest : public mk::KernelTest,
     ASSERT_EQ(kernel_.Run(), 0u);
   }
 
-  base::Status Format(mk::Env& env) {
-    if (fat_ != nullptr) {
-      return fat_->Format(env);
-    }
-    return inode_->Format(env);
-  }
-
   // A fresh instance of the file system under test over the same cache and
   // disk, for a remount.
-  std::unique_ptr<Pfs> NewInstance() {
-    switch (GetParam()) {
-      case PfsKind::kFat:
-        return std::make_unique<FatFs>(kernel_, cache_.get(), 32768);
-      case PfsKind::kHpfs:
-        return std::make_unique<HpfsFs>(kernel_, cache_.get(), 65536);
-      case PfsKind::kJfs:
-        return std::make_unique<JfsFs>(kernel_, cache_.get(), 65536);
-    }
-    return nullptr;
+  std::unique_ptr<InodeFs> NewInstance() {
+    return std::make_unique<InodeFs>(kernel_, cache_.get(), 65536, GetParam());
   }
 
   // A legal file name for every PFS under test (8.3-safe).
@@ -89,16 +58,14 @@ class PfsContractTest : public mk::KernelTest,
   hw::Disk* disk_;
   std::unique_ptr<mks::BackdoorBlockStore> store_;
   std::unique_ptr<BlockCache> cache_;
-  std::unique_ptr<FatFs> fat_;
-  std::unique_ptr<InodeFs> inode_;
-  Pfs* pfs_ = nullptr;
+  std::unique_ptr<InodeFs> pfs_;
 };
 
 TEST_P(PfsContractTest, WriteReadRoundTripAcrossSizes) {
   RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(Format(env), base::Status::kOk);
-    // Sizes chosen to hit sector boundaries, cluster boundaries, and the
-    // indirect-block threshold.
+    ASSERT_EQ(pfs_->Format(env), base::Status::kOk);
+    // Sizes chosen to hit sector boundaries and the indirect-block
+    // threshold.
     const uint32_t sizes[] = {1, 511, 512, 513, 2047, 2048, 4096, 10000, 20000};
     int i = 0;
     for (uint32_t size : sizes) {
@@ -127,7 +94,7 @@ TEST_P(PfsContractTest, WriteReadRoundTripAcrossSizes) {
 
 TEST_P(PfsContractTest, OverwriteInMiddlePreservesRest) {
   RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(Format(env), base::Status::kOk);
+    ASSERT_EQ(pfs_->Format(env), base::Status::kOk);
     auto node = pfs_->Create(env, pfs_->root(), "MID.DAT", false);
     ASSERT_TRUE(node.ok());
     std::vector<uint8_t> data(6000, 0x11);
@@ -147,7 +114,7 @@ TEST_P(PfsContractTest, OverwriteInMiddlePreservesRest) {
 
 TEST_P(PfsContractTest, ReadPastEofTruncates) {
   RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(Format(env), base::Status::kOk);
+    ASSERT_EQ(pfs_->Format(env), base::Status::kOk);
     auto node = pfs_->Create(env, pfs_->root(), "EOF.DAT", false);
     ASSERT_TRUE(node.ok());
     ASSERT_TRUE(pfs_->Write(env, *node, 0, "12345", 5).ok());
@@ -166,7 +133,7 @@ TEST_P(PfsContractTest, ReadPastEofTruncates) {
 
 TEST_P(PfsContractTest, DirectoryListingMatchesOracle) {
   RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(Format(env), base::Status::kOk);
+    ASSERT_EQ(pfs_->Format(env), base::Status::kOk);
     std::map<std::string, bool> oracle;  // name -> is_dir
     for (int i = 0; i < 12; ++i) {
       const bool dir = i % 3 == 0;
@@ -191,7 +158,7 @@ TEST_P(PfsContractTest, DirectoryListingMatchesOracle) {
 
 TEST_P(PfsContractTest, RandomOpsAgainstOracle) {
   RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(Format(env), base::Status::kOk);
+    ASSERT_EQ(pfs_->Format(env), base::Status::kOk);
     std::map<std::string, std::vector<uint8_t>> oracle;
     std::map<std::string, NodeId> nodes;
     base::Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 17);
@@ -300,11 +267,11 @@ TEST_P(PfsContractTest, RandomOpsAgainstOracle) {
 
 // Truncation must not leave old bytes behind: after a write past the new
 // end, everything between the new size and that write reads back as zeros.
-// (3000 -> 100 keeps part of one block or cluster; 8192 -> 0 drops blocks
-// that hang off an inode's indirect pointer.)
+// (3000 -> 100 keeps part of one block; 8192 -> 0 drops blocks that hang
+// off an inode's indirect pointer.)
 TEST_P(PfsContractTest, TruncateThenWritePastEndReadsZeros) {
   RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(Format(env), base::Status::kOk);
+    ASSERT_EQ(pfs_->Format(env), base::Status::kOk);
     const std::pair<uint32_t, uint32_t> cases[] = {{3000, 100}, {8192, 0}};
     int i = 0;
     for (const auto& [n, m] : cases) {
@@ -334,7 +301,7 @@ TEST_P(PfsContractTest, TruncateThenWritePastEndReadsZeros) {
 TEST_P(PfsContractTest, PersistsAcrossRemountWithSameOracle) {
   std::map<std::string, std::vector<uint8_t>> oracle;
   RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(Format(env), base::Status::kOk);
+    ASSERT_EQ(pfs_->Format(env), base::Status::kOk);
     base::Rng rng(4242);
     for (int i = 0; i < 5; ++i) {
       const std::string name = Name(i);
@@ -399,7 +366,7 @@ TEST_P(PfsContractTest, SeededDirectoryMatchesOracle) {
     SCOPED_TRACE(testing::Message() << KindName(GetParam()) << " WPOS_PROPS_SEED=" << seed);
     std::map<std::string, Entry> oracle;
     RunInThread([&](mk::Env& env) {
-      ASSERT_EQ(Format(env), base::Status::kOk);
+      ASSERT_EQ(pfs_->Format(env), base::Status::kOk);
       base::Rng rng(seed);
       // 8.3 names, upper case, so every file system stores them as given.
       const auto pick = [&] { return "E" + std::to_string(rng.NextBelow(48)) + ".DAT"; };
@@ -492,22 +459,18 @@ TEST_P(PfsContractTest, SeededDirectoryMatchesOracle) {
 }
 
 // A write a file system cannot hold is refused before it changes anything:
-// past the largest file its format maps (HPFS and JFS: 140 blocks; FAT: a
-// 32-bit size), past the volume, or where offset + len wraps. The file's
-// bytes and size and the free space stay as they were, and the volume still
-// takes a small write. HPFS and JFS used to cut the block index to 32 bits
-// and write block 0; FAT chained every free cluster, or spun on the wrap.
+// past the largest file an inode maps (140 blocks), past the volume, or
+// where offset + len wraps. The file's bytes and size and the free space
+// stay as they were, and the volume still takes a small write. HPFS and JFS
+// used to cut the block index to 32 bits and write block 0.
 TEST_P(PfsContractTest, RefusedWritesChangeNothing) {
   RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(Format(env), base::Status::kOk);
-    const auto free_space = [&] {
-      return fat_ != nullptr ? fat_->free_clusters() : inode_->free_blocks();
-    };
+    ASSERT_EQ(pfs_->Format(env), base::Status::kOk);
     auto node = pfs_->Create(env, pfs_->root(), "FAR.DAT", false);
     ASSERT_TRUE(node.ok());
     const std::string old = "0123456789";
     ASSERT_TRUE(pfs_->Write(env, *node, 0, old.data(), 10).ok());
-    const uint64_t free_before = free_space();
+    const uint64_t free_before = pfs_->free_blocks();
     for (const uint64_t offset : {1ull << 41, 64ull << 20, ~0ull - 2047}) {
       EXPECT_FALSE(pfs_->Write(env, *node, offset, "abcd", 4).ok())
           << KindName(GetParam()) << " offset " << offset;
@@ -518,7 +481,7 @@ TEST_P(PfsContractTest, RefusedWritesChangeNothing) {
       auto attr = pfs_->GetAttr(env, *node);
       ASSERT_TRUE(attr.ok());
       EXPECT_EQ(attr->size, 10u) << KindName(GetParam()) << " offset " << offset;
-      EXPECT_EQ(free_space(), free_before) << KindName(GetParam()) << " offset " << offset;
+      EXPECT_EQ(pfs_->free_blocks(), free_before) << KindName(GetParam()) << " offset " << offset;
     }
     auto next = pfs_->Create(env, pfs_->root(), "NEXT.DAT", false);
     ASSERT_TRUE(next.ok());
@@ -528,15 +491,10 @@ TEST_P(PfsContractTest, RefusedWritesChangeNothing) {
 
 // A directory is not a file: a read, a write or a truncate through the root
 // or a subdirectory answers kInvalidArgument, and neither listing nor the
-// free space changes. FAT's root has no dirent of its own (node 1's slot is bytes
-// 32-63 of the boot sector); FAT used to write through it into a phantom
-// file, and to truncate a subdirectory's cluster, and its entries, away.
+// free space changes.
 TEST_P(PfsContractTest, FileIoOnADirectoryIsInvalidArgument) {
   RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(Format(env), base::Status::kOk);
-    const auto free_space = [&] {
-      return fat_ != nullptr ? fat_->free_clusters() : inode_->free_blocks();
-    };
+    ASSERT_EQ(pfs_->Format(env), base::Status::kOk);
     const auto names = [&](NodeId dir) {
       std::vector<std::string> out;
       auto entries = pfs_->ReadDir(env, dir);
@@ -551,7 +509,7 @@ TEST_P(PfsContractTest, FileIoOnADirectoryIsInvalidArgument) {
     auto sub = pfs_->Create(env, pfs_->root(), "SUB", /*directory=*/true);
     ASSERT_TRUE(sub.ok());
     ASSERT_TRUE(pfs_->Create(env, *sub, "INNER.DAT", false).ok());
-    const uint64_t free_before = free_space();
+    const uint64_t free_before = pfs_->free_blocks();
     const std::vector<std::string> root_names = names(pfs_->root());
     const std::vector<std::string> sub_names = names(*sub);
     for (const NodeId dir : {pfs_->root(), *sub}) {
@@ -564,9 +522,30 @@ TEST_P(PfsContractTest, FileIoOnADirectoryIsInvalidArgument) {
       EXPECT_EQ(pfs_->Read(env, dir, 0, buf, sizeof(buf)).status(),
                 base::Status::kInvalidArgument);
     }
-    EXPECT_EQ(free_space(), free_before) << KindName(GetParam());
+    EXPECT_EQ(pfs_->free_blocks(), free_before) << KindName(GetParam());
     EXPECT_EQ(names(pfs_->root()), root_names) << KindName(GetParam());
     EXPECT_EQ(names(*sub), sub_names) << KindName(GetParam());
+  });
+}
+
+// "." and ".." name a directory and its parent, so no file system stores
+// them: a create or a rename to either answers kInvalidArgument, and the
+// listing does not change.
+TEST_P(PfsContractTest, DotNamesAreInvalidArgument) {
+  RunInThread([&](mk::Env& env) {
+    ASSERT_EQ(pfs_->Format(env), base::Status::kOk);
+    const NodeId root = pfs_->root();
+    ASSERT_TRUE(pfs_->Create(env, root, "KEEP.DAT", false).ok());
+    for (const std::string dot : {".", ".."}) {
+      SCOPED_TRACE(KindName(GetParam()) + " '" + dot + "'");
+      EXPECT_EQ(pfs_->Create(env, root, dot, false).status(), base::Status::kInvalidArgument);
+      EXPECT_EQ(pfs_->Create(env, root, dot, true).status(), base::Status::kInvalidArgument);
+      EXPECT_EQ(pfs_->Rename(env, root, "KEEP.DAT", root, dot), base::Status::kInvalidArgument);
+    }
+    auto entries = pfs_->ReadDir(env, root);
+    ASSERT_TRUE(entries.ok());
+    ASSERT_EQ(entries->size(), 1u) << KindName(GetParam());
+    EXPECT_EQ((*entries)[0].name, "KEEP.DAT");
   });
 }
 

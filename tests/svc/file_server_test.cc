@@ -9,7 +9,6 @@
 
 #include "src/mk/server_loop.h"
 #include "src/mks/naming/name_server.h"
-#include "src/svc/fs/fat.h"
 #include "src/svc/fs/file_server.h"
 #include "tests/mk/kernel_test_fixture.h"
 
@@ -37,9 +36,11 @@ class FileServerTest : public mk::KernelTest {
     server_->StartMkfs();
   }
 
-  // Runs the client body, then stops the server cleanly.
+  // Runs the client body once every volume is formatted, then stops the
+  // server cleanly.
   void RunClient(std::function<void(mk::Env&, FsClient&)> body) {
     kernel_.CreateThread(client_task_, "client", [this, body](mk::Env& env) {
+      server_->AwaitMkfs(env);
       FsClient fs(service_);
       body(env, fs);
       server_->Stop();
@@ -47,7 +48,7 @@ class FileServerTest : public mk::KernelTest {
     ASSERT_EQ(kernel_.Run(), 0u);
   }
 
-  FatFs& fat() { return static_cast<FatFs&>(server_->volume(1).pfs()); }
+  InodeFs& fat() { return server_->volume(1).pfs(); }
 
   std::unique_ptr<mks::BackdoorBlockStore> store_;
   std::unique_ptr<mks::BackdoorBlockStore> fat_store_;
@@ -169,7 +170,6 @@ TEST_F(FileServerTest, CaseInsensitiveFlagOverCaseSensitiveStore) {
   ASSERT_EQ(server_->AddVolume("/unix", &jfs_store, PfsKind::kJfs, 16384, 256),
             base::Status::kOk);
   RunClient([&](mk::Env& env, FsClient& fs) {
-    server_->AwaitMkfs(env);  // mkfs blocks on device latency; wait it out
     auto h = fs.Open(env, "/unix/ReadMe.MD", kFsCreate | kFsWrite);
     ASSERT_TRUE(h.ok());
     ASSERT_EQ(fs.Close(env, *h), base::Status::kOk);
@@ -574,7 +574,6 @@ TEST_F(FileServerTest, OpenWithTheKernelHeapFullIsResourceShortage) {
     ASSERT_TRUE(handle.ok());
     const char msg[] = "opened before the heap filled";
     ASSERT_TRUE(fs.Write(env, *handle, 0, msg, sizeof(msg)).ok());
-    server_->AwaitMkfs(env);  // FAT's format still takes cache buffers
     mk::FillKernelHeap(kernel_);
     const uint64_t opens = server_->opens();
     EXPECT_EQ(fs.Open(env, "/kept.txt", kFsWrite).status(),
@@ -600,7 +599,6 @@ TEST_F(FileServerTest, FailedOpenLeavesNoSharingState) {
     auto handle = fs.Open(env, "/probe.txt", kFsCreate | kFsWrite);
     ASSERT_TRUE(handle.ok());
     ASSERT_EQ(fs.Close(env, *handle), base::Status::kOk);
-    server_->AwaitMkfs(env);  // FAT's format still takes cache buffers
     mk::FillKernelHeap(kernel_);
     EXPECT_EQ(fs.Open(env, "/probe.txt", kFsWrite).status(), base::Status::kResourceShortage);
     EXPECT_EQ(fs.Unlink(env, "/probe.txt"), base::Status::kOk);
@@ -608,23 +606,21 @@ TEST_F(FileServerTest, FailedOpenLeavesNoSharingState) {
 }
 
 TEST_F(FileServerTest, TruncatingOpenOfAFatDirectoryIsInvalidArgument) {
-  // As on HPFS, a directory is not a file to truncate. FAT used to free a
-  // subdirectory's cluster, and its entries with it; its root, which has no
-  // dirent, read bytes 32-63 of the boot sector as one.
+  // As on HPFS, a directory is not a file to truncate, on the 8.3 volume
+  // too: a truncating open of its root or of a subdirectory frees nothing.
   RunClient([&](mk::Env& env, FsClient& fs) {
-    server_->AwaitMkfs(env);
     ASSERT_EQ(fs.Mkdir(env, "/fat/SUB"), base::Status::kOk);
     auto inner = fs.Open(env, "/fat/SUB/INNER.TXT", kFsCreate | kFsWrite);
     ASSERT_TRUE(inner.ok());
     ASSERT_EQ(fs.Close(env, *inner), base::Status::kOk);
     ASSERT_EQ(fs.Mkdir(env, "/hsub"), base::Status::kOk);
-    const uint64_t free_clusters = fat().free_clusters();
+    const uint64_t free_blocks = fat().free_blocks();
     for (const char* dir : {"/fat/SUB", "/fat", "/hsub"}) {
       EXPECT_EQ(fs.Open(env, dir, kFsWrite | kFsTruncate).status(),
                 base::Status::kInvalidArgument)
           << dir;
     }
-    EXPECT_EQ(fat().free_clusters(), free_clusters);
+    EXPECT_EQ(fat().free_blocks(), free_blocks);
     auto entries = fs.ReadDir(env, "/fat/SUB");
     ASSERT_TRUE(entries.ok());
     ASSERT_EQ(entries->size(), 1u);

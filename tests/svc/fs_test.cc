@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/svc/fs/block_cache.h"
-#include "src/svc/fs/fat.h"
 #include "src/svc/fs/inode_fs.h"
 #include "tests/mk/kernel_test_fixture.h"
 
@@ -86,6 +85,8 @@ class PfsTest : public mk::KernelTest {
     }
     EXPECT_EQ(kernel_.CheckInvariants(), 0u);
   }
+
+  void ExpectWriteOutOfBlocksChangesNothing(PfsKind kind);
 
   hw::Disk* disk_;
   std::unique_ptr<mks::BackdoorBlockStore> store_;
@@ -360,10 +361,10 @@ TEST_F(PfsTest, WriteBackRunStopsAtTheRequestLimit) {
 }
 
 TEST_F(PfsTest, FatFormatCreateReadWrite) {
-  FatFs fat(kernel_, cache_.get(), 8192);
+  InodeFs fat(kernel_, cache_.get(), 8192, PfsKind::kFat);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(fat.Format(env), base::Status::kOk);
-    auto file = fat.Create(env, FatFs::kRootNode, "HELLO.TXT", false);
+    auto file = fat.Create(env, InodeFs::kRootInode, "HELLO.TXT", false);
     ASSERT_TRUE(file.ok());
     const char msg[] = "fat file system says hi";
     auto wrote = fat.Write(env, *file, 0, msg, sizeof(msg));
@@ -381,71 +382,56 @@ TEST_F(PfsTest, FatFormatCreateReadWrite) {
 }
 
 TEST_F(PfsTest, FatRejectsLongNames) {
-  FatFs fat(kernel_, cache_.get(), 8192);
+  InodeFs fat(kernel_, cache_.get(), 8192, PfsKind::kFat);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(fat.Format(env), base::Status::kOk);
     // The paper's FAT incompatibility: no way to store a long name.
-    EXPECT_EQ(fat.Create(env, FatFs::kRootNode, "longfilename.txt", false).status(),
+    EXPECT_EQ(fat.Create(env, InodeFs::kRootInode, "longfilename.txt", false).status(),
               base::Status::kNotSupported);
-    EXPECT_EQ(fat.Create(env, FatFs::kRootNode, "file.longext", false).status(),
+    EXPECT_EQ(fat.Create(env, InodeFs::kRootInode, "file.longext", false).status(),
               base::Status::kNotSupported);
     // 8.3 names are uppercased, not case-preserved.
-    ASSERT_TRUE(fat.Create(env, FatFs::kRootNode, "mixed.txt", false).ok());
-    auto entries = fat.ReadDir(env, FatFs::kRootNode);
+    ASSERT_TRUE(fat.Create(env, InodeFs::kRootInode, "mixed.txt", false).ok());
+    auto entries = fat.ReadDir(env, InodeFs::kRootInode);
     ASSERT_TRUE(entries.ok());
     ASSERT_EQ(entries->size(), 1u);
     EXPECT_EQ((*entries)[0].name, "MIXED.TXT");
     // Lookup is case-insensitive.
-    EXPECT_TRUE(fat.Lookup(env, FatFs::kRootNode, "MiXeD.TxT").ok());
+    EXPECT_TRUE(fat.Lookup(env, InodeFs::kRootInode, "MiXeD.TxT").ok());
   });
 }
 
 TEST_F(PfsTest, FatSubdirectoriesAndRemove) {
-  FatFs fat(kernel_, cache_.get(), 8192);
+  InodeFs fat(kernel_, cache_.get(), 8192, PfsKind::kFat);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(fat.Format(env), base::Status::kOk);
-    auto dir = fat.Create(env, FatFs::kRootNode, "SUBDIR", true);
+    auto dir = fat.Create(env, InodeFs::kRootInode, "SUBDIR", true);
     ASSERT_TRUE(dir.ok());
     auto file = fat.Create(env, *dir, "A.DAT", false);
     ASSERT_TRUE(file.ok());
     // Non-empty directory cannot be removed.
-    EXPECT_EQ(fat.Remove(env, FatFs::kRootNode, "SUBDIR"), base::Status::kBusy);
+    EXPECT_EQ(fat.Remove(env, InodeFs::kRootInode, "SUBDIR"), base::Status::kBusy);
     ASSERT_EQ(fat.Remove(env, *dir, "A.DAT"), base::Status::kOk);
-    EXPECT_EQ(fat.Remove(env, FatFs::kRootNode, "SUBDIR"), base::Status::kOk);
-    EXPECT_EQ(fat.Lookup(env, FatFs::kRootNode, "SUBDIR").status(), base::Status::kNotFound);
-  });
-}
-
-TEST_F(PfsTest, FatClusterReuseAfterDelete) {
-  FatFs fat(kernel_, cache_.get(), 8192);
-  RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(fat.Format(env), base::Status::kOk);
-    const uint64_t free0 = fat.free_clusters();
-    auto file = fat.Create(env, FatFs::kRootNode, "BIG.BIN", false);
-    ASSERT_TRUE(file.ok());
-    std::vector<uint8_t> data(5 * FatFs::kClusterBytes, 0xaa);
-    ASSERT_TRUE(fat.Write(env, *file, 0, data.data(), static_cast<uint32_t>(data.size())).ok());
-    EXPECT_EQ(fat.free_clusters(), free0 - 5);
-    ASSERT_EQ(fat.Remove(env, FatFs::kRootNode, "BIG.BIN"), base::Status::kOk);
-    EXPECT_EQ(fat.free_clusters(), free0);
+    EXPECT_EQ(fat.Remove(env, InodeFs::kRootInode, "SUBDIR"), base::Status::kOk);
+    EXPECT_EQ(fat.Lookup(env, InodeFs::kRootInode, "SUBDIR").status(), base::Status::kNotFound);
   });
 }
 
 TEST_F(PfsTest, FatPersistsAcrossRemount) {
   {
-    FatFs fat(kernel_, cache_.get(), 8192);
+    InodeFs fat(kernel_, cache_.get(), 8192, PfsKind::kFat);
     RunInThread([&](mk::Env& env) {
       ASSERT_EQ(fat.Format(env), base::Status::kOk);
-      auto file = fat.Create(env, FatFs::kRootNode, "KEEP.ME", false);
+      auto file = fat.Create(env, InodeFs::kRootInode, "KEEP.ME", false);
       ASSERT_TRUE(file.ok());
       ASSERT_TRUE(fat.Write(env, *file, 0, "persist", 8).ok());
       ASSERT_EQ(fat.Sync(env), base::Status::kOk);
     });
   }
-  FatFs fat2(kernel_, cache_.get(), 8192);
+  InodeFs fat2(kernel_, cache_.get(), 8192, PfsKind::kFat);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(fat2.Mount(env), base::Status::kOk);
-    auto file = fat2.Lookup(env, FatFs::kRootNode, "KEEP.ME");
+    auto file = fat2.Lookup(env, InodeFs::kRootInode, "KEEP.ME");
     ASSERT_TRUE(file.ok());
     char out[16] = {};
     ASSERT_TRUE(fat2.Read(env, *file, 0, out, sizeof(out)).ok());
@@ -454,7 +440,7 @@ TEST_F(PfsTest, FatPersistsAcrossRemount) {
 }
 
 TEST_F(PfsTest, HpfsLongNamesCasePreservedCaseInsensitive) {
-  HpfsFs hpfs(kernel_, cache_.get(), 16384);
+  InodeFs hpfs(kernel_, cache_.get(), 16384, PfsKind::kHpfs);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(hpfs.Format(env), base::Status::kOk);
     auto file = hpfs.Create(env, InodeFs::kRootInode, "My Long Document Name.text", false);
@@ -469,7 +455,7 @@ TEST_F(PfsTest, HpfsLongNamesCasePreservedCaseInsensitive) {
 }
 
 TEST_F(PfsTest, HpfsExtendedAttributes) {
-  HpfsFs hpfs(kernel_, cache_.get(), 16384);
+  InodeFs hpfs(kernel_, cache_.get(), 16384, PfsKind::kHpfs);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(hpfs.Format(env), base::Status::kOk);
     auto file = hpfs.Create(env, InodeFs::kRootInode, "doc.txt", false);
@@ -488,7 +474,7 @@ TEST_F(PfsTest, HpfsExtendedAttributes) {
 }
 
 TEST_F(PfsTest, JfsCaseSensitiveNames) {
-  JfsFs jfs(kernel_, cache_.get(), 16384);
+  InodeFs jfs(kernel_, cache_.get(), 16384, PfsKind::kJfs);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(jfs.Format(env), base::Status::kOk);
     ASSERT_TRUE(jfs.Create(env, InodeFs::kRootInode, "Makefile", false).ok());
@@ -501,7 +487,7 @@ TEST_F(PfsTest, JfsCaseSensitiveNames) {
 }
 
 TEST_F(PfsTest, JfsLargeFileThroughIndirectBlocks) {
-  JfsFs jfs(kernel_, cache_.get(), 32768);
+  InodeFs jfs(kernel_, cache_.get(), 32768, PfsKind::kJfs);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(jfs.Format(env), base::Status::kOk);
     auto file = jfs.Create(env, InodeFs::kRootInode, "big.bin", false);
@@ -526,7 +512,7 @@ TEST_F(PfsTest, JfsLargeFileThroughIndirectBlocks) {
 }
 
 TEST_F(PfsTest, JfsJournalReplayAfterCrash) {
-  JfsFs jfs(kernel_, cache_.get(), 32768);
+  InodeFs jfs(kernel_, cache_.get(), 32768, PfsKind::kJfs);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(jfs.Format(env), base::Status::kOk);
     ASSERT_TRUE(jfs.Create(env, InodeFs::kRootInode, "survivor", false).ok());
@@ -538,7 +524,7 @@ TEST_F(PfsTest, JfsJournalReplayAfterCrash) {
     ASSERT_EQ(jfs.Sync(env), base::Status::kOk);
   });
   // Remount: replay must make the logged create visible.
-  JfsFs recovered(kernel_, cache_.get(), 32768);
+  InodeFs recovered(kernel_, cache_.get(), 32768, PfsKind::kJfs);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(recovered.Mount(env), base::Status::kOk);
     EXPECT_EQ(recovered.journal_replays(), 1u);
@@ -548,7 +534,7 @@ TEST_F(PfsTest, JfsJournalReplayAfterCrash) {
 }
 
 TEST_F(PfsTest, JfsRenamePreservesInode) {
-  JfsFs jfs(kernel_, cache_.get(), 16384);
+  InodeFs jfs(kernel_, cache_.get(), 16384, PfsKind::kJfs);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(jfs.Format(env), base::Status::kOk);
     auto dir = jfs.Create(env, InodeFs::kRootInode, "dir", true);
@@ -574,7 +560,7 @@ TEST_F(PfsTest, JfsRenamePreservesInode) {
 // used), so the 1,023rd create answers kNoSpace and so does the next one.
 TEST_F(PfsTest, JfsFailedCreateEndsItsTransaction) {
   constexpr uint32_t kFiles = 1022;
-  JfsFs jfs(kernel_, cache_.get(), 32768);
+  InodeFs jfs(kernel_, cache_.get(), 32768, PfsKind::kJfs);
   std::map<std::string, bool> created;
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(jfs.Format(env), base::Status::kOk);
@@ -595,7 +581,7 @@ TEST_F(PfsTest, JfsFailedCreateEndsItsTransaction) {
     ASSERT_EQ(jfs.Sync(env), base::Status::kOk);
   });
   // A remount lists exactly the names whose create answered kOk.
-  JfsFs remounted(kernel_, cache_.get(), 32768);
+  InodeFs remounted(kernel_, cache_.get(), 32768, PfsKind::kJfs);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(remounted.Mount(env), base::Status::kOk);
     auto entries = remounted.ReadDir(env, InodeFs::kRootInode);
@@ -608,83 +594,63 @@ TEST_F(PfsTest, JfsFailedCreateEndsItsTransaction) {
   });
 }
 
-// A JFS write that runs out of blocks changes no metadata: the file keeps
-// its size, the blocks it took are free again, and a remount counts the
-// same. 1,024 sectors leave 254 data blocks.
-TEST_F(PfsTest, JfsWriteOutOfBlocksChangesNothing) {
-  JfsFs jfs(kernel_, cache_.get(), 1024);
-  NodeId victim = 0;
+// A write that runs out of blocks changes nothing, on every flavour: the
+// file keeps its size, the blocks it took are free again, and a remount
+// counts the same. 1,024 sectors leave HPFS and FAT 510 data blocks and JFS,
+// whose journal takes 256 sectors, 254; 64 KB files fill each volume until
+// the next 64 KB cannot fit.
+void PfsTest::ExpectWriteOutOfBlocksChangesNothing(PfsKind kind) {
+  InodeFs fs(kernel_, cache_.get(), 1024, kind);
+  std::map<NodeId, uint64_t> sizes;  // a 1 KB file and an empty one
   uint64_t free_before = 0;
   RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(jfs.Format(env), base::Status::kOk);
-    auto fill = jfs.Create(env, InodeFs::kRootInode, "fill", false);
-    auto file = jfs.Create(env, InodeFs::kRootInode, "victim", false);
-    ASSERT_TRUE(fill.ok());
-    ASSERT_TRUE(file.ok());
-    victim = *file;
+    ASSERT_EQ(fs.Format(env), base::Status::kOk);
     const std::vector<uint8_t> data(64 * 1024, 0x5a);  // 128 blocks and an indirect one
-    ASSERT_TRUE(jfs.Write(env, *fill, 0, data.data(), static_cast<uint32_t>(data.size())).ok());
-    ASSERT_TRUE(jfs.Write(env, victim, 0, data.data(), 1024).ok());
-    free_before = jfs.free_blocks();
-    ASSERT_LT(free_before, 129u) << "the second 64 KB must not fit";
-    EXPECT_EQ(jfs.Write(env, victim, 1024, data.data(), static_cast<uint32_t>(data.size()))
-                  .status(),
-              base::Status::kNoSpace);
-    auto attr = jfs.GetAttr(env, victim);
-    ASSERT_TRUE(attr.ok());
-    EXPECT_EQ(attr->size, 1024u);
-    EXPECT_EQ(jfs.free_blocks(), free_before);
-    ASSERT_EQ(jfs.Sync(env), base::Status::kOk);
+    for (int i = 0; fs.free_blocks() > 130; ++i) {
+      auto fill = fs.Create(env, InodeFs::kRootInode, "FILL" + std::to_string(i), false);
+      ASSERT_TRUE(fill.ok());
+      ASSERT_TRUE(fs.Write(env, *fill, 0, data.data(), static_cast<uint32_t>(data.size())).ok());
+    }
+    auto file = fs.Create(env, InodeFs::kRootInode, "FILE.DAT", false);
+    auto empty = fs.Create(env, InodeFs::kRootInode, "EMPTY.DAT", false);
+    ASSERT_TRUE(file.ok() && empty.ok());
+    ASSERT_TRUE(fs.Write(env, *file, 0, data.data(), 1024).ok());
+    sizes = {{*file, 1024}, {*empty, 0}};
+    free_before = fs.free_blocks();
+    for (const auto& [node, size] : sizes) {
+      EXPECT_EQ(fs.Write(env, node, size, data.data(), static_cast<uint32_t>(data.size()))
+                    .status(),
+                base::Status::kNoSpace);
+      auto attr = fs.GetAttr(env, node);
+      ASSERT_TRUE(attr.ok());
+      EXPECT_EQ(attr->size, size);
+      EXPECT_EQ(fs.free_blocks(), free_before);
+    }
+    ASSERT_EQ(fs.Sync(env), base::Status::kOk);
   });
-  JfsFs remounted(kernel_, cache_.get(), 1024);
+  InodeFs remounted(kernel_, cache_.get(), 1024, kind);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(remounted.Mount(env), base::Status::kOk);
-    auto attr = remounted.GetAttr(env, victim);
-    ASSERT_TRUE(attr.ok());
-    EXPECT_EQ(attr->size, 1024u);
+    for (const auto& [node, size] : sizes) {
+      auto attr = remounted.GetAttr(env, node);
+      ASSERT_TRUE(attr.ok());
+      EXPECT_EQ(attr->size, size);
+    }
   });
   EXPECT_EQ(remounted.free_blocks(), free_before);
 }
 
+// The FAT flavour allocates blocks, not clusters: a failed write gives them back.
 TEST_F(PfsTest, FatWriteOutOfClustersGivesThemBack) {
-  // A write that needs more clusters than are free takes every free one
-  // and fails with kNoSpace; it gives them all back. They used to stay
-  // chained to a first cluster never written back, so an empty file's failed
-  // write left the volume full for good.
-  FatFs fat(kernel_, cache_.get(), 1024);
-  RunInThread([&](mk::Env& env) {
-    ASSERT_EQ(fat.Format(env), base::Status::kOk);
-    const uint64_t clusters = fat.free_clusters();
-    auto fill = fat.Create(env, FatFs::kRootNode, "FILL.DAT", false);
-    auto empty = fat.Create(env, FatFs::kRootNode, "EMPTY.DAT", false);
-    auto kept = fat.Create(env, FatFs::kRootNode, "KEPT.DAT", false);
-    ASSERT_TRUE(fill.ok() && empty.ok() && kept.ok());
-    ASSERT_TRUE(fat.Write(env, *fill, 0, "x", 1).ok());
-    ASSERT_TRUE(fat.Write(env, *kept, 0, "0123456789", 10).ok());
-    const uint64_t free_before = fat.free_clusters();
-    ASSERT_EQ(free_before, clusters - 2);
-    // Each extent fits the volume, but not the clusters left free.
-    for (const NodeId node : {*empty, *kept}) {
-      EXPECT_EQ(fat.Write(env, node, (clusters - 1) * FatFs::kClusterBytes, "abcd", 4).status(),
-                base::Status::kNoSpace);
-      EXPECT_EQ(fat.free_clusters(), free_before);
-    }
-    auto attr = fat.GetAttr(env, *kept);
-    ASSERT_TRUE(attr.ok());
-    EXPECT_EQ(attr->size, 10u);
-    char back[10] = {};
-    ASSERT_TRUE(fat.Read(env, *kept, 0, back, sizeof(back)).ok());
-    EXPECT_EQ(std::string(back, sizeof(back)), "0123456789");
-    ASSERT_EQ(fat.Remove(env, FatFs::kRootNode, "EMPTY.DAT"), base::Status::kOk);
-    auto next = fat.Create(env, FatFs::kRootNode, "NEXT.DAT", false);
-    ASSERT_TRUE(next.ok());
-    EXPECT_TRUE(fat.Write(env, *next, 0, "hello", 5).ok());
-    ASSERT_EQ(fat.Sync(env), base::Status::kOk);
-  });
-  // The FAT on the platter agrees: a remount counts the same free clusters.
-  FatFs remounted(kernel_, cache_.get(), 1024);
-  RunInThread([&](mk::Env& env) { ASSERT_EQ(remounted.Mount(env), base::Status::kOk); });
-  EXPECT_EQ(remounted.free_clusters(), fat.free_clusters());
+  ExpectWriteOutOfBlocksChangesNothing(PfsKind::kFat);
+}
+
+TEST_F(PfsTest, HpfsWriteOutOfBlocksChangesNothing) {
+  ExpectWriteOutOfBlocksChangesNothing(PfsKind::kHpfs);
+}
+
+TEST_F(PfsTest, JfsWriteOutOfBlocksChangesNothing) {
+  ExpectWriteOutOfBlocksChangesNothing(PfsKind::kJfs);
 }
 
 // The lookup counts below hold for HPFS, whose metadata goes to the cache in
@@ -692,7 +658,7 @@ TEST_F(PfsTest, FatWriteOutOfClustersGivesThemBack) {
 TEST_F(PfsTest, LookupsListingAndSearchingReadEachDirectorySectorOnce) {
   constexpr uint32_t kEntries = 21;  // two full sectors of 8 entries and part of a third
   constexpr uint64_t kSectors = (kEntries + 7) / 8;
-  HpfsFs hpfs(kernel_, cache_.get(), 16384);
+  InodeFs hpfs(kernel_, cache_.get(), 16384, PfsKind::kHpfs);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(hpfs.Format(env), base::Status::kOk);
     auto dir = hpfs.Create(env, InodeFs::kRootInode, "dir", true);
@@ -726,7 +692,7 @@ TEST_F(PfsTest, LookupsListingAndSearchingReadEachDirectorySectorOnce) {
 }
 
 TEST_F(PfsTest, LookupsRemovingA48BlockFileMakeOneBitmapReadModifyWrite) {
-  HpfsFs hpfs(kernel_, cache_.get(), 16384);
+  InodeFs hpfs(kernel_, cache_.get(), 16384, PfsKind::kHpfs);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(hpfs.Format(env), base::Status::kOk);
     const uint64_t free0 = hpfs.free_blocks();
@@ -761,20 +727,15 @@ TEST_F(PfsTest, LookupsRemovingA48BlockFileMakeOneBitmapReadModifyWrite) {
     ASSERT_EQ(hpfs.Sync(env), base::Status::kOk);
   });
   // A remount counts the free blocks from the bitmap itself.
-  HpfsFs remounted(kernel_, cache_.get(), 16384);
+  InodeFs remounted(kernel_, cache_.get(), 16384, PfsKind::kHpfs);
   RunInThread([&](mk::Env& env) { ASSERT_EQ(remounted.Mount(env), base::Status::kOk); });
   EXPECT_EQ(remounted.free_blocks(), hpfs.free_blocks());
 }
 
 TEST_F(PfsTest, InodeFsDirentTypeSurvivesRenameAndRemount) {
-  for (const bool journaled : {false, true}) {
-    SCOPED_TRACE(journaled ? "jfs" : "hpfs");
-    auto make = [&]() -> std::unique_ptr<InodeFs> {
-      if (journaled) {
-        return std::make_unique<JfsFs>(kernel_, cache_.get(), 16384);
-      }
-      return std::make_unique<HpfsFs>(kernel_, cache_.get(), 16384);
-    };
+  for (const PfsKind kind : {PfsKind::kHpfs, PfsKind::kJfs}) {
+    SCOPED_TRACE(kind == PfsKind::kJfs ? "jfs" : "hpfs");
+    auto make = [&] { return std::make_unique<InodeFs>(kernel_, cache_.get(), 16384, kind); };
     std::unique_ptr<InodeFs> fs = make();
     RunInThread([&](mk::Env& env) {
       ASSERT_EQ(fs->Format(env), base::Status::kOk);
@@ -812,7 +773,7 @@ TEST_F(PfsTest, InodeFsDirentTypeSurvivesRenameAndRemount) {
 }
 
 TEST_F(PfsTest, InodeFsBlockAccountingOnRemove) {
-  HpfsFs hpfs(kernel_, cache_.get(), 16384);
+  InodeFs hpfs(kernel_, cache_.get(), 16384, PfsKind::kHpfs);
   RunInThread([&](mk::Env& env) {
     ASSERT_EQ(hpfs.Format(env), base::Status::kOk);
     const uint64_t free0 = hpfs.free_blocks();

@@ -83,7 +83,7 @@ Checks, over every header and source file under src/, tests/ and bench/
      drops its notification. The list holds CreateTask and objects made
      once at construction; CreateThread aborts through TryCreateThread.
  13. One file-service assembly: outside src/svc/fs/, no file constructs a
-     BlockCache or a physical file system (HpfsFs, JfsFs, FatFs, InodeFs).
+     BlockCache or a physical file system (an InodeFs, of any PfsKind).
      A file server builds its volumes with FileServer::AddVolume, and the
      monolithic comparator holds one svc::Volume. One place builds a file
      server's state, so a change to how a server generation gets its cache
@@ -159,7 +159,7 @@ PFS_UNIT_TESTS = {
 # A cache or file system made by make_unique<T>(...), T name(...), T(...)
 # or T{...}; a T&, a T* or a unique_ptr<T> member constructs nothing.
 FS_CONSTRUCT_RE = re.compile(
-    r"\b(BlockCache|HpfsFs|JfsFs|FatFs|InodeFs)\b(?:\s*>\s*\(|\s*[({]|\s+\w+\s*[({])"
+    r"\b(BlockCache|InodeFs)\b(?:\s*>\s*\(|\s*[({]|\s+\w+\s*[({])"
 )
 TRACE_EMIT_CALL_RE = re.compile(
     r"\b(Emit|BeginSpan|MarkPhase|MarkQueued|EndSpan|ScopedSpan)\s*\("
